@@ -25,11 +25,12 @@ PbDesign.*:Foldover.*:Effects.*:Hadamard.*:GaloisField.*:
 PrimePower.*:DesignMatrix.*:DesignCost.*:OneAtATime.*:
 Classification.*:Ranking.*:RankTable.*:TextTable.*:
 ParameterSpace.*:PbExperiment.*:Workflow.*:EnhancementAnalysis.*:
-CsvExport.*:PublishedData.*:Preflight.*:
+PublishedData.*:Preflight.*:AdaptiveSampling.*:
 FaultPolicy.*:AttemptContext.*:JobFailure.*:FaultTolerance.*:
 FaultInjector.*:ResultJournal.*:CampaignCheck.*:CampaignResume.*:
 CampaignDegradation.*:
-ProcProtocol.*:ProcWorkerPool.*:ProcCampaign.*:
+ProcProtocol.*:ProcWorkerPool.*:ProcCampaign.*:RemoteCampaign.*:
+ReplicatedPbExperiment.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*
 EOF

@@ -113,10 +113,10 @@ CampaignAssessment assessFactorialValidity(
     DegradationMode mode);
 
 /**
- * A distributed (IsolationMode::Remote) campaign's topology, reduced
- * to plain integers so the check layer keeps its no-exec-dependency
- * rule (exec depends on check, not the other way around). The
- * drivers fill one from CampaignOptions before pre-flight.
+ * A distributed campaign's topology, reduced to plain integers so
+ * the check layer keeps its no-exec-dependency rule (exec depends on
+ * check, not the other way around). The drivers fill one from
+ * CampaignOptions and its controller's options before pre-flight.
  */
 struct RemotePlan
 {

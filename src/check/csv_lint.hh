@@ -2,10 +2,10 @@
  * @file
  * Linting of exported CSV design matrices.
  *
- * csv_export.cc writes the PB design as one +1/-1 column per factor
- * (optionally preceded by a "run" index column and followed by
- * per-benchmark "<name> cycles" response columns). This lint parses
- * that shape — or any headerless ±1 grid — back into a sign matrix
+ * A design CSV holds one +1/-1 column per factor, optionally
+ * preceded by a "run" index column and followed by per-benchmark
+ * "<name> cycles" response columns. This lint parses that shape — or
+ * any headerless ±1 grid — back into a sign matrix
  * and runs the full design-matrix analysis on it, attaching
  * file:line positions so a bad entry is pinpointed like a compiler
  * error.

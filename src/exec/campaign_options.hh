@@ -11,6 +11,11 @@
  * (`options.campaign`) and keep only the knobs that are genuinely
  * theirs (run lengths, hook factories, critical-parameter caps).
  *
+ * Where attempts run is one choice per campaign: in-thread, in a
+ * forked sandbox pool (isolation = Process), or on a TCP worker fleet
+ * (netController set). Fleet tuning — lease, heartbeat, session
+ * grace, auth token — lives only in net::ControllerOptions.
+ *
  * The observability sinks live here too: attach a MetricsRegistry, a
  * TraceWriter, and/or a CampaignManifest and every driver reports
  * through them — engine counters and per-run histograms into the
@@ -25,7 +30,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "check/campaign_check.hh"
 #include "exec/fault_policy.hh"
@@ -45,11 +49,6 @@ namespace rigor::exec
 
 class SimulationEngine;
 class ResultJournal;
-
-namespace proc
-{
-class ProcWorkerPool;
-} // namespace proc
 
 namespace net
 {
@@ -108,11 +107,18 @@ struct CampaignOptions
         check::DegradationMode::Abort;
 
     /**
-     * Where simulation attempts execute. Thread (the default) runs
-     * them in-process on the engine's workers; Process ships each
-     * attempt to a forked sandbox worker (exec/proc/), so a SIGSEGV,
-     * OOM kill, or non-cooperative hang costs one attempt of one job
-     * instead of the campaign. See exec/isolation.hh.
+     * Where a local campaign's simulation attempts execute. Thread
+     * (the default) runs them in-process on the engine's workers;
+     * Process ships each attempt to a forked sandbox worker
+     * (exec/proc/), so a SIGSEGV, OOM kill, or non-cooperative hang
+     * costs one attempt of one job instead of the campaign. See
+     * exec/isolation.hh. Ignored when netController is set.
+     *
+     * The top-level driver call picks the executor once per campaign
+     * from this field and netController, and every phase of a
+     * multi-phase driver (workflow screen + factorial, enhancement
+     * base + enhanced legs, adaptive rounds, replicates) runs on it:
+     * a sandbox pool forks once per campaign.
      */
     IsolationMode isolation = IsolationMode::Thread;
     /** Process isolation: per-worker RLIMIT_AS cap in MiB
@@ -123,58 +129,22 @@ struct CampaignOptions
      * watchdog SIGKILLs a sandbox worker busy past it, no cooperation
      * needed (the complement of faultPolicy.attemptDeadline, which is
      * polled cooperatively and still applies inside the sandbox).
-     * Zero disables. Ignored under thread isolation.
+     * Zero disables. A remote campaign's pre-flight also checks it
+     * against the controller's lease.
      */
     std::chrono::milliseconds hardDeadline{0};
-    /**
-     * Optional pre-built sandbox pool (not owned; must outlive the
-     * call). Multi-phase drivers (workflow screen + factorial,
-     * enhancement base + enhanced legs) share one pool here so the
-     * workers fork once; when null and isolation is Process, the
-     * driver builds a private pool per phase. Ignored under thread
-     * isolation.
-     */
-    proc::ProcWorkerPool *procPool = nullptr;
 
     /**
-     * Remote isolation: the lease-granting controller that shards
+     * Remote execution: the lease-granting controller that shards
      * cells across the TCP worker fleet (not owned; must outlive the
-     * call). Required when isolation is Remote — the drivers swap the
-     * engine's simulate function for controller->simulateFn() exactly
-     * as they swap in a sandbox pool under Process isolation.
+     * call). A campaign is remote exactly when this is set; the
+     * controller's own ControllerOptions hold the lease, heartbeat,
+     * session grace and auth token, and the pre-flight reads the
+     * lease and heartbeat from there.
      */
     net::CampaignController *netController = nullptr;
     /**
-     * Remote isolation: how long one handed-out cell may go without
-     * its worker heartbeating before the lease is reclaimed and the
-     * cell requeued elsewhere. Must comfortably exceed both the
-     * heartbeat interval and any per-attempt deadline, or healthy
-     * long-running cells get reclaimed spuriously — the pre-flight
-     * rule campaign.lease-shorter-than-deadline enforces this.
-     */
-    std::chrono::milliseconds leaseDuration{10000};
-    /** Remote isolation: expected worker heartbeat cadence
-     *  (advertised to workers in the handshake). Must stay well
-     *  under half of leaseDuration or transient silence reclaims
-     *  healthy workers — the pre-flight rule
-     *  campaign.heartbeat-too-coarse enforces this.  */
-    std::chrono::milliseconds heartbeatInterval{1000};
-    /**
-     * Remote isolation: how long a disconnected worker's session
-     * (and its leases) is parked awaiting a reconnect before its
-     * cells fall back to reclaim/requeue. Zero disables parking —
-     * every broken connection reclaims immediately.
-     */
-    std::chrono::milliseconds sessionGrace{0};
-    /**
-     * Remote isolation: shared fleet token. Non-empty makes the
-     * controller demand an HMAC-SHA256 challenge-response in every
-     * worker handshake before any lease is granted; empty disables
-     * authentication (trusted-network deployments only).
-     */
-    std::string remoteAuthToken;
-    /**
-     * Remote isolation: worker count the campaign expects to be
+     * Remote execution: worker count the campaign expects to be
      * served by (pre-flight rule campaign.no-workers rejects 0 — a
      * remote campaign with no fleet would queue cells forever).
      */

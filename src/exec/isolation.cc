@@ -11,8 +11,6 @@ toString(IsolationMode mode)
         return "thread";
       case IsolationMode::Process:
         return "process";
-      case IsolationMode::Remote:
-        return "remote";
     }
     return "?";
 }
@@ -26,10 +24,6 @@ parseIsolationMode(const std::string &text, IsolationMode &mode)
     }
     if (text == "process") {
         mode = IsolationMode::Process;
-        return true;
-    }
-    if (text == "remote") {
-        mode = IsolationMode::Remote;
         return true;
     }
     return false;

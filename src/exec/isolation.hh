@@ -9,10 +9,12 @@
  * each attempt inside a forked sandbox worker supervised by
  * exec::proc::ProcWorkerPool: a crash, OOM kill, or hard-deadline
  * SIGKILL costs exactly one attempt of one job — the worker is
- * respawned and the campaign keeps its completed cells. Remote
- * isolation shards attempts across a TCP worker fleet through
- * exec::net::CampaignController: a dead or stalled machine costs one
- * lease, reclaimed and requeued onto a healthy worker.
+ * respawned and the campaign keeps its completed cells.
+ *
+ * A campaign can also run on a TCP worker fleet; that is not a third
+ * mode here but CampaignOptions::netController being set, so a
+ * "remote campaign without a controller" cannot be expressed. Each
+ * worker of the fleet picks its own Thread or Process mode.
  */
 
 #ifndef RIGOR_EXEC_ISOLATION_HH
@@ -30,14 +32,12 @@ enum class IsolationMode
     Thread,
     /** In forked sandbox workers behind pipe IPC (crash-proof). */
     Process,
-    /** On a TCP worker fleet behind a lease-granting controller. */
-    Remote,
 };
 
-/** Display name ("thread" / "process" / "remote"). */
+/** Display name ("thread" / "process"). */
 std::string toString(IsolationMode mode);
 
-/** Parse "thread" / "process" / "remote"; false on anything else. */
+/** Parse "thread" / "process"; false on anything else. */
 bool parseIsolationMode(const std::string &text, IsolationMode &mode);
 
 } // namespace rigor::exec

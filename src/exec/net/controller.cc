@@ -463,12 +463,18 @@ CampaignController::performHandshake(OwnedFd &fd)
         ack.challenge = randomNonce();
     proc::Writer ack_body;
     ack.serialize(ack_body);
-    sendMessage(fd.get(), MsgType::HelloAck, ack_body.bytes());
+    // A rejection is counted before the peer can read its verdict,
+    // so a peer that saw the verdict also sees the count.
     if (!ack.accepted) {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        authRejectedLocked(hello.name, hello.sessionId, ack.reason);
+        {
+            const std::lock_guard<std::mutex> lock(_mutex);
+            authRejectedLocked(hello.name, hello.sessionId,
+                               ack.reason);
+        }
+        sendMessage(fd.get(), MsgType::HelloAck, ack_body.bytes());
         return nullptr;
     }
+    sendMessage(fd.get(), MsgType::HelloAck, ack_body.bytes());
 
     if (ack.authRequired) {
         std::vector<std::byte> proof_payload;
@@ -480,10 +486,12 @@ CampaignController::performHandshake(OwnedFd &fd)
         }
         proc::Reader proof_in(proof_payload);
         if (readType(proof_in) != MsgType::AuthProof) {
+            {
+                const std::lock_guard<std::mutex> lock(_mutex);
+                authRejectedLocked(hello.name, hello.sessionId,
+                                   "auth proof required but not sent");
+            }
             sendSessionReject(fd.get(), "auth proof required");
-            const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
-                               "auth proof required but not sent");
             return nullptr;
         }
         const AuthProofMsg proof =
@@ -492,10 +500,12 @@ CampaignController::performHandshake(OwnedFd &fd)
             authProof(_options.authToken, ack.challenge,
                       hello.sessionId, hello.name);
         if (!constantTimeEquals(proof.proof, expected)) {
+            {
+                const std::lock_guard<std::mutex> lock(_mutex);
+                authRejectedLocked(hello.name, hello.sessionId,
+                                   "bad auth proof");
+            }
             sendSessionReject(fd.get(), "bad auth proof");
-            const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
-                               "bad auth proof");
             return nullptr;
         }
     }

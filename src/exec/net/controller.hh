@@ -2,11 +2,12 @@
  * @file
  * The lease-granting campaign controller of the distributed backend.
  *
- * CampaignController is to IsolationMode::Remote what ProcWorkerPool
- * is to Process: an attempt executor behind the engine's SimulateFn
- * seam. execute() serializes one attempt as a proc::JobRequest,
- * queues it, and blocks until a worker's proc::JobResult classifies
- * it — so retries, backoff, quarantine, journaling, and bit-identical
+ * CampaignController is to a remote campaign (one whose
+ * CampaignOptions::netController points here) what ProcWorkerPool is
+ * to process isolation: an attempt executor behind the engine's
+ * SimulateFn seam. execute() serializes one attempt as a
+ * proc::JobRequest, queues it, and blocks until a worker's
+ * proc::JobResult classifies it — so retries, backoff, quarantine, journaling, and bit-identical
  * resume all keep working unchanged on top.
  *
  * Fault model. Each handed-out cell is covered by a time-bounded
@@ -186,6 +187,10 @@ class CampaignController
 
     /** The port actually bound (resolves port 0). */
     std::uint16_t port() const { return _port; }
+
+    /** The options the controller runs with (lease, heartbeat,
+     *  grace, token) — what a remote campaign's pre-flight checks. */
+    const ControllerOptions &options() const { return _options; }
 
     /** Workers currently connected and accepted. */
     unsigned connectedWorkers() const;

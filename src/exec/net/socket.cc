@@ -46,6 +46,16 @@ makeEndpoint(const std::string &address, std::uint16_t port)
     return endpoint;
 }
 
+/** Frames are small (a JobRequest is a few hundred bytes) and
+ *  latency-sensitive: never batch them behind Nagle, on either end
+ *  of the connection. */
+void
+setNoDelay(int fd)
+{
+    const int on = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
+}
+
 } // namespace
 
 void
@@ -98,8 +108,10 @@ acceptClient(int listenFd)
     for (;;) {
         const int fd =
             ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC);
-        if (fd >= 0)
+        if (fd >= 0) {
+            setNoDelay(fd);
             return OwnedFd(fd);
+        }
         if (errno == EINTR)
             continue;
         // The listener was closed or shut down under us: the
@@ -114,11 +126,7 @@ connectTcp(const std::string &address, std::uint16_t port)
     OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid())
         fail("socket");
-    // Frames are small (a JobRequest is a few hundred bytes) and
-    // latency-sensitive: never batch them behind Nagle.
-    const int on = 1;
-    (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &on,
-                       sizeof(on));
+    setNoDelay(fd.get());
     const sockaddr_in endpoint = makeEndpoint(address, port);
     if (::connect(fd.get(),
                   reinterpret_cast<const sockaddr *>(&endpoint),

@@ -1,5 +1,6 @@
 #include "exec/net/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -154,15 +155,17 @@ SessionAck::deserialize(proc::Reader &in)
 void
 sendMessage(int fd, MsgType type, const std::vector<std::byte> &body)
 {
-    std::vector<std::byte> payload;
-    payload.reserve(1 + body.size());
-    payload.push_back(static_cast<std::byte>(type));
-    payload.insert(payload.end(), body.begin(), body.end());
-    if (payload.size() > proc::kMaxFramePayload)
+    if (1 + body.size() > proc::kMaxFramePayload)
         throw proc::ProtocolError("frame payload too large to send");
-    const auto length = static_cast<std::uint32_t>(payload.size());
-    sendAll(fd, &length, sizeof(length));
-    sendAll(fd, payload.data(), payload.size());
+    // Length prefix, tag and body leave in one send: two sends put
+    // the body behind the peer's delayed ACK of the prefix.
+    const auto length = static_cast<std::uint32_t>(1 + body.size());
+    std::vector<std::byte> frame(sizeof(length) + length);
+    std::memcpy(frame.data(), &length, sizeof(length));
+    frame[sizeof(length)] = static_cast<std::byte>(type);
+    std::copy(body.begin(), body.end(),
+              frame.begin() + sizeof(length) + 1);
+    sendAll(fd, frame.data(), frame.size());
 }
 
 bool

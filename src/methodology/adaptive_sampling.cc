@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -20,47 +19,28 @@ namespace
 {
 
 /**
- * Per-run CI half-widths in *cycles*, captured from the engine's job
- * events and keyed by benchmark name so refinement rounds (which run
- * a benchmark subset, renumbering job indices) splice cleanly. Cache
- * and journal hits replay only the response, so their half-width is
- * recorded as zero — an understatement the adaptive loop tolerates:
- * a hit means the identical schedule already ran, and its ambiguity
- * was judged when it was fresh.
+ * Per-run CI half-widths in cycles, keyed by benchmark name so
+ * refinement rounds (which run a benchmark subset, renumbering job
+ * indices) splice cleanly. A cache or journal hit records zero — an
+ * understatement the adaptive loop tolerates: a hit means the
+ * identical schedule already ran, and its ambiguity was judged when
+ * it was fresh.
  */
 using HalfWidthsByBench =
     std::unordered_map<std::string, std::vector<double>>;
 
-using detail::ObserverScope;
-
-/** One sampled runPbExperiment call with half-width capture. */
+/** One sampled screen with half-width capture. */
 PbExperimentResult
 runRound(std::span<const trace::WorkloadProfile> workloads,
          const PbExperimentOptions &options,
-         exec::SimulationEngine &engine, HalfWidthsByBench &half)
+         detail::CampaignScope &scope, HalfWidthsByBench &half)
 {
-    // jobIndex -> CI half-width in cycles, raw; mapped onto
-    // (benchmark, row) once the design's row count is known.
-    std::mutex mutex;
-    std::unordered_map<std::size_t, double> by_job;
-    ObserverScope capture(
-        engine, [&mutex, &by_job](const exec::JobEvent &event) {
-            if (!event.ok)
-                return;
-            const double cycles_half =
-                event.sampled
-                    ? event.sample.ciHalfWidth *
-                          static_cast<double>(
-                              event.sample.streamInstructions)
-                    : 0.0;
-            const std::scoped_lock lock(mutex);
-            by_job[event.jobIndex] = cycles_half;
-        });
-
-    PbExperimentResult result = runPbExperiment(workloads, options);
+    detail::HalfWidthCapture capture;
+    PbExperimentResult result = detail::runPbScreen(
+        workloads, options, scope, capture.observer());
 
     const std::size_t num_runs = result.design.numRows();
-    for (const auto &[job_index, cycles_half] : by_job) {
+    for (const auto &[job_index, cycles_half] : capture.byJob()) {
         const std::size_t bench = job_index / num_runs;
         if (bench >= workloads.size())
             continue;
@@ -161,19 +141,14 @@ runAdaptivePbExperiment(
             "runAdaptivePbExperiment: maxRounds must be >= 1");
 
     PbExperimentOptions opts = options.base;
-    exec::SimulationEngine local_engine(
-        exec::EngineOptions{opts.campaign.threads, true});
-    exec::SimulationEngine &engine = opts.campaign.engine
-                                         ? *opts.campaign.engine
-                                         : local_engine;
-    opts.campaign.engine = &engine;
+    detail::CampaignScope scope(opts.campaign, opts.hookFactory);
 
     AdaptiveSamplingResult out;
     HalfWidthsByBench half;
     const std::vector<std::string> names = factorNames();
 
     // Round 0: the full sampled screen.
-    out.result = runRound(workloads, opts, engine, half);
+    out.result = runRound(workloads, opts, scope, half);
     {
         AdaptiveRound round;
         round.sampling = opts.campaign.sampling;
@@ -215,7 +190,7 @@ runAdaptivePbExperiment(
             break;
 
         const PbExperimentResult refined =
-            runRound(subset, opts, engine, half);
+            runRound(subset, opts, scope, half);
         splice(out.result, refined);
 
         AdaptiveRound record;

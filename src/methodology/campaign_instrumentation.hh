@@ -1,28 +1,26 @@
 /**
  * @file
- * Shared driver-side observability plumbing (internal).
+ * Shared driver-side campaign plumbing (internal).
  *
- * Every experiment driver does the same instrumentation dance: attach
- * the campaign's sinks (journal, metrics, trace, per-job observer) to
- * whichever engine runs the batch — restoring whatever a shared engine
- * had before, even on throw — wrap each phase in a TraceSpan plus a
- * manifest "phase" record, digest the design for the manifest's
- * campaign record, and map engine JobEvents onto manifest cells. These
- * helpers keep that dance in one place so the drivers stay about the
- * methodology.
+ * Every experiment driver does the same dance: attach the campaign's
+ * sinks and attempt executor to whichever engine runs it — restoring
+ * whatever a shared engine had before, even on throw — wrap each
+ * phase in a TraceSpan plus a manifest "phase" record, digest the
+ * design for the manifest's campaign record, and map engine JobEvents
+ * onto manifest cells. These helpers keep that dance in one place so
+ * the drivers stay about the methodology.
  */
 
 #ifndef RIGOR_METHODOLOGY_CAMPAIGN_INSTRUMENTATION_HH
 #define RIGOR_METHODOLOGY_CAMPAIGN_INSTRUMENTATION_HH
 
 #include <chrono>
-#include <cmath>
-#include <stdexcept>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include <memory>
 
 #include "check/campaign_check.hh"
 #include "doe/design_matrix.hh"
@@ -55,58 +53,62 @@ designDigest(const doe::DesignMatrix &design)
     return obs::digestHex(obs::fnv1a(serialized));
 }
 
-/**
- * RAII: chain an additional job observer onto the engine for one
- * scope, restoring the previous observer on destruction (throw-safe).
- * The driver-side EngineSinkScope inside runPbExperiment chains on
- * top, so e.g. the manifest feed keeps flowing while an adaptive or
- * replicated driver captures per-job sampling CIs.
- */
-class ObserverScope
+/** Combine two job observers (either may be empty). */
+inline exec::JobObserver
+bothObservers(exec::JobObserver first, exec::JobObserver second)
 {
-  public:
-    ObserverScope(exec::SimulationEngine &engine,
-                  exec::JobObserver added)
-        : _engine(engine), _previous(engine.jobObserver())
-    {
-        if (_previous) {
-            _engine.setJobObserver(
-                [previous = _previous, added = std::move(added)](
-                    const exec::JobEvent &event) {
-                    previous(event);
-                    added(event);
-                });
-        } else {
-            _engine.setJobObserver(std::move(added));
-        }
-    }
-
-    ~ObserverScope() { _engine.setJobObserver(std::move(_previous)); }
-
-    ObserverScope(const ObserverScope &) = delete;
-    ObserverScope &operator=(const ObserverScope &) = delete;
-
-  private:
-    exec::SimulationEngine &_engine;
-    exec::JobObserver _previous;
-};
+    if (!first || !second)
+        return first ? std::move(first) : std::move(second);
+    return [first = std::move(first), second = std::move(second)](
+               const exec::JobEvent &event) {
+        first(event);
+        second(event);
+    };
+}
 
 /**
- * RAII: attach the campaign's sinks to @p engine, restoring the
- * engine's previous sinks on destruction (throw-safe — a shared
- * engine leaves with exactly the journal/metrics/trace/observer it
- * arrived with).
+ * RAII: one campaign's hold on its engine. The top-level driver call
+ * builds it once per campaign; it
+ *  - runs on campaign.engine when set (sharing its run cache and
+ *    progress counters), else on a private engine with
+ *    campaign.threads workers and @p simulate as its executor;
+ *  - attaches the campaign's journal, metrics and trace sinks;
+ *  - chains the current phase's job observer (see observe()) behind
+ *    whatever observer the caller had attached, so e.g. the campaign
+ *    CLI's replay printer keeps seeing events;
+ *  - attaches the attempt executor, chosen exactly once: the caller's
+ *    campaign.netController when set (a remote campaign), else under
+ *    IsolationMode::Process a sandbox pool the scope owns, else the
+ *    engine's current in-thread executor.
+ *
+ * The pool captures the engine's *current* executor — the real
+ * simulator, a test stub, or a fault-injector wrapper — as the
+ * executor inside the forked workers, so injected faults drill the
+ * sandbox rather than the parent. Inner phases (workflow screen and
+ * factorial, enhancement legs, adaptive rounds, replicates) run on
+ * the attached executor and never choose again. The destructor
+ * restores everything the engine arrived with, even when a batch
+ * throws.
  */
-class EngineSinkScope
+class CampaignScope
 {
   public:
-    EngineSinkScope(exec::SimulationEngine &engine,
-                    const exec::CampaignOptions &campaign,
-                    exec::JobObserver observer = {})
-        : _engine(engine), _previousJournal(engine.journal()),
-          _previousMetrics(engine.metrics()),
-          _previousTrace(engine.traceWriter()),
-          _previousObserver(engine.jobObserver())
+    explicit CampaignScope(
+        const exec::CampaignOptions &campaign,
+        exec::proc::SandboxHookFactory hook_factory = {},
+        exec::SimulateFn simulate = {})
+        : _ownedEngine(campaign.engine
+                           ? nullptr
+                           : std::make_unique<exec::SimulationEngine>(
+                                 exec::EngineOptions{
+                                     campaign.threads, true,
+                                     std::move(simulate)})),
+          _engine(campaign.engine ? *campaign.engine : *_ownedEngine),
+          _previousJournal(_engine.journal()),
+          _previousMetrics(_engine.metrics()),
+          _previousTrace(_engine.traceWriter()),
+          _previousObserver(_engine.jobObserver()),
+          _previousSimulate(_engine.simulateFn())
     {
         if (campaign.journal)
             _engine.setJournal(campaign.journal);
@@ -114,167 +116,122 @@ class EngineSinkScope
             _engine.setMetrics(campaign.metrics);
         if (campaign.trace)
             _engine.setTraceWriter(campaign.trace);
-        if (observer) {
-            // Chain rather than replace: a caller-attached observer
-            // (e.g. the campaign CLI's replay progress printer) keeps
-            // seeing events alongside the driver's manifest feed.
-            if (_previousObserver) {
-                _engine.setJobObserver(
-                    [previous = _previousObserver,
-                     added = std::move(observer)](
-                        const exec::JobEvent &event) {
-                        previous(event);
-                        added(event);
-                    });
-            } else {
-                _engine.setJobObserver(std::move(observer));
-            }
+
+        if (campaign.netController != nullptr) {
+            _engine.setSimulate(campaign.netController->simulateFn());
+        } else if (campaign.isolation ==
+                   exec::IsolationMode::Process) {
+            exec::proc::ProcWorkerPool::Options options;
+            options.workers = _engine.threads();
+            options.simulate = _previousSimulate;
+            options.hookFactory = std::move(hook_factory);
+            options.memLimitMb = campaign.memLimitMb;
+            options.hardDeadline = campaign.hardDeadline;
+            _pool = std::make_unique<exec::proc::ProcWorkerPool>(
+                std::move(options));
+            _pool->setMetrics(campaign.metrics);
+            _pool->setTraceWriter(campaign.trace);
+            _engine.setSimulate(_pool->simulateFn());
         }
     }
 
-    ~EngineSinkScope()
+    ~CampaignScope()
     {
+        // The engine stops dispatching through the pool before the
+        // pool (a member) is destroyed.
+        _engine.setSimulate(std::move(_previousSimulate));
         _engine.setJournal(_previousJournal);
         _engine.setMetrics(_previousMetrics);
         _engine.setTraceWriter(_previousTrace);
         _engine.setJobObserver(std::move(_previousObserver));
     }
 
-    EngineSinkScope(const EngineSinkScope &) = delete;
-    EngineSinkScope &operator=(const EngineSinkScope &) = delete;
+    CampaignScope(const CampaignScope &) = delete;
+    CampaignScope &operator=(const CampaignScope &) = delete;
+
+    exec::SimulationEngine &engine() const { return _engine; }
+
+    /**
+     * Feed the next batches' job events to @p observer as well as to
+     * the caller's observer, replacing the previous phase's. Call
+     * only between batches.
+     */
+    void observe(exec::JobObserver observer)
+    {
+        _engine.setJobObserver(
+            bothObservers(_previousObserver, std::move(observer)));
+    }
 
   private:
+    std::unique_ptr<exec::SimulationEngine> _ownedEngine;
     exec::SimulationEngine &_engine;
     exec::ResultJournal *_previousJournal;
     obs::MetricsRegistry *_previousMetrics;
     obs::TraceWriter *_previousTrace;
     exec::JobObserver _previousObserver;
+    exec::SimulateFn _previousSimulate;
+    std::unique_ptr<exec::proc::ProcWorkerPool> _pool;
 };
 
 /**
- * RAII: under IsolationMode::Process, swap the engine's attempt
- * executor for a sandbox pool's dispatch function, restoring the
- * previous executor on destruction (throw-safe). The engine's
- * *current* executor — the real simulator, a test stub, or a
- * fault-injector wrapper — is captured first and becomes the
- * executor *inside* the forked workers, so injected faults drill the
- * sandbox rather than the parent. Uses campaign.procPool when the
- * caller supplies a shared pool (multi-phase drivers); otherwise
- * builds a private pool sized to the engine's thread count.
- *
- * Under IsolationMode::Remote the executor is swapped for the
- * caller-supplied campaign.netController's dispatch function instead
- * — the controller owns its own worker fleet, so nothing is built
- * here; a remote campaign without a controller is a programming
- * error and throws. Under thread isolation this scope is a no-op.
+ * Per-job sampling CI half-widths in *cycles*, captured from a
+ * batch's job events and keyed by job index. Cache and journal hits
+ * replay only the response, so their half-width is recorded as zero;
+ * failed jobs are not recorded.
  */
-class IsolationScope
+class HalfWidthCapture
 {
   public:
-    IsolationScope(exec::SimulationEngine &engine,
-                   const exec::CampaignOptions &campaign,
-                   exec::proc::SandboxHookFactory hook_factory = {})
-        : _engine(engine)
+    /** Observer feeding this capture; must not outlive it. */
+    exec::JobObserver observer()
     {
-        if (campaign.isolation == exec::IsolationMode::Remote) {
-            if (campaign.netController == nullptr)
-                throw std::logic_error(
-                    "IsolationMode::Remote requires "
-                    "CampaignOptions::netController (build a "
-                    "CampaignController and point the campaign at "
-                    "it)");
-            _previous = engine.simulateFn();
-            engine.setSimulate(
-                campaign.netController->simulateFn());
-            _swapped = true;
-            return;
-        }
-        if (campaign.isolation != exec::IsolationMode::Process)
-            return;
-        _previous = engine.simulateFn();
-        exec::proc::ProcWorkerPool *pool = campaign.procPool;
-        if (pool == nullptr) {
-            exec::proc::ProcWorkerPool::Options options;
-            options.workers = engine.threads();
-            options.simulate = _previous;
-            options.hookFactory = std::move(hook_factory);
-            options.memLimitMb = campaign.memLimitMb;
-            options.hardDeadline = campaign.hardDeadline;
-            _owned = std::make_unique<exec::proc::ProcWorkerPool>(
-                std::move(options));
-            pool = _owned.get();
-            pool->setMetrics(campaign.metrics);
-            pool->setTraceWriter(campaign.trace);
-        }
-        engine.setSimulate(pool->simulateFn());
-        _swapped = true;
+        return [this](const exec::JobEvent &event) {
+            if (!event.ok)
+                return;
+            const double cycles_half =
+                event.sampled
+                    ? event.sample.ciHalfWidth *
+                          static_cast<double>(
+                              event.sample.streamInstructions)
+                    : 0.0;
+            const std::scoped_lock lock(_mutex);
+            _byJob[event.jobIndex] = cycles_half;
+        };
     }
 
-    ~IsolationScope()
+    /** Captured half-widths; read only after the batch. */
+    const std::unordered_map<std::size_t, double> &byJob() const
     {
-        if (_swapped)
-            _engine.setSimulate(std::move(_previous));
-        // _owned (if any) is destroyed after the engine stops
-        // dispatching through it.
+        return _byJob;
     }
-
-    IsolationScope(const IsolationScope &) = delete;
-    IsolationScope &operator=(const IsolationScope &) = delete;
 
   private:
-    exec::SimulationEngine &_engine;
-    exec::SimulateFn _previous;
-    std::unique_ptr<exec::proc::ProcWorkerPool> _owned;
-    bool _swapped = false;
+    std::mutex _mutex;
+    std::unordered_map<std::size_t, double> _byJob;
 };
-
-/**
- * Build the shared sandbox pool for a multi-phase driver (workflow,
- * enhancement analysis): captures the engine's current executor as
- * the in-child executor, sized to the engine's threads, with the
- * campaign's caps and sinks attached. Returns null under thread
- * isolation or when the caller already supplied campaign.procPool.
- */
-inline std::unique_ptr<exec::proc::ProcWorkerPool>
-makeSharedProcPool(exec::SimulationEngine &engine,
-                   const exec::CampaignOptions &campaign,
-                   exec::proc::SandboxHookFactory hook_factory = {})
-{
-    if (campaign.isolation != exec::IsolationMode::Process ||
-        campaign.procPool != nullptr)
-        return nullptr;
-    exec::proc::ProcWorkerPool::Options options;
-    options.workers = engine.threads();
-    options.simulate = engine.simulateFn();
-    options.hookFactory = std::move(hook_factory);
-    options.memLimitMb = campaign.memLimitMb;
-    options.hardDeadline = campaign.hardDeadline;
-    auto pool = std::make_unique<exec::proc::ProcWorkerPool>(
-        std::move(options));
-    pool->setMetrics(campaign.metrics);
-    pool->setTraceWriter(campaign.trace);
-    return pool;
-}
 
 /**
  * Reduce a remote campaign's topology to the plain-integer RemotePlan
  * the check layer pre-flights (campaign.no-workers,
- * campaign.lease-shorter-than-deadline). Disabled — and therefore
- * skipped by every analyzer — unless the campaign actually runs under
- * IsolationMode::Remote.
+ * campaign.lease-shorter-than-deadline,
+ * campaign.heartbeat-too-coarse). The lease and heartbeat come from
+ * the controller itself, so the pre-flight checks the values the
+ * fleet actually runs with. Disabled — and therefore skipped by every
+ * analyzer — unless the campaign is remote (netController set).
  */
 inline check::RemotePlan
 remotePlanFor(const exec::CampaignOptions &campaign)
 {
     check::RemotePlan plan;
-    if (campaign.isolation != exec::IsolationMode::Remote)
+    if (campaign.netController == nullptr)
         return plan;
+    const exec::net::ControllerOptions &net =
+        campaign.netController->options();
     plan.enabled = true;
     plan.workers = campaign.remoteWorkers;
-    plan.leaseMs = static_cast<std::uint64_t>(
-        campaign.leaseDuration.count());
-    plan.heartbeatMs = static_cast<std::uint64_t>(
-        campaign.heartbeatInterval.count());
+    plan.leaseMs = static_cast<std::uint64_t>(net.lease.count());
+    plan.heartbeatMs =
+        static_cast<std::uint64_t>(net.heartbeat.count());
     plan.attemptDeadlineMs = static_cast<std::uint64_t>(
         campaign.faultPolicy.attemptDeadline.count());
     plan.hardDeadlineMs =
@@ -318,27 +275,41 @@ class PhaseScope
     std::chrono::steady_clock::time_point _start;
 };
 
+/** How a batch's job indices map onto (benchmark, design row). */
+enum class JobOrder
+{
+    /** All rows of benchmark 0, then benchmark 1, ... (PB screen). */
+    BenchmarkMajor,
+    /** All benchmarks of row 0, then row 1, ... (factorial cells). */
+    CellMajor,
+};
+
 /**
  * JobObserver that appends one manifest cell per finished job,
- * mapping the benchmark-major job index back onto (benchmark, design
- * row). Returns an empty observer when the manifest is null, so the
- * engine skips the callback entirely.
+ * mapping the job index back onto (benchmark, design row) under
+ * @p order. Returns an empty observer when the manifest is null, so
+ * the engine skips the callback entirely.
  */
 inline exec::JobObserver
 manifestCellObserver(obs::CampaignManifest *manifest,
                      std::vector<std::string> benchmarks,
-                     std::size_t num_runs)
+                     std::size_t num_runs,
+                     JobOrder order = JobOrder::BenchmarkMajor)
 {
-    if (!manifest || num_runs == 0)
+    if (!manifest || num_runs == 0 || benchmarks.empty())
         return {};
-    return [manifest, benchmarks = std::move(benchmarks),
-            num_runs](const exec::JobEvent &event) {
+    return [manifest, benchmarks = std::move(benchmarks), num_runs,
+            order](const exec::JobEvent &event) {
+        const std::size_t num_benches = benchmarks.size();
+        const bool by_bench = order == JobOrder::BenchmarkMajor;
+        const std::size_t bench = by_bench
+                                      ? event.jobIndex / num_runs
+                                      : event.jobIndex % num_benches;
         obs::CellRecord cell;
-        const std::size_t bench = event.jobIndex / num_runs;
-        cell.benchmark = bench < benchmarks.size()
-                             ? benchmarks[bench]
-                             : std::to_string(bench);
-        cell.row = event.jobIndex % num_runs;
+        cell.benchmark = bench < num_benches ? benchmarks[bench]
+                                             : std::to_string(bench);
+        cell.row = by_bench ? event.jobIndex % num_runs
+                            : event.jobIndex / num_benches;
         cell.runKey = event.runKey;
         cell.source =
             event.ok ? exec::toString(event.source) : "failed";

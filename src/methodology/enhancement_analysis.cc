@@ -118,40 +118,29 @@ runEnhancementExperiment(
         throw std::invalid_argument(
             "runEnhancementExperiment: hook_factory is required");
 
-    // Mutable copy: under process isolation both legs share one
-    // sandbox pool injected below.
-    exec::CampaignOptions campaign = options.campaign;
+    const exec::CampaignOptions &campaign = options.campaign;
 
     // Pre-flight the shared ingredients (workloads, run lengths,
     // parameter space) up front so a bad recipe is rejected before
-    // the engine is even constructed; each leg's runPbExperiment
-    // additionally proves its design matrix.
+    // the engine is even constructed; each leg additionally proves
+    // its design matrix.
     if (!campaign.skipPreflight) {
         check::ExperimentPlan plan;
         plan.workloads = workloads;
         plan.auditParameterSpace = true;
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
-        plan.replication = options.campaign.replication;
-        plan.remote = detail::remotePlanFor(options.campaign);
+        plan.replication = campaign.replication;
+        plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan, "runEnhancementExperiment");
     }
 
-    // Both legs share one engine: the pool, the run cache (a base leg
-    // already simulated through campaign.engine is free), and the
-    // progress counters.
-    exec::SimulationEngine local_engine(
-        exec::EngineOptions{campaign.threads, true});
-    exec::SimulationEngine &engine =
-        campaign.engine ? *campaign.engine : local_engine;
-
-    // One sandbox pool for both legs under process isolation; built
-    // with the hook factory so the enhanced leg's children can
-    // rebuild the enhancement hook from the shipped profile.
-    const std::unique_ptr<exec::proc::ProcWorkerPool> shared_pool =
-        detail::makeSharedProcPool(engine, campaign, hook_factory);
-    if (shared_pool != nullptr)
-        campaign.procPool = shared_pool.get();
+    // Both legs share one engine and one executor: the workers, the
+    // run cache (a base leg already simulated through campaign.engine
+    // is free), and the progress counters. A sandbox pool gets the
+    // hook factory so the enhanced leg's children can rebuild the
+    // enhancement hook from the shipped profile.
+    detail::CampaignScope scope(campaign, hook_factory);
 
     EnhancementExperimentResult result;
 
@@ -161,9 +150,7 @@ runEnhancementExperiment(
         base_opts.hookFactory = {};
         base_opts.hookId.clear();
         base_opts.experimentName = "enhancement_base";
-        base_opts.campaign = campaign;
-        base_opts.campaign.engine = &engine;
-        result.base = runPbExperiment(workloads, base_opts);
+        result.base = detail::runPbScreen(workloads, base_opts, scope);
     }
 
     {
@@ -172,9 +159,8 @@ runEnhancementExperiment(
         enhanced_opts.hookFactory = hook_factory;
         enhanced_opts.hookId = hook_id;
         enhanced_opts.experimentName = "enhancement_enhanced";
-        enhanced_opts.campaign = campaign;
-        enhanced_opts.campaign.engine = &engine;
-        result.enhanced = runPbExperiment(workloads, enhanced_opts);
+        result.enhanced =
+            detail::runPbScreen(workloads, enhanced_opts, scope);
     }
 
     // Fault degradation may have dropped different benchmarks from
@@ -213,7 +199,7 @@ runEnhancementExperiment(
 
     result.comparison = compareRankTables(result.base.summaries,
                                           result.enhanced.summaries);
-    result.execution = engine.progress().snapshot();
+    result.execution = scope.engine().progress().snapshot();
     return result;
 }
 

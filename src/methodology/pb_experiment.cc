@@ -138,6 +138,15 @@ PbExperimentResult
 runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
                 const PbExperimentOptions &options)
 {
+    detail::CampaignScope scope(options.campaign, options.hookFactory);
+    return detail::runPbScreen(workloads, options, scope);
+}
+
+PbExperimentResult
+detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
+                    const PbExperimentOptions &options,
+                    CampaignScope &scope, exec::JobObserver observer)
+{
     if (workloads.empty())
         throw std::invalid_argument("runPbExperiment: no workloads");
     if (options.instructionsPerRun == 0)
@@ -193,29 +202,17 @@ runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
         check::preflightOrThrow(plan, "runPbExperiment");
     }
 
-    // One engine job per (benchmark, design row) pair, run through
-    // the shared engine (or a private one) — the responses come back
-    // in job order, so the result is thread-count independent.
+    // One engine job per (benchmark, design row) pair, run on the
+    // campaign's engine and executor — the responses come back in
+    // job order, so the result is thread-count independent.
     const std::vector<exec::SimJob> jobs =
         pbSimJobs(workloads, result.design, options);
 
-    exec::SimulationEngine local_engine(
-        exec::EngineOptions{campaign.threads, true});
-    exec::SimulationEngine &engine =
-        campaign.engine ? *campaign.engine : local_engine;
-
-    // Attach the campaign's sinks for the duration of the batch; a
-    // shared engine gets its previous sinks back afterwards even when
-    // the batch throws.
-    detail::EngineSinkScope sinks(
-        engine, campaign,
+    exec::SimulationEngine &engine = scope.engine();
+    scope.observe(detail::bothObservers(
         detail::manifestCellObserver(campaign.manifest,
-                                     result.benchmarks, num_runs));
-    // Under process isolation, route each attempt to a sandbox
-    // worker; the engine's current executor (real simulator or an
-    // injector wrapper) runs inside the forked children.
-    detail::IsolationScope isolation(engine, campaign,
-                                     options.hookFactory);
+                                     result.benchmarks, num_runs),
+        std::move(observer)));
     const exec::ProgressSnapshot progress_before =
         engine.progress().snapshot();
 
@@ -234,6 +231,8 @@ runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
             std::string("runPbExperiment: simulation failed: ") +
             e.what());
     }
+    // The caller's observer may not outlive this call.
+    scope.observe({});
 
     result.responses.assign(num_benches,
                             std::vector<double>(num_runs, 0.0));

@@ -135,6 +135,24 @@ PbExperimentResult
 runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
                 const PbExperimentOptions &options);
 
+namespace detail
+{
+
+class CampaignScope;
+
+/**
+ * runPbExperiment's body for drivers that hold a campaign scope:
+ * runs on the engine and executor @p scope already attached (never
+ * choosing its own) and feeds every job event to @p observer as well
+ * as to the manifest. options.campaign.engine is ignored.
+ */
+PbExperimentResult
+runPbScreen(std::span<const trace::WorkloadProfile> workloads,
+            const PbExperimentOptions &options, CampaignScope &scope,
+            exec::JobObserver observer = {});
+
+} // namespace detail
+
 /**
  * Simulate one workload under one processor configuration and return
  * the execution cycles (the PB response variable).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -437,26 +436,15 @@ using SamplingRssByBench = std::unordered_map<std::string, double>;
 PbExperimentResult
 runReplicate(std::span<const trace::WorkloadProfile> suite,
              const PbExperimentOptions &options,
-             exec::SimulationEngine &engine, SamplingRssByBench &rss)
+             detail::CampaignScope &scope, SamplingRssByBench &rss)
 {
-    std::mutex mutex;
-    std::unordered_map<std::size_t, double> by_job;
-    detail::ObserverScope capture(
-        engine, [&mutex, &by_job](const exec::JobEvent &event) {
-            if (!event.ok || !event.sampled)
-                return;
-            const double cycles_half =
-                event.sample.ciHalfWidth *
-                static_cast<double>(event.sample.streamInstructions);
-            const std::scoped_lock lock(mutex);
-            by_job[event.jobIndex] = cycles_half;
-        });
-
-    PbExperimentResult result = runPbExperiment(suite, options);
+    detail::HalfWidthCapture capture;
+    PbExperimentResult result = detail::runPbScreen(
+        suite, options, scope, capture.observer());
 
     const std::size_t num_runs = result.design.numRows();
     std::unordered_map<std::size_t, double> sum_sq;
-    for (const auto &[job_index, cycles_half] : by_job)
+    for (const auto &[job_index, cycles_half] : capture.byJob())
         sum_sq[job_index / num_runs] += cycles_half * cycles_half;
     for (const auto &[bench, total] : sum_sq)
         if (bench < suite.size())
@@ -483,12 +471,7 @@ runReplicatedPbExperiment(
 
     const unsigned num_reps = replication.replicates;
     PbExperimentOptions opts = options.base;
-    exec::SimulationEngine local_engine(
-        exec::EngineOptions{opts.campaign.threads, true});
-    exec::SimulationEngine &engine = opts.campaign.engine
-                                         ? *opts.campaign.engine
-                                         : local_engine;
-    opts.campaign.engine = &engine;
+    detail::CampaignScope scope(opts.campaign, opts.hookFactory);
 
     // Replicate r renames every profile ("gzip" -> "gzip#r1"): the
     // trace generator is seeded from the name (FNV-1a), so the copy
@@ -514,7 +497,7 @@ runReplicatedPbExperiment(
         opts.experimentName =
             r == 0 ? base_name
                    : base_name + "/replicate-" + std::to_string(r);
-        runs.push_back(runReplicate(suite, opts, engine,
+        runs.push_back(runReplicate(suite, opts, scope,
                                     rss_by_replicate[r]));
     }
     opts.experimentName = base_name;

@@ -80,36 +80,24 @@ runRecommendedWorkflow(
             "[1, 12]");
 
     WorkflowResult result;
-    // Mutable copy: under process isolation the workflow injects a
-    // shared sandbox pool below, so both phases reuse the workers.
-    exec::CampaignOptions campaign = options.campaign;
+    const exec::CampaignOptions &campaign = options.campaign;
 
-    // One engine for both simulation phases: the screen's pool is
-    // reused by the step-3 factorial, and any configuration the
-    // factorial shares with the screen is served from the run cache.
-    // The campaign's journal makes every completed run of either
-    // phase durable across process restarts.
-    exec::EngineOptions engine_opts;
-    engine_opts.threads = campaign.threads;
-    engine_opts.simulate = options.simulate;
-    exec::SimulationEngine local_engine(engine_opts);
-    exec::SimulationEngine &engine =
-        campaign.engine ? *campaign.engine : local_engine;
-
-    // Under process isolation, fork the sandbox workers once and
-    // share them across the screen and the factorial.
-    const std::unique_ptr<exec::proc::ProcWorkerPool> shared_pool =
-        detail::makeSharedProcPool(engine, campaign);
-    if (shared_pool != nullptr)
-        campaign.procPool = shared_pool.get();
+    // One engine and one executor for both simulation phases: the
+    // screen's workers (threads, sandboxes or fleet) are reused by
+    // the step-3 factorial, and any configuration the factorial
+    // shares with the screen is served from the run cache. The
+    // campaign's journal makes every completed run of either phase
+    // durable across process restarts.
+    detail::CampaignScope scope(campaign, {}, options.simulate);
+    exec::SimulationEngine &engine = scope.engine();
 
     // ----- Step 1: PB screening -----
     PbExperimentOptions screen_opts;
     screen_opts.instructionsPerRun = options.instructionsPerRun;
     screen_opts.warmupInstructions = options.warmupInstructions;
     screen_opts.campaign = campaign;
-    screen_opts.campaign.engine = &engine;
-    result.screening = runPbExperiment(workloads, screen_opts);
+    result.screening =
+        detail::runPbScreen(workloads, screen_opts, scope);
 
     // Critical set: up to the largest sum-of-ranks gap, capped, and
     // never including dummy factors (they are the noise floor).
@@ -176,8 +164,8 @@ runRecommendedWorkflow(
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
         plan.workloads = workloads;
-        plan.replication = options.campaign.replication;
-        plan.remote = detail::remotePlanFor(options.campaign);
+        plan.replication = campaign.replication;
+        plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan,
                                 "runRecommendedWorkflow (step 3)");
     }
@@ -208,45 +196,21 @@ runRecommendedWorkflow(
     }
 
     // Factorial jobs are cell-major (all workloads of cell t are
-    // adjacent), so the manifest mapping is the transpose of the
-    // screen's benchmark-major one.
-    exec::JobObserver factorial_observer;
-    if (campaign.manifest) {
-        const std::size_t num_workloads = workloads.size();
-        factorial_observer = [manifest = campaign.manifest,
-                              factorial_workloads,
-                              num_workloads](
-                                 const exec::JobEvent &event) {
-            obs::CellRecord cell;
-            cell.benchmark =
-                factorial_workloads[event.jobIndex % num_workloads];
-            cell.row = event.jobIndex / num_workloads;
-            cell.runKey = event.runKey;
-            cell.source =
-                event.ok ? exec::toString(event.source) : "failed";
-            cell.attempts = event.attempts;
-            cell.wallSeconds = event.wallSeconds;
-            cell.response = event.response;
-            cell.host = event.host;
-            manifest->addCell(cell);
-        };
-    }
+    // adjacent), the transpose of the screen's benchmark-major order.
+    scope.observe(detail::manifestCellObserver(
+        campaign.manifest, factorial_workloads, num_cells,
+        detail::JobOrder::CellMajor));
 
     const auto factorial_start = std::chrono::steady_clock::now();
     const exec::ProgressSnapshot factorial_before =
         engine.progress().snapshot();
 
     exec::BatchResult cell_batch;
-    try {
-        detail::EngineSinkScope sinks(engine, campaign,
-                                      std::move(factorial_observer));
-        detail::IsolationScope isolation(engine, campaign);
+    {
         detail::PhaseScope phase(campaign, "factorial");
         phase.span().arg("cells", std::to_string(num_cells));
         phase.span().arg("jobs", std::to_string(jobs.size()));
         cell_batch = engine.run(jobs, campaign.faultPolicy);
-    } catch (const exec::BatchAbort &) {
-        throw; // resume-able infrastructure failure: keep the type
     }
     const std::vector<double> &cells = cell_batch.responses;
 
@@ -256,16 +220,12 @@ runRecommendedWorkflow(
     // aborts), arbitrated through the campaign analyzer.
     std::set<std::size_t> dropped_w;
     if (!cell_batch.complete()) {
-        std::vector<std::string> workload_names;
-        workload_names.reserve(workloads.size());
-        for (const trace::WorkloadProfile &w : workloads)
-            workload_names.push_back(w.name);
         std::vector<check::QuarantinedCell> quarantined;
         quarantined.reserve(cell_batch.failures.size());
         for (const exec::JobFailure &f : cell_batch.failures) {
             check::QuarantinedCell cell;
             cell.benchmark =
-                workload_names[f.jobIndex % workloads.size()];
+                factorial_workloads[f.jobIndex % workloads.size()];
             cell.row = f.jobIndex / workloads.size();
             cell.attempts = f.attempts;
             cell.kind = exec::toString(f.kind);
@@ -273,9 +233,9 @@ runRecommendedWorkflow(
             quarantined.push_back(std::move(cell));
         }
         check::CampaignAssessment assessment =
-            check::assessFactorialValidity(workload_names, num_cells,
-                                           quarantined,
-                                           campaign.degradation);
+            check::assessFactorialValidity(
+                factorial_workloads, num_cells, quarantined,
+                campaign.degradation);
         result.factorialValidity = assessment.sink;
         if (!assessment.passed())
             throw check::CampaignError(
@@ -283,10 +243,10 @@ runRecommendedWorkflow(
                 std::move(assessment.sink));
         result.factorialDroppedWorkloads =
             std::move(assessment.dropBenchmarks);
-        for (std::size_t w = 0; w < workload_names.size(); ++w)
+        for (std::size_t w = 0; w < factorial_workloads.size(); ++w)
             for (const std::string &name :
                  result.factorialDroppedWorkloads)
-                if (workload_names[w] == name)
+                if (factorial_workloads[w] == name)
                     dropped_w.insert(w);
     }
     const std::size_t surviving =

@@ -4,9 +4,7 @@
 #include "check/rule_ids.hh"
 #include "doe/foldover.hh"
 #include "doe/pb_design.hh"
-#include "methodology/csv_export.hh"
 #include "methodology/parameter_space.hh"
-#include "methodology/pb_experiment.hh"
 
 namespace check = rigor::check;
 namespace doe = rigor::doe;
@@ -75,33 +73,13 @@ TEST(CsvLint, EmptyFileRejected)
     EXPECT_TRUE(sink.hasRule(rules::kCsvNoRows));
 }
 
-TEST(CsvLint, ExportedExperimentCsvLintsClean)
-{
-    // Round-trip: the responses CSV written by csv_export must pass
-    // the full design lint, run/cycles columns and all.
-    methodology::PbExperimentResult result;
-    result.design = doe::foldover(doe::pbDesignForFactors(43));
-    result.benchmarks = {"gzip"};
-    result.responses = {std::vector<double>(result.design.numRows(),
-                                            1000.0)};
-    const std::string csv = methodology::responsesToCsv(result);
-
-    check::DiagnosticSink sink;
-    check::DesignCheckOptions options;
-    options.expectedFactors = 43;
-    options.requireFoldover = true;
-    EXPECT_TRUE(check::lintDesignCsv(csv, "roundtrip.csv", options,
-                                     sink))
-        << sink.toString();
-}
-
 TEST(CsvLint, CorruptedExportRejected)
 {
     const doe::DesignMatrix folded =
         doe::foldover(doe::pbDesignForFactors(43));
     std::string csv = "run";
     for (const std::string &name : methodology::factorNames())
-        csv += "," + methodology::csvEscape(name);
+        csv += "," + name;
     csv += "\n";
     for (std::size_t r = 0; r < folded.numRows(); ++r) {
         csv += std::to_string(r);

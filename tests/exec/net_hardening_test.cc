@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -718,5 +721,31 @@ TEST(NetSocket, EverySocketIsOpenedCloseOnExec)
         ASSERT_GE(flags, 0);
         EXPECT_NE(flags & FD_CLOEXEC, 0)
             << "fd " << fd << " would leak into forked sandboxes";
+    }
+}
+
+TEST(NetSocket, BothEndsDisableNagle)
+{
+    // Nagle on either end holds a small frame back until the peer's
+    // delayed ACK, adding tens of milliseconds to every round trip.
+    net::OwnedFd listener = net::listenTcp("127.0.0.1", 0);
+    const std::uint16_t port = net::boundPort(listener.get());
+
+    net::OwnedFd client;
+    std::thread connector([&client, port] {
+        client = net::connectTcp("127.0.0.1", port);
+    });
+    net::OwnedFd accepted = net::acceptClient(listener.get());
+    connector.join();
+
+    ASSERT_TRUE(client.valid());
+    ASSERT_TRUE(accepted.valid());
+    for (const int fd : {client.get(), accepted.get()}) {
+        int on = 0;
+        socklen_t size = sizeof(on);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on,
+                               &size),
+                  0);
+        EXPECT_NE(on, 0) << "fd " << fd << " still runs Nagle";
     }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "check/preflight.hh"
+#include "check/rule_ids.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
 #include "exec/net/controller.hh"
@@ -75,7 +76,6 @@ remoteOptions(net::CampaignController &controller, unsigned workers)
     methodology::PbExperimentOptions opts;
     opts.instructionsPerRun = 2000;
     opts.campaign.threads = 2;
-    opts.campaign.isolation = exec::IsolationMode::Remote;
     opts.campaign.netController = &controller;
     opts.campaign.remoteWorkers = workers;
     return opts;
@@ -220,17 +220,6 @@ TEST(RemoteCampaign, ControllerCrashResumesBitIdenticallyOverJournal)
 
 // ----- Guard rails -----
 
-TEST(RemoteCampaign, RemoteIsolationWithoutControllerIsRejected)
-{
-    const auto workloads = twoWorkloads();
-    methodology::PbExperimentOptions opts;
-    opts.instructionsPerRun = 2000;
-    opts.campaign.isolation = exec::IsolationMode::Remote;
-    opts.campaign.remoteWorkers = 2; // plan is sane; wiring is not
-    EXPECT_THROW(methodology::runPbExperiment(workloads, opts),
-                 std::logic_error);
-}
-
 TEST(RemoteCampaign, PreflightRejectsARemotePlanWithNoWorkers)
 {
     const auto workloads = twoWorkloads();
@@ -239,4 +228,40 @@ TEST(RemoteCampaign, PreflightRejectsARemotePlanWithNoWorkers)
         remoteOptions(controller, 0);
     EXPECT_THROW(methodology::runPbExperiment(workloads, opts),
                  rigor::check::PreflightError);
+}
+
+TEST(RemoteCampaign, PreflightChecksTheControllersOwnLease)
+{
+    // The lease the fleet runs with is the controller's: a 2 s lease
+    // cannot cover a 5 s attempt deadline, whatever else the
+    // campaign says. A live worker makes the mistake visible as a
+    // completed campaign, not a hang, if the pre-flight misses it.
+    const auto workloads = twoWorkloads();
+    net::ControllerOptions net_opts;
+    net_opts.lease = std::chrono::milliseconds(2000);
+    net_opts.heartbeat = std::chrono::milliseconds(500);
+    auto controller =
+        std::make_unique<net::CampaignController>(net_opts);
+    Fleet fleet;
+    fleet.start(controller->port(), "w1");
+    ASSERT_TRUE(controller->waitForWorkers(
+        1, std::chrono::milliseconds(10000)));
+
+    methodology::PbExperimentOptions opts =
+        remoteOptions(*controller, 1);
+    opts.campaign.faultPolicy.attemptDeadline =
+        std::chrono::milliseconds(5000);
+    try {
+        (void)methodology::runPbExperiment(workloads, opts);
+        ADD_FAILURE() << "a lease shorter than the attempt deadline "
+                         "passed the pre-flight";
+    } catch (const rigor::check::PreflightError &e) {
+        EXPECT_TRUE(e.sink().hasRule(
+            rigor::check::rules::kCampaignLeaseShorterThanDeadline))
+            << e.what();
+    }
+    EXPECT_EQ(controller->leasesGranted(), 0u);
+
+    controller.reset();
+    fleet.join();
 }

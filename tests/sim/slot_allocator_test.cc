@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/core.hh"
-#include "sim/stats_report.hh"
 #include "trace/vector_source.hh"
 
 namespace sim = rigor::sim;
@@ -44,56 +43,6 @@ TEST(SlotAllocator, LongRuns)
             EXPECT_EQ(alloc.allocate(c), c);
     // Everything full: the next request lands at 1000.
     EXPECT_EQ(alloc.allocate(0), 1000u);
-}
-
-TEST(StatsReport, MentionsAllSections)
-{
-    // Run a tiny trace so the report has real numbers.
-    std::vector<trace::Instruction> v(50);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        v[i].pc = 0x1000 + 4 * i;
-        v[i].op = i % 7 == 0 ? trace::OpClass::Load
-                             : trace::OpClass::IntAlu;
-        v[i].memAddr = 0x20000 + i * 64;
-        v[i].dst = 1;
-    }
-    trace::VectorTraceSource src(v);
-    sim::SuperscalarCore core{sim::ProcessorConfig{}};
-    const sim::CoreStats stats = core.run(src);
-    const std::string report = sim::formatRunReport(core, stats);
-    EXPECT_NE(report.find("IPC"), std::string::npos);
-    EXPECT_NE(report.find("l1d"), std::string::npos);
-    EXPECT_NE(report.find("itlb"), std::string::npos);
-    EXPECT_NE(report.find("int-alu"), std::string::npos);
-    EXPECT_NE(report.find("instructions: 50"), std::string::npos);
-}
-
-TEST(StatsReport, JsonVariantCarriesTheSameRun)
-{
-    std::vector<trace::Instruction> v(50);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        v[i].pc = 0x1000 + 4 * i;
-        v[i].op = i % 7 == 0 ? trace::OpClass::Load
-                             : trace::OpClass::IntAlu;
-        v[i].memAddr = 0x20000 + i * 64;
-        v[i].dst = 1;
-    }
-    trace::VectorTraceSource src(v);
-    sim::SuperscalarCore core{sim::ProcessorConfig{}};
-    const sim::CoreStats stats = core.run(src);
-    const std::string json = sim::formatRunReportJson(core, stats);
-    // Single-line JSON object with stable snake_case keys.
-    EXPECT_EQ(json.find('\n'), std::string::npos);
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-    EXPECT_NE(json.find("\"instructions\":50"), std::string::npos);
-    EXPECT_NE(json.find("\"ipc\":"), std::string::npos);
-    EXPECT_NE(json.find("\"caches\":{"), std::string::npos);
-    EXPECT_NE(json.find("\"l1d\":{"), std::string::npos);
-    EXPECT_NE(json.find("\"tlbs\":{"), std::string::npos);
-    EXPECT_NE(json.find("\"functional_units\":{"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"loads\":"), std::string::npos);
 }
 
 TEST(CoreStats, MeasuredWindowAccessors)

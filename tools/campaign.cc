@@ -277,7 +277,7 @@ main(int argc, char **argv)
     CliOptions cli;
     if (!parseArgs(argc, argv, cli))
         return usage(argv[0]);
-    if (cli.campaign.isolation == rigor::exec::IsolationMode::Remote &&
+    if (cli.campaign.remote &&
         cli.campaign.heartbeatMs * 2 >= cli.campaign.leaseMs) {
         // Mirrors the pre-flight rule campaign.heartbeat-too-coarse:
         // a heartbeat at (or past) half the lease leaves at most one
@@ -354,14 +354,13 @@ main(int argc, char **argv)
         rigor::obs::TraceWriter trace;
         rigor::obs::CampaignManifest manifest;
 
-        // Remote isolation: bring up the lease-granting controller
+        // Remote execution: bring up the lease-granting controller
         // and wait for the fleet before any cell is queued. Declared
         // after the manifest so its lease observer (which feeds the
         // manifest) outlives every controller thread.
         std::unique_ptr<rigor::exec::net::CampaignController>
             controller;
-        if (cli.campaign.isolation ==
-            rigor::exec::IsolationMode::Remote) {
+        if (cli.campaign.remote) {
             rigor::exec::net::ControllerOptions net_opts;
             net_opts.bindAddress = cli.campaign.listenAddress;
             net_opts.port = static_cast<std::uint16_t>(

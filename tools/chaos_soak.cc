@@ -283,13 +283,8 @@ soakOptions(net::CampaignController &controller, unsigned workers,
     methodology::PbExperimentOptions opts;
     opts.instructionsPerRun = 2000;
     opts.campaign.threads = workers;
-    opts.campaign.isolation = exec::IsolationMode::Remote;
     opts.campaign.netController = &controller;
     opts.campaign.remoteWorkers = workers;
-    opts.campaign.leaseDuration = std::chrono::milliseconds(1500);
-    opts.campaign.heartbeatInterval = std::chrono::milliseconds(300);
-    opts.campaign.sessionGrace = std::chrono::milliseconds(3000);
-    opts.campaign.remoteAuthToken = kFleetToken;
     opts.campaign.journal = &journal;
     opts.campaign.faultPolicy.maxAttempts = 3;
     return opts;

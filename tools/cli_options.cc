@@ -298,7 +298,8 @@ CampaignCliOptions::tryParse(ArgCursor &args, const std::string &arg)
         const char *v = value("--isolation");
         if (v == nullptr)
             return Match::Error;
-        if (!exec::parseIsolationMode(v, isolation)) {
+        remote = std::string(v) == "remote";
+        if (!remote && !exec::parseIsolationMode(v, isolation)) {
             std::fprintf(stderr,
                          "%s: unknown --isolation mode %s "
                          "(want thread | process | remote)\n",
@@ -320,8 +321,7 @@ CampaignCliOptions::tryParse(ArgCursor &args, const std::string &arg)
             return Match::Error;
         }
         listenPort = port;
-        haveListen = true;
-        isolation = exec::IsolationMode::Remote;
+        remote = true;
         return Match::Consumed;
     }
     if (name == "--workers")
@@ -506,11 +506,6 @@ CampaignCliOptions::apply(exec::CampaignOptions &campaign) const
     campaign.isolation = isolation;
     campaign.memLimitMb = memLimitMb;
     campaign.hardDeadline = std::chrono::milliseconds(hardDeadlineMs);
-    campaign.leaseDuration = std::chrono::milliseconds(leaseMs);
-    campaign.heartbeatInterval =
-        std::chrono::milliseconds(heartbeatMs);
-    campaign.sessionGrace =
-        std::chrono::milliseconds(sessionGraceMs);
     campaign.remoteWorkers = remoteWorkers;
     campaign.sampling.enabled = sample;
     campaign.sampling.unitInstructions = sampleUnit;

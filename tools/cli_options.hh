@@ -107,28 +107,30 @@ struct CampaignCliOptions
     /** Seed of the deterministic backoff jitter stream. */
     std::uint64_t backoffSeed = 0;
     unsigned deadlineMs = 0;
-    /** Attempt isolation: in-process threads, or forked sandboxes. */
+    /** Local attempt isolation: in-process threads, or forked
+     *  sandboxes (ignored by a remote campaign). */
     exec::IsolationMode isolation = exec::IsolationMode::Thread;
+    /** Remote execution (--listen or --isolation remote): the tool
+     *  runs a CampaignController and points the campaign at it. */
+    bool remote = false;
     /** Process isolation: per-worker memory cap in MiB (0 = off). */
     std::uint64_t memLimitMb = 0;
     /** Process isolation: hard watchdog deadline in ms (0 = off). */
     unsigned hardDeadlineMs = 0;
-    /** Remote isolation: controller listen address (--listen). */
+    /** Remote: controller listen address (--listen). */
     std::string listenAddress = "127.0.0.1";
-    /** Remote isolation: listen port (0 = kernel-assigned). */
+    /** Remote: listen port (0 = kernel-assigned). */
     unsigned listenPort = 0;
-    /** --listen was given (implies --isolation remote). */
-    bool haveListen = false;
-    /** Remote isolation: expected worker-fleet size (--workers). */
+    /** Remote: expected worker-fleet size (--workers). */
     unsigned remoteWorkers = 0;
-    /** Remote isolation: lease duration (worker-silence budget). */
+    /** Remote: lease duration (worker-silence budget). */
     unsigned leaseMs = 10000;
-    /** Remote isolation: advertised heartbeat cadence. */
+    /** Remote: advertised heartbeat cadence. */
     unsigned heartbeatMs = 1000;
-    /** Remote isolation: how long a disconnected worker's session is
+    /** Remote: how long a disconnected worker's session is
      *  parked awaiting resume (0 = reclaim immediately). */
     unsigned sessionGraceMs = 5000;
-    /** Remote isolation: file holding the shared fleet auth token;
+    /** Remote: file holding the shared fleet auth token;
      *  empty = authentication off. */
     std::string authTokenFile;
     bool collect = false;
@@ -183,8 +185,10 @@ struct CampaignCliOptions
 
     /**
      * Render the execution knobs (threads, foldover, skipPreflight,
-     * fault policy, degradation) onto @p campaign. Sinks and the
-     * journal are attached by the caller.
+     * fault policy, degradation) onto @p campaign. Sinks, the
+     * journal and a remote campaign's controller (built from the
+     * --lease-ms/--heartbeat-ms/--session-grace-ms/--auth-token-file
+     * values) are attached by the caller.
      */
     void apply(exec::CampaignOptions &campaign) const;
 

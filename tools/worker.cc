@@ -168,9 +168,7 @@ parseArgs(int argc, char **argv, CliOptions &options)
             if (v == nullptr)
                 return false;
             if (!rigor::exec::parseIsolationMode(v,
-                                                 options.isolation) ||
-                options.isolation ==
-                    rigor::exec::IsolationMode::Remote) {
+                                                 options.isolation)) {
                 std::fprintf(stderr,
                              "worker: unknown --isolation mode %s "
                              "(want thread | process)\n",
