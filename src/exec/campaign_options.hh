@@ -122,7 +122,9 @@ struct CampaignOptions
      */
     IsolationMode isolation = IsolationMode::Thread;
     /** Process isolation: per-worker RLIMIT_AS cap in MiB
-     *  (0 = unlimited). Ignored under thread isolation. */
+     *  (0 = unlimited). Ignored under thread isolation. Besides the
+     *  running job, each sandbox holds the last trace it generated
+     *  for replay, up to 32 MiB (SimulationEngine::simulateJob). */
     std::uint64_t memLimitMb = 0;
     /**
      * Process isolation: hard per-attempt deadline — the pool's

@@ -13,6 +13,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "trace/generator.hh"
+#include "trace/vector_source.hh"
 
 namespace rigor::exec
 {
@@ -83,16 +84,134 @@ class DeadlineGuardedSource : public trace::TraceSource
     std::uint64_t _count = 0;
 };
 
+/**
+ * Longest stream a worker records for replay, in bytes. It holds
+ * about 600k instructions at 56 B each: tools/campaign's 20k, the
+ * library default of 200k and the table harnesses' 100k + 100k
+ * warm-up all fit, while a deliberately huge run (tens of millions
+ * of instructions) streams as before instead of allocating gigabytes.
+ */
+constexpr std::uint64_t kMaxRecordedTraceBytes = std::uint64_t{32}
+                                                 << 20;
+
+/** One worker's last fully generated stream and its profile. */
+struct RecordedTrace
+{
+    trace::WorkloadProfile profile;
+    trace::VectorTraceSource stream{{}};
+};
+
+/**
+ * Per-worker trace reuse. Every PB row of a benchmark observes the
+ * same stream, and SimJobQueue hands each engine thread contiguous
+ * benchmark-major index ranges, so a single slot per thread replays
+ * a benchmark's stream for all but about one of its design rows. A
+ * sandbox process or remote worker slot is not tied to one engine
+ * thread (it takes whichever attempt comes next), so its jobs mix
+ * benchmarks more often and it hits somewhat less.
+ *
+ * On a hit (same profile and length as the slot) the source replays
+ * the slot. On a miss it empties the slot and generates the stream,
+ * recording it as the core pulls it unless it exceeds
+ * kMaxRecordedTraceBytes. The recording moves into the slot only
+ * when the generator is drained, so an attempt that throws or times
+ * out mid-stream leaves nothing to replay. The slot lives as long as
+ * its thread: after its last job a worker still holds up to
+ * kMaxRecordedTraceBytes, which counts against a sandbox's
+ * memLimitMb.
+ */
+class RecordingTraceSource : public trace::TraceSource
+{
+  public:
+    RecordingTraceSource(const trace::WorkloadProfile &profile,
+                         std::uint64_t length)
+        : _profile(profile)
+    {
+        if (_slot.stream.length() == length && _slot.profile == profile) {
+            _slot.stream.reset();
+            return;
+        }
+        _slot.stream = trace::VectorTraceSource({});
+        _generator.emplace(profile, length);
+        _recording =
+            length <= kMaxRecordedTraceBytes / sizeof(trace::Instruction);
+        if (_recording)
+            _recorded.reserve(length);
+    }
+
+    bool
+    next(trace::Instruction &out) override
+    {
+        if (!_generator)
+            return _slot.stream.next(out);
+        if (!_generator->next(out)) {
+            if (_recording) {
+                _slot.profile = _profile;
+                _slot.stream =
+                    trace::VectorTraceSource(std::move(_recorded));
+                _recording = false;
+            }
+            return false;
+        }
+        if (_recording)
+            _recorded.push_back(out);
+        return true;
+    }
+
+    void
+    reset() override
+    {
+        if (!_generator) {
+            _slot.stream.reset();
+            return;
+        }
+        _generator->reset();
+        _recorded.clear();
+    }
+
+    std::uint64_t
+    length() const override
+    {
+        return _generator ? _generator->length() : _slot.stream.length();
+    }
+
+    /**
+     * Generate and record whatever the job left unread (a sampled
+     * run stops short of the end), so the recording becomes
+     * replayable. Called only after the job succeeded.
+     */
+    void
+    finishRecording()
+    {
+        trace::Instruction inst;
+        while (_recording && next(inst)) {
+        }
+    }
+
+  private:
+    static thread_local RecordedTrace _slot;
+
+    const trace::WorkloadProfile &_profile;
+    std::optional<trace::SyntheticTraceGenerator> _generator;
+    bool _recording = false;
+    std::vector<trace::Instruction> _recorded;
+};
+
+thread_local RecordedTrace RecordingTraceSource::_slot;
+
+/** The SimulateFn an engine runs when none is given. */
+double
+defaultSimulate(const SimJob &job, const AttemptContext &ctx)
+{
+    return SimulationEngine::simulateJob(job, ctx);
+}
+
 } // namespace
 
 SimulationEngine::SimulationEngine(const EngineOptions &options)
     : _threads(resolveThreads(options.threads)),
       _cacheEnabled(options.cacheEnabled),
-      _simulate(options.simulate
-                    ? options.simulate
-                    : [](const SimJob &job, const AttemptContext &ctx) {
-                          return simulateJob(job, ctx);
-                      })
+      _simulate(options.simulate ? options.simulate : defaultSimulate)
 {
 }
 
@@ -102,11 +221,7 @@ SimulationEngine::setSimulate(SimulateFn simulate)
     if (_running.load())
         throw std::logic_error(
             "SimulationEngine::setSimulate: a batch is in progress");
-    _simulate = simulate
-                    ? std::move(simulate)
-                    : [](const SimJob &job, const AttemptContext &ctx) {
-                          return simulateJob(job, ctx);
-                      };
+    _simulate = simulate ? std::move(simulate) : defaultSimulate;
 }
 
 void
@@ -165,14 +280,14 @@ SimulationEngine::simulateJob(const SimJob &job,
     std::unique_ptr<sim::ExecutionHook> hook;
     if (job.makeHook)
         hook = job.makeHook();
-    trace::SyntheticTraceGenerator gen(
-        *job.workload, job.instructions + job.warmupInstructions);
+    RecordingTraceSource stream(*job.workload,
+                                job.instructions + job.warmupInstructions);
     sim::SuperscalarCore core(job.config, hook.get());
 
-    trace::TraceSource *source = &gen;
+    trace::TraceSource *source = &stream;
     std::optional<DeadlineGuardedSource> guarded;
     if (ctx.hasDeadline()) {
-        guarded.emplace(gen, ctx);
+        guarded.emplace(stream, ctx);
         source = &*guarded;
     }
 
@@ -181,6 +296,7 @@ SimulationEngine::simulateJob(const SimJob &job,
         // warm-up only pads the stream the schedule covers.
         const sample::SampleSummary summary =
             sample::runSampled(core, *source, job.sampling);
+        stream.finishRecording();
         if (ctx.sampleOut != nullptr)
             *ctx.sampleOut = summary;
         return summary.estimatedCycles;

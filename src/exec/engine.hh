@@ -283,7 +283,16 @@ class SimulationEngine
 
     /**
      * Execute one job unconditionally (no cache, no counters) — the
-     * single-run primitive the batch path and simulateOnce share.
+     * single-run primitive every executor (thread, sandbox, remote
+     * worker) ends in.
+     *
+     * The calling thread keeps the last stream it generated, keyed by
+     * the full WorkloadProfile and the stream length, and replays it
+     * for the next job with the same key instead of regenerating it;
+     * streams over 32 MiB (about 600k instructions) are never kept.
+     * The kept stream is held until the thread ends. Batches ordered
+     * benchmark-major (all rows of one workload adjacent) therefore
+     * generate each stream about once per worker.
      */
     static double simulateJob(const SimJob &job);
 

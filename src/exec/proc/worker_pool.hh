@@ -75,7 +75,9 @@ class ProcWorkerPool
         /** Hook builder for jobs with makeHook; the children rebuild
          *  hooks from this instead of shipping closures over IPC. */
         SandboxHookFactory hookFactory;
-        /** Per-worker RLIMIT_AS cap in MiB; 0 = unlimited. */
+        /** Per-worker RLIMIT_AS cap in MiB; 0 = unlimited. It also
+         *  covers the worker's kept replay trace (up to 32 MiB, see
+         *  SimulationEngine::simulateJob). */
         std::uint64_t memLimitMb = 0;
         /** Per-worker RLIMIT_CPU cap in seconds; 0 = unlimited. */
         std::uint64_t cpuLimitSeconds = 0;

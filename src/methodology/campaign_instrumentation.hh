@@ -275,41 +275,28 @@ class PhaseScope
     std::chrono::steady_clock::time_point _start;
 };
 
-/** How a batch's job indices map onto (benchmark, design row). */
-enum class JobOrder
-{
-    /** All rows of benchmark 0, then benchmark 1, ... (PB screen). */
-    BenchmarkMajor,
-    /** All benchmarks of row 0, then row 1, ... (factorial cells). */
-    CellMajor,
-};
-
 /**
  * JobObserver that appends one manifest cell per finished job,
- * mapping the job index back onto (benchmark, design row) under
- * @p order. Returns an empty observer when the manifest is null, so
- * the engine skips the callback entirely.
+ * mapping the benchmark-major job index (all rows of benchmark 0,
+ * then benchmark 1, ...) back onto (benchmark, design row). Returns
+ * an empty observer when the manifest is null, so the engine skips
+ * the callback entirely.
  */
 inline exec::JobObserver
 manifestCellObserver(obs::CampaignManifest *manifest,
                      std::vector<std::string> benchmarks,
-                     std::size_t num_runs,
-                     JobOrder order = JobOrder::BenchmarkMajor)
+                     std::size_t num_runs)
 {
     if (!manifest || num_runs == 0 || benchmarks.empty())
         return {};
-    return [manifest, benchmarks = std::move(benchmarks), num_runs,
-            order](const exec::JobEvent &event) {
-        const std::size_t num_benches = benchmarks.size();
-        const bool by_bench = order == JobOrder::BenchmarkMajor;
-        const std::size_t bench = by_bench
-                                      ? event.jobIndex / num_runs
-                                      : event.jobIndex % num_benches;
+    return [manifest, benchmarks = std::move(benchmarks),
+            num_runs](const exec::JobEvent &event) {
+        const std::size_t bench = event.jobIndex / num_runs;
         obs::CellRecord cell;
-        cell.benchmark = bench < num_benches ? benchmarks[bench]
-                                             : std::to_string(bench);
-        cell.row = by_bench ? event.jobIndex % num_runs
-                            : event.jobIndex / num_benches;
+        cell.benchmark = bench < benchmarks.size()
+                             ? benchmarks[bench]
+                             : std::to_string(bench);
+        cell.row = event.jobIndex % num_runs;
         cell.runKey = event.runKey;
         cell.source =
             event.ok ? exec::toString(event.source) : "failed";

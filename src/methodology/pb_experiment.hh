@@ -156,6 +156,10 @@ runPbScreen(std::span<const trace::WorkloadProfile> workloads,
 /**
  * Simulate one workload under one processor configuration and return
  * the execution cycles (the PB response variable).
+ *
+ * Always generates the stream afresh, with no per-worker replay (see
+ * exec::SimulationEngine::simulateJob): it is the independent
+ * reference the engine's replayed responses are checked against.
  */
 double simulateOnce(const trace::WorkloadProfile &profile,
                     const sim::ProcessorConfig &config,

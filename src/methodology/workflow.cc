@@ -127,11 +127,14 @@ runRecommendedWorkflow(
         names.push_back(factorName(f));
 
     // All 2^k x workloads cells go through the shared engine as one
-    // parallel batch; the per-cell responses are then averaged in a
-    // fixed order so the result is thread-count independent.
+    // parallel batch, benchmark-major like the screen (all cells of
+    // workload 0, then workload 1, ...) so each engine worker replays
+    // one workload's stream across consecutive cells; the per-cell
+    // responses are then averaged in a fixed order so the result is
+    // thread-count independent.
     const std::size_t num_cells = std::size_t{1} << k;
-    std::vector<exec::SimJob> jobs;
-    jobs.reserve(num_cells * workloads.size());
+    std::vector<sim::ProcessorConfig> cell_configs;
+    cell_configs.reserve(num_cells);
     for (std::uint32_t t = 0; t < (1u << k); ++t) {
         std::vector<std::pair<Factor, doe::Level>> overrides;
         overrides.reserve(k);
@@ -139,12 +142,15 @@ runRecommendedWorkflow(
             overrides.emplace_back(result.criticalFactors[i],
                                    (t >> i) & 1 ? doe::Level::High
                                                 : doe::Level::Low);
-        const sim::ProcessorConfig config =
-            configWithOverrides(overrides);
-        for (const trace::WorkloadProfile &w : workloads) {
+        cell_configs.push_back(configWithOverrides(overrides));
+    }
+    std::vector<exec::SimJob> jobs;
+    jobs.reserve(num_cells * workloads.size());
+    for (const trace::WorkloadProfile &w : workloads) {
+        for (std::size_t t = 0; t < num_cells; ++t) {
             exec::SimJob job;
             job.workload = &w;
-            job.config = config;
+            job.config = cell_configs[t];
             job.instructions = options.instructionsPerRun;
             job.warmupInstructions = options.warmupInstructions;
             job.label =
@@ -195,11 +201,8 @@ runRecommendedWorkflow(
         campaign.manifest->beginCampaign(info);
     }
 
-    // Factorial jobs are cell-major (all workloads of cell t are
-    // adjacent), the transpose of the screen's benchmark-major order.
     scope.observe(detail::manifestCellObserver(
-        campaign.manifest, factorial_workloads, num_cells,
-        detail::JobOrder::CellMajor));
+        campaign.manifest, factorial_workloads, num_cells));
 
     const auto factorial_start = std::chrono::steady_clock::now();
     const exec::ProgressSnapshot factorial_before =
@@ -225,8 +228,8 @@ runRecommendedWorkflow(
         for (const exec::JobFailure &f : cell_batch.failures) {
             check::QuarantinedCell cell;
             cell.benchmark =
-                factorial_workloads[f.jobIndex % workloads.size()];
-            cell.row = f.jobIndex / workloads.size();
+                factorial_workloads[f.jobIndex / num_cells];
+            cell.row = f.jobIndex % num_cells;
             cell.attempts = f.attempts;
             cell.kind = exec::toString(f.kind);
             cell.message = f.message;
@@ -261,7 +264,7 @@ runRecommendedWorkflow(
             for (std::size_t w = 0; w < workloads.size(); ++w) {
                 if (dropped_w.count(w))
                     continue;
-                total += cells[t * workloads.size() + w];
+                total += cells[w * num_cells + t];
             }
             responses.push_back(total /
                                 static_cast<double>(surviving));

@@ -93,6 +93,9 @@ struct WorkloadProfile
 
     /** Fraction of non-control instructions that are integer ALU. */
     double fracIntAlu() const;
+
+    /** Field-wise: equal profiles generate identical streams. */
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 } // namespace rigor::trace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -11,11 +13,15 @@
 #include "exec/sim_job_queue.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/pb_experiment.hh"
+#include "sample/sampling.hh"
+#include "sim/core.hh"
+#include "trace/generator.hh"
 #include "trace/workloads.hh"
 
 namespace doe = rigor::doe;
 namespace exec = rigor::exec;
 namespace methodology = rigor::methodology;
+namespace sample = rigor::sample;
 namespace sim = rigor::sim;
 namespace trace = rigor::trace;
 
@@ -383,6 +389,103 @@ TEST(SimulationEngine, FailureNamesTheJobLabel)
         EXPECT_NE(message.find("broken hook"), std::string::npos)
             << message;
     }
+}
+
+TEST(SimulationEngine, ReplayedStreamsMatchTheStreamedReference)
+{
+    // Intercepts every integer multiply, so the hooked job's cycles
+    // differ from the plain one's over the same stream.
+    struct MultHook : sim::ExecutionHook
+    {
+        bool intercept(const trace::Instruction &inst) override
+        {
+            return inst.op == trace::OpClass::IntMult;
+        }
+    };
+
+    const trace::WorkloadProfile a = trace::workloadByName("gzip");
+    const trace::WorkloadProfile b = trace::workloadByName("mcf");
+    trace::WorkloadProfile a_prime = a; // same name, other stream
+    a_prime.takenBias += 0.1;
+    ASSERT_EQ(a_prime.name, a.name);
+    ASSERT_FALSE(a_prime == a);
+
+    const sim::ProcessorConfig config =
+        methodology::uniformConfig(doe::Level::Low);
+    const auto make_job = [&config](const trace::WorkloadProfile &w,
+                                    std::uint64_t instructions) {
+        exec::SimJob job;
+        job.workload = &w;
+        job.config = config;
+        job.instructions = instructions;
+        job.label = w.name;
+        return job;
+    };
+
+    // A, B, A, A', A at another length: one worker hits on the second
+    // A, and misses on A' (A's name, another profile) and on the new
+    // length.
+    std::vector<exec::SimJob> jobs = {
+        make_job(a, 3000), make_job(b, 3000), make_job(a, 3000),
+        make_job(a_prime, 3000), make_job(a, 4000)};
+    // A sampled run on a fresh key stops short of the stream's end
+    // (21000 leaves a 1000-instruction tail after two 10000 periods);
+    // the full run after it replays that stream.
+    exec::SimJob sampled = make_job(a, 21000);
+    sampled.sampling.enabled = true;
+    jobs.push_back(sampled);
+    jobs.push_back(make_job(a, 21000));
+    // A hooked run over the stream the previous job left behind.
+    exec::SimJob hooked = make_job(a, 21000);
+    hooked.makeHook = []() { return std::make_unique<MultHook>(); };
+    jobs.push_back(hooked);
+
+    exec::SimulationEngine engine(exec::EngineOptions{1, false});
+    const std::vector<double> responses = engine.run(jobs);
+    ASSERT_EQ(responses.size(), jobs.size());
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const exec::SimJob &job = jobs[i];
+        double reference = 0.0;
+        if (job.sampling.enabled) {
+            trace::SyntheticTraceGenerator gen(*job.workload,
+                                               job.instructions);
+            sim::SuperscalarCore core(job.config);
+            reference =
+                sample::runSampled(core, gen, job.sampling)
+                    .estimatedCycles;
+        } else {
+            MultHook hook;
+            reference = methodology::simulateOnce(
+                *job.workload, job.config, job.instructions,
+                job.makeHook ? &hook : nullptr);
+        }
+        EXPECT_EQ(responses[i], reference) << "job " << i;
+    }
+    EXPECT_NE(responses[3], responses[0]); // A' is a different stream
+    EXPECT_NE(responses[7], responses[6]); // the hook changed timing
+}
+
+TEST(SimulationEngine, TimedOutAttemptLeavesNoReplayableStream)
+{
+    const trace::WorkloadProfile w = trace::workloadByName("twolf");
+    exec::SimJob job;
+    job.workload = &w;
+    job.config = methodology::uniformConfig(doe::Level::High);
+    job.instructions = 10000; // past the guard's first poll at 4096
+
+    exec::AttemptContext expired;
+    expired.deadlineBudget = std::chrono::milliseconds(1);
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    EXPECT_THROW(exec::SimulationEngine::simulateJob(job, expired),
+                 exec::DeadlineExceeded);
+
+    // The same (profile, length) again: the attempt above stopped
+    // part-way, so this run must regenerate the whole stream.
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job),
+              methodology::simulateOnce(w, job.config,
+                                        job.instructions));
 }
 
 TEST(SimulationEngine, EmptyBatchIsANoop)

@@ -688,8 +688,11 @@ TEST(NetDrain, WorkerDrainFlagAnnouncesFinishesAndEndsDrained)
     worker.join();
     EXPECT_EQ(session.end, net::SessionEnd::Drained);
     EXPECT_EQ(session.jobsServed, 1u);
-    EXPECT_TRUE(
-        events.sawKind(net::LeaseEvent::Kind::WorkerDraining));
+    // An idle worker closes right after sending Drain, so the
+    // controller's reader may still be handling the frame here.
+    EXPECT_TRUE(waitUntil([&] {
+        return events.sawKind(net::LeaseEvent::Kind::WorkerDraining);
+    }));
     EXPECT_TRUE(waitUntil(
         [&] { return controller->connectedWorkers() == 0; }));
     // A drained worker's exit is deliberate: nothing to reclaim.

@@ -13,6 +13,7 @@
 #include "exec/proc/protocol.hh"
 #include "exec/proc/worker_pool.hh"
 #include "methodology/parameter_space.hh"
+#include "methodology/pb_experiment.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "trace/workloads.hh"
@@ -314,6 +315,35 @@ TEST(ProcWorkerPool, MemoryLimitClassifiedAsResourceExhausted)
     EXPECT_EQ(pool.respawns(), 1u);
     EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)),
                      1001.0);
+#endif
+}
+
+TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
+{
+#ifdef RIGOR_UNDER_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS is incompatible with sanitizer shadow";
+#else
+    // A sandbox keeps the last stream it generated (up to 32 MiB) for
+    // replay, and that copy counts against RLIMIT_AS. A stream just
+    // under the budget must still record, then replay, under the
+    // 128 MiB cap the campaign crash drill uses.
+    const trace::WorkloadProfile &w = trace::workloadByName("gzip");
+    proc::ProcWorkerPool::Options options;
+    options.workers = 1;
+    options.memLimitMb = 128;
+    proc::ProcWorkerPool pool(std::move(options));
+
+    exec::SimJob job;
+    job.workload = &w;
+    job.config = methodology::uniformConfig(doe::Level::Low);
+    job.instructions = 550000; // 30.8 MB of recorded trace
+    job.label = "gzip near the trace budget";
+    const double reference =
+        methodology::simulateOnce(w, job.config, job.instructions);
+    EXPECT_EQ(pool.execute(job, attempt(0)), reference); // records
+    EXPECT_EQ(pool.execute(job, attempt(1)), reference); // replays
+    EXPECT_EQ(pool.oomKills(), 0u);
+    EXPECT_EQ(pool.respawns(), 0u);
 #endif
 }
 
