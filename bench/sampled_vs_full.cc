@@ -156,7 +156,6 @@ main()
 
     if (const char *out = std::getenv("RIGOR_BENCH_OUT")) {
         obs::BenchReport report;
-        report.pr = 6;
         report.name = "sampled_vs_full";
         report.wallSeconds = full.wallSeconds + sampled.wallSeconds;
         report.runsTotal =

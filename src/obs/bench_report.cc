@@ -11,9 +11,7 @@ namespace rigor::obs
 std::string
 toJson(const BenchReport &report)
 {
-    std::string out = "{\"pr\":";
-    out += std::to_string(report.pr);
-    out += ",\"name\":";
+    std::string out = "{\"name\":";
     appendJsonString(out, report.name);
     out += ",\"wall_seconds\":";
     out += jsonNumber(report.wallSeconds);

@@ -22,8 +22,6 @@ namespace rigor::obs
 /** One benchmark trajectory point. */
 struct BenchReport
 {
-    /** PR number the point belongs to (file name suffix). */
-    int pr = 4;
     /** Scenario name, e.g. "pb_screen". */
     std::string name;
     double wallSeconds = 0.0;

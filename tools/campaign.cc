@@ -70,10 +70,6 @@
 namespace
 {
 
-using rigor::exec::FaultKind;
-using rigor::tools::ArgCursor;
-using rigor::tools::CampaignCliOptions;
-
 /** Set by the SIGTERM handler; watched by the drain thread. */
 std::atomic<bool> g_drainRequested{false};
 
@@ -83,211 +79,35 @@ requestDrain(int)
     g_drainRequested.store(true);
 }
 
-struct CliOptions
-{
-    std::vector<std::string> workloads;
-    std::uint64_t instructions = 20000;
-    std::uint64_t warmup = 0;
-    /** With --sample: refine statistically ambiguous cells for up
-     *  to N total rounds (0 = single-pass screen). */
-    unsigned adaptiveRounds = 0;
-    CampaignCliOptions campaign;
-    std::size_t crashAfter = 0; // 0 = no crash drill
-    bool haveCrashAfter = false;
-    struct IndexFault
-    {
-        std::size_t job;
-        unsigned attempt;
-        FaultKind kind;
-    };
-    struct LabelFault
-    {
-        std::string substring;
-        unsigned attempt;
-        FaultKind kind;
-    };
-    std::vector<IndexFault> inject;
-    std::vector<LabelFault> injectLabel;
-    double randomRate = 0.0;
-    std::uint64_t randomSeed = 0;
-    bool haveRandom = false;
-    bool quiet = false;
-    /** Remote: write the bound controller port here (CI rendezvous
-     *  with kernel-assigned ports). */
-    std::string portFile;
-    /** Remote: how long to wait for --workers to connect. */
-    unsigned workerWaitMs = 30000;
-};
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "\n"
-        "Run the 43-factor Plackett-Burman screening campaign with\n"
-        "fault tolerance, crash-safe journaling, fault drills, and\n"
-        "observability sinks (metrics, Perfetto trace, manifest).\n"
-        "\n"
-        "options:\n"
-        "  --workloads a,b,c      benchmarks to run (default: all 13)\n"
-        "  --instructions N       measured instructions per run\n"
-        "  --warmup N             warm-up instructions per run\n"
-        "%s"
-        "  --adaptive-rounds N    with --sample: re-run benchmarks\n"
-        "                         whose top-factor effects are inside\n"
-        "                         their CI with a denser schedule, up\n"
-        "                         to N total rounds\n"
-        "  --crash-after N        crash drill: die after N appends\n"
-        "  --inject J:A:KIND      fault job J, attempt A\n"
-        "                         (KIND: transient|permanent|hang|\n"
-        "                          segfault|abort|busy-loop|\n"
-        "                          alloc-bomb|kill; the last five\n"
-        "                          need --isolation process)\n"
-        "  --inject-label S:A:KIND  fault jobs whose label contains S\n"
-        "                         (also: drop-connection|\n"
-        "                          stall-heartbeat|corrupt-frame on a\n"
-        "                          remote worker's --inject-label)\n"
-        "  --inject-random R:SEED   seeded transient storm at rate R\n"
-        "  --port-file PATH       remote: write the bound controller\n"
-        "                         port (rendezvous for port 0)\n"
-        "  --worker-wait-ms N     remote: wait this long for --workers\n"
-        "                         to connect (default 30000)\n"
-        "  --quiet                suppress the rank table\n"
-        "  --help                 show this help\n",
-        argv0, CampaignCliOptions::usageText());
-    return 2;
-}
-
-using rigor::tools::parseFaultSpec;
-
-bool
-parseArgs(int argc, char **argv, CliOptions &options)
-{
-    ArgCursor args(argc, argv, "campaign");
-    while (!args.done()) {
-        const std::string arg = args.take();
-        switch (options.campaign.tryParse(args, arg)) {
-        case CampaignCliOptions::Match::Consumed:
-            continue;
-        case CampaignCliOptions::Match::Error:
-            return false;
-        case CampaignCliOptions::Match::NotMine:
-            break;
-        }
-        if (arg == "--workloads") {
-            const char *v = args.valueFor("--workloads");
-            if (v == nullptr ||
-                !rigor::tools::splitList(v, options.workloads))
-                return false;
-        } else if (arg == "--instructions") {
-            const char *v = args.valueFor("--instructions");
-            if (v == nullptr ||
-                !rigor::tools::parseUint64(v, options.instructions))
-                return false;
-        } else if (arg == "--warmup") {
-            const char *v = args.valueFor("--warmup");
-            if (v == nullptr ||
-                !rigor::tools::parseUint64(v, options.warmup))
-                return false;
-        } else if (arg == "--adaptive-rounds") {
-            const char *v = args.valueFor("--adaptive-rounds");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.adaptiveRounds) ||
-                options.adaptiveRounds == 0) {
-                if (v != nullptr)
-                    std::fprintf(stderr,
-                                 "campaign: --adaptive-rounds must "
-                                 "be a positive round count\n");
-                return false;
-            }
-        } else if (arg == "--crash-after") {
-            const char *v = args.valueFor("--crash-after");
-            if (v == nullptr ||
-                !rigor::tools::parseSize(v, options.crashAfter))
-                return false;
-            options.haveCrashAfter = true;
-        } else if (arg == "--inject") {
-            const char *v = args.valueFor("--inject");
-            if (v == nullptr)
-                return false;
-            std::string head;
-            CliOptions::IndexFault fault{};
-            if (!parseFaultSpec(v, head, fault.attempt, fault.kind))
-                return false;
-            if (!rigor::tools::parseSize(head.c_str(), fault.job))
-                return false;
-            options.inject.push_back(fault);
-        } else if (arg == "--inject-label") {
-            const char *v = args.valueFor("--inject-label");
-            if (v == nullptr)
-                return false;
-            CliOptions::LabelFault fault{};
-            if (!parseFaultSpec(v, fault.substring, fault.attempt,
-                                fault.kind))
-                return false;
-            options.injectLabel.push_back(std::move(fault));
-        } else if (arg == "--inject-random") {
-            const char *v = args.valueFor("--inject-random");
-            if (v == nullptr)
-                return false;
-            const std::string spec = v;
-            const std::size_t colon = spec.find(':');
-            if (colon == std::string::npos)
-                return false;
-            if (!rigor::tools::parseDouble(
-                    spec.substr(0, colon).c_str(),
-                    options.randomRate) ||
-                !rigor::tools::parseUint64(
-                    spec.substr(colon + 1).c_str(),
-                    options.randomSeed))
-                return false;
-            options.haveRandom = true;
-        } else if (arg == "--port-file") {
-            const char *v = args.valueFor("--port-file");
-            if (v == nullptr)
-                return false;
-            options.portFile = v;
-        } else if (arg == "--worker-wait-ms") {
-            const char *v = args.valueFor("--worker-wait-ms");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(v,
-                                             options.workerWaitMs))
-                return false;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else {
-            std::fprintf(stderr, "campaign: unknown option %s\n",
-                         arg.c_str());
-            return false;
-        }
-    }
-    return true;
-}
+constexpr const char *kSynopsis =
+    "[options]\n"
+    "\n"
+    "Run the 43-factor Plackett-Burman screening campaign with\n"
+    "fault tolerance, crash-safe journaling, fault drills, and\n"
+    "observability sinks (metrics, Perfetto trace, manifest).";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    CliOptions cli;
-    if (!parseArgs(argc, argv, cli))
-        return usage(argv[0]);
-    if (cli.campaign.remote &&
-        cli.campaign.heartbeatMs * 2 >= cli.campaign.leaseMs) {
+    rigor::tools::CampaignSetup cli;
+    const rigor::tools::FlagTable flags =
+        rigor::tools::campaignFlags(cli);
+    if (!rigor::tools::parseFlags(argc, argv, "campaign", flags))
+        return rigor::tools::printUsage(argv[0], kSynopsis, flags);
+    rigor::methodology::PbExperimentOptions &opts = cli.run;
+    if (cli.remote && cli.net.heartbeat * 2 >= cli.net.lease) {
         // Mirrors the pre-flight rule campaign.heartbeat-too-coarse:
         // a heartbeat at (or past) half the lease leaves at most one
         // beacon of margin, so one delayed packet reclaims a healthy
         // worker's leases.
         std::fprintf(stderr,
-                     "campaign: --heartbeat-ms %u is too coarse for "
-                     "--lease-ms %u (the heartbeat must be under "
+                     "campaign: --heartbeat-ms %lld is too coarse for "
+                     "--lease-ms %lld (the heartbeat must be under "
                      "half the lease)\n",
-                     cli.campaign.heartbeatMs, cli.campaign.leaseMs);
+                     static_cast<long long>(cli.net.heartbeat.count()),
+                     static_cast<long long>(cli.net.lease.count()));
         return 2;
     }
 
@@ -303,46 +123,39 @@ main(int argc, char **argv)
                     rigor::trace::workloadByName(name));
         }
 
-        const rigor::exec::FaultPolicy policy =
-            cli.campaign.faultPolicy();
-
         // The fault-injection plan (empty = the real simulator).
-        rigor::exec::FaultInjector injector;
-        for (const CliOptions::IndexFault &f : cli.inject)
-            injector.addFault(f.job, f.attempt, f.kind);
-        for (const CliOptions::LabelFault &f : cli.injectLabel)
-            injector.addLabelFault(f.substring, f.attempt, f.kind);
-        if (cli.haveRandom) {
-            const std::size_t rows = cli.campaign.foldover ? 88 : 44;
-            injector.planRandomTransients(workloads.size() * rows,
-                                          policy.attempts(),
-                                          cli.randomRate,
-                                          cli.randomSeed);
+        rigor::exec::FaultInjector &injector = cli.drills;
+        if (cli.randomDrills) {
+            const std::size_t rows = opts.campaign.foldover ? 88 : 44;
+            injector.planRandomTransients(
+                workloads.size() * rows,
+                opts.campaign.faultPolicy.attempts(),
+                cli.randomDrills->first, cli.randomDrills->second);
         }
 
         rigor::exec::EngineOptions engine_opts;
-        engine_opts.threads = cli.campaign.threads;
+        engine_opts.threads = opts.campaign.threads;
         if (injector.plannedFaults() != 0)
             engine_opts.simulate = injector.wrap();
         rigor::exec::SimulationEngine engine(engine_opts);
 
         std::unique_ptr<rigor::exec::ResultJournal> journal;
-        if (!cli.campaign.journalPath.empty()) {
+        if (!cli.journal.empty()) {
             journal = std::make_unique<rigor::exec::ResultJournal>(
-                cli.campaign.journalPath);
+                cli.journal);
             if (journal->loadedRecords() != 0)
                 std::fprintf(
                     stderr,
                     "campaign: resuming against %s (%zu completed "
                     "runs on disk%s)\n",
-                    cli.campaign.journalPath.c_str(),
+                    cli.journal.c_str(),
                     journal->loadedRecords(),
                     journal->tornRecords() != 0
                         ? ", torn final record discarded"
                         : "");
-            if (cli.haveCrashAfter)
-                journal->simulateCrashAfter(cli.crashAfter);
-        } else if (cli.haveCrashAfter) {
+            if (cli.crashAfter)
+                journal->simulateCrashAfter(*cli.crashAfter);
+        } else if (cli.crashAfter) {
             std::fprintf(stderr,
                          "campaign: --crash-after needs --journal\n");
             return 2;
@@ -360,26 +173,15 @@ main(int argc, char **argv)
         // manifest) outlives every controller thread.
         std::unique_ptr<rigor::exec::net::CampaignController>
             controller;
-        if (cli.campaign.remote) {
-            rigor::exec::net::ControllerOptions net_opts;
-            net_opts.bindAddress = cli.campaign.listenAddress;
-            net_opts.port = static_cast<std::uint16_t>(
-                cli.campaign.listenPort);
-            net_opts.lease =
-                std::chrono::milliseconds(cli.campaign.leaseMs);
-            net_opts.heartbeat =
-                std::chrono::milliseconds(cli.campaign.heartbeatMs);
-            net_opts.sessionGrace = std::chrono::milliseconds(
-                cli.campaign.sessionGraceMs);
-            if (!cli.campaign.authTokenFile.empty())
-                net_opts.authToken = rigor::exec::net::loadAuthToken(
-                    cli.campaign.authTokenFile);
+        if (cli.remote) {
+            if (!cli.authTokenFile.empty())
+                cli.net.authToken =
+                    rigor::exec::net::loadAuthToken(cli.authTokenFile);
             controller = std::make_unique<
-                rigor::exec::net::CampaignController>(net_opts);
-            if (!cli.campaign.metricsOut.empty())
+                rigor::exec::net::CampaignController>(cli.net);
+            if (!cli.metricsOut.empty())
                 controller->setMetrics(&metrics);
-            const bool want_manifest =
-                !cli.campaign.manifestOut.empty();
+            const bool want_manifest = !cli.manifestOut.empty();
             controller->setLeaseObserver(
                 [&manifest, want_manifest](
                     const rigor::exec::net::LeaseEvent &event) {
@@ -409,7 +211,7 @@ main(int argc, char **argv)
                 });
             std::fprintf(stderr,
                          "campaign: controller listening on %s:%u\n",
-                         cli.campaign.listenAddress.c_str(),
+                         cli.net.bindAddress.c_str(),
                          static_cast<unsigned>(controller->port()));
             if (!cli.portFile.empty()) {
                 std::ofstream out(cli.portFile,
@@ -424,16 +226,16 @@ main(int argc, char **argv)
                                              cli.portFile +
                                              "' failed");
             }
-            if (cli.campaign.remoteWorkers != 0 &&
-                !controller->waitForWorkers(
-                    cli.campaign.remoteWorkers,
-                    std::chrono::milliseconds(cli.workerWaitMs))) {
+            if (opts.campaign.remoteWorkers != 0 &&
+                !controller->waitForWorkers(opts.campaign.remoteWorkers,
+                                            cli.workerWait)) {
                 std::fprintf(
                     stderr,
                     "campaign: only %u of %u workers connected "
-                    "within %u ms\n",
+                    "within %lld ms\n",
                     controller->connectedWorkers(),
-                    cli.campaign.remoteWorkers, cli.workerWaitMs);
+                    opts.campaign.remoteWorkers,
+                    static_cast<long long>(cli.workerWait.count()));
                 return 1;
             }
         }
@@ -471,8 +273,8 @@ main(int argc, char **argv)
                                 "leases; waiting for in-flight "
                                 "cells)\n");
                             ctrl->beginDrain(
-                                std::chrono::milliseconds(
-                                    cli.campaign.leaseMs + 1000));
+                                cli.net.lease +
+                                std::chrono::milliseconds(1000));
                             return;
                         }
                         std::this_thread::sleep_for(
@@ -496,18 +298,14 @@ main(int argc, char **argv)
                                  event.runKey.c_str());
                 });
 
-        rigor::methodology::PbExperimentOptions opts;
-        opts.instructionsPerRun = cli.instructions;
-        opts.warmupInstructions = cli.warmup;
-        cli.campaign.apply(opts.campaign);
         opts.campaign.engine = &engine;
         opts.campaign.journal = journal.get();
         opts.campaign.netController = controller.get();
-        if (!cli.campaign.metricsOut.empty())
+        if (!cli.metricsOut.empty())
             opts.campaign.metrics = &metrics;
-        if (!cli.campaign.traceOut.empty())
+        if (!cli.traceOut.empty())
             opts.campaign.trace = &trace;
-        if (!cli.campaign.manifestOut.empty())
+        if (!cli.manifestOut.empty())
             opts.campaign.manifest = &manifest;
 
         if (cli.adaptiveRounds != 0 &&
@@ -517,16 +315,16 @@ main(int argc, char **argv)
                          "--sample\n");
             return 2;
         }
-        if (cli.campaign.replicates != 0 &&
-            cli.adaptiveRounds != 0) {
+        const unsigned replicates =
+            opts.campaign.replication.replicates;
+        if (replicates != 0 && cli.adaptiveRounds != 0) {
             std::fprintf(stderr,
                          "campaign: --replicates and "
                          "--adaptive-rounds are mutually "
                          "exclusive\n");
             return 2;
         }
-        if (!cli.campaign.stabilityOut.empty() &&
-            cli.campaign.replicates == 0) {
+        if (!cli.stabilityOut.empty() && replicates == 0) {
             std::fprintf(stderr,
                          "campaign: --stability-out needs "
                          "--replicates\n");
@@ -535,7 +333,7 @@ main(int argc, char **argv)
 
         rigor::methodology::PbExperimentResult result;
         try {
-        if (cli.campaign.replicates != 0) {
+        if (replicates != 0) {
             rigor::methodology::RankStabilityOptions stability;
             stability.base = opts;
             rigor::methodology::ReplicatedPbResult outcome =
@@ -545,19 +343,19 @@ main(int argc, char **argv)
                 std::fprintf(
                     stdout, "%s",
                     outcome.stability.toString().c_str());
-            if (!cli.campaign.stabilityOut.empty()) {
-                std::ofstream out(cli.campaign.stabilityOut,
+            if (!cli.stabilityOut.empty()) {
+                std::ofstream out(cli.stabilityOut,
                                   std::ios::binary |
                                       std::ios::trunc);
                 if (!out)
                     throw std::runtime_error(
                         "cannot open '" +
-                        cli.campaign.stabilityOut +
+                        cli.stabilityOut +
                         "' for writing");
                 out << outcome.stability.toJson() << '\n';
                 if (!out)
                     throw std::runtime_error(
-                        "write to '" + cli.campaign.stabilityOut +
+                        "write to '" + cli.stabilityOut +
                         "' failed");
             }
             result = std::move(outcome.pooled);
@@ -598,12 +396,12 @@ main(int argc, char **argv)
             // A SIGTERM drain deliberately fails the cells it could
             // not finish; everything that did complete is already in
             // the journal, so the same command resumes the remainder.
-            if (!cli.campaign.metricsOut.empty())
-                metrics.writeTo(cli.campaign.metricsOut);
-            if (!cli.campaign.traceOut.empty())
-                trace.writeTo(cli.campaign.traceOut);
-            if (!cli.campaign.manifestOut.empty())
-                manifest.writeTo(cli.campaign.manifestOut);
+            if (!cli.metricsOut.empty())
+                metrics.writeTo(cli.metricsOut);
+            if (!cli.traceOut.empty())
+                trace.writeTo(cli.traceOut);
+            if (!cli.manifestOut.empty())
+                manifest.writeTo(cli.manifestOut);
             std::fprintf(stderr,
                          "campaign: drained: %s\n"
                          "campaign: rerun with the same --journal to "
@@ -629,13 +427,13 @@ main(int argc, char **argv)
         std::fprintf(stderr, "campaign: %s\n",
                      progress.toString().c_str());
 
-        if (!cli.campaign.metricsOut.empty())
-            metrics.writeTo(cli.campaign.metricsOut);
-        if (!cli.campaign.traceOut.empty())
-            trace.writeTo(cli.campaign.traceOut);
-        if (!cli.campaign.manifestOut.empty())
-            manifest.writeTo(cli.campaign.manifestOut);
-        if (!cli.campaign.benchOut.empty()) {
+        if (!cli.metricsOut.empty())
+            metrics.writeTo(cli.metricsOut);
+        if (!cli.traceOut.empty())
+            trace.writeTo(cli.traceOut);
+        if (!cli.manifestOut.empty())
+            manifest.writeTo(cli.manifestOut);
+        if (!cli.benchOut.empty()) {
             rigor::obs::BenchReport report;
             report.name = "campaign_pb_screen";
             report.wallSeconds = progress.wallSeconds;
@@ -657,10 +455,10 @@ main(int argc, char **argv)
             report.threads = engine.threads();
             report.cacheHits = progress.cacheHits;
             report.journalHits = progress.journalHits;
-            report.sampled = cli.campaign.sample;
+            report.sampled = opts.campaign.sampling.enabled;
             if (report.sampled)
                 report.sampledMips = report.mips;
-            rigor::obs::writeBenchReport(cli.campaign.benchOut,
+            rigor::obs::writeBenchReport(cli.benchOut,
                                          report);
         }
         return 0;

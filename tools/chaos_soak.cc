@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_options.hh"
 #include "exec/engine.hh"
 #include "exec/fault_injection.hh"
 #include "exec/journal.hh"
@@ -69,75 +70,16 @@ struct CliOptions
     std::string workdir;
 };
 
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--seed N] [--rounds N] [--workers N]\n"
-        "          [--workdir DIR]\n"
-        "\n"
-        "Seeded chaos soak of the distributed campaign backend.\n"
-        "Each round runs the gzip+mcf Plackett-Burman screen over a\n"
-        "real localhost TCP fleet under a composed fault schedule\n"
-        "and asserts the rank table stays bit-identical to a\n"
-        "single-process run with a loss-free, duplicate-free\n"
-        "journal. Round types cycle: partition-grace, storm-loris,\n"
-        "impostors, stall-tear, drain-resume.\n",
-        argv0);
-}
-
-bool
-parseArgs(int argc, char **argv, CliOptions &cli)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            const char *v = value("--seed");
-            if (v == nullptr)
-                return false;
-            cli.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--rounds") {
-            const char *v = value("--rounds");
-            if (v == nullptr)
-                return false;
-            cli.rounds = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--workers") {
-            const char *v = value("--workers");
-            if (v == nullptr)
-                return false;
-            cli.workers = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--workdir") {
-            const char *v = value("--workdir");
-            if (v == nullptr)
-                return false;
-            cli.workdir = v;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return false;
-        }
-    }
-    if (cli.rounds == 0 || cli.workers == 0) {
-        std::fprintf(stderr,
-                     "--rounds and --workers must be nonzero\n");
-        return false;
-    }
-    return true;
-}
+constexpr const char *kSynopsis =
+    "[options]\n"
+    "\n"
+    "Seeded chaos soak of the distributed campaign backend.\n"
+    "Each round runs the gzip+mcf Plackett-Burman screen over a\n"
+    "real localhost TCP fleet under a composed fault schedule\n"
+    "and asserts the rank table stays bit-identical to a\n"
+    "single-process run with a loss-free, duplicate-free\n"
+    "journal. Round types cycle: partition-grace, storm-loris,\n"
+    "impostors, stall-tear, drain-resume.";
 
 /** The soak aborts on its first broken invariant, loudly. */
 struct SoakFailure : std::runtime_error
@@ -586,9 +528,21 @@ runRound(unsigned round, RoundType type, Rng &rng,
 int
 main(int argc, char **argv)
 {
+    namespace tools = rigor::tools;
     CliOptions cli;
-    if (!parseArgs(argc, argv, cli))
-        return 2;
+    const tools::FlagTable flags = {
+        {"--seed", "N", "seed of the drill schedule (default 7)",
+         tools::number(cli.seed)},
+        {"--rounds", "N", "rounds to soak (default 5)",
+         tools::number(cli.rounds, tools::Bound::Positive)},
+        {"--workers", "N", "fleet size (default 3)",
+         tools::number(cli.workers, tools::Bound::Positive)},
+        {"--workdir", "DIR",
+         "where round journals go (default: a fresh /tmp directory)",
+         tools::text(cli.workdir)},
+    };
+    if (!tools::parseFlags(argc, argv, "chaos_soak", flags))
+        return tools::printUsage(argv[0], kSynopsis, flags);
     if (cli.workdir.empty()) {
         char templ[] = "/tmp/chaos_soak.XXXXXX";
         const char *dir = ::mkdtemp(templ);

@@ -1,23 +1,12 @@
 #include "cli_options.hh"
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
 namespace rigor::tools
 {
-
-const char *
-ArgCursor::valueFor(const char *flag)
-{
-    if (done()) {
-        std::fprintf(stderr, "%s: %s needs an argument\n",
-                     _program.c_str(), flag);
-        return nullptr;
-    }
-    return _argv[_index++];
-}
 
 namespace
 {
@@ -80,45 +69,32 @@ parseDouble(const char *text, double &out)
     return errno == 0 && end != nullptr && *end == '\0';
 }
 
+namespace
+{
+
+/** Every fault-drill kind, in declaration order. */
+std::vector<exec::FaultKind>
+faultKinds()
+{
+    std::vector<exec::FaultKind> kinds;
+    for (int k = static_cast<int>(exec::FaultKind::Transient);
+         k <= static_cast<int>(exec::FaultKind::TokenMismatch); ++k)
+        kinds.push_back(static_cast<exec::FaultKind>(k));
+    return kinds;
+}
+
+} // namespace
+
 bool
 parseFaultKind(const std::string &text, exec::FaultKind &kind)
 {
-    using exec::FaultKind;
-    if (text == "transient")
-        kind = FaultKind::Transient;
-    else if (text == "permanent")
-        kind = FaultKind::Permanent;
-    else if (text == "hang")
-        kind = FaultKind::Hang;
-    else if (text == "segfault")
-        kind = FaultKind::Segfault;
-    else if (text == "abort")
-        kind = FaultKind::Abort;
-    else if (text == "busy-loop")
-        kind = FaultKind::BusyLoop;
-    else if (text == "alloc-bomb")
-        kind = FaultKind::AllocBomb;
-    else if (text == "kill")
-        kind = FaultKind::KillWorker;
-    else if (text == "drop-connection")
-        kind = FaultKind::DropConnection;
-    else if (text == "stall-heartbeat")
-        kind = FaultKind::StallHeartbeat;
-    else if (text == "corrupt-frame")
-        kind = FaultKind::CorruptFrame;
-    else if (text == "partition")
-        kind = FaultKind::Partition;
-    else if (text == "reconnect-storm")
-        kind = FaultKind::ReconnectStorm;
-    else if (text == "slow-loris")
-        kind = FaultKind::SlowLoris;
-    else if (text == "duplicate-session")
-        kind = FaultKind::DuplicateSession;
-    else if (text == "token-mismatch")
-        kind = FaultKind::TokenMismatch;
-    else
-        return false;
-    return true;
+    for (const exec::FaultKind candidate : faultKinds()) {
+        if (exec::toString(candidate) == text) {
+            kind = candidate;
+            return true;
+        }
+    }
+    return false;
 }
 
 bool
@@ -192,395 +168,423 @@ splitList(const std::string &csv, std::vector<std::string> &out)
     return !out.empty();
 }
 
-CampaignCliOptions::Match
-CampaignCliOptions::tryParse(ArgCursor &args, const std::string &arg)
+Binder
+integer(std::uint64_t max, Bound bound,
+        std::function<void(std::uint64_t)> store)
 {
-    // Accept both "--flag value" and "--flag=value": split an inline
-    // value off first, then match on the bare flag name.
-    std::string name = arg;
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.starts_with("--")) {
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string::npos) {
-            name = arg.substr(0, eq);
-            inline_value = arg.substr(eq + 1);
-            has_inline = true;
+    return [max, bound, store = std::move(store)](const char *value,
+                                                  std::string &want) {
+        std::uint64_t raw = 0;
+        if (!parseUint64(value, raw) || raw > max)
+            return false;
+        if (raw == 0 && bound != Bound::Any) {
+            want = bound == Bound::Positive
+                       ? "must be positive"
+                       : "must be positive; omit the flag to disable";
+            return false;
         }
-    }
+        store(raw);
+        return true;
+    };
+}
 
-    /** The flag's value: the inline "=value" part, or the next argv
-     *  entry. Returns nullptr (reported) when neither exists. */
-    const auto value = [&](const char *flag) -> const char * {
-        if (has_inline)
-            return inline_value.c_str();
-        return args.valueFor(flag);
+Binder
+number(std::chrono::milliseconds &out, Bound bound)
+{
+    return integer(std::numeric_limits<unsigned>::max(), bound,
+                   [&out](std::uint64_t v) {
+                       out = std::chrono::milliseconds(v);
+                   });
+}
+
+Binder
+number(double &out)
+{
+    return [&out](const char *value, std::string &) {
+        return parseDouble(value, out);
     };
-    const auto unsigned_flag = [&](const char *flag,
-                                   unsigned &out) -> Match {
-        const char *v = value(flag);
-        if (v == nullptr || !parseUnsigned(v, out)) {
-            if (v != nullptr)
-                std::fprintf(stderr, "%s: bad %s value %s\n",
-                             args.program().c_str(), flag, v);
-            return Match::Error;
+}
+
+Binder
+number(double &out, double low, double high, bool open)
+{
+    return [&out, low, high, open](const char *value,
+                                   std::string &want) {
+        double v = 0.0;
+        const bool outside =
+            !parseDouble(value, v) ||
+            (open ? v <= low || v >= high : v < low || v > high);
+        if (outside) {
+            char range[64];
+            std::snprintf(range, sizeof(range), "want %c%g, %g%c",
+                          open ? '(' : '[', low, high,
+                          open ? ')' : ']');
+            want = range;
+            return false;
         }
-        return Match::Consumed;
-    };
-    const auto uint64_flag = [&](const char *flag,
-                                 std::uint64_t &out) -> Match {
-        const char *v = value(flag);
-        if (v == nullptr || !parseUint64(v, out)) {
-            if (v != nullptr)
-                std::fprintf(stderr, "%s: bad %s value %s\n",
-                             args.program().c_str(), flag, v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    };
-    const auto path_flag = [&](const char *flag,
-                               std::string &out) -> Match {
-        const char *v = value(flag);
-        if (v == nullptr)
-            return Match::Error;
         out = v;
-        return Match::Consumed;
+        return true;
     };
-    /** A flag that takes no value rejects an inline "=value". */
-    const auto bare = [&](bool &out) -> Match {
-        if (has_inline) {
-            std::fprintf(stderr, "%s: %s takes no value\n",
-                         args.program().c_str(), name.c_str());
-            return Match::Error;
-        }
-        out = true;
-        return Match::Consumed;
+}
+
+Binder
+text(std::string &out)
+{
+    return [&out](const char *value, std::string &) {
+        out = value;
+        return true;
     };
-
-    if (name == "--threads")
-        return unsigned_flag("--threads", threads);
-    if (name == "--no-foldover") {
-        bool off = false;
-        const Match m = bare(off);
-        if (m == Match::Consumed)
-            foldover = false;
-        return m;
-    }
-    if (name == "--skip-preflight") {
-        bool on = false;
-        const Match m = bare(on);
-        if (m == Match::Consumed)
-            skipPreflight = true;
-        return m;
-    }
-    if (name == "--retries")
-        return unsigned_flag("--retries", retries);
-    if (name == "--backoff-ms")
-        return unsigned_flag("--backoff-ms", backoffMs);
-    if (name == "--backoff-jitter") {
-        const char *v = value("--backoff-jitter");
-        if (v == nullptr || !parseDouble(v, backoffJitter) ||
-            backoffJitter < 0.0 || backoffJitter > 1.0) {
-            if (v != nullptr)
-                std::fprintf(stderr,
-                             "%s: bad --backoff-jitter value %s "
-                             "(want [0, 1])\n",
-                             args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--backoff-seed")
-        return uint64_flag("--backoff-seed", backoffSeed);
-    if (name == "--deadline-ms")
-        return unsigned_flag("--deadline-ms", deadlineMs);
-    if (name == "--isolation") {
-        const char *v = value("--isolation");
-        if (v == nullptr)
-            return Match::Error;
-        remote = std::string(v) == "remote";
-        if (!remote && !exec::parseIsolationMode(v, isolation)) {
-            std::fprintf(stderr,
-                         "%s: unknown --isolation mode %s "
-                         "(want thread | process | remote)\n",
-                         args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--listen") {
-        const char *v = value("--listen");
-        if (v == nullptr)
-            return Match::Error;
-        std::uint16_t port = static_cast<std::uint16_t>(listenPort);
-        if (!parseEndpoint(v, listenAddress, port)) {
-            std::fprintf(stderr,
-                         "%s: bad --listen endpoint %s "
-                         "(want HOST:PORT, HOST, or PORT)\n",
-                         args.program().c_str(), v);
-            return Match::Error;
-        }
-        listenPort = port;
-        remote = true;
-        return Match::Consumed;
-    }
-    if (name == "--workers")
-        return unsigned_flag("--workers", remoteWorkers);
-    if (name == "--lease-ms") {
-        const Match m = unsigned_flag("--lease-ms", leaseMs);
-        if (m == Match::Consumed && leaseMs == 0) {
-            std::fprintf(stderr,
-                         "%s: --lease-ms must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--heartbeat-ms") {
-        const Match m = unsigned_flag("--heartbeat-ms", heartbeatMs);
-        if (m == Match::Consumed && heartbeatMs == 0) {
-            std::fprintf(stderr,
-                         "%s: --heartbeat-ms must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--session-grace-ms")
-        return unsigned_flag("--session-grace-ms", sessionGraceMs);
-    if (name == "--auth-token-file")
-        return path_flag("--auth-token-file", authTokenFile);
-    if (name == "--mem-limit-mb") {
-        const Match m = uint64_flag("--mem-limit-mb", memLimitMb);
-        if (m == Match::Consumed && memLimitMb == 0) {
-            std::fprintf(stderr,
-                         "%s: --mem-limit-mb must be positive (omit "
-                         "the flag to disable the cap)\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--hard-deadline-ms") {
-        const Match m =
-            unsigned_flag("--hard-deadline-ms", hardDeadlineMs);
-        if (m == Match::Consumed && hardDeadlineMs == 0) {
-            std::fprintf(stderr,
-                         "%s: --hard-deadline-ms must be positive "
-                         "(omit the flag to disable the watchdog)\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--sample") {
-        bool on = false;
-        const Match m = bare(on);
-        if (m == Match::Consumed)
-            sample = true;
-        return m;
-    }
-    if (name == "--sample-unit") {
-        const Match m = uint64_flag("--sample-unit", sampleUnit);
-        if (m == Match::Consumed && sampleUnit == 0) {
-            std::fprintf(stderr,
-                         "%s: --sample-unit must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--sample-warmup")
-        return uint64_flag("--sample-warmup", sampleWarmup);
-    if (name == "--sample-interval") {
-        const Match m =
-            uint64_flag("--sample-interval", sampleInterval);
-        if (m == Match::Consumed && sampleInterval == 0) {
-            std::fprintf(stderr,
-                         "%s: --sample-interval must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--sample-rel-error") {
-        const char *v = value("--sample-rel-error");
-        if (v == nullptr || !parseDouble(v, sampleRelError) ||
-            sampleRelError <= 0.0 || sampleRelError >= 1.0) {
-            if (v != nullptr)
-                std::fprintf(stderr,
-                             "%s: bad --sample-rel-error value %s "
-                             "(want (0, 1))\n",
-                             args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--sample-confidence") {
-        const char *v = value("--sample-confidence");
-        if (v == nullptr || !parseDouble(v, sampleConfidence) ||
-            sampleConfidence <= 0.0 || sampleConfidence >= 1.0) {
-            if (v != nullptr)
-                std::fprintf(stderr,
-                             "%s: bad --sample-confidence value %s "
-                             "(want (0, 1))\n",
-                             args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--collect") {
-        bool on = false;
-        const Match m = bare(on);
-        if (m == Match::Consumed)
-            collect = true;
-        return m;
-    }
-    if (name == "--degrade") {
-        const char *v = value("--degrade");
-        if (v == nullptr)
-            return Match::Error;
-        const std::string mode = v;
-        if (mode == "abort") {
-            degrade = check::DegradationMode::Abort;
-        } else if (mode == "drop-benchmark") {
-            degrade = check::DegradationMode::DropBenchmark;
-        } else {
-            std::fprintf(stderr, "%s: unknown --degrade mode %s\n",
-                         args.program().c_str(), mode.c_str());
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--replicates")
-        return unsigned_flag("--replicates", replicates);
-    if (name == "--bootstrap-iters") {
-        const Match m =
-            uint64_flag("--bootstrap-iters", bootstrapIters);
-        if (m == Match::Consumed && bootstrapIters == 0) {
-            std::fprintf(stderr,
-                         "%s: --bootstrap-iters must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--bootstrap-seed")
-        return uint64_flag("--bootstrap-seed", bootstrapSeed);
-    if (name == "--stability-out")
-        return path_flag("--stability-out", stabilityOut);
-    if (name == "--journal")
-        return path_flag("--journal", journalPath);
-    if (name == "--metrics-out")
-        return path_flag("--metrics-out", metricsOut);
-    if (name == "--trace-out")
-        return path_flag("--trace-out", traceOut);
-    if (name == "--manifest-out")
-        return path_flag("--manifest-out", manifestOut);
-    if (name == "--bench-out")
-        return path_flag("--bench-out", benchOut);
-    return Match::NotMine;
 }
 
-exec::FaultPolicy
-CampaignCliOptions::faultPolicy() const
+Binder
+set(bool &out, bool value)
 {
-    exec::FaultPolicy policy;
-    policy.maxAttempts = retries + 1;
-    policy.backoffBase = std::chrono::milliseconds(backoffMs);
-    policy.backoffJitter = backoffJitter;
-    policy.backoffSeed = backoffSeed;
-    policy.attemptDeadline = std::chrono::milliseconds(deadlineMs);
-    policy.collectFailures = collect;
-    return policy;
+    return [&out, value](const char *, std::string &) {
+        out = value;
+        return true;
+    };
 }
 
-void
-CampaignCliOptions::apply(exec::CampaignOptions &campaign) const
+bool
+parseFlags(int argc, char **argv, const char *program,
+           const FlagTable &table,
+           const std::function<void(const std::string &)> &positional)
 {
-    campaign.threads = threads;
-    campaign.foldover = foldover;
-    campaign.skipPreflight = skipPreflight;
-    campaign.faultPolicy = faultPolicy();
-    campaign.degradation = degrade;
-    campaign.isolation = isolation;
-    campaign.memLimitMb = memLimitMb;
-    campaign.hardDeadline = std::chrono::milliseconds(hardDeadlineMs);
-    campaign.remoteWorkers = remoteWorkers;
-    campaign.sampling.enabled = sample;
-    campaign.sampling.unitInstructions = sampleUnit;
-    campaign.sampling.warmupInstructions = sampleWarmup;
-    campaign.sampling.intervalInstructions = sampleInterval;
-    campaign.sampling.targetRelativeError = sampleRelError;
-    campaign.sampling.confidence = sampleConfidence;
-    campaign.replication.replicates = replicates;
-    campaign.replication.bootstrap.iterations = bootstrapIters;
-    campaign.replication.bootstrap.seed = bootstrapSeed;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h")
+            return false;
+        if ((arg.empty() || arg.front() != '-') && positional) {
+            positional(arg);
+            continue;
+        }
+        // "--flag=value" carries its value inline.
+        const std::size_t eq =
+            arg.starts_with("--") ? arg.find('=') : std::string::npos;
+        const std::string name = arg.substr(0, eq);
+        const auto flag = std::ranges::find(table, name, &Flag::name);
+        if (flag == table.end()) {
+            std::fprintf(stderr, "%s: unknown option %s\n", program,
+                         arg.c_str());
+            return false;
+        }
+        const char *value =
+            eq == std::string::npos ? nullptr : argv[i] + eq + 1;
+        if (flag->metavar.empty() && value != nullptr) {
+            std::fprintf(stderr, "%s: %s takes no value\n", program,
+                         name.c_str());
+            return false;
+        }
+        if (!flag->metavar.empty() && value == nullptr) {
+            if (i + 1 == argc) {
+                std::fprintf(stderr, "%s: %s needs an argument\n",
+                             program, name.c_str());
+                return false;
+            }
+            value = argv[++i];
+        }
+        std::string want;
+        if (!flag->bind(value, want)) {
+            if (!want.empty())
+                want = " (" + want + ")";
+            std::fprintf(stderr, "%s: bad %s value %s%s\n", program,
+                         name.c_str(), value, want.c_str());
+            return false;
+        }
+    }
+    return true;
 }
 
-const char *
-CampaignCliOptions::usageText()
+int
+printUsage(const char *program, const char *synopsis,
+           const FlagTable &table)
 {
-    return
-        "  --threads N            worker threads (0 = hardware)\n"
-        "  --no-foldover          44-run base design instead of 88\n"
-        "  --skip-preflight       skip the pre-flight static analysis\n"
-        "  --retries N            extra attempts per job (default 0)\n"
-        "  --backoff-ms N         base backoff, doubled per retry\n"
-        "  --backoff-jitter F     randomize away up to F of each\n"
-        "                         backoff (seeded, replayable; [0,1])\n"
-        "  --backoff-seed N       seed of the jitter stream\n"
-        "  --deadline-ms N        per-attempt deadline (0 = none)\n"
-        "  --isolation MODE       thread | process | remote; process\n"
-        "                         forks sandbox workers that survive\n"
-        "                         crash, OOM, and hangs; remote shards\n"
-        "                         cells across a TCP worker fleet\n"
-        "  --mem-limit-mb N       per-sandbox memory cap in MiB\n"
-        "  --hard-deadline-ms N   SIGKILL a sandbox attempt past this\n"
-        "  --listen HOST:PORT     remote: controller listen endpoint\n"
-        "                         (implies --isolation remote; port 0\n"
-        "                         = kernel-assigned)\n"
-        "  --workers N            remote: wait for N workers before\n"
-        "                         the campaign starts\n"
-        "  --lease-ms N           remote: worker-silence budget before\n"
-        "                         its cells are reclaimed and requeued\n"
-        "                         (default 10000)\n"
-        "  --heartbeat-ms N       remote: worker heartbeat cadence\n"
-        "                         (default 1000; must stay under half\n"
-        "                         the lease)\n"
-        "  --session-grace-ms N   remote: hold a disconnected worker's\n"
-        "                         leases this long awaiting a session\n"
-        "                         resume with the same id (default\n"
-        "                         5000; 0 = reclaim immediately)\n"
-        "  --auth-token-file PATH remote: shared fleet token; workers\n"
-        "                         must answer an HMAC challenge before\n"
-        "                         any lease is granted\n"
-        "  --collect              quarantine failures, don't fail fast\n"
-        "  --degrade MODE         abort | drop-benchmark (with --collect)\n"
-        "  --sample               SMARTS-style sampled simulation:\n"
-        "                         periodic detailed units with CPI CIs\n"
-        "                         instead of full detailed runs\n"
-        "  --sample-unit N        measured instructions per unit\n"
-        "                         (default 1000)\n"
-        "  --sample-warmup N      detailed warm-up before each unit\n"
-        "                         (default 2000)\n"
-        "  --sample-interval N    one unit every N instructions\n"
-        "                         (default 10000)\n"
-        "  --sample-rel-error F   target relative CI half-width on\n"
-        "                         CPI (default 0.05)\n"
-        "  --sample-confidence F  CI confidence level (default 0.95)\n"
-        "  --replicates R         run R independently seeded workload\n"
-        "                         realizations and bootstrap rank CIs\n"
-        "                         (0 = single realization; the\n"
-        "                         pre-flight floor is 3)\n"
-        "  --bootstrap-iters N    bootstrap resamples (default 2000)\n"
-        "  --bootstrap-seed N     seed of the deterministic bootstrap\n"
-        "  --stability-out PATH   write the stability report JSON\n"
-        "  --journal PATH         crash-safe journal; rerun to resume\n"
-        "  --metrics-out PATH     write the metrics registry as JSON\n"
-        "  --trace-out PATH       write a Chrome/Perfetto trace JSON\n"
-        "  --manifest-out PATH    write the campaign manifest (JSONL)\n"
-        "  --bench-out PATH       write a wall-time/throughput report\n";
+    static constexpr std::size_t kHelpColumn = 25;
+    static constexpr std::size_t kWidth = 79;
+    std::string out = std::string("usage: ") + program + " " + synopsis +
+                      "\n\noptions:\n";
+    const auto entry = [&out](const std::string &left,
+                              const std::string &help) {
+        // Word-wrap the help into the right-hand column.
+        std::string line = "  " + left;
+        line.resize(std::max(line.size() + 1, kHelpColumn), ' ');
+        std::size_t start = 0;
+        while (start < help.size()) {
+            std::size_t end = help.find(' ', start);
+            if (end == std::string::npos)
+                end = help.size();
+            const std::string word = help.substr(start, end - start);
+            if (line.size() > kHelpColumn &&
+                line.size() + 1 + word.size() > kWidth) {
+                out += line + "\n";
+                line.assign(kHelpColumn, ' ');
+            } else if (line.back() != ' ') {
+                line += ' ';
+            }
+            line += word;
+            start = end + 1;
+        }
+        out += line + "\n";
+    };
+    for (const Flag &flag : table)
+        entry(flag.metavar.empty() ? flag.name
+                                   : flag.name + " " + flag.metavar,
+              flag.help);
+    entry("--help", "show this help");
+    std::fputs(out.c_str(), stderr);
+    return 2;
+}
+
+FlagTable
+sandboxFlags(exec::IsolationMode &isolation, bool *remote,
+             std::uint64_t &memLimitMb,
+             std::chrono::milliseconds &hardDeadline,
+             std::string &authTokenFile)
+{
+    using exec::IsolationMode;
+    const Binder local =
+        oneOf(isolation, {IsolationMode::Thread, IsolationMode::Process});
+    Binder mode = local;
+    std::string help =
+        "thread | process; process forks sandbox workers that survive "
+        "crash, OOM, and hangs";
+    if (remote != nullptr) {
+        mode = [local, remote](const char *value, std::string &want) {
+            *remote = std::string(value) == "remote";
+            if (*remote || local(value, want))
+                return true;
+            want += " | remote";
+            return false;
+        };
+        help = "thread | process | remote; process forks sandbox "
+               "workers that survive crash, OOM, and hangs; remote "
+               "shards cells across a TCP worker fleet";
+    }
+    return {
+        {"--isolation", "MODE", help, mode},
+        {"--mem-limit-mb", "N", "per-sandbox memory cap in MiB",
+         number(memLimitMb, Bound::PositiveOrOmit)},
+        {"--hard-deadline-ms", "N",
+         "SIGKILL a sandbox attempt busy past this",
+         number(hardDeadline, Bound::PositiveOrOmit)},
+        {"--auth-token-file", "PATH",
+         "shared fleet token; a worker must answer the controller's "
+         "HMAC challenge before any lease is granted",
+         text(authTokenFile)},
+    };
+}
+
+namespace
+{
+
+std::string
+faultKindNames()
+{
+    std::string names;
+    for (const exec::FaultKind kind : faultKinds()) {
+        if (!names.empty())
+            names += " | ";
+        names += exec::toString(kind);
+    }
+    return names;
+}
+
+} // namespace
+
+Flag
+injectLabelFlag(exec::FaultInjector &drills)
+{
+    return {"--inject-label", "S:A:KIND",
+            "fault attempt A of the jobs whose label contains S (KIND: " +
+                faultKindNames() + ")",
+            [&drills](const char *value, std::string &) {
+                std::string label;
+                unsigned attempt = 0;
+                exec::FaultKind kind{};
+                if (!parseFaultSpec(value, label, attempt, kind))
+                    return false;
+                drills.addLabelFault(std::move(label), attempt, kind);
+                return true;
+            }};
+}
+
+FlagTable
+campaignFlags(CampaignSetup &setup)
+{
+    methodology::PbExperimentOptions &run = setup.run;
+    exec::CampaignOptions &campaign = run.campaign;
+    exec::FaultPolicy &policy = campaign.faultPolicy;
+    sample::SamplingOptions &sampling = campaign.sampling;
+    stats::ReplicationOptions &replication = campaign.replication;
+    exec::net::ControllerOptions &net = setup.net;
+
+    FlagTable table = {
+        {"--workloads", "a,b,c", "benchmarks to run (default: all 13)",
+         [&setup](const char *value, std::string &) {
+             return splitList(value, setup.workloads);
+         }},
+        {"--instructions", "N",
+         "measured instructions per run (default 20000)",
+         number(run.instructionsPerRun)},
+        {"--warmup", "N", "warm-up instructions per run",
+         number(run.warmupInstructions)},
+        {"--threads", "N", "worker threads (0 = hardware)",
+         number(campaign.threads)},
+        {"--no-foldover", "", "44-run base design instead of 88",
+         set(campaign.foldover, false)},
+        {"--skip-preflight", "", "skip the pre-flight static analysis",
+         set(campaign.skipPreflight)},
+        {"--retries", "N", "extra attempts per job (default 0)",
+         [&policy](const char *value, std::string &) {
+             unsigned retries = 0;
+             if (!parseUnsigned(value, retries))
+                 return false;
+             policy.maxAttempts = retries + 1;
+             return true;
+         }},
+        {"--backoff-ms", "N", "base backoff, doubled per retry",
+         number(policy.backoffBase)},
+        {"--backoff-jitter", "F",
+         "randomize away up to F of each backoff (seeded, replayable)",
+         number(policy.backoffJitter, 0.0, 1.0, false)},
+        {"--backoff-seed", "N", "seed of the jitter stream",
+         number(policy.backoffSeed)},
+        {"--deadline-ms", "N", "per-attempt deadline (0 = none)",
+         number(policy.attemptDeadline)},
+    };
+    const FlagTable sandbox =
+        sandboxFlags(campaign.isolation, &setup.remote,
+                     campaign.memLimitMb, campaign.hardDeadline,
+                     setup.authTokenFile);
+    table.insert(table.end(), sandbox.begin(), sandbox.end());
+    const FlagTable rest = {
+        {"--listen", "HOST:PORT",
+         "remote: controller listen endpoint (implies --isolation "
+         "remote; port 0 = kernel-assigned)",
+         [&setup, &net](const char *value, std::string &want) {
+             want = "want HOST:PORT, HOST, or PORT";
+             if (!parseEndpoint(value, net.bindAddress, net.port))
+                 return false;
+             setup.remote = true;
+             return true;
+         }},
+        {"--workers", "N",
+         "remote: wait for N workers before the campaign starts",
+         number(campaign.remoteWorkers)},
+        {"--lease-ms", "N",
+         "remote: worker-silence budget before its cells are reclaimed "
+         "and requeued (default 10000)",
+         number(net.lease, Bound::Positive)},
+        {"--heartbeat-ms", "N",
+         "remote: worker heartbeat cadence (default 1000; must stay "
+         "under half the lease)",
+         number(net.heartbeat, Bound::Positive)},
+        {"--session-grace-ms", "N",
+         "remote: hold a disconnected worker's leases this long "
+         "awaiting a session resume with the same id (default 5000; "
+         "0 = reclaim immediately)",
+         number(net.sessionGrace)},
+        {"--port-file", "PATH",
+         "remote: write the bound controller port (rendezvous for "
+         "port 0)",
+         text(setup.portFile)},
+        {"--worker-wait-ms", "N",
+         "remote: wait this long for --workers to connect (default "
+         "30000)",
+         number(setup.workerWait)},
+        {"--collect", "", "quarantine failures, don't fail fast",
+         set(policy.collectFailures)},
+        {"--degrade", "MODE", "abort | drop-benchmark (with --collect)",
+         oneOf(campaign.degradation,
+               {check::DegradationMode::Abort,
+                check::DegradationMode::DropBenchmark})},
+        {"--sample", "",
+         "SMARTS-style sampled simulation: periodic detailed units "
+         "with CPI CIs instead of full detailed runs",
+         set(sampling.enabled)},
+        {"--sample-unit", "N",
+         "measured instructions per unit (default 1000)",
+         number(sampling.unitInstructions, Bound::Positive)},
+        {"--sample-warmup", "N",
+         "detailed warm-up before each unit (default 2000)",
+         number(sampling.warmupInstructions)},
+        {"--sample-interval", "N",
+         "one unit every N instructions (default 10000)",
+         number(sampling.intervalInstructions, Bound::Positive)},
+        {"--sample-rel-error", "F",
+         "target relative CI half-width on CPI (default 0.05)",
+         number(sampling.targetRelativeError, 0.0, 1.0, true)},
+        {"--sample-confidence", "F",
+         "CI confidence level (default 0.95)",
+         number(sampling.confidence, 0.0, 1.0, true)},
+        {"--adaptive-rounds", "N",
+         "with --sample: re-run benchmarks whose top-factor effects "
+         "are inside their CI with a denser schedule, up to N total "
+         "rounds",
+         number(setup.adaptiveRounds, Bound::Positive)},
+        {"--replicates", "R",
+         "run R independently seeded workload realizations and "
+         "bootstrap rank CIs (0 = single realization; the pre-flight "
+         "floor is 3)",
+         number(replication.replicates)},
+        {"--bootstrap-iters", "N", "bootstrap resamples (default 2000)",
+         number(replication.bootstrap.iterations, Bound::Positive)},
+        {"--bootstrap-seed", "N", "seed of the deterministic bootstrap",
+         number(replication.bootstrap.seed)},
+        {"--stability-out", "PATH", "write the stability report JSON",
+         text(setup.stabilityOut)},
+        {"--journal", "PATH", "crash-safe journal; rerun to resume",
+         text(setup.journal)},
+        {"--crash-after", "N", "crash drill: die after N appends",
+         [&setup](const char *value, std::string &) {
+             std::size_t appends = 0;
+             if (!parseSize(value, appends))
+                 return false;
+             setup.crashAfter = appends;
+             return true;
+         }},
+        {"--inject", "J:A:KIND",
+         "fault job J, attempt A (KIND as for --inject-label; the "
+         "process kinds need --isolation process, the network kinds a "
+         "remote worker's --inject-label)",
+         [&setup](const char *value, std::string &) {
+             std::string job_text;
+             std::size_t job = 0;
+             unsigned attempt = 0;
+             exec::FaultKind kind{};
+             if (!parseFaultSpec(value, job_text, attempt, kind) ||
+                 !parseSize(job_text.c_str(), job))
+                 return false;
+             setup.drills.addFault(job, attempt, kind);
+             return true;
+         }},
+        injectLabelFlag(setup.drills),
+        {"--inject-random", "R:SEED",
+         "seeded transient storm at rate R",
+         [&setup](const char *value, std::string &) {
+             const std::string spec = value;
+             const std::size_t colon = spec.find(':');
+             double rate = 0.0;
+             std::uint64_t seed = 0;
+             if (colon == std::string::npos ||
+                 !parseDouble(spec.substr(0, colon).c_str(), rate) ||
+                 !parseUint64(spec.substr(colon + 1).c_str(), seed))
+                 return false;
+             setup.randomDrills.emplace(rate, seed);
+             return true;
+         }},
+        {"--metrics-out", "PATH", "write the metrics registry as JSON",
+         text(setup.metricsOut)},
+        {"--trace-out", "PATH", "write a Chrome/Perfetto trace JSON",
+         text(setup.traceOut)},
+        {"--manifest-out", "PATH", "write the campaign manifest (JSONL)",
+         text(setup.manifestOut)},
+        {"--bench-out", "PATH", "write a wall-time/throughput report",
+         text(setup.benchOut)},
+        {"--quiet", "", "suppress the rank table", set(setup.quiet)},
+    };
+    table.insert(table.end(), rest.begin(), rest.end());
+    return table;
 }
 
 } // namespace rigor::tools

@@ -1,59 +1,47 @@
 /**
  * @file
- * Shared command-line plumbing for the rigor tools.
+ * Declarative command-line flags for the rigor tools.
  *
- * campaign and rigor_lint used to each hand-roll the same argv
- * walking, "flag needs an argument" reporting, and numeric parsing —
- * and campaign additionally mapped a dozen flags onto what is now
- * exec::CampaignOptions. This helper owns all of it: ArgCursor is the
- * argv walker, the strict parse* functions reject trailing garbage
- * instead of silently truncating, and CampaignCliOptions is the
- * declarative home of every flag that configures a campaign
- * (execution knobs, fault policy, journal, and the observability
- * sink paths), rendered onto exec::CampaignOptions with apply().
+ * Every tool declares its flags once, in a FlagTable. An entry is a
+ * name, a value placeholder, a help line and a Binder; the binder
+ * checks the value with the strict parse* functions below (which
+ * reject signs, trailing garbage and out-of-range numbers instead of
+ * truncating) and writes it straight into the options struct the
+ * library consumes: methodology::PbExperimentOptions,
+ * net::ControllerOptions, net::RemoteWorkerOptions,
+ * proc::ProcWorkerPool::Options or the check:: lint options. There is
+ * no CLI-side mirror of those structs to copy across.
+ *
+ * parseFlags() is the one argv loop of every tool: it accepts both
+ * "--flag value" and "--flag=value" for every flag, and words the
+ * missing-value, unexpected-value, bad-value and unknown-option
+ * errors identically everywhere. printUsage() renders each tool's
+ * help from the same table, so the help cannot drift from the flags.
+ * Flags two tools share (the sandbox and fleet flags of campaign and
+ * worker, the label fault drill) come from one definition here, as
+ * does campaign's whole table, which the unit tests parse directly.
  */
 
 #ifndef RIGOR_TOOLS_CLI_OPTIONS_HH
 #define RIGOR_TOOLS_CLI_OPTIONS_HH
 
+#include <chrono>
+#include <concepts>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "exec/campaign_options.hh"
 #include "exec/fault_injection.hh"
+#include "exec/net/controller.hh"
+#include "methodology/pb_experiment.hh"
 
 namespace rigor::tools
 {
-
-/** Forward walker over argv with uniform error reporting. */
-class ArgCursor
-{
-  public:
-    ArgCursor(int argc, char **argv, std::string program)
-        : _argc(argc), _argv(argv), _program(std::move(program))
-    {
-    }
-
-    bool done() const { return _index >= _argc; }
-
-    /** Current argument; advances. Only valid when !done(). */
-    std::string take() { return _argv[_index++]; }
-
-    /**
-     * The value following @p flag, advancing past it; nullptr (with a
-     * "<flag> needs an argument" line on stderr) when argv ends.
-     */
-    const char *valueFor(const char *flag);
-
-    const std::string &program() const { return _program; }
-
-  private:
-    int _argc;
-    char **_argv;
-    int _index = 1;
-    std::string _program;
-};
 
 /** Strict numeric parsers: entire string or failure. */
 bool parseUnsigned(const char *text, unsigned &out);
@@ -65,14 +53,7 @@ bool parseDouble(const char *text, double &out);
 bool splitList(const std::string &csv,
                std::vector<std::string> &out);
 
-/**
- * Parse a fault-drill kind name ("transient", "permanent", "hang",
- * "segfault", "abort", "busy-loop", "alloc-bomb", "kill",
- * "drop-connection", "stall-heartbeat", "corrupt-frame",
- * "partition", "reconnect-storm", "slow-loris", "duplicate-session",
- * "token-mismatch"). Shared by campaign's --inject* flags and
- * worker's --inject-label.
- */
+/** Parse a fault-drill kind by its exec::toString(FaultKind) name. */
 bool parseFaultKind(const std::string &text, exec::FaultKind &kind);
 
 /** Parse "head:attempt:kind", splitting on the LAST two colons so
@@ -89,112 +70,154 @@ bool parseEndpoint(const std::string &text, std::string &host,
                    std::uint16_t &port);
 
 /**
- * Every command-line flag that configures campaign execution and
- * observability, parsed flag-by-flag with tryParse() and rendered
- * onto exec::CampaignOptions with apply(). The sink *paths* live
- * here; the sink *objects* (registries, writers, manifests) are
- * constructed and attached by the tool, which owns their lifetime.
+ * Checks one flag's value and stores it. @p value is null for a
+ * switch. On rejection it returns false and may set @p want to what
+ * a valid value looks like, which the error message quotes.
  */
-struct CampaignCliOptions
+using Binder = std::function<bool(const char *value, std::string &want)>;
+
+/** One command-line flag. */
+struct Flag
 {
-    unsigned threads = 0;
-    bool foldover = true;
-    bool skipPreflight = false;
-    unsigned retries = 0;
-    unsigned backoffMs = 0;
-    /** Fraction of each backoff randomized away (seeded, in [0,1]). */
-    double backoffJitter = 0.0;
-    /** Seed of the deterministic backoff jitter stream. */
-    std::uint64_t backoffSeed = 0;
-    unsigned deadlineMs = 0;
-    /** Local attempt isolation: in-process threads, or forked
-     *  sandboxes (ignored by a remote campaign). */
-    exec::IsolationMode isolation = exec::IsolationMode::Thread;
-    /** Remote execution (--listen or --isolation remote): the tool
-     *  runs a CampaignController and points the campaign at it. */
+    /** "--name". */
+    std::string name;
+    /** Value placeholder in the help ("N", "PATH"); empty marks a
+     *  switch, which takes no value. */
+    std::string metavar;
+    std::string help;
+    Binder bind;
+};
+
+using FlagTable = std::vector<Flag>;
+
+/** What a numeric flag accepts besides a well-formed number. */
+enum class Bound
+{
+    Any,
+    Positive,
+    /** Positive; leaving the flag out is how to disable the feature. */
+    PositiveOrOmit,
+};
+
+/** Unsigned integer of at most @p max; @p store receives it. */
+Binder integer(std::uint64_t max, Bound bound,
+               std::function<void(std::uint64_t)> store);
+
+template <std::unsigned_integral T>
+Binder
+number(T &out, Bound bound = Bound::Any)
+{
+    return integer(std::numeric_limits<T>::max(), bound,
+                   [&out](std::uint64_t v) { out = static_cast<T>(v); });
+}
+
+/** Milliseconds, spelled as an unsigned (32-bit) count. */
+Binder number(std::chrono::milliseconds &out, Bound bound = Bound::Any);
+
+/** Any double. */
+Binder number(double &out);
+
+/** A double in [low, high], or in (low, high) when @p open. */
+Binder number(double &out, double low, double high, bool open);
+
+/** Any string, e.g. a path. */
+Binder text(std::string &out);
+
+/** A switch: sets @p out to @p value. */
+Binder set(bool &out, bool value = true);
+
+/** An enum value named by its toString(). */
+template <class Enum>
+Binder
+oneOf(Enum &out, std::initializer_list<Enum> values)
+{
+    return [&out, choices = std::vector<Enum>(values)](
+               const char *value, std::string &want) {
+        for (const Enum choice : choices) {
+            const std::string name = toString(choice);
+            if (name == value) {
+                out = choice;
+                return true;
+            }
+            want += want.empty() ? "want " : " | ";
+            want += name;
+        }
+        return false;
+    };
+}
+
+/**
+ * Parse argv against @p table. Arguments not starting with '-' go to
+ * @p positional, or are unknown options when it is empty. Returns
+ * false after printing the reason on stderr, and (silently) on
+ * --help / -h; the caller then prints the usage and exits 2.
+ */
+bool parseFlags(int argc, char **argv, const char *program,
+                const FlagTable &table,
+                const std::function<void(const std::string &)>
+                    &positional = {});
+
+/**
+ * Print "usage: <program> <synopsis>" and the help of every flag in
+ * @p table to stderr. Returns 2, the tools' usage-error exit code.
+ */
+int printUsage(const char *program, const char *synopsis,
+               const FlagTable &table);
+
+/**
+ * --isolation, --mem-limit-mb, --hard-deadline-ms and
+ * --auth-token-file, shared by campaign and worker. "--isolation
+ * remote" sets @p remote, and is rejected when @p remote is null.
+ */
+FlagTable sandboxFlags(exec::IsolationMode &isolation, bool *remote,
+                       std::uint64_t &memLimitMb,
+                       std::chrono::milliseconds &hardDeadline,
+                       std::string &authTokenFile);
+
+/** --inject-label S:A:KIND, planned into @p drills. */
+Flag injectLabelFlag(exec::FaultInjector &drills);
+
+/**
+ * Everything campaign's flags configure. The experiment and the
+ * controller options are the library's own structs, bound flag by
+ * flag; the other fields are what the tool itself owns.
+ */
+struct CampaignSetup
+{
+    /** The CLI defaults that differ from the library's: 20k-instruction
+     *  runs, and a disconnected worker's session parked for 5 s. */
+    CampaignSetup()
+    {
+        run.instructionsPerRun = 20000;
+        net.sessionGrace = std::chrono::milliseconds(5000);
+    }
+
+    methodology::PbExperimentOptions run;
+    /** Used when remote. */
+    exec::net::ControllerOptions net;
+    /** --listen or --isolation remote. */
     bool remote = false;
-    /** Process isolation: per-worker memory cap in MiB (0 = off). */
-    std::uint64_t memLimitMb = 0;
-    /** Process isolation: hard watchdog deadline in ms (0 = off). */
-    unsigned hardDeadlineMs = 0;
-    /** Remote: controller listen address (--listen). */
-    std::string listenAddress = "127.0.0.1";
-    /** Remote: listen port (0 = kernel-assigned). */
-    unsigned listenPort = 0;
-    /** Remote: expected worker-fleet size (--workers). */
-    unsigned remoteWorkers = 0;
-    /** Remote: lease duration (worker-silence budget). */
-    unsigned leaseMs = 10000;
-    /** Remote: advertised heartbeat cadence. */
-    unsigned heartbeatMs = 1000;
-    /** Remote: how long a disconnected worker's session is
-     *  parked awaiting resume (0 = reclaim immediately). */
-    unsigned sessionGraceMs = 5000;
-    /** Remote: file holding the shared fleet auth token;
-     *  empty = authentication off. */
     std::string authTokenFile;
-    bool collect = false;
-    check::DegradationMode degrade = check::DegradationMode::Abort;
-    /** SMARTS-style sampled simulation (off = full detailed runs). */
-    bool sample = false;
-    /** Measured detailed instructions per sampling unit. */
-    std::uint64_t sampleUnit = 1000;
-    /** Detailed warm-up instructions before each measured unit. */
-    std::uint64_t sampleWarmup = 2000;
-    /** Sampling period: one unit every this many instructions. */
-    std::uint64_t sampleInterval = 10000;
-    /** Target relative CI half-width on CPI (in (0, 1)). */
-    double sampleRelError = 0.05;
-    /** CI confidence level (in (0, 1)). */
-    double sampleConfidence = 0.95;
-    /** Workload-generation replicates (0 = single realization). */
-    unsigned replicates = 0;
-    /** Bootstrap iterations over the replicate responses. */
-    std::uint64_t bootstrapIters = 2000;
-    /** Seed of the deterministic bootstrap stream. */
-    std::uint64_t bootstrapSeed = 0x5eedb007u;
-    /** Where to write the stability report JSON; empty = stdout only. */
-    std::string stabilityOut;
-    std::string journalPath;
-    /** Observability output paths; empty = sink disabled. */
+    exec::FaultInjector drills;
+    /** --inject-random RATE:SEED, planned once the design size is
+     *  known. */
+    std::optional<std::pair<double, std::uint64_t>> randomDrills;
+    std::optional<std::size_t> crashAfter;
+    std::vector<std::string> workloads;
+    unsigned adaptiveRounds = 0;
+    std::string journal;
     std::string metricsOut;
     std::string traceOut;
     std::string manifestOut;
     std::string benchOut;
-
-    /** Outcome of offering one argument to tryParse(). */
-    enum class Match
-    {
-        /** The flag (and its value, if any) was consumed. */
-        Consumed,
-        /** Not a shared campaign flag; caller should try its own. */
-        NotMine,
-        /** A shared flag with a missing/invalid value (reported). */
-        Error,
-    };
-
-    /**
-     * Offer @p arg (already taken from @p args) to the shared flag
-     * table. Consumes the flag's value from @p args when it has one;
-     * both "--flag value" and "--flag=value" spellings are accepted.
-     */
-    Match tryParse(ArgCursor &args, const std::string &arg);
-
-    /** The fault policy the flags describe. */
-    exec::FaultPolicy faultPolicy() const;
-
-    /**
-     * Render the execution knobs (threads, foldover, skipPreflight,
-     * fault policy, degradation) onto @p campaign. Sinks, the
-     * journal and a remote campaign's controller (built from the
-     * --lease-ms/--heartbeat-ms/--session-grace-ms/--auth-token-file
-     * values) are attached by the caller.
-     */
-    void apply(exec::CampaignOptions &campaign) const;
-
-    /** Help text for the shared flags (aligned to the tools' style). */
-    static const char *usageText();
+    std::string stabilityOut;
+    std::string portFile;
+    std::chrono::milliseconds workerWait{30000};
+    bool quiet = false;
 };
+
+/** campaign's flag table, binding into @p setup. */
+FlagTable campaignFlags(CampaignSetup &setup);
 
 } // namespace rigor::tools
 

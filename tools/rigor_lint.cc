@@ -44,7 +44,6 @@ using rigor::check::DesignCheckOptions;
 using rigor::check::Diagnostic;
 using rigor::check::DiagnosticSink;
 using rigor::check::Severity;
-using rigor::tools::ArgCursor;
 
 enum class FileKind
 {
@@ -54,113 +53,11 @@ enum class FileKind
     Stability,
 };
 
-struct CliOptions
-{
-    DesignCheckOptions design;
-    rigor::check::StabilityCheckOptions stability;
-    /** campaign.under-replicated floor for stability reports. */
-    unsigned minReplicates = 3;
-    bool auditParameterSpace = false;
-    bool listRules = false;
-    bool warningsAsErrors = false;
-    bool quiet = false;
-    /** (kind, path) pairs in command-line order. */
-    std::vector<std::pair<FileKind, std::string>> files;
-};
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options] <file>...\n"
-        "\n"
-        "Lint exported CSV design matrices (*.csv) and experiment\n"
-        "spec files before any simulation spends cycles on them.\n"
-        "\n"
-        "options:\n"
-        "  --design               treat the next file as a CSV design\n"
-        "  --spec                 treat the next file as an experiment spec\n"
-        "  --stability            treat the next file as a stability report\n"
-        "  --foldover             require the exact foldover complement\n"
-        "  --no-pb                drop the Plackett-Burman shape checks\n"
-        "  --factors N            require exactly N factor columns\n"
-        "  --top-factors N        stability rules cover the top N factors\n"
-        "  --flip-threshold X     rank-flip probability that is an error\n"
-        "  --min-replicates N     replicate floor for stability reports\n"
-        "  --audit-parameter-space  lint the built-in Tables 6-8 space\n"
-        "  --list-rules           print every rule id with its default\n"
-        "                         severity and description, then exit\n"
-        "  --Werror               treat warnings as errors\n"
-        "  --quiet                print only errors\n"
-        "  --help                 show this help\n",
-        argv0);
-    return 2;
-}
-
-bool
-parseArgs(int argc, char **argv, CliOptions &options)
-{
-    ArgCursor args(argc, argv, "rigor_lint");
-    FileKind next_kind = FileKind::Auto;
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--design") {
-            next_kind = FileKind::Design;
-        } else if (arg == "--spec") {
-            next_kind = FileKind::Spec;
-        } else if (arg == "--stability") {
-            next_kind = FileKind::Stability;
-        } else if (arg == "--foldover") {
-            options.design.requireFoldover = true;
-        } else if (arg == "--no-pb") {
-            options.design.requirePlackettBurman = false;
-        } else if (arg == "--factors") {
-            const char *v = args.valueFor("--factors");
-            if (v == nullptr ||
-                !rigor::tools::parseSize(
-                    v, options.design.expectedFactors))
-                return false;
-        } else if (arg == "--top-factors") {
-            const char *v = args.valueFor("--top-factors");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.stability.topFactors))
-                return false;
-        } else if (arg == "--flip-threshold") {
-            const char *v = args.valueFor("--flip-threshold");
-            if (v == nullptr ||
-                !rigor::tools::parseDouble(
-                    v, options.stability.flipThreshold))
-                return false;
-        } else if (arg == "--min-replicates") {
-            const char *v = args.valueFor("--min-replicates");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.minReplicates))
-                return false;
-        } else if (arg == "--audit-parameter-space") {
-            options.auditParameterSpace = true;
-        } else if (arg == "--list-rules") {
-            options.listRules = true;
-        } else if (arg == "--Werror") {
-            options.warningsAsErrors = true;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else if (!arg.empty() && arg.front() == '-') {
-            std::fprintf(stderr, "rigor_lint: unknown option %s\n",
-                         arg.c_str());
-            return false;
-        } else {
-            options.files.emplace_back(next_kind, arg);
-            next_kind = FileKind::Auto;
-        }
-    }
-    return options.auditParameterSpace || options.listRules ||
-           !options.files.empty();
-}
+constexpr const char *kSynopsis =
+    "[options] <file>...\n"
+    "\n"
+    "Lint exported CSV design matrices (*.csv) and experiment\n"
+    "spec files before any simulation spends cycles on them.";
 
 const char *
 severityName(Severity severity)
@@ -210,19 +107,71 @@ readFile(const std::string &path, std::string &out)
 int
 main(int argc, char **argv)
 {
-    CliOptions options;
-    if (!parseArgs(argc, argv, options))
-        return usage(argv[0]);
+    namespace tools = rigor::tools;
+    DesignCheckOptions design;
+    rigor::check::StabilityCheckOptions stability;
+    /** campaign.under-replicated floor for stability reports. */
+    unsigned min_replicates = 3;
+    bool audit_parameter_space = false;
+    bool list_rules = false;
+    bool warnings_as_errors = false;
+    bool quiet = false;
+    /** (kind, path) pairs in command-line order; a kind prefix
+     *  applies to the next file only. */
+    std::vector<std::pair<FileKind, std::string>> files;
+    FileKind next_kind = FileKind::Auto;
+    const auto kind_of_next = [&next_kind](FileKind kind) {
+        return [&next_kind, kind](const char *, std::string &) {
+            next_kind = kind;
+            return true;
+        };
+    };
+    const tools::FlagTable flags = {
+        {"--design", "", "treat the next file as a CSV design",
+         kind_of_next(FileKind::Design)},
+        {"--spec", "", "treat the next file as an experiment spec",
+         kind_of_next(FileKind::Spec)},
+        {"--stability", "", "treat the next file as a stability report",
+         kind_of_next(FileKind::Stability)},
+        {"--foldover", "", "require the exact foldover complement",
+         tools::set(design.requireFoldover)},
+        {"--no-pb", "", "drop the Plackett-Burman shape checks",
+         tools::set(design.requirePlackettBurman, false)},
+        {"--factors", "N", "require exactly N factor columns",
+         tools::number(design.expectedFactors)},
+        {"--top-factors", "N", "stability rules cover the top N factors",
+         tools::number(stability.topFactors)},
+        {"--flip-threshold", "X", "rank-flip probability that is an error",
+         tools::number(stability.flipThreshold)},
+        {"--min-replicates", "N", "replicate floor for stability reports",
+         tools::number(min_replicates)},
+        {"--audit-parameter-space", "", "lint the built-in Tables 6-8 space",
+         tools::set(audit_parameter_space)},
+        {"--list-rules", "",
+         "print every rule id with its default severity and "
+         "description, then exit",
+         tools::set(list_rules)},
+        {"--Werror", "", "treat warnings as errors",
+         tools::set(warnings_as_errors)},
+        {"--quiet", "", "print only errors", tools::set(quiet)},
+    };
+    const bool parsed = tools::parseFlags(
+        argc, argv, "rigor_lint", flags, [&](const std::string &path) {
+            files.emplace_back(next_kind, path);
+            next_kind = FileKind::Auto;
+        });
+    if (!parsed || (!audit_parameter_space && !list_rules && files.empty()))
+        return tools::printUsage(argv[0], kSynopsis, flags);
 
-    if (options.listRules)
+    if (list_rules)
         return listRules();
 
     DiagnosticSink sink;
 
-    if (options.auditParameterSpace)
+    if (audit_parameter_space)
         rigor::check::checkParameterSpace(sink);
 
-    for (const auto &[kind, path] : options.files) {
+    for (const auto &[kind, path] : files) {
         std::string text;
         if (!readFile(path, text)) {
             sink.error(rigor::check::rules::kLintUnreadableFile,
@@ -240,14 +189,11 @@ main(int argc, char **argv)
         }
         switch (resolved) {
         case FileKind::Design:
-            rigor::check::lintDesignCsv(text, path, options.design,
-                                        sink);
+            rigor::check::lintDesignCsv(text, path, design, sink);
             break;
         case FileKind::Stability:
-            rigor::check::lintStabilityReport(text, path,
-                                              options.stability,
-                                              options.minReplicates,
-                                              sink);
+            rigor::check::lintStabilityReport(text, path, stability,
+                                              min_replicates, sink);
             break;
         default:
             rigor::check::lintExperimentSpec(text, path, sink);
@@ -256,16 +202,16 @@ main(int argc, char **argv)
     }
 
     for (const Diagnostic &d : sink.diagnostics()) {
-        if (options.quiet && d.severity != Severity::Error)
+        if (quiet && d.severity != Severity::Error)
             continue;
         std::fprintf(stderr, "%s\n", d.toString().c_str());
     }
-    if (!options.quiet || sink.errorCount() > 0)
+    if (!quiet || sink.errorCount() > 0)
         std::fprintf(stderr, "rigor_lint: %s\n",
                      sink.summary().c_str());
 
     const bool failed =
         sink.errorCount() > 0 ||
-        (options.warningsAsErrors && sink.warningCount() > 0);
+        (warnings_as_errors && sink.warningCount() > 0);
     return failed ? 1 : 0;
 }

@@ -53,9 +53,6 @@
 namespace
 {
 
-using rigor::exec::FaultKind;
-using rigor::tools::ArgCursor;
-
 /** Set by the SIGTERM handler; watched by the worker's heartbeat
  *  thread, which announces the drain to the controller. */
 std::atomic<bool> g_drainRequested{false};
@@ -66,174 +63,53 @@ requestDrain(int)
     g_drainRequested.store(true);
 }
 
-struct CliOptions
-{
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    bool haveConnect = false;
-    unsigned slots = 1;
-    std::string name;
-    rigor::exec::IsolationMode isolation =
-        rigor::exec::IsolationMode::Thread;
-    std::uint64_t memLimitMb = 0;
-    unsigned hardDeadlineMs = 0;
-    /** Reconnect-and-resume tries after a lost connection. */
-    unsigned reconnect = 0;
-    /** File holding the shared fleet auth token; empty = none. */
-    std::string authTokenFile;
-    struct LabelFault
-    {
-        std::string substring;
-        unsigned attempt;
-        FaultKind kind;
-    };
-    std::vector<LabelFault> injectLabel;
-};
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s --connect HOST:PORT [options]\n"
-        "\n"
-        "Serve leased simulation jobs for a distributed campaign\n"
-        "controller (campaign --listen) until it shuts down.\n"
-        "\n"
-        "options:\n"
-        "  --connect HOST:PORT    controller endpoint (required)\n"
-        "  --slots N              concurrent jobs to hold (default 1)\n"
-        "  --name S               worker identity recorded as cell\n"
-        "                         provenance (default hostname:pid)\n"
-        "  --isolation MODE       thread | process; process forks a\n"
-        "                         local sandbox pool for the attempts\n"
-        "  --mem-limit-mb N       per-sandbox memory cap in MiB\n"
-        "  --hard-deadline-ms N   SIGKILL a sandbox attempt past this\n"
-        "  --reconnect N          after a lost connection, reconnect\n"
-        "                         and resume the session up to N\n"
-        "                         times (held leases hand back when\n"
-        "                         the controller's grace allows)\n"
-        "  --auth-token-file PATH shared fleet token answering the\n"
-        "                         controller's HMAC challenge\n"
-        "  --inject-label S:A:KIND  fault attempt A of jobs whose\n"
-        "                         label contains S (KIND: transient|\n"
-        "                         permanent|hang|segfault|abort|\n"
-        "                         busy-loop|alloc-bomb|kill|\n"
-        "                         drop-connection|stall-heartbeat|\n"
-        "                         corrupt-frame|partition|\n"
-        "                         reconnect-storm|slow-loris|\n"
-        "                         duplicate-session|token-mismatch)\n"
-        "  --help                 show this help\n",
-        argv0);
-    return 2;
-}
-
-bool
-parseArgs(int argc, char **argv, CliOptions &options)
-{
-    ArgCursor args(argc, argv, "worker");
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--connect") {
-            const char *v = args.valueFor("--connect");
-            if (v == nullptr ||
-                !rigor::tools::parseEndpoint(v, options.host,
-                                             options.port)) {
-                if (v != nullptr)
-                    std::fprintf(stderr,
-                                 "worker: bad --connect endpoint "
-                                 "%s (want HOST:PORT)\n",
-                                 v);
-                return false;
-            }
-            options.haveConnect = true;
-        } else if (arg == "--slots") {
-            const char *v = args.valueFor("--slots");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(v, options.slots) ||
-                options.slots == 0) {
-                if (v != nullptr)
-                    std::fprintf(stderr,
-                                 "worker: --slots must be a "
-                                 "positive count\n");
-                return false;
-            }
-        } else if (arg == "--name") {
-            const char *v = args.valueFor("--name");
-            if (v == nullptr)
-                return false;
-            options.name = v;
-        } else if (arg == "--isolation") {
-            const char *v = args.valueFor("--isolation");
-            if (v == nullptr)
-                return false;
-            if (!rigor::exec::parseIsolationMode(v,
-                                                 options.isolation)) {
-                std::fprintf(stderr,
-                             "worker: unknown --isolation mode %s "
-                             "(want thread | process)\n",
-                             v);
-                return false;
-            }
-        } else if (arg == "--mem-limit-mb") {
-            const char *v = args.valueFor("--mem-limit-mb");
-            if (v == nullptr ||
-                !rigor::tools::parseUint64(v, options.memLimitMb))
-                return false;
-        } else if (arg == "--hard-deadline-ms") {
-            const char *v = args.valueFor("--hard-deadline-ms");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.hardDeadlineMs))
-                return false;
-        } else if (arg == "--reconnect") {
-            const char *v = args.valueFor("--reconnect");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(v, options.reconnect))
-                return false;
-        } else if (arg == "--auth-token-file") {
-            const char *v = args.valueFor("--auth-token-file");
-            if (v == nullptr)
-                return false;
-            options.authTokenFile = v;
-        } else if (arg == "--inject-label") {
-            const char *v = args.valueFor("--inject-label");
-            if (v == nullptr)
-                return false;
-            CliOptions::LabelFault fault{};
-            if (!rigor::tools::parseFaultSpec(v, fault.substring,
-                                              fault.attempt,
-                                              fault.kind)) {
-                std::fprintf(stderr,
-                             "worker: bad --inject-label spec %s\n",
-                             v);
-                return false;
-            }
-            options.injectLabel.push_back(std::move(fault));
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else {
-            std::fprintf(stderr, "worker: unknown option %s\n",
-                         arg.c_str());
-            return false;
-        }
-    }
-    if (!options.haveConnect || options.port == 0) {
-        std::fprintf(stderr,
-                     "worker: --connect HOST:PORT is required\n");
-        return false;
-    }
-    return true;
-}
+constexpr const char *kSynopsis =
+    "--connect HOST:PORT [options]\n"
+    "\n"
+    "Serve leased simulation jobs for a distributed campaign\n"
+    "controller (campaign --listen) until it shuts down.";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    CliOptions cli;
-    if (!parseArgs(argc, argv, cli))
-        return usage(argv[0]);
+    namespace tools = rigor::tools;
+    rigor::exec::net::RemoteWorkerOptions opts;
+    rigor::exec::proc::ProcWorkerPool::Options pool_opts;
+    rigor::exec::IsolationMode isolation =
+        rigor::exec::IsolationMode::Thread;
+    std::string auth_token_file;
+    rigor::exec::FaultInjector injector;
+    tools::FlagTable flags = {
+        {"--connect", "HOST:PORT", "controller endpoint (required)",
+         [&opts](const char *value, std::string &want) {
+             want = "want HOST:PORT";
+             return tools::parseEndpoint(value, opts.host, opts.port);
+         }},
+        {"--slots", "N", "concurrent jobs to hold (default 1)",
+         tools::number(opts.slots, tools::Bound::Positive)},
+        {"--name", "S",
+         "worker identity recorded as cell provenance (default "
+         "hostname:pid)",
+         tools::text(opts.name)},
+        {"--reconnect", "N",
+         "after a lost connection, reconnect and resume the session up "
+         "to N times (held leases hand back when the controller's "
+         "grace allows)",
+         tools::number(opts.reconnectAttempts)},
+        tools::injectLabelFlag(injector),
+    };
+    const tools::FlagTable sandbox = tools::sandboxFlags(
+        isolation, nullptr, pool_opts.memLimitMb, pool_opts.hardDeadline,
+        auth_token_file);
+    flags.insert(flags.end(), sandbox.begin(), sandbox.end());
+    if (!tools::parseFlags(argc, argv, "worker", flags))
+        return tools::printUsage(argv[0], kSynopsis, flags);
+    if (opts.port == 0) {
+        std::fprintf(stderr, "worker: --connect HOST:PORT is required\n");
+        return tools::printUsage(argv[0], kSynopsis, flags);
+    }
 
     try {
         // The attempt executor served to the controller: the
@@ -243,42 +119,28 @@ main(int argc, char **argv)
         // network kinds misbehave on the live connection.
         rigor::exec::SimulateFn simulate;
         std::unique_ptr<rigor::exec::proc::ProcWorkerPool> pool;
-        if (cli.isolation ==
-            rigor::exec::IsolationMode::Process) {
-            rigor::exec::proc::ProcWorkerPool::Options pool_opts;
-            pool_opts.workers = cli.slots;
-            pool_opts.memLimitMb = cli.memLimitMb;
-            pool_opts.hardDeadline =
-                std::chrono::milliseconds(cli.hardDeadlineMs);
+        if (isolation == rigor::exec::IsolationMode::Process) {
+            pool_opts.workers = opts.slots;
             pool = std::make_unique<
                 rigor::exec::proc::ProcWorkerPool>(
                 std::move(pool_opts));
             simulate = pool->simulateFn();
         }
 
-        rigor::exec::FaultInjector injector;
-        for (const CliOptions::LabelFault &f : cli.injectLabel)
-            injector.addLabelFault(f.substring, f.attempt, f.kind);
         if (injector.plannedFaults() != 0)
             simulate = injector.wrap(std::move(simulate));
 
-        rigor::exec::net::RemoteWorkerOptions opts;
-        opts.host = cli.host;
-        opts.port = cli.port;
-        opts.slots = cli.slots;
-        opts.name = cli.name;
         opts.simulate = std::move(simulate);
-        opts.reconnectAttempts = cli.reconnect;
         opts.drainFlag = &g_drainRequested;
-        if (!cli.authTokenFile.empty())
+        if (!auth_token_file.empty())
             opts.authToken =
-                rigor::exec::net::loadAuthToken(cli.authTokenFile);
+                rigor::exec::net::loadAuthToken(auth_token_file);
         std::signal(SIGTERM, requestDrain);
 
         // Mid-session reconnects (with lease handback) happen inside
         // runRemoteWorker; this loop only retries the initial connect,
         // drawing on the same --reconnect budget.
-        unsigned connect_tries = cli.reconnect + 1;
+        unsigned connect_tries = opts.reconnectAttempts + 1;
         rigor::exec::net::RemoteWorkerSession session;
         while (true) {
             try {
