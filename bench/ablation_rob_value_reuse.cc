@@ -18,6 +18,7 @@
 #include "methodology/pb_experiment.hh"
 #include "methodology/report.hh"
 #include "sim/config.hh"
+#include "trace/workloads.hh"
 
 int
 main()

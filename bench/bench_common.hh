@@ -9,124 +9,31 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
-#include "exec/engine.hh"
-#include "methodology/pb_experiment.hh"
-#include "obs/bench_report.hh"
-#include "trace/workloads.hh"
+#include "cli_options.hh"
 
 namespace rigor::bench
 {
 
 /**
- * One execution engine shared by every experiment a harness runs, so
- * the run cache carries across base/enhanced experiment pairs and the
- * progress counters aggregate the whole program.
- */
-inline exec::SimulationEngine &
-sharedEngine()
-{
-    static exec::SimulationEngine engine;
-    return engine;
-}
-
-/** Print the engine's counters to stderr (harness status output). */
-inline void
-reportProgress(const char *stage)
-{
-    std::fprintf(stderr, "[bench] %s: %s\n", stage,
-                 sharedEngine().progress().snapshot().toString().c_str());
-}
-
-/**
  * Dynamic instructions per simulation run. The paper ran the full
  * MinneSPEC workloads (0.6-4.0 G instructions); the default here
  * keeps the 1144-simulation experiment to laptop scale. Override
- * with RIGOR_INSTRUCTIONS.
+ * with RIGOR_INSTRUCTIONS: unset or empty keeps the default, and
+ * anything but a positive integer exits 2 before any simulation.
  */
 inline std::uint64_t
 instructionsPerRun()
 {
-    if (const char *env = std::getenv("RIGOR_INSTRUCTIONS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
+    const char *env = std::getenv("RIGOR_INSTRUCTIONS");
+    if (env == nullptr || *env == '\0')
+        return 100000;
+    std::uint64_t n = 0;
+    if (!tools::parseUint64(env, n) || n == 0) {
+        std::fprintf(stderr, "bad RIGOR_INSTRUCTIONS value %s\n", env);
+        std::exit(2);
     }
-    return 100000;
-}
-
-/** Experiment options every harness shares (the shared engine, the
- *  RIGOR_INSTRUCTIONS-scaled run length, full-length warm-up). */
-inline methodology::PbExperimentOptions
-fullExperimentOptions()
-{
-    methodology::PbExperimentOptions opts;
-    opts.instructionsPerRun = instructionsPerRun();
-    // A full-length warm-up lets the sequential/strided sweeps cover
-    // cache-resident working sets before measurement begins.
-    opts.warmupInstructions = opts.instructionsPerRun;
-    opts.campaign.engine = &sharedEngine();
-    return opts;
-}
-
-/**
- * Write a machine-readable BENCH_<pr>.json throughput report from the
- * shared engine's counters (used by the CI perf-smoke job).
- */
-inline void
-writeBenchReportFromEngine(const std::string &path,
-                           const std::string &name,
-                           const exec::ProgressSnapshot &progress)
-{
-    obs::BenchReport report;
-    report.name = name;
-    report.wallSeconds = progress.wallSeconds;
-    report.runsTotal = progress.runsTotal;
-    report.runsCompleted = progress.runsCompleted;
-    report.runsPerSecond =
-        progress.wallSeconds > 0.0
-            ? static_cast<double>(progress.runsCompleted) /
-                  progress.wallSeconds
-            : 0.0;
-    report.simulatedInstructions = progress.simulatedInstructions;
-    report.mips = progress.wallSeconds > 0.0
-                      ? static_cast<double>(
-                            progress.simulatedInstructions) /
-                            progress.wallSeconds / 1e6
-                      : 0.0;
-    report.threads = sharedEngine().threads();
-    report.cacheHits = progress.cacheHits;
-    report.journalHits = progress.journalHits;
-    obs::writeBenchReport(path, report);
-    std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-}
-
-/**
- * Run the full 88-configuration experiment over all 13 workloads.
- *
- * @param hook_factory optional enhancement hook
- * @param hook_id stable cache identity of the hook (empty = hooked
- *        runs bypass the shared engine's cache)
- */
-inline methodology::PbExperimentResult
-runFullExperiment(const methodology::HookFactory &hook_factory = {},
-                  const std::string &hook_id = {})
-{
-    methodology::PbExperimentOptions opts = fullExperimentOptions();
-    opts.hookFactory = hook_factory;
-    opts.hookId = hook_id;
-    std::fprintf(stderr,
-                 "[bench] running 88 configs x 13 workloads at %llu "
-                 "instructions per run on %u threads...\n",
-                 static_cast<unsigned long long>(
-                     opts.instructionsPerRun),
-                 sharedEngine().threads());
-    const methodology::PbExperimentResult result =
-        methodology::runPbExperiment(trace::spec2000Workloads(),
-                                     opts);
-    reportProgress("experiment done");
-    return result;
+    return n;
 }
 
 } // namespace rigor::bench

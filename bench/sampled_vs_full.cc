@@ -20,7 +20,11 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "exec/engine.hh"
+#include "methodology/pb_experiment.hh"
 #include "methodology/rank_table.hh"
+#include "obs/bench_report.hh"
+#include "trace/workloads.hh"
 
 namespace
 {

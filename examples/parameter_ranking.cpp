@@ -6,7 +6,7 @@
  * cutoff, and the recommended next step.
  *
  * Scaled down (2 workloads, short runs) so it finishes in seconds;
- * bench/table09_parameter_ranking runs the full 13-workload version.
+ * bench/table09_12_answer runs the full 13-workload version.
  */
 
 #include <cstdio>

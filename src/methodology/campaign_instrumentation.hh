@@ -71,7 +71,7 @@ bothObservers(exec::JobObserver first, exec::JobObserver second)
  * builds it once per campaign; it
  *  - runs on campaign.engine when set (sharing its run cache and
  *    progress counters), else on a private engine with
- *    campaign.threads workers and @p simulate as its executor;
+ *    campaign.threads workers and the real simulator;
  *  - attaches the campaign's journal, metrics and trace sinks;
  *  - chains the current phase's job observer (see observe()) behind
  *    whatever observer the caller had attached, so e.g. the campaign
@@ -95,14 +95,12 @@ class CampaignScope
   public:
     explicit CampaignScope(
         const exec::CampaignOptions &campaign,
-        exec::proc::SandboxHookFactory hook_factory = {},
-        exec::SimulateFn simulate = {})
+        exec::proc::SandboxHookFactory hook_factory = {})
         : _ownedEngine(campaign.engine
                            ? nullptr
                            : std::make_unique<exec::SimulationEngine>(
-                                 exec::EngineOptions{
-                                     campaign.threads, true,
-                                     std::move(simulate)})),
+                                 exec::EngineOptions{campaign.threads,
+                                                     true})),
           _engine(campaign.engine ? *campaign.engine : *_ownedEngine),
           _previousJournal(_engine.journal()),
           _previousMetrics(_engine.metrics()),

@@ -88,7 +88,7 @@ runRecommendedWorkflow(
     // shares with the screen is served from the run cache. The
     // campaign's journal makes every completed run of either phase
     // durable across process restarts.
-    detail::CampaignScope scope(campaign, {}, options.simulate);
+    detail::CampaignScope scope(campaign);
     exec::SimulationEngine &engine = scope.engine();
 
     // ----- Step 1: PB screening -----

@@ -45,14 +45,6 @@ struct WorkflowOptions
      */
     std::size_t maxCriticalParameters = 4;
     /**
-     * Attempt executor override for the workflow's internal engine;
-     * empty = the real deadline-guarded simulator. This is how fault
-     * drills target the workflow (wrap with a FaultInjector) and how
-     * tests stub the simulator out. Ignored when campaign.engine
-     * supplies a shared engine (its executor is used instead).
-     */
-    exec::SimulateFn simulate;
-    /**
      * Shared execution knobs (threads, fault policy, journal,
      * degradation mode, …) and observability sinks, applied to both
      * simulation phases — the PB screen and the step-3 factorial

@@ -289,17 +289,20 @@ TEST(CampaignDegradation, WorkflowDropsWorkloadFromFactorialAveraging)
     injector.addLabelFault("mcf, factorial cell", 1,
                            exec::FaultKind::Permanent);
 
+    exec::SimulationEngine engine(exec::EngineOptions{
+        2, true,
+        injector.wrap([](const exec::SimJob &,
+                         const exec::AttemptContext &ctx) {
+            return stubResponse(ctx);
+        })});
+
     methodology::WorkflowOptions opts;
     opts.instructionsPerRun = 8000;
     opts.warmupInstructions = 0;
-    opts.campaign.threads = 2;
+    opts.campaign.engine = &engine;
     opts.maxCriticalParameters = 2;
     opts.campaign.faultPolicy.collectFailures = true;
     opts.campaign.degradation = check::DegradationMode::DropBenchmark;
-    opts.simulate = injector.wrap(
-        [](const exec::SimJob &, const exec::AttemptContext &ctx) {
-            return stubResponse(ctx);
-        });
 
     const methodology::WorkflowResult result =
         methodology::runRecommendedWorkflow(workloads, opts);

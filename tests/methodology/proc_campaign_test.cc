@@ -219,17 +219,22 @@ TEST(ProcCampaign, WorkflowRunsFactorialPhaseUnderProcessIsolation)
     injector.addLabelFault("mcf, factorial cell", 1,
                            exec::FaultKind::Abort);
 
+    // The scope hands the engine's injecting executor to the
+    // sandbox pool, so the faults fire inside the forked workers.
+    exec::SimulationEngine engine(exec::EngineOptions{
+        2, true,
+        injector.wrap([](const exec::SimJob &,
+                         const exec::AttemptContext &ctx) {
+            return stubResponse(ctx);
+        })});
+
     methodology::WorkflowOptions opts;
     opts.instructionsPerRun = 8000;
-    opts.campaign.threads = 2;
+    opts.campaign.engine = &engine;
     opts.campaign.isolation = exec::IsolationMode::Process;
     opts.maxCriticalParameters = 2;
     opts.campaign.faultPolicy.collectFailures = true;
     opts.campaign.degradation = check::DegradationMode::DropBenchmark;
-    opts.simulate = injector.wrap(
-        [](const exec::SimJob &, const exec::AttemptContext &ctx) {
-            return stubResponse(ctx);
-        });
 
     const methodology::WorkflowResult result =
         methodology::runRecommendedWorkflow(workloads, opts);

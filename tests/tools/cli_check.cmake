@@ -1,11 +1,12 @@
 # Runs one tool command line and checks its exit code and output.
 #
 #   cmake -DCOMMAND=<exe>|<arg>|... -DEXIT=<code>
-#         [-DEXPECT=<text>|...] [-DFLAGS=<--flag>|...] -P cli_check.cmake
+#         [-DEXPECT=<text>|...] [-DREJECT=<text>|...]
+#         [-DFLAGS=<--flag>|...] -P cli_check.cmake
 #
 # Lists are separated by '|'. Every EXPECT text must occur in the
-# command's combined stdout and stderr, and every FLAGS entry must
-# start a line of its usage text.
+# command's combined stdout and stderr, no REJECT text may occur
+# there, and every FLAGS entry must start a line of its usage text.
 
 string(REPLACE "|" ";" command "${COMMAND}")
 execute_process(COMMAND ${command}
@@ -26,5 +27,12 @@ foreach(text IN LISTS expected)
     string(FIND "${output}" "${text}" at)
     if(at EQUAL -1)
         message(FATAL_ERROR "output lacks '${text}'\n${output}")
+    endif()
+endforeach()
+string(REPLACE "|" ";" rejected "${REJECT}")
+foreach(text IN LISTS rejected)
+    string(FIND "${output}" "${text}" at)
+    if(NOT at EQUAL -1)
+        message(FATAL_ERROR "output holds '${text}'\n${output}")
     endif()
 endforeach()
