@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build the tsan preset and run the concurrency-sensitive test suites
 # (doe, methodology, exec) under ThreadSanitizer. Any data race in the
-# SimJobQueue, RunCache, ProgressReporter, or the drivers that share a
-# SimulationEngine fails the run.
+# SimJobQueue, RunCache, ProgressReporter, the drivers that share a
+# SimulationEngine, the sandbox pool's monitor, or the TCP
+# controller's and remote worker's threads fails the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +30,10 @@ PublishedData.*:Preflight.*:AdaptiveSampling.*:
 FaultPolicy.*:AttemptContext.*:JobFailure.*:FaultTolerance.*:
 FaultInjector.*:ResultJournal.*:CampaignCheck.*:CampaignResume.*:
 CampaignDegradation.*:
-ProcProtocol.*:ProcWorkerPool.*:ProcCampaign.*:RemoteCampaign.*:
+ProcProtocol.*:ProcSandbox.*:ProcWorkerPool.*:ProcCampaign.*:
+Executors/AttemptTaxonomy.*:RemoteCampaign.*:
+NetProtocol.*:NetAuth.*:NetAuthHandshake.*:NetController.*:
+NetControllerDrill.*:NetDrain.*:NetFuzz.*:NetSession.*:NetSocket.*:
 ReplicatedPbExperiment.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*

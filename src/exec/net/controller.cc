@@ -7,7 +7,7 @@
 
 #include "exec/net/auth.hh"
 #include "exec/net/wire.hh"
-#include "obs/metrics.hh"
+#include "exec/proc/sandbox_worker.hh"
 
 namespace rigor::exec::net
 {
@@ -96,6 +96,7 @@ CampaignController::CampaignController(const ControllerOptions &options)
     if (_options.heartbeat.count() <= 0)
         throw std::invalid_argument(
             "CampaignController: heartbeat interval must be positive");
+    setMetrics(nullptr);
     _listener = listenTcp(_options.bindAddress, _options.port);
     _port = boundPort(_listener.get());
     _acceptThread = std::thread(&CampaignController::acceptLoop, this);
@@ -108,20 +109,9 @@ CampaignController::~CampaignController()
     {
         const std::lock_guard<std::mutex> lock(_mutex);
         _shutdown = true;
-        const auto fail = [](const std::shared_ptr<Pending> &pending) {
-            if (pending->done)
-                return;
-            pending->error = std::make_exception_ptr(TransientFault(
-                "campaign controller shut down with cell '" +
-                pending->label + "' unfinished"));
-            pending->done = true;
-        };
-        for (const auto &pending : _queue)
-            fail(pending);
-        for (const auto &entry : _leases)
-            fail(entry.second.pending);
-        _queue.clear();
-        _leases.clear();
+        // Parked sessions hold only dead fds; they are forgotten too.
+        failCellsLocked("campaign controller shut down with cell '",
+                        "' unfinished");
         for (const auto &worker : _workers) {
             try {
                 sendMessage(worker->fd, MsgType::Shutdown);
@@ -131,10 +121,8 @@ CampaignController::~CampaignController()
             }
             shutdownSocket(worker->fd);
         }
-        // Parked sessions hold only dead fds; just forget them. A
-        // connection still mid-handshake is blocked in a read —
+        // A connection still mid-handshake is blocked in a read —
         // shut its socket so the thread can be joined below.
-        _parked.clear();
         for (const int handshake_fd : _handshakeFds)
             shutdownSocket(handshake_fd);
         _cv.notify_all();
@@ -177,28 +165,20 @@ void
 CampaignController::setMetrics(obs::MetricsRegistry *metrics)
 {
     const std::lock_guard<std::mutex> lock(_mutex);
-    if (metrics == nullptr) {
-        _joinedCounter = _lostCounter = _grantedCounter =
-            _reclaimedCounter = _lateCounter = _parkedCounter =
-                _resumedCounter = _expiredCounter =
-                    _sessionRejectedCounter = _authAcceptedCounter =
-                        _authRejectedCounter = nullptr;
-        _connectedGauge = nullptr;
-        return;
-    }
-    _joinedCounter = &metrics->counter("net.workers.joined");
-    _lostCounter = &metrics->counter("net.workers.lost");
-    _grantedCounter = &metrics->counter("net.leases.granted");
-    _reclaimedCounter = &metrics->counter("net.leases.reclaimed");
-    _lateCounter = &metrics->counter("net.results.late");
-    _parkedCounter = &metrics->counter("net.sessions.parked");
-    _resumedCounter = &metrics->counter("net.sessions.resumed");
-    _expiredCounter = &metrics->counter("net.sessions.expired");
-    _sessionRejectedCounter =
-        &metrics->counter("net.sessions.rejected");
-    _authAcceptedCounter = &metrics->counter("net.auth.accepted");
-    _authRejectedCounter = &metrics->counter("net.auth.rejected");
-    _connectedGauge = &metrics->gauge("net.workers.connected");
+    obs::MetricsRegistry &registry =
+        metrics != nullptr ? *metrics : _ownMetrics;
+    _workersJoined = &registry.counter("net.workers.joined");
+    _workersLost = &registry.counter("net.workers.lost");
+    _leasesGranted = &registry.counter("net.leases.granted");
+    _leasesReclaimed = &registry.counter("net.leases.reclaimed");
+    _lateResults = &registry.counter("net.results.late");
+    _sessionsParked = &registry.counter("net.sessions.parked");
+    _sessionsResumed = &registry.counter("net.sessions.resumed");
+    _sessionsExpired = &registry.counter("net.sessions.expired");
+    _sessionsRejected = &registry.counter("net.sessions.rejected");
+    _authAccepted = &registry.counter("net.auth.accepted");
+    _authRejected = &registry.counter("net.auth.rejected");
+    _workersConnected = &registry.gauge("net.workers.connected");
 }
 
 void
@@ -214,69 +194,6 @@ CampaignController::simulateFn()
     return [this](const SimJob &job, const AttemptContext &ctx) {
         return execute(job, ctx);
     };
-}
-
-std::uint64_t
-CampaignController::leasesGranted() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _leasesGranted;
-}
-
-std::uint64_t
-CampaignController::leasesReclaimed() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _leasesReclaimed;
-}
-
-std::uint64_t
-CampaignController::lateResults() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _lateResults;
-}
-
-std::uint64_t
-CampaignController::sessionsParked() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsParked;
-}
-
-std::uint64_t
-CampaignController::sessionsResumed() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsResumed;
-}
-
-std::uint64_t
-CampaignController::sessionsExpired() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsExpired;
-}
-
-std::uint64_t
-CampaignController::sessionsRejected() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsRejected;
-}
-
-std::uint64_t
-CampaignController::authAccepted() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _authAccepted;
-}
-
-std::uint64_t
-CampaignController::authRejected() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _authRejected;
 }
 
 bool
@@ -302,23 +219,10 @@ CampaignController::beginDrain(std::chrono::milliseconds waitInFlight)
     // (erasing them) on schedule.
     _cv.wait_for(lock, waitInFlight, [&] { return _leases.empty(); });
     // Phase 3: fail whatever remains so every blocked execute()
-    // unwinds. The cells live on in the journal-resume path.
-    const auto fail = [](const std::shared_ptr<Pending> &pending) {
-        if (pending->done)
-            return;
-        pending->error = std::make_exception_ptr(TransientFault(
-            "controller draining: cell '" + pending->label +
-            "' left for the journal resume"));
-        pending->done = true;
-    };
-    for (const auto &pending : _queue)
-        fail(pending);
-    for (const auto &entry : _leases)
-        fail(entry.second.pending);
-    _queue.clear();
-    _leases.clear();
-    // Parked sessions have nothing left to resume into.
-    _parked.clear();
+    // unwinds. The cells live on in the journal-resume path; parked
+    // sessions have nothing left to resume into.
+    failCellsLocked("controller draining: cell '",
+                    "' left for the journal resume");
     _cv.notify_all();
 }
 
@@ -326,26 +230,14 @@ double
 CampaignController::execute(const SimJob &job,
                             const AttemptContext &ctx)
 {
-    proc::JobRequest request;
-    request.profile = *job.workload;
-    request.config = job.config;
-    request.instructions = job.instructions;
-    request.warmupInstructions = job.warmupInstructions;
-    request.hasHook = static_cast<bool>(job.makeHook);
-    request.label = job.label;
-    request.jobIndex = ctx.jobIndex;
-    request.attempt = ctx.attempt;
-    request.deadlineBudget = ctx.deadlineBudget;
-    request.sampling = job.sampling;
     proc::Writer out;
-    request.serialize(out);
+    proc::makeRequest(job, ctx).serialize(out);
 
     auto pending = std::make_shared<Pending>();
     pending->request = out.bytes();
     pending->label = job.label;
 
     proc::JobResult result;
-    std::string served_by;
     {
         std::unique_lock<std::mutex> lock(_mutex);
         if (_shutdown)
@@ -362,26 +254,11 @@ CampaignController::execute(const SimJob &job,
         if (pending->error)
             std::rethrow_exception(pending->error);
         result = std::move(pending->result);
-        served_by = std::move(pending->servedBy);
+        if (ctx.hostOut != nullptr &&
+            result.status == proc::ResultStatus::Ok)
+            *ctx.hostOut = std::move(pending->servedBy);
     }
-
-    switch (result.status) {
-      case proc::ResultStatus::Ok:
-        if (ctx.sampleOut != nullptr && result.hasSample)
-            *ctx.sampleOut = result.sample;
-        if (ctx.hostOut != nullptr)
-            *ctx.hostOut = served_by;
-        return result.cycles;
-      case proc::ResultStatus::Transient:
-        throw TransientFault(result.message);
-      case proc::ResultStatus::Deadline:
-        throw DeadlineExceeded(result.message);
-      case proc::ResultStatus::Resource:
-        throw ResourceExhausted(result.message);
-      case proc::ResultStatus::Permanent:
-        break;
-    }
-    throw PermanentFault(result.message);
+    return proc::unwrapResult(result, ctx);
 }
 
 void
@@ -426,14 +303,12 @@ CampaignController::performHandshake(OwnedFd &fd)
 {
     std::vector<std::byte> payload;
     if (!recvMessage(fd.get(), payload)) {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        authRejectedLocked("", "", "connection closed before hello");
+        rejectHandshake("", "", "connection closed before hello");
         return nullptr;
     }
     proc::Reader in(payload);
     if (readType(in) != MsgType::Hello) {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        authRejectedLocked("", "", "first message was not hello");
+        rejectHandshake("", "", "first message was not hello");
         return nullptr;
     }
     const Hello hello = Hello::deserialize(in);
@@ -466,11 +341,7 @@ CampaignController::performHandshake(OwnedFd &fd)
     // A rejection is counted before the peer can read its verdict,
     // so a peer that saw the verdict also sees the count.
     if (!ack.accepted) {
-        {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
-                               ack.reason);
-        }
+        rejectHandshake(hello.name, hello.sessionId, ack.reason);
         sendMessage(fd.get(), MsgType::HelloAck, ack_body.bytes());
         return nullptr;
     }
@@ -479,18 +350,14 @@ CampaignController::performHandshake(OwnedFd &fd)
     if (ack.authRequired) {
         std::vector<std::byte> proof_payload;
         if (!recvMessage(fd.get(), proof_payload)) {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
-                               "connection closed before auth proof");
+            rejectHandshake(hello.name, hello.sessionId,
+                            "connection closed before auth proof");
             return nullptr;
         }
         proc::Reader proof_in(proof_payload);
         if (readType(proof_in) != MsgType::AuthProof) {
-            {
-                const std::lock_guard<std::mutex> lock(_mutex);
-                authRejectedLocked(hello.name, hello.sessionId,
-                                   "auth proof required but not sent");
-            }
+            rejectHandshake(hello.name, hello.sessionId,
+                            "auth proof required but not sent");
             sendSessionReject(fd.get(), "auth proof required");
             return nullptr;
         }
@@ -500,11 +367,7 @@ CampaignController::performHandshake(OwnedFd &fd)
             authProof(_options.authToken, ack.challenge,
                       hello.sessionId, hello.name);
         if (!constantTimeEquals(proof.proof, expected)) {
-            {
-                const std::lock_guard<std::mutex> lock(_mutex);
-                authRejectedLocked(hello.name, hello.sessionId,
-                                   "bad auth proof");
-            }
+            rejectHandshake(hello.name, hello.sessionId, "bad auth proof");
             sendSessionReject(fd.get(), "bad auth proof");
             return nullptr;
         }
@@ -520,9 +383,7 @@ CampaignController::performHandshake(OwnedFd &fd)
         if (live->gone || live->sessionId != hello.sessionId)
             continue;
         sendSessionReject(fd.get(), "session id already active");
-        _sessionsRejected += 1;
-        if (_sessionRejectedCounter != nullptr)
-            _sessionRejectedCounter->add();
+        _sessionsRejected->add();
         LeaseEvent event;
         event.kind = LeaseEvent::Kind::SessionRejected;
         event.worker = hello.name;
@@ -567,17 +428,10 @@ CampaignController::performHandshake(OwnedFd &fd)
         }
         worker->inFlight = retained;
         resumed = true;
-        _sessionsResumed += 1;
-        if (_resumedCounter != nullptr)
-            _resumedCounter->add();
+        _sessionsResumed->add();
         _workers.push_back(worker);
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::SessionResumed;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.detail =
-            std::to_string(retained) + " lease(s) retained";
-        emitLocked(std::move(event));
+        emitLocked(LeaseEvent::Kind::SessionResumed, *worker,
+                   std::to_string(retained) + " lease(s) retained");
     } else {
         worker = std::make_shared<Worker>();
         worker->fd = fd.get();
@@ -586,20 +440,12 @@ CampaignController::performHandshake(OwnedFd &fd)
         worker->slots = hello.slots;
         worker->lastSeen = std::chrono::steady_clock::now();
         _workers.push_back(worker);
-        if (_joinedCounter != nullptr)
-            _joinedCounter->add();
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::WorkerJoined;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.detail = std::to_string(worker->slots) + " slot(s)";
-        emitLocked(std::move(event));
+        _workersJoined->add();
+        emitLocked(LeaseEvent::Kind::WorkerJoined, *worker,
+                   std::to_string(worker->slots) + " slot(s)");
     }
-    if (ack.authRequired) {
-        _authAccepted += 1;
-        if (_authAcceptedCounter != nullptr)
-            _authAcceptedCounter->add();
-    }
+    if (ack.authRequired)
+        _authAccepted->add();
 
     SessionAck verdict;
     verdict.accepted = true;
@@ -610,7 +456,7 @@ CampaignController::performHandshake(OwnedFd &fd)
     sendMessage(fd.get(), MsgType::SessionAck,
                 verdict_body.bytes());
 
-    updateConnectedGaugeLocked();
+    _workersConnected->set(static_cast<double>(_workers.size()));
     _cv.notify_all();
     pumpLocked();
     return worker;
@@ -631,11 +477,8 @@ CampaignController::serveConnection(int rawFd)
     try {
         worker = performHandshake(fd);
     } catch (const std::exception &e) {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        _handshakeFds.erase(fd.get());
-        authRejectedLocked(
-            "", "", std::string("malformed handshake: ") + e.what());
-        return;
+        rejectHandshake("", "",
+                        std::string("malformed handshake: ") + e.what());
     }
     {
         const std::lock_guard<std::mutex> lock(_mutex);
@@ -667,14 +510,10 @@ CampaignController::serveConnection(int rawFd)
               case MsgType::Drain:
                 if (!worker->draining) {
                     worker->draining = true;
-                    LeaseEvent event;
-                    event.kind = LeaseEvent::Kind::WorkerDraining;
-                    event.worker = worker->name;
-                    event.session = worker->sessionId;
-                    event.detail = "no further leases; " +
+                    emitLocked(LeaseEvent::Kind::WorkerDraining, *worker,
+                               "no further leases; " +
                                    std::to_string(worker->inFlight) +
-                                   " cell(s) finishing";
-                    emitLocked(std::move(event));
+                                   " cell(s) finishing");
                 }
                 break;
               default:
@@ -712,14 +551,10 @@ CampaignController::monitorLoop()
             if (now - worker->lastSeen <= _options.lease)
                 continue;
             worker->lapsed = true;
-            LeaseEvent event;
-            event.kind = LeaseEvent::Kind::WorkerLapsed;
-            event.worker = worker->name;
-            event.session = worker->sessionId;
-            event.detail =
-                "silent past the " +
-                std::to_string(_options.lease.count()) + " ms lease";
-            emitLocked(std::move(event));
+            emitLocked(LeaseEvent::Kind::WorkerLapsed, *worker,
+                       "silent past the " +
+                           std::to_string(_options.lease.count()) +
+                           " ms lease");
             reclaimLeasesLocked(worker, "heartbeat lapse");
         }
         // Parked sessions past the grace window fall back to the
@@ -732,27 +567,16 @@ CampaignController::monitorLoop()
                 continue;
             }
             it = _parked.erase(it);
-            _sessionsExpired += 1;
-            if (_expiredCounter != nullptr)
-                _expiredCounter->add();
-            LeaseEvent event;
-            event.kind = LeaseEvent::Kind::SessionExpired;
-            event.worker = worker->name;
-            event.session = worker->sessionId;
-            event.detail =
+            _sessionsExpired->add();
+            emitLocked(
+                LeaseEvent::Kind::SessionExpired, *worker,
                 "no reconnect within the " +
-                std::to_string(_options.sessionGrace.count()) +
-                " ms grace window";
-            emitLocked(std::move(event));
+                    std::to_string(_options.sessionGrace.count()) +
+                    " ms grace window");
             reclaimLeasesLocked(worker, "session grace expired");
-            if (_lostCounter != nullptr)
-                _lostCounter->add();
-            LeaseEvent lost;
-            lost.kind = LeaseEvent::Kind::WorkerLost;
-            lost.worker = worker->name;
-            lost.session = worker->sessionId;
-            lost.detail = "session grace expired";
-            emitLocked(std::move(lost));
+            _workersLost->add();
+            emitLocked(LeaseEvent::Kind::WorkerLost, *worker,
+                       "session grace expired");
         }
         pumpLocked();
     }
@@ -808,9 +632,7 @@ CampaignController::pumpLocked()
         }
         chosen->inFlight += 1;
         _leases[lease_id] = Lease{pending, chosen};
-        _leasesGranted += 1;
-        if (_grantedCounter != nullptr)
-            _grantedCounter->add();
+        _leasesGranted->add();
     }
 }
 
@@ -825,9 +647,7 @@ CampaignController::reclaimLeaseLocked(
     const auto next = _leases.erase(it);
     pending->requeues += 1;
     pending->triedWorkers.insert(holder->name);
-    _leasesReclaimed += 1;
-    if (_reclaimedCounter != nullptr)
-        _reclaimedCounter->add();
+    _leasesReclaimed->add();
     LeaseEvent event;
     event.kind = LeaseEvent::Kind::LeaseReclaimed;
     event.worker = holder->name;
@@ -868,15 +688,14 @@ CampaignController::reclaimLeasesLocked(
 }
 
 void
-CampaignController::authRejectedLocked(const std::string &name,
-                                       const std::string &session,
-                                       const std::string &reason)
+CampaignController::rejectHandshake(const std::string &name,
+                                    const std::string &session,
+                                    const std::string &reason)
 {
+    const std::lock_guard<std::mutex> lock(_mutex);
     if (_shutdown)
         return; // quiet teardown: sockets are being torn down anyway
-    _authRejected += 1;
-    if (_authRejectedCounter != nullptr)
-        _authRejectedCounter->add();
+    _authRejected->add();
     LeaseEvent event;
     event.kind = LeaseEvent::Kind::AuthRejected;
     event.worker = name;
@@ -912,32 +731,20 @@ CampaignController::workerGoneLocked(
         // parking never extends the failure-detection bound.
         worker->parkedAt = std::chrono::steady_clock::now();
         _parked[worker->sessionId] = worker;
-        _sessionsParked += 1;
-        if (_parkedCounter != nullptr)
-            _parkedCounter->add();
-        updateConnectedGaugeLocked();
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::SessionParked;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.detail =
-            reason + "; holding lease(s) for " +
-            std::to_string(_options.sessionGrace.count()) + " ms";
-        emitLocked(std::move(event));
+        _sessionsParked->add();
+        _workersConnected->set(static_cast<double>(_workers.size()));
+        emitLocked(LeaseEvent::Kind::SessionParked, *worker,
+                   reason + "; holding lease(s) for " +
+                       std::to_string(_options.sessionGrace.count()) +
+                       " ms");
         _cv.notify_all();
         pumpLocked();
         return;
     }
     reclaimLeasesLocked(worker, reason);
-    if (_lostCounter != nullptr)
-        _lostCounter->add();
-    updateConnectedGaugeLocked();
-    LeaseEvent event;
-    event.kind = LeaseEvent::Kind::WorkerLost;
-    event.worker = worker->name;
-    event.session = worker->sessionId;
-    event.detail = reason;
-    emitLocked(std::move(event));
+    _workersLost->add();
+    _workersConnected->set(static_cast<double>(_workers.size()));
+    emitLocked(LeaseEvent::Kind::WorkerLost, *worker, reason);
     _cv.notify_all();
     pumpLocked();
 }
@@ -953,16 +760,9 @@ CampaignController::handleJobDoneLocked(
         // The lease was reclaimed (and the cell likely rerun
         // elsewhere) before this result arrived: reject it so no
         // cell is ever recorded twice.
-        _lateResults += 1;
-        if (_lateCounter != nullptr)
-            _lateCounter->add();
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::LateResult;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.leaseId = lease_id;
-        event.detail = "result on a reclaimed lease rejected";
-        emitLocked(std::move(event));
+        _lateResults->add();
+        emitLocked(LeaseEvent::Kind::LateResult, *worker,
+                   "result on a reclaimed lease rejected", lease_id);
         return;
     }
     const std::shared_ptr<Pending> pending = it->second.pending;
@@ -978,6 +778,26 @@ CampaignController::handleJobDoneLocked(
 }
 
 void
+CampaignController::failCellsLocked(const std::string &before_label,
+                                    const std::string &after_label)
+{
+    const auto fail = [&](const std::shared_ptr<Pending> &pending) {
+        if (pending->done)
+            return;
+        pending->error = std::make_exception_ptr(
+            TransientFault(before_label + pending->label + after_label));
+        pending->done = true;
+    };
+    for (const auto &pending : _queue)
+        fail(pending);
+    for (const auto &entry : _leases)
+        fail(entry.second.pending);
+    _queue.clear();
+    _leases.clear();
+    _parked.clear();
+}
+
+void
 CampaignController::emitLocked(LeaseEvent event)
 {
     if (_observer)
@@ -985,10 +805,17 @@ CampaignController::emitLocked(LeaseEvent event)
 }
 
 void
-CampaignController::updateConnectedGaugeLocked()
+CampaignController::emitLocked(LeaseEvent::Kind kind,
+                               const Worker &worker, std::string detail,
+                               std::uint64_t lease_id)
 {
-    if (_connectedGauge != nullptr)
-        _connectedGauge->set(static_cast<double>(_workers.size()));
+    LeaseEvent event;
+    event.kind = kind;
+    event.worker = worker.name;
+    event.session = worker.sessionId;
+    event.leaseId = lease_id;
+    event.detail = std::move(detail);
+    emitLocked(std::move(event));
 }
 
 } // namespace rigor::exec::net

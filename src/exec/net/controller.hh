@@ -5,10 +5,11 @@
  * CampaignController is to a remote campaign (one whose
  * CampaignOptions::netController points here) what ProcWorkerPool is
  * to process isolation: an attempt executor behind the engine's
- * SimulateFn seam. execute() serializes one attempt as a
- * proc::JobRequest, queues it, and blocks until a worker's
- * proc::JobResult classifies it — so retries, backoff, quarantine, journaling, and bit-identical
- * resume all keep working unchanged on top.
+ * SimulateFn seam. execute() encodes one attempt with the attempt
+ * codec (exec/proc/sandbox_worker.hh), queues it, and blocks until a
+ * worker's result unwraps into cycles or a fault — so retries,
+ * backoff, quarantine, journaling, and bit-identical resume all keep
+ * working unchanged on top.
  *
  * Fault model. Each handed-out cell is covered by a time-bounded
  * lease: a worker that goes silent for longer than the lease duration
@@ -75,13 +76,7 @@
 #include "exec/engine.hh"
 #include "exec/net/socket.hh"
 #include "exec/proc/protocol.hh"
-
-namespace rigor::obs
-{
-class MetricsRegistry;
-class Counter;
-class Gauge;
-} // namespace rigor::obs
+#include "obs/metrics.hh"
 
 namespace rigor::exec::net
 {
@@ -201,12 +196,14 @@ class CampaignController
                         std::chrono::milliseconds timeout);
 
     /**
-     * Attach (or detach, with nullptr) a metrics registry. Counters:
+     * Count fleet events in @p metrics (not owned) from here on;
+     * nullptr counts them in the controller's own registry. Counters:
      * net.workers.joined, net.workers.lost, net.leases.granted,
      * net.leases.reclaimed, net.results.late, net.sessions.parked,
      * net.sessions.resumed, net.sessions.expired,
      * net.sessions.rejected, net.auth.accepted, net.auth.rejected.
-     * Gauge: net.workers.connected. Not owned.
+     * Gauge: net.workers.connected. The lifetime getters below read
+     * whichever registry counts, so attach before the fleet joins.
      */
     void setMetrics(obs::MetricsRegistry *metrics);
 
@@ -237,16 +234,17 @@ class CampaignController
     /** True once beginDrain() has been called. */
     bool draining() const;
 
-    /** Lifetime totals (for tests and drills). */
-    std::uint64_t leasesGranted() const;
-    std::uint64_t leasesReclaimed() const;
-    std::uint64_t lateResults() const;
-    std::uint64_t sessionsParked() const;
-    std::uint64_t sessionsResumed() const;
-    std::uint64_t sessionsExpired() const;
-    std::uint64_t sessionsRejected() const;
-    std::uint64_t authAccepted() const;
-    std::uint64_t authRejected() const;
+    /** Lifetime totals (for tests and drills), read from the
+     *  counters setMetrics resolved. */
+    std::uint64_t leasesGranted() const { return total(_leasesGranted); }
+    std::uint64_t leasesReclaimed() const { return total(_leasesReclaimed); }
+    std::uint64_t lateResults() const { return total(_lateResults); }
+    std::uint64_t sessionsParked() const { return total(_sessionsParked); }
+    std::uint64_t sessionsResumed() const { return total(_sessionsResumed); }
+    std::uint64_t sessionsExpired() const { return total(_sessionsExpired); }
+    std::uint64_t sessionsRejected() const { return total(_sessionsRejected); }
+    std::uint64_t authAccepted() const { return total(_authAccepted); }
+    std::uint64_t authRejected() const { return total(_authRejected); }
 
   private:
     struct Pending;
@@ -276,11 +274,24 @@ class CampaignController
     void handleJobDoneLocked(const std::shared_ptr<Worker> &worker,
                              proc::Reader &in);
     /** Count + emit a leaseless handshake rejection. */
-    void authRejectedLocked(const std::string &name,
-                            const std::string &session,
-                            const std::string &reason);
+    void rejectHandshake(const std::string &name,
+                         const std::string &session,
+                         const std::string &reason);
     void emitLocked(LeaseEvent event);
-    void updateConnectedGaugeLocked();
+    /** Emit a @p kind event about @p worker. */
+    void emitLocked(LeaseEvent::Kind kind, const Worker &worker,
+                    std::string detail, std::uint64_t lease_id = 0);
+    /** Fail every queued and leased cell with the TransientFault
+     *  "<before_label><label><after_label>", then forget them and
+     *  every parked session. */
+    void failCellsLocked(const std::string &before_label,
+                         const std::string &after_label);
+    /** Read one counter under _mutex. */
+    std::uint64_t total(obs::Counter *const &counter) const
+    {
+        const std::lock_guard<std::mutex> lock(_mutex);
+        return counter->value();
+    }
 
     ControllerOptions _options;
     OwnedFd _listener;
@@ -299,28 +310,21 @@ class CampaignController
      *  unblock their reads. */
     std::set<int> _handshakeFds;
     std::uint64_t _nextLeaseId = 1;
-    std::uint64_t _leasesGranted = 0;
-    std::uint64_t _leasesReclaimed = 0;
-    std::uint64_t _lateResults = 0;
-    std::uint64_t _sessionsParked = 0;
-    std::uint64_t _sessionsResumed = 0;
-    std::uint64_t _sessionsExpired = 0;
-    std::uint64_t _sessionsRejected = 0;
-    std::uint64_t _authAccepted = 0;
-    std::uint64_t _authRejected = 0;
     LeaseObserver _observer;
-    obs::Counter *_joinedCounter = nullptr;
-    obs::Counter *_lostCounter = nullptr;
-    obs::Counter *_grantedCounter = nullptr;
-    obs::Counter *_reclaimedCounter = nullptr;
-    obs::Counter *_lateCounter = nullptr;
-    obs::Counter *_parkedCounter = nullptr;
-    obs::Counter *_resumedCounter = nullptr;
-    obs::Counter *_expiredCounter = nullptr;
-    obs::Counter *_sessionRejectedCounter = nullptr;
-    obs::Counter *_authAcceptedCounter = nullptr;
-    obs::Counter *_authRejectedCounter = nullptr;
-    obs::Gauge *_connectedGauge = nullptr;
+    /** Counts fleet events while no registry is attached. */
+    obs::MetricsRegistry _ownMetrics;
+    obs::Counter *_workersJoined = nullptr;
+    obs::Counter *_workersLost = nullptr;
+    obs::Counter *_leasesGranted = nullptr;
+    obs::Counter *_leasesReclaimed = nullptr;
+    obs::Counter *_lateResults = nullptr;
+    obs::Counter *_sessionsParked = nullptr;
+    obs::Counter *_sessionsResumed = nullptr;
+    obs::Counter *_sessionsExpired = nullptr;
+    obs::Counter *_sessionsRejected = nullptr;
+    obs::Counter *_authAccepted = nullptr;
+    obs::Counter *_authRejected = nullptr;
+    obs::Gauge *_workersConnected = nullptr;
 
     std::thread _acceptThread;
     std::thread _monitorThread;

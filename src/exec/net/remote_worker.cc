@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -52,6 +53,17 @@ struct ResumeState
     std::vector<std::pair<std::uint64_t, proc::JobResult>> unsent;
     /** Pending reconnect-storm drill cycles. */
     unsigned stormRounds = 0;
+
+    /** Lease ids still held: queued assignments plus unsent results. */
+    std::vector<std::uint64_t> heldLeases() const
+    {
+        std::vector<std::uint64_t> held;
+        for (const Assignment &assignment : assignments)
+            held.push_back(assignment.leaseId);
+        for (const auto &entry : unsent)
+            held.push_back(entry.first);
+        return held;
+    }
 };
 
 /** Client side of the v2 handshake. */
@@ -300,76 +312,31 @@ class Session
 
     void runAssignment(const Assignment &assignment)
     {
-        const proc::JobRequest &request = assignment.request;
-        proc::JobResult result;
-        const auto begin = std::chrono::steady_clock::now();
-        try {
-            result = executeRequest(request);
-        } catch (const NetDrillFault &drill) {
-            if (!performDrill(drill, assignment))
+        // A net drill is acted out on this connection instead of
+        // being classified: catch it on its way through the codec.
+        std::optional<NetDrillFault> drill;
+        const SimulateFn simulate = [this, &drill](
+                                        const SimJob &job,
+                                        const AttemptContext &ctx) {
+            try {
+                return _options.simulate
+                           ? _options.simulate(job, ctx)
+                           : SimulationEngine::simulateJob(job, ctx);
+            } catch (const NetDrillFault &fault) {
+                drill = fault;
+                throw;
+            }
+        };
+        proc::JobResult result = proc::runRequest(
+            assignment.request, simulate, _options.hookFactory);
+        if (drill) {
+            if (!performDrill(*drill, assignment))
                 return; // drill consumed the response frame
             result.status = proc::ResultStatus::Transient;
-            result.message = std::string(drill.what()) +
+            result.message = std::string(drill->what()) +
                              " — stalled worker answered late";
-        } catch (const TransientFault &e) {
-            result.status = proc::ResultStatus::Transient;
-            result.message = e.what();
-        } catch (const DeadlineExceeded &e) {
-            result.status = proc::ResultStatus::Deadline;
-            result.message = e.what();
-        } catch (const ResourceExhausted &e) {
-            result.status = proc::ResultStatus::Resource;
-            result.message = e.what();
-        } catch (const std::exception &e) {
-            result.status = proc::ResultStatus::Permanent;
-            result.message = e.what();
         }
-        result.wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
         sendResult(assignment.leaseId, result);
-    }
-
-    proc::JobResult executeRequest(const proc::JobRequest &request)
-    {
-        SimJob job;
-        job.workload = &request.profile;
-        job.config = request.config;
-        job.instructions = request.instructions;
-        job.warmupInstructions = request.warmupInstructions;
-        job.sampling = request.sampling;
-        job.label = request.label;
-        if (request.hasHook) {
-            if (!_options.hookFactory)
-                throw PermanentFault(
-                    "worker has no hook factory for hooked job '" +
-                    request.label + "'");
-            job.makeHook = [this, &request] {
-                return _options.hookFactory(request.profile);
-            };
-        }
-
-        AttemptContext ctx;
-        ctx.jobIndex = request.jobIndex;
-        ctx.attempt = request.attempt;
-        ctx.deadlineBudget = request.deadlineBudget;
-        if (ctx.hasDeadline())
-            ctx.deadline = std::chrono::steady_clock::now() +
-                           ctx.deadlineBudget;
-        sample::SampleSummary summary;
-        ctx.sampleOut = &summary;
-
-        proc::JobResult result;
-        result.cycles = _options.simulate
-                            ? _options.simulate(job, ctx)
-                            : SimulationEngine::simulateJob(job, ctx);
-        result.status = proc::ResultStatus::Ok;
-        if (request.sampling.enabled) {
-            result.hasSample = true;
-            result.sample = summary;
-        }
-        return result;
     }
 
     /** Park the job for the next (resumed) connection and slam this
@@ -488,21 +455,19 @@ class Session
             result.status = proc::ResultStatus::Transient;
             result.message = std::string(drill.what()) +
                              " — frame trickled byte by byte";
-            proc::Writer body;
-            body.pod(assignment.leaseId);
-            result.serialize(body);
-            std::vector<std::byte> payload;
-            payload.reserve(1 + body.bytes().size());
-            payload.push_back(
-                static_cast<std::byte>(MsgType::JobDone));
-            payload.insert(payload.end(), body.bytes().begin(),
-                           body.bytes().end());
-            const auto size =
-                static_cast<std::uint32_t>(payload.size());
-            std::vector<char> frame(sizeof(size) + payload.size());
-            std::memcpy(frame.data(), &size, sizeof(size));
-            std::memcpy(frame.data() + sizeof(size), payload.data(),
-                        payload.size());
+            // The first pass measures the payload for the length
+            // prefix of the second.
+            const auto write_payload = [&](proc::Writer &out) {
+                out.pod(MsgType::JobDone);
+                out.pod(assignment.leaseId);
+                result.serialize(out);
+            };
+            proc::Writer payload;
+            write_payload(payload);
+            proc::Writer writer;
+            writer.pod(static_cast<std::uint32_t>(payload.bytes().size()));
+            write_payload(writer);
+            const std::vector<std::byte> &frame = writer.bytes();
             const std::lock_guard<std::mutex> write(_writeMutex);
             for (std::size_t at = 0; at < frame.size();) {
                 const std::size_t chunk =
@@ -620,16 +585,9 @@ runRemoteWorker(const RemoteWorkerOptions &options)
     for (;;) {
         RemoteWorkerSession outcome;
         try {
-            std::vector<std::uint64_t> held;
-            held.reserve(resume.assignments.size() +
-                         resume.unsent.size());
-            for (const Assignment &assignment : resume.assignments)
-                held.push_back(assignment.leaseId);
-            for (const auto &entry : resume.unsent)
-                held.push_back(entry.first);
-            const ClientHandshake shake =
-                clientHandshake(fd.get(), name, session_id, slots,
-                                held, options.authToken);
+            const ClientHandshake shake = clientHandshake(
+                fd.get(), name, session_id, slots, resume.heldLeases(),
+                options.authToken);
             if (!shake.connected) {
                 outcome.end = SessionEnd::ConnectionLost;
                 outcome.error = "controller closed during handshake";
@@ -678,14 +636,9 @@ runRemoteWorker(const RemoteWorkerOptions &options)
             try {
                 OwnedFd storm =
                     connectTcp(options.host, options.port);
-                std::vector<std::uint64_t> held;
-                for (const Assignment &assignment :
-                     resume.assignments)
-                    held.push_back(assignment.leaseId);
-                for (const auto &entry : resume.unsent)
-                    held.push_back(entry.first);
                 (void)clientHandshake(storm.get(), name, session_id,
-                                      slots, held, options.authToken);
+                                      slots, resume.heldLeases(),
+                                      options.authToken);
                 // Hang up immediately: the controller parks us again.
             } catch (const std::exception &) {
                 break;

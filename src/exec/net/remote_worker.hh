@@ -8,10 +8,10 @@
  * Shutdown or the connection dies: a heartbeat thread beacons at the
  * cadence the controller advertised, and `slots` executor threads
  * pull JobAssign frames off the session queue, run them through the
- * configured SimulateFn (the in-process simulator by default; a
- * ProcWorkerPool dispatch function for sandboxed execution; a
- * FaultInjector wrap for drills), and answer JobDone with the same
- * classified JobResult the sandbox pipes use.
+ * attempt codec (exec/proc/sandbox_worker.hh) with the configured
+ * SimulateFn (the in-process simulator by default; a ProcWorkerPool
+ * dispatch function for sandboxed execution; a FaultInjector wrap
+ * for drills), and answer JobDone with its JobResult.
  *
  * Session resume. The worker presents a durable session id in every
  * Hello. When the connection breaks mid-lease (network flake, drill)

@@ -1,6 +1,7 @@
 #include "exec/proc/protocol.hh"
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 
 #include <unistd.h>
@@ -144,6 +145,7 @@ JobRequest::deserialize(Reader &in)
 {
     JobRequest req;
     req.profile = readProfile(in);
+    in.expectBool(offsetof(sim::ProcessorConfig, l1iNextLinePrefetch));
     req.config = in.pod<sim::ProcessorConfig>();
     req.instructions = in.pod<std::uint64_t>();
     req.warmupInstructions = in.pod<std::uint64_t>();
@@ -153,6 +155,7 @@ JobRequest::deserialize(Reader &in)
     req.attempt = in.pod<std::uint32_t>();
     req.deadlineBudget =
         std::chrono::milliseconds(in.pod<std::int64_t>());
+    in.expectBool(offsetof(sample::SamplingOptions, enabled));
     req.sampling = in.pod<sample::SamplingOptions>();
     return req;
 }

@@ -15,14 +15,11 @@
  * field by field. Both ends are the same binary (fork, no exec), so
  * the format never crosses an ABI boundary and needs no versioning.
  *
- * A JobRequest ships everything one attempt needs: the workload
- * profile, the processor configuration, run lengths, the attempt
- * identity, the cooperative deadline budget, and whether to rebuild
- * the enhancement hook from the pool's hook factory. A JobResult is
- * either measured cycles (plus the child's wall time) or a classified
- * failure message. A worker that cannot even allocate the failure
- * message (memory-limit exhaustion) skips the result frame and exits
- * with kExitOom instead.
+ * A JobRequest ships everything one attempt needs and a JobResult
+ * brings back its cycles or its classified failure; the attempt codec
+ * in sandbox_worker.hh builds, runs and unwraps both, for pipes and
+ * TCP alike. Decoding is strict: a bool byte other than 0 or 1 is a
+ * ProtocolError, because a TCP peer is untrusted input.
  */
 
 #ifndef RIGOR_EXEC_PROC_PROTOCOL_HH
@@ -131,6 +128,8 @@ class Reader
     {
         static_assert(std::is_trivially_copyable_v<T>);
         need(sizeof(T));
+        if constexpr (std::is_same_v<T, bool>)
+            expectBool(0);
         T value;
         std::memcpy(&value, _bytes.data() + _at, sizeof(T));
         _at += sizeof(T);
@@ -148,6 +147,22 @@ class Reader
     }
 
     bool done() const { return _at == _bytes.size(); }
+
+    /**
+     * Throw ProtocolError unless the byte @p offset past the cursor
+     * is 0 or 1. pod<bool> checks itself; a bool member of a memcpy'd
+     * struct is checked here before the struct is read, so no
+     * decoded bool ever holds an invalid value.
+     */
+    void expectBool(std::size_t offset) const
+    {
+        need(offset + 1);
+        const auto byte = std::to_integer<unsigned>(_bytes[_at + offset]);
+        if (byte > 1)
+            throw ProtocolError("invalid bool byte " +
+                                std::to_string(byte) + " at offset " +
+                                std::to_string(_at + offset));
+    }
 
   private:
     void need(std::size_t n) const
@@ -172,7 +187,7 @@ struct JobRequest
     sim::ProcessorConfig config;
     std::uint64_t instructions = 0;
     std::uint64_t warmupInstructions = 0;
-    /** Rebuild the enhancement hook via the pool's hook factory. */
+    /** Rebuild the enhancement hook via the worker's hook factory. */
     bool hasHook = false;
     /** Failure-context label ("gzip, design row 17"); shipped so
      *  label-keyed fault drills match inside the sandbox too. */

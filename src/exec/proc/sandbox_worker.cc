@@ -68,16 +68,123 @@ applyLimits(const SandboxContext &context)
 
 } // namespace
 
+JobRequest
+makeRequest(const SimJob &job, const AttemptContext &ctx)
+{
+    if (job.workload == nullptr)
+        throw PermanentFault("job '" + job.label +
+                             "' carries no workload");
+    JobRequest request;
+    request.profile = *job.workload;
+    request.config = job.config;
+    request.instructions = job.instructions;
+    request.warmupInstructions = job.warmupInstructions;
+    request.hasHook = static_cast<bool>(job.makeHook);
+    request.label = job.label;
+    request.jobIndex = ctx.jobIndex;
+    request.attempt = ctx.attempt;
+    request.deadlineBudget = ctx.deadlineBudget;
+    request.sampling = job.sampling;
+    return request;
+}
+
+JobResult
+runRequest(const JobRequest &request, const SimulateFn &simulate,
+           const SandboxHookFactory &hookFactory)
+{
+    JobResult result;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        SimJob job;
+        job.workload = &request.profile;
+        job.config = request.config;
+        job.instructions = request.instructions;
+        job.warmupInstructions = request.warmupInstructions;
+        job.sampling = request.sampling;
+        job.label = !request.label.empty() ? request.label
+                                           : request.profile.name;
+        if (request.hasHook) {
+            if (!hookFactory)
+                throw PermanentFault(
+                    "no hook factory to rebuild the enhancement hook "
+                    "of job '" +
+                    job.label + "'");
+            job.makeHook = [&hookFactory, &request] {
+                return hookFactory(request.profile);
+            };
+        }
+
+        AttemptContext ctx;
+        ctx.jobIndex = static_cast<std::size_t>(request.jobIndex);
+        ctx.attempt = request.attempt;
+        ctx.deadlineBudget = request.deadlineBudget;
+        if (ctx.hasDeadline())
+            ctx.deadline = start + request.deadlineBudget;
+        sample::SampleSummary summary;
+        ctx.sampleOut = &summary;
+
+        result.cycles = simulate ? simulate(job, ctx)
+                                 : SimulationEngine::simulateJob(job, ctx);
+        result.status = ResultStatus::Ok;
+        if (request.sampling.enabled) {
+            result.hasSample = true;
+            result.sample = summary;
+        }
+    } catch (const TransientFault &e) {
+        result.status = ResultStatus::Transient;
+        result.message = e.what();
+    } catch (const DeadlineExceeded &e) {
+        result.status = ResultStatus::Deadline;
+        result.message = e.what();
+    } catch (const ResourceExhausted &e) {
+        result.status = ResultStatus::Resource;
+        result.message = e.what();
+    } catch (const std::exception &e) {
+        result.status = ResultStatus::Permanent;
+        result.message = e.what();
+    }
+    result.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    return result;
+}
+
+double
+unwrapResult(const JobResult &result, const AttemptContext &ctx)
+{
+    switch (result.status) {
+      case ResultStatus::Ok:
+        if (result.hasSample && ctx.sampleOut != nullptr)
+            *ctx.sampleOut = result.sample;
+        return result.cycles;
+      case ResultStatus::Transient:
+        throw TransientFault(result.message);
+      case ResultStatus::Deadline:
+        throw DeadlineExceeded(result.message);
+      case ResultStatus::Resource:
+        throw ResourceExhausted(result.message);
+      case ResultStatus::Permanent:
+        break;
+    }
+    throw PermanentFault(result.message);
+}
+
 int
 runSandboxChild(int request_fd, int result_fd,
                 const SandboxContext &context)
 {
-    const SimulateFn simulate =
-        context.simulate
-            ? context.simulate
-            : [](const SimJob &job, const AttemptContext &ctx) {
-                  return SimulationEngine::simulateJob(job, ctx);
-              };
+    // The memory cap is exhausted: composing a result message could
+    // throw again, so report through the exit code instead.
+    const SimulateFn simulate = [&context](const SimJob &job,
+                                           const AttemptContext &ctx) {
+        try {
+            return context.simulate
+                       ? context.simulate(job, ctx)
+                       : SimulationEngine::simulateJob(job, ctx);
+        } catch (const std::bad_alloc &) {
+            std::_Exit(kExitOom);
+        }
+    };
 
     std::vector<std::byte> frame;
     for (;;) {
@@ -89,64 +196,9 @@ runSandboxChild(int request_fd, int result_fd,
         }
 
         Reader reader(frame);
-        const JobRequest request = JobRequest::deserialize(reader);
-
-        SimJob job;
-        job.workload = &request.profile;
-        job.config = request.config;
-        job.instructions = request.instructions;
-        job.warmupInstructions = request.warmupInstructions;
-        job.sampling = request.sampling;
-        job.label = !request.label.empty() ? request.label
-                                           : request.profile.name;
-        if (request.hasHook && context.hookFactory) {
-            const SandboxHookFactory &factory = context.hookFactory;
-            const trace::WorkloadProfile &profile = request.profile;
-            job.makeHook = [&factory, &profile] {
-                return factory(profile);
-            };
-        }
-
-        AttemptContext ctx;
-        ctx.jobIndex = static_cast<std::size_t>(request.jobIndex);
-        ctx.attempt = request.attempt;
-        ctx.deadlineBudget = request.deadlineBudget;
-        if (ctx.hasDeadline())
-            ctx.deadline = std::chrono::steady_clock::now() +
-                           request.deadlineBudget;
-        sample::SampleSummary sample_summary;
-        ctx.sampleOut = &sample_summary;
-
-        JobResult result;
-        const auto start = std::chrono::steady_clock::now();
-        try {
-            result.cycles = simulate(job, ctx);
-            result.status = ResultStatus::Ok;
-            if (request.sampling.enabled) {
-                result.hasSample = true;
-                result.sample = sample_summary;
-            }
-        } catch (const std::bad_alloc &) {
-            // The memory cap is exhausted; composing a message could
-            // throw again, so report through the exit code instead.
-            std::_Exit(kExitOom);
-        } catch (const TransientFault &e) {
-            result.status = ResultStatus::Transient;
-            result.message = e.what();
-        } catch (const DeadlineExceeded &e) {
-            result.status = ResultStatus::Deadline;
-            result.message = e.what();
-        } catch (const ResourceExhausted &e) {
-            result.status = ResultStatus::Resource;
-            result.message = e.what();
-        } catch (const std::exception &e) {
-            result.status = ResultStatus::Permanent;
-            result.message = e.what();
-        }
-        result.wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
+        const JobResult result =
+            runRequest(JobRequest::deserialize(reader), simulate,
+                       context.hookFactory);
 
         Writer writer;
         result.serialize(writer);

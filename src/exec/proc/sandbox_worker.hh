@@ -21,11 +21,10 @@
  *    SIGKILL from the kernel, independent of the parent's watchdog.
  *
  * The child main loop reads requests until EOF (parent closed the
- * request pipe = orderly shutdown), executes each attempt with the
- * configured simulate function, and maps C++ failures onto
- * ResultStatus. Anything the child cannot catch — SIGSEGV, SIGABRT,
- * the kernel OOM killer, the watchdog's SIGKILL — is classified by
- * the parent from the wait status instead.
+ * request pipe = orderly shutdown) and answers each through the
+ * attempt codec declared below. Anything the child cannot catch —
+ * SIGSEGV, SIGABRT, the kernel OOM killer, the watchdog's SIGKILL —
+ * is classified by the parent from the wait status instead.
  */
 
 #ifndef RIGOR_EXEC_PROC_SANDBOX_WORKER_HH
@@ -54,12 +53,45 @@ using SandboxHookFactory =
     std::function<std::unique_ptr<sim::ExecutionHook>(
         const trace::WorkloadProfile &profile)>;
 
+/**
+ * The attempt codec: how one attempt crosses a process boundary.
+ * The sandbox pool and the worker fleet both ship attempts through
+ * these three calls, so a cell runs and fails the same way under
+ * either executor.
+ *
+ * makeRequest encodes one attempt of @p job (throws PermanentFault
+ * for a job without a workload).
+ */
+JobRequest makeRequest(const SimJob &job, const AttemptContext &ctx);
+
+/**
+ * Rebuild the job and attempt context of a decoded @p request, run
+ * it through @p simulate (empty = SimulationEngine::simulateJob),
+ * time it, and classify its outcome. The label falls back to the
+ * workload name; a hasHook request is rebuilt with @p hookFactory,
+ * and without one it fails Permanent rather than run unhooked. A
+ * transport that must act on a particular exception (a sandbox's
+ * bad_alloc, a fleet worker's net drill) catches it inside
+ * @p simulate on its way through.
+ */
+JobResult runRequest(const JobRequest &request,
+                     const SimulateFn &simulate,
+                     const SandboxHookFactory &hookFactory);
+
+/**
+ * Unwrap a received result: the measured cycles (the sample summary
+ * lands in ctx.sampleOut), or the matching TransientFault /
+ * DeadlineExceeded / ResourceExhausted / PermanentFault.
+ */
+double unwrapResult(const JobResult &result, const AttemptContext &ctx);
+
 /** Everything the child main loop needs (inherited through fork). */
 struct SandboxContext
 {
     /** Attempt executor; empty = the engine's default simulator. */
     SimulateFn simulate;
-    /** Hook builder for requests with hasHook; may be empty. */
+    /** Hook builder for requests with hasHook; without one, a
+     *  hooked request fails permanent. */
     SandboxHookFactory hookFactory;
     /** RLIMIT_AS cap in MiB; 0 = unlimited. */
     std::uint64_t memLimitMb = 0;

@@ -89,10 +89,10 @@ ProcWorkerPool::ProcWorkerPool(Options options)
     // as EPIPE in writeFrame, not as a fatal SIGPIPE to the campaign.
     ::signal(SIGPIPE, SIG_IGN);
 
-    _context.simulate = _options.simulate;
-    _context.hookFactory = _options.hookFactory;
-    _context.memLimitMb = _options.memLimitMb;
-    _context.cpuLimitSeconds = _options.cpuLimitSeconds;
+    _context = {_options.simulate, _options.hookFactory,
+                _options.memLimitMb, _options.cpuLimitSeconds};
+
+    setMetrics(nullptr);
 
     _slots.resize(_options.workers);
     for (unsigned i = 0; i < _options.workers; ++i) {
@@ -129,15 +129,11 @@ void
 ProcWorkerPool::setMetrics(obs::MetricsRegistry *metrics)
 {
     const std::scoped_lock lock(_mutex);
-    if (metrics == nullptr) {
-        _respawnCounter = nullptr;
-        _sigkillCounter = nullptr;
-        _oomCounter = nullptr;
-        return;
-    }
-    _respawnCounter = &metrics->counter("engine.proc.respawns");
-    _sigkillCounter = &metrics->counter("engine.proc.sigkills");
-    _oomCounter = &metrics->counter("engine.proc.oom_kills");
+    obs::MetricsRegistry &registry =
+        metrics != nullptr ? *metrics : _ownMetrics;
+    _respawns = &registry.counter("engine.proc.respawns");
+    _sigkills = &registry.counter("engine.proc.sigkills");
+    _oomKills = &registry.counter("engine.proc.oom_kills");
 }
 
 void
@@ -187,14 +183,12 @@ ProcWorkerPool::respawnLocked(Slot &slot,
     slot.jobsDone = 0;
     slot.watchdogKilled = false;
     slot.spawnTs = _trace != nullptr ? _trace->nowMicros() : 0;
-    _respawns.fetch_add(1, std::memory_order_relaxed);
-    if (_respawnCounter != nullptr)
-        _respawnCounter->add();
+    _respawns->add();
 }
 
 void
-ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
-                                const std::string &identity)
+ProcWorkerPool::throwClassifiedLocked(int status, bool watchdog_killed,
+                                      const std::string &identity)
 {
     if (watchdog_killed)
         throw DeadlineExceeded(
@@ -206,9 +200,7 @@ ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
     if (WIFEXITED(status)) {
         const int code = WEXITSTATUS(status);
         if (code == kExitOom) {
-            _oomKills.fetch_add(1, std::memory_order_relaxed);
-            if (_oomCounter != nullptr)
-                _oomCounter->add();
+            _oomKills->add();
             throw ResourceExhausted(
                 "sandbox worker exhausted its memory limit (" +
                 std::to_string(_options.memLimitMb) +
@@ -223,9 +215,7 @@ ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
         if (sig == SIGKILL) {
             // Not our watchdog, so the kernel's OOM killer is the
             // usual suspect: permanent, like any resource exhaustion.
-            _oomKills.fetch_add(1, std::memory_order_relaxed);
-            if (_oomCounter != nullptr)
-                _oomCounter->add();
+            _oomKills->add();
             throw ResourceExhausted(
                 "sandbox worker was SIGKILLed outside the watchdog "
                 "(kernel OOM killer?) while simulating " +
@@ -249,28 +239,8 @@ ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
 double
 ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
 {
-    if (job.workload == nullptr)
-        throw PermanentFault("sandbox job carries no workload");
-    if (job.makeHook && !_context.hookFactory)
-        throw PermanentFault(
-            "job " + jobIdentity(job) +
-            " has an enhancement hook but the process pool was built "
-            "without a hook factory to rebuild it in the sandbox");
-
-    JobRequest request;
-    request.profile = *job.workload;
-    request.config = job.config;
-    request.instructions = job.instructions;
-    request.warmupInstructions = job.warmupInstructions;
-    request.hasHook = static_cast<bool>(job.makeHook);
-    request.label = job.label;
-    request.jobIndex = ctx.jobIndex;
-    request.attempt = ctx.attempt;
-    request.deadlineBudget = ctx.deadlineBudget;
-    request.sampling = job.sampling;
     Writer writer;
-    request.serialize(writer);
-
+    makeRequest(job, ctx).serialize(writer);
     const std::string identity = jobIdentity(job);
 
     std::unique_lock<std::mutex> lock(_mutex);
@@ -348,22 +318,7 @@ ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
         _freeCv.notify_one();
 
         Reader reader(frame);
-        const JobResult result = JobResult::deserialize(reader);
-        switch (result.status) {
-          case ResultStatus::Ok:
-            if (result.hasSample && ctx.sampleOut != nullptr)
-                *ctx.sampleOut = result.sample;
-            return result.cycles;
-          case ResultStatus::Transient:
-            throw TransientFault(result.message);
-          case ResultStatus::Deadline:
-            throw DeadlineExceeded(result.message);
-          case ResultStatus::Resource:
-            throw ResourceExhausted(result.message);
-          case ResultStatus::Permanent:
-            break;
-        }
-        throw PermanentFault(result.message);
+        return unwrapResult(JobResult::deserialize(reader), ctx);
     }
 
     // EOF without an answer: the worker died mid-attempt. Reap it,
@@ -375,9 +330,8 @@ ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
                   watchdog ? "watchdog-sigkill"
                            : describeWaitStatus(status));
     slot.busy = false;
-    lock.unlock();
     _freeCv.notify_one();
-    throwClassified(status, watchdog, identity);
+    throwClassifiedLocked(status, watchdog, identity);
 }
 
 void
@@ -397,9 +351,7 @@ ProcWorkerPool::monitorLoop()
                     !slot.watchdogKilled && now >= slot.deadline) {
                     ::kill(slot.worker.pid, SIGKILL);
                     slot.watchdogKilled = true;
-                    _sigkills.fetch_add(1, std::memory_order_relaxed);
-                    if (_sigkillCounter != nullptr)
-                        _sigkillCounter->add();
+                    _sigkills->add();
                 }
                 continue;
             }

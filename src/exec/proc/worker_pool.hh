@@ -37,7 +37,6 @@
 #ifndef RIGOR_EXEC_PROC_WORKER_POOL_HH
 #define RIGOR_EXEC_PROC_WORKER_POOL_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -48,12 +47,11 @@
 
 #include "exec/engine.hh"
 #include "exec/proc/sandbox_worker.hh"
+#include "obs/metrics.hh"
 
 namespace rigor::obs
 {
-class MetricsRegistry;
 class TraceWriter;
-class Counter;
 } // namespace rigor::obs
 
 namespace rigor::exec::proc
@@ -73,7 +71,8 @@ class ProcWorkerPool
          *  sandbox. */
         SimulateFn simulate;
         /** Hook builder for jobs with makeHook; the children rebuild
-         *  hooks from this instead of shipping closures over IPC. */
+         *  hooks from this instead of shipping closures over IPC.
+         *  Without one, a hooked job fails permanent. */
         SandboxHookFactory hookFactory;
         /** Per-worker RLIMIT_AS cap in MiB; 0 = unlimited. It also
          *  covers the worker's kept replay trace (up to 32 MiB, see
@@ -127,24 +126,19 @@ class ProcWorkerPool
     }
 
     /** Workers respawned after any death (all causes). */
-    std::uint64_t respawns() const
-    {
-        return _respawns.load(std::memory_order_relaxed);
-    }
+    std::uint64_t respawns() const { return total(_respawns); }
     /** Watchdog hard-deadline SIGKILLs issued. */
-    std::uint64_t sigkills() const
-    {
-        return _sigkills.load(std::memory_order_relaxed);
-    }
+    std::uint64_t sigkills() const { return total(_sigkills); }
     /** Deaths classified as memory exhaustion (kExitOom exits plus
      *  non-watchdog SIGKILLs). */
-    std::uint64_t oomKills() const
-    {
-        return _oomKills.load(std::memory_order_relaxed);
-    }
+    std::uint64_t oomKills() const { return total(_oomKills); }
 
-    /** Attach engine.proc.{respawns,sigkills,oom_kills} counters
-     *  (not owned; nullptr detaches). */
+    /**
+     * Count engine.proc.{respawns,sigkills,oom_kills} in @p metrics
+     * (not owned) from here on; nullptr counts them in the pool's own
+     * registry. The getters above read whichever registry counts, so
+     * attach before the first attempt.
+     */
     void setMetrics(obs::MetricsRegistry *metrics);
 
     /** Attach a trace sink: one "proc.worker" span per worker
@@ -174,28 +168,35 @@ class ProcWorkerPool
     /** Close @p slot's lifetime trace span. Caller holds _mutex. */
     void closeSpanLocked(const Slot &slot,
                          const std::string &exit_reason);
-    /** Throw the fault classified from @p status. Never returns. */
-    [[noreturn]] void throwClassified(int status, bool watchdog_killed,
-                                      const std::string &identity);
+    /** Throw the fault classified from @p status. Caller holds
+     *  _mutex (unwinding releases it). Never returns. */
+    [[noreturn]] void throwClassifiedLocked(int status,
+                                            bool watchdog_killed,
+                                            const std::string &identity);
+    /** Read one supervision counter under _mutex. */
+    std::uint64_t total(obs::Counter *const &counter) const
+    {
+        const std::scoped_lock lock(_mutex);
+        return counter->value();
+    }
     void monitorLoop();
 
     Options _options;
     SandboxContext _context;
     std::vector<Slot> _slots;
 
-    std::mutex _mutex;
+    mutable std::mutex _mutex;
     std::condition_variable _freeCv;
     std::condition_variable _monitorCv;
     bool _stopping = false;
-    std::thread _monitor;
-
-    std::atomic<std::uint64_t> _respawns{0};
-    std::atomic<std::uint64_t> _sigkills{0};
-    std::atomic<std::uint64_t> _oomKills{0};
-    obs::Counter *_respawnCounter = nullptr;
-    obs::Counter *_sigkillCounter = nullptr;
-    obs::Counter *_oomCounter = nullptr;
+    /** Counts supervision events while no registry is attached. */
+    obs::MetricsRegistry _ownMetrics;
+    obs::Counter *_respawns = nullptr;
+    obs::Counter *_sigkills = nullptr;
+    obs::Counter *_oomKills = nullptr;
     obs::TraceWriter *_trace = nullptr;
+
+    std::thread _monitor;
 };
 
 } // namespace rigor::exec::proc

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "bool_byte.hh"
 #include "exec/net/socket.hh"
 #include "exec/net/wire.hh"
 #include "exec/proc/protocol.hh"
@@ -236,6 +237,65 @@ TEST(NetProtocol, AuthAndSessionStructsRoundTrip)
     EXPECT_TRUE(back.resumed);
     EXPECT_EQ(back.retainedLeases, 9u);
     EXPECT_TRUE(verdict_in.done());
+}
+
+// ----- Strict bool decoding: untrusted peers send any byte -----
+
+TEST(NetProtocol, HelloAckRejectsNonCanonicalBools)
+{
+    net::HelloAck ack;
+    ack.leaseMs = 10000;
+    ack.heartbeatMs = 1000;
+    for (const auto set_true : {
+             +[](net::HelloAck &a) { a.accepted = true; },
+             +[](net::HelloAck &a) { a.authRequired = true; },
+         }) {
+        const std::vector<std::byte> bytes =
+            rigor::test::withBoolByteTwo(ack, set_true);
+        proc::Reader in(bytes);
+        EXPECT_THROW(net::HelloAck::deserialize(in),
+                     proc::ProtocolError);
+    }
+}
+
+TEST(NetProtocol, SessionAckRejectsNonCanonicalBools)
+{
+    net::SessionAck verdict;
+    verdict.retainedLeases = 2;
+    for (const auto set_true : {
+             +[](net::SessionAck &v) { v.accepted = true; },
+             +[](net::SessionAck &v) { v.resumed = true; },
+         }) {
+        const std::vector<std::byte> bytes =
+            rigor::test::withBoolByteTwo(verdict, set_true);
+        proc::Reader in(bytes);
+        EXPECT_THROW(net::SessionAck::deserialize(in),
+                     proc::ProtocolError);
+    }
+}
+
+TEST(NetProtocol, JobDoneRejectsNonCanonicalBool)
+{
+    // The controller's view of a JobDone whose hasSample byte is 2.
+    proc::JobResult result;
+    result.status = proc::ResultStatus::Ok;
+    result.cycles = 1234.5;
+    const std::vector<std::byte> body = rigor::test::withBoolByteTwo(
+        result, [](proc::JobResult &r) { r.hasSample = true; });
+    const std::uint64_t lease_id = 7; // rides in front
+    std::vector<std::byte> message(sizeof(lease_id) + body.size());
+    std::memcpy(message.data(), &lease_id, sizeof(lease_id));
+    std::memcpy(message.data() + sizeof(lease_id), body.data(),
+                body.size());
+
+    FdPair pair;
+    net::sendMessage(pair.writeEnd(), net::MsgType::JobDone, message);
+    std::vector<std::byte> payload;
+    ASSERT_TRUE(net::recvMessage(pair.readEnd(), payload));
+    proc::Reader in(payload);
+    ASSERT_EQ(net::readType(in), net::MsgType::JobDone);
+    EXPECT_EQ(in.pod<std::uint64_t>(), 7u);
+    EXPECT_THROW(proc::JobResult::deserialize(in), proc::ProtocolError);
 }
 
 TEST(NetProtocol, SendMessageSurvivesAClosedPeerWithoutSigpipe)

@@ -4,13 +4,23 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <thread>
+#include <typeinfo>
 #include <vector>
 
+#include <unistd.h>
+
+#include "bool_byte.hh"
 #include "exec/engine.hh"
 #include "exec/fault_injection.hh"
+#include "exec/net/controller.hh"
+#include "exec/net/remote_worker.hh"
 #include "exec/proc/protocol.hh"
+#include "exec/proc/sandbox_worker.hh"
 #include "exec/proc/worker_pool.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/pb_experiment.hh"
@@ -23,6 +33,7 @@ namespace exec = rigor::exec;
 namespace obs = rigor::obs;
 namespace proc = rigor::exec::proc;
 namespace methodology = rigor::methodology;
+namespace net = rigor::exec::net;
 namespace trace = rigor::trace;
 
 // Sanitizers change how a sandboxed crash surfaces: ASan intercepts
@@ -181,6 +192,42 @@ TEST(ProcProtocol, JobResultRoundTripsAndRejectsTruncation)
                  proc::ProtocolError);
 }
 
+TEST(ProcProtocol, JobRequestRejectsNonCanonicalBools)
+{
+    proc::JobRequest request;
+    request.profile = trace::workloadByName("gzip");
+    request.profile.isFloatingPoint = false;
+    request.config = methodology::uniformConfig(doe::Level::Low);
+    request.config.l1iNextLinePrefetch = false;
+    request.label = "gzip, design row 3";
+
+    // Two bare bools and two inside memcpy'd structs.
+    const std::vector<std::function<void(proc::JobRequest &)>> bools = {
+        [](proc::JobRequest &r) { r.hasHook = true; },
+        [](proc::JobRequest &r) { r.profile.isFloatingPoint = true; },
+        [](proc::JobRequest &r) { r.sampling.enabled = true; },
+        [](proc::JobRequest &r) { r.config.l1iNextLinePrefetch = true; },
+    };
+    for (const auto &set_true : bools) {
+        const std::vector<std::byte> bytes =
+            rigor::test::withBoolByteTwo(request, set_true);
+        proc::Reader in(bytes);
+        EXPECT_THROW(proc::JobRequest::deserialize(in),
+                     proc::ProtocolError);
+    }
+}
+
+TEST(ProcProtocol, JobResultRejectsNonCanonicalBool)
+{
+    proc::JobResult result;
+    result.status = proc::ResultStatus::Ok;
+    result.cycles = 1234.5;
+    const std::vector<std::byte> bytes = rigor::test::withBoolByteTwo(
+        result, [](proc::JobResult &r) { r.hasSample = true; });
+    proc::Reader in(bytes);
+    EXPECT_THROW(proc::JobResult::deserialize(in), proc::ProtocolError);
+}
+
 // ----- The pool: happy path -----
 
 TEST(ProcWorkerPool, ExecutesJobsInsideSandboxWorkers)
@@ -199,27 +246,155 @@ TEST(ProcWorkerPool, ExecutesJobsInsideSandboxWorkers)
     EXPECT_EQ(pool.oomKills(), 0u);
 }
 
-TEST(ProcWorkerPool, ChildThrownFaultsKeepTheirTaxonomy)
+// ----- The attempt codec under both out-of-process executors -----
+
+namespace
+{
+
+enum class Executor
+{
+    Pool,
+    Fleet,
+};
+
+void
+PrintTo(Executor executor, std::ostream *out)
+{
+    *out << (executor == Executor::Pool ? "Pool" : "Fleet");
+}
+
+/** An executor whose workers run drillStub(): a one-worker sandbox
+ *  pool, or a one-worker localhost fleet. */
+class AttemptTaxonomy : public ::testing::TestWithParam<Executor>
+{
+  protected:
+    void SetUp() override
+    {
+        if (GetParam() == Executor::Pool) {
+            _pool = std::make_unique<proc::ProcWorkerPool>(
+                poolOptions(1));
+            execute = _pool->simulateFn();
+            return;
+        }
+        _controller = std::make_unique<net::CampaignController>();
+        _worker = std::thread([port = _controller->port()] {
+            net::RemoteWorkerOptions opts;
+            opts.port = port;
+            opts.name = "taxonomy";
+            opts.simulate = drillStub();
+            net::runRemoteWorker(opts);
+        });
+        ASSERT_TRUE(_controller->waitForWorkers(
+            1, std::chrono::milliseconds(10000)));
+        execute = _controller->simulateFn();
+    }
+
+    void TearDown() override
+    {
+        _pool.reset();
+        _controller.reset(); // Shutdown to the fleet
+        if (_worker.joinable())
+            _worker.join();
+    }
+
+    /** Worker incidents: pool respawns, or fleet lease reclaims. */
+    std::uint64_t incidents() const
+    {
+        return _pool ? _pool->respawns()
+                     : _controller->leasesReclaimed();
+    }
+
+    /** Expect @p job to fail as exactly @p Fault with @p message. */
+    template <typename Fault>
+    void expectFault(const exec::SimJob &job,
+                     const exec::AttemptContext &ctx,
+                     const std::string &message)
+    {
+        try {
+            execute(job, ctx);
+            ADD_FAILURE() << "'" << job.label << "' did not throw";
+        } catch (const Fault &fault) {
+            EXPECT_TRUE(typeid(fault) == typeid(Fault))
+                << "'" << job.label << "' threw " << typeid(fault).name();
+            EXPECT_EQ(std::string(fault.what()), message);
+        }
+    }
+
+    exec::SimulateFn execute;
+
+  private:
+    std::unique_ptr<proc::ProcWorkerPool> _pool;
+    std::unique_ptr<net::CampaignController> _controller;
+    std::thread _worker;
+};
+
+} // namespace
+
+TEST_P(AttemptTaxonomy, ChildThrownFaultsKeepTheirTaxonomy)
 {
     const trace::WorkloadProfile &w = trace::workloadByName("gzip");
-    proc::ProcWorkerPool pool(poolOptions(1));
-
-    EXPECT_THROW(
-        pool.execute(sandboxJob(w, 0, "throw-transient"), attempt(0)),
-        exec::TransientFault);
-    EXPECT_THROW(
-        pool.execute(sandboxJob(w, 1, "throw-deadline"), attempt(1)),
-        exec::DeadlineExceeded);
-    EXPECT_THROW(
-        pool.execute(sandboxJob(w, 2, "throw-resource"), attempt(2)),
-        exec::ResourceExhausted);
-    EXPECT_THROW(
-        pool.execute(sandboxJob(w, 3, "throw-permanent"), attempt(3)),
-        exec::PermanentFault);
-    // Clean throws never kill the worker: no respawns.
-    EXPECT_EQ(pool.respawns(), 0u);
-    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 4, "ok"), attempt(4)),
+    expectFault<exec::TransientFault>(
+        sandboxJob(w, 0, "throw-transient"), attempt(0),
+        "injected transient");
+    expectFault<exec::DeadlineExceeded>(
+        sandboxJob(w, 1, "throw-deadline"), attempt(1),
+        "injected deadline");
+    expectFault<exec::ResourceExhausted>(
+        sandboxJob(w, 2, "throw-resource"), attempt(2),
+        "injected resource");
+    expectFault<exec::PermanentFault>(
+        sandboxJob(w, 3, "throw-permanent"), attempt(3),
+        "injected permanent");
+    // Clean throws never cost a worker: no respawns, no reclaims.
+    EXPECT_EQ(incidents(), 0u);
+    EXPECT_DOUBLE_EQ(execute(sandboxJob(w, 4, "ok"), attempt(4)),
                      1004.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, AttemptTaxonomy,
+    ::testing::Values(Executor::Pool, Executor::Fleet),
+    [](const ::testing::TestParamInfo<Executor> &info) {
+        return ::testing::PrintToString(info.param);
+    });
+
+TEST(ProcSandbox, HookedRequestWithoutAFactoryFailsPermanent)
+{
+    // The same rule as a fleet worker's: a hooked request the child
+    // cannot rebuild fails, instead of silently running unhooked.
+    proc::JobRequest request;
+    request.profile = trace::workloadByName("gzip");
+    request.config = methodology::uniformConfig(doe::Level::Low);
+    request.instructions = 100;
+    request.hasHook = true;
+    request.label = "gzip, design row 3";
+
+    int request_pipe[2];
+    int result_pipe[2];
+    ASSERT_EQ(::pipe(request_pipe), 0);
+    ASSERT_EQ(::pipe(result_pipe), 0);
+    proc::Writer out;
+    request.serialize(out);
+    proc::writeFrame(request_pipe[1], out.bytes());
+    ::close(request_pipe[1]); // EOF after one request: the loop ends
+
+    EXPECT_EQ(proc::runSandboxChild(request_pipe[0], result_pipe[1],
+                                    proc::SandboxContext{}),
+              0);
+    ::close(request_pipe[0]);
+    ::close(result_pipe[1]);
+
+    std::vector<std::byte> frame;
+    ASSERT_TRUE(proc::readFrame(result_pipe[0], frame));
+    ::close(result_pipe[0]);
+    proc::Reader in(frame);
+    const proc::JobResult result = proc::JobResult::deserialize(in);
+    EXPECT_EQ(result.status, proc::ResultStatus::Permanent);
+    EXPECT_NE(result.message.find("hook factory"), std::string::npos)
+        << result.message;
+    EXPECT_NE(result.message.find("gzip, design row 3"),
+              std::string::npos)
+        << result.message;
 }
 
 // ----- Crash classification -----

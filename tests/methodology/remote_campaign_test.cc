@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -9,15 +10,19 @@
 
 #include "check/preflight.hh"
 #include "check/rule_ids.hh"
+#include "enhance/precompute.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
 #include "exec/net/controller.hh"
 #include "exec/net/remote_worker.hh"
+#include "methodology/enhancement_analysis.hh"
 #include "methodology/pb_experiment.hh"
 #include "methodology/rank_table.hh"
 #include "obs/manifest.hh"
+#include "trace/generator.hh"
 #include "trace/workloads.hh"
 
+namespace enhance = rigor::enhance;
 namespace exec = rigor::exec;
 namespace net = rigor::exec::net;
 namespace methodology = rigor::methodology;
@@ -50,12 +55,14 @@ struct Fleet
 {
     std::vector<std::thread> threads;
 
-    void start(std::uint16_t port, const std::string &name)
+    void start(std::uint16_t port, const std::string &name,
+               exec::proc::SandboxHookFactory hook_factory = {})
     {
-        threads.emplace_back([port, name] {
+        threads.emplace_back([port, name, hook_factory] {
             net::RemoteWorkerOptions opts;
             opts.port = port;
             opts.name = name;
+            opts.hookFactory = hook_factory;
             const net::RemoteWorkerSession session =
                 net::runRemoteWorker(opts);
             EXPECT_EQ(session.end, net::SessionEnd::Shutdown)
@@ -115,6 +122,62 @@ TEST(RemoteCampaign, FleetCampaignMatchesThreadIsolationBitIdentically)
               methodology::formatRankTable(reference.summaries,
                                            reference.benchmarks));
     EXPECT_GE(controller->leasesGranted(), 176u);
+    EXPECT_EQ(controller->leasesReclaimed(), 0u);
+
+    controller.reset(); // Shutdown to the fleet
+    fleet.join();
+}
+
+TEST(RemoteCampaign, EnhancementLegsRebuildHooksOnTheFleet)
+{
+    const auto workloads = twoWorkloads();
+    constexpr std::uint64_t instructions = 2000;
+
+    // One profiled precomputation table per workload, copied into
+    // every hooked run wherever it executes.
+    std::map<std::string, enhance::PrecomputationTable> tables;
+    for (const trace::WorkloadProfile &p : workloads) {
+        enhance::PrecomputationTable table(128);
+        trace::SyntheticTraceGenerator gen(p, instructions);
+        table.profileTrace(gen);
+        tables.emplace(p.name, std::move(table));
+    }
+    const methodology::HookFactory precompute =
+        [&tables](const trace::WorkloadProfile &p)
+        -> std::unique_ptr<rigor::sim::ExecutionHook> {
+        return std::make_unique<enhance::PrecomputationTable>(
+            tables.at(p.name));
+    };
+
+    methodology::PbExperimentOptions ref_opts;
+    ref_opts.instructionsPerRun = instructions;
+    ref_opts.campaign.threads = 2;
+    const methodology::EnhancementExperimentResult reference =
+        methodology::runEnhancementExperiment(workloads, ref_opts,
+                                              precompute,
+                                              "precompute-128");
+    ASSERT_NE(reference.enhanced.responses, reference.base.responses)
+        << "the hook must change responses for this test to see it";
+
+    auto controller = std::make_unique<net::CampaignController>();
+    Fleet fleet;
+    fleet.start(controller->port(), "w1", precompute);
+    fleet.start(controller->port(), "w2", precompute);
+    ASSERT_TRUE(controller->waitForWorkers(
+        2, std::chrono::milliseconds(10000)));
+
+    const methodology::EnhancementExperimentResult result =
+        methodology::runEnhancementExperiment(
+            workloads, remoteOptions(*controller, 2), precompute,
+            "precompute-128");
+
+    // Both legs crossed the fleet; the hooked leg was rebuilt from
+    // the workers' own factory, and everything is bitwise equal.
+    EXPECT_TRUE(result.droppedBenchmarks.empty());
+    EXPECT_EQ(result.base.responses, reference.base.responses);
+    EXPECT_EQ(result.enhanced.responses, reference.enhanced.responses);
+    EXPECT_EQ(result.comparison.toString(),
+              reference.comparison.toString());
     EXPECT_EQ(controller->leasesReclaimed(), 0u);
 
     controller.reset(); // Shutdown to the fleet
