@@ -19,7 +19,9 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 die_after_fork=0"
 
 # Every suite under tests/doe, tests/methodology, and tests/exec —
 # run straight from the gtest binary so one process exercises the
-# shared-engine paths end to end.
+# shared-engine paths end to end — plus the golden response digest
+# (two engine threads, each reusing its own timing core) and the
+# core-reuse property tests.
 ./build-tsan/tests/rigor_tests --gtest_filter="$(tr -d ' \n' <<'EOF'
 SimJobQueue.*:RunCache.*:ProcessorConfigHash.*:SimulationEngine.*:
 PbDesign.*:Foldover.*:Effects.*:Hadamard.*:GaloisField.*:
@@ -36,7 +38,8 @@ NetProtocol.*:NetAuth.*:NetAuthHandshake.*:NetController.*:
 NetControllerDrill.*:NetDrain.*:NetFuzz.*:NetSession.*:NetSocket.*:
 ReplicatedPbExperiment.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
-CampaignOptions.*
+CampaignOptions.*:
+GoldenFixture.ResponseMatrixDigestIsPinned:CoreReconfigure.*
 EOF
 )"
 

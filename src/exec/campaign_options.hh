@@ -124,7 +124,8 @@ struct CampaignOptions
     /** Process isolation: per-worker RLIMIT_AS cap in MiB
      *  (0 = unlimited). Ignored under thread isolation. Besides the
      *  running job, each sandbox holds the last trace it generated
-     *  for replay, up to 32 MiB (SimulationEngine::simulateJob). */
+     *  for replay, up to 32 MiB, and one timing core sized for the
+     *  largest geometry it has run (SimulationEngine::simulateJob). */
     std::uint64_t memLimitMb = 0;
     /**
      * Process isolation: hard per-attempt deadline — the pool's

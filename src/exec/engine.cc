@@ -199,6 +199,40 @@ class RecordingTraceSource : public trace::TraceSource
 
 thread_local RecordedTrace RecordingTraceSource::_slot;
 
+/**
+ * Per-worker core reuse. Building a core costs more than a short run
+ * of it, so each thread (engine thread, sandbox process, remote
+ * worker slot) keeps one core until it ends and reconfigures it for
+ * every job, in O(1) of ring and cache size (see
+ * SuperscalarCore::reconfigure). The core's cache buffers stay sized
+ * for the largest geometry the worker has run, which counts against
+ * a sandbox's memLimitMb like the kept trace. Releasing the lease
+ * detaches the job's hook, so the slot never points at a destroyed
+ * one.
+ */
+class CoreLease
+{
+  public:
+    CoreLease(const sim::ProcessorConfig &config,
+              sim::ExecutionHook *hook)
+    {
+        if (_slot)
+            _slot->reconfigure(config, hook);
+        else
+            _slot.emplace(config, hook);
+    }
+    ~CoreLease() { _slot->detachHook(); }
+    CoreLease(const CoreLease &) = delete;
+    CoreLease &operator=(const CoreLease &) = delete;
+
+    sim::SuperscalarCore &core() { return *_slot; }
+
+  private:
+    static thread_local std::optional<sim::SuperscalarCore> _slot;
+};
+
+thread_local std::optional<sim::SuperscalarCore> CoreLease::_slot;
+
 /** The SimulateFn an engine runs when none is given. */
 double
 defaultSimulate(const SimJob &job, const AttemptContext &ctx)
@@ -282,7 +316,8 @@ SimulationEngine::simulateJob(const SimJob &job,
         hook = job.makeHook();
     RecordingTraceSource stream(*job.workload,
                                 job.instructions + job.warmupInstructions);
-    sim::SuperscalarCore core(job.config, hook.get());
+    CoreLease lease(job.config, hook.get());
+    sim::SuperscalarCore &core = lease.core();
 
     trace::TraceSource *source = &stream;
     std::optional<DeadlineGuardedSource> guarded;

@@ -292,7 +292,9 @@ class SimulationEngine
      * streams over 32 MiB (about 600k instructions) are never kept.
      * The kept stream is held until the thread ends. Batches ordered
      * benchmark-major (all rows of one workload adjacent) therefore
-     * generate each stream about once per worker.
+     * generate each stream about once per worker. The thread also
+     * keeps one timing core until it ends and reconfigures it for
+     * each job instead of building a new one.
      */
     static double simulateJob(const SimJob &job);
 

@@ -75,8 +75,8 @@ class ProcWorkerPool
          *  Without one, a hooked job fails permanent. */
         SandboxHookFactory hookFactory;
         /** Per-worker RLIMIT_AS cap in MiB; 0 = unlimited. It also
-         *  covers the worker's kept replay trace (up to 32 MiB, see
-         *  SimulationEngine::simulateJob). */
+         *  covers the worker's kept replay trace (up to 32 MiB) and
+         *  its kept timing core (see SimulationEngine::simulateJob). */
         std::uint64_t memLimitMb = 0;
         /** Per-worker RLIMIT_CPU cap in seconds; 0 = unlimited. */
         std::uint64_t cpuLimitSeconds = 0;

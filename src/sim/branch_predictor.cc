@@ -79,15 +79,6 @@ TwoLevelPredictor::updateCounters(std::uint64_t pc, bool taken)
     trainCounter(_counters[index(pc, _history)], taken);
 }
 
-void
-TwoLevelPredictor::reset()
-{
-    std::fill(_counters.begin(), _counters.end(),
-              std::uint8_t{1}); // weakly not-taken
-    _history = 0;
-    BranchPredictor::reset();
-}
-
 // ---------------------------------------------------------------------
 // BimodalPredictor
 // ---------------------------------------------------------------------
@@ -117,13 +108,6 @@ void
 BimodalPredictor::updateCounters(std::uint64_t pc, bool taken)
 {
     trainCounter(_counters[(pc >> 2) & _indexMask], taken);
-}
-
-void
-BimodalPredictor::reset()
-{
-    std::fill(_counters.begin(), _counters.end(), std::uint8_t{1});
-    BranchPredictor::reset();
 }
 
 // ---------------------------------------------------------------------
@@ -184,15 +168,6 @@ LocalTwoLevelPredictor::updateCounters(std::uint64_t pc, bool taken)
         ((1u << _historyBits) - 1u));
 }
 
-void
-LocalTwoLevelPredictor::reset()
-{
-    std::fill(_histories.begin(), _histories.end(), std::uint16_t{0});
-    std::fill(_counters.begin(), _counters.end(), std::uint8_t{1});
-    _lastPc = 0;
-    BranchPredictor::reset();
-}
-
 // ---------------------------------------------------------------------
 // TournamentPredictor
 // ---------------------------------------------------------------------
@@ -232,16 +207,6 @@ TournamentPredictor::updateCounters(std::uint64_t pc, bool taken)
     _local.updateCounters(pc, taken);
 }
 
-void
-TournamentPredictor::reset()
-{
-    _global.reset();
-    _local.reset();
-    std::fill(_chooser.begin(), _chooser.end(),
-              std::uint8_t{2}); // weakly prefer the global component
-    BranchPredictor::reset();
-}
-
 // ---------------------------------------------------------------------
 // PerfectPredictor
 // ---------------------------------------------------------------------
@@ -260,13 +225,6 @@ PerfectPredictor::updateHistory(bool)
 void
 PerfectPredictor::updateCounters(std::uint64_t, bool)
 {
-}
-
-void
-PerfectPredictor::reset()
-{
-    _next = false;
-    BranchPredictor::reset();
 }
 
 // ---------------------------------------------------------------------

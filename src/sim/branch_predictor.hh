@@ -64,13 +64,6 @@ class BranchPredictor
     /** Record a resolved prediction in the statistics. */
     void recordOutcome(bool correct);
 
-    /**
-     * Restore construction-time state: tables, histories, and the
-     * outcome statistics. A reset predictor behaves bit-identically
-     * to a freshly constructed one.
-     */
-    virtual void reset() { _stats = BranchPredictorStats{}; }
-
     const BranchPredictorStats &stats() const { return _stats; }
 
   private:
@@ -95,7 +88,6 @@ class TwoLevelPredictor : public BranchPredictor
     bool predict(std::uint64_t pc) override;
     void updateHistory(bool taken) override;
     void updateCounters(std::uint64_t pc, bool taken) override;
-    void reset() override;
 
   private:
     std::vector<std::uint8_t> _counters;
@@ -115,7 +107,6 @@ class BimodalPredictor : public BranchPredictor
     bool predict(std::uint64_t pc) override;
     void updateHistory(bool taken) override;
     void updateCounters(std::uint64_t pc, bool taken) override;
-    void reset() override;
 
   private:
     std::vector<std::uint8_t> _counters;
@@ -143,7 +134,6 @@ class LocalTwoLevelPredictor : public BranchPredictor
     bool predict(std::uint64_t pc) override;
     void updateHistory(bool taken) override;
     void updateCounters(std::uint64_t pc, bool taken) override;
-    void reset() override;
 
   private:
     std::vector<std::uint16_t> _histories;
@@ -169,7 +159,6 @@ class TournamentPredictor : public BranchPredictor
     bool predict(std::uint64_t pc) override;
     void updateHistory(bool taken) override;
     void updateCounters(std::uint64_t pc, bool taken) override;
-    void reset() override;
 
   private:
     TwoLevelPredictor _global;
@@ -190,7 +179,6 @@ class PerfectPredictor : public BranchPredictor
     bool predict(std::uint64_t pc) override;
     void updateHistory(bool taken) override;
     void updateCounters(std::uint64_t pc, bool taken) override;
-    void reset() override;
 
   private:
     bool _next = false;

@@ -24,10 +24,18 @@ resolveSets(std::uint32_t entries, std::uint32_t assoc)
 } // namespace
 
 Btb::Btb(std::uint32_t entries, std::uint32_t assoc)
-    : _numSets(resolveSets(entries, assoc)),
-      _tags(_numSets, assoc == 0 ? entries : assoc,
-            ReplacementKind::LRU)
 {
+    reconfigure(entries, assoc);
+}
+
+void
+Btb::reconfigure(std::uint32_t entries, std::uint32_t assoc)
+{
+    const std::uint32_t sets = resolveSets(entries, assoc);
+    _tags.reshape(sets, assoc == 0 ? entries : assoc,
+                  ReplacementKind::LRU);
+    _numSets = sets;
+    _stats = BtbStats{};
 }
 
 bool
@@ -50,13 +58,6 @@ Btb::update(std::uint64_t pc, std::uint64_t target)
     const auto set = static_cast<std::uint32_t>(word % _numSets);
     const std::uint64_t tag = word / _numSets;
     _tags.insert(set, tag, target);
-}
-
-void
-Btb::reset()
-{
-    _tags.flush();
-    _stats = BtbStats{};
 }
 
 } // namespace rigor::sim

@@ -41,6 +41,9 @@ class Btb
      */
     Btb(std::uint32_t entries, std::uint32_t assoc);
 
+    /** An empty BTB (no sets); reconfigure() it before use. */
+    Btb() = default;
+
     /**
      * Look up @p pc.
      *
@@ -52,13 +55,18 @@ class Btb
     /** Install or refresh the target of a taken branch. */
     void update(std::uint64_t pc, std::uint64_t target);
 
-    /** Invalidate all entries and clear the statistics. */
-    void reset();
+    /**
+     * Take on a new geometry with every entry invalid and the
+     * statistics cleared; see Cache::reconfigure.
+     */
+    void reconfigure(std::uint32_t entries, std::uint32_t assoc);
 
     const BtbStats &stats() const { return _stats; }
 
   private:
-    std::uint32_t _numSets;
+    /** 1 until configured, so an empty BTB's lookup reaches the
+     *  tag store's bounds check instead of dividing by zero. */
+    std::uint32_t _numSets = 1;
     TagStore _tags;
     BtbStats _stats;
 };

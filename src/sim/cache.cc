@@ -6,17 +6,27 @@
 namespace rigor::sim
 {
 
+Cache::Cache(std::string name) : _name(std::move(name)) {}
+
 Cache::Cache(std::string name, const CacheGeometry &geometry)
-    : _name(std::move(name)), _geometry(geometry),
-      _tags(geometry.numSets(), geometry.effectiveAssoc(),
-            geometry.replacement),
-      _blockShift(static_cast<std::uint32_t>(
-          std::countr_zero(geometry.blockBytes))),
-      _setMask(geometry.numSets() - 1)
+    : Cache(std::move(name))
+{
+    reconfigure(geometry);
+}
+
+void
+Cache::reconfigure(const CacheGeometry &geometry)
 {
     if ((geometry.numSets() & (geometry.numSets() - 1)) != 0)
         throw std::invalid_argument(
             "Cache: set count must be a power of two");
+    _tags.reshape(geometry.numSets(), geometry.effectiveAssoc(),
+                  geometry.replacement);
+    _geometry = geometry;
+    _blockShift = static_cast<std::uint32_t>(
+        std::countr_zero(geometry.blockBytes));
+    _setMask = geometry.numSets() - 1;
+    _stats = CacheStats{};
 }
 
 std::uint32_t

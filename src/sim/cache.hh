@@ -44,6 +44,9 @@ class Cache
      */
     Cache(std::string name, const CacheGeometry &geometry);
 
+    /** An empty cache (no sets); reconfigure() it before use. */
+    explicit Cache(std::string name);
+
     /**
      * Access the block containing @p addr, allocating it on a miss.
      *
@@ -64,13 +67,19 @@ class Cache
     /** Invalidate all blocks and zero the statistics. */
     void reset();
 
+    /**
+     * Take on @p geometry and reset(). O(1) unless the geometry has
+     * more blocks than any this cache has held before.
+     */
+    void reconfigure(const CacheGeometry &geometry);
+
   private:
     std::string _name;
     CacheGeometry _geometry;
-    TagStore _tags;
+    TagStore _tags{false};
     CacheStats _stats;
-    std::uint32_t _blockShift;
-    std::uint32_t _setMask;
+    std::uint32_t _blockShift = 0;
+    std::uint32_t _setMask = 0;
 
     std::uint32_t setIndex(std::uint64_t addr) const;
     std::uint64_t tagOf(std::uint64_t addr) const;

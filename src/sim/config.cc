@@ -117,6 +117,10 @@ ProcessorConfig::validate() const
         throw std::invalid_argument("lsqRatio must be in (0, 1]");
     if (memPorts == 0)
         throw std::invalid_argument("memPorts must be non-zero");
+    // The core's slot allocators count bookings per cycle in 8 bits.
+    if (machineWidth > 255 || memPorts > 255)
+        throw std::invalid_argument(
+            "machineWidth and memPorts must be at most 255");
     if (rasEntries == 0)
         throw std::invalid_argument("rasEntries must be non-zero");
     if (btbEntries == 0 || !isPow2(btbEntries))

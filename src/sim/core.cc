@@ -24,24 +24,37 @@ constexpr std::uint64_t btbMisfetchBubble = 2;
 // ---------------------------------------------------------------------
 
 SlotAllocator::SlotAllocator(std::uint32_t capacity_per_cycle)
-    : _capacity(capacity_per_cycle), _tags(ringSize, ~std::uint64_t{0}),
-      _counts(ringSize, 0)
+    : _slots(ringSize, 0)
 {
+    reconfigure(capacity_per_cycle);
+}
+
+void
+SlotAllocator::reconfigure(std::uint32_t capacity_per_cycle)
+{
+    if (capacity_per_cycle == 0 || capacity_per_cycle > countMask)
+        throw std::invalid_argument(
+            "SlotAllocator: capacity per cycle must be in [1, 255]");
+    _capacity = capacity_per_cycle;
+    reset();
 }
 
 std::uint64_t
 SlotAllocator::allocate(std::uint64_t earliest)
 {
+    if (earliest >= maxCycle)
+        throw std::out_of_range("SlotAllocator: cycle out of range");
     std::uint64_t cycle = earliest;
     for (;;) {
-        const std::size_t idx = cycle & (ringSize - 1);
-        if (_tags[idx] != cycle) {
-            _tags[idx] = cycle;
-            _counts[idx] = 1;
+        std::uint64_t &slot = _slots[cycle & (ringSize - 1)];
+        const std::uint64_t key = cycle + _base;
+        if ((slot >> countBits) != key) {
+            slot = (key << countBits) | 1;
+            _maxKey = std::max(_maxKey, key);
             return cycle;
         }
-        if (_counts[idx] < _capacity) {
-            ++_counts[idx];
+        if ((slot & countMask) < _capacity) {
+            ++slot;
             return cycle;
         }
         ++cycle;
@@ -51,8 +64,13 @@ SlotAllocator::allocate(std::uint64_t earliest)
 void
 SlotAllocator::reset()
 {
-    std::fill(_tags.begin(), _tags.end(), ~std::uint64_t{0});
-    std::fill(_counts.begin(), _counts.end(), 0);
+    _base = _maxKey + 1;
+    if (_base >= maxBase) {
+        // Once per 2^55 booked cycles: start the keys over.
+        std::fill(_slots.begin(), _slots.end(), 0);
+        _base = 1;
+        _maxKey = 0;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -61,26 +79,57 @@ SlotAllocator::reset()
 
 SuperscalarCore::SuperscalarCore(const ProcessorConfig &config,
                                  ExecutionHook *hook)
-    : _config(config), _hook(hook), _memory(config),
-      _predictor(makeBranchPredictor(config.bpred)),
-      _btb(config.btbEntries, config.btbAssoc),
-      _ras(config.rasEntries),
-      _intAlu("int-alu", config.intAlus, config.intAluLatency,
-              config.intAluThroughput),
-      _fpAlu("fp-alu", config.fpAlus, config.fpAluLatency,
-             config.fpAluThroughput),
-      _intMultDiv("int-multdiv", config.intMultDivUnits,
-                  config.intMultLatency, config.intMultThroughput),
-      _fpMultDiv("fp-multdiv", config.fpMultDivUnits,
-                 config.fpMultLatency, config.fpMultThroughput()),
-      _issueSlots(config.machineWidth), _memPorts(config.memPorts),
-      _dispatchHist(config.ifqEntries, 0),
-      _commitHist(config.robEntries, 0),
-      _memCommitHist(config.lsqEntries(), 0),
-      _regReady(trace::numArchRegs, 0)
 {
-    _config.validate();
-    _fetchSlotsLeft = _config.machineWidth;
+    reconfigure(config, hook);
+}
+
+void
+SuperscalarCore::reconfigure(const ProcessorConfig &config,
+                             ExecutionHook *hook)
+{
+    config.validate();
+    _config = config;
+    _memory.reconfigure(config);
+    _predictor = makeBranchPredictor(config.bpred);
+    _perfect = dynamic_cast<PerfectPredictor *>(_predictor.get());
+    _btb.reconfigure(config.btbEntries, config.btbAssoc);
+    _ras.reconfigure(config.rasEntries);
+    _intAlu.reconfigure(config.intAlus, config.intAluLatency,
+                        config.intAluThroughput);
+    _fpAlu.reconfigure(config.fpAlus, config.fpAluLatency,
+                       config.fpAluThroughput);
+    _intMultDiv.reconfigure(config.intMultDivUnits,
+                            config.intMultLatency,
+                            config.intMultThroughput);
+    _fpMultDiv.reconfigure(config.fpMultDivUnits, config.fpMultLatency,
+                           config.fpMultThroughput());
+    _issueSlots.reconfigure(config.machineWidth);
+    _memPorts.reconfigure(config.memPorts);
+
+    _stats = CoreStats{};
+
+    _nextFetchCycle = 0;
+    _fetchSlotsLeft = config.machineWidth;
+    _lastFetchBlock = ~std::uint64_t{0};
+    _redirectCycle = 0;
+
+    _dispatchHist.assign(config.ifqEntries, 0);
+    _commitHist.assign(config.robEntries, 0);
+    _memCommitHist.assign(config.lsqEntries(), 0);
+    _instrIndex = 0;
+    _memIndex = 0;
+
+    _regReady.assign(trace::numArchRegs, 0);
+
+    _dispatchCycleCur = 0;
+    _dispatchSlotsUsed = 0;
+    _commitCycleCur = 0;
+    _commitSlotsUsed = 0;
+    _prevCommitCycle = 0;
+
+    _pendingUpdates.clear();
+    _branchMispredicted = false;
+    _hook = hook;
 }
 
 void
@@ -247,9 +296,8 @@ SuperscalarCore::run(trace::TraceSource &source,
         // Control-flow prediction.
         const bool is_control = trace::isControlOp(inst.op);
         if (is_control) {
-            if (auto *perfect =
-                    dynamic_cast<PerfectPredictor *>(_predictor.get()))
-                perfect->setOracleOutcome(inst.taken);
+            if (_perfect)
+                _perfect->setOracleOutcome(inst.taken);
             handleControl(inst, fetch_cycle);
             if (inst.taken && !_branchMispredicted) {
                 // Taken transfer ends the fetch group.
@@ -493,40 +541,7 @@ SuperscalarCore::warmControl(const Instruction &inst)
 void
 SuperscalarCore::reset()
 {
-    _memory.reset();
-    _predictor->reset();
-    _btb.reset();
-    _ras.reset();
-    _intAlu.reset();
-    _fpAlu.reset();
-    _intMultDiv.reset();
-    _fpMultDiv.reset();
-    _issueSlots.reset();
-    _memPorts.reset();
-
-    _stats = CoreStats{};
-
-    _nextFetchCycle = 0;
-    _fetchSlotsLeft = _config.machineWidth;
-    _lastFetchBlock = ~std::uint64_t{0};
-    _redirectCycle = 0;
-
-    std::fill(_dispatchHist.begin(), _dispatchHist.end(), 0);
-    std::fill(_commitHist.begin(), _commitHist.end(), 0);
-    std::fill(_memCommitHist.begin(), _memCommitHist.end(), 0);
-    _instrIndex = 0;
-    _memIndex = 0;
-
-    std::fill(_regReady.begin(), _regReady.end(), 0);
-
-    _dispatchCycleCur = 0;
-    _dispatchSlotsUsed = 0;
-    _commitCycleCur = 0;
-    _commitSlotsUsed = 0;
-    _prevCommitCycle = 0;
-
-    _pendingUpdates.clear();
-    _branchMispredicted = false;
+    reconfigure(_config, _hook);
 }
 
 } // namespace rigor::sim

@@ -110,27 +110,45 @@ struct CoreStats
  * ports). A tagged ring buffer keeps O(1) allocation without a
  * global cycle loop; the ring must be larger than the maximum spread
  * between in-flight cycle numbers, which the ROB bounds.
+ *
+ * A slot packs its key (cycle + _base) above an 8-bit booking count.
+ * reset() moves _base past the largest key ever stored, so no slot
+ * written before the reset can match a key booked after it, and the
+ * 1 MiB ring is never cleared between runs. Key 0 (a zeroed slot)
+ * never matches, since _base starts at 1.
  */
 class SlotAllocator
 {
   public:
-    explicit SlotAllocator(std::uint32_t capacity_per_cycle);
+    /** @param capacity_per_cycle bookings per cycle, in [1, 255] */
+    explicit SlotAllocator(std::uint32_t capacity_per_cycle = 1);
 
     /**
      * Book one slot at the first cycle >= @p earliest with capacity.
      * @return the cycle booked
+     * @throws std::out_of_range when @p earliest is 2^54 or later
      */
     std::uint64_t allocate(std::uint64_t earliest);
 
-    /** Release every booking, as if freshly constructed. */
+    /** Release every booking, as if freshly constructed. O(1). */
     void reset();
+
+    /** Take on a new per-cycle capacity, then reset(). */
+    void reconfigure(std::uint32_t capacity_per_cycle);
 
   private:
     static constexpr std::size_t ringSize = 1u << 17;
+    static constexpr unsigned countBits = 8;
+    static constexpr std::uint64_t countMask = (1u << countBits) - 1;
+    /** Cycles and bases stay below these, so keys fit in 56 bits. */
+    static constexpr std::uint64_t maxCycle = std::uint64_t{1} << 54;
+    static constexpr std::uint64_t maxBase = std::uint64_t{1} << 55;
 
-    std::uint32_t _capacity;
-    std::vector<std::uint64_t> _tags;
-    std::vector<std::uint32_t> _counts;
+    std::uint32_t _capacity = 1;
+    std::uint64_t _base = 1;
+    /** Largest key stored since the ring was last zeroed. */
+    std::uint64_t _maxKey = 0;
+    std::vector<std::uint64_t> _slots;
 };
 
 /** The timing core. */
@@ -143,6 +161,21 @@ class SuperscalarCore
      */
     explicit SuperscalarCore(const ProcessorConfig &config,
                              ExecutionHook *hook = nullptr);
+
+    /**
+     * Become the core a fresh SuperscalarCore(@p config, @p hook)
+     * would be: a run afterwards gives bit-identical CoreStats and
+     * component statistics. The constructor is this call. Costs O(1)
+     * in ring and cache size; the cache, TLB and BTB buffers are kept
+     * and grow only for a geometry larger than any seen before. The
+     * hook is installed last: if the call throws, the previous hook
+     * stays and the core must be reconfigured again before use.
+     */
+    void reconfigure(const ProcessorConfig &config,
+                     ExecutionHook *hook = nullptr);
+
+    /** Forget the hook, e.g. before the object it points at dies. */
+    void detachHook() { _hook = nullptr; }
 
     /**
      * Run the whole trace and return the summary statistics.
@@ -173,7 +206,8 @@ class SuperscalarCore
      * Restore construction-time state: pipeline occupancy, memory
      * hierarchy, predictor structures, and statistics. A reset core
      * re-running a rewound TraceSource produces bit-identical
-     * CoreStats.
+     * CoreStats. Same as reconfigure() with the current config and
+     * hook.
      */
     void reset();
 
@@ -202,15 +236,17 @@ class SuperscalarCore
     void drainPredictorUpdates(std::uint64_t cycle);
 
     ProcessorConfig _config;
-    ExecutionHook *_hook;
+    ExecutionHook *_hook = nullptr;
     MemorySystem _memory;
     std::unique_ptr<BranchPredictor> _predictor;
+    /** _predictor when it is the oracle, else null. */
+    PerfectPredictor *_perfect = nullptr;
     Btb _btb;
     ReturnAddressStack _ras;
-    FuPool _intAlu;
-    FuPool _fpAlu;
-    FuPool _intMultDiv;
-    FuPool _fpMultDiv;
+    FuPool _intAlu{"int-alu"};
+    FuPool _fpAlu{"fp-alu"};
+    FuPool _intMultDiv{"int-multdiv"};
+    FuPool _fpMultDiv{"fp-multdiv"};
     SlotAllocator _issueSlots;
     SlotAllocator _memPorts;
 

@@ -42,8 +42,8 @@ class FuPool
      * @param latency operation latency in cycles (>= 1)
      * @param interval issue interval in cycles (>= 1)
      */
-    FuPool(std::string name, std::uint32_t units, std::uint32_t latency,
-           std::uint32_t interval);
+    explicit FuPool(std::string name, std::uint32_t units = 1,
+                    std::uint32_t latency = 1, std::uint32_t interval = 1);
 
     /**
      * Reserve a unit at the earliest cycle >= @p ready_cycle.
@@ -76,10 +76,14 @@ class FuPool
 
     void reset();
 
+    /** Take on a new unit count, latency and interval, then reset(). */
+    void reconfigure(std::uint32_t units, std::uint32_t latency,
+                     std::uint32_t interval);
+
   private:
     std::string _name;
-    std::uint32_t _latency;
-    std::uint32_t _interval;
+    std::uint32_t _latency = 1;
+    std::uint32_t _interval = 1;
     std::vector<std::uint64_t> _freeAt;
     FuPoolStats _stats;
 };

@@ -6,16 +6,25 @@ namespace rigor::sim
 {
 
 MemorySystem::MemorySystem(const ProcessorConfig &config)
-    : _l1i("l1i", config.l1i), _l1d("l1d", config.l1d),
-      _l2("l2", config.l2), _itlb("itlb", config.itlb),
-      _dtlb("dtlb", config.dtlb),
-      _nextLinePrefetch(config.l1iNextLinePrefetch),
-      _memLatencyFirst(config.memLatencyFirst),
-      _memLatencyFollowing(config.memLatencyFollowing()),
-      _chunksPerBlock(std::max(
-          1u, config.l2.blockBytes / config.memBandwidthBytes)),
-      _memFreeCycle(0)
 {
+    reconfigure(config);
+}
+
+void
+MemorySystem::reconfigure(const ProcessorConfig &config)
+{
+    _l1i.reconfigure(config.l1i);
+    _l1d.reconfigure(config.l1d);
+    _l2.reconfigure(config.l2);
+    _itlb.reconfigure(config.itlb);
+    _dtlb.reconfigure(config.dtlb);
+    _nextLinePrefetch = config.l1iNextLinePrefetch;
+    _memLatencyFirst = config.memLatencyFirst;
+    _memLatencyFollowing = config.memLatencyFollowing();
+    _chunksPerBlock =
+        std::max(1u, config.l2.blockBytes / config.memBandwidthBytes);
+    _memFreeCycle = 0;
+    _stats = MemorySystemStats{};
 }
 
 std::uint64_t
@@ -125,18 +134,6 @@ MemorySystem::warmDataAccess(std::uint64_t addr)
         if (!_l2.access(addr))
             ++_stats.memoryTransfers;
     }
-}
-
-void
-MemorySystem::reset()
-{
-    _l1i.reset();
-    _l1d.reset();
-    _l2.reset();
-    _itlb.reset();
-    _dtlb.reset();
-    _memFreeCycle = 0;
-    _stats = MemorySystemStats{};
 }
 
 } // namespace rigor::sim

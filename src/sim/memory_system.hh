@@ -47,6 +47,9 @@ class MemorySystem
   public:
     explicit MemorySystem(const ProcessorConfig &config);
 
+    /** An empty hierarchy (no sets); reconfigure() it before use. */
+    MemorySystem() = default;
+
     /**
      * Fetch the instruction block containing @p pc.
      *
@@ -78,10 +81,12 @@ class MemorySystem
     void warmDataAccess(std::uint64_t addr);
 
     /**
-     * Restore construction-time state: flush all caches and TLBs,
-     * clear the statistics, and free the memory channel.
+     * Take on @p config's geometries and timing, with every cache and
+     * TLB flushed, the statistics cleared and the memory channel
+     * free. Each cache and TLB keeps its buffer; see
+     * Cache::reconfigure.
      */
-    void reset();
+    void reconfigure(const ProcessorConfig &config);
 
     const Cache &l1i() const { return _l1i; }
     const Cache &l1d() const { return _l1d; }
@@ -97,16 +102,16 @@ class MemorySystem
     std::uint64_t memoryChannelOccupancy() const;
 
   private:
-    Cache _l1i;
-    Cache _l1d;
-    Cache _l2;
-    Tlb _itlb;
-    Tlb _dtlb;
-    bool _nextLinePrefetch;
-    std::uint32_t _memLatencyFirst;
-    std::uint32_t _memLatencyFollowing;
-    std::uint32_t _chunksPerBlock;
-    std::uint64_t _memFreeCycle;
+    Cache _l1i{"l1i"};
+    Cache _l1d{"l1d"};
+    Cache _l2{"l2"};
+    Tlb _itlb{"itlb"};
+    Tlb _dtlb{"dtlb"};
+    bool _nextLinePrefetch = false;
+    std::uint32_t _memLatencyFirst = 0;
+    std::uint32_t _memLatencyFollowing = 0;
+    std::uint32_t _chunksPerBlock = 1;
+    std::uint64_t _memFreeCycle = 0;
     MemorySystemStats _stats;
 
     /** L2 + memory path shared by both L1s. Returns added latency. */

@@ -7,11 +7,20 @@ namespace rigor::sim
 {
 
 ReturnAddressStack::ReturnAddressStack(std::uint32_t entries)
-    : _entries(entries, 0), _top(0), _depth(0)
+{
+    reconfigure(entries);
+}
+
+void
+ReturnAddressStack::reconfigure(std::uint32_t entries)
 {
     if (entries == 0)
         throw std::invalid_argument(
             "ReturnAddressStack: need at least one entry");
+    _entries.assign(entries, 0);
+    _top = 0;
+    _depth = 0;
+    _stats = RasStats{};
 }
 
 void
@@ -37,15 +46,6 @@ ReturnAddressStack::pop()
     _top = (_top + capacity() - 1) % capacity();
     --_depth;
     return _entries[_top];
-}
-
-void
-ReturnAddressStack::reset()
-{
-    std::fill(_entries.begin(), _entries.end(), 0);
-    _top = 0;
-    _depth = 0;
-    _stats = RasStats{};
 }
 
 } // namespace rigor::sim

@@ -30,7 +30,7 @@ struct RasStats
 class ReturnAddressStack
 {
   public:
-    explicit ReturnAddressStack(std::uint32_t entries);
+    explicit ReturnAddressStack(std::uint32_t entries = 1);
 
     /** Push the return address of a call. */
     void push(std::uint64_t return_pc);
@@ -40,8 +40,8 @@ class ReturnAddressStack
      */
     std::optional<std::uint64_t> pop();
 
-    /** Empty the stack and clear the statistics. */
-    void reset();
+    /** Take on a new capacity, empty, with the statistics cleared. */
+    void reconfigure(std::uint32_t entries);
 
     std::uint32_t capacity() const
     {
@@ -52,8 +52,8 @@ class ReturnAddressStack
 
   private:
     std::vector<std::uint64_t> _entries;
-    std::uint32_t _top;   ///< index of the next free slot
-    std::uint32_t _depth; ///< live entries (<= capacity)
+    std::uint32_t _top = 0;   ///< index of the next free slot
+    std::uint32_t _depth = 0; ///< live entries (<= capacity)
     RasStats _stats;
 };
 

@@ -5,31 +5,43 @@
 namespace rigor::sim
 {
 
+TagStore::TagStore(bool with_payload) : _withPayload(with_payload) {}
+
 TagStore::TagStore(std::uint32_t num_sets, std::uint32_t assoc,
-                   ReplacementKind replacement, std::uint64_t seed)
-    : _numSets(num_sets), _assoc(assoc), _replacement(replacement),
-      _seed(seed), _tick(0), _rngState(seed | 1),
-      _ways(static_cast<std::size_t>(num_sets) * assoc)
+                   ReplacementKind replacement, bool with_payload,
+                   std::uint64_t seed)
+    : _withPayload(with_payload), _seed(seed)
+{
+    reshape(num_sets, assoc, replacement);
+}
+
+void
+TagStore::reshape(std::uint32_t num_sets, std::uint32_t assoc,
+                  ReplacementKind replacement)
 {
     if (num_sets == 0 || assoc == 0)
         throw std::invalid_argument(
             "TagStore: sets and associativity must be non-zero");
+    const std::size_t ways = static_cast<std::size_t>(num_sets) * assoc;
+    if (ways > _ways.size()) {
+        // Exact-size buffers: every way of a new buffer reads as
+        // invalid (stamp 0), so nothing needs copying.
+        _ways = std::vector<Way>(ways);
+        if (_withPayload)
+            _payloads = std::vector<std::uint64_t>(ways);
+    }
+    _numSets = num_sets;
+    _assoc = assoc;
+    _replacement = replacement;
+    flush();
 }
 
-TagStore::Way *
-TagStore::setBase(std::uint32_t set)
-{
-    if (set >= _numSets)
-        throw std::out_of_range("TagStore: set index out of range");
-    return &_ways[static_cast<std::size_t>(set) * _assoc];
-}
-
-const TagStore::Way *
+std::size_t
 TagStore::setBase(std::uint32_t set) const
 {
     if (set >= _numSets)
         throw std::out_of_range("TagStore: set index out of range");
-    return &_ways[static_cast<std::size_t>(set) * _assoc];
+    return static_cast<std::size_t>(set) * _assoc;
 }
 
 std::uint64_t
@@ -48,14 +60,14 @@ bool
 TagStore::lookup(std::uint32_t set, std::uint64_t tag,
                  std::uint64_t *payload_out)
 {
-    Way *base = setBase(set);
+    const std::size_t base = setBase(set);
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
+        Way &way = _ways[base + w];
+        if (way.tag == tag && valid(way)) {
             if (_replacement == ReplacementKind::LRU)
                 way.stamp = ++_tick;
             if (payload_out)
-                *payload_out = way.payload;
+                *payload_out = _withPayload ? _payloads[base + w] : 0;
             return true;
         }
     }
@@ -65,20 +77,20 @@ TagStore::lookup(std::uint32_t set, std::uint64_t tag,
 bool
 TagStore::probe(std::uint32_t set, std::uint64_t tag) const
 {
-    const Way *base = setBase(set);
+    const std::size_t base = setBase(set);
     for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (_ways[base + w].tag == tag && valid(_ways[base + w]))
             return true;
     return false;
 }
 
 std::uint32_t
-TagStore::victimWay(std::uint32_t set)
+TagStore::victimWay(std::size_t base)
 {
-    Way *base = setBase(set);
+    const Way *ways = &_ways[base];
     // Invalid ways first.
     for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (!base[w].valid)
+        if (!valid(ways[w]))
             return w;
 
     switch (_replacement) {
@@ -86,7 +98,7 @@ TagStore::victimWay(std::uint32_t set)
       case ReplacementKind::FIFO: {
         std::uint32_t victim = 0;
         for (std::uint32_t w = 1; w < _assoc; ++w)
-            if (base[w].stamp < base[victim].stamp)
+            if (ways[w].stamp < ways[victim].stamp)
                 victim = w;
         return victim;
       }
@@ -100,33 +112,31 @@ bool
 TagStore::insert(std::uint32_t set, std::uint64_t tag,
                  std::uint64_t payload)
 {
-    Way *base = setBase(set);
+    const std::size_t base = setBase(set);
 
     // Refill of an already-present tag just refreshes the payload.
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].payload = payload;
-            base[w].stamp = ++_tick;
+        Way &way = _ways[base + w];
+        if (way.tag == tag && valid(way)) {
+            way.stamp = ++_tick;
+            if (_withPayload)
+                _payloads[base + w] = payload;
             return false;
         }
     }
 
-    const std::uint32_t victim = victimWay(set);
-    Way &way = base[victim];
-    const bool evicted = way.valid;
-    way.tag = tag;
-    way.payload = payload;
-    way.valid = true;
-    way.stamp = ++_tick;
+    const std::size_t slot = base + victimWay(base);
+    const bool evicted = valid(_ways[slot]);
+    _ways[slot] = Way{tag, ++_tick};
+    if (_withPayload)
+        _payloads[slot] = payload;
     return evicted;
 }
 
 void
 TagStore::flush()
 {
-    for (Way &way : _ways)
-        way = Way{};
-    _tick = 0;
+    _flushTick = _tick;
     _rngState = _seed | 1;
 }
 

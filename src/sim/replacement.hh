@@ -18,20 +18,35 @@ namespace rigor::sim
 {
 
 /**
- * Tag store of numSets x assoc ways. Payload is a single uint64 per
- * way (the BTB stores a branch target there; caches ignore it).
+ * Tag store of numSets x assoc ways. A store built with payloads keeps
+ * a single uint64 per way (the BTB stores a branch target there);
+ * caches and TLBs build theirs without.
+ *
+ * A way is 16 B: its tag and the tick of its last insert (FIFO) or
+ * touch (LRU). The tick never restarts. flush() records the current
+ * tick, and a way is valid only when its stamp is later than the last
+ * flush, so flushing and reshaping are O(1) in the store's size. The
+ * stamps of valid ways keep the order a fresh store would give them,
+ * which is all LRU and FIFO compare, so a flushed or reshaped store
+ * picks the same victims as a freshly constructed one.
  */
 class TagStore
 {
   public:
+    /** An empty store (no sets); reshape() it before use. */
+    explicit TagStore(bool with_payload = true);
+
     /**
      * @param num_sets number of sets (power of two)
      * @param assoc ways per set (already resolved; not 0)
      * @param replacement victim-selection policy
+     * @param with_payload keep a payload per way; a store without
+     *        ignores the payload it is given and reads back 0
      * @param seed PRNG seed for the Random policy
      */
     TagStore(std::uint32_t num_sets, std::uint32_t assoc,
-             ReplacementKind replacement, std::uint64_t seed = 0x9e3779b9);
+             ReplacementKind replacement, bool with_payload = true,
+             std::uint64_t seed = 0x9e3779b9);
 
     std::uint32_t numSets() const { return _numSets; }
     std::uint32_t assoc() const { return _assoc; }
@@ -59,31 +74,43 @@ class TagStore
 
     /**
      * Invalidate everything and restore construction-time replacement
-     * state (LRU clock, Random PRNG). A flushed store behaves
-     * bit-identically to a freshly constructed one.
+     * state (Random PRNG). A flushed store behaves bit-identically to
+     * a freshly constructed one. O(1).
      */
     void flush();
+
+    /**
+     * Change the geometry and policy, then flush(). The way buffer
+     * is kept and grows only when @p num_sets x @p assoc exceeds
+     * every geometry this store has held before.
+     */
+    void reshape(std::uint32_t num_sets, std::uint32_t assoc,
+                 ReplacementKind replacement);
 
   private:
     struct Way
     {
         std::uint64_t tag = 0;
-        std::uint64_t payload = 0;
+        /** Tick of the last insert (or LRU touch); valid when later
+         *  than _flushTick. */
         std::uint64_t stamp = 0;
-        bool valid = false;
     };
 
-    std::uint32_t _numSets;
-    std::uint32_t _assoc;
-    ReplacementKind _replacement;
-    std::uint64_t _seed;
-    std::uint64_t _tick;
-    std::uint64_t _rngState;
+    std::uint32_t _numSets = 0;
+    std::uint32_t _assoc = 0;
+    ReplacementKind _replacement = ReplacementKind::LRU;
+    bool _withPayload;
+    std::uint64_t _seed = 0x9e3779b9;
+    std::uint64_t _tick = 0;
+    std::uint64_t _flushTick = 0;
+    std::uint64_t _rngState = _seed | 1;
     std::vector<Way> _ways;
+    /** Parallel to _ways; empty unless _withPayload. */
+    std::vector<std::uint64_t> _payloads;
 
-    Way *setBase(std::uint32_t set);
-    const Way *setBase(std::uint32_t set) const;
-    std::uint32_t victimWay(std::uint32_t set);
+    std::size_t setBase(std::uint32_t set) const;
+    bool valid(const Way &way) const { return way.stamp > _flushTick; }
+    std::uint32_t victimWay(std::size_t base);
     std::uint64_t nextRandom();
 };
 

@@ -6,17 +6,27 @@
 namespace rigor::sim
 {
 
+Tlb::Tlb(std::string name) : _name(std::move(name)) {}
+
 Tlb::Tlb(std::string name, const TlbGeometry &geometry)
-    : _name(std::move(name)), _geometry(geometry),
-      _tags(geometry.numSets(), geometry.effectiveAssoc(),
-            ReplacementKind::LRU),
-      _pageShift(static_cast<std::uint32_t>(
-          std::countr_zero(geometry.pageBytes))),
-      _setMask(geometry.numSets() - 1)
+    : Tlb(std::move(name))
+{
+    reconfigure(geometry);
+}
+
+void
+Tlb::reconfigure(const TlbGeometry &geometry)
 {
     if ((geometry.numSets() & (geometry.numSets() - 1)) != 0)
         throw std::invalid_argument(
             "Tlb: set count must be a power of two");
+    _tags.reshape(geometry.numSets(), geometry.effectiveAssoc(),
+                  ReplacementKind::LRU);
+    _geometry = geometry;
+    _pageShift = static_cast<std::uint32_t>(
+        std::countr_zero(geometry.pageBytes));
+    _setMask = geometry.numSets() - 1;
+    _stats = TlbStats{};
 }
 
 std::uint32_t

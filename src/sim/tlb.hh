@@ -40,6 +40,9 @@ class Tlb
   public:
     Tlb(std::string name, const TlbGeometry &geometry);
 
+    /** An empty TLB (no sets); reconfigure() it before use. */
+    explicit Tlb(std::string name);
+
     /**
      * Translate the page containing @p addr, filling the entry on a
      * miss.
@@ -53,15 +56,19 @@ class Tlb
     const TlbGeometry &geometry() const { return _geometry; }
     const TlbStats &stats() const { return _stats; }
 
+    /** Invalidate all entries and zero the statistics. */
     void reset();
+
+    /** Take on @p geometry and reset(); see Cache::reconfigure. */
+    void reconfigure(const TlbGeometry &geometry);
 
   private:
     std::string _name;
     TlbGeometry _geometry;
-    TagStore _tags;
+    TagStore _tags{false};
     TlbStats _stats;
-    std::uint32_t _pageShift;
-    std::uint32_t _setMask;
+    std::uint32_t _pageShift = 0;
+    std::uint32_t _setMask = 0;
 };
 
 } // namespace rigor::sim

@@ -488,6 +488,74 @@ TEST(SimulationEngine, TimedOutAttemptLeavesNoReplayableStream)
                                         job.instructions));
 }
 
+TEST(SimulationEngine, DeadlineMidRunLeavesTheWorkerCoreReusable)
+{
+    // The thread's core is abandoned mid-run by the deadline; the
+    // next job on this thread, with another workload and config,
+    // must still match a fresh streamed run.
+    const trace::WorkloadProfile big = trace::workloadByName("twolf");
+    exec::SimJob interrupted;
+    interrupted.workload = &big;
+    interrupted.config = methodology::uniformConfig(doe::Level::High);
+    interrupted.instructions = 10000; // past the guard's first poll
+
+    exec::AttemptContext expired;
+    expired.deadlineBudget = std::chrono::milliseconds(1);
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    EXPECT_THROW(exec::SimulationEngine::simulateJob(interrupted, expired),
+                 exec::DeadlineExceeded);
+
+    const trace::WorkloadProfile small = trace::workloadByName("gzip");
+    exec::SimJob next;
+    next.workload = &small;
+    next.config = methodology::uniformConfig(doe::Level::Low);
+    next.instructions = 3000;
+    next.warmupInstructions = 500;
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(next),
+              methodology::simulateOnce(small, next.config,
+                                        next.instructions, nullptr,
+                                        next.warmupInstructions));
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(interrupted),
+              methodology::simulateOnce(big, interrupted.config,
+                                        interrupted.instructions));
+}
+
+TEST(SimulationEngine, HookedJobLeavesNoHookOnTheWorkerCore)
+{
+    struct InterceptAll : sim::ExecutionHook
+    {
+        explicit InterceptAll(unsigned &calls) : _calls(calls) {}
+        bool intercept(const trace::Instruction &) override
+        {
+            ++_calls;
+            return true;
+        }
+        unsigned &_calls;
+    };
+
+    unsigned calls = 0;
+    const trace::WorkloadProfile w = trace::workloadByName("mcf");
+    exec::SimJob job;
+    job.workload = &w;
+    job.config = methodology::uniformConfig(doe::Level::Low);
+    job.instructions = 3000;
+    const double reference =
+        methodology::simulateOnce(w, job.config, job.instructions);
+
+    exec::SimJob hooked = job;
+    hooked.makeHook = [&calls]() {
+        return std::make_unique<InterceptAll>(calls);
+    };
+    EXPECT_NE(exec::SimulationEngine::simulateJob(hooked), reference);
+    EXPECT_EQ(calls, job.instructions);
+
+    // Same workload and config, no hook: the hook died with its job
+    // and must not be consulted again.
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job), reference);
+    EXPECT_EQ(calls, job.instructions);
+}
+
 TEST(SimulationEngine, EmptyBatchIsANoop)
 {
     exec::SimulationEngine engine;

@@ -499,7 +499,9 @@ TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
     GTEST_SKIP() << "RLIMIT_AS is incompatible with sanitizer shadow";
 #else
     // A sandbox keeps the last stream it generated (up to 32 MiB) for
-    // replay, and that copy counts against RLIMIT_AS. A stream just
+    // replay, and a core whose caches are sized for the largest
+    // geometry it has run; both count against RLIMIT_AS. After a
+    // max-geometry row (8192 KB L2 of 64 B blocks), a stream just
     // under the budget must still record, then replay, under the
     // 128 MiB cap the campaign crash drill uses.
     const trace::WorkloadProfile &w = trace::workloadByName("gzip");
@@ -508,6 +510,21 @@ TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
     options.memLimitMb = 128;
     proc::ProcWorkerPool pool(std::move(options));
 
+    exec::SimJob widest;
+    widest.workload = &w;
+    widest.config = methodology::uniformConfig(doe::Level::High);
+    methodology::applyFactorLevel(widest.config,
+                                  methodology::Factor::L2BlockSize,
+                                  doe::Level::Low);
+    methodology::finalizeLinkedParameters(widest.config);
+    ASSERT_EQ(widest.config.l2.sizeBytes, 8192u * 1024u);
+    ASSERT_EQ(widest.config.l2.blockBytes, 64u);
+    widest.instructions = 2000;
+    widest.label = "gzip at the widest cache geometry";
+    EXPECT_EQ(pool.execute(widest, attempt(0)),
+              methodology::simulateOnce(w, widest.config,
+                                        widest.instructions));
+
     exec::SimJob job;
     job.workload = &w;
     job.config = methodology::uniformConfig(doe::Level::Low);
@@ -515,8 +532,8 @@ TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
     job.label = "gzip near the trace budget";
     const double reference =
         methodology::simulateOnce(w, job.config, job.instructions);
-    EXPECT_EQ(pool.execute(job, attempt(0)), reference); // records
-    EXPECT_EQ(pool.execute(job, attempt(1)), reference); // replays
+    EXPECT_EQ(pool.execute(job, attempt(1)), reference); // records
+    EXPECT_EQ(pool.execute(job, attempt(2)), reference); // replays
     EXPECT_EQ(pool.oomKills(), 0u);
     EXPECT_EQ(pool.respawns(), 0u);
 #endif

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "sim/replacement.hh"
+#include "trace/rng.hh"
 
 namespace sim = rigor::sim;
+namespace trace = rigor::trace;
 
 TEST(TagStore, MissThenHit)
 {
@@ -110,3 +112,84 @@ TEST(TagStore, Validation)
     sim::TagStore t(2, 1, sim::ReplacementKind::LRU);
     EXPECT_THROW(t.lookup(2, 0), std::out_of_range);
 }
+
+TEST(TagStore, EmptyStoreRejectsEveryAccess)
+{
+    sim::TagStore t;
+    EXPECT_EQ(t.numSets(), 0u);
+    EXPECT_THROW(t.lookup(0, 0), std::out_of_range);
+    EXPECT_THROW(t.insert(0, 0), std::out_of_range);
+    EXPECT_THROW(t.reshape(0, 1, sim::ReplacementKind::LRU),
+                 std::invalid_argument);
+}
+
+TEST(TagStore, StoreWithoutPayloadsReadsBackZero)
+{
+    sim::TagStore t(1, 2, sim::ReplacementKind::LRU, false);
+    t.insert(0, 1, 111);
+    std::uint64_t payload = 7;
+    EXPECT_TRUE(t.lookup(0, 1, &payload));
+    EXPECT_EQ(payload, 0u);
+}
+
+class TagStoreReuse
+    : public ::testing::TestWithParam<sim::ReplacementKind>
+{
+};
+
+TEST_P(TagStoreReuse, ReshapedAndFlushedStoreMatchesAFreshOne)
+{
+    // One store reshaped through random geometries, and flushed at
+    // random, must answer every operation exactly like a store built
+    // fresh at each reshape and flushed at the same points: the same
+    // hits, payloads and evictions, hence the same victims.
+    const sim::ReplacementKind policy = GetParam();
+    trace::Rng rng(static_cast<std::uint64_t>(policy) + 99);
+    sim::TagStore reused;
+    for (int phase = 0; phase < 40; ++phase) {
+        const auto sets = std::uint32_t{1} << rng.nextBelow(7);
+        const auto assoc =
+            static_cast<std::uint32_t>(1 + rng.nextBelow(8));
+        reused.reshape(sets, assoc, policy);
+        sim::TagStore fresh(sets, assoc, policy);
+        for (int op = 0; op < 500; ++op) {
+            const auto set = static_cast<std::uint32_t>(
+                rng.nextBelow(sets));
+            const std::uint64_t tag = rng.nextBelow(3 * assoc);
+            switch (rng.nextBelow(10)) {
+              case 0:
+                if (rng.nextBool(0.2)) {
+                    reused.flush();
+                    fresh.flush();
+                }
+                break;
+              case 1:
+              case 2:
+                ASSERT_EQ(reused.probe(set, tag), fresh.probe(set, tag));
+                break;
+              case 3:
+              case 4:
+              case 5: {
+                std::uint64_t a = 0, b = 0;
+                const bool hit = reused.lookup(set, tag, &a);
+                ASSERT_EQ(hit, fresh.lookup(set, tag, &b));
+                if (hit) {
+                    ASSERT_EQ(a, b);
+                }
+                break;
+              }
+              default: {
+                const std::uint64_t payload = rng.next();
+                ASSERT_EQ(reused.insert(set, tag, payload),
+                          fresh.insert(set, tag, payload))
+                    << "phase " << phase << " op " << op;
+              }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, TagStoreReuse,
+                         ::testing::Values(sim::ReplacementKind::LRU,
+                                           sim::ReplacementKind::FIFO,
+                                           sim::ReplacementKind::Random));

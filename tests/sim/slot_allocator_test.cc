@@ -45,6 +45,40 @@ TEST(SlotAllocator, LongRuns)
     EXPECT_EQ(alloc.allocate(0), 1000u);
 }
 
+TEST(SlotAllocator, ResetRestoresFullCapacityOfABookedCycle)
+{
+    sim::SlotAllocator alloc(3);
+    for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(alloc.allocate(7), 7u);
+    EXPECT_EQ(alloc.allocate(7), 8u); // cycle 7 full
+    alloc.reset();
+    for (int round = 0; round < 2; ++round) {
+        // Bookings from before a reset must not count against the
+        // same cycle after it, however many resets pass.
+        for (int k = 0; k < 3; ++k)
+            EXPECT_EQ(alloc.allocate(7), 7u);
+        EXPECT_EQ(alloc.allocate(7), 8u);
+        alloc.reset();
+    }
+    // A reset with nothing booked since the last one changes nothing.
+    alloc.reset();
+    EXPECT_EQ(alloc.allocate(8), 8u);
+}
+
+TEST(SlotAllocator, ReconfigureChangesCapacityAndReleasesBookings)
+{
+    sim::SlotAllocator alloc(1);
+    EXPECT_EQ(alloc.allocate(3), 3u);
+    alloc.reconfigure(2);
+    EXPECT_EQ(alloc.allocate(3), 3u);
+    EXPECT_EQ(alloc.allocate(3), 3u);
+    EXPECT_EQ(alloc.allocate(3), 4u);
+    EXPECT_THROW(alloc.reconfigure(0), std::invalid_argument);
+    EXPECT_THROW(alloc.reconfigure(256), std::invalid_argument);
+    EXPECT_THROW(alloc.allocate(std::uint64_t{1} << 60),
+                 std::out_of_range);
+}
+
 TEST(CoreStats, MeasuredWindowAccessors)
 {
     sim::CoreStats stats;
