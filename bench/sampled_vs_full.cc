@@ -1,12 +1,14 @@
 /**
  * @file
- * Sampled-vs-full campaign comparison for the CI perf-smoke job.
+ * Sampled-vs-full campaign comparison.
  *
  * Runs the same reduced PB screen twice — once with full detailed
  * simulation, once under the SMARTS-style systematic sampling
- * schedule — and reports the detailed-instruction speed-up, the
- * wall-clock MIPS of both, and the sampling-error envelope as
- * BENCH_6.json (RIGOR_BENCH_OUT).
+ * schedule — and prints the detailed-instruction speed-up, the
+ * wall-clock MIPS of both, the sampling-error envelope and the
+ * top-10 factor overlap. The CI perf-smoke job checks the same
+ * figures from two `tools/campaign --manifest-out` runs with this
+ * schedule.
  *
  * The workload list and stream length are deliberately small so the
  * job stays CI-scale; override with RIGOR_INSTRUCTIONS to rerun at
@@ -15,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "exec/engine.hh"
 #include "methodology/pb_experiment.hh"
 #include "methodology/rank_table.hh"
-#include "obs/bench_report.hh"
 #include "trace/workloads.hh"
 
 namespace
@@ -31,19 +31,16 @@ namespace
 
 namespace exec = rigor::exec;
 namespace methodology = rigor::methodology;
-namespace obs = rigor::obs;
 namespace trace = rigor::trace;
 
 struct ScreenStats
 {
     methodology::PbExperimentResult result;
-    exec::ProgressSnapshot progress;
     double wallSeconds = 0.0;
     std::uint64_t detailedInstructions = 0;
     double relErrorSum = 0.0;
     std::uint64_t unitSum = 0;
     std::uint64_t sampledRuns = 0;
-    unsigned threads = 0;
 };
 
 ScreenStats
@@ -79,10 +76,9 @@ runScreen(const std::vector<trace::WorkloadProfile> &workloads,
     });
 
     stats.result = methodology::runPbExperiment(workloads, options);
-    stats.threads = engine.threads();
-    stats.progress = engine.progress().snapshot();
-    stats.wallSeconds = stats.progress.wallSeconds;
-    stats.detailedInstructions = stats.progress.simulatedInstructions;
+    const exec::ProgressSnapshot progress = engine.progress().snapshot();
+    stats.wallSeconds = progress.wallSeconds;
+    stats.detailedInstructions = progress.simulatedInstructions;
     return stats;
 }
 
@@ -157,36 +153,5 @@ main()
                 "units/run\n",
                 mean_rel_error, mean_units);
     std::printf("  top-10 factor overlap:      %zu/10\n", overlap);
-
-    if (const char *out = std::getenv("RIGOR_BENCH_OUT")) {
-        obs::BenchReport report;
-        report.name = "sampled_vs_full";
-        report.wallSeconds = full.wallSeconds + sampled.wallSeconds;
-        report.runsTotal =
-            full.progress.runsTotal + sampled.progress.runsTotal;
-        report.runsCompleted = full.progress.runsCompleted +
-                               sampled.progress.runsCompleted;
-        report.runsPerSecond =
-            report.wallSeconds > 0.0
-                ? static_cast<double>(report.runsCompleted) /
-                      report.wallSeconds
-                : 0.0;
-        report.simulatedInstructions =
-            full.detailedInstructions + sampled.detailedInstructions;
-        report.mips =
-            report.wallSeconds > 0.0
-                ? static_cast<double>(report.simulatedInstructions) /
-                      report.wallSeconds / 1e6
-                : 0.0;
-        report.threads = full.threads;
-        report.sampled = true;
-        report.fullMips = mips(full);
-        report.sampledMips = mips(sampled);
-        report.detailedInstructionRatio = ratio;
-        report.sampleRelError = mean_rel_error;
-        report.sampleUnits = mean_units;
-        obs::writeBenchReport(out, report);
-        std::fprintf(stderr, "[bench] wrote %s\n", out);
-    }
     return 0;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the tsan preset and run the concurrency-sensitive test suites
 # (doe, methodology, exec) under ThreadSanitizer. Any data race in the
-# SimJobQueue, RunCache, ProgressReporter, the drivers that share a
+# SimJobQueue, RunCache, the engine's progress counters and the
+# per-batch metrics publish from them, the drivers that share a
 # SimulationEngine, the sandbox pool's monitor, or the TCP
 # controller's and remote worker's threads fails the run.
 set -euo pipefail

@@ -233,6 +233,24 @@ class CoreLease
 
 thread_local std::optional<sim::SuperscalarCore> CoreLease::_slot;
 
+/**
+ * Add one batch's run counts, taken from its progress delta, to the
+ * registry's run counters. An empty delta only registers them.
+ */
+void
+publishRunCounts(obs::MetricsRegistry &metrics,
+                 const ProgressSnapshot &batch)
+{
+    metrics.counter("engine.runs.completed").add(batch.runsCompleted);
+    metrics.counter("engine.runs.simulated")
+        .add(batch.runsCompleted - batch.cacheHits - batch.journalHits);
+    metrics.counter("engine.runs.cache_hits").add(batch.cacheHits);
+    metrics.counter("engine.runs.journal_replays")
+        .add(batch.journalHits);
+    metrics.counter("engine.runs.failed").add(batch.failedJobs);
+    metrics.counter("engine.retries").add(batch.retries);
+}
+
 /** The SimulateFn an engine runs when none is given. */
 double
 defaultSimulate(const SimJob &job, const AttemptContext &ctx)
@@ -265,14 +283,7 @@ SimulationEngine::setMetrics(obs::MetricsRegistry *metrics)
     _instruments = Instruments{};
     if (metrics == nullptr)
         return;
-    _instruments.completed = &metrics->counter("engine.runs.completed");
-    _instruments.simulated = &metrics->counter("engine.runs.simulated");
-    _instruments.cacheHits =
-        &metrics->counter("engine.runs.cache_hits");
-    _instruments.journalHits =
-        &metrics->counter("engine.runs.journal_replays");
-    _instruments.retries = &metrics->counter("engine.retries");
-    _instruments.failed = &metrics->counter("engine.runs.failed");
+    publishRunCounts(*metrics, {});
     _instruments.batches = &metrics->counter("engine.batches");
     _instruments.steals = &metrics->counter("engine.queue.steals");
     static constexpr double kWallBounds[] = {1e-4, 1e-3, 1e-2, 0.1,
@@ -367,10 +378,6 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
         if (const std::optional<double> cached = _cache.lookup(key)) {
             _progress.addCacheHit();
             _progress.addCompleted();
-            if (_instruments.cacheHits) {
-                _instruments.cacheHits->add();
-                _instruments.completed->add();
-            }
             outcome.ok = true;
             outcome.source = RunSource::CacheHit;
             outcome.response = *cached;
@@ -384,10 +391,6 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
                 _cache.store(key, *replayed);
             _progress.addJournalHit();
             _progress.addCompleted();
-            if (_instruments.journalHits) {
-                _instruments.journalHits->add();
-                _instruments.completed->add();
-            }
             outcome.ok = true;
             outcome.source = RunSource::JournalReplay;
             outcome.response = *replayed;
@@ -435,9 +438,7 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
             outcome.sampled = job.sampling.enabled;
             outcome.sample = sample_summary;
             outcome.host = std::move(serving_host);
-            if (_instruments.simulated) {
-                _instruments.simulated->add();
-                _instruments.completed->add();
+            if (_instruments.runWallSeconds) {
                 const double wall =
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - job_start)
@@ -481,8 +482,6 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
         if (!retryable || attempt == max_attempts)
             break;
         _progress.addRetry();
-        if (_instruments.retries)
-            _instruments.retries->add();
         const std::chrono::milliseconds backoff =
             policy.backoffFor(attempt, index);
         if (backoff.count() > 0)
@@ -494,8 +493,6 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
             std::chrono::steady_clock::now() - job_start)
             .count();
     _progress.addFailed();
-    if (_instruments.failed)
-        _instruments.failed->add();
     outcome.attempts = failure.attempts;
     return outcome;
 }
@@ -524,6 +521,7 @@ SimulationEngine::run(std::span<const SimJob> jobs,
     const auto start = std::chrono::steady_clock::now();
     const std::uint64_t trace_start =
         _trace != nullptr ? _trace->nowMicros() : 0;
+    const ProgressSnapshot before = _progress.snapshot();
     _progress.addSubmitted(jobs.size());
 
     BatchResult result;
@@ -626,7 +624,12 @@ SimulationEngine::run(std::span<const SimJob> jobs,
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count()));
 
-    if (_instruments.batches) {
+    // Publish the batch's run counts from its progress delta, before
+    // any abort or fail-fast rethrow, so the registry agrees with the
+    // progress counters after every batch. The engine is not
+    // reentrant, so the delta is this batch's alone.
+    if (_metrics != nullptr) {
+        publishRunCounts(*_metrics, _progress.snapshot().since(before));
         _instruments.batches->add();
         _instruments.steals->add(queue.steals());
         _instruments.queueDepth->set(

@@ -223,7 +223,7 @@ class SimulationEngine
     RunCache &cache() { return _cache; }
     const RunCache &cache() const { return _cache; }
 
-    ProgressReporter &progress() { return _progress; }
+    /** The engine's one record of job outcomes (see progress.hh). */
     const ProgressReporter &progress() const { return _progress; }
 
     /**
@@ -249,13 +249,17 @@ class SimulationEngine
     ResultJournal *journal() const { return _journal; }
 
     /**
-     * Attach (or detach, with nullptr) a metrics registry. The engine
-     * resolves its instruments once here — per-event recording on the
-     * worker fast path is pure relaxed atomics. Counters:
-     * engine.runs.{completed,simulated,cache_hits,journal_replays,
-     * failed,sampled}, engine.retries, engine.batches,
-     * engine.queue.steals. Histograms: engine.run.wall_seconds,
-     * sim.run.mips, sample.units, sample.rel_error. Gauges:
+     * Attach (or detach, with nullptr) a metrics registry. The run
+     * counters engine.runs.{completed,simulated,cache_hits,
+     * journal_replays,failed} and engine.retries are not counted
+     * separately: after each batch's workers join, the engine adds
+     * the batch's progress delta to them (simulated = completed -
+     * cache_hits - journal_replays), also for a batch that aborts or
+     * fails fast. Recorded per event, on the worker fast path, with
+     * instruments resolved once here: the counter engine.runs.sampled
+     * and the histograms engine.run.wall_seconds, sim.run.mips,
+     * sample.units, sample.rel_error. Per batch: the counters
+     * engine.batches, engine.queue.steals and the gauges
      * engine.workers.busy_fraction, engine.queue.initial_depth.
      * Not owned; must outlive every subsequent run().
      */
@@ -330,12 +334,6 @@ class SimulationEngine
      *  the worker fast path never touches the registry lock. */
     struct Instruments
     {
-        obs::Counter *completed = nullptr;
-        obs::Counter *simulated = nullptr;
-        obs::Counter *cacheHits = nullptr;
-        obs::Counter *journalHits = nullptr;
-        obs::Counter *retries = nullptr;
-        obs::Counter *failed = nullptr;
         obs::Counter *batches = nullptr;
         obs::Counter *steals = nullptr;
         obs::Counter *sampledRuns = nullptr;
@@ -347,7 +345,7 @@ class SimulationEngine
         obs::Gauge *queueDepth = nullptr;
     };
 
-    /** Run one job through journal + cache + retry loop + counters. */
+    /** Run one job through journal + cache + retry loop + progress. */
     RunOutcome runOne(const SimJob &job, std::size_t index,
                       const FaultPolicy &policy);
 

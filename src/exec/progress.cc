@@ -23,6 +23,22 @@ ProgressSnapshot::toString() const
 }
 
 ProgressSnapshot
+ProgressSnapshot::since(const ProgressSnapshot &before) const
+{
+    ProgressSnapshot d;
+    d.runsTotal = runsTotal - before.runsTotal;
+    d.runsCompleted = runsCompleted - before.runsCompleted;
+    d.cacheHits = cacheHits - before.cacheHits;
+    d.journalHits = journalHits - before.journalHits;
+    d.retries = retries - before.retries;
+    d.failedJobs = failedJobs - before.failedJobs;
+    d.simulatedInstructions =
+        simulatedInstructions - before.simulatedInstructions;
+    d.wallSeconds = wallSeconds - before.wallSeconds;
+    return d;
+}
+
+ProgressSnapshot
 ProgressReporter::snapshot() const
 {
     ProgressSnapshot s;
@@ -39,19 +55,6 @@ ProgressReporter::snapshot() const
             _wallNanos.load(std::memory_order_relaxed)) *
         1e-9;
     return s;
-}
-
-void
-ProgressReporter::reset()
-{
-    _runsTotal.store(0, std::memory_order_relaxed);
-    _runsCompleted.store(0, std::memory_order_relaxed);
-    _cacheHits.store(0, std::memory_order_relaxed);
-    _journalHits.store(0, std::memory_order_relaxed);
-    _retries.store(0, std::memory_order_relaxed);
-    _failedJobs.store(0, std::memory_order_relaxed);
-    _simulatedInstructions.store(0, std::memory_order_relaxed);
-    _wallNanos.store(0, std::memory_order_relaxed);
 }
 
 } // namespace rigor::exec

@@ -3,10 +3,13 @@
  * Thread-safe progress accounting for batched simulation runs.
  *
  * Every simulation driver in this repository ultimately pushes jobs
- * through exec::SimulationEngine; the engine feeds a ProgressReporter
- * so that long experiments (the 1144-run Table 9 sweep, the workflow's
- * full factorial) can expose live counters to the bench harnesses and
- * examples without any locking on the simulation fast path.
+ * through exec::SimulationEngine, and the engine counts each job
+ * outcome exactly once, into its ProgressReporter, with relaxed
+ * atomics and no locking on the simulation fast path. A
+ * ProgressSnapshot is the one record of those counts: a campaign's
+ * share of a shared engine is after.since(before), the manifest's
+ * summary record renders it, and the engine publishes each batch's
+ * delta to an attached metrics registry after the batch joins.
  */
 
 #ifndef RIGOR_EXEC_PROGRESS_HH
@@ -40,6 +43,10 @@ struct ProgressSnapshot
     std::uint64_t simulatedInstructions = 0;
     /** Wall-clock seconds spent inside engine batches. */
     double wallSeconds = 0.0;
+
+    /** Counter-wise difference from an earlier snapshot of the same
+     *  reporter: the work done between the two. */
+    ProgressSnapshot since(const ProgressSnapshot &before) const;
 
     /** One-line rendering for bench/example status output. */
     std::string toString() const;
@@ -91,9 +98,6 @@ class ProgressReporter
     }
 
     ProgressSnapshot snapshot() const;
-
-    /** Zero every counter (fresh experiment on a reused engine). */
-    void reset();
 
   private:
     std::atomic<std::uint64_t> _runsTotal{0};

@@ -72,6 +72,9 @@ bothObservers(exec::JobObserver first, exec::JobObserver second)
  *  - runs on campaign.engine when set (sharing its run cache and
  *    progress counters), else on a private engine with
  *    campaign.threads workers and the real simulator;
+ *  - snapshots the engine's progress as it opens, so executed()
+ *    counts this campaign's runs only, not a shared engine's earlier
+ *    campaigns;
  *  - attaches the campaign's journal, metrics and trace sinks;
  *  - chains the current phase's job observer (see observe()) behind
  *    whatever observer the caller had attached, so e.g. the campaign
@@ -106,7 +109,8 @@ class CampaignScope
           _previousMetrics(_engine.metrics()),
           _previousTrace(_engine.traceWriter()),
           _previousObserver(_engine.jobObserver()),
-          _previousSimulate(_engine.simulateFn())
+          _previousSimulate(_engine.simulateFn()),
+          _progressAtOpen(_engine.progress().snapshot())
     {
         if (campaign.journal)
             _engine.setJournal(campaign.journal);
@@ -149,6 +153,12 @@ class CampaignScope
 
     exec::SimulationEngine &engine() const { return _engine; }
 
+    /** The engine's progress since this scope opened. */
+    exec::ProgressSnapshot executed() const
+    {
+        return _engine.progress().snapshot().since(_progressAtOpen);
+    }
+
     /**
      * Feed the next batches' job events to @p observer as well as to
      * the caller's observer, replacing the previous phase's. Call
@@ -168,6 +178,7 @@ class CampaignScope
     obs::TraceWriter *_previousTrace;
     exec::JobObserver _previousObserver;
     exec::SimulateFn _previousSimulate;
+    exec::ProgressSnapshot _progressAtOpen;
     std::unique_ptr<exec::proc::ProcWorkerPool> _pool;
 };
 
@@ -310,30 +321,6 @@ manifestCellObserver(obs::CampaignManifest *manifest,
         cell.host = event.host;
         manifest->addCell(cell);
     };
-}
-
-/**
- * Manifest summary from the engine's progress delta across the
- * campaign (snapshot-before vs snapshot-after, so a shared engine's
- * earlier campaigns don't leak in).
- */
-inline obs::SummaryRecord
-summaryFromProgress(const exec::ProgressSnapshot &before,
-                    const exec::ProgressSnapshot &after,
-                    double wall_seconds)
-{
-    obs::SummaryRecord summary;
-    summary.runsTotal = after.runsTotal - before.runsTotal;
-    summary.runsCompleted =
-        after.runsCompleted - before.runsCompleted;
-    summary.cacheHits = after.cacheHits - before.cacheHits;
-    summary.journalHits = after.journalHits - before.journalHits;
-    summary.retries = after.retries - before.retries;
-    summary.failedJobs = after.failedJobs - before.failedJobs;
-    summary.simulatedInstructions =
-        after.simulatedInstructions - before.simulatedInstructions;
-    summary.wallSeconds = wall_seconds;
-    return summary;
 }
 
 } // namespace rigor::methodology::detail

@@ -199,7 +199,7 @@ runEnhancementExperiment(
 
     result.comparison = compareRankTables(result.base.summaries,
                                           result.enhanced.summaries);
-    result.execution = scope.engine().progress().snapshot();
+    result.execution = scope.executed();
     return result;
 }
 

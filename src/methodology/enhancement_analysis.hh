@@ -78,8 +78,8 @@ struct EnhancementExperimentResult
     PbExperimentResult enhanced;
     /** Sum-of-ranks shifts between the two (section 4.3). */
     EnhancementComparison comparison;
-    /** Engine counters across both runs (cache hits show how much of
-     *  the pair was shared). */
+    /** Engine counters across both legs of this experiment only
+     *  (cache hits show how much of the pair was shared). */
     exec::ProgressSnapshot execution;
     /**
      * Union of the benchmarks dropped by fault degradation in either

@@ -301,9 +301,10 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
     if (campaign.manifest) {
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - campaign_start;
-        obs::SummaryRecord summary = detail::summaryFromProgress(
-            progress_before, engine.progress().snapshot(),
-            wall.count());
+        obs::SummaryRecord summary;
+        summary.execution =
+            engine.progress().snapshot().since(progress_before);
+        summary.execution.wallSeconds = wall.count();
         summary.droppedBenchmarks = result.droppedBenchmarks;
         summary.rankTableDigest = rankTableDigest(result.summaries);
         campaign.manifest->addSummary(summary);

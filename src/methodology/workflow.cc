@@ -301,13 +301,15 @@ runRecommendedWorkflow(
             break;
         }
     }
-    result.execution = engine.progress().snapshot();
+    result.execution = scope.executed();
 
     if (campaign.manifest) {
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - factorial_start;
-        obs::SummaryRecord summary = detail::summaryFromProgress(
-            factorial_before, result.execution, wall.count());
+        obs::SummaryRecord summary;
+        summary.execution =
+            engine.progress().snapshot().since(factorial_before);
+        summary.execution.wallSeconds = wall.count();
         summary.droppedBenchmarks = result.factorialDroppedWorkloads;
         campaign.manifest->addSummary(summary);
     }

@@ -81,8 +81,9 @@ struct WorkflowResult
      *  cannot produce. */
     std::string largestInteraction;
     double largestInteractionShare = 0.0;
-    /** Execution-engine counters over both simulation phases (runs,
-     *  cache hits, simulated instructions, wall time). */
+    /** Execution-engine counters over both simulation phases of this
+     *  workflow only (runs, cache hits, simulated instructions, wall
+     *  time inside batches). */
     exec::ProgressSnapshot execution;
     /** Workloads dropped from the step-3 factorial averaging by
      *  fault degradation (the screen's drops are in

@@ -7,7 +7,8 @@
  * record is a flat object built from strings, integers, and doubles.
  * These helpers centralize the two parts that are easy to get subtly
  * wrong — string escaping and round-trippable double rendering — plus
- * the FNV-1a digest used for design/rank-table identity lines.
+ * the FNV-1a digest used for design/rank-table identity lines — and
+ * the one file writer every sink and tool output goes through.
  */
 
 #ifndef RIGOR_OBS_JSON_HH
@@ -97,6 +98,13 @@ digestHex(std::uint64_t digest)
     }
     return out;
 }
+
+/**
+ * Replace the contents of @p path with @p text. Throws
+ * std::runtime_error naming the path when the file cannot be opened
+ * or the write fails.
+ */
+void writeTextFile(const std::string &path, std::string_view text);
 
 } // namespace rigor::obs
 

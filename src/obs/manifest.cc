@@ -1,8 +1,5 @@
 #include "obs/manifest.hh"
 
-#include <fstream>
-#include <stdexcept>
-
 #include "obs/json.hh"
 
 namespace rigor::obs
@@ -142,22 +139,23 @@ CampaignManifest::addPhase(const std::string &name,
 void
 CampaignManifest::addSummary(const SummaryRecord &summary)
 {
+    const exec::ProgressSnapshot &run = summary.execution;
     std::string line = "{\"type\":\"summary\",\"runs_total\":";
-    line += std::to_string(summary.runsTotal);
+    line += std::to_string(run.runsTotal);
     line += ",\"runs_completed\":";
-    line += std::to_string(summary.runsCompleted);
+    line += std::to_string(run.runsCompleted);
     line += ",\"cache_hits\":";
-    line += std::to_string(summary.cacheHits);
+    line += std::to_string(run.cacheHits);
     line += ",\"journal_hits\":";
-    line += std::to_string(summary.journalHits);
+    line += std::to_string(run.journalHits);
     line += ",\"retries\":";
-    line += std::to_string(summary.retries);
+    line += std::to_string(run.retries);
     line += ",\"failed_jobs\":";
-    line += std::to_string(summary.failedJobs);
+    line += std::to_string(run.failedJobs);
     line += ",\"simulated_instructions\":";
-    line += std::to_string(summary.simulatedInstructions);
+    line += std::to_string(run.simulatedInstructions);
     line += ",\"wall_seconds\":";
-    line += jsonNumber(summary.wallSeconds);
+    line += jsonNumber(run.wallSeconds);
     line += ",\"dropped_benchmarks\":";
     appendStringArray(line, summary.droppedBenchmarks);
     line += ",\"rank_table_digest\":";
@@ -226,14 +224,7 @@ CampaignManifest::toJsonl() const
 void
 CampaignManifest::writeTo(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("CampaignManifest: cannot open '" +
-                                 path + "' for writing");
-    out << toJsonl();
-    if (!out)
-        throw std::runtime_error("CampaignManifest: write to '" +
-                                 path + "' failed");
+    writeTextFile(path, toJsonl());
 }
 
 void

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/progress.hh"
 #include "sample/sampling.hh"
 
 namespace rigor::obs
@@ -115,14 +116,10 @@ struct LeaseEventRecord
 /** Terminal accounting of one campaign (the "summary" record). */
 struct SummaryRecord
 {
-    std::uint64_t runsTotal = 0;
-    std::uint64_t runsCompleted = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t journalHits = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t failedJobs = 0;
-    std::uint64_t simulatedInstructions = 0;
-    double wallSeconds = 0.0;
+    /** The engine's progress delta across the campaign, except that
+     *  wallSeconds is the campaign's whole wall clock (pre-flight and
+     *  analysis included), not only its time inside batches. */
+    exec::ProgressSnapshot execution;
     std::vector<std::string> droppedBenchmarks;
     /** FNV-1a digest of the final rank table (hex); empty when the
      *  campaign produced no rank table (e.g. the factorial phase). */

@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/json.hh"
@@ -135,14 +134,7 @@ MetricsRegistry::toJson() const
 void
 MetricsRegistry::writeTo(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error(
-            "MetricsRegistry: cannot open '" + path + "' for writing");
-    out << toJson() << '\n';
-    if (!out)
-        throw std::runtime_error("MetricsRegistry: write to '" + path +
-                                 "' failed");
+    writeTextFile(path, toJson() + '\n');
 }
 
 } // namespace rigor::obs

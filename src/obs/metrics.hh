@@ -2,16 +2,17 @@
  * @file
  * Thread-safe metrics registry: counters, gauges, histograms.
  *
- * The execution engine's workers record events (runs completed, cache
- * hits, per-run wall time) on the simulation fast path, so the record
+ * The execution engine's workers record events (per-run wall time,
+ * MIPS, sampled runs) on the simulation fast path, so the record
  * operations must be cheap and lock-free: every metric instrument is
  * a fixed set of std::atomic cells, and the registry mutex is taken
  * only to *create* an instrument (or to export). Callers resolve an
  * instrument pointer once (counter()/gauge()/histogram()) and then
  * hammer it from any number of threads; relaxed atomics are exact for
- * counting (fetch_add never loses an increment) — the concurrency
- * test proves the totals match the engine's own progress counters
- * under the full worker pool.
+ * counting (fetch_add never loses an increment). The engine's run
+ * counts are not recorded here per event: it adds each batch's
+ * progress delta after the batch, and the concurrency test proves the
+ * totals match its progress counters under the full worker pool.
  *
  * Export is a flat JSON document (toJson()/writeTo()) so a campaign
  * can drop a machine-readable metrics snapshot next to its trace and

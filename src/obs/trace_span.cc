@@ -1,6 +1,5 @@
 #include "obs/trace_span.hh"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/json.hh"
@@ -120,14 +119,7 @@ TraceWriter::toJson() const
 void
 TraceWriter::writeTo(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("TraceWriter: cannot open '" + path +
-                                 "' for writing");
-    out << toJson() << '\n';
-    if (!out)
-        throw std::runtime_error("TraceWriter: write to '" + path +
-                                 "' failed");
+    writeTextFile(path, toJson() + '\n');
 }
 
 TraceSpan::TraceSpan(TraceWriter *writer, std::string name,

@@ -2,17 +2,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "doe/design_matrix.hh"
 #include "exec/engine.hh"
+#include "exec/journal.hh"
 #include "exec/run_cache.hh"
 #include "exec/sim_job_queue.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/pb_experiment.hh"
+#include "obs/metrics.hh"
 #include "sample/sampling.hh"
 #include "sim/core.hh"
 #include "trace/generator.hh"
@@ -21,6 +25,7 @@
 namespace doe = rigor::doe;
 namespace exec = rigor::exec;
 namespace methodology = rigor::methodology;
+namespace obs = rigor::obs;
 namespace sample = rigor::sample;
 namespace sim = rigor::sim;
 namespace trace = rigor::trace;
@@ -362,9 +367,99 @@ TEST(SimulationEngine, ProgressCountsSimulatedInstructions)
     EXPECT_EQ(snap.simulatedInstructions, jobs.size() * 2500u);
     EXPECT_GT(snap.wallSeconds, 0.0);
     EXPECT_NE(snap.toString().find("cache hits"), std::string::npos);
+}
 
-    engine.progress().reset();
-    EXPECT_EQ(engine.progress().snapshot().runsTotal, 0u);
+namespace
+{
+
+/** The registry's six run counters against the engine's progress. */
+void
+expectMetricsMatchProgress(obs::MetricsRegistry &registry,
+                           const exec::ProgressSnapshot &progress)
+{
+    EXPECT_EQ(registry.counter("engine.runs.completed").value(),
+              progress.runsCompleted);
+    EXPECT_EQ(registry.counter("engine.runs.simulated").value(),
+              progress.runsCompleted - progress.cacheHits -
+                  progress.journalHits);
+    EXPECT_EQ(registry.counter("engine.runs.cache_hits").value(),
+              progress.cacheHits);
+    EXPECT_EQ(registry.counter("engine.runs.journal_replays").value(),
+              progress.journalHits);
+    EXPECT_EQ(registry.counter("engine.runs.failed").value(),
+              progress.failedJobs);
+    EXPECT_EQ(registry.counter("engine.retries").value(),
+              progress.retries);
+}
+
+} // namespace
+
+/**
+ * The engine publishes each batch's run counts to the registry after
+ * the batch joins, so a batch that throws — a journal crash drill or a
+ * fail-fast failure — still leaves the registry equal to the progress
+ * counters.
+ */
+TEST(SimulationEngine, MetricsMatchProgressWhenABatchAborts)
+{
+    const trace::WorkloadProfile &w = trace::workloadByName("gzip");
+    std::vector<exec::SimJob> jobs;
+    for (unsigned i = 0; i < 12; ++i) {
+        exec::SimJob job;
+        job.workload = &w;
+        job.instructions = 100 + i; // distinct keys
+        job.label = i == 11 ? "bad" : "job " + std::to_string(i);
+        jobs.push_back(std::move(job));
+    }
+    std::atomic<bool> transient_pending{true};
+    exec::EngineOptions options;
+    options.threads = 2;
+    options.simulate = [&transient_pending](const exec::SimJob &job,
+                                            const exec::AttemptContext &) {
+        if (job.label == "bad")
+            throw std::runtime_error("permanent failure");
+        if (job.label == "job 3" && transient_pending.exchange(false))
+            throw exec::TransientFault("transient failure");
+        return static_cast<double>(job.instructions);
+    };
+    exec::SimulationEngine engine(options);
+    obs::MetricsRegistry registry;
+    engine.setMetrics(&registry);
+    exec::FaultPolicy policy;
+    policy.maxAttempts = 2;
+
+    // Warm the cache (one transient retry included), so the aborted
+    // batches mix cache hits in.
+    const std::span<const exec::SimJob> good(jobs.data(), 11);
+    engine.run(good.first(4), policy);
+    EXPECT_EQ(registry.counter("engine.retries").value(), 1u);
+    expectMetricsMatchProgress(registry, engine.progress().snapshot());
+
+    // Crash drill: the journal dies at its fourth append, so exactly
+    // three runs simulate before the batch aborts.
+    const std::string path =
+        std::string(::testing::TempDir()) + "engine_metrics_abort";
+    std::remove(path.c_str());
+    {
+        exec::ResultJournal journal(path);
+        journal.simulateCrashAfter(3);
+        engine.setJournal(&journal);
+        const exec::ProgressSnapshot before = engine.progress().snapshot();
+        EXPECT_THROW(engine.run(good), exec::SimulatedCrash);
+        engine.setJournal(nullptr);
+        const exec::ProgressSnapshot drill =
+            engine.progress().snapshot().since(before);
+        EXPECT_EQ(drill.runsCompleted - drill.cacheHits, 3u);
+        expectMetricsMatchProgress(registry, engine.progress().snapshot());
+    }
+    std::remove(path.c_str());
+
+    // Fail-fast: a permanent failure cancels the batch.
+    EXPECT_THROW(engine.run(jobs, policy), std::runtime_error);
+    const exec::ProgressSnapshot progress = engine.progress().snapshot();
+    EXPECT_EQ(progress.failedJobs, 1u);
+    expectMetricsMatchProgress(registry, progress);
+    EXPECT_EQ(registry.counter("engine.batches").value(), 3u);
 }
 
 TEST(SimulationEngine, FailureNamesTheJobLabel)

@@ -162,6 +162,31 @@ TEST(EnhancementAnalysis, SharedEngineMakesBaseLegFree)
     EXPECT_GE(engine.progress().snapshot().cacheHits, 88u);
 }
 
+TEST(EnhancementAnalysis, ExecutionCountsOnlyThisCampaign)
+{
+    const std::vector<rigor::trace::WorkloadProfile> workloads = {
+        rigor::trace::workloadByName("gzip")};
+    rigor::exec::SimulationEngine engine(
+        rigor::exec::EngineOptions{2, true});
+    methodology::PbExperimentOptions opts;
+    opts.instructionsPerRun = 2000;
+    opts.campaign.engine = &engine;
+    methodology::runPbExperiment(workloads, opts);
+
+    const methodology::EnhancementExperimentResult result =
+        methodology::runEnhancementExperiment(
+            workloads, opts,
+            [](const rigor::trace::WorkloadProfile &)
+                -> std::unique_ptr<rigor::sim::ExecutionHook> {
+                return nullptr;
+            },
+            "noop");
+    // The earlier screen's 88 runs stay out of the paired legs' 176.
+    EXPECT_EQ(result.execution.runsTotal, 176u);
+    EXPECT_EQ(result.execution.runsCompleted, 176u);
+    EXPECT_EQ(engine.progress().snapshot().runsTotal, 264u);
+}
+
 TEST(EnhancementAnalysis, ExperimentRequiresHookFactory)
 {
     const std::vector<rigor::trace::WorkloadProfile> workloads = {

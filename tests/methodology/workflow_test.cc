@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "exec/engine.hh"
+#include "methodology/pb_experiment.hh"
 #include "methodology/workflow.hh"
 #include "trace/workloads.hh"
 
@@ -125,6 +127,33 @@ TEST(Workflow, DeterministicAcrossThreadCounts)
         EXPECT_EQ(serial.sensitivity.rows[i].effect,
                   parallel.sensitivity.rows[i].effect)
             << "row " << i;
+}
+
+TEST(Workflow, ExecutionCountsOnlyThisCampaign)
+{
+    const std::vector<trace::WorkloadProfile> workloads = {
+        trace::workloadByName("gzip")};
+    rigor::exec::SimulationEngine engine(
+        rigor::exec::EngineOptions{2, true});
+    methodology::PbExperimentOptions screen;
+    screen.instructionsPerRun = 2000;
+    screen.campaign.engine = &engine;
+    methodology::runPbExperiment(workloads, screen);
+
+    methodology::WorkflowOptions opts;
+    opts.instructionsPerRun = 2000;
+    opts.warmupInstructions = 0;
+    opts.maxCriticalParameters = 2;
+    opts.campaign.engine = &engine;
+    const methodology::WorkflowResult r =
+        methodology::runRecommendedWorkflow(workloads, opts);
+    // The earlier screen's 88 runs stay out of the workflow's own
+    // screen and factorial.
+    const std::uint64_t expected =
+        88u + (std::uint64_t{1} << r.criticalFactors.size());
+    EXPECT_EQ(r.execution.runsTotal, expected);
+    EXPECT_EQ(r.execution.runsCompleted, expected);
+    EXPECT_EQ(engine.progress().snapshot().runsTotal, 88u + expected);
 }
 
 TEST(Workflow, ValidatesOptions)

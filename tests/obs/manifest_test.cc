@@ -144,14 +144,14 @@ TEST(CampaignManifest, GoldenSummaryRecord)
 {
     obs::CampaignManifest manifest;
     obs::SummaryRecord summary;
-    summary.runsTotal = 176;
-    summary.runsCompleted = 175;
-    summary.cacheHits = 88;
-    summary.journalHits = 3;
-    summary.retries = 2;
-    summary.failedJobs = 1;
-    summary.simulatedInstructions = 17600000;
-    summary.wallSeconds = 12.5;
+    summary.execution.runsTotal = 176;
+    summary.execution.runsCompleted = 175;
+    summary.execution.cacheHits = 88;
+    summary.execution.journalHits = 3;
+    summary.execution.retries = 2;
+    summary.execution.failedJobs = 1;
+    summary.execution.simulatedInstructions = 17600000;
+    summary.execution.wallSeconds = 12.5;
     summary.droppedBenchmarks = {"mcf"};
     summary.rankTableDigest = "8899aabbccddeeff";
     manifest.addSummary(summary);

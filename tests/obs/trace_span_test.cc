@@ -14,6 +14,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/json.hh"
+#include "obs/manifest.hh"
+#include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 
 namespace
@@ -127,9 +130,22 @@ TEST(TraceWriter, WriteToProducesLoadableFile)
 
 TEST(TraceWriter, WriteToThrowsOnBadPath)
 {
+    // Every sink writes through obs::writeTextFile, which names the
+    // path it could not open.
+    const std::string path = "/nonexistent-dir/sink.json";
     obs::TraceWriter writer(steppingClock(1));
-    EXPECT_THROW(writer.writeTo("/nonexistent-dir/trace.json"),
+    EXPECT_THROW(writer.writeTo(path), std::runtime_error);
+    EXPECT_THROW(obs::MetricsRegistry{}.writeTo(path),
                  std::runtime_error);
+    EXPECT_THROW(obs::CampaignManifest{}.writeTo(path),
+                 std::runtime_error);
+    try {
+        obs::writeTextFile(path, "x");
+        ADD_FAILURE() << "writeTextFile accepted an unwritable path";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -16,14 +16,15 @@
  *     campaign --inject-label "mcf:":1:hang --deadline-ms 50
  *     campaign --journal run.journal --crash-after 40   # crash drill
  *     campaign --metrics-out m.json --trace-out t.json \
- *              --manifest-out run.jsonl --bench-out BENCH_4.json
+ *              --manifest-out run.jsonl
  *     campaign --listen 127.0.0.1:0 --workers 3 --port-file port \
  *              --lease-ms 4000 --heartbeat-ms 500   # distributed
  *
  * The trace JSON loads directly in chrome://tracing / Perfetto; the
  * manifest is one JSON object per line (campaign / cell / phase /
- * summary records); the metrics JSON snapshots every engine counter,
- * gauge, and histogram.
+ * summary records; the summary's runs, instructions and wall time
+ * are the campaign's throughput record); the metrics JSON snapshots
+ * every engine counter, gauge, and histogram.
  *
  * Distributed hardening: --auth-token-file demands an HMAC
  * challenge-response from every worker before a lease is granted;
@@ -44,9 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +60,7 @@
 #include "methodology/pb_experiment.hh"
 #include "methodology/rank_stability.hh"
 #include "methodology/rank_table.hh"
-#include "obs/bench_report.hh"
+#include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
@@ -213,19 +212,10 @@ main(int argc, char **argv)
                          "campaign: controller listening on %s:%u\n",
                          cli.net.bindAddress.c_str(),
                          static_cast<unsigned>(controller->port()));
-            if (!cli.portFile.empty()) {
-                std::ofstream out(cli.portFile,
-                                  std::ios::binary | std::ios::trunc);
-                if (!out)
-                    throw std::runtime_error(
-                        "cannot open '" + cli.portFile +
-                        "' for writing");
-                out << controller->port() << '\n';
-                if (!out)
-                    throw std::runtime_error("write to '" +
-                                             cli.portFile +
-                                             "' failed");
-            }
+            if (!cli.portFile.empty())
+                rigor::obs::writeTextFile(
+                    cli.portFile,
+                    std::to_string(controller->port()) + '\n');
             if (opts.campaign.remoteWorkers != 0 &&
                 !controller->waitForWorkers(opts.campaign.remoteWorkers,
                                             cli.workerWait)) {
@@ -343,21 +333,10 @@ main(int argc, char **argv)
                 std::fprintf(
                     stdout, "%s",
                     outcome.stability.toString().c_str());
-            if (!cli.stabilityOut.empty()) {
-                std::ofstream out(cli.stabilityOut,
-                                  std::ios::binary |
-                                      std::ios::trunc);
-                if (!out)
-                    throw std::runtime_error(
-                        "cannot open '" +
-                        cli.stabilityOut +
-                        "' for writing");
-                out << outcome.stability.toJson() << '\n';
-                if (!out)
-                    throw std::runtime_error(
-                        "write to '" + cli.stabilityOut +
-                        "' failed");
-            }
+            if (!cli.stabilityOut.empty())
+                rigor::obs::writeTextFile(
+                    cli.stabilityOut,
+                    outcome.stability.toJson() + '\n');
             result = std::move(outcome.pooled);
         } else if (cli.adaptiveRounds != 0) {
             rigor::methodology::AdaptiveSamplingOptions adaptive;
@@ -422,10 +401,8 @@ main(int argc, char **argv)
                     result.summaries, result.benchmarks,
                     result.droppedBenchmarks)
                     .c_str());
-        const rigor::exec::ProgressSnapshot progress =
-            engine.progress().snapshot();
         std::fprintf(stderr, "campaign: %s\n",
-                     progress.toString().c_str());
+                     engine.progress().snapshot().toString().c_str());
 
         if (!cli.metricsOut.empty())
             metrics.writeTo(cli.metricsOut);
@@ -433,34 +410,6 @@ main(int argc, char **argv)
             trace.writeTo(cli.traceOut);
         if (!cli.manifestOut.empty())
             manifest.writeTo(cli.manifestOut);
-        if (!cli.benchOut.empty()) {
-            rigor::obs::BenchReport report;
-            report.name = "campaign_pb_screen";
-            report.wallSeconds = progress.wallSeconds;
-            report.runsTotal = progress.runsTotal;
-            report.runsCompleted = progress.runsCompleted;
-            report.runsPerSecond =
-                progress.wallSeconds > 0.0
-                    ? static_cast<double>(progress.runsCompleted) /
-                          progress.wallSeconds
-                    : 0.0;
-            report.simulatedInstructions =
-                progress.simulatedInstructions;
-            report.mips =
-                progress.wallSeconds > 0.0
-                    ? static_cast<double>(
-                          progress.simulatedInstructions) /
-                          progress.wallSeconds / 1e6
-                    : 0.0;
-            report.threads = engine.threads();
-            report.cacheHits = progress.cacheHits;
-            report.journalHits = progress.journalHits;
-            report.sampled = opts.campaign.sampling.enabled;
-            if (report.sampled)
-                report.sampledMips = report.mips;
-            rigor::obs::writeBenchReport(cli.benchOut,
-                                         report);
-        }
         return 0;
     } catch (const rigor::exec::SimulatedCrash &e) {
         std::fprintf(stderr,

@@ -579,8 +579,6 @@ campaignFlags(CampaignSetup &setup)
          text(setup.traceOut)},
         {"--manifest-out", "PATH", "write the campaign manifest (JSONL)",
          text(setup.manifestOut)},
-        {"--bench-out", "PATH", "write a wall-time/throughput report",
-         text(setup.benchOut)},
         {"--quiet", "", "suppress the rank table", set(setup.quiet)},
     };
     table.insert(table.end(), rest.begin(), rest.end());

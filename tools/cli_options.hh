@@ -209,7 +209,6 @@ struct CampaignSetup
     std::string metricsOut;
     std::string traceOut;
     std::string manifestOut;
-    std::string benchOut;
     std::string stabilityOut;
     std::string portFile;
     std::chrono::milliseconds workerWait{30000};
