@@ -37,7 +37,7 @@ ProcProtocol.*:ProcSandbox.*:ProcWorkerPool.*:ProcCampaign.*:
 Executors/AttemptTaxonomy.*:RemoteCampaign.*:
 NetProtocol.*:NetAuth.*:NetAuthHandshake.*:NetController.*:
 NetControllerDrill.*:NetDrain.*:NetFuzz.*:NetSession.*:NetSocket.*:
-ReplicatedPbExperiment.*:
+ReplicatedPbExperiment.*:DesignBatch.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*:
 GoldenFixture.ResponseMatrixDigestIsPinned:CoreReconfigure.*

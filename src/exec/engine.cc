@@ -527,6 +527,7 @@ SimulationEngine::run(std::span<const SimJob> jobs,
     BatchResult result;
     result.responses.assign(
         jobs.size(), std::numeric_limits<double>::quiet_NaN());
+    result.ciHalfWidths.assign(jobs.size(), 0.0);
 
     std::atomic<bool> cancelled{false};
     std::exception_ptr abort_error;
@@ -593,8 +594,14 @@ SimulationEngine::run(std::span<const SimJob> jobs,
             if (outcome.ok) {
                 // Once the batch is cancelled no further result slot
                 // is written; the batch's responses are abandoned.
-                if (!cancelled.load(std::memory_order_relaxed))
+                if (!cancelled.load(std::memory_order_relaxed)) {
                     result.responses[index] = outcome.response;
+                    if (outcome.sampled)
+                        result.ciHalfWidths[index] =
+                            outcome.sample.ciHalfWidth *
+                            static_cast<double>(
+                                outcome.sample.streamInstructions);
+                }
                 continue;
             }
             {

@@ -86,7 +86,8 @@ struct SimJob
      * Sampled-simulation schedule. When enabled, the run streams the
      * same instructions but simulates only periodic units in detail
      * (sample::runSampled); the response becomes the extrapolated
-     * cycle count and the per-run CI is delivered via the job event.
+     * cycle count and the per-run CI comes back in the job event and
+     * in BatchResult::ciHalfWidths.
      */
     sample::SamplingOptions sampling;
     /**

@@ -238,6 +238,12 @@ struct BatchResult
 {
     /** Responses in job order; quarantined slots are NaN. */
     std::vector<double> responses;
+    /**
+     * Sampling CI half-widths in cycles, in job order: the fresh
+     * SampleSummary's ciHalfWidth x streamInstructions. 0 for
+     * unsampled jobs, cache hits, journal replays and failed jobs.
+     */
+    std::vector<double> ciHalfWidths;
     /** Failures in ascending job order (empty = complete batch). */
     std::vector<JobFailure> failures;
 

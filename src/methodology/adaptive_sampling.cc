@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "doe/ranking.hh"
@@ -18,41 +17,11 @@ namespace rigor::methodology
 namespace
 {
 
-/**
- * Per-run CI half-widths in cycles, keyed by benchmark name so
- * refinement rounds (which run a benchmark subset, renumbering job
- * indices) splice cleanly. A cache or journal hit records zero — an
- * understatement the adaptive loop tolerates: a hit means the
- * identical schedule already ran, and its ambiguity was judged when
- * it was fresh.
- */
-using HalfWidthsByBench =
-    std::unordered_map<std::string, std::vector<double>>;
+/** Ambiguity is judged only among the top aggregate factors — the
+ *  part of the ranking the screen exists to get right. */
+constexpr std::size_t kTopFactors = 10;
 
-/** One sampled screen with half-width capture. */
-PbExperimentResult
-runRound(std::span<const trace::WorkloadProfile> workloads,
-         const PbExperimentOptions &options,
-         detail::CampaignScope &scope, HalfWidthsByBench &half)
-{
-    detail::HalfWidthCapture capture;
-    PbExperimentResult result = detail::runPbScreen(
-        workloads, options, scope, capture.observer());
-
-    const std::size_t num_runs = result.design.numRows();
-    for (const auto &[job_index, cycles_half] : capture.byJob()) {
-        const std::size_t bench = job_index / num_runs;
-        if (bench >= workloads.size())
-            continue;
-        std::vector<double> &row_halves =
-            half[workloads[bench].name];
-        row_halves.resize(num_runs, 0.0);
-        row_halves[job_index % num_runs] = cycles_half;
-    }
-    return result;
-}
-
-/** Ambiguous (benchmark, top-K factor) pairs of the current table. */
+/** Ambiguous (benchmark, top-10 factor) pairs of the current table. */
 struct Ambiguity
 {
     std::set<std::string> benchmarks;
@@ -61,14 +30,13 @@ struct Ambiguity
 
 Ambiguity
 findAmbiguity(const PbExperimentResult &result,
-              const HalfWidthsByBench &half,
               const std::vector<std::string> &factor_names,
               const AdaptiveSamplingOptions &options)
 {
     Ambiguity out;
     const std::vector<std::string> top = topFactorNames(
         result.summaries,
-        std::min(options.topFactors, result.summaries.size()));
+        std::min(kTopFactors, result.summaries.size()));
     std::vector<std::size_t> top_indices;
     top_indices.reserve(top.size());
     for (const std::string &name : top) {
@@ -79,18 +47,12 @@ findAmbiguity(const PbExperimentResult &result,
                 it - factor_names.begin()));
     }
 
+    // A cell served from the cache or the journal has a zero
+    // half-width, an understatement the loop tolerates: the identical
+    // schedule already ran, and its ambiguity was judged when fresh.
     for (std::size_t b = 0; b < result.benchmarks.size(); ++b) {
-        const auto it = half.find(result.benchmarks[b]);
-        if (it == half.end())
-            continue;
-        // The effect is sum(sign_r * response_r); with independent
-        // per-run errors h_r its propagated uncertainty is
-        // sqrt(sum h_r^2) regardless of the signs.
-        double sum_sq = 0.0;
-        for (const double h : it->second)
-            sum_sq += h * h;
         const double threshold =
-            options.ambiguityFactor * std::sqrt(sum_sq);
+            options.ambiguityFactor * result.effectHalfWidth(b);
         if (threshold <= 0.0)
             continue;
         const std::vector<double> &effects = result.effects[b];
@@ -118,6 +80,7 @@ splice(PbExperimentResult &master, const PbExperimentResult &refined)
         const std::size_t b = static_cast<std::size_t>(
             it - master.benchmarks.begin());
         master.responses[b] = refined.responses[s];
+        master.ciHalfWidths[b] = refined.ciHalfWidths[s];
         master.effects[b] = refined.effects[s];
         master.ranks[b] = refined.ranks[s];
     }
@@ -144,11 +107,10 @@ runAdaptivePbExperiment(
     detail::CampaignScope scope(opts.campaign, opts.hookFactory);
 
     AdaptiveSamplingResult out;
-    HalfWidthsByBench half;
     const std::vector<std::string> names = factorNames();
 
     // Round 0: the full sampled screen.
-    out.result = runRound(workloads, opts, scope, half);
+    out.result = detail::runPbScreen(workloads, opts, scope);
     {
         AdaptiveRound round;
         round.sampling = opts.campaign.sampling;
@@ -159,7 +121,7 @@ runAdaptivePbExperiment(
     const std::string base_name = opts.experimentName;
     for (unsigned round = 0;; ++round) {
         const Ambiguity ambiguity =
-            findAmbiguity(out.result, half, names, options);
+            findAmbiguity(out.result, names, options);
         out.rounds.back().ambiguousPairs = ambiguity.pairs;
         if (ambiguity.pairs == 0) {
             out.converged = true;
@@ -190,8 +152,12 @@ runAdaptivePbExperiment(
             break;
 
         const PbExperimentResult refined =
-            runRound(subset, opts, scope, half);
+            detail::runPbScreen(subset, opts, scope);
         splice(out.result, refined);
+        // Keep the round's quarantines and drops on record; a
+        // benchmark it dropped keeps the previous round's numbers.
+        for (const check::Diagnostic &d : refined.validity.diagnostics())
+            out.result.validity.report(d);
 
         AdaptiveRound record;
         record.sampling = sampling;

@@ -12,11 +12,11 @@
  * that factor's significance apart from noise.
  *
  * runAdaptivePbExperiment runs the sampled screen once, finds the
- * (benchmark, top-K factor) pairs whose effect is ambiguous given the
+ * (benchmark, top-10 factor) pairs whose effect is ambiguous given the
  * per-run CIs, and re-runs *only the implicated benchmarks* with a
  * lengthened sampling schedule (halved fast-forward interval, i.e.
  * more measured units per stream), splicing the refined responses
- * back and re-aggregating the rank table — repeating until the top-K
+ * back and re-aggregating the rank table — repeating until the top-10
  * ranking is unambiguous or the round budget is exhausted. Untroubled
  * benchmarks never pay for the refinement.
  */
@@ -45,9 +45,6 @@ struct AdaptiveSamplingOptions
     PbExperimentOptions base;
     /** Total rounds including the initial screen (>= 1). */
     unsigned maxRounds = 3;
-    /** Ambiguity is judged only among the top-K aggregate factors —
-     *  the part of the ranking the screen exists to get right. */
-    std::size_t topFactors = 10;
     /**
      * Effect-ambiguity threshold multiplier: a factor is ambiguous
      * for a benchmark when |effect| <= ambiguityFactor * rss, where
@@ -64,7 +61,7 @@ struct AdaptiveRound
     sample::SamplingOptions sampling;
     /** Benchmarks simulated this round (all of them in round 0). */
     std::vector<std::string> simulatedBenchmarks;
-    /** Ambiguous (benchmark, top-K factor) pairs remaining *after*
+    /** Ambiguous (benchmark, top-10 factor) pairs remaining *after*
      *  this round's responses were folded in. */
     std::size_t ambiguousPairs = 0;
 };

@@ -6,9 +6,11 @@
  * sinks and attempt executor to whichever engine runs it — restoring
  * whatever a shared engine had before, even on throw — wrap each
  * phase in a TraceSpan plus a manifest "phase" record, digest the
- * design for the manifest's campaign record, and map engine JobEvents
- * onto manifest cells. These helpers keep that dance in one place so
- * the drivers stay about the methodology.
+ * design for the manifest's campaign record, and run each design as
+ * one batch of (workload, row) cells whose responses, sampling CI
+ * half-widths and quarantined cells come back in [workload][row]
+ * form (runDesignBatch). These helpers keep that dance in one place
+ * so the drivers stay about the methodology.
  */
 
 #ifndef RIGOR_METHODOLOGY_CAMPAIGN_INSTRUMENTATION_HH
@@ -16,9 +18,8 @@
 
 #include <chrono>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,19 +52,6 @@ designDigest(const doe::DesignMatrix &design)
         for (std::size_t c = 0; c < design.numColumns(); ++c)
             serialized += design.sign(r, c) > 0 ? '+' : '-';
     return obs::digestHex(obs::fnv1a(serialized));
-}
-
-/** Combine two job observers (either may be empty). */
-inline exec::JobObserver
-bothObservers(exec::JobObserver first, exec::JobObserver second)
-{
-    if (!first || !second)
-        return first ? std::move(first) : std::move(second);
-    return [first = std::move(first), second = std::move(second)](
-               const exec::JobEvent &event) {
-        first(event);
-        second(event);
-    };
 }
 
 /**
@@ -166,8 +154,15 @@ class CampaignScope
      */
     void observe(exec::JobObserver observer)
     {
-        _engine.setJobObserver(
-            bothObservers(_previousObserver, std::move(observer)));
+        if (_previousObserver && observer)
+            observer = [first = _previousObserver,
+                        second = std::move(observer)](
+                           const exec::JobEvent &event) {
+                first(event);
+                second(event);
+            };
+        _engine.setJobObserver(observer ? std::move(observer)
+                                        : _previousObserver);
     }
 
   private:
@@ -180,43 +175,6 @@ class CampaignScope
     exec::SimulateFn _previousSimulate;
     exec::ProgressSnapshot _progressAtOpen;
     std::unique_ptr<exec::proc::ProcWorkerPool> _pool;
-};
-
-/**
- * Per-job sampling CI half-widths in *cycles*, captured from a
- * batch's job events and keyed by job index. Cache and journal hits
- * replay only the response, so their half-width is recorded as zero;
- * failed jobs are not recorded.
- */
-class HalfWidthCapture
-{
-  public:
-    /** Observer feeding this capture; must not outlive it. */
-    exec::JobObserver observer()
-    {
-        return [this](const exec::JobEvent &event) {
-            if (!event.ok)
-                return;
-            const double cycles_half =
-                event.sampled
-                    ? event.sample.ciHalfWidth *
-                          static_cast<double>(
-                              event.sample.streamInstructions)
-                    : 0.0;
-            const std::scoped_lock lock(_mutex);
-            _byJob[event.jobIndex] = cycles_half;
-        };
-    }
-
-    /** Captured half-widths; read only after the batch. */
-    const std::unordered_map<std::size_t, double> &byJob() const
-    {
-        return _byJob;
-    }
-
-  private:
-    std::mutex _mutex;
-    std::unordered_map<std::size_t, double> _byJob;
 };
 
 /**
@@ -321,6 +279,75 @@ manifestCellObserver(obs::CampaignManifest *manifest,
         cell.host = event.host;
         manifest->addCell(cell);
     };
+}
+
+/** One design's cells as the engine handed them back. */
+struct DesignBatch
+{
+    /** Response cycles: responses[workload][row]; NaN where
+     *  quarantined. */
+    std::vector<std::vector<double>> responses;
+    /** Sampling CI half-widths in cycles, same layout (see
+     *  exec::BatchResult::ciHalfWidths). */
+    std::vector<std::vector<double>> ciHalfWidths;
+    /** Cells quarantined under collect-failures, in job order. */
+    std::vector<check::QuarantinedCell> quarantined;
+    /** The batch's progress delta, for the campaign's summary. */
+    exec::ProgressSnapshot execution;
+};
+
+/**
+ * Run one design's cells — jobs in workload-major order, @p rows per
+ * workload — on the scope's engine under the campaign's fault
+ * policy, inside the driver phase @p phase_name (its span tagged with
+ * @p span_args, then the job count). Each finished cell becomes a
+ * manifest cell record. Fail-fast errors and BatchAbort propagate
+ * unwrapped.
+ */
+inline DesignBatch
+runDesignBatch(CampaignScope &scope,
+               const exec::CampaignOptions &campaign,
+               const std::vector<std::string> &workloads,
+               std::size_t rows, std::span<const exec::SimJob> jobs,
+               std::string phase_name,
+               obs::TraceWriter::Args span_args = {})
+{
+    exec::SimulationEngine &engine = scope.engine();
+    scope.observe(
+        manifestCellObserver(campaign.manifest, workloads, rows));
+    const exec::ProgressSnapshot before = engine.progress().snapshot();
+    exec::BatchResult batch;
+    {
+        PhaseScope phase(campaign, std::move(phase_name));
+        for (auto &[key, value] : span_args)
+            phase.span().arg(std::move(key), std::move(value));
+        phase.span().arg("jobs", std::to_string(jobs.size()));
+        batch = engine.run(jobs, campaign.faultPolicy);
+    }
+    scope.observe({});
+
+    DesignBatch out;
+    out.execution = engine.progress().snapshot().since(before);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const std::size_t first = w * rows;
+        out.responses.emplace_back(
+            batch.responses.begin() + first,
+            batch.responses.begin() + first + rows);
+        out.ciHalfWidths.emplace_back(
+            batch.ciHalfWidths.begin() + first,
+            batch.ciHalfWidths.begin() + first + rows);
+    }
+    out.quarantined.reserve(batch.failures.size());
+    for (exec::JobFailure &f : batch.failures) {
+        check::QuarantinedCell cell;
+        cell.benchmark = workloads[f.jobIndex / rows];
+        cell.row = f.jobIndex % rows;
+        cell.attempts = f.attempts;
+        cell.kind = exec::toString(f.kind);
+        cell.message = std::move(f.message);
+        out.quarantined.push_back(std::move(cell));
+    }
+    return out;
 }
 
 } // namespace rigor::methodology::detail

@@ -1,10 +1,11 @@
 #include "methodology/pb_experiment.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <set>
 #include <stdexcept>
-
-#include <chrono>
+#include <type_traits>
 
 #include "check/preflight.hh"
 #include "doe/effects.hh"
@@ -35,50 +36,57 @@ void
 PbExperimentResult::dropBenchmarks(std::span<const std::string> names)
 {
     const std::set<std::string> doomed(names.begin(), names.end());
-    if (doomed.empty())
-        return;
-
-    std::size_t kept = 0;
-    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-        if (doomed.count(benchmarks[b])) {
-            droppedBenchmarks.push_back(benchmarks[b]);
-            continue;
-        }
-        if (kept != b) {
-            benchmarks[kept] = std::move(benchmarks[b]);
-            if (b < responses.size())
-                responses[kept] = std::move(responses[b]);
-            if (b < effects.size())
-                effects[kept] = std::move(effects[b]);
-            if (b < ranks.size())
-                ranks[kept] = std::move(ranks[b]);
-        }
-        ++kept;
-    }
-    if (kept == benchmarks.size())
+    std::vector<std::size_t> keep;
+    for (std::size_t b = 0; b < benchmarks.size(); ++b)
+        if (!doomed.count(benchmarks[b]))
+            keep.push_back(b);
+    if (keep.size() == benchmarks.size())
         return; // nothing matched
-    if (kept == 0)
+    if (keep.empty())
         throw std::invalid_argument(
             "PbExperimentResult::dropBenchmarks: dropping every "
             "benchmark leaves nothing to aggregate");
 
-    benchmarks.resize(kept);
-    if (responses.size() > kept)
-        responses.resize(kept);
-    if (effects.size() > kept)
-        effects.resize(kept);
-    if (ranks.size() > kept)
-        ranks.resize(kept);
+    for (const std::string &name : benchmarks)
+        if (doomed.count(name))
+            droppedBenchmarks.push_back(name);
     std::sort(droppedBenchmarks.begin(), droppedBenchmarks.end());
     droppedBenchmarks.erase(std::unique(droppedBenchmarks.begin(),
                                         droppedBenchmarks.end()),
                             droppedBenchmarks.end());
+
+    // Keep the surviving rows of every per-benchmark vector; the
+    // ones not filled yet (effects, before the driver ranks) stay
+    // empty.
+    const auto select = [&keep](auto &rows) {
+        if (rows.empty())
+            return;
+        std::remove_reference_t<decltype(rows)> kept;
+        kept.reserve(keep.size());
+        for (const std::size_t b : keep)
+            kept.push_back(std::move(rows[b]));
+        rows = std::move(kept);
+    };
+    select(benchmarks);
+    select(responses);
+    select(ciHalfWidths);
+    select(effects);
+    select(ranks);
     // Pre-effects callers (the experiment driver itself) drop before
     // anything is aggregated; nothing to recompute yet.
     if (!effects.empty())
         summaries = doe::aggregateRanks(factorNames(), effects);
     else
         summaries.clear();
+}
+
+double
+PbExperimentResult::effectHalfWidth(std::size_t bench) const
+{
+    double sum_sq = 0.0;
+    for (const double h : ciHalfWidths[bench])
+        sum_sq += h * h;
+    return std::sqrt(sum_sq);
 }
 
 double
@@ -145,7 +153,7 @@ runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
 PbExperimentResult
 detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
                     const PbExperimentOptions &options,
-                    CampaignScope &scope, exec::JobObserver observer)
+                    CampaignScope &scope)
 {
     if (workloads.empty())
         throw std::invalid_argument("runPbExperiment: no workloads");
@@ -207,20 +215,11 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
     // job order, so the result is thread-count independent.
     const std::vector<exec::SimJob> jobs =
         pbSimJobs(workloads, result.design, options);
-
-    exec::SimulationEngine &engine = scope.engine();
-    scope.observe(detail::bothObservers(
-        detail::manifestCellObserver(campaign.manifest,
-                                     result.benchmarks, num_runs),
-        std::move(observer)));
-    const exec::ProgressSnapshot progress_before =
-        engine.progress().snapshot();
-
-    exec::BatchResult batch;
+    detail::DesignBatch batch;
     try {
-        detail::PhaseScope phase(campaign, "screen");
-        phase.span().arg("jobs", std::to_string(jobs.size()));
-        batch = engine.run(jobs, campaign.faultPolicy);
+        batch = detail::runDesignBatch(scope, campaign,
+                                       result.benchmarks, num_runs,
+                                       jobs, "screen");
     } catch (const exec::BatchAbort &) {
         // Infrastructure failure (journal I/O error, crash drill):
         // propagate unwrapped so a campaign driver can recognize it
@@ -231,46 +230,23 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
             std::string("runPbExperiment: simulation failed: ") +
             e.what());
     }
-    // The caller's observer may not outlive this call.
-    scope.observe({});
-
-    result.responses.assign(num_benches,
-                            std::vector<double>(num_runs, 0.0));
-    for (std::size_t bench = 0; bench < num_benches; ++bench)
-        for (std::size_t run = 0; run < num_runs; ++run)
-            result.responses[bench][run] =
-                batch.responses[bench * num_runs + run];
+    result.responses = std::move(batch.responses);
+    result.ciHalfWidths = std::move(batch.ciHalfWidths);
 
     // Quarantined cells (collect-failures mode) are not
     // statistically free: arbitrate drop-vs-abort before any effect
     // is computed, so an incomplete response column never reaches
     // the rank aggregation.
-    std::vector<std::string> drop;
-    if (!batch.complete()) {
-        std::vector<check::QuarantinedCell> cells;
-        cells.reserve(batch.failures.size());
-        for (const exec::JobFailure &f : batch.failures) {
-            check::QuarantinedCell cell;
-            cell.benchmark = result.benchmarks[f.jobIndex / num_runs];
-            cell.row = f.jobIndex % num_runs;
-            cell.attempts = f.attempts;
-            cell.kind = exec::toString(f.kind);
-            cell.message = f.message;
-            cells.push_back(std::move(cell));
-        }
+    if (!batch.quarantined.empty()) {
         check::CampaignAssessment assessment =
             check::assessCampaignValidity(
-                result.benchmarks, num_runs, campaign.foldover, cells,
-                campaign.degradation);
+                result.benchmarks, num_runs, campaign.foldover,
+                batch.quarantined, campaign.degradation);
         result.validity = assessment.sink;
         if (!assessment.passed())
             throw check::CampaignError("runPbExperiment",
                                        std::move(assessment.sink));
-        drop = std::move(assessment.dropBenchmarks);
-    }
-
-    if (!drop.empty()) {
-        result.dropBenchmarks(drop);
+        result.dropBenchmarks(assessment.dropBenchmarks);
     }
 
     // Effects and per-benchmark ranks over the 43 real+dummy factors
@@ -302,8 +278,7 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - campaign_start;
         obs::SummaryRecord summary;
-        summary.execution =
-            engine.progress().snapshot().since(progress_before);
+        summary.execution = batch.execution;
         summary.execution.wallSeconds = wall.count();
         summary.droppedBenchmarks = result.droppedBenchmarks;
         summary.rankTableDigest = rankTableDigest(result.summaries);

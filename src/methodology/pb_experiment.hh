@@ -90,6 +90,12 @@ struct PbExperimentResult
     std::vector<std::string> benchmarks;
     /** Execution cycles: responses[bench][design row]. */
     std::vector<std::vector<double>> responses;
+    /**
+     * Sampling CI half-widths in cycles, aligned with responses; 0
+     * for full runs and for cells served from the run cache or the
+     * journal (see exec::BatchResult::ciHalfWidths).
+     */
+    std::vector<std::vector<double>> ciHalfWidths;
     /** PB effects: effects[bench][factor], 43 factors. */
     std::vector<std::vector<double>> effects;
     /** Per-benchmark significance ranks: ranks[bench][factor]. */
@@ -115,6 +121,14 @@ struct PbExperimentResult
      * per benchmark) for the classification step.
      */
     std::vector<std::vector<double>> rankVectors() const;
+
+    /**
+     * Sampling uncertainty of benchmark @p bench's effects, in
+     * cycles. An effect is sum(sign_r * response_r); independent
+     * per-run errors h_r propagate as sqrt(sum h_r^2) whatever the
+     * signs. Summed in row order.
+     */
+    double effectHalfWidth(std::size_t bench) const;
 
     /**
      * Remove benchmarks by name and recompute the cross-benchmark
@@ -143,13 +157,11 @@ class CampaignScope;
 /**
  * runPbExperiment's body for drivers that hold a campaign scope:
  * runs on the engine and executor @p scope already attached (never
- * choosing its own) and feeds every job event to @p observer as well
- * as to the manifest. options.campaign.engine is ignored.
+ * choosing its own). options.campaign.engine is ignored.
  */
 PbExperimentResult
 runPbScreen(std::span<const trace::WorkloadProfile> workloads,
-            const PbExperimentOptions &options, CampaignScope &scope,
-            exec::JobObserver observer = {});
+            const PbExperimentOptions &options, CampaignScope &scope);
 
 } // namespace detail
 

@@ -420,40 +420,6 @@ analyzeRankStability(const std::vector<std::vector<std::vector<double>>>
     return report;
 }
 
-namespace
-{
-
-/** One replicate's captured per-run sampling half-widths, reduced to
- *  a per-benchmark RSS through the effect estimate (cycles). */
-using SamplingRssByBench = std::unordered_map<std::string, double>;
-
-/**
- * Run one replicate's screen, capturing sampling CI half-widths. The
- * effect of one benchmark is sum(sign_r * response_r); independent
- * per-run errors h_r propagate as sqrt(sum h_r^2) regardless of the
- * signs (the same composition the adaptive driver uses).
- */
-PbExperimentResult
-runReplicate(std::span<const trace::WorkloadProfile> suite,
-             const PbExperimentOptions &options,
-             detail::CampaignScope &scope, SamplingRssByBench &rss)
-{
-    detail::HalfWidthCapture capture;
-    PbExperimentResult result = detail::runPbScreen(
-        suite, options, scope, capture.observer());
-
-    const std::size_t num_runs = result.design.numRows();
-    std::unordered_map<std::size_t, double> sum_sq;
-    for (const auto &[job_index, cycles_half] : capture.byJob())
-        sum_sq[job_index / num_runs] += cycles_half * cycles_half;
-    for (const auto &[bench, total] : sum_sq)
-        if (bench < suite.size())
-            rss[suite[bench].name] = std::sqrt(total);
-    return result;
-}
-
-} // namespace
-
 ReplicatedPbResult
 runReplicatedPbExperiment(
     std::span<const trace::WorkloadProfile> workloads,
@@ -481,7 +447,6 @@ runReplicatedPbExperiment(
     // byte-for-byte the historical single campaign.
     const std::string base_name = opts.experimentName;
     std::vector<PbExperimentResult> runs;
-    std::vector<SamplingRssByBench> rss_by_replicate(num_reps);
     std::vector<std::unordered_map<std::string, std::string>>
         base_of_suffixed(num_reps);
     runs.reserve(num_reps);
@@ -497,8 +462,7 @@ runReplicatedPbExperiment(
         opts.experimentName =
             r == 0 ? base_name
                    : base_name + "/replicate-" + std::to_string(r);
-        runs.push_back(runReplicate(suite, opts, scope,
-                                    rss_by_replicate[r]));
+        runs.push_back(detail::runPbScreen(suite, opts, scope));
     }
     opts.experimentName = base_name;
 
@@ -537,19 +501,26 @@ runReplicatedPbExperiment(
         out.pooled.benchmarks;
     const std::size_t num_benches = canonical.size();
 
-    // [replicate][benchmark][factor], benchmark order = canonical.
+    // [replicate][benchmark][factor] effects and [replicate]
+    // [benchmark] sampling half-widths of the effects (cycles),
+    // benchmark order = canonical.
     std::vector<std::vector<std::vector<double>>> effects_tensor(
         num_reps);
+    std::vector<std::vector<double>> sampling_rss(num_reps);
     effects_tensor[0] = out.pooled.effects;
+    for (std::size_t b = 0; b < num_benches; ++b)
+        sampling_rss[0].push_back(out.pooled.effectHalfWidth(b));
     for (unsigned r = 1; r < num_reps; ++r) {
         std::unordered_map<std::string, std::size_t> index_of;
         for (std::size_t b = 0; b < runs[r].benchmarks.size(); ++b)
             index_of.emplace(
                 base_of_suffixed[r].at(runs[r].benchmarks[b]), b);
         effects_tensor[r].reserve(num_benches);
-        for (const std::string &name : canonical)
-            effects_tensor[r].push_back(
-                runs[r].effects[index_of.at(name)]);
+        for (const std::string &name : canonical) {
+            const std::size_t b = index_of.at(name);
+            effects_tensor[r].push_back(runs[r].effects[b]);
+            sampling_rss[r].push_back(runs[r].effectHalfWidth(b));
+        }
     }
 
     const std::vector<std::string> names = factorNames();
@@ -601,15 +572,8 @@ runReplicatedPbExperiment(
                                        replication.bootstrap)
                     .halfWidth();
             double sampling_sq = 0.0;
-            for (unsigned r = 0; r < num_reps; ++r) {
-                std::string suffixed = canonical[b];
-                if (r > 0)
-                    suffixed += "#r" + std::to_string(r);
-                const auto found =
-                    rss_by_replicate[r].find(suffixed);
-                if (found != rss_by_replicate[r].end())
-                    sampling_sq += found->second * found->second;
-            }
+            for (unsigned r = 0; r < num_reps; ++r)
+                sampling_sq += sampling_rss[r][b] * sampling_rss[r][b];
             c.samplingHalfWidth =
                 std::sqrt(sampling_sq) /
                 static_cast<double>(num_reps);

@@ -89,7 +89,6 @@ runRecommendedWorkflow(
     // campaign's journal makes every completed run of either phase
     // durable across process restarts.
     detail::CampaignScope scope(campaign);
-    exec::SimulationEngine &engine = scope.engine();
 
     // ----- Step 1: PB screening -----
     PbExperimentOptions screen_opts;
@@ -201,43 +200,20 @@ runRecommendedWorkflow(
         campaign.manifest->beginCampaign(info);
     }
 
-    scope.observe(detail::manifestCellObserver(
-        campaign.manifest, factorial_workloads, num_cells));
-
     const auto factorial_start = std::chrono::steady_clock::now();
-    const exec::ProgressSnapshot factorial_before =
-        engine.progress().snapshot();
-
-    exec::BatchResult cell_batch;
-    {
-        detail::PhaseScope phase(campaign, "factorial");
-        phase.span().arg("cells", std::to_string(num_cells));
-        phase.span().arg("jobs", std::to_string(jobs.size()));
-        cell_batch = engine.run(jobs, campaign.faultPolicy);
-    }
-    const std::vector<double> &cells = cell_batch.responses;
+    const detail::DesignBatch cells = detail::runDesignBatch(
+        scope, campaign, factorial_workloads, num_cells, jobs,
+        "factorial", {{"cells", std::to_string(num_cells)}});
 
     // Quarantined factorial cells: a workload missing from one cell
     // would skew that cell's average against its neighbors, so the
     // whole workload is dropped from every cell (or the workflow
     // aborts), arbitrated through the campaign analyzer.
     std::set<std::size_t> dropped_w;
-    if (!cell_batch.complete()) {
-        std::vector<check::QuarantinedCell> quarantined;
-        quarantined.reserve(cell_batch.failures.size());
-        for (const exec::JobFailure &f : cell_batch.failures) {
-            check::QuarantinedCell cell;
-            cell.benchmark =
-                factorial_workloads[f.jobIndex / num_cells];
-            cell.row = f.jobIndex % num_cells;
-            cell.attempts = f.attempts;
-            cell.kind = exec::toString(f.kind);
-            cell.message = f.message;
-            quarantined.push_back(std::move(cell));
-        }
+    if (!cells.quarantined.empty()) {
         check::CampaignAssessment assessment =
             check::assessFactorialValidity(
-                factorial_workloads, num_cells, quarantined,
+                factorial_workloads, num_cells, cells.quarantined,
                 campaign.degradation);
         result.factorialValidity = assessment.sink;
         if (!assessment.passed())
@@ -264,7 +240,7 @@ runRecommendedWorkflow(
             for (std::size_t w = 0; w < workloads.size(); ++w) {
                 if (dropped_w.count(w))
                     continue;
-                total += cells[w * num_cells + t];
+                total += cells.responses[w][t];
             }
             responses.push_back(total /
                                 static_cast<double>(surviving));
@@ -307,8 +283,7 @@ runRecommendedWorkflow(
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - factorial_start;
         obs::SummaryRecord summary;
-        summary.execution =
-            engine.progress().snapshot().since(factorial_before);
+        summary.execution = cells.execution;
         summary.execution.wallSeconds = wall.count();
         summary.droppedBenchmarks = result.factorialDroppedWorkloads;
         campaign.manifest->addSummary(summary);

@@ -12,6 +12,7 @@
 #include "doe/design_matrix.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
+#include "exec/proc/worker_pool.hh"
 #include "exec/run_cache.hh"
 #include "exec/sim_job_queue.hh"
 #include "methodology/parameter_space.hh"
@@ -26,6 +27,7 @@ namespace doe = rigor::doe;
 namespace exec = rigor::exec;
 namespace methodology = rigor::methodology;
 namespace obs = rigor::obs;
+namespace proc = rigor::exec::proc;
 namespace sample = rigor::sample;
 namespace sim = rigor::sim;
 namespace trace = rigor::trace;
@@ -649,6 +651,100 @@ TEST(SimulationEngine, HookedJobLeavesNoHookOnTheWorkerCore)
     // and must not be consulted again.
     EXPECT_EQ(exec::SimulationEngine::simulateJob(job), reference);
     EXPECT_EQ(calls, job.instructions);
+}
+
+/**
+ * BatchResult::ciHalfWidths holds each freshly sampled run's CI in
+ * cycles, equal to its job event's ciHalfWidth x streamInstructions,
+ * and 0 for unsampled, failed, cached and journal-replayed jobs; the
+ * sandbox pool hands back the same figures as the worker threads.
+ */
+TEST(SimulationEngine, BatchResultCarriesSampledHalfWidths)
+{
+    const trace::WorkloadProfile &w = trace::workloadByName("gzip");
+    std::vector<exec::SimJob> jobs;
+    for (doe::Level level : {doe::Level::Low, doe::Level::High}) {
+        exec::SimJob job;
+        job.workload = &w;
+        job.config = methodology::uniformConfig(level);
+        job.instructions = 8000;
+        job.sampling.enabled = true;
+        job.sampling.unitInstructions = 250;
+        job.sampling.warmupInstructions = 250;
+        job.sampling.intervalInstructions = 2000;
+        job.label = "sampled";
+        jobs.push_back(job);
+    }
+    jobs.push_back(jobs[0]);
+    jobs.back().sampling.enabled = false;
+    jobs.back().label = "full";
+    jobs.push_back(jobs[1]);
+    jobs.back().instructions = 9000;
+    jobs.back().label = "bad";
+    const exec::SimulateFn simulate = [](const exec::SimJob &job,
+                                         const exec::AttemptContext &ctx) {
+        if (job.label == "bad")
+            throw exec::PermanentFault("poisoned sampled job");
+        return exec::SimulationEngine::simulateJob(job, ctx);
+    };
+    exec::FaultPolicy collect;
+    collect.collectFailures = true;
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "engine_half_widths";
+    std::remove(path.c_str());
+    exec::SimulationEngine engine(exec::EngineOptions{2, true, simulate});
+    std::vector<exec::JobEvent> events(jobs.size());
+    engine.setJobObserver([&events](const exec::JobEvent &event) {
+        events[event.jobIndex] = event; // one writer per index
+    });
+    exec::BatchResult fresh;
+    {
+        exec::ResultJournal journal(path);
+        engine.setJournal(&journal);
+        fresh = engine.run(jobs, collect);
+        engine.setJournal(nullptr);
+    }
+    ASSERT_EQ(fresh.ciHalfWidths.size(), jobs.size());
+    for (std::size_t i = 0; i < 2; ++i) {
+        ASSERT_TRUE(events[i].sampled);
+        EXPECT_GT(fresh.ciHalfWidths[i], 0.0);
+        EXPECT_EQ(fresh.ciHalfWidths[i],
+                  events[i].sample.ciHalfWidth *
+                      static_cast<double>(
+                          events[i].sample.streamInstructions));
+    }
+    EXPECT_EQ(fresh.ciHalfWidths[2], 0.0) << "unsampled";
+    ASSERT_EQ(fresh.failures.size(), 1u);
+    EXPECT_EQ(fresh.failures[0].jobIndex, 3u);
+    EXPECT_EQ(fresh.ciHalfWidths[3], 0.0) << "quarantined";
+
+    const std::vector<double> zeros(jobs.size(), 0.0);
+    const exec::BatchResult cached = engine.run(jobs, collect);
+    EXPECT_EQ(cached.ciHalfWidths, zeros);
+    EXPECT_EQ(engine.progress().snapshot().cacheHits, 3u);
+
+    {
+        exec::ResultJournal journal(path);
+        exec::SimulationEngine resumed(
+            exec::EngineOptions{2, true, simulate});
+        resumed.setJournal(&journal);
+        const exec::BatchResult replayed = resumed.run(jobs, collect);
+        EXPECT_EQ(replayed.ciHalfWidths, zeros);
+        EXPECT_EQ(resumed.progress().snapshot().journalHits, 3u);
+    }
+    std::remove(path.c_str());
+
+    proc::ProcWorkerPool::Options pool_options;
+    pool_options.workers = 2;
+    pool_options.simulate = simulate;
+    proc::ProcWorkerPool pool(std::move(pool_options));
+    exec::SimulationEngine sandboxed(exec::EngineOptions{2, true});
+    sandboxed.setSimulate(pool.simulateFn());
+    const exec::BatchResult isolated = sandboxed.run(jobs, collect);
+    EXPECT_EQ(isolated.ciHalfWidths, fresh.ciHalfWidths);
+    ASSERT_EQ(isolated.failures.size(), 1u);
+    EXPECT_EQ(isolated.failures[0].jobIndex, 3u);
 }
 
 TEST(SimulationEngine, EmptyBatchIsANoop)

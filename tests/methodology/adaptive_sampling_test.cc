@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "check/rule_ids.hh"
+#include "exec/engine.hh"
 #include "methodology/adaptive_sampling.hh"
 #include "methodology/rank_table.hh"
 #include "obs/trace_span.hh"
@@ -131,4 +133,70 @@ TEST(AdaptiveSampling, ProcessIsolationForksOnePoolForEveryRound)
          at = json.find(span, at + 1))
         ++spans;
     EXPECT_EQ(spans, 2u);
+}
+
+TEST(AdaptiveSampling, OutcomeIsPinned)
+{
+    // The two-round fixture's decisions, exactly: the final rank
+    // table, the ambiguity left after each round and who was refined.
+    const methodology::AdaptiveSamplingResult run =
+        methodology::runAdaptivePbExperiment(twoWorkloads(),
+                                             twoRoundOptions(2));
+    EXPECT_EQ(methodology::rankTableDigest(run.result.summaries),
+              "18374f46cf21b94e");
+    ASSERT_EQ(run.rounds.size(), 2u);
+    EXPECT_EQ(run.rounds[0].ambiguousPairs, 18u);
+    EXPECT_EQ(run.rounds[1].ambiguousPairs, 17u);
+    EXPECT_EQ(run.rounds[0].simulatedBenchmarks,
+              (std::vector<std::string>{"gzip", "mcf"}));
+    EXPECT_EQ(run.rounds[1].simulatedBenchmarks,
+              (std::vector<std::string>{"gzip", "mcf"}));
+    EXPECT_FALSE(run.converged);
+}
+
+TEST(AdaptiveSampling, RefinementRoundKeepsItsDiagnostics)
+{
+    // Every cell reports a wide CI, so both benchmarks stay ambiguous
+    // and round 1 refines both; at round 1's schedule every mcf cell
+    // fails and the collect-mode round drops mcf.
+    exec::EngineOptions engine_opts;
+    engine_opts.threads = 2;
+    engine_opts.simulate = [](const exec::SimJob &job,
+                              const exec::AttemptContext &ctx) {
+        if (job.workload->name == "mcf" &&
+            job.sampling.intervalInstructions == 2500)
+            throw exec::PermanentFault("refined mcf cell");
+        const double cycles =
+            100000.0 + 37.0 * static_cast<double>(ctx.jobIndex % 88);
+        if (ctx.sampleOut != nullptr) {
+            ctx.sampleOut->units = 4;
+            ctx.sampleOut->streamInstructions = job.instructions;
+            ctx.sampleOut->ciHalfWidth = 1.0;
+            ctx.sampleOut->cpiMean =
+                cycles / static_cast<double>(job.instructions);
+            ctx.sampleOut->relativeError =
+                ctx.sampleOut->ciHalfWidth / ctx.sampleOut->cpiMean;
+            ctx.sampleOut->estimatedCycles = cycles;
+        }
+        return cycles;
+    };
+    exec::SimulationEngine engine(engine_opts);
+
+    methodology::AdaptiveSamplingOptions options = twoRoundOptions(2);
+    options.base.campaign.engine = &engine;
+    options.base.campaign.faultPolicy.collectFailures = true;
+    options.base.campaign.degradation =
+        rigor::check::DegradationMode::DropBenchmark;
+    const methodology::AdaptiveSamplingResult run =
+        methodology::runAdaptivePbExperiment(twoWorkloads(), options);
+
+    ASSERT_EQ(run.rounds.size(), 2u);
+    EXPECT_EQ(run.rounds[1].simulatedBenchmarks,
+              (std::vector<std::string>{"gzip"}));
+    EXPECT_TRUE(run.result.validity.hasRule(
+        rigor::check::rules::kCampaignCellQuarantined))
+        << run.result.validity.toString();
+    EXPECT_TRUE(run.result.validity.hasRule(
+        rigor::check::rules::kCampaignBenchmarkDropped))
+        << run.result.validity.toString();
 }

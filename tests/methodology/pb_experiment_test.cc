@@ -202,3 +202,30 @@ TEST(PbExperiment, ValidatesInput)
     EXPECT_THROW(methodology::runPbExperiment(workloads, zero),
                  std::invalid_argument);
 }
+
+TEST(PbExperiment, DropBenchmarksKeepsEveryVectorAligned)
+{
+    // Before ranking, as the driver drops: effects not filled yet.
+    methodology::PbExperimentResult result;
+    result.benchmarks = {"gzip", "mcf", "art"};
+    result.responses = {{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
+    result.ciHalfWidths = {{0.5, 0.5}, {3.0, 4.0}, {0.0, 0.0}};
+    const std::vector<std::string> drop = {"gzip", "nope"};
+    result.dropBenchmarks(drop);
+
+    EXPECT_EQ(result.benchmarks,
+              (std::vector<std::string>{"mcf", "art"}));
+    EXPECT_EQ(result.responses,
+              (std::vector<std::vector<double>>{{3.0, 4.0}, {5.0, 6.0}}));
+    EXPECT_EQ(result.ciHalfWidths,
+              (std::vector<std::vector<double>>{{3.0, 4.0}, {0.0, 0.0}}));
+    EXPECT_TRUE(result.effects.empty());
+    EXPECT_EQ(result.droppedBenchmarks,
+              (std::vector<std::string>{"gzip"}));
+    EXPECT_EQ(result.effectHalfWidth(0), 5.0);
+    EXPECT_EQ(result.effectHalfWidth(1), 0.0);
+
+    const std::vector<std::string> rest = {"mcf", "art"};
+    EXPECT_THROW(result.dropBenchmarks(rest), std::invalid_argument);
+    EXPECT_EQ(result.benchmarks.size(), 2u);
+}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,21 @@ twoWorkloads()
             trace::workloadByName("mcf")};
 }
 
+/** Three replicates of a sampled screen, four units per run. */
+methodology::RankStabilityOptions
+sampledCampaign()
+{
+    methodology::RankStabilityOptions options = fastCampaign(3);
+    rigor::sample::SamplingOptions &sampling =
+        options.base.campaign.sampling;
+    sampling.enabled = true;
+    sampling.unitInstructions = 250;
+    sampling.warmupInstructions = 250;
+    sampling.intervalInstructions = 2000;
+    sampling.targetRelativeError = 0.3;
+    return options;
+}
+
 } // namespace
 
 TEST(ReplicatedPbExperiment, UnderReplicatedFailsPreflight)
@@ -248,4 +264,75 @@ TEST(ReplicatedPbExperiment, BitIdenticalAcrossThreadCounts)
         methodology::runReplicatedPbExperiment(workloads, parallel)
             .stability.toJson();
     EXPECT_EQ(a, b);
+}
+
+TEST(ReplicatedPbExperiment, SampledHalfWidthsArePinned)
+{
+    // Each benchmark's sampling half-width is the RSS of its per-run
+    // CI half-widths, averaged in quadrature over the replicates. The
+    // stub's half-widths are dyadic, so every sum is exact and the
+    // pinned figures do not depend on the summation order.
+    rigor::exec::EngineOptions engine_opts;
+    engine_opts.threads = 2;
+    engine_opts.simulate = [](const rigor::exec::SimJob &job,
+                              const rigor::exec::AttemptContext &ctx) {
+        const std::size_t row = ctx.jobIndex % 88;
+        const double cycles =
+            100000.0 + 37.0 * static_cast<double>(row) +
+            5.0 * static_cast<double>(job.workload->name.size());
+        if (ctx.sampleOut != nullptr) {
+            ctx.sampleOut->units = 4;
+            ctx.sampleOut->streamInstructions = job.instructions;
+            ctx.sampleOut->ciHalfWidth =
+                static_cast<double>(1 + row % 7 +
+                                    job.workload->name.size()) /
+                1024.0;
+            ctx.sampleOut->cpiMean =
+                cycles / static_cast<double>(job.instructions);
+            ctx.sampleOut->estimatedCycles = cycles;
+        }
+        return cycles;
+    };
+    rigor::exec::SimulationEngine engine(engine_opts);
+
+    methodology::RankStabilityOptions options = sampledCampaign();
+    options.base.campaign.engine = &engine;
+    const methodology::ReplicatedPbResult outcome =
+        methodology::runReplicatedPbExperiment(twoWorkloads(), options);
+
+    ASSERT_TRUE(outcome.stability.samplingCiComposed);
+    std::vector<std::string> pinned;
+    for (const methodology::ComposedUncertainty &c :
+         outcome.stability.composed) {
+        char text[64];
+        std::snprintf(text, sizeof(text), "%.17g",
+                      c.samplingHalfWidth);
+        pinned.push_back(c.benchmark + " " + text);
+    }
+    EXPECT_EQ(pinned, (std::vector<std::string>{
+                          "gzip 432.77771370435266",
+                          "mcf 391.82108547248112"}));
+}
+
+TEST(ReplicatedPbExperiment, SampledBitIdenticalAcrossThreadCounts)
+{
+    // The per-benchmark RSS sums each replicate's half-widths in row
+    // order, so the composed figures do not depend on which worker
+    // finished which cell first.
+    const auto composedOf = [](unsigned threads) {
+        methodology::RankStabilityOptions options = sampledCampaign();
+        options.base.campaign.threads = threads;
+        std::vector<double> halves;
+        for (const methodology::ComposedUncertainty &c :
+             methodology::runReplicatedPbExperiment(twoWorkloads(),
+                                                    options)
+                 .stability.composed)
+            halves.push_back(c.samplingHalfWidth);
+        return halves;
+    };
+    const std::vector<double> serial = composedOf(1);
+    ASSERT_EQ(serial.size(), 2u);
+    EXPECT_GT(serial[0], 0.0);
+    for (int repeat = 0; repeat < 3; ++repeat)
+        EXPECT_EQ(composedOf(4), serial);
 }
