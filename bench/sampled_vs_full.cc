@@ -67,12 +67,12 @@ runScreen(const std::vector<trace::WorkloadProfile> &workloads,
     ScreenStats stats;
     std::mutex mutex;
     engine.setJobObserver([&stats, &mutex](const exec::JobEvent &e) {
-        if (!e.sampled)
+        if (!e.result.sample)
             return;
         const std::lock_guard<std::mutex> lock(mutex);
         ++stats.sampledRuns;
-        stats.relErrorSum += e.sample.relativeError;
-        stats.unitSum += e.sample.units;
+        stats.relErrorSum += e.result.sample->relativeError;
+        stats.unitSum += e.result.sample->units;
     });
 
     stats.result = methodology::runPbExperiment(workloads, options);

@@ -3,8 +3,9 @@
 # (doe, methodology, exec) under ThreadSanitizer. Any data race in the
 # SimJobQueue, RunCache, the engine's progress counters and the
 # per-batch metrics publish from them, the drivers that share a
-# SimulationEngine, the sandbox pool's monitor, or the TCP
-# controller's and remote worker's threads fails the run.
+# SimulationEngine (and its cache of whole cell results), the
+# journal's sampled resume paths, the sandbox pool's monitor, or the
+# TCP controller's and remote worker's threads fails the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

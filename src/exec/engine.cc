@@ -252,7 +252,7 @@ publishRunCounts(obs::MetricsRegistry &metrics,
 }
 
 /** The SimulateFn an engine runs when none is given. */
-double
+CellResult
 defaultSimulate(const SimJob &job, const AttemptContext &ctx)
 {
     return SimulationEngine::simulateJob(job, ctx);
@@ -312,13 +312,13 @@ SimulationEngine::setMetrics(obs::MetricsRegistry *metrics)
         &metrics->gauge("engine.queue.initial_depth");
 }
 
-double
+CellResult
 SimulationEngine::simulateJob(const SimJob &job)
 {
     return simulateJob(job, AttemptContext{});
 }
 
-double
+CellResult
 SimulationEngine::simulateJob(const SimJob &job,
                               const AttemptContext &ctx)
 {
@@ -343,9 +343,7 @@ SimulationEngine::simulateJob(const SimJob &job,
         const sample::SampleSummary summary =
             sample::runSampled(core, *source, job.sampling);
         stream.finishRecording();
-        if (ctx.sampleOut != nullptr)
-            *ctx.sampleOut = summary;
-        return summary.estimatedCycles;
+        return CellResult::sampled(summary);
     }
 
     const sim::CoreStats stats =
@@ -372,28 +370,30 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
     }
 
     RunOutcome outcome;
+    JobEvent &event = outcome.event;
+    event.jobIndex = index;
+    event.job = &job;
     if (_observer && keyed)
-        outcome.runKey = key.toString();
+        event.runKey = key.toString();
     if (use_cache) {
-        if (const std::optional<double> cached = _cache.lookup(key)) {
+        if (std::optional<CellResult> cached = _cache.lookup(key)) {
             _progress.addCacheHit();
             _progress.addCompleted();
-            outcome.ok = true;
-            outcome.source = RunSource::CacheHit;
-            outcome.response = *cached;
+            event.ok = true;
+            event.source = RunSource::CacheHit;
+            event.result = std::move(*cached);
             return outcome;
         }
     }
     if (journaled) {
-        if (const std::optional<double> replayed =
-                _journal->lookup(key)) {
+        if (std::optional<CellResult> replayed = _journal->lookup(key)) {
             if (use_cache)
                 _cache.store(key, *replayed);
             _progress.addJournalHit();
             _progress.addCompleted();
-            outcome.ok = true;
-            outcome.source = RunSource::JournalReplay;
-            outcome.response = *replayed;
+            event.ok = true;
+            event.source = RunSource::JournalReplay;
+            event.result = std::move(*replayed);
             return outcome;
         }
     }
@@ -412,32 +412,24 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
         if (ctx.hasDeadline())
             ctx.deadline = std::chrono::steady_clock::now() +
                            policy.attemptDeadline;
-        sample::SampleSummary sample_summary;
-        ctx.sampleOut = &sample_summary;
-        std::string serving_host;
-        ctx.hostOut = &serving_host;
 
         bool retryable = false;
         try {
-            const double response = _simulate(job, ctx);
+            event.result = _simulate(job, ctx);
+            const std::optional<sample::SampleSummary> &sample =
+                event.result.sample;
             if (journaled)
-                _journal->append(key, response);
+                _journal->append(key, event.result);
             if (use_cache)
-                _cache.store(key, response);
+                _cache.store(key, event.result);
             // Progress tracks the *detailed* simulation work: a
             // sampled run only pays for its warm-up + measured units.
             _progress.addSimulatedInstructions(
-                job.sampling.enabled
-                    ? sample_summary.detailedInstructions
-                    : job.instructions + job.warmupInstructions);
+                sample ? sample->detailedInstructions
+                       : job.instructions + job.warmupInstructions);
             _progress.addCompleted();
-            outcome.ok = true;
-            outcome.source = RunSource::Simulated;
-            outcome.attempts = attempt;
-            outcome.response = response;
-            outcome.sampled = job.sampling.enabled;
-            outcome.sample = sample_summary;
-            outcome.host = std::move(serving_host);
+            event.ok = true;
+            event.attempts = attempt;
             if (_instruments.runWallSeconds) {
                 const double wall =
                     std::chrono::duration<double>(
@@ -449,12 +441,12 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
                         static_cast<double>(job.instructions +
                                             job.warmupInstructions) /
                         wall / 1e6);
-                if (job.sampling.enabled) {
+                if (sample) {
                     _instruments.sampledRuns->add();
                     _instruments.sampleUnits->observe(
-                        static_cast<double>(sample_summary.units));
+                        static_cast<double>(sample->units));
                     _instruments.sampleRelError->observe(
-                        sample_summary.relativeError);
+                        sample->relativeError);
                 }
             }
             return outcome;
@@ -493,7 +485,8 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
             std::chrono::steady_clock::now() - job_start)
             .count();
     _progress.addFailed();
-    outcome.attempts = failure.attempts;
+    event.attempts = failure.attempts;
+    event.result = std::numeric_limits<double>::quiet_NaN();
     return outcome;
 }
 
@@ -558,49 +551,31 @@ SimulationEngine::run(std::span<const SimJob> jobs,
                 cancelled.store(true, std::memory_order_relaxed);
                 return;
             }
-            const double job_wall =
+            JobEvent &event = outcome.event;
+            event.wallSeconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - job_begin)
                     .count();
-            busy_seconds[id] += job_wall;
+            busy_seconds[id] += event.wallSeconds;
             if (_trace != nullptr) {
                 obs::TraceWriter::Args args;
-                args.emplace_back("source", toString(outcome.source));
+                args.emplace_back("source", toString(event.source));
                 args.emplace_back("attempts",
-                                  std::to_string(outcome.attempts));
+                                  std::to_string(event.attempts));
                 _trace->addCompleteEvent(
                     jobs[index].label, "job", span_begin,
                     _trace->nowMicros() - span_begin, id + 1,
                     std::move(args));
             }
-            if (_observer) {
-                JobEvent event;
-                event.jobIndex = index;
-                event.job = &jobs[index];
-                event.source = outcome.source;
-                event.ok = outcome.ok;
-                event.attempts = outcome.attempts;
-                event.wallSeconds = job_wall;
-                event.response =
-                    outcome.ok
-                        ? outcome.response
-                        : std::numeric_limits<double>::quiet_NaN();
-                event.runKey = outcome.runKey;
-                event.sampled = outcome.ok && outcome.sampled;
-                event.sample = outcome.sample;
-                event.host = outcome.host;
+            if (_observer)
                 _observer(event);
-            }
-            if (outcome.ok) {
+            if (event.ok) {
                 // Once the batch is cancelled no further result slot
                 // is written; the batch's responses are abandoned.
                 if (!cancelled.load(std::memory_order_relaxed)) {
-                    result.responses[index] = outcome.response;
-                    if (outcome.sampled)
-                        result.ciHalfWidths[index] =
-                            outcome.sample.ciHalfWidth *
-                            static_cast<double>(
-                                outcome.sample.streamInstructions);
+                    result.responses[index] = event.result.cycles;
+                    result.ciHalfWidths[index] =
+                        event.result.ciHalfWidthCycles();
                 }
                 continue;
             }

@@ -26,10 +26,10 @@
  * attempt count and elapsed wall time.
  *
  * Durability: an attached ResultJournal persists every completed
- * cacheable run (fsync per record), and is consulted like a
- * second-level cache — an interrupted campaign resumed against the
- * same journal replays completed runs from disk instead of
- * re-simulating them.
+ * cacheable run's CellResult (fsync per record), and is consulted
+ * like a second-level cache — an interrupted campaign resumed against
+ * the same journal replays completed runs, sampling CIs included,
+ * from disk instead of re-simulating them.
  *
  * Isolation: the attempt executor is a swappable SimulateFn
  * (setSimulate / simulateFn). The default runs attempts in-process on
@@ -85,9 +85,8 @@ struct SimJob
     /**
      * Sampled-simulation schedule. When enabled, the run streams the
      * same instructions but simulates only periodic units in detail
-     * (sample::runSampled); the response becomes the extrapolated
-     * cycle count and the per-run CI comes back in the job event and
-     * in BatchResult::ciHalfWidths.
+     * (sample::runSampled); the run's CellResult carries the
+     * extrapolated cycle count and the SampleSummary.
      */
     sample::SamplingOptions sampling;
     /**
@@ -109,12 +108,14 @@ struct SimJob
 };
 
 /**
- * Executes one attempt of one job. Replaceable via EngineOptions for
- * fault injection and lightweight test stubs; implementations should
- * poll ctx.checkDeadline() if they run long. Must be thread-safe.
+ * Executes one attempt of one job and returns its whole result.
+ * Replaceable via EngineOptions for fault injection and lightweight
+ * test stubs (a stub returning a cycle count reports a full run);
+ * implementations should poll ctx.checkDeadline() if they run long.
+ * Must be thread-safe.
  */
-using SimulateFn =
-    std::function<double(const SimJob &job, const AttemptContext &ctx)>;
+using SimulateFn = std::function<CellResult(const SimJob &job,
+                                            const AttemptContext &ctx)>;
 
 /** Where one completed job's response came from. */
 enum class RunSource
@@ -148,19 +149,11 @@ struct JobEvent
     unsigned attempts = 0;
     /** Wall time of this job on its worker (lookup + attempts). */
     double wallSeconds = 0.0;
-    /** Response cycles; NaN when !ok. */
-    double response = 0.0;
+    /** The cell's result from whichever source served it; cycles
+     *  are NaN when !ok. */
+    CellResult result;
     /** Run-cache key (config hash first); empty if uncacheable. */
     std::string runKey;
-    /** True when this event carries a fresh sampled-run summary
-     *  (simulated with job.sampling enabled; cache and journal hits
-     *  replay only the response). */
-    bool sampled = false;
-    /** Per-run sampling summary; meaningful only when sampled. */
-    sample::SampleSummary sample;
-    /** Name of the remote worker that served the run; empty for
-     *  in-process execution, cache hits, and journal replays. */
-    std::string host;
 };
 
 /** Per-job completion callback; must be thread-safe. */
@@ -256,11 +249,11 @@ class SimulationEngine
      * separately: after each batch's workers join, the engine adds
      * the batch's progress delta to them (simulated = completed -
      * cache_hits - journal_replays), also for a batch that aborts or
-     * fails fast. Recorded per event, on the worker fast path, with
-     * instruments resolved once here: the counter engine.runs.sampled
-     * and the histograms engine.run.wall_seconds, sim.run.mips,
-     * sample.units, sample.rel_error. Per batch: the counters
-     * engine.batches, engine.queue.steals and the gauges
+     * fails fast. Recorded per simulated run, on the worker fast
+     * path, with instruments resolved once here: the counter
+     * engine.runs.sampled and the histograms engine.run.wall_seconds,
+     * sim.run.mips, sample.units, sample.rel_error. Per batch: the
+     * counters engine.batches, engine.queue.steals and the gauges
      * engine.workers.busy_fraction, engine.queue.initial_depth.
      * Not owned; must outlive every subsequent run().
      */
@@ -301,7 +294,7 @@ class SimulationEngine
      * keeps one timing core until it ends and reconfigures it for
      * each job instead of building a new one.
      */
-    static double simulateJob(const SimJob &job);
+    static CellResult simulateJob(const SimJob &job);
 
     /**
      * Deadline-guarded variant: polls ctx.checkDeadline() from the
@@ -309,25 +302,16 @@ class SimulationEngine
      * surfaces as DeadlineExceeded. This is the engine's default
      * SimulateFn and the inner executor fault injectors wrap.
      */
-    static double simulateJob(const SimJob &job,
-                              const AttemptContext &ctx);
+    static CellResult simulateJob(const SimJob &job,
+                                  const AttemptContext &ctx);
 
   private:
-    /** Outcome of one job under the policy (internal). */
+    /** Outcome of one job under the policy (internal): its event
+     *  (wallSeconds left to the caller) and, when !event.ok, its
+     *  failure record. */
     struct RunOutcome
     {
-        bool ok = false;
-        double response = 0.0;
-        RunSource source = RunSource::Simulated;
-        /** Attempts made (0 for cache/journal hits). */
-        unsigned attempts = 0;
-        /** Composed cache identity; empty if uncacheable. */
-        std::string runKey;
-        /** Fresh sampled-run summary (see JobEvent::sampled). */
-        bool sampled = false;
-        sample::SampleSummary sample;
-        /** Serving remote worker (see JobEvent::host). */
-        std::string host;
+        JobEvent event;
         JobFailure failure;
     };
 

@@ -44,11 +44,6 @@
 #include <string>
 #include <vector>
 
-namespace rigor::sample
-{
-struct SampleSummary;
-} // namespace rigor::sample
-
 namespace rigor::exec
 {
 
@@ -169,7 +164,8 @@ struct FaultPolicy
 
 /**
  * Identity and watchdog clock of one attempt, passed to the simulate
- * function. Long-running implementations should poll checkDeadline()
+ * function; input only (the attempt's result is its return value).
+ * Long-running implementations should poll checkDeadline()
  * periodically; the engine's default simulate function does so from
  * the trace source.
  */
@@ -183,22 +179,6 @@ struct AttemptContext
     std::chrono::milliseconds deadlineBudget{0};
     /** Absolute expiry; meaningful only when deadlineBudget > 0. */
     std::chrono::steady_clock::time_point deadline{};
-    /**
-     * Side channel for sampled simulation: when non-null, a
-     * SimulateFn running a sampled job writes its SampleSummary here
-     * (the primary return value stays the scalar response, so every
-     * existing executor — fault injectors, sandbox dispatch, test
-     * stubs — composes unchanged). Not owned.
-     */
-    sample::SampleSummary *sampleOut = nullptr;
-    /**
-     * Side channel for execution provenance: when non-null, an
-     * executor that ships the attempt elsewhere (the remote
-     * controller) writes the serving worker's name here on success,
-     * and the manifest records which host ran each cell. Executors
-     * that run in-process leave it untouched. Not owned.
-     */
-    std::string *hostOut = nullptr;
 
     bool hasDeadline() const { return deadlineBudget.count() > 0; }
 
@@ -239,9 +219,10 @@ struct BatchResult
     /** Responses in job order; quarantined slots are NaN. */
     std::vector<double> responses;
     /**
-     * Sampling CI half-widths in cycles, in job order: the fresh
-     * SampleSummary's ciHalfWidth x streamInstructions. 0 for
-     * unsampled jobs, cache hits, journal replays and failed jobs.
+     * Sampling CI half-widths in cycles, in job order
+     * (CellResult::ciHalfWidthCycles), whether the cell was
+     * simulated, a cache hit or a journal replay. 0 for unsampled
+     * and failed jobs.
      */
     std::vector<double> ciHalfWidths;
     /** Failures in ascending job order (empty = complete batch). */

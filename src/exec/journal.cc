@@ -2,11 +2,14 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -17,16 +20,72 @@ namespace rigor::exec
 namespace
 {
 
-constexpr const char *kHeader = "rigor-journal v1";
+constexpr const char *kHeader = "rigor-journal v2";
 
-/** Shortest round-trip rendering (mirrors the CSV exporter). */
-std::string
-formatResponse(double value)
+/** Visit a SampleSummary's fields in record order. */
+template <typename Summary, typename Visit>
+void
+forEachField(Summary &s, Visit &&visit)
+{
+    visit(s.units);
+    visit(s.detailedInstructions);
+    visit(s.measuredInstructions);
+    visit(s.streamInstructions);
+    visit(s.cpiMean);
+    visit(s.cpiStddev);
+    visit(s.ciHalfWidth);
+    visit(s.relativeError);
+    visit(s.estimatedCycles);
+}
+
+/** Append ' ' and the shortest round-trip rendering of @p value. */
+template <typename T>
+void
+appendField(std::string &line, T value)
 {
     char buffer[64];
     const std::to_chars_result res =
         std::to_chars(buffer, buffer + sizeof(buffer), value);
-    return std::string(buffer, res.ptr);
+    line += ' ';
+    line.append(buffer, res.ptr);
+}
+
+/** Parse one whole field; a double must be finite and >= 0 (an
+ *  unsigned field already rejects a sign). */
+template <typename T>
+bool
+parseField(const std::string &text, T &out)
+{
+    const std::from_chars_result res =
+        std::from_chars(text.data(), text.data() + text.size(), out);
+    if (res.ec != std::errc{} || res.ptr != text.data() + text.size())
+        return false;
+    if constexpr (std::is_floating_point_v<T>)
+        return std::isfinite(out) && out >= 0.0;
+    return true;
+}
+
+/** Decode one record line; nullopt when it is torn or corrupt. */
+std::optional<std::pair<std::string, CellResult>>
+decodeRecord(const std::string &line)
+{
+    std::istringstream in(line);
+    std::string tag, key, field;
+    bool ok = (in >> tag >> key) && tag == "r";
+    const auto next = [&](auto &value) {
+        ok = ok && (in >> field) && parseField(field, value);
+    };
+    CellResult result;
+    next(result.cycles);
+    if (ok && !(in >> std::ws).eof()) {
+        sample::SampleSummary summary;
+        forEachField(summary, next);
+        ok = ok && summary.estimatedCycles == result.cycles;
+        result.sample = summary;
+    }
+    if (!ok || !(in >> std::ws).eof())
+        return std::nullopt;
+    return std::pair{std::move(key), std::move(result)};
 }
 
 bool
@@ -50,12 +109,6 @@ fsyncParentDirectory(const std::string &path)
     const bool ok = ::fsync(fd) == 0;
     ::close(fd);
     return ok;
-}
-
-std::string
-ResultJournal::recordKey(const RunKey &key)
-{
-    return key.toString();
 }
 
 ResultJournal::ResultJournal(std::string path)
@@ -127,24 +180,17 @@ ResultJournal::loadExisting(const std::string &text)
         if (line.empty())
             continue;
 
-        // r <key> <response>, where <key> is the composed identity.
-        std::istringstream fields(line);
-        std::string tag, key, response_text;
-        if (!(fields >> tag >> key >> response_text) || tag != "r") {
+        auto record = decodeRecord(line);
+        if (!record) {
             ++_tornRecords;
             continue;
         }
-        double response = 0.0;
-        const std::from_chars_result parsed = std::from_chars(
-            response_text.data(),
-            response_text.data() + response_text.size(), response);
-        if (parsed.ec != std::errc{} ||
-            parsed.ptr != response_text.data() + response_text.size()) {
-            ++_tornRecords;
-            continue;
-        }
-        if (_records.try_emplace(std::move(key), response).second)
+        if (_records.try_emplace(std::move(record->first),
+                                 std::move(record->second))
+                .second)
             ++_loadedRecords;
+        else
+            ++_duplicateRecords;
     }
 }
 
@@ -155,18 +201,18 @@ ResultJournal::size() const
     return _records.size();
 }
 
-std::optional<double>
+std::optional<CellResult>
 ResultJournal::lookup(const RunKey &key) const
 {
     const std::scoped_lock lock(_mutex);
-    const auto it = _records.find(recordKey(key));
+    const auto it = _records.find(key.toString());
     if (it == _records.end())
         return std::nullopt;
     return it->second;
 }
 
 void
-ResultJournal::append(const RunKey &key, double response)
+ResultJournal::append(const RunKey &key, const CellResult &result)
 {
     if (hasWhitespace(key.workload) || hasWhitespace(key.hookId))
         throw std::invalid_argument(
@@ -174,12 +220,16 @@ ResultJournal::append(const RunKey &key, double response)
             "contain whitespace");
 
     const std::scoped_lock lock(_mutex);
-    const std::string composed = recordKey(key);
+    const std::string composed = key.toString();
     if (_records.contains(composed))
         return; // first record wins, matching the RunCache
 
-    const std::string line =
-        "r " + composed + ' ' + formatResponse(response) + '\n';
+    std::string line = "r " + composed;
+    appendField(line, result.cycles);
+    if (result.sample)
+        forEachField(*result.sample,
+                     [&line](auto value) { appendField(line, value); });
+    line += '\n';
 
     if (_appendsUntilCrash == 0) {
         // Crash drill: leave the torn on-disk state a real mid-write
@@ -205,7 +255,8 @@ ResultJournal::append(const RunKey &key, double response)
         throw BatchAbort("ResultJournal: fsync of '" + _path +
                          "' failed: " + std::strerror(errno));
 
-    _records.emplace(composed, response);
+    // Held as a replay reports it: without the serving host.
+    _records.emplace(composed, result).first->second.host.clear();
     if (_appendsUntilCrash !=
         std::numeric_limits<std::size_t>::max())
         --_appendsUntilCrash;

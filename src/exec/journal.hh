@@ -5,16 +5,18 @@
  * A campaign that dies halfway — OOM kill, power cut, ctrl-C — must
  * not lose its completed cycles: the paper's methodology needs
  * *complete* PB columns, so partial results are only useful if they
- * can be resumed exactly. ResultJournal persists one record per
- * completed run, keyed by the run's cache identity (workload, config
- * hash, run length, warm-up, hook id — the same RunKey the RunCache
- * uses), appended atomically and fsync'd per record. Reopening the
- * journal replays every intact record; a torn final record (the
- * write the crash interrupted) is detected and ignored, so a resumed
- * campaign re-simulates only the jobs the journal does not cover and
- * reproduces the uninterrupted result bit for bit (the engine's
- * responses are written by job index, independent of which jobs came
- * from disk).
+ * can be resumed exactly. Under a "rigor-journal v2" header,
+ * ResultJournal appends and fsyncs one record per completed run,
+ * "r <key> <cycles>" plus, for a sampled run, the nine SampleSummary
+ * fields in declaration order: the run's whole CellResult except its
+ * host, keyed by RunKey::toString() and every number in shortest
+ * round-trip form. Reopening the journal replays every intact record
+ * and counts as torn the write a crash interrupted and any corrupt
+ * record (a missing or extra field, a negative or non-finite number,
+ * a summary whose estimatedCycles is not the cycles). A resumed
+ * campaign so re-simulates only the jobs the journal does not cover
+ * and reproduces the uninterrupted result bit for bit, sampling CIs
+ * included (the engine writes results by job index).
  *
  * The journal binds to the build that wrote it: record identity uses
  * ProcessorConfig::hash(), which is stable across processes of one
@@ -67,7 +69,8 @@ class ResultJournal
      * Open @p path for appending, creating it (with a version
      * header) if absent, and replay every intact existing record.
      * Throws std::runtime_error when the file cannot be opened or
-     * carries a foreign header.
+     * carries a foreign header (a v1 journal, which kept only the
+     * cycles, included).
      */
     explicit ResultJournal(std::string path);
     ~ResultJournal();
@@ -81,11 +84,14 @@ class ResultJournal
     std::size_t loadedRecords() const { return _loadedRecords; }
     /** Torn/corrupt trailing records skipped while loading. */
     std::size_t tornRecords() const { return _tornRecords; }
+    /** Intact records skipped while loading because an earlier record
+     *  holds their key (no single writer appends one twice). */
+    std::size_t duplicateRecords() const { return _duplicateRecords; }
     /** Records currently held (loaded + appended this process). */
     std::size_t size() const;
 
-    /** Replayed response for a run, or nullopt when not journaled. */
-    std::optional<double> lookup(const RunKey &key) const;
+    /** Replayed result for a run, or nullopt when not journaled. */
+    std::optional<CellResult> lookup(const RunKey &key) const;
 
     /**
      * Persist one completed run: single write() of the full record,
@@ -94,7 +100,7 @@ class ResultJournal
      * RunCache). Throws BatchAbort on I/O failure and SimulatedCrash
      * when the crash drill fires.
      */
-    void append(const RunKey &key, double response);
+    void append(const RunKey &key, const CellResult &result);
 
     /**
      * Crash drill: after @p appends more successful appends, every
@@ -106,17 +112,16 @@ class ResultJournal
     void simulateCrashAfter(std::size_t appends);
 
   private:
-    /** Stable composed identity of one run (not std::hash based). */
-    static std::string recordKey(const RunKey &key);
-
     void loadExisting(const std::string &text);
 
     std::string _path;
     int _fd = -1;
     mutable std::mutex _mutex;
-    std::unordered_map<std::string, double> _records;
+    /** Keyed by RunKey::toString(), the stable composed identity. */
+    std::unordered_map<std::string, CellResult> _records;
     std::size_t _loadedRecords = 0;
     std::size_t _tornRecords = 0;
+    std::size_t _duplicateRecords = 0;
     /** Crash drill: appends remaining before the simulated crash;
      *  SIZE_MAX = disabled, 0 = crashing on every append. */
     std::size_t _appendsUntilCrash;

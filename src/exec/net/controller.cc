@@ -226,7 +226,7 @@ CampaignController::beginDrain(std::chrono::milliseconds waitInFlight)
     _cv.notify_all();
 }
 
-double
+CellResult
 CampaignController::execute(const SimJob &job,
                             const AttemptContext &ctx)
 {
@@ -238,6 +238,7 @@ CampaignController::execute(const SimJob &job,
     pending->label = job.label;
 
     proc::JobResult result;
+    std::string host;
     {
         std::unique_lock<std::mutex> lock(_mutex);
         if (_shutdown)
@@ -254,11 +255,11 @@ CampaignController::execute(const SimJob &job,
         if (pending->error)
             std::rethrow_exception(pending->error);
         result = std::move(pending->result);
-        if (ctx.hostOut != nullptr &&
-            result.status == proc::ResultStatus::Ok)
-            *ctx.hostOut = std::move(pending->servedBy);
+        host = std::move(pending->servedBy);
     }
-    return proc::unwrapResult(result, ctx);
+    CellResult cell = proc::unwrapResult(result);
+    cell.host = std::move(host);
+    return cell;
 }
 
 void

@@ -212,11 +212,12 @@ class CampaignController
 
     /**
      * Execute one attempt on the fleet (blocks until a worker's
-     * result or migration exhaustion). Throws the same taxonomy as
-     * the sandbox pool: TransientFault / DeadlineExceeded /
+     * result or migration exhaustion) and return it with the serving
+     * worker's name as its host. Throws the same taxonomy as the
+     * sandbox pool: TransientFault / DeadlineExceeded /
      * ResourceExhausted / PermanentFault.
      */
-    double execute(const SimJob &job, const AttemptContext &ctx);
+    CellResult execute(const SimJob &job, const AttemptContext &ctx);
 
     /** Engine-facing adapter around execute() — the distributed
      *  counterpart of ProcWorkerPool::simulateFn(). */

@@ -167,8 +167,8 @@ JobResult::serialize(Writer &out) const
     out.pod(cycles);
     out.pod(wallSeconds);
     out.str(message);
-    out.pod(hasSample);
-    out.pod(sample);
+    out.pod(sample.has_value());
+    out.pod(sample.value_or(sample::SampleSummary{}));
 }
 
 JobResult
@@ -179,8 +179,10 @@ JobResult::deserialize(Reader &in)
     result.cycles = in.pod<double>();
     result.wallSeconds = in.pod<double>();
     result.message = in.str();
-    result.hasSample = in.pod<bool>();
-    result.sample = in.pod<sample::SampleSummary>();
+    const bool has_sample = in.pod<bool>();
+    const auto summary = in.pod<sample::SampleSummary>();
+    if (has_sample)
+        result.sample = summary;
     return result;
 }
 

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -214,11 +215,9 @@ struct JobResult
     double wallSeconds = 0.0;
     /** Failure message; empty for Ok. */
     std::string message;
-    /** True when sample holds a sampled-run summary (Ok + sampling
-     *  enabled in the request). */
-    bool hasSample = false;
-    /** Sampled-run summary (trivially copyable pod). */
-    sample::SampleSummary sample;
+    /** Sampled-run summary (Ok + a sampled run). On the wire: a
+     *  presence bool, then the pod, zeroed when absent. */
+    std::optional<sample::SampleSummary> sample;
 
     void serialize(Writer &out) const;
     static JobResult deserialize(Reader &in);

@@ -120,16 +120,13 @@ runRequest(const JobRequest &request, const SimulateFn &simulate,
         ctx.deadlineBudget = request.deadlineBudget;
         if (ctx.hasDeadline())
             ctx.deadline = start + request.deadlineBudget;
-        sample::SampleSummary summary;
-        ctx.sampleOut = &summary;
 
-        result.cycles = simulate ? simulate(job, ctx)
-                                 : SimulationEngine::simulateJob(job, ctx);
+        const CellResult cell = simulate
+                                    ? simulate(job, ctx)
+                                    : SimulationEngine::simulateJob(job, ctx);
         result.status = ResultStatus::Ok;
-        if (request.sampling.enabled) {
-            result.hasSample = true;
-            result.sample = summary;
-        }
+        result.cycles = cell.cycles;
+        result.sample = cell.sample;
     } catch (const TransientFault &e) {
         result.status = ResultStatus::Transient;
         result.message = e.what();
@@ -149,14 +146,15 @@ runRequest(const JobRequest &request, const SimulateFn &simulate,
     return result;
 }
 
-double
-unwrapResult(const JobResult &result, const AttemptContext &ctx)
+CellResult
+unwrapResult(const JobResult &result)
 {
     switch (result.status) {
-      case ResultStatus::Ok:
-        if (result.hasSample && ctx.sampleOut != nullptr)
-            *ctx.sampleOut = result.sample;
-        return result.cycles;
+      case ResultStatus::Ok: {
+        CellResult cell(result.cycles);
+        cell.sample = result.sample;
+        return cell;
+      }
       case ResultStatus::Transient:
         throw TransientFault(result.message);
       case ResultStatus::Deadline:

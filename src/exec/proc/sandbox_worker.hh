@@ -79,11 +79,11 @@ JobResult runRequest(const JobRequest &request,
                      const SandboxHookFactory &hookFactory);
 
 /**
- * Unwrap a received result: the measured cycles (the sample summary
- * lands in ctx.sampleOut), or the matching TransientFault /
- * DeadlineExceeded / ResourceExhausted / PermanentFault.
+ * Unwrap a received result: the cell's cycles and sample summary (no
+ * host; the fleet controller sets it), or the matching TransientFault
+ * / DeadlineExceeded / ResourceExhausted / PermanentFault.
  */
-double unwrapResult(const JobResult &result, const AttemptContext &ctx);
+CellResult unwrapResult(const JobResult &result);
 
 /** Everything the child main loop needs (inherited through fork). */
 struct SandboxContext

@@ -236,7 +236,7 @@ ProcWorkerPool::throwClassifiedLocked(int status, bool watchdog_killed,
         identity);
 }
 
-double
+CellResult
 ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
 {
     Writer writer;
@@ -318,7 +318,7 @@ ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
         _freeCv.notify_one();
 
         Reader reader(frame);
-        return unwrapResult(JobResult::deserialize(reader), ctx);
+        return unwrapResult(JobResult::deserialize(reader));
     }
 
     // EOF without an answer: the worker died mid-attempt. Reap it,

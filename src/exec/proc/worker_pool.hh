@@ -113,12 +113,12 @@ class ProcWorkerPool
 
     /**
      * Ship one attempt to a free worker and block for its outcome.
-     * Returns measured cycles, or throws the classified fault
+     * Returns the cell's result, or throws the classified fault
      * (TransientFault / DeadlineExceeded / ResourceExhausted /
      * PermanentFault — see the file comment). Thread-safe; callers
      * beyond the worker count queue on a condition variable.
      */
-    double execute(const SimJob &job, const AttemptContext &ctx);
+    CellResult execute(const SimJob &job, const AttemptContext &ctx);
 
     unsigned workers() const
     {

@@ -35,26 +35,22 @@ RunKey::toString() const
     return os.str();
 }
 
-std::optional<double>
-RunCache::lookup(const RunKey &key)
+std::optional<CellResult>
+RunCache::lookup(const RunKey &key) const
 {
-    {
-        const std::scoped_lock lock(_mutex);
-        const auto it = _entries.find(key);
-        if (it != _entries.end()) {
-            _hits.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    _misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    const std::scoped_lock lock(_mutex);
+    const auto it = _entries.find(key);
+    if (it == _entries.end())
+        return std::nullopt;
+    return it->second;
 }
 
 void
-RunCache::store(const RunKey &key, double response)
+RunCache::store(const RunKey &key, CellResult result)
 {
+    result.host.clear(); // a replayed cell reports no host
     const std::scoped_lock lock(_mutex);
-    _entries.try_emplace(key, response);
+    _entries.try_emplace(key, std::move(result));
 }
 
 std::size_t
@@ -62,15 +58,6 @@ RunCache::size() const
 {
     const std::scoped_lock lock(_mutex);
     return _entries.size();
-}
-
-void
-RunCache::clear()
-{
-    const std::scoped_lock lock(_mutex);
-    _entries.clear();
-    _hits.store(0, std::memory_order_relaxed);
-    _misses.store(0, std::memory_order_relaxed);
 }
 
 } // namespace rigor::exec

@@ -14,18 +14,23 @@
  * Hooked runs participate only when the caller supplies a stable hook
  * identity string (e.g. "precompute-128/gzip"); a hook factory with
  * no identity is assumed impure and bypasses the cache.
+ *
+ * What a run produces is one CellResult: the cycles and, for a
+ * sampled run, its SampleSummary. Attempts return it, the cache and
+ * the journal store it whole, so a replayed cell reports the same CI
+ * as the fresh one.
  */
 
 #ifndef RIGOR_EXEC_RUN_CACHE_HH
 #define RIGOR_EXEC_RUN_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "sample/sampling.hh"
 #include "sim/config.hh"
 
 namespace rigor::exec
@@ -61,27 +66,55 @@ struct RunKey
     std::string toString() const;
 };
 
-/** Thread-safe memo table from RunKey to measured cycles. */
+/**
+ * One cell's result, whole: what an attempt returns and what the run
+ * cache and the journal store. A plain cycle count converts to it as
+ * a full (unsampled) run, so scalar executors need no change.
+ */
+struct CellResult
+{
+    CellResult(double measured_cycles = 0.0) : cycles(measured_cycles) {}
+
+    /** A sampled run: its extrapolated cycles and its summary. */
+    static CellResult sampled(const sample::SampleSummary &summary)
+    {
+        CellResult result(summary.estimatedCycles);
+        result.sample = summary;
+        return result;
+    }
+
+    /** Response cycles (a sampled run's estimatedCycles). */
+    double cycles = 0.0;
+    /** The sampled run's summary; nullopt for a full run. */
+    std::optional<sample::SampleSummary> sample;
+    /** Remote worker that served the attempt; empty for in-process
+     *  runs and for every cached or journaled result. */
+    std::string host;
+
+    /** Sampling CI half-width in cycles; 0 for a full run. */
+    double ciHalfWidthCycles() const
+    {
+        return sample ? sample->ciHalfWidth *
+                            static_cast<double>(sample->streamInstructions)
+                      : 0.0;
+    }
+
+    bool operator==(const CellResult &) const = default;
+};
+
+/** Thread-safe memo table from RunKey to CellResult. */
 class RunCache
 {
   public:
-    /** Cached response, or nullopt on miss. Counts hit/miss stats. */
-    std::optional<double> lookup(const RunKey &key);
+    /** Cached result, or nullopt on miss (the engine's
+     *  ProgressReporter counts the hits). */
+    std::optional<CellResult> lookup(const RunKey &key) const;
 
-    /** Record one run's response (first writer wins). */
-    void store(const RunKey &key, double response);
+    /** Record one run's result without its host (first writer
+     *  wins). */
+    void store(const RunKey &key, CellResult result);
 
     std::size_t size() const;
-    std::uint64_t hits() const
-    {
-        return _hits.load(std::memory_order_relaxed);
-    }
-    std::uint64_t misses() const
-    {
-        return _misses.load(std::memory_order_relaxed);
-    }
-
-    void clear();
 
   private:
     struct KeyHash
@@ -93,9 +126,7 @@ class RunCache
     };
 
     mutable std::mutex _mutex;
-    std::unordered_map<RunKey, double, KeyHash> _entries;
-    std::atomic<std::uint64_t> _hits{0};
-    std::atomic<std::uint64_t> _misses{0};
+    std::unordered_map<RunKey, CellResult, KeyHash> _entries;
 };
 
 } // namespace rigor::exec

@@ -47,9 +47,6 @@ findAmbiguity(const PbExperimentResult &result,
                 it - factor_names.begin()));
     }
 
-    // A cell served from the cache or the journal has a zero
-    // half-width, an understatement the loop tolerates: the identical
-    // schedule already ran, and its ambiguity was judged when fresh.
     for (std::size_t b = 0; b < result.benchmarks.size(); ++b) {
         const double threshold =
             options.ambiguityFactor * result.effectHalfWidth(b);

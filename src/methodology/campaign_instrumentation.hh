@@ -269,14 +269,7 @@ manifestCellObserver(obs::CampaignManifest *manifest,
             event.ok ? exec::toString(event.source) : "failed";
         cell.attempts = event.attempts;
         cell.wallSeconds = event.wallSeconds;
-        cell.response = event.response;
-        if (event.sampled) {
-            cell.sampled = true;
-            cell.sampleUnits = event.sample.units;
-            cell.sampleRelativeError = event.sample.relativeError;
-            cell.sampleCiHalfWidth = event.sample.ciHalfWidth;
-        }
-        cell.host = event.host;
+        cell.result = event.result;
         manifest->addCell(cell);
     };
 }

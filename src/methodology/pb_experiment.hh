@@ -90,11 +90,8 @@ struct PbExperimentResult
     std::vector<std::string> benchmarks;
     /** Execution cycles: responses[bench][design row]. */
     std::vector<std::vector<double>> responses;
-    /**
-     * Sampling CI half-widths in cycles, aligned with responses; 0
-     * for full runs and for cells served from the run cache or the
-     * journal (see exec::BatchResult::ciHalfWidths).
-     */
+    /** Sampling CI half-widths in cycles, aligned with responses; 0
+     *  for full runs (see exec::BatchResult::ciHalfWidths). */
     std::vector<std::vector<double>> ciHalfWidths;
     /** PB effects: effects[bench][factor], 43 factors. */
     std::vector<std::vector<double>> effects;

@@ -76,18 +76,18 @@ CampaignManifest::addCell(const CellRecord &cell)
     line += ",\"wall_seconds\":";
     line += jsonNumber(cell.wallSeconds);
     line += ",\"response\":";
-    line += jsonNumber(cell.response);
-    if (cell.sampled) {
+    line += jsonNumber(cell.result.cycles);
+    if (const auto &sample = cell.result.sample) {
         line += ",\"sampled\":true,\"sample_units\":";
-        line += std::to_string(cell.sampleUnits);
+        line += std::to_string(sample->units);
         line += ",\"sample_rel_error\":";
-        line += jsonNumber(cell.sampleRelativeError);
+        line += jsonNumber(sample->relativeError);
         line += ",\"sample_half_width\":";
-        line += jsonNumber(cell.sampleCiHalfWidth);
+        line += jsonNumber(sample->ciHalfWidth);
     }
-    if (!cell.host.empty()) {
+    if (!cell.result.host.empty()) {
         line += ",\"host\":";
-        appendJsonString(line, cell.host);
+        appendJsonString(line, cell.result.host);
     }
     line += '}';
     append(std::move(line));

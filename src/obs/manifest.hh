@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "exec/progress.hh"
+#include "exec/run_cache.hh"
 #include "sample/sampling.hh"
 
 namespace rigor::obs
@@ -73,18 +74,10 @@ struct CellRecord
     std::string source;
     unsigned attempts = 0;
     double wallSeconds = 0.0;
-    /** Measured cycles; NaN renders as null for quarantined cells. */
-    double response = 0.0;
-    /** True when this cell was freshly simulated under sampling; the
-     *  three fields below are rendered only then. */
-    bool sampled = false;
-    std::uint64_t sampleUnits = 0;
-    double sampleRelativeError = 0.0;
-    double sampleCiHalfWidth = 0.0;
-    /** Worker that served the cell in a distributed campaign;
-     *  rendered only when non-empty (in-process runs, cache hits, and
-     *  journal replays carry no host). */
-    std::string host;
+    /** The cell's result: cycles (NaN renders as null for a
+     *  quarantined cell), the sample's units, relative error and CI
+     *  half-width when it has one, and the host when non-empty. */
+    exec::CellResult result;
 };
 
 /** One lease-lifecycle event of a distributed campaign (the "lease"

@@ -98,6 +98,8 @@ struct SampleSummary
     {
         return units >= 2 && relativeError <= target_rel_error;
     }
+
+    bool operator==(const SampleSummary &) const = default;
 };
 
 static_assert(std::is_trivially_copyable_v<SampleSummary>,

@@ -174,12 +174,31 @@ TEST(RunCache, StoreThenLookupReturnsExactValue)
     EXPECT_FALSE(cache.lookup(key).has_value());
     const double value = 123456789.0000001;
     cache.store(key, value);
-    const std::optional<double> hit = cache.lookup(key);
+    const std::optional<exec::CellResult> hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, value); // bit-exact, not approximately
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(hit->cycles, value); // bit-exact, not approximately
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(RunCache, StoresTheWholeCellResultWithoutItsHost)
+{
+    exec::RunCache cache;
+    exec::RunKey key;
+    key.workload = "gzip";
+    rigor::sample::SampleSummary summary;
+    summary.units = 4;
+    summary.ciHalfWidth = 0.25;
+    summary.estimatedCycles = 1234.5;
+    exec::CellResult result = exec::CellResult::sampled(summary);
+    result.host = "w1";
+    cache.store(key, result);
+
+    const std::optional<exec::CellResult> hit = cache.lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->cycles, 1234.5);
+    ASSERT_TRUE(hit->sample.has_value());
+    EXPECT_EQ(*hit->sample, summary);
+    EXPECT_TRUE(hit->host.empty()) << "a replayed cell reports no host";
 }
 
 TEST(RunCache, DistinguishesEveryKeyComponent)
@@ -206,19 +225,6 @@ TEST(RunCache, DistinguishesEveryKeyComponent)
     other = key;
     other.config.robEntries += 1;
     EXPECT_FALSE(cache.lookup(other).has_value());
-}
-
-TEST(RunCache, ClearResetsEntriesAndCounters)
-{
-    exec::RunCache cache;
-    exec::RunKey key;
-    key.workload = "w";
-    cache.store(key, 2.0);
-    ASSERT_TRUE(cache.lookup(key).has_value());
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_FALSE(cache.lookup(key).has_value());
 }
 
 // ----- ProcessorConfig hash/equality -----
@@ -580,7 +586,7 @@ TEST(SimulationEngine, TimedOutAttemptLeavesNoReplayableStream)
 
     // The same (profile, length) again: the attempt above stopped
     // part-way, so this run must regenerate the whole stream.
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(job),
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job).cycles,
               methodology::simulateOnce(w, job.config,
                                         job.instructions));
 }
@@ -609,11 +615,11 @@ TEST(SimulationEngine, DeadlineMidRunLeavesTheWorkerCoreReusable)
     next.config = methodology::uniformConfig(doe::Level::Low);
     next.instructions = 3000;
     next.warmupInstructions = 500;
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(next),
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(next).cycles,
               methodology::simulateOnce(small, next.config,
                                         next.instructions, nullptr,
                                         next.warmupInstructions));
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(interrupted),
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(interrupted).cycles,
               methodology::simulateOnce(big, interrupted.config,
                                         interrupted.instructions));
 }
@@ -644,20 +650,23 @@ TEST(SimulationEngine, HookedJobLeavesNoHookOnTheWorkerCore)
     hooked.makeHook = [&calls]() {
         return std::make_unique<InterceptAll>(calls);
     };
-    EXPECT_NE(exec::SimulationEngine::simulateJob(hooked), reference);
+    EXPECT_NE(exec::SimulationEngine::simulateJob(hooked).cycles,
+              reference);
     EXPECT_EQ(calls, job.instructions);
 
     // Same workload and config, no hook: the hook died with its job
     // and must not be consulted again.
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(job), reference);
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job).cycles,
+              reference);
     EXPECT_EQ(calls, job.instructions);
 }
 
 /**
- * BatchResult::ciHalfWidths holds each freshly sampled run's CI in
- * cycles, equal to its job event's ciHalfWidth x streamInstructions,
- * and 0 for unsampled, failed, cached and journal-replayed jobs; the
- * sandbox pool hands back the same figures as the worker threads.
+ * BatchResult::ciHalfWidths holds each sampled run's CI in cycles,
+ * equal to its job event's ciHalfWidth x streamInstructions, and 0
+ * for unsampled and failed jobs. A cache hit and a journal replay
+ * hand back the fresh run's figure and summary; so does the sandbox
+ * pool.
  */
 TEST(SimulationEngine, BatchResultCarriesSampledHalfWidths)
 {
@@ -706,32 +715,47 @@ TEST(SimulationEngine, BatchResultCarriesSampledHalfWidths)
         engine.setJournal(nullptr);
     }
     ASSERT_EQ(fresh.ciHalfWidths.size(), jobs.size());
+    const std::vector<exec::JobEvent> fresh_events = events;
     for (std::size_t i = 0; i < 2; ++i) {
-        ASSERT_TRUE(events[i].sampled);
+        ASSERT_TRUE(events[i].result.sample);
         EXPECT_GT(fresh.ciHalfWidths[i], 0.0);
         EXPECT_EQ(fresh.ciHalfWidths[i],
-                  events[i].sample.ciHalfWidth *
+                  events[i].result.sample->ciHalfWidth *
                       static_cast<double>(
-                          events[i].sample.streamInstructions));
+                          events[i].result.sample->streamInstructions));
     }
     EXPECT_EQ(fresh.ciHalfWidths[2], 0.0) << "unsampled";
     ASSERT_EQ(fresh.failures.size(), 1u);
     EXPECT_EQ(fresh.failures[0].jobIndex, 3u);
     EXPECT_EQ(fresh.ciHalfWidths[3], 0.0) << "quarantined";
 
-    const std::vector<double> zeros(jobs.size(), 0.0);
     const exec::BatchResult cached = engine.run(jobs, collect);
-    EXPECT_EQ(cached.ciHalfWidths, zeros);
+    EXPECT_EQ(cached.ciHalfWidths, fresh.ciHalfWidths);
     EXPECT_EQ(engine.progress().snapshot().cacheHits, 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(events[i].source, exec::RunSource::CacheHit);
+        EXPECT_EQ(events[i].result, fresh_events[i].result) << i;
+    }
 
     {
         exec::ResultJournal journal(path);
         exec::SimulationEngine resumed(
             exec::EngineOptions{2, true, simulate});
         resumed.setJournal(&journal);
+        std::vector<exec::JobEvent> replay_events(jobs.size());
+        resumed.setJobObserver(
+            [&replay_events](const exec::JobEvent &event) {
+                replay_events[event.jobIndex] = event;
+            });
         const exec::BatchResult replayed = resumed.run(jobs, collect);
-        EXPECT_EQ(replayed.ciHalfWidths, zeros);
+        EXPECT_EQ(replayed.ciHalfWidths, fresh.ciHalfWidths);
         EXPECT_EQ(resumed.progress().snapshot().journalHits, 3u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(replay_events[i].source,
+                      exec::RunSource::JournalReplay);
+            EXPECT_EQ(replay_events[i].result, fresh_events[i].result)
+                << i;
+        }
     }
     std::remove(path.c_str());
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -77,10 +78,11 @@ TEST(ResultJournal, RoundTripsResponsesBitExactly)
     EXPECT_EQ(reopened.loadedRecords(), values.size());
     EXPECT_EQ(reopened.tornRecords(), 0u);
     for (std::size_t i = 0; i < values.size(); ++i) {
-        const std::optional<double> hit =
+        const std::optional<exec::CellResult> hit =
             reopened.lookup(keyFor("gzip", 16 + unsigned(i)));
         ASSERT_TRUE(hit.has_value()) << "value " << i;
-        EXPECT_EQ(*hit, values[i]) << "bit-exact round trip";
+        EXPECT_EQ(hit->cycles, values[i]) << "bit-exact round trip";
+        EXPECT_FALSE(hit->sample.has_value());
     }
     EXPECT_FALSE(reopened.lookup(keyFor("mcf", 16)).has_value());
 }
@@ -92,7 +94,19 @@ TEST(ResultJournal, FirstRecordWinsOnDuplicateKeys)
     journal.append(keyFor("gzip", 16), 111.0);
     journal.append(keyFor("gzip", 16), 222.0);
     EXPECT_EQ(journal.size(), 1u);
-    EXPECT_EQ(*journal.lookup(keyFor("gzip", 16)), 111.0);
+    EXPECT_EQ(journal.lookup(keyFor("gzip", 16))->cycles, 111.0);
+    EXPECT_EQ(journal.duplicateRecords(), 0u);
+
+    // A duplicate on disk (which no single writer appends) loads as
+    // the first record and is counted.
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out << "r " << keyFor("gzip", 16).toString() << " 333\n";
+    }
+    exec::ResultJournal reopened(path);
+    EXPECT_EQ(reopened.loadedRecords(), 1u);
+    EXPECT_EQ(reopened.duplicateRecords(), 1u);
+    EXPECT_EQ(reopened.lookup(keyFor("gzip", 16))->cycles, 111.0);
 }
 
 TEST(ResultJournal, ToleratesTornFinalRecord)
@@ -112,8 +126,8 @@ TEST(ResultJournal, ToleratesTornFinalRecord)
     exec::ResultJournal reopened(path);
     EXPECT_EQ(reopened.loadedRecords(), 2u);
     EXPECT_EQ(reopened.tornRecords(), 1u);
-    EXPECT_EQ(*reopened.lookup(keyFor("gzip", 16)), 1.0);
-    EXPECT_EQ(*reopened.lookup(keyFor("gzip", 18)), 2.0);
+    EXPECT_EQ(reopened.lookup(keyFor("gzip", 16))->cycles, 1.0);
+    EXPECT_EQ(reopened.lookup(keyFor("gzip", 18))->cycles, 2.0);
 
     // Appending after recovery still works and the file stays sane.
     reopened.append(keyFor("gzip", 20), 3.0);
@@ -136,6 +150,103 @@ TEST(ResultJournal, RejectsForeignFilesAndBadIdentities)
     exec::ResultJournal journal(journalPath("journal_badkey"));
     EXPECT_THROW(journal.append(keyFor("two words", 16), 1.0),
                  std::invalid_argument);
+}
+
+TEST(ResultJournal, RejectsAVersionOneJournal)
+{
+    // A v1 record kept only the cycles; resuming from it would hand
+    // sampled cells back without their CIs.
+    const std::string path = journalPath("journal_v1");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "rigor-journal v1\nr " << keyFor("gzip", 16).toString()
+            << " 1000\n";
+    }
+    EXPECT_THROW(exec::ResultJournal{path}, std::runtime_error);
+}
+
+TEST(ResultJournal, SampledRecordRoundTripsEverySummaryField)
+{
+    rigor::sample::SampleSummary summary;
+    summary.units = 7;
+    summary.detailedInstructions = 3500;
+    summary.measuredInstructions = 1750;
+    summary.streamInstructions = 20000;
+    summary.cpiMean = 1.0 / 3.0;
+    summary.cpiStddev = 0.1 + 0.2;
+    summary.ciHalfWidth = 5e-324;
+    summary.relativeError = 2.0 / 3.0;
+    summary.estimatedCycles = summary.cpiMean * 20000.0;
+    exec::CellResult result = exec::CellResult::sampled(summary);
+    result.host = "w1";
+
+    const std::string path = journalPath("journal_sampled");
+    {
+        exec::ResultJournal journal(path);
+        journal.append(keyFor("gzip", 16), result);
+        const std::optional<exec::CellResult> held =
+            journal.lookup(keyFor("gzip", 16));
+        ASSERT_TRUE(held.has_value());
+        EXPECT_TRUE(held->host.empty()) << "a replay reports no host";
+    }
+    exec::ResultJournal reopened(path);
+    EXPECT_EQ(reopened.tornRecords(), 0u);
+    const std::optional<exec::CellResult> hit =
+        reopened.lookup(keyFor("gzip", 16));
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_TRUE(hit->sample.has_value());
+    EXPECT_EQ(std::memcmp(&*hit->sample, &summary, sizeof summary), 0)
+        << "every field bit-exact";
+    EXPECT_EQ(hit->cycles, summary.estimatedCycles);
+    EXPECT_TRUE(hit->host.empty());
+}
+
+TEST(ResultJournal, CorruptRecordsCountAsTorn)
+{
+    // Each bad record is counted and skipped instead of replaying a
+    // made-up response into the PB effects.
+    const std::string good_sampled = keyFor("gzip", 16).toString();
+    const std::string good_full = keyFor("gzip", 18).toString();
+    const std::string bad = "r " + keyFor("gzip", 20).toString() + ' ';
+    const std::string summary = " 4 2000 1000 8000 1.5 0.25 0.125 0.0625 "
+                                "12000";
+    const std::vector<std::string> corrupt = {
+        bad + "nan",
+        bad + "inf",
+        bad + "-12000",
+        bad,                                  // missing cycles
+        bad + "12000 7",                      // extra field
+        bad + "12000" + summary + " 1",       // extra after the summary
+        bad + "12000 4 2000 1000 8000 1.5 0.25 0.125 0.0625", // short
+        bad + "12001" + summary,              // estimatedCycles differs
+        bad + "12000 -4 2000 1000 8000 1.5 0.25 0.125 0.0625 12000",
+        bad + "12000 4 2000 1000 8000 1.5 nan 0.125 0.0625 12000",
+        bad + "12000 4 2000 1000 8000 -1.5 0.25 0.125 0.0625 12000",
+        "x " + keyFor("gzip", 20).toString() + " 12000", // bad tag
+    };
+    const std::string path = journalPath("journal_corrupt");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "rigor-journal v2\n";
+        out << "r " << good_sampled << " 12000" << summary << '\n';
+        for (const std::string &line : corrupt)
+            out << line << '\n';
+        out << "r " << good_full << " 12000\n";
+    }
+    exec::ResultJournal journal(path);
+    EXPECT_EQ(journal.loadedRecords(), 2u);
+    EXPECT_EQ(journal.tornRecords(), corrupt.size());
+    EXPECT_FALSE(journal.lookup(keyFor("gzip", 20)).has_value());
+    const std::optional<exec::CellResult> sampled =
+        journal.lookup(keyFor("gzip", 16));
+    ASSERT_TRUE(sampled.has_value());
+    ASSERT_TRUE(sampled->sample.has_value());
+    EXPECT_EQ(sampled->sample->units, 4u);
+    EXPECT_EQ(sampled->sample->ciHalfWidth, 0.125);
+    const std::optional<exec::CellResult> full =
+        journal.lookup(keyFor("gzip", 18));
+    ASSERT_TRUE(full.has_value());
+    EXPECT_FALSE(full->sample.has_value());
 }
 
 TEST(ResultJournal, CrashDrillPersistsExactlyTheCompletedAppends)

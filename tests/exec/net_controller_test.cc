@@ -212,7 +212,7 @@ executeAsync(net::CampaignController &controller, const SimJob &job,
                                            jobIndex] {
         AttemptContext ctx;
         ctx.jobIndex = jobIndex;
-        return controller.execute(job, ctx);
+        return controller.execute(job, ctx).cycles;
     });
 }
 
@@ -277,13 +277,13 @@ TEST(NetController, ExecutesJobsAcrossARealWorkerFleet)
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i].get(), 1000.0 + static_cast<double>(i));
 
-    // Provenance side channel: the serving worker's name comes back.
+    // Provenance: the serving worker's name comes back as the host.
     AttemptContext ctx;
     ctx.jobIndex = 99;
-    std::string host;
-    ctx.hostOut = &host;
-    EXPECT_EQ(controller->execute(job, ctx), 1099.0);
-    EXPECT_TRUE(host == "w1" || host == "w2") << host;
+    const rigor::exec::CellResult served = controller->execute(job, ctx);
+    EXPECT_EQ(served.cycles, 1099.0);
+    EXPECT_TRUE(served.host == "w1" || served.host == "w2")
+        << served.host;
 
     EXPECT_EQ(controller->leasesGranted(), 9u);
     EXPECT_EQ(controller->leasesReclaimed(), 0u);

@@ -211,7 +211,7 @@ executeAsync(net::CampaignController &controller, const SimJob &job,
                       [&controller, &job, jobIndex] {
                           AttemptContext ctx;
                           ctx.jobIndex = jobIndex;
-                          return controller.execute(job, ctx);
+                          return controller.execute(job, ctx).cycles;
                       });
 }
 

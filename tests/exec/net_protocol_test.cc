@@ -276,12 +276,12 @@ TEST(NetProtocol, SessionAckRejectsNonCanonicalBools)
 
 TEST(NetProtocol, JobDoneRejectsNonCanonicalBool)
 {
-    // The controller's view of a JobDone whose hasSample byte is 2.
+    // The controller's view of a JobDone whose sample presence byte is 2.
     proc::JobResult result;
     result.status = proc::ResultStatus::Ok;
     result.cycles = 1234.5;
     const std::vector<std::byte> body = rigor::test::withBoolByteTwo(
-        result, [](proc::JobResult &r) { r.hasSample = true; });
+        result, [](proc::JobResult &r) { r.sample.emplace(); });
     const std::uint64_t lease_id = 7; // rides in front
     std::vector<std::byte> message(sizeof(lease_id) + body.size());
     std::memcpy(message.data(), &lease_id, sizeof(lease_id));

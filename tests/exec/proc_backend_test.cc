@@ -223,7 +223,7 @@ TEST(ProcProtocol, JobResultRejectsNonCanonicalBool)
     result.status = proc::ResultStatus::Ok;
     result.cycles = 1234.5;
     const std::vector<std::byte> bytes = rigor::test::withBoolByteTwo(
-        result, [](proc::JobResult &r) { r.hasSample = true; });
+        result, [](proc::JobResult &r) { r.sample.emplace(); });
     proc::Reader in(bytes);
     EXPECT_THROW(proc::JobResult::deserialize(in), proc::ProtocolError);
 }
@@ -238,7 +238,7 @@ TEST(ProcWorkerPool, ExecutesJobsInsideSandboxWorkers)
 
     for (std::size_t i = 0; i < 8; ++i) {
         const exec::SimJob job = sandboxJob(w, i, "ok");
-        EXPECT_DOUBLE_EQ(pool.execute(job, attempt(i)),
+        EXPECT_DOUBLE_EQ(pool.execute(job, attempt(i)).cycles,
                          1000.0 + static_cast<double>(i));
     }
     EXPECT_EQ(pool.respawns(), 0u);
@@ -347,7 +347,7 @@ TEST_P(AttemptTaxonomy, ChildThrownFaultsKeepTheirTaxonomy)
         "injected permanent");
     // Clean throws never cost a worker: no respawns, no reclaims.
     EXPECT_EQ(incidents(), 0u);
-    EXPECT_DOUBLE_EQ(execute(sandboxJob(w, 4, "ok"), attempt(4)),
+    EXPECT_DOUBLE_EQ(execute(sandboxJob(w, 4, "ok"), attempt(4)).cycles,
                      1004.0);
 }
 
@@ -418,7 +418,7 @@ TEST(ProcWorkerPool, AbortClassifiedAsPermanentWithRunKey)
     // The dead worker was replaced before the fault was thrown:
     // the pool still serves.
     EXPECT_EQ(pool.respawns(), 1u);
-    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)),
+    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)).cycles,
                      1001.0);
 }
 
@@ -439,7 +439,7 @@ TEST(ProcWorkerPool, SegfaultClassifiedAsPermanentCrash)
             << e.what();
     }
     EXPECT_EQ(pool.respawns(), 1u);
-    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)),
+    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)).cycles,
                      1001.0);
 #endif
 }
@@ -464,7 +464,7 @@ TEST(ProcWorkerPool, WatchdogSigkillsNonCooperativeHang)
     EXPECT_EQ(pool.respawns(), 1u);
     EXPECT_EQ(pool.oomKills(), 0u)
         << "a watchdog SIGKILL must not be misread as an OOM kill";
-    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)),
+    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)).cycles,
                      1001.0);
 }
 
@@ -488,7 +488,7 @@ TEST(ProcWorkerPool, MemoryLimitClassifiedAsResourceExhausted)
     }
     EXPECT_EQ(pool.oomKills(), 1u);
     EXPECT_EQ(pool.respawns(), 1u);
-    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)),
+    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)).cycles,
                      1001.0);
 #endif
 }
@@ -521,7 +521,7 @@ TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
     ASSERT_EQ(widest.config.l2.blockBytes, 64u);
     widest.instructions = 2000;
     widest.label = "gzip at the widest cache geometry";
-    EXPECT_EQ(pool.execute(widest, attempt(0)),
+    EXPECT_EQ(pool.execute(widest, attempt(0)).cycles,
               methodology::simulateOnce(w, widest.config,
                                         widest.instructions));
 
@@ -532,8 +532,8 @@ TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
     job.label = "gzip near the trace budget";
     const double reference =
         methodology::simulateOnce(w, job.config, job.instructions);
-    EXPECT_EQ(pool.execute(job, attempt(1)), reference); // records
-    EXPECT_EQ(pool.execute(job, attempt(2)), reference); // replays
+    EXPECT_EQ(pool.execute(job, attempt(1)).cycles, reference); // records
+    EXPECT_EQ(pool.execute(job, attempt(2)).cycles, reference); // replays
     EXPECT_EQ(pool.oomKills(), 0u);
     EXPECT_EQ(pool.respawns(), 0u);
 #endif
@@ -619,7 +619,7 @@ TEST(ProcWorkerPool, InjectedProcessDrillsFireInsideTheSandbox)
     EXPECT_THROW(pool.execute(sandboxJob(w, 0, "drill-me"), attempt(0)),
                  exec::PermanentFault);
     EXPECT_EQ(pool.respawns(), 1u);
-    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)),
+    EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)).cycles,
                      2001.0);
 }
 
@@ -663,7 +663,7 @@ TEST(ProcWorkerPool, WorkerLifetimeSpansAreGoldenUnderSteppedClock)
         proc::ProcWorkerPool pool(poolOptions(1));
         pool.setTraceWriter(&golden);
         EXPECT_DOUBLE_EQ(
-            pool.execute(sandboxJob(w, 0, "ok"), attempt(0)), 1000.0);
+            pool.execute(sandboxJob(w, 0, "ok"), attempt(0)).cycles, 1000.0);
         EXPECT_THROW(pool.execute(sandboxJob(w, 1, "crash-abort"),
                                   attempt(1)),
                      exec::PermanentFault);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "check/rule_ids.hh"
 #include "exec/engine.hh"
+#include "exec/journal.hh"
 #include "methodology/adaptive_sampling.hh"
 #include "methodology/rank_table.hh"
 #include "obs/trace_span.hh"
@@ -52,6 +54,7 @@ struct Outcome
 {
     std::string rankTable;
     std::vector<std::vector<double>> responses;
+    std::vector<std::vector<double>> ciHalfWidths;
     std::vector<std::uint64_t> intervals;
     std::vector<std::vector<std::string>> simulated;
     std::vector<std::size_t> ambiguous;
@@ -65,6 +68,7 @@ outcomeOf(const methodology::AdaptiveSamplingResult &run)
     out.rankTable = methodology::formatRankTable(
         run.result.summaries, run.result.benchmarks);
     out.responses = run.result.responses;
+    out.ciHalfWidths = run.result.ciHalfWidths;
     for (const methodology::AdaptiveRound &round : run.rounds) {
         out.intervals.push_back(round.sampling.intervalInstructions);
         out.simulated.push_back(round.simulatedBenchmarks);
@@ -79,6 +83,7 @@ expectSameOutcome(const Outcome &a, const Outcome &b)
 {
     EXPECT_EQ(a.rankTable, b.rankTable);
     EXPECT_EQ(a.responses, b.responses);
+    EXPECT_EQ(a.ciHalfWidths, b.ciHalfWidths);
     EXPECT_EQ(a.intervals, b.intervals);
     EXPECT_EQ(a.simulated, b.simulated);
     EXPECT_EQ(a.ambiguous, b.ambiguous);
@@ -168,17 +173,14 @@ TEST(AdaptiveSampling, RefinementRoundKeepsItsDiagnostics)
             throw exec::PermanentFault("refined mcf cell");
         const double cycles =
             100000.0 + 37.0 * static_cast<double>(ctx.jobIndex % 88);
-        if (ctx.sampleOut != nullptr) {
-            ctx.sampleOut->units = 4;
-            ctx.sampleOut->streamInstructions = job.instructions;
-            ctx.sampleOut->ciHalfWidth = 1.0;
-            ctx.sampleOut->cpiMean =
-                cycles / static_cast<double>(job.instructions);
-            ctx.sampleOut->relativeError =
-                ctx.sampleOut->ciHalfWidth / ctx.sampleOut->cpiMean;
-            ctx.sampleOut->estimatedCycles = cycles;
-        }
-        return cycles;
+        rigor::sample::SampleSummary sample;
+        sample.units = 4;
+        sample.streamInstructions = job.instructions;
+        sample.ciHalfWidth = 1.0;
+        sample.cpiMean = cycles / static_cast<double>(job.instructions);
+        sample.relativeError = sample.ciHalfWidth / sample.cpiMean;
+        sample.estimatedCycles = cycles;
+        return exec::CellResult::sampled(sample);
     };
     exec::SimulationEngine engine(engine_opts);
 
@@ -199,4 +201,44 @@ TEST(AdaptiveSampling, RefinementRoundKeepsItsDiagnostics)
     EXPECT_TRUE(run.result.validity.hasRule(
         rigor::check::rules::kCampaignBenchmarkDropped))
         << run.result.validity.toString();
+}
+
+TEST(AdaptiveSampling, CrashAndResumeReproducesTheUninterruptedRun)
+{
+    // Journal replays carry the CIs their cells were simulated with,
+    // so a resumed campaign judges the same ambiguity, refines the
+    // same benchmarks and prints the same table. The crash points
+    // fall inside round 0 (176 cells), right after it, and inside the
+    // refinement round.
+    const auto workloads = twoWorkloads();
+    const methodology::AdaptiveSamplingResult uninterrupted =
+        methodology::runAdaptivePbExperiment(workloads,
+                                             twoRoundOptions(2));
+    ASSERT_EQ(uninterrupted.rounds.size(), 2u);
+    const Outcome reference = outcomeOf(uninterrupted);
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "adaptive_resume";
+    for (const std::size_t crash_after : {40u, 176u, 250u}) {
+        SCOPED_TRACE("crash after " + std::to_string(crash_after));
+        std::remove(path.c_str());
+        {
+            exec::ResultJournal journal(path);
+            journal.simulateCrashAfter(crash_after);
+            methodology::AdaptiveSamplingOptions crashing =
+                twoRoundOptions(2);
+            crashing.base.campaign.journal = &journal;
+            EXPECT_THROW(methodology::runAdaptivePbExperiment(workloads,
+                                                              crashing),
+                         exec::SimulatedCrash);
+        }
+        exec::ResultJournal journal(path);
+        ASSERT_EQ(journal.loadedRecords(), crash_after);
+        methodology::AdaptiveSamplingOptions resumed = twoRoundOptions(2);
+        resumed.base.campaign.journal = &journal;
+        expectSameOutcome(outcomeOf(methodology::runAdaptivePbExperiment(
+                              workloads, resumed)),
+                          reference);
+    }
+    std::remove(path.c_str());
 }

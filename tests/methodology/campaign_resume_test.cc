@@ -114,6 +114,33 @@ TEST(CampaignResume, KillAndResumeReproducesTable9BitIdentically)
               0u);
 }
 
+TEST(CampaignResume, SecondSampledCampaignOnASharedEngineKeepsItsCis)
+{
+    // The second campaign is served wholly from the run cache, and
+    // the cache hands back each cell's sampling CI with its cycles.
+    exec::SimulationEngine engine(exec::EngineOptions{2, true});
+    methodology::PbExperimentOptions opts;
+    opts.instructionsPerRun = 8000;
+    opts.campaign.engine = &engine;
+    opts.campaign.sampling.enabled = true;
+    opts.campaign.sampling.unitInstructions = 250;
+    opts.campaign.sampling.warmupInstructions = 250;
+    opts.campaign.sampling.intervalInstructions = 2000;
+
+    const methodology::PbExperimentResult first =
+        methodology::runPbExperiment(twoWorkloads(), opts);
+    const exec::ProgressSnapshot before = engine.progress().snapshot();
+    const methodology::PbExperimentResult second =
+        methodology::runPbExperiment(twoWorkloads(), opts);
+
+    EXPECT_EQ(engine.progress().snapshot().since(before).cacheHits,
+              176u);
+    ASSERT_EQ(first.ciHalfWidths.size(), 2u);
+    EXPECT_GT(first.ciHalfWidths[0][0], 0.0);
+    EXPECT_EQ(second.ciHalfWidths, first.ciHalfWidths);
+    EXPECT_EQ(second.responses, first.responses);
+}
+
 // ----- Degradation arbitration through the experiment driver -----
 
 TEST(CampaignDegradation, DropBenchmarkProducesLabeledReducedTable)

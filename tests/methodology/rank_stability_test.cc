@@ -9,6 +9,7 @@
 #include "check/rule_ids.hh"
 #include "check/stability_check.hh"
 #include "exec/engine.hh"
+#include "exec/journal.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/rank_stability.hh"
 #include "trace/workloads.hh"
@@ -280,18 +281,15 @@ TEST(ReplicatedPbExperiment, SampledHalfWidthsArePinned)
         const double cycles =
             100000.0 + 37.0 * static_cast<double>(row) +
             5.0 * static_cast<double>(job.workload->name.size());
-        if (ctx.sampleOut != nullptr) {
-            ctx.sampleOut->units = 4;
-            ctx.sampleOut->streamInstructions = job.instructions;
-            ctx.sampleOut->ciHalfWidth =
-                static_cast<double>(1 + row % 7 +
-                                    job.workload->name.size()) /
-                1024.0;
-            ctx.sampleOut->cpiMean =
-                cycles / static_cast<double>(job.instructions);
-            ctx.sampleOut->estimatedCycles = cycles;
-        }
-        return cycles;
+        rigor::sample::SampleSummary sample;
+        sample.units = 4;
+        sample.streamInstructions = job.instructions;
+        sample.ciHalfWidth =
+            static_cast<double>(1 + row % 7 + job.workload->name.size()) /
+            1024.0;
+        sample.cpiMean = cycles / static_cast<double>(job.instructions);
+        sample.estimatedCycles = cycles;
+        return rigor::exec::CellResult::sampled(sample);
     };
     rigor::exec::SimulationEngine engine(engine_opts);
 
@@ -335,4 +333,38 @@ TEST(ReplicatedPbExperiment, SampledBitIdenticalAcrossThreadCounts)
     EXPECT_GT(serial[0], 0.0);
     for (int repeat = 0; repeat < 3; ++repeat)
         EXPECT_EQ(composedOf(4), serial);
+}
+
+TEST(ReplicatedPbExperiment, SampledResumeReproducesTheStabilityReport)
+{
+    // The sampling term of the composed uncertainty comes from every
+    // cell's CI, so the journal must hand the replayed cells' CIs
+    // back for a resumed campaign to write the same report.
+    const std::string reference =
+        methodology::runReplicatedPbExperiment(twoWorkloads(),
+                                               sampledCampaign())
+            .stability.toJson();
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "replicated_resume";
+    std::remove(path.c_str());
+    {
+        rigor::exec::ResultJournal journal(path);
+        journal.simulateCrashAfter(200);
+        methodology::RankStabilityOptions crashing = sampledCampaign();
+        crashing.base.campaign.journal = &journal;
+        EXPECT_THROW(
+            methodology::runReplicatedPbExperiment(twoWorkloads(),
+                                                   crashing),
+            rigor::exec::SimulatedCrash);
+    }
+    rigor::exec::ResultJournal journal(path);
+    ASSERT_EQ(journal.loadedRecords(), 200u);
+    methodology::RankStabilityOptions resumed = sampledCampaign();
+    resumed.base.campaign.journal = &journal;
+    EXPECT_EQ(methodology::runReplicatedPbExperiment(twoWorkloads(),
+                                                     resumed)
+                  .stability.toJson(),
+              reference);
+    std::remove(path.c_str());
 }

@@ -84,11 +84,11 @@ TEST(CampaignManifest, GoldenSampledCellRecord)
     cell.source = "simulated";
     cell.attempts = 1;
     cell.wallSeconds = 0.25;
-    cell.response = 123456;
-    cell.sampled = true;
-    cell.sampleUnits = 80;
-    cell.sampleRelativeError = 0.125;
-    cell.sampleCiHalfWidth = 0.25;
+    cell.result = 123456;
+    cell.result.sample.emplace();
+    cell.result.sample->units = 80;
+    cell.result.sample->relativeError = 0.125;
+    cell.result.sample->ciHalfWidth = 0.25;
     manifest.addCell(cell);
     EXPECT_EQ(manifest.toJsonl(),
               "{\"type\":\"cell\",\"benchmark\":\"gzip\",\"row\":7,"
@@ -110,7 +110,7 @@ TEST(CampaignManifest, GoldenCellRecord)
     cell.source = "simulated";
     cell.attempts = 2;
     cell.wallSeconds = 0.25;
-    cell.response = 123456;
+    cell.result = 123456;
     manifest.addCell(cell);
     EXPECT_EQ(manifest.toJsonl(),
               "{\"type\":\"cell\",\"benchmark\":\"gzip\",\"row\":7,"
@@ -125,7 +125,7 @@ TEST(CampaignManifest, FailedCellRendersNanResponseAsNull)
     obs::CellRecord cell;
     cell.benchmark = "mcf";
     cell.source = "failed";
-    cell.response = std::nan("");
+    cell.result = std::nan("");
     manifest.addCell(cell);
     EXPECT_NE(manifest.toJsonl().find("\"response\":null"),
               std::string::npos);

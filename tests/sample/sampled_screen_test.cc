@@ -56,11 +56,11 @@ runScreen(const std::vector<trace::WorkloadProfile> &workloads,
 
     ScreenRun run;
     engine.setJobObserver([&run](const exec::JobEvent &event) {
-        if (!event.sampled)
+        if (!event.result.sample)
             return;
         ++run.sampledEvents;
         run.maxRelativeError = std::max(
-            run.maxRelativeError, event.sample.relativeError);
+            run.maxRelativeError, event.result.sample->relativeError);
     });
 
     const exec::ProgressSnapshot before =

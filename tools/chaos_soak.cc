@@ -32,11 +32,9 @@
 #include <cstring>
 
 #include <stdlib.h>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -251,40 +249,19 @@ drawCells(Rng &rng, std::size_t count)
     return labels;
 }
 
-/**
- * The round's journal must hold every cell exactly once: parse the
- * raw record lines (format "r <key> <response>") so a duplicate
- * append is caught even though the in-memory map would mask it.
- */
+/** The round's journal must hold every cell exactly once. */
 void
 checkJournalIntegrity(const std::string &path,
                       std::size_t expectedCells)
 {
-    std::ifstream in(path);
-    require(in.good(), "journal '" + path + "' unreadable");
-    std::set<std::string> keys;
-    std::string line;
-    std::size_t records = 0;
-    bool first = true;
-    while (std::getline(in, line)) {
-        if (first) {
-            first = false; // version header
-            continue;
-        }
-        if (line.empty())
-            continue;
-        std::istringstream fields(line);
-        std::string tag, key, response;
-        require(static_cast<bool>(fields >> tag >> key >> response) &&
-                    tag == "r",
-                "torn journal record: '" + line + "'");
-        require(keys.insert(key).second,
-                "duplicate journal record for '" + key + "'");
-        ++records;
-    }
-    require(records == expectedCells,
-            "journal holds " + std::to_string(records) + " of " +
-                std::to_string(expectedCells) + " cells");
+    const exec::ResultJournal journal(path);
+    require(journal.tornRecords() == 0,
+            "journal '" + path + "' has torn records");
+    require(journal.duplicateRecords() == 0,
+            "journal '" + path + "' has duplicate records");
+    require(journal.loadedRecords() == expectedCells,
+            "journal holds " + std::to_string(journal.loadedRecords()) +
+                " of " + std::to_string(expectedCells) + " cells");
 }
 
 /** What one soak round is made of and must prove. */
