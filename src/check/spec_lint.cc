@@ -161,16 +161,10 @@ applyKey(ExperimentSpec &spec, const std::string &key,
     if (field == "bpred") {
         if (value == "2-level")
             c.bpred = sim::BranchPredictorKind::TwoLevel;
-        else if (value == "bimodal")
-            c.bpred = sim::BranchPredictorKind::Bimodal;
-        else if (value == "local")
-            c.bpred = sim::BranchPredictorKind::LocalTwoLevel;
-        else if (value == "tournament")
-            c.bpred = sim::BranchPredictorKind::Tournament;
         else if (value == "perfect")
             c.bpred = sim::BranchPredictorKind::Perfect;
         else
-            bad("one of 2-level/bimodal/local/tournament/perfect");
+            bad("2-level or perfect");
         return true;
     }
     if (field == "specBranchUpdate") {

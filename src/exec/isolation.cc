@@ -15,18 +15,4 @@ toString(IsolationMode mode)
     return "?";
 }
 
-bool
-parseIsolationMode(const std::string &text, IsolationMode &mode)
-{
-    if (text == "thread") {
-        mode = IsolationMode::Thread;
-        return true;
-    }
-    if (text == "process") {
-        mode = IsolationMode::Process;
-        return true;
-    }
-    return false;
-}
-
 } // namespace rigor::exec

@@ -37,9 +37,6 @@ enum class IsolationMode
 /** Display name ("thread" / "process"). */
 std::string toString(IsolationMode mode);
 
-/** Parse "thread" / "process"; false on anything else. */
-bool parseIsolationMode(const std::string &text, IsolationMode &mode);
-
 } // namespace rigor::exec
 
 #endif // RIGOR_EXEC_ISOLATION_HH

@@ -44,8 +44,10 @@ namespace rigor::exec::net
 inline constexpr std::uint32_t kWireMagic = 0x52474e31;
 /** Wire protocol version; bumped on any incompatible change.
  *  Version 2 added session ids, lease handback, the authenticated
- *  handshake (AuthProof/SessionAck), and graceful drain. */
-inline constexpr std::uint16_t kWireVersion = 2;
+ *  handshake (AuthProof/SessionAck), and graceful drain. Version 3
+ *  changed the memcpy'd ProcessorConfig layout: CacheGeometry lost
+ *  its replacement-policy field. */
+inline constexpr std::uint16_t kWireVersion = 3;
 
 /** What one frame carries (first payload byte). */
 enum class MsgType : std::uint8_t

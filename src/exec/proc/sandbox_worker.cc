@@ -62,8 +62,6 @@ applyLimits(const SandboxContext &context)
 {
     if (context.memLimitMb > 0)
         applyLimit(RLIMIT_AS, context.memLimitMb * 1024 * 1024);
-    if (context.cpuLimitSeconds > 0)
-        applyLimit(RLIMIT_CPU, context.cpuLimitSeconds);
 }
 
 } // namespace

@@ -17,8 +17,8 @@
  *  - setrlimit(RLIMIT_AS) caps the child's address space so a runaway
  *    allocation dies as std::bad_alloc (clean kExitOom exit) or an
  *    OOM kill inside the sandbox, never by taking down the parent.
- *  - setrlimit(RLIMIT_CPU) backstops compute runaways with SIGXCPU /
- *    SIGKILL from the kernel, independent of the parent's watchdog.
+ *  - Compute runaways are the parent's watchdog's job (a hard
+ *    per-attempt deadline); the child sets no CPU-time limit.
  *
  * The child main loop reads requests until EOF (parent closed the
  * request pipe = orderly shutdown) and answers each through the
@@ -95,8 +95,6 @@ struct SandboxContext
     SandboxHookFactory hookFactory;
     /** RLIMIT_AS cap in MiB; 0 = unlimited. */
     std::uint64_t memLimitMb = 0;
-    /** RLIMIT_CPU cap in seconds; 0 = unlimited. */
-    std::uint64_t cpuLimitSeconds = 0;
 };
 
 /** Parent-side handle of one spawned worker process. */

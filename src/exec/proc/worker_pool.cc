@@ -90,7 +90,7 @@ ProcWorkerPool::ProcWorkerPool(Options options)
     ::signal(SIGPIPE, SIG_IGN);
 
     _context = {_options.simulate, _options.hookFactory,
-                _options.memLimitMb, _options.cpuLimitSeconds};
+                _options.memLimitMb};
 
     setMetrics(nullptr);
 

@@ -21,7 +21,7 @@
  * wait status back into the engine's fault taxonomy:
  *
  *   watchdog SIGKILL           -> DeadlineExceeded   (retryable)
- *   SIGXCPU (RLIMIT_CPU)       -> DeadlineExceeded   (retryable)
+ *   SIGXCPU (inherited limit)  -> DeadlineExceeded   (retryable)
  *   exit(kExitOom) / bad_alloc -> ResourceExhausted  (permanent)
  *   SIGKILL not from watchdog  -> ResourceExhausted  (kernel OOM)
  *   SIGSEGV/SIGABRT/SIGBUS/... -> PermanentFault     (with run key)
@@ -78,8 +78,6 @@ class ProcWorkerPool
          *  covers the worker's kept replay trace (up to 32 MiB) and
          *  its kept timing core (see SimulationEngine::simulateJob). */
         std::uint64_t memLimitMb = 0;
-        /** Per-worker RLIMIT_CPU cap in seconds; 0 = unlimited. */
-        std::uint64_t cpuLimitSeconds = 0;
         /**
          * Hard per-attempt deadline: the monitor SIGKILLs a worker
          * busy past it. Needs no cooperation from the simulated code,

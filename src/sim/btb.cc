@@ -32,8 +32,7 @@ void
 Btb::reconfigure(std::uint32_t entries, std::uint32_t assoc)
 {
     const std::uint32_t sets = resolveSets(entries, assoc);
-    _tags.reshape(sets, assoc == 0 ? entries : assoc,
-                  ReplacementKind::LRU);
+    _tags.reshape(sets, assoc == 0 ? entries : assoc);
     _numSets = sets;
     _stats = BtbStats{};
 }

@@ -20,8 +20,7 @@ Cache::reconfigure(const CacheGeometry &geometry)
     if ((geometry.numSets() & (geometry.numSets() - 1)) != 0)
         throw std::invalid_argument(
             "Cache: set count must be a power of two");
-    _tags.reshape(geometry.numSets(), geometry.effectiveAssoc(),
-                  geometry.replacement);
+    _tags.reshape(geometry.numSets(), geometry.effectiveAssoc());
     _geometry = geometry;
     _blockShift = static_cast<std::uint32_t>(
         std::countr_zero(geometry.blockBytes));

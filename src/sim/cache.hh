@@ -34,13 +34,13 @@ struct CacheStats
     }
 };
 
-/** One level of cache with configurable geometry and replacement. */
+/** One level of cache with configurable geometry (LRU replacement). */
 class Cache
 {
   public:
     /**
      * @param name report label, e.g. "l1d"
-     * @param geometry size/assoc/block/replacement/latency
+     * @param geometry size/assoc/block/latency
      */
     Cache(std::string name, const CacheGeometry &geometry);
 
@@ -54,7 +54,7 @@ class Cache
      */
     bool access(std::uint64_t addr);
 
-    /** Check for presence without perturbing replacement state. */
+    /** Check for presence without perturbing the LRU order. */
     bool contains(std::uint64_t addr) const;
 
     const std::string &name() const { return _name; }

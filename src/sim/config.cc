@@ -5,6 +5,7 @@
 #include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace rigor::sim
 {
@@ -32,7 +33,9 @@ hashCombine(std::size_t &seed, const CacheGeometry &g)
     hashCombine(seed, g.sizeBytes);
     hashCombine(seed, g.assoc);
     hashCombine(seed, g.blockBytes);
-    hashCombine(seed, static_cast<std::uint64_t>(g.replacement));
+    // Where the removed replacement-policy field (always LRU = 0) was
+    // mixed; keeps every run key and journal record unchanged.
+    hashCombine(seed, 0);
     hashCombine(seed, g.latency);
 }
 
@@ -117,6 +120,16 @@ ProcessorConfig::validate() const
         throw std::invalid_argument("lsqRatio must be in (0, 1]");
     if (memPorts == 0)
         throw std::invalid_argument("memPorts must be non-zero");
+    if (bpred != BranchPredictorKind::TwoLevel &&
+        bpred != BranchPredictorKind::Perfect)
+        throw std::invalid_argument(
+            "bpred must be 2-Level or Perfect (got " +
+            std::to_string(static_cast<int>(bpred)) + ")");
+    if (specBranchUpdate != BranchUpdateTiming::InCommit &&
+        specBranchUpdate != BranchUpdateTiming::InDecode)
+        throw std::invalid_argument(
+            "specBranchUpdate must be In Commit or In Decode (got " +
+            std::to_string(static_cast<int>(specBranchUpdate)) + ")");
     // The core's slot allocators count bookings per cycle in 8 bits.
     if (machineWidth > 255 || memPorts > 255)
         throw std::invalid_argument(
@@ -205,12 +218,6 @@ toString(BranchPredictorKind kind)
     switch (kind) {
       case BranchPredictorKind::TwoLevel:
         return "2-Level";
-      case BranchPredictorKind::Bimodal:
-        return "Bimodal";
-      case BranchPredictorKind::LocalTwoLevel:
-        return "Local 2-Level";
-      case BranchPredictorKind::Tournament:
-        return "Tournament";
       case BranchPredictorKind::Perfect:
         return "Perfect";
     }
@@ -222,20 +229,6 @@ toString(BranchUpdateTiming timing)
 {
     return timing == BranchUpdateTiming::InCommit ? "In Commit"
                                                   : "In Decode";
-}
-
-std::string
-toString(ReplacementKind kind)
-{
-    switch (kind) {
-      case ReplacementKind::LRU:
-        return "LRU";
-      case ReplacementKind::FIFO:
-        return "FIFO";
-      case ReplacementKind::Random:
-        return "Random";
-    }
-    return "?";
 }
 
 std::string

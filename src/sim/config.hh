@@ -21,17 +21,14 @@ namespace rigor::sim
 {
 
 /**
- * Direction predictor choices. Table 6 varies 2-Level vs Perfect;
- * the additional schemes support ablation studies (SimpleScalar's
- * bimodal and combining predictors, plus a local two-level).
+ * Direction predictor choices: Table 6 varies 2-Level vs Perfect.
+ * The values are explicit because ProcessorConfig::hash() mixes them
+ * into persisted run keys (journals, manifests), so they never move.
  */
 enum class BranchPredictorKind
 {
-    TwoLevel,
-    Bimodal,
-    LocalTwoLevel,
-    Tournament,
-    Perfect,
+    TwoLevel = 0,
+    Perfect = 4,
 };
 
 /** When the branch predictor's history is updated (Table 6). */
@@ -41,15 +38,8 @@ enum class BranchUpdateTiming
     InDecode,
 };
 
-/** Cache/TLB replacement policies (Table 8 uses LRU throughout). */
-enum class ReplacementKind
-{
-    LRU,
-    FIFO,
-    Random,
-};
-
-/** Geometry and timing of one cache level. */
+/** Geometry and timing of one cache level. Every cache, TLB and the
+ *  BTB replace LRU, as in Table 8. */
 struct CacheGeometry
 {
     /** Total capacity in bytes. */
@@ -58,7 +48,6 @@ struct CacheGeometry
     std::uint32_t assoc = 1;
     /** Line size in bytes (power of two). */
     std::uint32_t blockBytes = 32;
-    ReplacementKind replacement = ReplacementKind::LRU;
     /** Hit latency in cycles. */
     std::uint32_t latency = 1;
 
@@ -147,9 +136,9 @@ struct ProcessorConfig
      */
     bool l1iNextLinePrefetch = false;
 
-    CacheGeometry l1i{16 * 1024, 2, 32, ReplacementKind::LRU, 1};
-    CacheGeometry l1d{16 * 1024, 4, 32, ReplacementKind::LRU, 2};
-    CacheGeometry l2{1024 * 1024, 4, 64, ReplacementKind::LRU, 10};
+    CacheGeometry l1i{16 * 1024, 2, 32, 1};
+    CacheGeometry l1d{16 * 1024, 4, 32, 2};
+    CacheGeometry l2{1024 * 1024, 4, 64, 10};
     std::uint32_t memLatencyFirst = 100;
     std::uint32_t memBandwidthBytes = 16;
     TlbGeometry itlb{64, 4096, 4, 50};
@@ -176,7 +165,9 @@ struct ProcessorConfig
 
     /**
      * Sanity-check the configuration; throws std::invalid_argument
-     * with a description of the first problem found.
+     * with a description of the first problem found. Also rejects an
+     * enum field outside its named values, since the sandbox and the
+     * fleet memcpy a config off the wire.
      */
     void validate() const;
 
@@ -197,7 +188,6 @@ struct ProcessorConfig
 /** Name helpers for report output. */
 std::string toString(BranchPredictorKind kind);
 std::string toString(BranchUpdateTiming timing);
-std::string toString(ReplacementKind kind);
 
 } // namespace rigor::sim
 

@@ -90,8 +90,7 @@ SuperscalarCore::reconfigure(const ProcessorConfig &config,
     config.validate();
     _config = config;
     _memory.reconfigure(config);
-    _predictor = makeBranchPredictor(config.bpred);
-    _perfect = dynamic_cast<PerfectPredictor *>(_predictor.get());
+    _predictor.reset();
     _btb.reconfigure(config.btbEntries, config.btbAssoc);
     _ras.reconfigure(config.rasEntries);
     _intAlu.reconfigure(config.intAlus, config.intAluLatency,
@@ -139,8 +138,8 @@ SuperscalarCore::drainPredictorUpdates(std::uint64_t cycle)
            _pendingUpdates.front().visibleAt <= cycle) {
         const PendingUpdate &u = _pendingUpdates.front();
         if (u.historyPending)
-            _predictor->updateHistory(u.taken);
-        _predictor->updateCounters(u.pc, u.taken);
+            _predictor.updateHistory(u.taken);
+        _predictor.updateCounters(u.pc, u.taken);
         _pendingUpdates.pop_front();
     }
 }
@@ -156,41 +155,37 @@ SuperscalarCore::handleControl(const Instruction &inst,
         // Perfect direction and target prediction: no bubbles at all;
         // a taken branch still ends the fetch group (handled by the
         // caller).
-        _predictor->recordOutcome(true);
         return;
     }
 
     drainPredictorUpdates(fetch_cycle);
 
-    bool predicted_taken;
     if (inst.op == OpClass::Return) {
         // Returns are predicted by the RAS, not the direction
         // predictor (they are unconditionally taken).
-        predicted_taken = true;
         const auto predicted_target = _ras.pop();
         if (!predicted_target || *predicted_target != inst.target) {
             ++_stats.rasMispredicts;
             _branchMispredicted = true;
         }
-        _predictor->recordOutcome(!_branchMispredicted);
         return;
     }
 
+    bool predicted_taken;
     if (inst.op == OpClass::Call) {
         // Calls are unconditionally taken; push the return address.
         predicted_taken = true;
         _ras.push(inst.retAddr);
     } else {
-        predicted_taken = _predictor->predict(inst.pc);
+        predicted_taken = _predictor.predict(inst.pc);
     }
 
     const bool direction_correct = predicted_taken == inst.taken;
     if (inst.op == OpClass::Branch) {
-        _predictor->recordOutcome(direction_correct);
         if (_config.specBranchUpdate == BranchUpdateTiming::InDecode) {
             // Speculative decode-time history update, with the
             // counters still trained at commit.
-            _predictor->updateHistory(inst.taken);
+            _predictor.updateHistory(inst.taken);
             _pendingUpdates.push_back(
                 {0 /* patched by caller */, inst.pc, inst.taken, false});
         } else {
@@ -296,8 +291,6 @@ SuperscalarCore::run(trace::TraceSource &source,
         // Control-flow prediction.
         const bool is_control = trace::isControlOp(inst.op);
         if (is_control) {
-            if (_perfect)
-                _perfect->setOracleOutcome(inst.taken);
             handleControl(inst, fetch_cycle);
             if (inst.taken && !_branchMispredicted) {
                 // Taken transfer ends the fetch group.
@@ -522,10 +515,10 @@ SuperscalarCore::warmControl(const Instruction &inst)
     } else {
         // Train with the fetch-order prediction consumed, matching
         // the detailed path's predict-then-update sequence.
-        const bool predicted_taken = _predictor->predict(inst.pc);
+        const bool predicted_taken = _predictor.predict(inst.pc);
         if (inst.op == OpClass::Branch) {
-            _predictor->updateHistory(inst.taken);
-            _predictor->updateCounters(inst.pc, inst.taken);
+            _predictor.updateHistory(inst.taken);
+            _predictor.updateCounters(inst.pc, inst.taken);
         }
         if (predicted_taken != inst.taken)
             return; // detailed path skips BTB work on a mispredict

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "sim/branch_predictor.hh"
@@ -215,7 +214,6 @@ class SuperscalarCore
     const CoreStats &stats() const { return _stats; }
 
     const MemorySystem &memory() const { return _memory; }
-    const BranchPredictor &predictor() const { return *_predictor; }
     const Btb &btb() const { return _btb; }
     const ReturnAddressStack &ras() const { return _ras; }
     const FuPool &intAluPool() const { return _intAlu; }
@@ -238,9 +236,9 @@ class SuperscalarCore
     ProcessorConfig _config;
     ExecutionHook *_hook = nullptr;
     MemorySystem _memory;
-    std::unique_ptr<BranchPredictor> _predictor;
-    /** _predictor when it is the oracle, else null. */
-    PerfectPredictor *_perfect = nullptr;
+    /** Idle under Perfect prediction (handleControl and warmControl
+     *  return before reaching it). */
+    TwoLevelPredictor _predictor;
     Btb _btb;
     ReturnAddressStack _ras;
     FuPool _intAlu{"int-alu"};

@@ -8,16 +8,14 @@ namespace rigor::sim
 TagStore::TagStore(bool with_payload) : _withPayload(with_payload) {}
 
 TagStore::TagStore(std::uint32_t num_sets, std::uint32_t assoc,
-                   ReplacementKind replacement, bool with_payload,
-                   std::uint64_t seed)
-    : _withPayload(with_payload), _seed(seed)
+                   bool with_payload)
+    : _withPayload(with_payload)
 {
-    reshape(num_sets, assoc, replacement);
+    reshape(num_sets, assoc);
 }
 
 void
-TagStore::reshape(std::uint32_t num_sets, std::uint32_t assoc,
-                  ReplacementKind replacement)
+TagStore::reshape(std::uint32_t num_sets, std::uint32_t assoc)
 {
     if (num_sets == 0 || assoc == 0)
         throw std::invalid_argument(
@@ -32,7 +30,6 @@ TagStore::reshape(std::uint32_t num_sets, std::uint32_t assoc,
     }
     _numSets = num_sets;
     _assoc = assoc;
-    _replacement = replacement;
     flush();
 }
 
@@ -44,18 +41,6 @@ TagStore::setBase(std::uint32_t set) const
     return static_cast<std::size_t>(set) * _assoc;
 }
 
-std::uint64_t
-TagStore::nextRandom()
-{
-    // xorshift64: adequate for victim selection.
-    std::uint64_t x = _rngState;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    _rngState = x;
-    return x;
-}
-
 bool
 TagStore::lookup(std::uint32_t set, std::uint64_t tag,
                  std::uint64_t *payload_out)
@@ -64,8 +49,7 @@ TagStore::lookup(std::uint32_t set, std::uint64_t tag,
     for (std::uint32_t w = 0; w < _assoc; ++w) {
         Way &way = _ways[base + w];
         if (way.tag == tag && valid(way)) {
-            if (_replacement == ReplacementKind::LRU)
-                way.stamp = ++_tick;
+            way.stamp = ++_tick;
             if (payload_out)
                 *payload_out = _withPayload ? _payloads[base + w] : 0;
             return true;
@@ -85,7 +69,7 @@ TagStore::probe(std::uint32_t set, std::uint64_t tag) const
 }
 
 std::uint32_t
-TagStore::victimWay(std::size_t base)
+TagStore::victimWay(std::size_t base) const
 {
     const Way *ways = &_ways[base];
     // Invalid ways first.
@@ -93,19 +77,11 @@ TagStore::victimWay(std::size_t base)
         if (!valid(ways[w]))
             return w;
 
-    switch (_replacement) {
-      case ReplacementKind::LRU:
-      case ReplacementKind::FIFO: {
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 1; w < _assoc; ++w)
-            if (ways[w].stamp < ways[victim].stamp)
-                victim = w;
-        return victim;
-      }
-      case ReplacementKind::Random:
-        return static_cast<std::uint32_t>(nextRandom() % _assoc);
-    }
-    throw std::logic_error("TagStore::victimWay: unreachable");
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < _assoc; ++w)
+        if (ways[w].stamp < ways[victim].stamp)
+            victim = w;
+    return victim;
 }
 
 bool
@@ -137,7 +113,6 @@ void
 TagStore::flush()
 {
     _flushTick = _tick;
-    _rngState = _seed | 1;
 }
 
 } // namespace rigor::sim

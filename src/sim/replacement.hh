@@ -1,18 +1,18 @@
 /**
  * @file
- * Set-associative tag store with pluggable replacement.
+ * Set-associative LRU tag store.
  *
  * Shared by the caches, the TLBs, and the BTB: each is a set of sets
- * of (tag, payload) ways with LRU / FIFO / Random victim selection.
+ * of (tag, payload) ways with least-recently-used victim selection,
+ * the policy Table 8 gives every cache.
  */
 
 #ifndef RIGOR_SIM_REPLACEMENT_HH
 #define RIGOR_SIM_REPLACEMENT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "sim/config.hh"
 
 namespace rigor::sim
 {
@@ -22,13 +22,13 @@ namespace rigor::sim
  * a single uint64 per way (the BTB stores a branch target there);
  * caches and TLBs build theirs without.
  *
- * A way is 16 B: its tag and the tick of its last insert (FIFO) or
- * touch (LRU). The tick never restarts. flush() records the current
- * tick, and a way is valid only when its stamp is later than the last
- * flush, so flushing and reshaping are O(1) in the store's size. The
- * stamps of valid ways keep the order a fresh store would give them,
- * which is all LRU and FIFO compare, so a flushed or reshaped store
- * picks the same victims as a freshly constructed one.
+ * A way is 16 B: its tag and the tick of its last insert or hit. The
+ * tick never restarts. flush() records the current tick, and a way is
+ * valid only when its stamp is later than the last flush, so flushing
+ * and reshaping are O(1) in the store's size. The stamps of valid ways
+ * keep the order a fresh store would give them, which is all LRU
+ * compares, so a flushed or reshaped store picks the same victims as
+ * a freshly constructed one.
  */
 class TagStore
 {
@@ -39,20 +39,17 @@ class TagStore
     /**
      * @param num_sets number of sets (power of two)
      * @param assoc ways per set (already resolved; not 0)
-     * @param replacement victim-selection policy
      * @param with_payload keep a payload per way; a store without
      *        ignores the payload it is given and reads back 0
-     * @param seed PRNG seed for the Random policy
      */
     TagStore(std::uint32_t num_sets, std::uint32_t assoc,
-             ReplacementKind replacement, bool with_payload = true,
-             std::uint64_t seed = 0x9e3779b9);
+             bool with_payload = true);
 
     std::uint32_t numSets() const { return _numSets; }
     std::uint32_t assoc() const { return _assoc; }
 
     /**
-     * Look up @p tag in @p set, updating replacement state on a hit.
+     * Look up @p tag in @p set, marking the way used on a hit.
      *
      * @param payload_out when non-null and the lookup hits, receives
      *        the way's payload
@@ -61,7 +58,7 @@ class TagStore
     bool lookup(std::uint32_t set, std::uint64_t tag,
                 std::uint64_t *payload_out = nullptr);
 
-    /** Probe without updating replacement state. */
+    /** Probe without updating the LRU order. */
     bool probe(std::uint32_t set, std::uint64_t tag) const;
 
     /**
@@ -73,45 +70,39 @@ class TagStore
                 std::uint64_t payload = 0);
 
     /**
-     * Invalidate everything and restore construction-time replacement
-     * state (Random PRNG). A flushed store behaves bit-identically to
-     * a freshly constructed one. O(1).
+     * Invalidate everything. A flushed store behaves bit-identically
+     * to a freshly constructed one. O(1).
      */
     void flush();
 
     /**
-     * Change the geometry and policy, then flush(). The way buffer
-     * is kept and grows only when @p num_sets x @p assoc exceeds
-     * every geometry this store has held before.
+     * Change the geometry, then flush(). The way buffer is kept and
+     * grows only when @p num_sets x @p assoc exceeds every geometry
+     * this store has held before.
      */
-    void reshape(std::uint32_t num_sets, std::uint32_t assoc,
-                 ReplacementKind replacement);
+    void reshape(std::uint32_t num_sets, std::uint32_t assoc);
 
   private:
     struct Way
     {
         std::uint64_t tag = 0;
-        /** Tick of the last insert (or LRU touch); valid when later
-         *  than _flushTick. */
+        /** Tick of the last insert or hit; valid when later than
+         *  _flushTick. */
         std::uint64_t stamp = 0;
     };
 
     std::uint32_t _numSets = 0;
     std::uint32_t _assoc = 0;
-    ReplacementKind _replacement = ReplacementKind::LRU;
     bool _withPayload;
-    std::uint64_t _seed = 0x9e3779b9;
     std::uint64_t _tick = 0;
     std::uint64_t _flushTick = 0;
-    std::uint64_t _rngState = _seed | 1;
     std::vector<Way> _ways;
     /** Parallel to _ways; empty unless _withPayload. */
     std::vector<std::uint64_t> _payloads;
 
     std::size_t setBase(std::uint32_t set) const;
     bool valid(const Way &way) const { return way.stamp > _flushTick; }
-    std::uint32_t victimWay(std::size_t base);
-    std::uint64_t nextRandom();
+    std::uint32_t victimWay(std::size_t base) const;
 };
 
 } // namespace rigor::sim

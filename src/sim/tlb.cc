@@ -20,8 +20,7 @@ Tlb::reconfigure(const TlbGeometry &geometry)
     if ((geometry.numSets() & (geometry.numSets() - 1)) != 0)
         throw std::invalid_argument(
             "Tlb: set count must be a power of two");
-    _tags.reshape(geometry.numSets(), geometry.effectiveAssoc(),
-                  ReplacementKind::LRU);
+    _tags.reshape(geometry.numSets(), geometry.effectiveAssoc());
     _geometry = geometry;
     _pageShift = static_cast<std::uint32_t>(
         std::countr_zero(geometry.pageBytes));

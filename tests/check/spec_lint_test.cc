@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/rule_ids.hh"
 #include "check/spec_lint.hh"
 
@@ -14,6 +16,7 @@ TEST(SpecLint, ParsesKeysCommentsAndOverrides)
         "workload = gzip\n"
         "workload.fracLoad = 0.3   # trailing comment\n"
         "config.robEntries = 64\n"
+        "config.bpred = perfect\n"
         "config.l1d.sizeBytes = 32768\n"
         "config.itlb.entries = 128\n"
         "run.instructions = 50000\n"
@@ -24,6 +27,7 @@ TEST(SpecLint, ParsesKeysCommentsAndOverrides)
     EXPECT_EQ(spec.workload.name, "gzip");
     EXPECT_DOUBLE_EQ(spec.workload.fracLoad, 0.3);
     EXPECT_EQ(spec.config.robEntries, 64u);
+    EXPECT_EQ(spec.config.bpred, rigor::sim::BranchPredictorKind::Perfect);
     EXPECT_EQ(spec.config.l1d.sizeBytes, 32768u);
     EXPECT_EQ(spec.config.itlb.entries, 128u);
     EXPECT_EQ(spec.instructions, 50000u);
@@ -62,6 +66,19 @@ TEST(SpecLint, BadValueRejected)
     check::parseExperimentSpec("config.robEntries = many\n",
                                "value.spec", sink);
     EXPECT_TRUE(sink.hasRule(rules::kSpecBadValue));
+
+    // The predictor is Table 6's 2-Level or Perfect, nothing else.
+    for (const char *name : {"bimodal", "local", "tournament"}) {
+        check::DiagnosticSink bpred_sink;
+        check::parseExperimentSpec(
+            std::string("config.bpred = ") + name + "\n", "bpred.spec",
+            bpred_sink);
+        EXPECT_TRUE(bpred_sink.hasRule(rules::kSpecBadValue)) << name;
+        EXPECT_NE(
+            bpred_sink.toString().find("expected 2-level or perfect"),
+            std::string::npos)
+            << bpred_sink.toString();
+    }
 }
 
 TEST(SpecLint, UnknownWorkloadRejected)

@@ -6,10 +6,13 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "doe/design_matrix.hh"
+#include "doe/foldover.hh"
+#include "doe/pb_design.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
 #include "exec/proc/worker_pool.hh"
@@ -17,6 +20,7 @@
 #include "exec/sim_job_queue.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/pb_experiment.hh"
+#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "sample/sampling.hh"
 #include "sim/core.hh"
@@ -262,6 +266,32 @@ TEST(ProcessorConfigHash, FieldChangesChangeHash)
     tweaked.l1iNextLinePrefetch = !base.l1iNextLinePrefetch;
     EXPECT_NE(base, tweaked);
     EXPECT_NE(base.hash(), tweaked.hash());
+}
+
+TEST(ProcessorConfigHash, ScreenConfigHashesArePinned)
+{
+    // Run keys and journal records are built on hash(): if the hash
+    // of a screen row moves, a journal written by an earlier build
+    // no longer resumes. Pins all 88 foldover PB rows and the default
+    // configuration.
+    const doe::DesignMatrix design = doe::foldover(
+        doe::pbDesignForFactors(methodology::numFactors));
+    ASSERT_EQ(design.numRows(), 88u);
+    std::vector<sim::ProcessorConfig> configs;
+    for (std::size_t r = 0; r < design.numRows(); ++r)
+        configs.push_back(methodology::configForLevels(design.row(r)));
+    configs.emplace_back();
+
+    std::string bytes;
+    for (const sim::ProcessorConfig &config : configs) {
+        std::uint64_t h = config.hash();
+        for (int b = 0; b < 8; ++b, h >>= 8)
+            bytes += static_cast<char>(h & 0xff);
+    }
+    const std::uint64_t digest = obs::fnv1a(bytes);
+    EXPECT_EQ(digest, 0x52d743847d62866cull)
+        << "config hashes drifted; actual digest 0x"
+        << obs::digestHex(digest) << "ull";
 }
 
 // ----- SimulationEngine -----

@@ -243,6 +243,22 @@ TEST(NetController, HandshakeRejectsBadMagicAndEmptyName)
     EXPECT_EQ(controller.connectedWorkers(), 0u);
 }
 
+TEST(NetController, HandshakeRejectsAVersionTwoWorker)
+{
+    // A version-2 worker memcpys a ProcessorConfig of the older
+    // layout (with cache replacement fields); it must be turned away
+    // at the handshake, not fed jobs it would misread.
+    net::CampaignController controller;
+    FakeWorker old_worker(controller.port());
+    const net::HelloAck ack =
+        old_worker.handshake("w", 1, net::kWireMagic, 2);
+    EXPECT_FALSE(ack.accepted);
+    EXPECT_NE(ack.reason.find("unsupported protocol version 2"),
+              std::string::npos)
+        << ack.reason;
+    EXPECT_EQ(controller.connectedWorkers(), 0u);
+}
+
 TEST(NetController, WaitForWorkersTimesOutWithoutAFleet)
 {
     net::CampaignController controller;

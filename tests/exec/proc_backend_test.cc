@@ -397,6 +397,30 @@ TEST(ProcSandbox, HookedRequestWithoutAFactoryFailsPermanent)
         << result.message;
 }
 
+TEST(ProcWorkerPool, UnknownPredictorKindFailsPermanent)
+{
+    // A config is memcpy'd off the wire, so its enum fields can hold
+    // any value. Kind 1 named a predictor that no longer exists; the
+    // child's config check must refuse it rather than simulate.
+    const trace::WorkloadProfile &w = trace::workloadByName("gzip");
+    proc::ProcWorkerPool::Options options;
+    options.workers = 1;
+    proc::ProcWorkerPool pool(options);
+
+    exec::SimJob job = sandboxJob(w, 0, "gzip, design row 1");
+    job.config.bpred = static_cast<rigor::sim::BranchPredictorKind>(1);
+    try {
+        pool.execute(job, attempt(0));
+        FAIL() << "expected PermanentFault";
+    } catch (const exec::PermanentFault &e) {
+        EXPECT_NE(std::string(e.what()).find("bpred"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(pool.respawns(), 0u);
+    EXPECT_GT(pool.execute(sandboxJob(w, 1, "ok"), attempt(1)).cycles,
+              0.0);
+}
+
 // ----- Crash classification -----
 
 TEST(ProcWorkerPool, AbortClassifiedAsPermanentWithRunKey)

@@ -4,9 +4,12 @@
 
 namespace sim = rigor::sim;
 
-TEST(BimodalPredictor, LearnsABiasedBranch)
+// With the history left empty, the gshare index is the PC alone, so
+// these four exercise the 2-bit counters and the table indexing.
+
+TEST(TwoLevelPredictor, LearnsABiasedBranch)
 {
-    sim::BimodalPredictor p(1024);
+    sim::TwoLevelPredictor p(1024);
     const std::uint64_t pc = 0x4000;
     // Train taken.
     for (int i = 0; i < 4; ++i)
@@ -18,9 +21,9 @@ TEST(BimodalPredictor, LearnsABiasedBranch)
     EXPECT_FALSE(p.predict(pc));
 }
 
-TEST(BimodalPredictor, HysteresisSurvivesOneAnomaly)
+TEST(TwoLevelPredictor, HysteresisSurvivesOneAnomaly)
 {
-    sim::BimodalPredictor p(1024);
+    sim::TwoLevelPredictor p(1024);
     const std::uint64_t pc = 0x4000;
     for (int i = 0; i < 4; ++i)
         p.updateCounters(pc, true);
@@ -28,11 +31,11 @@ TEST(BimodalPredictor, HysteresisSurvivesOneAnomaly)
     EXPECT_TRUE(p.predict(pc)) << "2-bit counter must not flip on one";
 }
 
-TEST(BimodalPredictor, DistinctPcsIndependent)
+TEST(TwoLevelPredictor, DistinctPcsIndependent)
 {
     // PCs chosen to land in different table slots (0x1000 and 0x2000
     // alias in a 1024-entry table: (pc >> 2) & 1023 is 0 for both).
-    sim::BimodalPredictor p(1024);
+    sim::TwoLevelPredictor p(1024);
     for (int i = 0; i < 4; ++i) {
         p.updateCounters(0x1004, true);
         p.updateCounters(0x2008, false);
@@ -41,11 +44,11 @@ TEST(BimodalPredictor, DistinctPcsIndependent)
     EXPECT_FALSE(p.predict(0x2008));
 }
 
-TEST(BimodalPredictor, AliasedPcsShareACounter)
+TEST(TwoLevelPredictor, AliasedPcsShareACounter)
 {
     // The flip side: a finite table aliases — train one PC, its alias
     // inherits the prediction.
-    sim::BimodalPredictor p(1024);
+    sim::TwoLevelPredictor p(1024);
     for (int i = 0; i < 4; ++i)
         p.updateCounters(0x1000, true);
     EXPECT_TRUE(p.predict(0x2000));
@@ -53,7 +56,7 @@ TEST(BimodalPredictor, AliasedPcsShareACounter)
 
 TEST(TwoLevelPredictor, LearnsAlternatingPatternViaHistory)
 {
-    // A strictly alternating branch defeats a bimodal predictor but
+    // A strictly alternating branch defeats a PC-indexed counter but
     // is perfectly predictable with global history.
     sim::TwoLevelPredictor p(4096, 8);
     const std::uint64_t pc = 0x4000;
@@ -76,6 +79,29 @@ TEST(TwoLevelPredictor, LearnsAlternatingPatternViaHistory)
     EXPECT_GE(correct, 95);
 }
 
+TEST(TwoLevelPredictor, ResetRestoresTheFreshState)
+{
+    // Train every counter taken and fill the history, then reset: the
+    // predictor must then answer a pattern exactly like a fresh one.
+    sim::TwoLevelPredictor reused(64, 4);
+    for (std::uint64_t pc = 0; pc < 64 * 4; pc += 4) {
+        for (int i = 0; i < 3; ++i)
+            reused.updateCounters(pc, true);
+        reused.updateHistory(true);
+    }
+    reused.reset();
+    sim::TwoLevelPredictor fresh(64, 4);
+    for (int i = 0; i < 200; ++i) {
+        const std::uint64_t pc = 4 * static_cast<std::uint64_t>(i % 7);
+        const bool taken = i % 3 != 0;
+        ASSERT_EQ(reused.predict(pc), fresh.predict(pc)) << i;
+        reused.updateCounters(pc, taken);
+        fresh.updateCounters(pc, taken);
+        reused.updateHistory(taken);
+        fresh.updateHistory(taken);
+    }
+}
+
 TEST(TwoLevelPredictor, ValidatesConstruction)
 {
     EXPECT_THROW(sim::TwoLevelPredictor(1000, 8),
@@ -84,122 +110,4 @@ TEST(TwoLevelPredictor, ValidatesConstruction)
                  std::invalid_argument);
     EXPECT_THROW(sim::TwoLevelPredictor(1024, 31),
                  std::invalid_argument);
-}
-
-TEST(BimodalPredictor, ValidatesConstruction)
-{
-    EXPECT_THROW(sim::BimodalPredictor(100), std::invalid_argument);
-}
-
-TEST(PerfectPredictor, AlwaysMatchesOracle)
-{
-    sim::PerfectPredictor p;
-    p.setOracleOutcome(true);
-    EXPECT_TRUE(p.predict(0x1234));
-    p.setOracleOutcome(false);
-    EXPECT_FALSE(p.predict(0x1234));
-}
-
-TEST(BranchPredictorStats, AccuracyAccounting)
-{
-    sim::BimodalPredictor p(64);
-    p.recordOutcome(true);
-    p.recordOutcome(true);
-    p.recordOutcome(false);
-    p.recordOutcome(true);
-    EXPECT_EQ(p.stats().predictions, 4u);
-    EXPECT_EQ(p.stats().mispredictions, 1u);
-    EXPECT_DOUBLE_EQ(p.stats().accuracy(), 0.75);
-}
-
-TEST(BranchPredictorFactory, ProducesRequestedKinds)
-{
-    auto two = sim::makeBranchPredictor(
-        sim::BranchPredictorKind::TwoLevel);
-    EXPECT_NE(dynamic_cast<sim::TwoLevelPredictor *>(two.get()),
-              nullptr);
-    auto bi = sim::makeBranchPredictor(
-        sim::BranchPredictorKind::Bimodal);
-    EXPECT_NE(dynamic_cast<sim::BimodalPredictor *>(bi.get()), nullptr);
-    auto perfect = sim::makeBranchPredictor(
-        sim::BranchPredictorKind::Perfect);
-    EXPECT_NE(dynamic_cast<sim::PerfectPredictor *>(perfect.get()),
-              nullptr);
-}
-
-TEST(LocalTwoLevelPredictor, LearnsPerBranchPattern)
-{
-    // Two branches with opposite fixed behavior must not interfere
-    // through shared global history.
-    sim::LocalTwoLevelPredictor p;
-    for (int i = 0; i < 50; ++i) {
-        p.updateCounters(0x1004, true);
-        p.updateCounters(0x2008, false);
-    }
-    EXPECT_TRUE(p.predict(0x1004));
-    EXPECT_FALSE(p.predict(0x2008));
-}
-
-TEST(LocalTwoLevelPredictor, LearnsShortPeriodicPattern)
-{
-    // Period-3 pattern T T N is local-history predictable.
-    sim::LocalTwoLevelPredictor p;
-    const std::uint64_t pc = 0x4000;
-    const bool pattern[3] = {true, true, false};
-    for (int i = 0; i < 300; ++i)
-        p.updateCounters(pc, pattern[i % 3]);
-    int correct = 0;
-    for (int i = 0; i < 99; ++i) {
-        if (p.predict(pc) == pattern[i % 3])
-            ++correct;
-        p.updateCounters(pc, pattern[i % 3]);
-    }
-    EXPECT_GE(correct, 95);
-}
-
-TEST(LocalTwoLevelPredictor, ValidatesConstruction)
-{
-    EXPECT_THROW(sim::LocalTwoLevelPredictor(1000, 10, 1024),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::LocalTwoLevelPredictor(1024, 0, 1024),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::LocalTwoLevelPredictor(1024, 10, 1000),
-                 std::invalid_argument);
-}
-
-TEST(TournamentPredictor, BeatsOrMatchesBothComponentsOnMixedWork)
-{
-    // A branch with a local-periodic pattern plus a branch correlated
-    // with global history: the tournament should track both well.
-    sim::TournamentPredictor tour;
-    sim::TwoLevelPredictor global;
-    sim::LocalTwoLevelPredictor local;
-
-    const std::uint64_t pc_periodic = 0x1004;
-    const bool pattern[4] = {true, true, true, false};
-    int tour_ok = 0;
-    int total = 0;
-    for (int i = 0; i < 2000; ++i) {
-        const bool outcome = pattern[i % 4];
-        if (i > 500) {
-            ++total;
-            if (tour.predict(pc_periodic) == outcome)
-                ++tour_ok;
-        }
-        tour.updateCounters(pc_periodic, outcome);
-        tour.updateHistory(outcome);
-    }
-    EXPECT_GT(static_cast<double>(tour_ok) / total, 0.9);
-}
-
-TEST(TournamentPredictor, FactoryKinds)
-{
-    auto local = sim::makeBranchPredictor(
-        sim::BranchPredictorKind::LocalTwoLevel);
-    EXPECT_NE(dynamic_cast<sim::LocalTwoLevelPredictor *>(local.get()),
-              nullptr);
-    auto tour = sim::makeBranchPredictor(
-        sim::BranchPredictorKind::Tournament);
-    EXPECT_NE(dynamic_cast<sim::TournamentPredictor *>(tour.get()),
-              nullptr);
 }

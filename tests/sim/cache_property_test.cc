@@ -58,9 +58,9 @@ TEST_P(SizeSweep, LruMissesNeverIncreaseWithAssocCapacityScaling)
     const std::uint32_t size = GetParam();
     const auto addrs = zipfStream(40000, 512 * 1024);
     const std::uint64_t small = missesFor(
-        {size, 0, 32, sim::ReplacementKind::LRU, 1}, addrs);
+        {size, 0, 32, 1}, addrs);
     const std::uint64_t big = missesFor(
-        {size * 2, 0, 32, sim::ReplacementKind::LRU, 1}, addrs);
+        {size * 2, 0, 32, 1}, addrs);
     EXPECT_LE(big, small);
 }
 
@@ -79,9 +79,9 @@ TEST_P(AssocSweep, HigherAssociativityHelpsConflictHeavyStream)
         for (std::uint64_t frame = 0; frame < 6; ++frame)
             addrs.push_back(frame * 8192); // same set, distinct tags
     const std::uint64_t fewer_ways = missesFor(
-        {8192, assoc, 32, sim::ReplacementKind::LRU, 1}, addrs);
+        {8192, assoc, 32, 1}, addrs);
     const std::uint64_t more_ways = missesFor(
-        {8192, assoc * 2, 32, sim::ReplacementKind::LRU, 1}, addrs);
+        {8192, assoc * 2, 32, 1}, addrs);
     EXPECT_LE(more_ways, fewer_ways);
 }
 
@@ -93,7 +93,7 @@ TEST(CacheProperty, MissCountsBoundedByAccesses)
     const auto addrs = zipfStream(10000, 256 * 1024);
     for (std::uint32_t size : {4096u, 65536u}) {
         sim::Cache cache("bound",
-                         {size, 2, 32, sim::ReplacementKind::LRU, 1});
+                         {size, 2, 32, 1});
         for (std::uint64_t a : addrs)
             cache.access(a);
         EXPECT_LE(cache.stats().misses, cache.stats().accesses);
@@ -101,33 +101,11 @@ TEST(CacheProperty, MissCountsBoundedByAccesses)
     }
 }
 
-TEST(CacheProperty, ReplacementPoliciesAgreeOnCompulsoryMisses)
+TEST(CacheProperty, NoReuseScanMissesEveryAccess)
 {
-    // On a no-reuse scan, policy cannot matter: every access misses
-    // regardless of LRU/FIFO/Random.
+    // On a no-reuse scan every access is a compulsory miss.
     std::vector<std::uint64_t> scan;
     for (std::uint64_t i = 0; i < 4096; ++i)
         scan.push_back(i * 64);
-    for (sim::ReplacementKind repl :
-         {sim::ReplacementKind::LRU, sim::ReplacementKind::FIFO,
-          sim::ReplacementKind::Random}) {
-        EXPECT_EQ(missesFor({8192, 2, 64, repl, 1}, scan), 4096u);
-    }
-}
-
-TEST(CacheProperty, LruNeverWorseThanFifoOnLoopingStream)
-{
-    // A loop slightly larger than one way-group: LRU keeps the reuse
-    // set at least as well as FIFO here.
-    std::vector<std::uint64_t> loop;
-    for (int round = 0; round < 500; ++round)
-        for (std::uint64_t i = 0; i < 96; ++i)
-            loop.push_back(i * 32);
-    const std::uint64_t lru = missesFor(
-        {4096, 0, 32, sim::ReplacementKind::LRU, 1}, loop);
-    const std::uint64_t fifo = missesFor(
-        {4096, 0, 32, sim::ReplacementKind::FIFO, 1}, loop);
-    // For a cyclic scan exceeding capacity both thrash equally; LRU
-    // must not be worse.
-    EXPECT_LE(lru, fifo + 1);
+    EXPECT_EQ(missesFor({8192, 2, 64, 1}, scan), 4096u);
 }

@@ -9,10 +9,9 @@ namespace
 
 sim::CacheGeometry
 geom(std::uint32_t size, std::uint32_t assoc, std::uint32_t block,
-     std::uint32_t latency = 1,
-     sim::ReplacementKind repl = sim::ReplacementKind::LRU)
+     std::uint32_t latency = 1)
 {
-    return sim::CacheGeometry{size, assoc, block, repl, latency};
+    return sim::CacheGeometry{size, assoc, block, latency};
 }
 
 } // namespace

@@ -59,6 +59,22 @@ TEST(ProcessorConfig, ValidateRejectsBadCore)
     c = sim::ProcessorConfig{};
     c.btbEntries = 12; // not a power of two
     EXPECT_THROW(c.validate(), std::invalid_argument);
+
+    // Configs arrive memcpy'd from sandbox pipes and fleet sockets,
+    // so an enum field can carry any bit pattern.
+    for (const int kind : {1, 2, 3, 5, 7}) {
+        c = sim::ProcessorConfig{};
+        c.bpred = static_cast<sim::BranchPredictorKind>(kind);
+        EXPECT_THROW(c.validate(), std::invalid_argument) << kind;
+    }
+    c = sim::ProcessorConfig{};
+    c.specBranchUpdate = static_cast<sim::BranchUpdateTiming>(9);
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+
+    c = sim::ProcessorConfig{};
+    c.bpred = sim::BranchPredictorKind::Perfect;
+    c.specBranchUpdate = sim::BranchUpdateTiming::InDecode;
+    EXPECT_NO_THROW(c.validate());
 }
 
 TEST(ProcessorConfig, ValidateRejectsBadCache)
@@ -106,7 +122,6 @@ TEST(ProcessorConfig, EnumNames)
               "Perfect");
     EXPECT_EQ(sim::toString(sim::BranchUpdateTiming::InCommit),
               "In Commit");
-    EXPECT_EQ(sim::toString(sim::ReplacementKind::LRU), "LRU");
 }
 
 TEST(ProcessorConfig, ToStringMentionsKeyFields)
@@ -120,7 +135,7 @@ TEST(ProcessorConfig, ToStringMentionsKeyFields)
 
 TEST(CacheGeometry, FullyAssociativeZeroMeansAllWays)
 {
-    sim::CacheGeometry g{1024, 0, 32, sim::ReplacementKind::LRU, 1};
+    sim::CacheGeometry g{1024, 0, 32, 1};
     EXPECT_EQ(g.effectiveAssoc(), 32u);
     EXPECT_EQ(g.numSets(), 1u);
 }

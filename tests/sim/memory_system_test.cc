@@ -12,9 +12,9 @@ sim::ProcessorConfig
 testConfig()
 {
     sim::ProcessorConfig c;
-    c.l1i = {1024, 1, 32, sim::ReplacementKind::LRU, 1};
-    c.l1d = {1024, 1, 32, sim::ReplacementKind::LRU, 2};
-    c.l2 = {4096, 1, 64, sim::ReplacementKind::LRU, 10};
+    c.l1i = {1024, 1, 32, 1};
+    c.l1d = {1024, 1, 32, 2};
+    c.l2 = {4096, 1, 64, 10};
     c.memLatencyFirst = 100;
     c.memBandwidthBytes = 16;
     c.itlb = {16, 4096, 4, 30};

@@ -8,7 +8,7 @@ namespace trace = rigor::trace;
 
 TEST(TagStore, MissThenHit)
 {
-    sim::TagStore t(4, 2, sim::ReplacementKind::LRU);
+    sim::TagStore t(4, 2);
     EXPECT_FALSE(t.lookup(0, 100));
     t.insert(0, 100);
     EXPECT_TRUE(t.lookup(0, 100));
@@ -16,7 +16,7 @@ TEST(TagStore, MissThenHit)
 
 TEST(TagStore, SetsAreIndependent)
 {
-    sim::TagStore t(2, 1, sim::ReplacementKind::LRU);
+    sim::TagStore t(2, 1);
     t.insert(0, 7);
     EXPECT_TRUE(t.probe(0, 7));
     EXPECT_FALSE(t.probe(1, 7));
@@ -24,7 +24,7 @@ TEST(TagStore, SetsAreIndependent)
 
 TEST(TagStore, LruEvictsLeastRecentlyUsed)
 {
-    sim::TagStore t(1, 2, sim::ReplacementKind::LRU);
+    sim::TagStore t(1, 2);
     t.insert(0, 1);
     t.insert(0, 2);
     // Touch 1 so 2 becomes the LRU victim.
@@ -35,37 +35,9 @@ TEST(TagStore, LruEvictsLeastRecentlyUsed)
     EXPECT_TRUE(t.probe(0, 3));
 }
 
-TEST(TagStore, FifoIgnoresHits)
-{
-    sim::TagStore t(1, 2, sim::ReplacementKind::FIFO);
-    t.insert(0, 1);
-    t.insert(0, 2);
-    // Touching 1 must NOT save it under FIFO.
-    EXPECT_TRUE(t.lookup(0, 1));
-    t.insert(0, 3); // evicts 1 (oldest insert)
-    EXPECT_FALSE(t.probe(0, 1));
-    EXPECT_TRUE(t.probe(0, 2));
-    EXPECT_TRUE(t.probe(0, 3));
-}
-
-TEST(TagStore, RandomEvictsSomeValidWay)
-{
-    sim::TagStore t(1, 4, sim::ReplacementKind::Random);
-    for (std::uint64_t tag = 0; tag < 4; ++tag)
-        t.insert(0, tag);
-    EXPECT_TRUE(t.insert(0, 99));
-    // Exactly one of the original four is gone.
-    unsigned survivors = 0;
-    for (std::uint64_t tag = 0; tag < 4; ++tag)
-        if (t.probe(0, tag))
-            ++survivors;
-    EXPECT_EQ(survivors, 3u);
-    EXPECT_TRUE(t.probe(0, 99));
-}
-
 TEST(TagStore, InvalidWaysFillBeforeEviction)
 {
-    sim::TagStore t(1, 3, sim::ReplacementKind::LRU);
+    sim::TagStore t(1, 3);
     EXPECT_FALSE(t.insert(0, 1));
     EXPECT_FALSE(t.insert(0, 2));
     EXPECT_FALSE(t.insert(0, 3));
@@ -74,7 +46,7 @@ TEST(TagStore, InvalidWaysFillBeforeEviction)
 
 TEST(TagStore, ReinsertRefreshesPayloadWithoutEviction)
 {
-    sim::TagStore t(1, 2, sim::ReplacementKind::LRU);
+    sim::TagStore t(1, 2);
     t.insert(0, 1, 111);
     EXPECT_FALSE(t.insert(0, 1, 222));
     std::uint64_t payload = 0;
@@ -84,7 +56,7 @@ TEST(TagStore, ReinsertRefreshesPayloadWithoutEviction)
 
 TEST(TagStore, ProbeDoesNotPerturbLru)
 {
-    sim::TagStore t(1, 2, sim::ReplacementKind::LRU);
+    sim::TagStore t(1, 2);
     t.insert(0, 1);
     t.insert(0, 2);
     // Probe (unlike lookup) must not refresh tag 1.
@@ -95,7 +67,7 @@ TEST(TagStore, ProbeDoesNotPerturbLru)
 
 TEST(TagStore, FlushInvalidatesAll)
 {
-    sim::TagStore t(2, 2, sim::ReplacementKind::LRU);
+    sim::TagStore t(2, 2);
     t.insert(0, 1);
     t.insert(1, 2);
     t.flush();
@@ -105,11 +77,11 @@ TEST(TagStore, FlushInvalidatesAll)
 
 TEST(TagStore, Validation)
 {
-    EXPECT_THROW(sim::TagStore(0, 1, sim::ReplacementKind::LRU),
+    EXPECT_THROW(sim::TagStore(0, 1),
                  std::invalid_argument);
-    EXPECT_THROW(sim::TagStore(1, 0, sim::ReplacementKind::LRU),
+    EXPECT_THROW(sim::TagStore(1, 0),
                  std::invalid_argument);
-    sim::TagStore t(2, 1, sim::ReplacementKind::LRU);
+    sim::TagStore t(2, 1);
     EXPECT_THROW(t.lookup(2, 0), std::out_of_range);
 }
 
@@ -119,39 +91,33 @@ TEST(TagStore, EmptyStoreRejectsEveryAccess)
     EXPECT_EQ(t.numSets(), 0u);
     EXPECT_THROW(t.lookup(0, 0), std::out_of_range);
     EXPECT_THROW(t.insert(0, 0), std::out_of_range);
-    EXPECT_THROW(t.reshape(0, 1, sim::ReplacementKind::LRU),
+    EXPECT_THROW(t.reshape(0, 1),
                  std::invalid_argument);
 }
 
 TEST(TagStore, StoreWithoutPayloadsReadsBackZero)
 {
-    sim::TagStore t(1, 2, sim::ReplacementKind::LRU, false);
+    sim::TagStore t(1, 2, false);
     t.insert(0, 1, 111);
     std::uint64_t payload = 7;
     EXPECT_TRUE(t.lookup(0, 1, &payload));
     EXPECT_EQ(payload, 0u);
 }
 
-class TagStoreReuse
-    : public ::testing::TestWithParam<sim::ReplacementKind>
-{
-};
-
-TEST_P(TagStoreReuse, ReshapedAndFlushedStoreMatchesAFreshOne)
+TEST(TagStoreReuse, ReshapedAndFlushedStoreMatchesAFreshOne)
 {
     // One store reshaped through random geometries, and flushed at
     // random, must answer every operation exactly like a store built
     // fresh at each reshape and flushed at the same points: the same
     // hits, payloads and evictions, hence the same victims.
-    const sim::ReplacementKind policy = GetParam();
-    trace::Rng rng(static_cast<std::uint64_t>(policy) + 99);
+    trace::Rng rng(99);
     sim::TagStore reused;
     for (int phase = 0; phase < 40; ++phase) {
         const auto sets = std::uint32_t{1} << rng.nextBelow(7);
         const auto assoc =
             static_cast<std::uint32_t>(1 + rng.nextBelow(8));
-        reused.reshape(sets, assoc, policy);
-        sim::TagStore fresh(sets, assoc, policy);
+        reused.reshape(sets, assoc);
+        sim::TagStore fresh(sets, assoc);
         for (int op = 0; op < 500; ++op) {
             const auto set = static_cast<std::uint32_t>(
                 rng.nextBelow(sets));
@@ -188,8 +154,3 @@ TEST_P(TagStoreReuse, ReshapedAndFlushedStoreMatchesAFreshOne)
         }
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, TagStoreReuse,
-                         ::testing::Values(sim::ReplacementKind::LRU,
-                                           sim::ReplacementKind::FIFO,
-                                           sim::ReplacementKind::Random));

@@ -121,9 +121,6 @@ TEST(CoreReset, RunResetRunIsBitIdentical)
     const trace::WorkloadProfile profile = workload();
     for (const sim::BranchPredictorKind kind :
          {sim::BranchPredictorKind::TwoLevel,
-          sim::BranchPredictorKind::Bimodal,
-          sim::BranchPredictorKind::LocalTwoLevel,
-          sim::BranchPredictorKind::Tournament,
           sim::BranchPredictorKind::Perfect}) {
         SCOPED_TRACE(static_cast<int>(kind));
         sim::SuperscalarCore core(configWithPredictor(kind));
@@ -142,7 +139,7 @@ TEST(CoreReset, ResetMatchesFreshCore)
 {
     const trace::WorkloadProfile profile = workload();
     const sim::ProcessorConfig config =
-        configWithPredictor(sim::BranchPredictorKind::Tournament);
+        configWithPredictor(sim::BranchPredictorKind::TwoLevel);
 
     sim::SuperscalarCore dirty(config);
     trace::SyntheticTraceGenerator polluter(profile, 6000);
@@ -185,7 +182,7 @@ TEST(FunctionalWarm, WarmedCoreResetsToFreshState)
 {
     const trace::WorkloadProfile profile = workload();
     const sim::ProcessorConfig config =
-        configWithPredictor(sim::BranchPredictorKind::LocalTwoLevel);
+        configWithPredictor(sim::BranchPredictorKind::TwoLevel);
 
     sim::SuperscalarCore warmed(config);
     trace::SyntheticTraceGenerator warm_stream(profile, 5000);
