@@ -177,8 +177,7 @@ printTables10And11(const methodology::PbExperimentResult *base)
     // as the threshold varies instead of committing to one cutoff.
     std::printf("Single-linkage merge sequence (distance, cluster):\n%s"
                 "\n",
-                cluster::agglomerate(published.distances,
-                                     cluster::Linkage::Single)
+                cluster::agglomerate(published.distances)
                     .toString(t9.benchmarks)
                     .c_str());
     if (base)

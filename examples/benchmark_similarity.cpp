@@ -35,8 +35,8 @@ main()
                 result.groupsToString().c_str());
 
     // Beyond the paper: how the grouping depends on the threshold.
-    const cluster::Dendrogram dendro = cluster::agglomerate(
-        result.distances, cluster::Linkage::Single);
+    const cluster::Dendrogram dendro =
+        cluster::agglomerate(result.distances);
     std::printf("Merge tree (single linkage) — pick any cutoff:\n%s\n",
                 dendro.toString(t9.benchmarks).c_str());
 

@@ -40,40 +40,6 @@ columnContext(const SourceContext &base, std::size_t col)
 } // namespace
 
 bool
-checkSignMatrix(const std::vector<std::vector<int>> &signs,
-                DiagnosticSink &sink, const SourceContext &base)
-{
-    const std::size_t before = sink.errorCount();
-    if (signs.empty() || signs.front().empty()) {
-        sink.error(rules::kDesignEmpty,
-                   "design matrix has no rows or no columns", base);
-        return false;
-    }
-
-    const std::size_t cols = signs.front().size();
-    for (std::size_t r = 0; r < signs.size(); ++r) {
-        if (signs[r].size() != cols) {
-            sink.error(rules::kDesignRagged,
-                       "row has " + std::to_string(signs[r].size()) +
-                           " entries, expected " + std::to_string(cols),
-                       rowContext(base, r));
-            continue;
-        }
-        for (std::size_t c = 0; c < cols; ++c) {
-            const int s = signs[r][c];
-            if (s != 1 && s != -1)
-                sink.error(rules::kDesignEntryNotUnit,
-                           "entry " + std::to_string(s) +
-                               " in column " + std::to_string(c) +
-                               " is not +1 or -1 (two-level designs "
-                               "admit no intermediate levels)",
-                           rowContext(base, r));
-        }
-    }
-    return sink.errorCount() == before;
-}
-
-bool
 checkDesignMatrix(const doe::DesignMatrix &design,
                   const DesignCheckOptions &options,
                   DiagnosticSink &sink, const SourceContext &base)

@@ -15,8 +15,6 @@
 #ifndef RIGOR_CHECK_DESIGN_CHECK_HH
 #define RIGOR_CHECK_DESIGN_CHECK_HH
 
-#include <vector>
-
 #include "check/diagnostic.hh"
 #include "doe/design_matrix.hh"
 
@@ -45,20 +43,6 @@ struct DesignCheckOptions
      */
     bool requirePlackettBurman = true;
 };
-
-/**
- * Check a raw sign matrix (e.g. parsed from CSV) for the structural
- * properties a DesignMatrix cannot even represent: non-emptiness,
- * rectangular rows, and ±1-only entries. Returns true when the matrix
- * is clean enough to construct a DesignMatrix from.
- *
- * @param base file/object context copied into every diagnostic; when
- *        base.line is non-zero it is used as the first row's line and
- *        advanced per row.
- */
-bool checkSignMatrix(const std::vector<std::vector<int>> &signs,
-                     DiagnosticSink &sink,
-                     const SourceContext &base = {});
 
 /**
  * Check the statistical properties of a constructed design matrix:

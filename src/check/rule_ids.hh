@@ -195,23 +195,8 @@ inline constexpr const char *kStatsCiComposeMissing =
 inline constexpr const char *kStatsReportSyntax =
     "stats.report-syntax";
 
-// ----- File linting (csv_lint / spec_lint) -----
+// ----- File linting (rigor_lint) -----
 
-/** CSV cell that should be a +1/-1 level failed to parse. */
-inline constexpr const char *kCsvBadCell = "csv.bad-cell";
-/** CSV data row has a different cell count than the header/first row. */
-inline constexpr const char *kCsvRaggedRow = "csv.ragged-row";
-/** CSV file contains no design rows. */
-inline constexpr const char *kCsvNoRows = "csv.no-rows";
-/** Unknown key in an experiment spec. */
-inline constexpr const char *kSpecUnknownKey = "spec.unknown-key";
-/** Spec value failed to parse for its key's type. */
-inline constexpr const char *kSpecBadValue = "spec.bad-value";
-/** Spec line is not "key = value". */
-inline constexpr const char *kSpecSyntax = "spec.syntax";
-/** Spec names an unknown built-in workload. */
-inline constexpr const char *kSpecUnknownWorkload =
-    "spec.unknown-workload";
 /** A file handed to the linter could not be opened or read. */
 inline constexpr const char *kLintUnreadableFile =
     "lint.unreadable-file";

@@ -19,7 +19,7 @@ using rules::kCampaignNoCompleteBenchmarks;
 using rules::kCampaignPairedDropMismatch;
 using rules::kCampaignUnderReplicated;
 
-constexpr std::array<RuleInfo, 55> kRules{{
+constexpr std::array<RuleInfo, 48> kRules{{
     // ----- design_check -----
     {rules::kDesignEmpty, Severity::Error,
      "design matrix has rows and columns"},
@@ -119,18 +119,7 @@ constexpr std::array<RuleInfo, 55> kRules{{
      "sampling CIs composed with replication CIs"},
     {rules::kStatsReportSyntax, Severity::Error,
      "stability report parses as --stability-out JSON"},
-    // ----- csv_lint / spec_lint -----
-    {rules::kCsvBadCell, Severity::Error,
-     "CSV level cells parse as integers"},
-    {rules::kCsvRaggedRow, Severity::Error, "CSV rows equally wide"},
-    {rules::kCsvNoRows, Severity::Error, "CSV contains design rows"},
-    {rules::kSpecUnknownKey, Severity::Error, "spec keys are known"},
-    {rules::kSpecBadValue, Severity::Error,
-     "spec values parse for their key's type"},
-    {rules::kSpecSyntax, Severity::Error,
-     "spec lines are 'key = value'"},
-    {rules::kSpecUnknownWorkload, Severity::Error,
-     "'workload =' names a built-in profile"},
+    // ----- rigor_lint -----
     {rules::kLintUnreadableFile, Severity::Error,
      "linted files can be opened and read"},
 }};

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "check/rule_ids.hh"
@@ -303,10 +305,17 @@ findingsFromJson(const JsonValue &root, RankStabilityFindings &out,
         why = "top-level value is not an object";
         return false;
     }
+    // The count must fit an unsigned exactly: a fraction, a value past
+    // 2^32 - 1 or an overflowed literal (1e999 reads as infinity)
+    // would otherwise wrap or truncate on the cast.
     double replicates = 0.0;
     if (!numberMember(root, "replicates", replicates) ||
-        replicates < 0.0) {
-        why = "missing or malformed 'replicates'";
+        !(replicates >= 0.0 &&
+          replicates <= std::numeric_limits<unsigned>::max()) ||
+        replicates != std::floor(replicates)) {
+        why = "missing or malformed 'replicates' (want an integer in "
+              "[0, " +
+              std::to_string(std::numeric_limits<unsigned>::max()) + "])";
         return false;
     }
     out.replicates = static_cast<unsigned>(replicates);

@@ -31,42 +31,4 @@ euclideanDistance(std::span<const double> x, std::span<const double> y)
     return std::sqrt(ss);
 }
 
-double
-manhattanDistance(std::span<const double> x, std::span<const double> y)
-{
-    checkLengths(x, y);
-    double total = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        total += std::abs(x[i] - y[i]);
-    return total;
-}
-
-double
-chebyshevDistance(std::span<const double> x, std::span<const double> y)
-{
-    checkLengths(x, y);
-    double worst = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        worst = std::max(worst, std::abs(x[i] - y[i]));
-    return worst;
-}
-
-double
-cosineDistance(std::span<const double> x, std::span<const double> y)
-{
-    checkLengths(x, y);
-    double dot = 0.0;
-    double nx = 0.0;
-    double ny = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        dot += x[i] * y[i];
-        nx += x[i] * x[i];
-        ny += y[i] * y[i];
-    }
-    if (nx == 0.0 || ny == 0.0)
-        throw std::invalid_argument(
-            "cosineDistance: vectors must be non-zero");
-    return 1.0 - dot / std::sqrt(nx * ny);
-}
-
 } // namespace rigor::cluster

@@ -4,38 +4,19 @@
  *
  * Section 4.2 of the paper measures benchmark similarity as the
  * Euclidean distance between the benchmarks' parameter-rank vectors.
- * Alternative metrics are provided so the classification can be
- * stress-tested against the metric choice.
  */
 
 #ifndef RIGOR_CLUSTER_DISTANCE_HH
 #define RIGOR_CLUSTER_DISTANCE_HH
 
-#include <functional>
 #include <span>
 
 namespace rigor::cluster
 {
 
-/** A symmetric distance function on equal-length vectors. */
-using DistanceFn = std::function<double(std::span<const double>,
-                                        std::span<const double>)>;
-
 /** L2 distance — the paper's metric. */
 double euclideanDistance(std::span<const double> x,
                          std::span<const double> y);
-
-/** L1 (city-block) distance. */
-double manhattanDistance(std::span<const double> x,
-                         std::span<const double> y);
-
-/** L-infinity (maximum coordinate difference) distance. */
-double chebyshevDistance(std::span<const double> x,
-                         std::span<const double> y);
-
-/** 1 - cosine similarity; 0 for parallel vectors. */
-double cosineDistance(std::span<const double> x,
-                      std::span<const double> y);
 
 } // namespace rigor::cluster
 

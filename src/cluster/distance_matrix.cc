@@ -16,13 +16,12 @@ DistanceMatrix::DistanceMatrix(std::size_t n)
 }
 
 DistanceMatrix
-DistanceMatrix::fromPoints(const std::vector<std::vector<double>> &points,
-                           const DistanceFn &metric)
+DistanceMatrix::fromPoints(const std::vector<std::vector<double>> &points)
 {
     DistanceMatrix m(points.size());
     for (std::size_t i = 0; i < points.size(); ++i)
         for (std::size_t j = i + 1; j < points.size(); ++j)
-            m.set(i, j, metric(points[i], points[j]));
+            m.set(i, j, euclideanDistance(points[i], points[j]));
     return m;
 }
 
@@ -66,26 +65,6 @@ DistanceMatrix::pairsBelow(double threshold) const
             if (at(i, j) < threshold)
                 pairs.emplace_back(i, j);
     return pairs;
-}
-
-std::size_t
-DistanceMatrix::nearestNeighbor(std::size_t i) const
-{
-    if (_n < 2)
-        throw std::logic_error(
-            "DistanceMatrix::nearestNeighbor: need at least two items");
-    std::size_t best = (i == 0) ? 1 : 0;
-    double best_d = at(i, best);
-    for (std::size_t j = 0; j < _n; ++j) {
-        if (j == i)
-            continue;
-        const double d = at(i, j);
-        if (d < best_d) {
-            best_d = d;
-            best = j;
-        }
-    }
-    return best;
 }
 
 std::string

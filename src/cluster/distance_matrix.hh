@@ -25,15 +25,13 @@ class DistanceMatrix
     explicit DistanceMatrix(std::size_t n);
 
     /**
-     * Compute all pairwise distances between the given points.
+     * All pairwise Euclidean distances between the given points, the
+     * paper's metric.
      *
      * @param points one vector per item (all of equal length)
-     * @param metric distance function (defaults to Euclidean, as in
-     *        the paper)
      */
     static DistanceMatrix
-    fromPoints(const std::vector<std::vector<double>> &points,
-               const DistanceFn &metric = euclideanDistance);
+    fromPoints(const std::vector<std::vector<double>> &points);
 
     std::size_t size() const { return _n; }
 
@@ -43,9 +41,6 @@ class DistanceMatrix
     /** All pairs (i, j), i < j, with distance below @p threshold. */
     std::vector<std::pair<std::size_t, std::size_t>>
     pairsBelow(double threshold) const;
-
-    /** Index of the nearest other item to @p i. Requires size() >= 2. */
-    std::size_t nearestNeighbor(std::size_t i) const;
 
     /**
      * Render as a table with row/column labels, one decimal place —

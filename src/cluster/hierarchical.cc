@@ -23,37 +23,20 @@ Dendrogram::Dendrogram(std::size_t num_leaves,
 }
 
 Groups
-Dendrogram::cutAfterMerges(std::size_t merges) const
+Dendrogram::cut(double height) const
 {
     UnionFind uf(_numLeaves);
     // Track, for every cluster id, one representative leaf.
     std::vector<std::size_t> rep(_numLeaves + _steps.size());
     for (std::size_t i = 0; i < _numLeaves; ++i)
         rep[i] = i;
-    for (std::size_t k = 0; k < merges; ++k) {
+    for (std::size_t k = 0; k < _steps.size() && _steps[k].distance < height;
+         ++k) {
         const MergeStep &step = _steps[k];
         uf.unite(rep[step.left], rep[step.right]);
         rep[_numLeaves + k] = rep[step.left];
     }
     return uf.sets();
-}
-
-Groups
-Dendrogram::cut(double height) const
-{
-    std::size_t merges = 0;
-    while (merges < _steps.size() && _steps[merges].distance < height)
-        ++merges;
-    return cutAfterMerges(merges);
-}
-
-Groups
-Dendrogram::cutToClusters(std::size_t k) const
-{
-    if (k == 0 || k > _numLeaves)
-        throw std::invalid_argument(
-            "Dendrogram::cutToClusters: k must be in [1, n]");
-    return cutAfterMerges(_numLeaves - k);
 }
 
 std::string
@@ -80,7 +63,7 @@ Dendrogram::toString(const std::vector<std::string> &labels) const
 }
 
 Dendrogram
-agglomerate(const DistanceMatrix &distances, Linkage linkage)
+agglomerate(const DistanceMatrix &distances)
 {
     const std::size_t n = distances.size();
 
@@ -95,31 +78,12 @@ agglomerate(const DistanceMatrix &distances, Linkage linkage)
     for (std::size_t i = 0; i < n; ++i)
         clusters.push_back({i, {i}, true});
 
-    // Linkage distance between two clusters from leaf distances.
+    // Single-linkage distance: the closest pair of leaves.
     const auto link = [&](const Cluster &a, const Cluster &b) {
-        double best = (linkage == Linkage::Single)
-                          ? std::numeric_limits<double>::infinity()
-                          : 0.0;
-        double total = 0.0;
-        for (std::size_t la : a.leaves) {
-            for (std::size_t lb : b.leaves) {
-                const double d = distances.at(la, lb);
-                switch (linkage) {
-                  case Linkage::Single:
-                    best = std::min(best, d);
-                    break;
-                  case Linkage::Complete:
-                    best = std::max(best, d);
-                    break;
-                  case Linkage::Average:
-                    total += d;
-                    break;
-                }
-            }
-        }
-        if (linkage == Linkage::Average)
-            return total / static_cast<double>(a.leaves.size() *
-                                               b.leaves.size());
+        double best = std::numeric_limits<double>::infinity();
+        for (std::size_t la : a.leaves)
+            for (std::size_t lb : b.leaves)
+                best = std::min(best, distances.at(la, lb));
         return best;
     };
 

@@ -20,14 +20,6 @@
 namespace rigor::cluster
 {
 
-/** Inter-cluster distance update rule. */
-enum class Linkage
-{
-    Single,   ///< min pairwise distance
-    Complete, ///< max pairwise distance
-    Average,  ///< unweighted average pairwise distance (UPGMA)
-};
-
 /** One merge step in the dendrogram. */
 struct MergeStep
 {
@@ -35,7 +27,7 @@ struct MergeStep
      *  created by merge step k. */
     std::size_t left = 0;
     std::size_t right = 0;
-    /** Linkage distance at which the merge happened. */
+    /** Single-linkage distance at which the merge happened. */
     double distance = 0.0;
     /** Number of leaves in the merged cluster. */
     std::size_t size = 0;
@@ -56,26 +48,24 @@ class Dendrogram
      */
     Groups cut(double height) const;
 
-    /** Cut so that exactly @p k clusters remain (1 <= k <= n). */
-    Groups cutToClusters(std::size_t k) const;
-
     /** ASCII rendering of the merge sequence for reports. */
     std::string toString(const std::vector<std::string> &labels) const;
 
   private:
     std::size_t _numLeaves;
     std::vector<MergeStep> _steps;
-
-    Groups cutAfterMerges(std::size_t merges) const;
 };
 
 /**
- * Run agglomerative clustering over a distance matrix.
+ * Run single-linkage agglomerative clustering over a distance matrix:
+ * the distance between two clusters is their closest pair of leaves,
+ * so cutting at a height h reproduces the connected components of
+ * groupByThresholdComponents(distances, h).
  *
  * O(n^3) naive implementation — benchmark suites are tens of items,
  * so clarity wins over an O(n^2 log n) scheme.
  */
-Dendrogram agglomerate(const DistanceMatrix &distances, Linkage linkage);
+Dendrogram agglomerate(const DistanceMatrix &distances);
 
 } // namespace rigor::cluster
 

@@ -15,42 +15,4 @@ groupByThresholdComponents(const DistanceMatrix &distances,
     return uf.sets();
 }
 
-Groups
-groupByThresholdCliques(const DistanceMatrix &distances, double threshold)
-{
-    Groups groups;
-    for (std::size_t item = 0; item < distances.size(); ++item) {
-        bool placed = false;
-        for (std::vector<std::size_t> &group : groups) {
-            bool fits = true;
-            for (std::size_t member : group) {
-                if (distances.at(item, member) >= threshold) {
-                    fits = false;
-                    break;
-                }
-            }
-            if (fits) {
-                group.push_back(item);
-                placed = true;
-                break;
-            }
-        }
-        if (!placed)
-            groups.push_back({item});
-    }
-    return groups;
-}
-
-bool
-allGroupsPairwiseSimilar(const DistanceMatrix &distances,
-                         const Groups &groups, double threshold)
-{
-    for (const std::vector<std::size_t> &group : groups)
-        for (std::size_t a = 0; a < group.size(); ++a)
-            for (std::size_t b = a + 1; b < group.size(); ++b)
-                if (distances.at(group[a], group[b]) >= threshold)
-                    return false;
-    return true;
-}
-
 } // namespace rigor::cluster

@@ -4,11 +4,9 @@
  *
  * The paper defines two benchmarks as similar when their rank-vector
  * distance falls below a user-chosen threshold (sqrt(4000) ~ 63.2 in
- * the worked example) and groups them accordingly. Two natural
- * formalizations are provided: connected components of the
- * "similar" graph (transitive closure — what reproduces Table 11)
- * and maximal-clique-free complete-linkage groups (stricter: every
- * pair inside a group must be similar).
+ * the worked example) and groups them accordingly: the groups are
+ * the connected components of the "similar" graph (transitive
+ * closure), which is what reproduces Table 11.
  */
 
 #ifndef RIGOR_CLUSTER_THRESHOLD_GROUPING_HH
@@ -31,22 +29,6 @@ using Groups = std::vector<std::vector<std::size_t>>;
  */
 Groups groupByThresholdComponents(const DistanceMatrix &distances,
                                   double threshold);
-
-/**
- * Greedy complete-linkage grouping: items join the first existing
- * group whose every member is within @p threshold; otherwise they
- * start a new group. Stricter than components — inside a group all
- * pairs are similar.
- */
-Groups groupByThresholdCliques(const DistanceMatrix &distances,
-                               double threshold);
-
-/**
- * True when every pair of items inside every group is within
- * @p threshold of each other.
- */
-bool allGroupsPairwiseSimilar(const DistanceMatrix &distances,
-                              const Groups &groups, double threshold);
 
 } // namespace rigor::cluster
 

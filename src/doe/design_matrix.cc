@@ -71,15 +71,6 @@ DesignMatrix::row(std::size_t row) const
     return out;
 }
 
-std::vector<int>
-DesignMatrix::columnSigns(std::size_t col) const
-{
-    std::vector<int> out(_rows);
-    for (std::size_t r = 0; r < _rows; ++r)
-        out[r] = sign(r, col);
-    return out;
-}
-
 bool
 DesignMatrix::isBalanced() const
 {

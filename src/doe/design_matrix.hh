@@ -66,9 +66,6 @@ class DesignMatrix
     /** One row as a vector of levels (an experiment configuration). */
     std::vector<Level> row(std::size_t row) const;
 
-    /** One column as a vector of +1/-1 signs. */
-    std::vector<int> columnSigns(std::size_t col) const;
-
     /**
      * True when every column has an equal number of high and low
      * entries. Balanced columns give every factor the same precision.

@@ -50,19 +50,4 @@ computeInteractionEffect(const DesignMatrix &design,
     return effect;
 }
 
-std::vector<double>
-effectVariationShares(std::span<const double> effects)
-{
-    double total = 0.0;
-    for (double e : effects)
-        total += e * e;
-
-    std::vector<double> shares(effects.size(), 0.0);
-    if (total == 0.0)
-        return shares;
-    for (std::size_t i = 0; i < effects.size(); ++i)
-        shares[i] = effects[i] * effects[i] / total;
-    return shares;
-}
-
 } // namespace rigor::doe

@@ -47,14 +47,6 @@ double computeInteractionEffect(const DesignMatrix &design,
                                 std::span<const double> responses,
                                 std::size_t col_a, std::size_t col_b);
 
-/**
- * Percentage of total response variation attributable to each factor:
- * effect_i^2 / sum_j effect_j^2. A common single-number significance
- * summary for saturated designs (all columns consume the variation).
- */
-std::vector<double> effectVariationShares(
-    std::span<const double> effects);
-
 } // namespace rigor::doe
 
 #endif // RIGOR_DOE_EFFECTS_HH

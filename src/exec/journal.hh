@@ -21,8 +21,8 @@
  * The journal binds to the build that wrote it: record identity uses
  * ProcessorConfig::hash(), which is stable across processes of one
  * toolchain but not a cross-version interchange format. That is the
- * right trade for crash recovery (same binary, restarted); exchange
- * formats are the CSV exporters' job.
+ * right trade for crash recovery (same binary, restarted); the
+ * campaign manifest (obs/manifest.hh) is the record to exchange.
  */
 
 #ifndef RIGOR_EXEC_JOURNAL_HH

@@ -59,8 +59,8 @@ appendJsonString(std::string &out, std::string_view text)
 }
 
 /**
- * Shortest round-trip rendering of @p value (mirrors the CSV
- * exporter). NaN/Inf are not valid JSON numbers; they render as null.
+ * Shortest round-trip rendering of @p value (std::to_chars). NaN/Inf
+ * are not valid JSON numbers; they render as null.
  */
 inline std::string
 jsonNumber(double value)

@@ -107,41 +107,6 @@ analyzeFactorial(std::span<const std::string> factor_names,
     return buildResult(factor_names, responses, 1, 0.0, 0);
 }
 
-AnovaResult
-analyzeFactorialReplicated(
-    std::span<const std::string> factor_names,
-    const std::vector<std::vector<double>> &replicated_responses)
-{
-    if (replicated_responses.empty())
-        throw std::invalid_argument(
-            "analyzeFactorialReplicated: no responses");
-    const std::size_t reps = replicated_responses.front().size();
-    if (reps == 0)
-        throw std::invalid_argument(
-            "analyzeFactorialReplicated: empty replication set");
-
-    std::vector<double> means;
-    means.reserve(replicated_responses.size());
-    double error_ss = 0.0;
-    for (const std::vector<double> &obs : replicated_responses) {
-        if (obs.size() != reps)
-            throw std::invalid_argument(
-                "analyzeFactorialReplicated: unequal replication counts");
-        double m = 0.0;
-        for (double y : obs)
-            m += y;
-        m /= static_cast<double>(reps);
-        means.push_back(m);
-        for (double y : obs)
-            error_ss += (y - m) * (y - m);
-    }
-
-    const unsigned error_dof = static_cast<unsigned>(
-        replicated_responses.size() * (reps - 1));
-    return buildResult(factor_names, means,
-                       static_cast<unsigned>(reps), error_ss, error_dof);
-}
-
 std::string
 formatAnovaTable(const AnovaResult &result)
 {

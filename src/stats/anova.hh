@@ -78,19 +78,6 @@ struct AnovaResult
 AnovaResult analyzeFactorial(std::span<const std::string> factor_names,
                              std::span<const double> responses);
 
-/**
- * Analyze a replicated 2^k design.
- *
- * @param factor_names name of each of the k factors
- * @param replicated_responses outer index = treatment (standard
- *        order), inner vector = r >= 1 replicated observations; all
- *        treatments must have the same replication count
- */
-AnovaResult
-analyzeFactorialReplicated(std::span<const std::string> factor_names,
-                           const std::vector<std::vector<double>>
-                               &replicated_responses);
-
 /** Render an ANOVA table as fixed-width text for reports. */
 std::string formatAnovaTable(const AnovaResult &result);
 

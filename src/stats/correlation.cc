@@ -44,49 +44,4 @@ spearmanCorrelation(std::span<const double> xs, std::span<const double> ys)
     return pearsonCorrelation(rx, ry);
 }
 
-double
-kendallTau(std::span<const double> xs, std::span<const double> ys)
-{
-    if (xs.size() != ys.size())
-        throw std::invalid_argument(
-            "kendallTau: sequences must have equal length");
-    const std::size_t n = xs.size();
-    if (n < 2)
-        throw std::invalid_argument(
-            "kendallTau: need at least two observations");
-
-    long long concordant = 0;
-    long long discordant = 0;
-    long long ties_x = 0;
-    long long ties_y = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const double dx = xs[i] - xs[j];
-            const double dy = ys[i] - ys[j];
-            if (dx == 0.0 && dy == 0.0) {
-                // Tied in both: contributes to neither numerator nor
-                // denominator corrections separately.
-                ++ties_x;
-                ++ties_y;
-            } else if (dx == 0.0) {
-                ++ties_x;
-            } else if (dy == 0.0) {
-                ++ties_y;
-            } else if (dx * dy > 0.0) {
-                ++concordant;
-            } else {
-                ++discordant;
-            }
-        }
-    }
-
-    const double n0 = static_cast<double>(n) * (n - 1) / 2.0;
-    const double denom = std::sqrt((n0 - static_cast<double>(ties_x)) *
-                                   (n0 - static_cast<double>(ties_y)));
-    if (denom == 0.0)
-        throw std::invalid_argument(
-            "kendallTau: inputs must have non-zero variance");
-    return static_cast<double>(concordant - discordant) / denom;
-}
-
 } // namespace rigor::stats

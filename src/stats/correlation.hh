@@ -4,8 +4,8 @@
  *
  * Spearman rank correlation is the headline metric EXPERIMENTS.md uses
  * to compare our measured Table 9 / Table 12 parameter orderings
- * against the published orderings; Pearson and Kendall support
- * secondary analyses.
+ * against the published orderings; it is the Pearson correlation of
+ * the rank vectors.
  */
 
 #ifndef RIGOR_STATS_CORRELATION_HH
@@ -32,11 +32,6 @@ double pearsonCorrelation(std::span<const double> xs,
  */
 double spearmanCorrelation(std::span<const double> xs,
                            std::span<const double> ys);
-
-/**
- * Kendall's tau-b rank correlation coefficient (tie-corrected).
- */
-double kendallTau(std::span<const double> xs, std::span<const double> ys);
 
 } // namespace rigor::stats
 

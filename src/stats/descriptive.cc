@@ -1,10 +1,8 @@
 #include "stats/descriptive.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 namespace rigor::stats
 {
@@ -33,54 +31,9 @@ variance(std::span<const double> xs)
 }
 
 double
-populationVariance(std::span<const double> xs)
-{
-    const std::size_t n = xs.size();
-    if (n == 0)
-        return 0.0;
-    const double m = mean(xs);
-    double ss = 0.0;
-    for (double x : xs) {
-        const double d = x - m;
-        ss += d * d;
-    }
-    return ss / static_cast<double>(n);
-}
-
-double
 stddev(std::span<const double> xs)
 {
     return std::sqrt(variance(xs));
-}
-
-double
-geometricMean(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        if (x <= 0.0)
-            throw std::invalid_argument(
-                "geometricMean: inputs must be positive");
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
-harmonicMean(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double recip_sum = 0.0;
-    for (double x : xs) {
-        if (x <= 0.0)
-            throw std::invalid_argument(
-                "harmonicMean: inputs must be positive");
-        recip_sum += 1.0 / x;
-    }
-    return static_cast<double>(xs.size()) / recip_sum;
 }
 
 double
@@ -94,20 +47,6 @@ median(std::span<const double> xs)
     if (n % 2 == 1)
         return sorted[n / 2];
     return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
-
-double
-minimum(std::span<const double> xs)
-{
-    assert(!xs.empty());
-    return *std::min_element(xs.begin(), xs.end());
-}
-
-double
-maximum(std::span<const double> xs)
-{
-    assert(!xs.empty());
-    return *std::max_element(xs.begin(), xs.end());
 }
 
 double
@@ -127,57 +66,14 @@ sum(std::span<const double> xs)
     return s;
 }
 
-double
-sumOfSquares(std::span<const double> xs)
-{
-    double s = 0.0;
-    for (double x : xs)
-        s += x * x;
-    return s;
-}
-
-double
-coefficientOfVariation(std::span<const double> xs)
-{
-    const double m = mean(xs);
-    if (m == 0.0)
-        throw std::invalid_argument(
-            "coefficientOfVariation: mean must be non-zero");
-    return stddev(xs) / m;
-}
-
-Summary
-summarize(std::span<const double> xs)
-{
-    Summary s;
-    s.count = xs.size();
-    if (xs.empty())
-        return s;
-    s.mean = mean(xs);
-    s.stddev = stddev(xs);
-    s.min = minimum(xs);
-    s.median = median(xs);
-    s.max = maximum(xs);
-    return s;
-}
-
-namespace
-{
-
-/**
- * Shared midrank implementation. @p ascending selects whether rank 1
- * is the smallest (true) or the largest (false) element.
- */
 std::vector<double>
-midranks(std::span<const double> xs, bool ascending)
+ranks(std::span<const double> xs)
 {
     const std::size_t n = xs.size();
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return ascending ? xs[a] < xs[b] : xs[a] > xs[b];
-              });
+              [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
 
     std::vector<double> result(n, 0.0);
     std::size_t i = 0;
@@ -194,23 +90,6 @@ midranks(std::span<const double> xs, bool ascending)
         i = j + 1;
     }
     return result;
-}
-
-} // namespace
-
-std::vector<double>
-ranks(std::span<const double> xs)
-{
-    return midranks(xs, true);
-}
-
-std::vector<double>
-significanceRanks(std::span<const double> effects)
-{
-    std::vector<double> magnitudes(effects.size());
-    for (std::size_t i = 0; i < effects.size(); ++i)
-        magnitudes[i] = std::abs(effects[i]);
-    return midranks(magnitudes, false);
 }
 
 } // namespace rigor::stats

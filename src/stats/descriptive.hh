@@ -11,7 +11,6 @@
 #ifndef RIGOR_STATS_DESCRIPTIVE_HH
 #define RIGOR_STATS_DESCRIPTIVE_HH
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -27,51 +26,14 @@ double mean(std::span<const double> xs);
  */
 double variance(std::span<const double> xs);
 
-/** Population variance (divides by n). */
-double populationVariance(std::span<const double> xs);
-
 /** Sample standard deviation (square root of variance()). */
 double stddev(std::span<const double> xs);
-
-/** Geometric mean. All inputs must be strictly positive. */
-double geometricMean(std::span<const double> xs);
-
-/** Harmonic mean. All inputs must be strictly positive. */
-double harmonicMean(std::span<const double> xs);
 
 /** Median; averages the two middle elements for even-length inputs. */
 double median(std::span<const double> xs);
 
-/** Smallest element. The sequence must be non-empty. */
-double minimum(std::span<const double> xs);
-
-/** Largest element. The sequence must be non-empty. */
-double maximum(std::span<const double> xs);
-
 /** Sum of all elements. */
 double sum(std::span<const double> xs);
-
-/** Sum of squares of all elements. */
-double sumOfSquares(std::span<const double> xs);
-
-/** Coefficient of variation: stddev / mean. Mean must be non-zero. */
-double coefficientOfVariation(std::span<const double> xs);
-
-/**
- * Full five-number-plus summary of a sample, convenient for reports.
- */
-struct Summary
-{
-    std::size_t count = 0;
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double median = 0.0;
-    double max = 0.0;
-};
-
-/** Compute a Summary of the given sample. */
-Summary summarize(std::span<const double> xs);
 
 /**
  * Assign ranks (1 = smallest) to a sequence of values.
@@ -84,15 +46,6 @@ Summary summarize(std::span<const double> xs);
  * @return rank of each element, parallel to @p xs
  */
 std::vector<double> ranks(std::span<const double> xs);
-
-/**
- * Assign descending-significance ranks (1 = largest magnitude).
- *
- * This is the ranking the paper applies to Plackett-Burman effects:
- * the parameter with the largest |effect| gets rank 1. Ties receive
- * midranks.
- */
-std::vector<double> significanceRanks(std::span<const double> effects);
 
 } // namespace rigor::stats
 

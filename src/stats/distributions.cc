@@ -49,12 +49,6 @@ invertCdf(const Cdf &cdf, double p, double lo, double hi)
 // ---------------------------------------------------------------------
 
 double
-NormalDistribution::pdf(double x) const
-{
-    return std::exp(-0.5 * x * x) / std::sqrt(2.0 * M_PI);
-}
-
-double
 NormalDistribution::cdf(double x) const
 {
     return 0.5 * complementaryErrorFunction(-x / std::sqrt(2.0));
@@ -75,17 +69,6 @@ StudentTDistribution::StudentTDistribution(double dof) : _dof(dof)
     if (dof <= 0.0)
         throw std::invalid_argument(
             "StudentTDistribution: dof must be positive");
-}
-
-double
-StudentTDistribution::pdf(double x) const
-{
-    const double v = _dof;
-    const double log_norm =
-        logGamma((v + 1.0) / 2.0) - logGamma(v / 2.0) -
-        0.5 * std::log(v * M_PI);
-    return std::exp(log_norm -
-                    (v + 1.0) / 2.0 * std::log1p(x * x / v));
 }
 
 double
@@ -116,23 +99,6 @@ FDistribution::FDistribution(double dof1, double dof2)
 }
 
 double
-FDistribution::pdf(double x) const
-{
-    if (x < 0.0)
-        return 0.0;
-    if (x == 0.0)
-        return _dof1 > 2.0 ? 0.0 : (_dof1 == 2.0 ? 1.0 : HUGE_VAL);
-    const double d1 = _dof1;
-    const double d2 = _dof2;
-    const double log_pdf =
-        (d1 / 2.0) * std::log(d1 / d2) +
-        (d1 / 2.0 - 1.0) * std::log(x) -
-        ((d1 + d2) / 2.0) * std::log1p(d1 * x / d2) -
-        logBeta(d1 / 2.0, d2 / 2.0);
-    return std::exp(log_pdf);
-}
-
-double
 FDistribution::cdf(double x) const
 {
     if (x <= 0.0)
@@ -142,56 +108,7 @@ FDistribution::cdf(double x) const
 }
 
 double
-FDistribution::quantile(double p) const
-{
-    return invertCdf([this](double x) { return cdf(x); }, p, 0.0, 100.0);
-}
-
-double
 FDistribution::survival(double x) const
-{
-    return 1.0 - cdf(x);
-}
-
-// ---------------------------------------------------------------------
-// ChiSquareDistribution
-// ---------------------------------------------------------------------
-
-ChiSquareDistribution::ChiSquareDistribution(double dof) : _dof(dof)
-{
-    if (dof <= 0.0)
-        throw std::invalid_argument(
-            "ChiSquareDistribution: dof must be positive");
-}
-
-double
-ChiSquareDistribution::pdf(double x) const
-{
-    if (x < 0.0)
-        return 0.0;
-    if (x == 0.0)
-        return _dof > 2.0 ? 0.0 : (_dof == 2.0 ? 0.5 : HUGE_VAL);
-    const double k = _dof / 2.0;
-    return std::exp((k - 1.0) * std::log(x) - x / 2.0 - k * std::log(2.0) -
-                    logGamma(k));
-}
-
-double
-ChiSquareDistribution::cdf(double x) const
-{
-    if (x <= 0.0)
-        return 0.0;
-    return regularizedLowerIncompleteGamma(_dof / 2.0, x / 2.0);
-}
-
-double
-ChiSquareDistribution::quantile(double p) const
-{
-    return invertCdf([this](double x) { return cdf(x); }, p, 0.0, 100.0);
-}
-
-double
-ChiSquareDistribution::survival(double x) const
 {
     return 1.0 - cdf(x);
 }

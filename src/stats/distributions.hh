@@ -7,8 +7,7 @@
  * recommends in section 4.1 (step 3: a full-factorial sensitivity
  * analysis over the critical parameters "using the ANOVA technique").
  * Student's t and the normal distribution support confidence intervals
- * on simulation responses; the chi-square distribution supports
- * goodness-of-fit checks on the synthetic workload generators.
+ * on simulation responses.
  */
 
 #ifndef RIGOR_STATS_DISTRIBUTIONS_HH
@@ -21,8 +20,6 @@ namespace rigor::stats
 class NormalDistribution
 {
   public:
-    /** Probability density at @p x. */
-    double pdf(double x) const;
     /** Cumulative probability P(X <= x). */
     double cdf(double x) const;
     /** Inverse CDF for p in (0, 1). */
@@ -35,7 +32,6 @@ class StudentTDistribution
   public:
     explicit StudentTDistribution(double dof);
 
-    double pdf(double x) const;
     double cdf(double x) const;
     double quantile(double p) const;
 
@@ -54,9 +50,7 @@ class FDistribution
   public:
     FDistribution(double dof1, double dof2);
 
-    double pdf(double x) const;
     double cdf(double x) const;
-    double quantile(double p) const;
 
     /** Right-tail probability P(F > x), the ANOVA p-value. */
     double survival(double x) const;
@@ -67,23 +61,6 @@ class FDistribution
   private:
     double _dof1;
     double _dof2;
-};
-
-/** Chi-square distribution with @p dof degrees of freedom. */
-class ChiSquareDistribution
-{
-  public:
-    explicit ChiSquareDistribution(double dof);
-
-    double pdf(double x) const;
-    double cdf(double x) const;
-    double quantile(double p) const;
-    double survival(double x) const;
-
-    double dof() const { return _dof; }
-
-  private:
-    double _dof;
 };
 
 /**

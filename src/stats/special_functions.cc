@@ -200,12 +200,6 @@ regularizedLowerIncompleteGamma(double a, double x)
 }
 
 double
-regularizedUpperIncompleteGamma(double a, double x)
-{
-    return 1.0 - regularizedLowerIncompleteGamma(a, x);
-}
-
-double
 errorFunction(double x)
 {
     if (x == 0.0)

@@ -38,9 +38,6 @@ double regularizedIncompleteBeta(double a, double b, double x);
  */
 double regularizedLowerIncompleteGamma(double a, double x);
 
-/** Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x). */
-double regularizedUpperIncompleteGamma(double a, double x);
-
 /** Error function, computed through the incomplete gamma function. */
 double errorFunction(double x);
 

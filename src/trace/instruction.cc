@@ -16,12 +16,6 @@ isControlOp(OpClass op)
            op == OpClass::Return;
 }
 
-bool
-isIntAluOp(OpClass op)
-{
-    return op == OpClass::IntAlu;
-}
-
 std::string
 toString(OpClass op)
 {

@@ -45,9 +45,6 @@ bool isMemOp(OpClass op);
 /** True for branches, calls, and returns (control transfers). */
 bool isControlOp(OpClass op);
 
-/** True for ops executed on the integer ALU pool. */
-bool isIntAluOp(OpClass op);
-
 /** Report name of an op class. */
 std::string toString(OpClass op);
 

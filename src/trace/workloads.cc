@@ -399,14 +399,4 @@ workloadByName(const std::string &name)
                                 name);
 }
 
-std::vector<std::string>
-workloadNames()
-{
-    std::vector<std::string> names;
-    names.reserve(allWorkloads().size());
-    for (const WorkloadProfile &p : allWorkloads())
-        names.push_back(p.name);
-    return names;
-}
-
 } // namespace rigor::trace

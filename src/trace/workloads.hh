@@ -27,9 +27,6 @@ std::span<const WorkloadProfile> spec2000Workloads();
 /** Look up a profile by name; throws std::invalid_argument if absent. */
 const WorkloadProfile &workloadByName(const std::string &name);
 
-/** The thirteen names, in Table 5 order. */
-std::vector<std::string> workloadNames();
-
 } // namespace rigor::trace
 
 #endif // RIGOR_TRACE_WORKLOADS_HH

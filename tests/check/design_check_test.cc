@@ -21,39 +21,6 @@ flipped(doe::DesignMatrix m, std::size_t row, std::size_t col)
 
 } // namespace
 
-// ----- checkSignMatrix: structural properties -----
-
-TEST(DesignCheck, EmptyMatrixRejected)
-{
-    check::DiagnosticSink sink;
-    EXPECT_FALSE(check::checkSignMatrix({}, sink));
-    EXPECT_TRUE(sink.hasRule(rules::kDesignEmpty));
-}
-
-TEST(DesignCheck, RaggedRowsRejected)
-{
-    check::DiagnosticSink sink;
-    EXPECT_FALSE(
-        check::checkSignMatrix({{1, -1}, {1, -1, 1}}, sink));
-    EXPECT_TRUE(sink.hasRule(rules::kDesignRagged));
-}
-
-TEST(DesignCheck, NonUnitEntryRejected)
-{
-    check::DiagnosticSink sink;
-    EXPECT_FALSE(check::checkSignMatrix({{1, -1}, {0, 2}}, sink));
-    EXPECT_TRUE(sink.hasRule(rules::kDesignEntryNotUnit));
-    // Both bad entries are reported, not just the first.
-    EXPECT_EQ(sink.errorCount(), 2u);
-}
-
-TEST(DesignCheck, CleanSignMatrixPasses)
-{
-    check::DiagnosticSink sink;
-    EXPECT_TRUE(check::checkSignMatrix({{1, -1}, {-1, 1}}, sink));
-    EXPECT_TRUE(sink.passed());
-}
-
 // ----- checkDesignMatrix: statistical properties -----
 
 TEST(DesignCheck, PbDesignPassesAllChecks)

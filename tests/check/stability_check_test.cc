@@ -230,6 +230,19 @@ TEST(StabilityLint, MalformedJsonIsSyntaxError)
           "{\"replicates\": 3}",
           "{\"replicates\": \"three\", \"sampled\": false, "
           "\"samplingCiComposed\": true, \"factors\": [], "
+          "\"flipProbability\": []}",
+          // Replicate counts an unsigned cannot hold exactly.
+          "{\"replicates\": 4294967296, \"sampled\": false, "
+          "\"samplingCiComposed\": true, \"factors\": [], "
+          "\"flipProbability\": []}",
+          "{\"replicates\": 4294967298, \"sampled\": false, "
+          "\"samplingCiComposed\": true, \"factors\": [], "
+          "\"flipProbability\": []}",
+          "{\"replicates\": 1e999, \"sampled\": false, "
+          "\"samplingCiComposed\": true, \"factors\": [], "
+          "\"flipProbability\": []}",
+          "{\"replicates\": 3.7, \"sampled\": false, "
+          "\"samplingCiComposed\": true, \"factors\": [], "
           "\"flipProbability\": []}"}) {
         check::DiagnosticSink sink;
         check::lintStabilityReport(broken, "report.json", {}, 3,
@@ -248,4 +261,17 @@ TEST(StabilityLint, RaggedFlipMatrixIsSyntaxError)
                    false),
         "report.json", {}, 3, sink);
     EXPECT_TRUE(sink.hasRule(rules::kStatsReportSyntax));
+}
+
+TEST(StabilityLint, ReplicateCountRangeEndsAreAccepted)
+{
+    for (unsigned replicates : {0u, 4294967295u}) {
+        check::DiagnosticSink sink;
+        check::lintStabilityReport(
+            reportJson(kTwoFactors, "[0, 0], [0, 0]", replicates, false,
+                       false),
+            "report.json", {}, 3, sink);
+        EXPECT_TRUE(sink.diagnostics().empty())
+            << "replicates: " << replicates;
+    }
 }

@@ -41,15 +41,6 @@ TEST(DistanceMatrix, FromPointsEuclideanDefault)
     EXPECT_DOUBLE_EQ(m.at(1, 2), 5.0);
 }
 
-TEST(DistanceMatrix, FromPointsCustomMetric)
-{
-    const std::vector<std::vector<double>> pts = {{0.0}, {2.5}};
-    const cluster::DistanceMatrix m =
-        cluster::DistanceMatrix::fromPoints(
-            pts, cluster::manhattanDistance);
-    EXPECT_DOUBLE_EQ(m.at(0, 1), 2.5);
-}
-
 TEST(DistanceMatrix, PairsBelowThreshold)
 {
     cluster::DistanceMatrix m(3);
@@ -68,17 +59,6 @@ TEST(DistanceMatrix, PairsBelowIsStrict)
     m.set(0, 1, 5.0);
     EXPECT_TRUE(m.pairsBelow(5.0).empty());
     EXPECT_EQ(m.pairsBelow(5.0001).size(), 1u);
-}
-
-TEST(DistanceMatrix, NearestNeighbor)
-{
-    cluster::DistanceMatrix m(3);
-    m.set(0, 1, 2.0);
-    m.set(0, 2, 1.0);
-    m.set(1, 2, 5.0);
-    EXPECT_EQ(m.nearestNeighbor(0), 2u);
-    EXPECT_EQ(m.nearestNeighbor(1), 0u);
-    EXPECT_EQ(m.nearestNeighbor(2), 0u);
 }
 
 TEST(DistanceMatrix, ToStringHasLabelsAndValues)

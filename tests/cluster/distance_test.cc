@@ -41,54 +41,12 @@ TEST(Distance, EuclideanTriangleInequality)
                   cluster::euclideanDistance(b, c) + 1e-12);
 }
 
-TEST(Distance, Manhattan)
-{
-    const std::vector<double> x = {1.0, 2.0};
-    const std::vector<double> y = {4.0, -2.0};
-    EXPECT_DOUBLE_EQ(cluster::manhattanDistance(x, y), 7.0);
-}
-
-TEST(Distance, Chebyshev)
-{
-    const std::vector<double> x = {1.0, 2.0, 3.0};
-    const std::vector<double> y = {2.0, 9.0, 1.0};
-    EXPECT_DOUBLE_EQ(cluster::chebyshevDistance(x, y), 7.0);
-}
-
-TEST(Distance, MetricOrdering)
-{
-    // Chebyshev <= Euclidean <= Manhattan for any pair.
-    const std::vector<double> x = {1.0, 5.0, -3.0, 0.0};
-    const std::vector<double> y = {2.0, 1.0, 4.0, 2.0};
-    const double ch = cluster::chebyshevDistance(x, y);
-    const double eu = cluster::euclideanDistance(x, y);
-    const double ma = cluster::manhattanDistance(x, y);
-    EXPECT_LE(ch, eu + 1e-12);
-    EXPECT_LE(eu, ma + 1e-12);
-}
-
-TEST(Distance, CosineParallelAndOrthogonal)
-{
-    const std::vector<double> x = {1.0, 1.0};
-    const std::vector<double> x2 = {5.0, 5.0};
-    const std::vector<double> y = {1.0, -1.0};
-    EXPECT_NEAR(cluster::cosineDistance(x, x2), 0.0, 1e-12);
-    EXPECT_NEAR(cluster::cosineDistance(x, y), 1.0, 1e-12);
-}
-
-TEST(Distance, CosineRejectsZeroVector)
-{
-    const std::vector<double> x = {0.0, 0.0};
-    const std::vector<double> y = {1.0, 2.0};
-    EXPECT_THROW(cluster::cosineDistance(x, y), std::invalid_argument);
-}
-
 TEST(Distance, RejectsMismatchedOrEmpty)
 {
     const std::vector<double> x = {1.0};
     const std::vector<double> y = {1.0, 2.0};
     EXPECT_THROW(cluster::euclideanDistance(x, y),
                  std::invalid_argument);
-    EXPECT_THROW(cluster::manhattanDistance({}, {}),
+    EXPECT_THROW(cluster::euclideanDistance({}, {}),
                  std::invalid_argument);
 }

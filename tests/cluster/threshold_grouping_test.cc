@@ -66,32 +66,6 @@ TEST(ThresholdGrouping, ComponentsAreTransitive)
     ASSERT_EQ(g.size(), 1u);
 }
 
-TEST(ThresholdGrouping, CliquesAreNotTransitive)
-{
-    cluster::DistanceMatrix m(3);
-    m.set(0, 1, 1.0);
-    m.set(1, 2, 1.0);
-    m.set(0, 2, 100.0);
-    const cluster::Groups g = cluster::groupByThresholdCliques(m, 5.0);
-    // Greedy: 0 starts a group, 1 joins it, 2 cannot (too far from 0).
-    ASSERT_EQ(g.size(), 2u);
-    EXPECT_EQ(g[0], (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(g[1], (std::vector<std::size_t>{2}));
-    EXPECT_TRUE(cluster::allGroupsPairwiseSimilar(m, g, 5.0));
-}
-
-TEST(ThresholdGrouping, PairwiseSimilarityChecker)
-{
-    cluster::DistanceMatrix m(3);
-    m.set(0, 1, 1.0);
-    m.set(1, 2, 1.0);
-    m.set(0, 2, 100.0);
-    const cluster::Groups chained = {{0, 1, 2}};
-    EXPECT_FALSE(cluster::allGroupsPairwiseSimilar(m, chained, 5.0));
-    const cluster::Groups fine = {{0, 1}, {2}};
-    EXPECT_TRUE(cluster::allGroupsPairwiseSimilar(m, fine, 5.0));
-}
-
 TEST(ThresholdGrouping, EveryItemAppearsExactlyOnce)
 {
     for (double threshold : {0.0, 3.0, 60.0, 200.0}) {

@@ -63,7 +63,9 @@ TEST(DesignMatrix, RowAndColumnAccessors)
     const std::vector<doe::Level> row = m.row(1);
     EXPECT_EQ(row[0], doe::Level::Low);
     EXPECT_EQ(row[1], doe::Level::High);
-    EXPECT_EQ(m.columnSigns(0), (std::vector<int>{1, -1, 1}));
+    EXPECT_EQ(m.sign(0, 0), 1);
+    EXPECT_EQ(m.sign(1, 0), -1);
+    EXPECT_EQ(m.sign(2, 0), 1);
 }
 
 TEST(DesignMatrix, BalanceDetection)

@@ -138,23 +138,3 @@ TEST(Effects, InteractionEffectValidatesArguments)
         std::out_of_range);
 }
 
-TEST(Effects, VariationSharesSumToOne)
-{
-    const std::vector<double> effects = {-23.0, -67.0, -137.0, 129.0,
-                                         -105.0, -225.0, 73.0};
-    const std::vector<double> shares =
-        doe::effectVariationShares(effects);
-    double total = 0.0;
-    for (double s : shares)
-        total += s;
-    EXPECT_NEAR(total, 1.0, 1e-12);
-    // F dominates.
-    EXPECT_GT(shares[5], shares[2]);
-}
-
-TEST(Effects, VariationSharesOfZeroEffects)
-{
-    const std::vector<double> effects(4, 0.0);
-    for (double s : doe::effectVariationShares(effects))
-        EXPECT_DOUBLE_EQ(s, 0.0);
-}

@@ -80,47 +80,10 @@ TEST(Anova, RowsBySignificanceSorted)
                   sorted[i].variationExplained);
 }
 
-TEST(Anova, ReplicatedComputesErrorTerm)
-{
-    // Two factors, 2 replications each, with deterministic "noise".
-    const std::vector<std::vector<double>> reps = {
-        {10.0, 12.0}, {20.0, 22.0}, {30.0, 32.0}, {44.0, 46.0}};
-    const stats::AnovaResult r =
-        stats::analyzeFactorialReplicated(twoNames, reps);
-
-    EXPECT_EQ(r.replications, 2u);
-    EXPECT_EQ(r.errorDof, 4u);
-    // Each treatment contributes (1)^2 * 2 = 2 to error SS.
-    EXPECT_NEAR(r.errorSumSquares, 8.0, 1e-9);
-    // F statistics are populated and the p-values are meaningful.
-    const stats::AnovaRow &a = r.row("A");
-    EXPECT_GT(a.fStatistic, 1.0);
-    EXPECT_GT(a.pValue, 0.0);
-    EXPECT_LT(a.pValue, 0.05);
-}
-
-TEST(Anova, ReplicatedStrongEffectIsSignificant)
-{
-    const std::vector<std::vector<double>> reps = {
-        {10.0, 10.1}, {50.0, 50.2}, {10.2, 9.9}, {50.1, 49.8}};
-    const stats::AnovaResult r =
-        stats::analyzeFactorialReplicated(twoNames, reps);
-    EXPECT_LT(r.row("A").pValue, 0.001);
-    EXPECT_GT(r.row("B").pValue, 0.1);
-}
-
 TEST(Anova, RejectsWrongResponseCount)
 {
     const std::vector<double> y = {1.0, 2.0, 3.0};
     EXPECT_THROW(stats::analyzeFactorial(twoNames, y),
-                 std::invalid_argument);
-}
-
-TEST(Anova, RejectsRaggedReplication)
-{
-    const std::vector<std::vector<double>> reps = {
-        {1.0, 2.0}, {3.0}, {4.0, 5.0}, {6.0, 7.0}};
-    EXPECT_THROW(stats::analyzeFactorialReplicated(twoNames, reps),
                  std::invalid_argument);
 }
 

@@ -85,32 +85,3 @@ TEST(Spearman, KnownTextbookValue)
     EXPECT_NEAR(stats::spearmanCorrelation(x, y), 0.8, 1e-12);
 }
 
-TEST(KendallTau, PerfectAgreement)
-{
-    const std::vector<double> x = {1.0, 2.0, 3.0};
-    const std::vector<double> y = {10.0, 20.0, 30.0};
-    EXPECT_NEAR(stats::kendallTau(x, y), 1.0, 1e-12);
-}
-
-TEST(KendallTau, PerfectDisagreement)
-{
-    const std::vector<double> x = {1.0, 2.0, 3.0};
-    const std::vector<double> y = {3.0, 2.0, 1.0};
-    EXPECT_NEAR(stats::kendallTau(x, y), -1.0, 1e-12);
-}
-
-TEST(KendallTau, KnownMixedValue)
-{
-    // Pairs: (1,2) concordant with (2,1)? Compute by hand:
-    // x = 1,2,3,4; y = 1,3,2,4: discordant pair only (2,3): tau = (5-1)/6.
-    const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-    const std::vector<double> y = {1.0, 3.0, 2.0, 4.0};
-    EXPECT_NEAR(stats::kendallTau(x, y), 4.0 / 6.0, 1e-12);
-}
-
-TEST(KendallTau, RejectsDegenerateInput)
-{
-    const std::vector<double> x = {1.0, 1.0};
-    const std::vector<double> y = {2.0, 3.0};
-    EXPECT_THROW(stats::kendallTau(x, y), std::invalid_argument);
-}

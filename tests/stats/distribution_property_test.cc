@@ -1,8 +1,8 @@
 /**
  * @file
  * Parameterized property sweeps over the statistical distributions:
- * quantile/CDF round-trips, monotonicity, and pdf/cdf consistency
- * across a grid of degrees of freedom.
+ * quantile/CDF round-trips and monotonicity across a grid of degrees
+ * of freedom.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +22,6 @@ class TDofSweep : public ::testing::TestWithParam<double>
 
 class FDofSweep
     : public ::testing::TestWithParam<std::pair<double, double>>
-{
-};
-
-class ChiDofSweep : public ::testing::TestWithParam<double>
 {
 };
 
@@ -51,26 +47,9 @@ TEST_P(TDofSweep, CdfIsMonotone)
     }
 }
 
-TEST_P(TDofSweep, PdfNonNegativeAndSymmetric)
-{
-    const stats::StudentTDistribution t(GetParam());
-    for (double x = 0.0; x <= 6.0; x += 0.5) {
-        EXPECT_GE(t.pdf(x), 0.0);
-        EXPECT_NEAR(t.pdf(x), t.pdf(-x), 1e-12);
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(Dofs, TDofSweep,
                          ::testing::Values(1.0, 2.0, 3.0, 5.0, 10.0,
                                            30.0, 120.0));
-
-TEST_P(FDofSweep, QuantileCdfRoundTrip)
-{
-    const auto [d1, d2] = GetParam();
-    const stats::FDistribution f(d1, d2);
-    for (double p : {0.05, 0.5, 0.9, 0.95, 0.99})
-        EXPECT_NEAR(f.cdf(f.quantile(p)), p, 1e-8) << p;
-}
 
 TEST_P(FDofSweep, SurvivalMonotoneDecreasing)
 {
@@ -84,46 +63,9 @@ TEST_P(FDofSweep, SurvivalMonotoneDecreasing)
     }
 }
 
-TEST_P(FDofSweep, PdfIntegratesToOne)
-{
-    const auto [d1, d2] = GetParam();
-    const stats::FDistribution f(d1, d2);
-    // Trapezoid over [0, 200]; the F(1, 4) tail decays as x^-3, so
-    // a couple of percent of mass legitimately lies beyond the
-    // integration window.
-    double integral = 0.0;
-    const double dx = 1e-3;
-    for (double x = dx; x < 200.0; x += dx)
-        integral += 0.5 * (f.pdf(x) + f.pdf(x + dx)) * dx;
-    EXPECT_NEAR(integral, 1.0, 5e-2);
-    EXPECT_LE(integral, 1.0 + 1e-6);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     DofPairs, FDofSweep,
     ::testing::Values(std::pair<double, double>{1.0, 4.0},
                       std::pair<double, double>{2.0, 10.0},
                       std::pair<double, double>{5.0, 5.0},
                       std::pair<double, double>{10.0, 30.0}));
-
-TEST_P(ChiDofSweep, QuantileCdfRoundTrip)
-{
-    const stats::ChiSquareDistribution c(GetParam());
-    for (double p : {0.05, 0.5, 0.95, 0.99})
-        EXPECT_NEAR(c.cdf(c.quantile(p)), p, 1e-8);
-}
-
-TEST_P(ChiDofSweep, MeanViaNumericIntegration)
-{
-    // E[chi-square(k)] = k.
-    const double k = GetParam();
-    const stats::ChiSquareDistribution c(k);
-    double mean = 0.0;
-    const double dx = 1e-3;
-    for (double x = dx; x < 40.0 + 10.0 * k; x += dx)
-        mean += x * c.pdf(x) * dx;
-    EXPECT_NEAR(mean, k, 0.05 * k + 0.02);
-}
-
-INSTANTIATE_TEST_SUITE_P(Dofs, ChiDofSweep,
-                         ::testing::Values(1.0, 2.0, 4.0, 9.0, 20.0));

@@ -10,12 +10,6 @@ namespace stats = rigor::stats;
 // Normal
 // ---------------------------------------------------------------------
 
-TEST(NormalDistribution, PdfAtZero)
-{
-    const stats::NormalDistribution n;
-    EXPECT_NEAR(n.pdf(0.0), 1.0 / std::sqrt(2.0 * M_PI), 1e-12);
-}
-
 TEST(NormalDistribution, CdfKnownValues)
 {
     const stats::NormalDistribution n;
@@ -68,17 +62,6 @@ TEST(StudentT, ApproachesNormalForLargeDof)
     EXPECT_NEAR(t.cdf(1.5), n.cdf(1.5), 1e-4);
 }
 
-TEST(StudentT, PdfIntegratesToCdf)
-{
-    // Trapezoidal check: integral of pdf over [-6, 1] ~ cdf(1).
-    const stats::StudentTDistribution t(5.0);
-    double integral = 0.0;
-    const double dx = 1e-3;
-    for (double x = -6.0; x < 1.0; x += dx)
-        integral += 0.5 * (t.pdf(x) + t.pdf(x + dx)) * dx;
-    EXPECT_NEAR(integral, t.cdf(1.0), 1e-3);
-}
-
 TEST(StudentT, RejectsBadDof)
 {
     EXPECT_THROW(stats::StudentTDistribution(0.0),
@@ -93,9 +76,9 @@ TEST(FDistribution, KnownCriticalValues)
 {
     // F(1, 10) 95th percentile = 4.965; F(5, 20) = 2.711.
     const stats::FDistribution f1(1.0, 10.0);
-    EXPECT_NEAR(f1.quantile(0.95), 4.965, 5e-3);
+    EXPECT_NEAR(f1.cdf(4.965), 0.95, 1e-4);
     const stats::FDistribution f2(5.0, 20.0);
-    EXPECT_NEAR(f2.quantile(0.95), 2.711, 5e-3);
+    EXPECT_NEAR(f2.cdf(2.711), 0.95, 1e-4);
 }
 
 TEST(FDistribution, CdfIsZeroAtOrBelowZero)
@@ -135,33 +118,6 @@ TEST(FDistribution, RejectsBadDof)
     EXPECT_THROW(stats::FDistribution(0.0, 5.0), std::invalid_argument);
     EXPECT_THROW(stats::FDistribution(5.0, -1.0),
                  std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
-// Chi-square
-// ---------------------------------------------------------------------
-
-TEST(ChiSquare, KnownCriticalValues)
-{
-    const stats::ChiSquareDistribution c3(3.0);
-    EXPECT_NEAR(c3.quantile(0.95), 7.815, 5e-3);
-    const stats::ChiSquareDistribution c10(10.0);
-    EXPECT_NEAR(c10.quantile(0.95), 18.307, 5e-3);
-}
-
-TEST(ChiSquare, TwoDofIsExponential)
-{
-    // Chi-square with 2 dof is Exp(1/2).
-    const stats::ChiSquareDistribution c(2.0);
-    for (double x : {0.5, 1.0, 4.0})
-        EXPECT_NEAR(c.cdf(x), 1.0 - std::exp(-x / 2.0), 1e-12);
-}
-
-TEST(ChiSquare, MeanViaQuantiles)
-{
-    const stats::ChiSquareDistribution c(5.0);
-    // Median of chi-square(5) ~ 4.351.
-    EXPECT_NEAR(c.quantile(0.5), 4.351, 5e-3);
 }
 
 // ---------------------------------------------------------------------

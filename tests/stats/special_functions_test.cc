@@ -105,13 +105,6 @@ TEST(SpecialFunctions, LowerGammaBoundaries)
                 1e-12);
 }
 
-TEST(SpecialFunctions, UpperGammaComplement)
-{
-    const double p = stats::regularizedLowerIncompleteGamma(3.5, 2.0);
-    const double q = stats::regularizedUpperIncompleteGamma(3.5, 2.0);
-    EXPECT_NEAR(p + q, 1.0, 1e-12);
-}
-
 TEST(SpecialFunctions, ErrorFunctionKnownValues)
 {
     EXPECT_DOUBLE_EQ(stats::errorFunction(0.0), 0.0);

@@ -14,7 +14,6 @@ TEST(Workloads, ThirteenProfilesInTable5Order)
         "vortex", "bzip2",   "twolf"};
     for (std::size_t i = 0; i < expected.size(); ++i)
         EXPECT_EQ(all[i].name, expected[i]);
-    EXPECT_EQ(trace::workloadNames(), expected);
 }
 
 TEST(Workloads, AllProfilesValidate)

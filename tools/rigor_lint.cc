@@ -1,24 +1,19 @@
 /**
  * @file
- * rigor_lint — standalone static analysis of experiment inputs.
+ * rigor_lint — standalone static analysis of experiment outputs.
  *
- * Lints exported CSV design matrices and "key = value" experiment
- * spec files with the same analyzers the in-process pre-flight runs,
+ * Audits the rank-stability reports that `campaign --stability-out`
+ * writes, and self-checks the built-in Tables 6-8 parameter space,
  * printing clang-style diagnostics and exiting non-zero when any
  * error (or, under --Werror, warning) is found:
  *
- *     rigor_lint design.csv                 # ±1 / balance / orthogonality
- *     rigor_lint --foldover design.csv      # + exact foldover complement
- *     rigor_lint --factors 43 design.csv    # + column-count check
- *     rigor_lint experiment.spec            # config / workload / run lint
- *     rigor_lint --audit-parameter-space    # Tables 6-8 self-check
  *     rigor_lint stability.json             # rank-stability report audit
+ *     rigor_lint --audit-parameter-space    # Tables 6-8 self-check
  *     rigor_lint --list-rules               # every rule id + severity
  *
- * Files ending in .csv are linted as designs, files ending in .json
- * as rank-stability reports (--stability-out output), and anything
- * else as a spec. Use --design / --spec / --stability before a file
- * to force its kind.
+ * Every file argument is read as a stability report. The designs,
+ * configurations and workloads a campaign runs are checked by the
+ * drivers' in-process pre-flight instead.
  */
 
 #include <algorithm>
@@ -29,35 +24,23 @@
 #include <vector>
 
 #include "check/config_check.hh"
-#include "check/csv_lint.hh"
 #include "check/diagnostic.hh"
 #include "check/rule_ids.hh"
 #include "check/rule_table.hh"
-#include "check/spec_lint.hh"
 #include "check/stability_check.hh"
 #include "cli_options.hh"
 
 namespace
 {
 
-using rigor::check::DesignCheckOptions;
 using rigor::check::Diagnostic;
 using rigor::check::DiagnosticSink;
 using rigor::check::Severity;
 
-enum class FileKind
-{
-    Auto,
-    Design,
-    Spec,
-    Stability,
-};
-
 constexpr const char *kSynopsis =
-    "[options] <file>...\n"
+    "[options] <stability-report>...\n"
     "\n"
-    "Lint exported CSV design matrices (*.csv) and experiment\n"
-    "spec files before any simulation spends cycles on them.";
+    "Audit rank-stability reports written by campaign --stability-out.";
 
 const char *
 severityName(Severity severity)
@@ -108,7 +91,6 @@ int
 main(int argc, char **argv)
 {
     namespace tools = rigor::tools;
-    DesignCheckOptions design;
     rigor::check::StabilityCheckOptions stability;
     /** campaign.under-replicated floor for stability reports. */
     unsigned min_replicates = 3;
@@ -116,29 +98,8 @@ main(int argc, char **argv)
     bool list_rules = false;
     bool warnings_as_errors = false;
     bool quiet = false;
-    /** (kind, path) pairs in command-line order; a kind prefix
-     *  applies to the next file only. */
-    std::vector<std::pair<FileKind, std::string>> files;
-    FileKind next_kind = FileKind::Auto;
-    const auto kind_of_next = [&next_kind](FileKind kind) {
-        return [&next_kind, kind](const char *, std::string &) {
-            next_kind = kind;
-            return true;
-        };
-    };
+    std::vector<std::string> files;
     const tools::FlagTable flags = {
-        {"--design", "", "treat the next file as a CSV design",
-         kind_of_next(FileKind::Design)},
-        {"--spec", "", "treat the next file as an experiment spec",
-         kind_of_next(FileKind::Spec)},
-        {"--stability", "", "treat the next file as a stability report",
-         kind_of_next(FileKind::Stability)},
-        {"--foldover", "", "require the exact foldover complement",
-         tools::set(design.requireFoldover)},
-        {"--no-pb", "", "drop the Plackett-Burman shape checks",
-         tools::set(design.requirePlackettBurman, false)},
-        {"--factors", "N", "require exactly N factor columns",
-         tools::number(design.expectedFactors)},
         {"--top-factors", "N", "stability rules cover the top N factors",
          tools::number(stability.topFactors)},
         {"--flip-threshold", "X", "rank-flip probability that is an error",
@@ -156,10 +117,8 @@ main(int argc, char **argv)
         {"--quiet", "", "print only errors", tools::set(quiet)},
     };
     const bool parsed = tools::parseFlags(
-        argc, argv, "rigor_lint", flags, [&](const std::string &path) {
-            files.emplace_back(next_kind, path);
-            next_kind = FileKind::Auto;
-        });
+        argc, argv, "rigor_lint", flags,
+        [&](const std::string &path) { files.push_back(path); });
     if (!parsed || (!audit_parameter_space && !list_rules && files.empty()))
         return tools::printUsage(argv[0], kSynopsis, flags);
 
@@ -171,34 +130,15 @@ main(int argc, char **argv)
     if (audit_parameter_space)
         rigor::check::checkParameterSpace(sink);
 
-    for (const auto &[kind, path] : files) {
+    for (const std::string &path : files) {
         std::string text;
         if (!readFile(path, text)) {
             sink.error(rigor::check::rules::kLintUnreadableFile,
                        "cannot read file", {path, 0, {}});
             continue;
         }
-        FileKind resolved = kind;
-        if (resolved == FileKind::Auto) {
-            if (path.ends_with(".csv"))
-                resolved = FileKind::Design;
-            else if (path.ends_with(".json"))
-                resolved = FileKind::Stability;
-            else
-                resolved = FileKind::Spec;
-        }
-        switch (resolved) {
-        case FileKind::Design:
-            rigor::check::lintDesignCsv(text, path, design, sink);
-            break;
-        case FileKind::Stability:
-            rigor::check::lintStabilityReport(text, path, stability,
-                                              min_replicates, sink);
-            break;
-        default:
-            rigor::check::lintExperimentSpec(text, path, sink);
-            break;
-        }
+        rigor::check::lintStabilityReport(text, path, stability,
+                                          min_replicates, sink);
     }
 
     for (const Diagnostic &d : sink.diagnostics()) {
