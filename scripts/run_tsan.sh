@@ -26,8 +26,8 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 die_after_fork=0"
 # core-reuse property tests.
 ./build-tsan/tests/rigor_tests --gtest_filter="$(tr -d ' \n' <<'EOF'
 SimJobQueue.*:RunCache.*:ProcessorConfigHash.*:SimulationEngine.*:
-PbDesign.*:Foldover.*:Effects.*:Hadamard.*:GaloisField.*:
-PrimePower.*:DesignMatrix.*:DesignCost.*:OneAtATime.*:
+PbDesign.*:Foldover.*:Effects.*:DesignMatrix.*:DesignCost.*:
+OneAtATime.*:
 Classification.*:Ranking.*:RankTable.*:TextTable.*:
 ParameterSpace.*:PbExperiment.*:Workflow.*:EnhancementAnalysis.*:
 PublishedData.*:Preflight.*:AdaptiveSampling.*:

@@ -89,23 +89,21 @@ checkDesignMatrix(const doe::DesignMatrix &design,
     }
 
     // ----- Plackett-Burman shape -----
-    if (options.requirePlackettBurman) {
-        const std::size_t base_runs =
-            options.requireFoldover && rows % 2 == 0 ? rows / 2 : rows;
-        if (base_runs % 4 != 0)
-            sink.error(rules::kDesignRunsNotMultipleOfFour,
-                       "Plackett-Burman designs need a run count "
-                       "that is a multiple of four, got " +
-                           std::to_string(base_runs),
-                       base);
-        if (cols >= base_runs)
-            sink.error(rules::kDesignTooManyFactors,
-                       "a " + std::to_string(base_runs) +
-                           "-run PB design estimates at most " +
-                           std::to_string(base_runs - 1) +
-                           " factors, got " + std::to_string(cols),
-                       base);
-    }
+    const std::size_t base_runs =
+        options.requireFoldover && rows % 2 == 0 ? rows / 2 : rows;
+    if (base_runs % 4 != 0)
+        sink.error(rules::kDesignRunsNotMultipleOfFour,
+                   "Plackett-Burman designs need a run count that is "
+                   "a multiple of four, got " +
+                       std::to_string(base_runs),
+                   base);
+    if (cols >= base_runs)
+        sink.error(rules::kDesignTooManyFactors,
+                   "a " + std::to_string(base_runs) +
+                       "-run PB design estimates at most " +
+                       std::to_string(base_runs - 1) + " factors, got " +
+                       std::to_string(cols),
+                   base);
 
     // ----- Column balance -----
     for (std::size_t c = 0; c < cols; ++c) {

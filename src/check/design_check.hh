@@ -36,19 +36,15 @@ struct DesignCheckOptions
      * half.
      */
     bool requireFoldover = false;
-    /**
-     * Require Plackett-Burman shape: run count a multiple of four
-     * (of the *base* design when requireFoldover is set) and at most
-     * runs - 1 factors.
-     */
-    bool requirePlackettBurman = true;
 };
 
 /**
  * Check the statistical properties of a constructed design matrix:
  * column balance, pairwise orthogonality, duplicate (perfectly
- * aliased) columns, PB shape, and — when requested — the exact
- * foldover complement. Returns true when this call reported no error.
+ * aliased) columns, PB shape (run count a multiple of four — of the
+ * *base* design when requireFoldover is set — and at most runs - 1
+ * factors), and — when requested — the exact foldover complement.
+ * Returns true when this call reported no error.
  */
 bool checkDesignMatrix(const doe::DesignMatrix &design,
                        const DesignCheckOptions &options,

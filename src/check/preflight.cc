@@ -4,7 +4,6 @@
 
 #include "check/config_check.hh"
 #include "check/design_check.hh"
-#include "check/stability_check.hh"
 #include "check/workload_check.hh"
 
 namespace rigor::check
@@ -19,7 +18,6 @@ analyzeExperimentPlan(const ExperimentPlan &plan)
         DesignCheckOptions options;
         options.expectedFactors = plan.expectedFactors;
         options.requireFoldover = plan.designIsFolded;
-        options.requirePlackettBurman = true;
         checkDesignMatrix(*plan.design, options, sink);
     }
 
@@ -40,8 +38,6 @@ analyzeExperimentPlan(const ExperimentPlan &plan)
 
     checkSamplingPlan(plan.sampling, plan.instructionsPerRun,
                       plan.warmupInstructions, sink);
-
-    checkReplicationPlan(plan.replication, sink);
 
     checkRemotePlan(plan.remote, sink);
 

@@ -26,7 +26,6 @@
 #include "doe/design_matrix.hh"
 #include "sample/sampling.hh"
 #include "sim/config.hh"
-#include "stats/bootstrap.hh"
 #include "trace/workload_profile.hh"
 
 namespace rigor::check
@@ -56,8 +55,6 @@ struct ExperimentPlan
     std::uint64_t warmupInstructions = 0;
     /** Sampled-simulation schedule; analyzed only when enabled. */
     sample::SamplingOptions sampling;
-    /** Workload-replication plan; analyzed only when enabled. */
-    stats::ReplicationOptions replication;
     /** Distributed-campaign topology; analyzed only when enabled. */
     RemotePlan remote;
 };

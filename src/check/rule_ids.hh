@@ -15,13 +15,6 @@ namespace rigor::check::rules
 
 // ----- Design-matrix analysis (design_check) -----
 
-/** Matrix has no rows or no columns. */
-inline constexpr const char *kDesignEmpty = "design.empty";
-/** Rows differ in length. */
-inline constexpr const char *kDesignRagged = "design.ragged-rows";
-/** An entry is not +1 or -1. */
-inline constexpr const char *kDesignEntryNotUnit =
-    "design.entry-not-unit";
 /** Run count is not a multiple of four (PB requirement). */
 inline constexpr const char *kDesignRunsNotMultipleOfFour =
     "design.runs-multiple-of-four";

@@ -19,14 +19,8 @@ using rules::kCampaignNoCompleteBenchmarks;
 using rules::kCampaignPairedDropMismatch;
 using rules::kCampaignUnderReplicated;
 
-constexpr std::array<RuleInfo, 48> kRules{{
+constexpr std::array<RuleInfo, 45> kRules{{
     // ----- design_check -----
-    {rules::kDesignEmpty, Severity::Error,
-     "design matrix has rows and columns"},
-    {rules::kDesignRagged, Severity::Error,
-     "all design rows are equally long"},
-    {rules::kDesignEntryNotUnit, Severity::Error,
-     "every design entry is +1 or -1"},
     {rules::kDesignRunsNotMultipleOfFour, Severity::Error,
      "PB run count is divisible by 4"},
     {rules::kDesignTooManyFactors, Severity::Error,

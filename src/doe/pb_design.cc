@@ -1,10 +1,8 @@
 #include "doe/pb_design.hh"
 
-#include <map>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
-
-#include "doe/hadamard.hh"
 
 namespace rigor::doe
 {
@@ -12,37 +10,20 @@ namespace rigor::doe
 namespace
 {
 
-/**
- * Published cyclic generator rows for sizes without a quadratic-
- * residue generator. The X = 16 row is the classical maximal-length
- * shift-register sequence from [Plackett46].
- */
-const std::map<unsigned, std::string> publishedRows = {
-    {16, "++++-+-++--+---"},
-};
-
-std::vector<int>
-parseRow(const std::string &row)
+bool
+isPrime(unsigned n)
 {
-    std::vector<int> out;
-    out.reserve(row.size());
-    for (char ch : row)
-        out.push_back(ch == '+' ? 1 : -1);
-    return out;
+    if (n < 2)
+        return false;
+    if (n % 2 == 0)
+        return n == 2;
+    for (unsigned d = 3; d * d <= n; d += 2)
+        if (n % d == 0)
+            return false;
+    return true;
 }
 
-/** Quadratic-residue generator: +1 at j = 0 and at squares mod q. */
-std::vector<int>
-quadraticResidueRow(unsigned q)
-{
-    std::vector<int> row(q, -1);
-    row[0] = 1;
-    for (unsigned j = 1; j < q; ++j)
-        if (legendreSymbol(static_cast<long>(j), q) == 1)
-            row[j] = 1;
-    return row;
-}
-
+/** True when size X has a quadratic-residue generator. */
 bool
 hasQrGenerator(unsigned x)
 {
@@ -71,18 +52,6 @@ cyclicDesign(const std::vector<int> &generator)
     return m;
 }
 
-/** Strip the constant column from a normalized Hadamard matrix. */
-DesignMatrix
-hadamardDerivedDesign(unsigned x)
-{
-    const SignMatrix h = normalizeHadamard(hadamardMatrix(x));
-    DesignMatrix m(x, x - 1);
-    for (unsigned i = 0; i < x; ++i)
-        for (unsigned j = 1; j < x; ++j)
-            m.set(i, j - 1, h[i][j] == 1 ? Level::High : Level::Low);
-    return m;
-}
-
 } // namespace
 
 unsigned
@@ -95,69 +64,37 @@ pbRuns(unsigned num_factors)
     return (num_factors / 4 + 1) * 4;
 }
 
-bool
-pbHasCyclicGenerator(unsigned x)
-{
-    return hasQrGenerator(x) || publishedRows.count(x) > 0;
-}
-
-bool
-pbSizeSupported(unsigned x)
-{
-    if (x < 8 || x % 4 != 0)
-        return false;
-    return pbHasCyclicGenerator(x) || hadamardOrderSupported(x);
-}
-
 std::vector<int>
 pbGeneratorRow(unsigned x)
 {
-    if (hasQrGenerator(x))
-        return quadraticResidueRow(x - 1);
-    const auto it = publishedRows.find(x);
-    if (it != publishedRows.end())
-        return parseRow(it->second);
-    throw std::invalid_argument(
-        "pbGeneratorRow: no cyclic generator for this size");
-}
-
-PbConstruction
-pbConstructionFor(unsigned x)
-{
-    if (hasQrGenerator(x))
-        return PbConstruction::CyclicQuadraticResidue;
-    if (publishedRows.count(x) > 0)
-        return PbConstruction::CyclicPublished;
-    if (hadamardOrderSupported(x))
-        return PbConstruction::HadamardDerived;
-    throw std::invalid_argument(
-        "pbConstructionFor: unsupported design size");
+    if (!hasQrGenerator(x))
+        throw std::invalid_argument(
+            "no Plackett-Burman design of size " + std::to_string(x) +
+            ": the size must be at least 8 and one more than a prime "
+            "congruent to 3 (mod 4)");
+    // +1 at j = 0 and at every square mod q; the (q - 1) / 2 roots
+    // k = 1..(q-1)/2 reach each nonzero square exactly once.
+    const std::uint64_t q = x - 1;
+    std::vector<int> row(q, -1);
+    row[0] = 1;
+    for (std::uint64_t k = 1; k <= (q - 1) / 2; ++k)
+        row[k * k % q] = 1;
+    return row;
 }
 
 DesignMatrix
 pbDesign(unsigned x)
 {
-    if (x < 8 || x % 4 != 0)
-        throw std::invalid_argument(
-            "pbDesign: size must be a multiple of 4 and at least 8");
-
-    switch (pbConstructionFor(x)) {
-      case PbConstruction::CyclicQuadraticResidue:
-      case PbConstruction::CyclicPublished:
-        return cyclicDesign(pbGeneratorRow(x));
-      case PbConstruction::HadamardDerived:
-        return hadamardDerivedDesign(x);
-    }
-    throw std::logic_error("pbDesign: unreachable");
+    return cyclicDesign(pbGeneratorRow(x));
 }
 
 DesignMatrix
 pbDesignForFactors(unsigned num_factors)
 {
     unsigned x = pbRuns(num_factors);
-    // Step past any unsupported size (e.g. 92); the next multiple of
-    // four is wasteful but statistically sound.
-    while (!pbSizeSupported(x))
+    // Step to the next constructible size (16 -> 20, 28 -> 32); the
+    // spare columns become dummy factors.
+    while (!hasQrGenerator(x))
         x += 4;
     return pbDesign(x);
 }

@@ -3,17 +3,15 @@
  * Plackett-Burman saturated design construction [Plackett46].
  *
  * A PB design of size X (X a multiple of 4) studies up to X - 1
- * two-level factors in only X runs. For most sizes the design is
- * cyclic: a published generator row of length X - 1 is circularly
- * right-shifted X - 2 times and a final row of all -1 is appended
- * (the construction of the paper's Table 2). The generator rows
- * published by Plackett and Burman are, for X = q + 1 with prime
- * q == 3 (mod 4), exactly the quadratic-residue (Legendre) sequences:
- * entry j is +1 iff j is a square modulo q. This module derives those
- * rows arithmetically rather than hard-coding them, keeps a table of
- * published rows for the sizes without a QR generator (e.g. X = 16,
- * whose generator is a maximal-length shift-register sequence), and
- * falls back to Hadamard-matrix constructions otherwise.
+ * two-level factors in only X runs. For X = q + 1 with q a prime
+ * congruent to 3 (mod 4) the design is cyclic: a generator row of
+ * length X - 1 is circularly right-shifted X - 2 times and a final
+ * row of all -1 is appended (the construction of the paper's
+ * Table 2). The generator rows Plackett and Burman published for
+ * these sizes are exactly the quadratic-residue sequences: entry j is
+ * +1 iff j = 0 or j is a square modulo q. This module derives those
+ * rows arithmetically; it builds no other sizes. Every design the
+ * paper uses (X = 8 for Table 2, X = 44 for the screen) is one.
  */
 
 #ifndef RIGOR_DOE_PB_DESIGN_HH
@@ -26,52 +24,33 @@
 namespace rigor::doe
 {
 
-/** How a particular PB design was constructed. */
-enum class PbConstruction
-{
-    /** Cyclic generator from the quadratic-residue sequence. */
-    CyclicQuadraticResidue,
-    /** Cyclic generator from the published Plackett-Burman table. */
-    CyclicPublished,
-    /** Rows of a (normalized) Hadamard matrix, constant column removed. */
-    HadamardDerived,
-};
-
 /**
  * Number of runs a PB design needs for @p num_factors factors: the
  * next multiple of four strictly greater than the factor count.
  */
 unsigned pbRuns(unsigned num_factors);
 
-/** True when a size-X PB design can be constructed by this library. */
-bool pbSizeSupported(unsigned x);
-
-/** True when a size-X PB design has a cyclic generator row. */
-bool pbHasCyclicGenerator(unsigned x);
-
 /**
  * The length X-1 cyclic generator row (+1/-1 entries) for a size-X
- * design. Throws std::invalid_argument when the size has no cyclic
- * generator in this library.
+ * design. Throws std::invalid_argument unless X - 1 is a prime
+ * congruent to 3 (mod 4).
  */
 std::vector<int> pbGeneratorRow(unsigned x);
 
-/** Which construction pbDesign(x) will use. */
-PbConstruction pbConstructionFor(unsigned x);
-
 /**
  * Construct the size-X Plackett-Burman design: X runs (rows) by X - 1
- * factors (columns). @p x must be a multiple of 4.
+ * factors (columns). Throws std::invalid_argument unless X - 1 is a
+ * prime congruent to 3 (mod 4) (X = 8, 12, 20, 24, 32, 44, ...).
  *
- * For cyclic sizes the layout matches the paper exactly: row 0 is the
- * generator, rows 1..X-2 are successive circular right shifts, and row
- * X-1 is all -1.
+ * The layout matches the paper exactly: row 0 is the generator, rows
+ * 1..X-2 are successive circular right shifts, and row X-1 is all -1.
  */
 DesignMatrix pbDesign(unsigned x);
 
 /**
- * Construct the smallest supported PB design that can accommodate
- * @p num_factors factors. Extra columns are "dummy factors": they
+ * Construct the smallest PB design that can accommodate
+ * @p num_factors factors: the first constructible size at or above
+ * pbRuns(num_factors). Extra columns are "dummy factors": they
  * receive no real parameter, and their apparent effects estimate the
  * design's noise floor (the paper carries two dummy factors through
  * Tables 9 and 12 for exactly this reason).

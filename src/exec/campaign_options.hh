@@ -35,7 +35,6 @@
 #include "exec/fault_policy.hh"
 #include "exec/isolation.hh"
 #include "sample/sampling.hh"
-#include "stats/bootstrap.hh"
 
 namespace rigor::obs
 {
@@ -161,18 +160,6 @@ struct CampaignOptions
      * interval instead of paying for the full stream.
      */
     sample::SamplingOptions sampling;
-
-    /**
-     * Workload-generation replication (see stats/bootstrap.hh and
-     * methodology/rank_stability.hh). When enabled (replicates >= 1),
-     * runReplicatedPbExperiment re-runs every benchmark under R
-     * independently seeded workload realizations and bootstraps
-     * confidence intervals over the resulting rank tables; the
-     * pre-flight rejects plans below the configured replicate floor
-     * (campaign.under-replicated). Disabled (0) keeps the historical
-     * single-realization behavior.
-     */
-    stats::ReplicationOptions replication;
 
     /** Optional metrics sink (not owned): engine counters, per-run
      *  wall-time and throughput histograms, queue/steal stats. */

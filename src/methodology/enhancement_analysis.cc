@@ -130,7 +130,6 @@ runEnhancementExperiment(
         plan.auditParameterSpace = true;
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
-        plan.replication = campaign.replication;
         plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan, "runEnhancementExperiment");
     }

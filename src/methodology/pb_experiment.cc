@@ -165,9 +165,7 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
     const auto campaign_start = std::chrono::steady_clock::now();
 
     PbExperimentResult result;
-    doe::DesignMatrix base = options.design
-                                 ? *options.design
-                                 : doe::pbDesignForFactors(numFactors);
+    const doe::DesignMatrix base = doe::pbDesignForFactors(numFactors);
     result.design = campaign.foldover ? doe::foldover(base) : base;
 
     const std::size_t num_benches = workloads.size();
@@ -205,7 +203,6 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
         plan.sampling = campaign.sampling;
-        plan.replication = campaign.replication;
         plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan, "runPbExperiment");
     }

@@ -49,15 +49,6 @@ struct PbExperimentOptions
      * (the paper's billion-instruction runs amortized them away).
      */
     std::uint64_t warmupInstructions = 0;
-    /**
-     * Optional user-supplied base design (not owned; must outlive
-     * the call). When set it replaces the generated X = 44 PB
-     * design and must carry exactly one column per factor; foldover
-     * is still applied when `campaign.foldover` is true. The
-     * pre-flight analysis proves it is a balanced orthogonal ±1
-     * design before anything is simulated.
-     */
-    const doe::DesignMatrix *design = nullptr;
     /** Optional enhancement (instruction precomputation etc.). */
     HookFactory hookFactory;
     /**

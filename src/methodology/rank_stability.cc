@@ -425,15 +425,21 @@ runReplicatedPbExperiment(
     std::span<const trace::WorkloadProfile> workloads,
     const RankStabilityOptions &options)
 {
-    const stats::ReplicationOptions &replication =
-        options.base.campaign.replication;
+    const stats::ReplicationOptions &replication = options.replication;
     if (!replication.enabled())
         throw std::invalid_argument(
-            "runReplicatedPbExperiment: campaign.replication."
-            "replicates must be >= 1");
+            "runReplicatedPbExperiment: replication.replicates must "
+            "be >= 1");
     if (workloads.empty())
         throw std::invalid_argument(
             "runReplicatedPbExperiment: no workloads");
+    if (!options.base.campaign.skipPreflight) {
+        check::DiagnosticSink sink;
+        check::checkReplicationPlan(replication, sink);
+        if (!sink.passed())
+            throw check::PreflightError("runReplicatedPbExperiment",
+                                        std::move(sink));
+    }
 
     const unsigned num_reps = replication.replicates;
     PbExperimentOptions opts = options.base;

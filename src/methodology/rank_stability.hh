@@ -49,13 +49,17 @@ namespace rigor::methodology
 struct RankStabilityOptions
 {
     /**
-     * The underlying screen: run lengths, design, hooks, and the
-     * shared campaign options. `base.campaign.replication.replicates`
-     * is the replicate count R (must be >= 1; the pre-flight floor
-     * is `minReplicates`); `base.campaign.replication.bootstrap`
-     * seeds and sizes the bootstrap.
+     * The underlying screen: run lengths, hooks, and the shared
+     * campaign options.
      */
     PbExperimentOptions base;
+    /**
+     * Workload-generation replication: `replicates` is the replicate
+     * count R (must be >= 1; the pre-flight rejects R below
+     * `minReplicates` with campaign.under-replicated), and
+     * `bootstrap` seeds and sizes the bootstrap.
+     */
+    stats::ReplicationOptions replication;
     /** Thresholds handed to check::checkRankStability. */
     check::StabilityCheckOptions check;
 };
@@ -171,8 +175,9 @@ RankStabilityReport analyzeRankStability(
  * bootstrap, the stability checks, and (when a manifest is attached)
  * a "stability" provenance record.
  *
- * Throws check::PreflightError via the underlying runPbExperiment
- * when the replication plan is under the configured floor, and
+ * Throws check::PreflightError, before any replicate runs, when the
+ * replication plan is under the configured floor (unless
+ * base.campaign.skipPreflight is set), and
  * check::CampaignError when the finished stability analysis contains
  * error-severity diagnostics (stats.rank-flip-inside-noise,
  * stats.ci-compose-missing) and skipPreflight is not set.

@@ -10,9 +10,7 @@
  *
  * The implementation follows the classical treatment in [Lilja00],
  * "Measuring Computer Performance": contrasts via Yates' algorithm,
- * sums of squares from contrasts, allocation of variation, and, when
- * replicated measurements are available, F-tests against the error
- * mean square.
+ * sums of squares from contrasts and allocation of variation.
  */
 
 #ifndef RIGOR_STATS_ANOVA_HH
@@ -39,27 +37,18 @@ struct AnovaRow
     double sumSquares = 0.0;
     /** Fraction of total variation explained (0..1). */
     double variationExplained = 0.0;
-    /** F statistic (0 when no replication is available). */
-    double fStatistic = 0.0;
-    /** p-value of the F test (1 when no replication is available). */
-    double pValue = 1.0;
 };
 
 /** Complete result of a 2^k factorial analysis. */
 struct AnovaResult
 {
     unsigned numFactors = 0;
-    unsigned replications = 1;
     /** All 2^k - 1 effect rows, in Yates (standard-order) index order. */
     std::vector<AnovaRow> rows;
     /** Grand mean of all observations. */
     double grandMean = 0.0;
     /** Total sum of squares (about the grand mean). */
     double totalSumSquares = 0.0;
-    /** Error sum of squares (0 without replication). */
-    double errorSumSquares = 0.0;
-    /** Error degrees of freedom. */
-    unsigned errorDof = 0;
 
     /** Rows sorted by descending variation explained. */
     std::vector<AnovaRow> rowsBySignificance() const;

@@ -14,7 +14,7 @@ namespace
 /**
  * Generic monotone-CDF inversion by bisection over an expanding
  * bracket. All quantile functions below share this: they are not on
- * any hot path (a handful of calls per ANOVA table), so robustness
+ * any hot path (a handful of calls per interval), so robustness
  * beats speed.
  */
 template <typename Cdf>
@@ -84,33 +84,6 @@ double
 StudentTDistribution::quantile(double p) const
 {
     return invertCdf([this](double x) { return cdf(x); }, p, -100.0, 100.0);
-}
-
-// ---------------------------------------------------------------------
-// FDistribution
-// ---------------------------------------------------------------------
-
-FDistribution::FDistribution(double dof1, double dof2)
-    : _dof1(dof1), _dof2(dof2)
-{
-    if (dof1 <= 0.0 || dof2 <= 0.0)
-        throw std::invalid_argument(
-            "FDistribution: degrees of freedom must be positive");
-}
-
-double
-FDistribution::cdf(double x) const
-{
-    if (x <= 0.0)
-        return 0.0;
-    const double z = _dof1 * x / (_dof1 * x + _dof2);
-    return regularizedIncompleteBeta(_dof1 / 2.0, _dof2 / 2.0, z);
-}
-
-double
-FDistribution::survival(double x) const
-{
-    return 1.0 - cdf(x);
 }
 
 // ---------------------------------------------------------------------

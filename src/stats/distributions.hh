@@ -1,13 +1,7 @@
 /**
  * @file
- * Probability distributions used for significance testing.
- *
- * The ANOVA module (stats/anova.hh) uses the F distribution to attach
- * p-values to factor effects, matching the workflow the paper
- * recommends in section 4.1 (step 3: a full-factorial sensitivity
- * analysis over the critical parameters "using the ANOVA technique").
- * Student's t and the normal distribution support confidence intervals
- * on simulation responses.
+ * Student's t and the standard normal distribution, for confidence
+ * intervals on simulation responses.
  */
 
 #ifndef RIGOR_STATS_DISTRIBUTIONS_HH
@@ -39,28 +33,6 @@ class StudentTDistribution
 
   private:
     double _dof;
-};
-
-/**
- * F distribution with @p dof1 numerator and @p dof2 denominator
- * degrees of freedom.
- */
-class FDistribution
-{
-  public:
-    FDistribution(double dof1, double dof2);
-
-    double cdf(double x) const;
-
-    /** Right-tail probability P(F > x), the ANOVA p-value. */
-    double survival(double x) const;
-
-    double dof1() const { return _dof1; }
-    double dof2() const { return _dof2; }
-
-  private:
-    double _dof1;
-    double _dof2;
 };
 
 /**

@@ -60,7 +60,6 @@ TEST(DesignCheck, NonOrthogonalMatrixRejected)
     });
     check::DiagnosticSink sink;
     check::DesignCheckOptions options;
-    options.requirePlackettBurman = false;
     EXPECT_FALSE(check::checkDesignMatrix(design, options, sink));
     // Columns 0 and 1 are identical — the aliasing special case —
     // so the generic orthogonality rule is reserved for partially
@@ -84,7 +83,6 @@ TEST(DesignCheck, PartiallyCorrelatedColumnsRejected)
     });
     check::DiagnosticSink sink;
     check::DesignCheckOptions options;
-    options.requirePlackettBurman = false;
     EXPECT_FALSE(check::checkDesignMatrix(design, options, sink));
     EXPECT_TRUE(sink.hasRule(rules::kDesignOrthogonality));
 }
@@ -99,7 +97,6 @@ TEST(DesignCheck, NegatedColumnReportedAsAliased)
     });
     check::DiagnosticSink sink;
     check::DesignCheckOptions options;
-    options.requirePlackettBurman = false;
     EXPECT_FALSE(check::checkDesignMatrix(design, options, sink));
     EXPECT_TRUE(sink.hasRule(rules::kDesignDuplicateColumn));
 }
@@ -136,7 +133,6 @@ TEST(DesignCheck, FoldoverWithOddRunsRejected)
     check::DiagnosticSink sink;
     check::DesignCheckOptions options;
     options.requireFoldover = true;
-    options.requirePlackettBurman = false;
     EXPECT_FALSE(check::checkDesignMatrix(design, options, sink));
     EXPECT_TRUE(sink.hasRule(rules::kDesignFoldoverOddRuns));
 }

@@ -76,11 +76,11 @@ TEST(DiagnosticSink, SummaryPluralizes)
 TEST(PreflightError, CarriesDiagnostics)
 {
     check::DiagnosticSink sink;
-    sink.error(check::rules::kDesignEmpty, "no rows");
+    sink.error(check::rules::kDesignColumnBalance, "unbalanced");
     const check::PreflightError err("unit test", std::move(sink));
     ASSERT_EQ(err.diagnostics().size(), 1u);
     EXPECT_EQ(err.diagnostics().front().ruleId,
-              check::rules::kDesignEmpty);
+              check::rules::kDesignColumnBalance);
     EXPECT_NE(std::string(err.what()).find("unit test"),
               std::string::npos);
 }

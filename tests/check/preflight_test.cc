@@ -103,16 +103,6 @@ TEST(Preflight, BadExplicitConfigCaughtWithIndexContext)
 
 // ----- Driver integration: the pre-flight is mandatory -----
 
-TEST(Preflight, RunPbExperimentRejectsCorruptUserDesign)
-{
-    const auto workloads = oneWorkload();
-    const doe::DesignMatrix corrupt = corruptBaseDesign();
-    methodology::PbExperimentOptions opts = fastOptions();
-    opts.design = &corrupt;
-    EXPECT_THROW(methodology::runPbExperiment(workloads, opts),
-                 check::PreflightError);
-}
-
 TEST(Preflight, RunPbExperimentRejectsDuplicateWorkloads)
 {
     const std::vector<trace::WorkloadProfile> duplicated = {
@@ -143,16 +133,19 @@ TEST(Preflight, RunPbExperimentRejectsBrokenWorkloadProfile)
 
 TEST(Preflight, SkipPreflightEscapeHatchRunsAnyway)
 {
-    // A deliberately out-of-spec study: the corrupted design is
-    // simulated when the escape hatch is set, and the result keeps
-    // the folded dimensions of the supplied base design.
-    const auto workloads = oneWorkload();
-    const doe::DesignMatrix corrupt = corruptBaseDesign();
+    // A deliberately out-of-spec study: the duplicated workload the
+    // pre-flight rejects (RunPbExperimentRejectsDuplicateWorkloads) is
+    // simulated when the escape hatch is set, over the full 88-row
+    // foldover design.
+    const std::vector<trace::WorkloadProfile> duplicated = {
+        trace::workloadByName("gzip"),
+        trace::workloadByName("gzip"),
+    };
     methodology::PbExperimentOptions opts = fastOptions();
-    opts.design = &corrupt;
     opts.campaign.skipPreflight = true;
     const methodology::PbExperimentResult result =
-        methodology::runPbExperiment(workloads, opts);
+        methodology::runPbExperiment(duplicated, opts);
     EXPECT_EQ(result.design.numRows(), 88u);
-    EXPECT_EQ(result.responses.size(), 1u);
+    EXPECT_EQ(result.responses.size(), 2u);
+    EXPECT_EQ(result.responses[0], result.responses[1]);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parameterized design-of-experiments property sweeps: exact
- * coefficient recovery on every supported design size, and the
+ * coefficient recovery on the PB design sizes up to X = 48, and the
  * projection property (any two columns of a PB design form a full
  * 2^2 factorial, replicated X/4 times).
  */
@@ -97,5 +97,5 @@ TEST_P(DesignSizeSweep, FoldedDesignStillRecoversCoefficients)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DesignSizeSweep,
-                         ::testing::Values(8u, 12u, 16u, 20u, 24u, 28u,
-                                           36u, 44u, 52u));
+                         ::testing::Values(8u, 12u, 20u, 24u, 32u, 44u,
+                                           48u));

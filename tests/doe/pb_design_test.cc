@@ -45,13 +45,6 @@ TEST(PbDesign, GeneratorRowMatchesPublishedX24)
                                 -1, -1}));
 }
 
-TEST(PbDesign, GeneratorRowX16IsPublishedShiftRegisterSequence)
-{
-    EXPECT_EQ(doe::pbGeneratorRow(16),
-              (std::vector<int>{1, 1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1,
-                                -1, -1, -1}));
-}
-
 TEST(PbDesign, Table2MatrixExact)
 {
     // The paper's Table 2 (X = 8), all 8 rows.
@@ -68,20 +61,6 @@ TEST(PbDesign, Table2MatrixExact)
     EXPECT_TRUE(doe::pbDesign(8) == expected);
 }
 
-TEST(PbDesign, ConstructionKindsReported)
-{
-    EXPECT_EQ(doe::pbConstructionFor(8),
-              doe::PbConstruction::CyclicQuadraticResidue);
-    EXPECT_EQ(doe::pbConstructionFor(44),
-              doe::PbConstruction::CyclicQuadraticResidue);
-    EXPECT_EQ(doe::pbConstructionFor(16),
-              doe::PbConstruction::CyclicPublished);
-    EXPECT_EQ(doe::pbConstructionFor(28),
-              doe::PbConstruction::HadamardDerived);
-    EXPECT_EQ(doe::pbConstructionFor(40),
-              doe::PbConstruction::HadamardDerived);
-}
-
 namespace
 {
 
@@ -94,7 +73,6 @@ class PbDesignSizes : public ::testing::TestWithParam<unsigned>
 TEST_P(PbDesignSizes, BalancedAndOrthogonal)
 {
     const unsigned x = GetParam();
-    ASSERT_TRUE(doe::pbSizeSupported(x));
     const doe::DesignMatrix m = doe::pbDesign(x);
     EXPECT_EQ(m.numRows(), x);
     EXPECT_EQ(m.numColumns(), x - 1);
@@ -105,10 +83,11 @@ TEST_P(PbDesignSizes, BalancedAndOrthogonal)
     EXPECT_TRUE(m.isOrthogonal());
 }
 
+// Every size X <= 84 with X - 1 a prime congruent to 3 (mod 4).
 INSTANTIATE_TEST_SUITE_P(AllSupportedSizes, PbDesignSizes,
-                         ::testing::Values(8u, 12u, 16u, 20u, 24u, 28u,
-                                           32u, 36u, 40u, 44u, 48u, 60u,
-                                           68u, 72u, 80u, 84u));
+                         ::testing::Values(8u, 12u, 20u, 24u, 32u, 44u,
+                                           48u, 60u, 68u, 72u, 80u,
+                                           84u));
 
 TEST(PbDesign, CyclicLayoutLastRowAllLow)
 {
@@ -135,7 +114,10 @@ TEST(PbDesign, RejectsBadSizes)
     EXPECT_THROW(doe::pbDesign(7), std::invalid_argument);
     EXPECT_THROW(doe::pbDesign(4), std::invalid_argument);
     EXPECT_THROW(doe::pbDesign(0), std::invalid_argument);
-    EXPECT_FALSE(doe::pbSizeSupported(92));
+    // Multiples of four whose X - 1 is not a prime congruent to 3
+    // (mod 4) have no quadratic-residue generator.
+    for (unsigned x : {16u, 28u, 36u, 40u, 52u, 92u})
+        EXPECT_THROW(doe::pbDesign(x), std::invalid_argument) << x;
 }
 
 TEST(PbDesign, DesignForFactorsSkipsUnsupported)
@@ -143,10 +125,21 @@ TEST(PbDesign, DesignForFactorsSkipsUnsupported)
     // 43 factors -> the paper's X = 44 design.
     const doe::DesignMatrix m = doe::pbDesignForFactors(43);
     EXPECT_EQ(m.numRows(), 44u);
-    // 89 factors -> 92 unsupported -> 96.
+    // 12 factors -> 16 unsupported -> 20.
+    EXPECT_EQ(doe::pbDesignForFactors(12).numRows(), 20u);
+    // 89 factors -> 92, 96 and 100 unsupported -> 104.
     const doe::DesignMatrix big = doe::pbDesignForFactors(89);
-    EXPECT_EQ(big.numRows(), 96u);
+    EXPECT_EQ(big.numRows(), 104u);
     EXPECT_TRUE(big.isOrthogonal());
+    // Every factor count up to the X = 84 design gets a saturated,
+    // balanced, orthogonal design with room for all its factors.
+    for (unsigned n = 1; n <= 83; ++n) {
+        const doe::DesignMatrix d = doe::pbDesignForFactors(n);
+        EXPECT_GE(d.numRows(), doe::pbRuns(n)) << n;
+        EXPECT_EQ(d.numColumns(), d.numRows() - 1) << n;
+        EXPECT_TRUE(d.isBalanced()) << n;
+        EXPECT_TRUE(d.isOrthogonal()) << n;
+    }
 }
 
 TEST(PbDesign, GeneratorRowThrowsWhenNonCyclic)

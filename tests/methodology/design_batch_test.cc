@@ -153,8 +153,8 @@ TEST(DesignBatch, ReplicatedManifestOrder)
     options.base.instructionsPerRun = 2000;
     options.base.campaign.threads = 2;
     options.base.campaign.manifest = &manifest;
-    options.base.campaign.replication.replicates = 3;
-    options.base.campaign.replication.bootstrap.iterations = 200;
+    options.replication.replicates = 3;
+    options.replication.bootstrap.iterations = 200;
     options.base.campaign.skipPreflight = true;
     methodology::runReplicatedPbExperiment(twoWorkloads(), options);
 

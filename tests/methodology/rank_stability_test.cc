@@ -158,8 +158,8 @@ fastCampaign(unsigned replicates)
 {
     methodology::RankStabilityOptions options;
     options.base.instructionsPerRun = 8000;
-    options.base.campaign.replication.replicates = replicates;
-    options.base.campaign.replication.bootstrap.iterations = 400;
+    options.replication.replicates = replicates;
+    options.replication.bootstrap.iterations = 400;
     // The tiny two-benchmark screen genuinely contains unresolved
     // mid-table orderings; the test asserts on the report, not on
     // achieving a perfectly separated top 10.
@@ -203,6 +203,13 @@ TEST(ReplicatedPbExperiment, UnderReplicatedFailsPreflight)
         EXPECT_TRUE(e.sink().hasRule(rules::kCampaignUnderReplicated))
             << e.what();
     }
+
+    // The escape hatch runs the same plan.
+    options.base.campaign.skipPreflight = true;
+    EXPECT_EQ(methodology::runReplicatedPbExperiment(twoWorkloads(),
+                                                     options)
+                  .stability.replicates,
+              2u);
 }
 
 TEST(ReplicatedPbExperiment, ReplicatedCampaignProducesStability)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -54,10 +55,13 @@ runScreen(const std::vector<trace::WorkloadProfile> &workloads,
     exec::SimulationEngine engine(exec::EngineOptions{0, false});
     options.campaign.engine = &engine;
 
+    // The engine calls the observer from its worker threads.
     ScreenRun run;
-    engine.setJobObserver([&run](const exec::JobEvent &event) {
+    std::mutex mutex;
+    engine.setJobObserver([&run, &mutex](const exec::JobEvent &event) {
         if (!event.result.sample)
             return;
+        const std::lock_guard<std::mutex> lock(mutex);
         ++run.sampledEvents;
         run.maxRelativeError = std::max(
             run.maxRelativeError, event.result.sample->relativeError);

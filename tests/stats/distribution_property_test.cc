@@ -20,11 +20,6 @@ class TDofSweep : public ::testing::TestWithParam<double>
 {
 };
 
-class FDofSweep
-    : public ::testing::TestWithParam<std::pair<double, double>>
-{
-};
-
 } // namespace
 
 TEST_P(TDofSweep, QuantileCdfRoundTrip)
@@ -50,22 +45,3 @@ TEST_P(TDofSweep, CdfIsMonotone)
 INSTANTIATE_TEST_SUITE_P(Dofs, TDofSweep,
                          ::testing::Values(1.0, 2.0, 3.0, 5.0, 10.0,
                                            30.0, 120.0));
-
-TEST_P(FDofSweep, SurvivalMonotoneDecreasing)
-{
-    const auto [d1, d2] = GetParam();
-    const stats::FDistribution f(d1, d2);
-    double prev = 1.0;
-    for (double x = 0.0; x <= 20.0; x += 0.5) {
-        const double s = f.survival(x);
-        EXPECT_LE(s, prev + 1e-12);
-        prev = s;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DofPairs, FDofSweep,
-    ::testing::Values(std::pair<double, double>{1.0, 4.0},
-                      std::pair<double, double>{2.0, 10.0},
-                      std::pair<double, double>{5.0, 5.0},
-                      std::pair<double, double>{10.0, 30.0}));

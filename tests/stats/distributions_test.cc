@@ -69,58 +69,6 @@ TEST(StudentT, RejectsBadDof)
 }
 
 // ---------------------------------------------------------------------
-// F distribution
-// ---------------------------------------------------------------------
-
-TEST(FDistribution, KnownCriticalValues)
-{
-    // F(1, 10) 95th percentile = 4.965; F(5, 20) = 2.711.
-    const stats::FDistribution f1(1.0, 10.0);
-    EXPECT_NEAR(f1.cdf(4.965), 0.95, 1e-4);
-    const stats::FDistribution f2(5.0, 20.0);
-    EXPECT_NEAR(f2.cdf(2.711), 0.95, 1e-4);
-}
-
-TEST(FDistribution, CdfIsZeroAtOrBelowZero)
-{
-    const stats::FDistribution f(3.0, 8.0);
-    EXPECT_DOUBLE_EQ(f.cdf(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(f.cdf(-1.0), 0.0);
-}
-
-TEST(FDistribution, SurvivalComplementsCdf)
-{
-    const stats::FDistribution f(4.0, 12.0);
-    for (double x : {0.5, 1.0, 2.5, 10.0})
-        EXPECT_NEAR(f.cdf(x) + f.survival(x), 1.0, 1e-12);
-}
-
-TEST(FDistribution, ReciprocalSymmetry)
-{
-    // P(F_{a,b} <= x) = P(F_{b,a} >= 1/x).
-    const stats::FDistribution fab(3.0, 9.0);
-    const stats::FDistribution fba(9.0, 3.0);
-    for (double x : {0.5, 1.0, 2.0})
-        EXPECT_NEAR(fab.cdf(x), fba.survival(1.0 / x), 1e-10);
-}
-
-TEST(FDistribution, SquaredTEqualsF)
-{
-    // If T ~ t(v) then T^2 ~ F(1, v).
-    const stats::StudentTDistribution t(8.0);
-    const stats::FDistribution f(1.0, 8.0);
-    const double x = 2.0;
-    EXPECT_NEAR(f.cdf(x * x), 2.0 * t.cdf(x) - 1.0, 1e-10);
-}
-
-TEST(FDistribution, RejectsBadDof)
-{
-    EXPECT_THROW(stats::FDistribution(0.0, 5.0), std::invalid_argument);
-    EXPECT_THROW(stats::FDistribution(5.0, -1.0),
-                 std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
 // Confidence intervals
 // ---------------------------------------------------------------------
 

@@ -309,17 +309,16 @@ TEST(CampaignCliOptions, ParsesReplicationFlags)
     EXPECT_TRUE(parse(options, {"--stability-out", "report.json"}));
     EXPECT_EQ(options.stabilityOut, "report.json");
 
-    const exec::CampaignOptions &campaign = options.run.campaign;
-    EXPECT_EQ(campaign.replication.replicates, 5u);
-    EXPECT_EQ(campaign.replication.bootstrap.iterations, 800u);
-    EXPECT_EQ(campaign.replication.bootstrap.seed, 12345u);
+    EXPECT_EQ(options.replication.replicates, 5u);
+    EXPECT_EQ(options.replication.bootstrap.iterations, 800u);
+    EXPECT_EQ(options.replication.bootstrap.seed, 12345u);
 }
 
 TEST(CampaignCliOptions, ReplicationDisabledByDefault)
 {
     tools::CampaignSetup options;
     EXPECT_TRUE(parse(options, {}));
-    EXPECT_FALSE(options.run.campaign.replication.enabled());
+    EXPECT_FALSE(options.replication.enabled());
 }
 
 TEST(CampaignCliOptions, RejectsDegenerateReplicationValues)

@@ -305,8 +305,7 @@ main(int argc, char **argv)
                          "--sample\n");
             return 2;
         }
-        const unsigned replicates =
-            opts.campaign.replication.replicates;
+        const unsigned replicates = cli.replication.replicates;
         if (replicates != 0 && cli.adaptiveRounds != 0) {
             std::fprintf(stderr,
                          "campaign: --replicates and "
@@ -326,6 +325,7 @@ main(int argc, char **argv)
         if (replicates != 0) {
             rigor::methodology::RankStabilityOptions stability;
             stability.base = opts;
+            stability.replication = cli.replication;
             rigor::methodology::ReplicatedPbResult outcome =
                 rigor::methodology::runReplicatedPbExperiment(
                     workloads, stability);

@@ -415,7 +415,7 @@ campaignFlags(CampaignSetup &setup)
     exec::CampaignOptions &campaign = run.campaign;
     exec::FaultPolicy &policy = campaign.faultPolicy;
     sample::SamplingOptions &sampling = campaign.sampling;
-    stats::ReplicationOptions &replication = campaign.replication;
+    stats::ReplicationOptions &replication = setup.replication;
     exec::net::ControllerOptions &net = setup.net;
 
     FlagTable table = {

@@ -39,6 +39,7 @@
 #include "exec/fault_injection.hh"
 #include "exec/net/controller.hh"
 #include "methodology/pb_experiment.hh"
+#include "stats/bootstrap.hh"
 
 namespace rigor::tools
 {
@@ -205,6 +206,9 @@ struct CampaignSetup
     std::optional<std::size_t> crashAfter;
     std::vector<std::string> workloads;
     unsigned adaptiveRounds = 0;
+    /** --replicates and the bootstrap flags; replicates != 0 runs
+     *  runReplicatedPbExperiment. */
+    stats::ReplicationOptions replication;
     std::string journal;
     std::string metricsOut;
     std::string traceOut;
