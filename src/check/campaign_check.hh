@@ -115,8 +115,9 @@ CampaignAssessment assessFactorialValidity(
 /**
  * A distributed campaign's topology, reduced to plain integers so
  * the check layer keeps its no-exec-dependency rule (exec depends on
- * check, not the other way around). The drivers fill one from
- * CampaignOptions and its controller's options before pre-flight.
+ * check, not the other way around). The campaign tool fills one
+ * from the controller options and deadlines it is about to run with,
+ * before the controller listens.
  */
 struct RemotePlan
 {

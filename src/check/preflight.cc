@@ -39,8 +39,6 @@ analyzeExperimentPlan(const ExperimentPlan &plan)
     checkSamplingPlan(plan.sampling, plan.instructionsPerRun,
                       plan.warmupInstructions, sink);
 
-    checkRemotePlan(plan.remote, sink);
-
     return sink;
 }
 

@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "check/campaign_check.hh"
 #include "check/diagnostic.hh"
 #include "doe/design_matrix.hh"
 #include "sample/sampling.hh"
@@ -55,8 +54,6 @@ struct ExperimentPlan
     std::uint64_t warmupInstructions = 0;
     /** Sampled-simulation schedule; analyzed only when enabled. */
     sample::SamplingOptions sampling;
-    /** Distributed-campaign topology; analyzed only when enabled. */
-    RemotePlan remote;
 };
 
 /**

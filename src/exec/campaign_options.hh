@@ -11,10 +11,11 @@
  * (`options.campaign`) and keep only the knobs that are genuinely
  * theirs (run lengths, hook factories, critical-parameter caps).
  *
- * Where attempts run is one choice per campaign: in-thread, in a
- * forked sandbox pool (isolation = Process), or on a TCP worker fleet
- * (netController set). Fleet tuning — lease, heartbeat, session
- * grace, auth token — lives only in net::ControllerOptions.
+ * Where attempts run is not a campaign option: it is the engine's
+ * attempt executor (EngineOptions::simulate /
+ * SimulationEngine::setSimulate). A program that owns a sandbox pool
+ * or a fleet controller attaches its simulateFn() to the engine it
+ * passes here, and every phase of the campaign runs on it.
  *
  * The observability sinks live here too: attach a MetricsRegistry, a
  * TraceWriter, and/or a CampaignManifest and every driver reports
@@ -28,12 +29,8 @@
 #ifndef RIGOR_EXEC_CAMPAIGN_OPTIONS_HH
 #define RIGOR_EXEC_CAMPAIGN_OPTIONS_HH
 
-#include <chrono>
-#include <cstdint>
-
 #include "check/campaign_check.hh"
 #include "exec/fault_policy.hh"
-#include "exec/isolation.hh"
 #include "sample/sampling.hh"
 
 namespace rigor::obs
@@ -48,11 +45,6 @@ namespace rigor::exec
 
 class SimulationEngine;
 class ResultJournal;
-
-namespace net
-{
-class CampaignController;
-} // namespace net
 
 /** Execution knobs shared by every experiment driver. */
 struct CampaignOptions
@@ -104,53 +96,6 @@ struct CampaignOptions
      */
     check::DegradationMode degradation =
         check::DegradationMode::Abort;
-
-    /**
-     * Where a local campaign's simulation attempts execute. Thread
-     * (the default) runs them in-process on the engine's workers;
-     * Process ships each attempt to a forked sandbox worker
-     * (exec/proc/), so a SIGSEGV, OOM kill, or non-cooperative hang
-     * costs one attempt of one job instead of the campaign. See
-     * exec/isolation.hh. Ignored when netController is set.
-     *
-     * The top-level driver call picks the executor once per campaign
-     * from this field and netController, and every phase of a
-     * multi-phase driver (workflow screen + factorial, enhancement
-     * base + enhanced legs, adaptive rounds, replicates) runs on it:
-     * a sandbox pool forks once per campaign.
-     */
-    IsolationMode isolation = IsolationMode::Thread;
-    /** Process isolation: per-worker RLIMIT_AS cap in MiB
-     *  (0 = unlimited). Ignored under thread isolation. Besides the
-     *  running job, each sandbox holds the last trace it generated
-     *  for replay, up to 32 MiB, and one timing core sized for the
-     *  largest geometry it has run (SimulationEngine::simulateJob). */
-    std::uint64_t memLimitMb = 0;
-    /**
-     * Process isolation: hard per-attempt deadline — the pool's
-     * watchdog SIGKILLs a sandbox worker busy past it, no cooperation
-     * needed (the complement of faultPolicy.attemptDeadline, which is
-     * polled cooperatively and still applies inside the sandbox).
-     * Zero disables. A remote campaign's pre-flight also checks it
-     * against the controller's lease.
-     */
-    std::chrono::milliseconds hardDeadline{0};
-
-    /**
-     * Remote execution: the lease-granting controller that shards
-     * cells across the TCP worker fleet (not owned; must outlive the
-     * call). A campaign is remote exactly when this is set; the
-     * controller's own ControllerOptions hold the lease, heartbeat,
-     * session grace and auth token, and the pre-flight reads the
-     * lease and heartbeat from there.
-     */
-    net::CampaignController *netController = nullptr;
-    /**
-     * Remote execution: worker count the campaign expects to be
-     * served by (pre-flight rule campaign.no-workers rejects 0 — a
-     * remote campaign with no fleet would queue cells forever).
-     */
-    unsigned remoteWorkers = 0;
 
     /**
      * SMARTS-style sampled simulation (see sample/sampling.hh). When

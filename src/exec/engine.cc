@@ -313,12 +313,6 @@ SimulationEngine::setMetrics(obs::MetricsRegistry *metrics)
 }
 
 CellResult
-SimulationEngine::simulateJob(const SimJob &job)
-{
-    return simulateJob(job, AttemptContext{});
-}
-
-CellResult
 SimulationEngine::simulateJob(const SimJob &job,
                               const AttemptContext &ctx)
 {

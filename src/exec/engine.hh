@@ -32,12 +32,14 @@
  * from disk instead of re-simulating them.
  *
  * Isolation: the attempt executor is a swappable SimulateFn
- * (setSimulate / simulateFn). The default runs attempts in-process on
- * the worker threads; a campaign that must survive crashes, OOM
- * kills, and non-cooperative hangs swaps in the dispatch function of
- * an exec::proc::ProcWorkerPool, which ships each attempt to a forked
- * sandbox worker and maps its death back into the fault taxonomy
- * (see exec/isolation.hh).
+ * (EngineOptions::simulate / setSimulate). The default runs attempts
+ * in-process on the worker threads; a campaign that must survive
+ * crashes, OOM kills, and non-cooperative hangs swaps in the dispatch
+ * function of an exec::proc::ProcWorkerPool, which ships each attempt
+ * to a forked sandbox worker and maps its death back into the fault
+ * taxonomy; a distributed campaign swaps in a net::CampaignController's.
+ * The program that owns the pool or controller attaches it; the
+ * experiment drivers never choose an executor.
  */
 
 #ifndef RIGOR_EXEC_ENGINE_HH
@@ -223,15 +225,13 @@ class SimulationEngine
     /**
      * Replace the attempt executor mid-lifetime (empty restores the
      * default in-process simulator). This is the isolation seam: a
-     * campaign driver swaps in a ProcWorkerPool's dispatch function
-     * to run attempts in sandboxed child processes, then restores the
-     * previous executor when the scope ends. Must not be called while
-     * a batch is running.
+     * program swaps in a ProcWorkerPool's or a CampaignController's
+     * dispatch function to run attempts in sandboxed child processes
+     * or on a TCP worker fleet; the pool or controller must outlive
+     * every batch run through it. Must not be called while a batch
+     * is running.
      */
     void setSimulate(SimulateFn simulate);
-
-    /** The current attempt executor (never empty). */
-    const SimulateFn &simulateFn() const { return _simulate; }
 
     /**
      * Attach (or detach, with nullptr) a crash-safe result journal.
@@ -293,14 +293,12 @@ class SimulationEngine
      * generate each stream about once per worker. The thread also
      * keeps one timing core until it ends and reconfigures it for
      * each job instead of building a new one.
-     */
-    static CellResult simulateJob(const SimJob &job);
-
-    /**
-     * Deadline-guarded variant: polls ctx.checkDeadline() from the
-     * trace source every few thousand instructions, so a wedged run
-     * surfaces as DeadlineExceeded. This is the engine's default
-     * SimulateFn and the inner executor fault injectors wrap.
+     *
+     * It polls ctx.checkDeadline() from the trace source every few
+     * thousand instructions, so a wedged run surfaces as
+     * DeadlineExceeded (a default AttemptContext has no deadline).
+     * This is the engine's default SimulateFn and the inner executor
+     * fault injectors wrap.
      */
     static CellResult simulateJob(const SimJob &job,
                                   const AttemptContext &ctx);

@@ -17,8 +17,8 @@
  *
  * The process-level kinds drill the sandbox backend (exec/proc/):
  * they take the executing process down with them, so they are only
- * survivable under IsolationMode::Process, where the drill lands in a
- * forked worker and the pool classifies the death:
+ * survivable behind a ProcWorkerPool that runs the injector's wrap()
+ * inside its forked workers, where the pool classifies the death:
  *
  *  - Segfault: write through a null pointer (SIGSEGV);
  *  - Abort: std::abort() (SIGABRT);

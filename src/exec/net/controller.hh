@@ -2,11 +2,11 @@
  * @file
  * The lease-granting campaign controller of the distributed backend.
  *
- * CampaignController is to a remote campaign (one whose
- * CampaignOptions::netController points here) what ProcWorkerPool is
- * to process isolation: an attempt executor behind the engine's
- * SimulateFn seam. execute() encodes one attempt with the attempt
- * codec (exec/proc/sandbox_worker.hh), queues it, and blocks until a
+ * CampaignController is to a remote campaign what ProcWorkerPool is
+ * to a sandboxed one: an attempt executor the program attaches to
+ * its engine (SimulationEngine::setSimulate(simulateFn())). execute()
+ * encodes one attempt with the attempt codec
+ * (exec/proc/sandbox_worker.hh), queues it, and blocks until a
  * worker's result unwraps into cycles or a fault — so retries,
  * backoff, quarantine, journaling, and bit-identical resume all keep
  * working unchanged on top.
@@ -182,10 +182,6 @@ class CampaignController
 
     /** The port actually bound (resolves port 0). */
     std::uint16_t port() const { return _port; }
-
-    /** The options the controller runs with (lease, heartbeat,
-     *  grace, token) — what a remote campaign's pre-flight checks. */
-    const ControllerOptions &options() const { return _options; }
 
     /** Workers currently connected and accepted. */
     unsigned connectedWorkers() const;

@@ -101,7 +101,7 @@ runAdaptivePbExperiment(
             "runAdaptivePbExperiment: maxRounds must be >= 1");
 
     PbExperimentOptions opts = options.base;
-    detail::CampaignScope scope(opts.campaign, opts.hookFactory);
+    detail::CampaignScope scope(opts.campaign);
 
     AdaptiveSamplingResult out;
     const std::vector<std::string> names = factorNames();

@@ -3,8 +3,8 @@
  * Shared driver-side campaign plumbing (internal).
  *
  * Every experiment driver does the same dance: attach the campaign's
- * sinks and attempt executor to whichever engine runs it — restoring
- * whatever a shared engine had before, even on throw — wrap each
+ * sinks to whichever engine runs it — restoring whatever a shared
+ * engine had before, even on throw — wrap each
  * phase in a TraceSpan plus a manifest "phase" record, digest the
  * design for the manifest's campaign record, and run each design as
  * one batch of (workload, row) cells whose responses, sampling CI
@@ -27,8 +27,6 @@
 #include "doe/design_matrix.hh"
 #include "exec/campaign_options.hh"
 #include "exec/engine.hh"
-#include "exec/net/controller.hh"
-#include "exec/proc/worker_pool.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
@@ -66,27 +64,17 @@ designDigest(const doe::DesignMatrix &design)
  *  - attaches the campaign's journal, metrics and trace sinks;
  *  - chains the current phase's job observer (see observe()) behind
  *    whatever observer the caller had attached, so e.g. the campaign
- *    CLI's replay printer keeps seeing events;
- *  - attaches the attempt executor, chosen exactly once: the caller's
- *    campaign.netController when set (a remote campaign), else under
- *    IsolationMode::Process a sandbox pool the scope owns, else the
- *    engine's current in-thread executor.
+ *    CLI's replay printer keeps seeing events.
  *
- * The pool captures the engine's *current* executor — the real
- * simulator, a test stub, or a fault-injector wrapper — as the
- * executor inside the forked workers, so injected faults drill the
- * sandbox rather than the parent. Inner phases (workflow screen and
- * factorial, enhancement legs, adaptive rounds, replicates) run on
- * the attached executor and never choose again. The destructor
- * restores everything the engine arrived with, even when a batch
- * throws.
+ * It leaves the engine's attempt executor alone: every phase runs on
+ * whatever the caller attached (the in-thread simulator, a sandbox
+ * pool, a fleet controller). The destructor restores the sinks and
+ * observer the engine arrived with, even when a batch throws.
  */
 class CampaignScope
 {
   public:
-    explicit CampaignScope(
-        const exec::CampaignOptions &campaign,
-        exec::proc::SandboxHookFactory hook_factory = {})
+    explicit CampaignScope(const exec::CampaignOptions &campaign)
         : _ownedEngine(campaign.engine
                            ? nullptr
                            : std::make_unique<exec::SimulationEngine>(
@@ -97,7 +85,6 @@ class CampaignScope
           _previousMetrics(_engine.metrics()),
           _previousTrace(_engine.traceWriter()),
           _previousObserver(_engine.jobObserver()),
-          _previousSimulate(_engine.simulateFn()),
           _progressAtOpen(_engine.progress().snapshot())
     {
         if (campaign.journal)
@@ -106,30 +93,10 @@ class CampaignScope
             _engine.setMetrics(campaign.metrics);
         if (campaign.trace)
             _engine.setTraceWriter(campaign.trace);
-
-        if (campaign.netController != nullptr) {
-            _engine.setSimulate(campaign.netController->simulateFn());
-        } else if (campaign.isolation ==
-                   exec::IsolationMode::Process) {
-            exec::proc::ProcWorkerPool::Options options;
-            options.workers = _engine.threads();
-            options.simulate = _previousSimulate;
-            options.hookFactory = std::move(hook_factory);
-            options.memLimitMb = campaign.memLimitMb;
-            options.hardDeadline = campaign.hardDeadline;
-            _pool = std::make_unique<exec::proc::ProcWorkerPool>(
-                std::move(options));
-            _pool->setMetrics(campaign.metrics);
-            _pool->setTraceWriter(campaign.trace);
-            _engine.setSimulate(_pool->simulateFn());
-        }
     }
 
     ~CampaignScope()
     {
-        // The engine stops dispatching through the pool before the
-        // pool (a member) is destroyed.
-        _engine.setSimulate(std::move(_previousSimulate));
         _engine.setJournal(_previousJournal);
         _engine.setMetrics(_previousMetrics);
         _engine.setTraceWriter(_previousTrace);
@@ -172,39 +139,8 @@ class CampaignScope
     obs::MetricsRegistry *_previousMetrics;
     obs::TraceWriter *_previousTrace;
     exec::JobObserver _previousObserver;
-    exec::SimulateFn _previousSimulate;
     exec::ProgressSnapshot _progressAtOpen;
-    std::unique_ptr<exec::proc::ProcWorkerPool> _pool;
 };
-
-/**
- * Reduce a remote campaign's topology to the plain-integer RemotePlan
- * the check layer pre-flights (campaign.no-workers,
- * campaign.lease-shorter-than-deadline,
- * campaign.heartbeat-too-coarse). The lease and heartbeat come from
- * the controller itself, so the pre-flight checks the values the
- * fleet actually runs with. Disabled — and therefore skipped by every
- * analyzer — unless the campaign is remote (netController set).
- */
-inline check::RemotePlan
-remotePlanFor(const exec::CampaignOptions &campaign)
-{
-    check::RemotePlan plan;
-    if (campaign.netController == nullptr)
-        return plan;
-    const exec::net::ControllerOptions &net =
-        campaign.netController->options();
-    plan.enabled = true;
-    plan.workers = campaign.remoteWorkers;
-    plan.leaseMs = static_cast<std::uint64_t>(net.lease.count());
-    plan.heartbeatMs =
-        static_cast<std::uint64_t>(net.heartbeat.count());
-    plan.attemptDeadlineMs = static_cast<std::uint64_t>(
-        campaign.faultPolicy.attemptDeadline.count());
-    plan.hardDeadlineMs =
-        static_cast<std::uint64_t>(campaign.hardDeadline.count());
-    return plan;
-}
 
 /**
  * RAII driver phase: a TraceSpan on lane 0 plus a manifest "phase"

@@ -130,16 +130,15 @@ runEnhancementExperiment(
         plan.auditParameterSpace = true;
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
-        plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan, "runEnhancementExperiment");
     }
 
     // Both legs share one engine and one executor: the workers, the
     // run cache (a base leg already simulated through campaign.engine
-    // is free), and the progress counters. A sandbox pool gets the
-    // hook factory so the enhanced leg's children can rebuild the
-    // enhancement hook from the shipped profile.
-    detail::CampaignScope scope(campaign, hook_factory);
+    // is free), and the progress counters. A sandbox pool or fleet
+    // running the enhanced leg needs the same hook factory to rebuild
+    // the enhancement hook from the shipped profile.
+    detail::CampaignScope scope(campaign);
 
     EnhancementExperimentResult result;
 

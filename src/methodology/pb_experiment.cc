@@ -146,7 +146,7 @@ PbExperimentResult
 runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
                 const PbExperimentOptions &options)
 {
-    detail::CampaignScope scope(options.campaign, options.hookFactory);
+    detail::CampaignScope scope(options.campaign);
     return detail::runPbScreen(workloads, options, scope);
 }
 
@@ -203,7 +203,6 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
         plan.sampling = campaign.sampling;
-        plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan, "runPbExperiment");
     }
 

@@ -443,7 +443,7 @@ runReplicatedPbExperiment(
 
     const unsigned num_reps = replication.replicates;
     PbExperimentOptions opts = options.base;
-    detail::CampaignScope scope(opts.campaign, opts.hookFactory);
+    detail::CampaignScope scope(opts.campaign);
 
     // Replicate r renames every profile ("gzip" -> "gzip#r1"): the
     // trace generator is seeded from the name (FNV-1a), so the copy

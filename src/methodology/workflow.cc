@@ -169,7 +169,6 @@ runRecommendedWorkflow(
         plan.instructionsPerRun = options.instructionsPerRun;
         plan.warmupInstructions = options.warmupInstructions;
         plan.workloads = workloads;
-        plan.remote = detail::remotePlanFor(campaign);
         check::preflightOrThrow(plan,
                                 "runRecommendedWorkflow (step 3)");
     }

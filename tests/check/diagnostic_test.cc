@@ -33,8 +33,8 @@ TEST(Diagnostic, RendersWithoutAnyContext)
 {
     check::Diagnostic d;
     d.severity = check::Severity::Note;
-    d.ruleId = "x.y";
-    d.message = "m";
+    d.ruleId = std::string("x.y");
+    d.message = std::string("m");
     EXPECT_EQ(d.toString(), "note: m [x.y]");
 }
 

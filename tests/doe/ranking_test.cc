@@ -77,7 +77,7 @@ TEST(Ranking, SignificanceCutoffFindsLargestGap)
     std::vector<doe::FactorRankSummary> summaries(5);
     const unsigned long sums[] = {10, 12, 14, 50, 52};
     for (std::size_t i = 0; i < 5; ++i) {
-        summaries[i].name = "f" + std::to_string(i);
+        summaries[i].name = std::string("f").append(std::to_string(i));
         summaries[i].sumOfRanks = sums[i];
     }
     EXPECT_EQ(doe::significanceCutoff(summaries, 4), 3u);

@@ -616,7 +616,8 @@ TEST(SimulationEngine, TimedOutAttemptLeavesNoReplayableStream)
 
     // The same (profile, length) again: the attempt above stopped
     // part-way, so this run must regenerate the whole stream.
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(job).cycles,
+    const exec::AttemptContext unbounded;
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job, unbounded).cycles,
               methodology::simulateOnce(w, job.config,
                                         job.instructions));
 }
@@ -645,13 +646,15 @@ TEST(SimulationEngine, DeadlineMidRunLeavesTheWorkerCoreReusable)
     next.config = methodology::uniformConfig(doe::Level::Low);
     next.instructions = 3000;
     next.warmupInstructions = 500;
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(next).cycles,
+    const exec::AttemptContext unbounded;
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(next, unbounded).cycles,
               methodology::simulateOnce(small, next.config,
                                         next.instructions, nullptr,
                                         next.warmupInstructions));
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(interrupted).cycles,
-              methodology::simulateOnce(big, interrupted.config,
-                                        interrupted.instructions));
+    EXPECT_EQ(
+        exec::SimulationEngine::simulateJob(interrupted, unbounded).cycles,
+        methodology::simulateOnce(big, interrupted.config,
+                                  interrupted.instructions));
 }
 
 TEST(SimulationEngine, HookedJobLeavesNoHookOnTheWorkerCore)
@@ -676,17 +679,18 @@ TEST(SimulationEngine, HookedJobLeavesNoHookOnTheWorkerCore)
     const double reference =
         methodology::simulateOnce(w, job.config, job.instructions);
 
+    const exec::AttemptContext unbounded;
     exec::SimJob hooked = job;
     hooked.makeHook = [&calls]() {
         return std::make_unique<InterceptAll>(calls);
     };
-    EXPECT_NE(exec::SimulationEngine::simulateJob(hooked).cycles,
+    EXPECT_NE(exec::SimulationEngine::simulateJob(hooked, unbounded).cycles,
               reference);
     EXPECT_EQ(calls, job.instructions);
 
     // Same workload and config, no hook: the hook died with its job
     // and must not be consulted again.
-    EXPECT_EQ(exec::SimulationEngine::simulateJob(job).cycles,
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job, unbounded).cycles,
               reference);
     EXPECT_EQ(calls, job.instructions);
 }

@@ -2,11 +2,13 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/rule_ids.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
+#include "exec/proc/worker_pool.hh"
 #include "methodology/adaptive_sampling.hh"
 #include "methodology/rank_table.hh"
 #include "obs/trace_span.hh"
@@ -110,8 +112,13 @@ TEST(AdaptiveSampling, RoundsAgreeAcrossThreadCountsAndIsolation)
             workloads, twoRoundOptions(2))),
         reference);
 
+    exec::proc::ProcWorkerPool::Options pool_opts;
+    pool_opts.workers = 2;
+    exec::proc::ProcWorkerPool pool(std::move(pool_opts));
+    exec::SimulationEngine engine(
+        exec::EngineOptions{2, true, pool.simulateFn()});
     methodology::AdaptiveSamplingOptions sandboxed = twoRoundOptions(2);
-    sandboxed.base.campaign.isolation = exec::IsolationMode::Process;
+    sandboxed.base.campaign.engine = &engine;
     expectSameOutcome(
         outcomeOf(methodology::runAdaptivePbExperiment(workloads,
                                                        sandboxed)),
@@ -121,15 +128,25 @@ TEST(AdaptiveSampling, RoundsAgreeAcrossThreadCountsAndIsolation)
 TEST(AdaptiveSampling, ProcessIsolationForksOnePoolForEveryRound)
 {
     // Each sandbox worker's lifetime closes as one "proc.worker"
-    // span when its pool goes away: two workers for the whole
-    // campaign, not two per round.
+    // span when its pool goes away: every round runs on the caller's
+    // two workers, and the driver forks none of its own.
     obs::TraceWriter trace;
-    methodology::AdaptiveSamplingOptions options = twoRoundOptions(2);
-    options.base.campaign.isolation = exec::IsolationMode::Process;
-    options.base.campaign.trace = &trace;
-    const methodology::AdaptiveSamplingResult run =
-        methodology::runAdaptivePbExperiment(twoWorkloads(), options);
-    ASSERT_EQ(run.rounds.size(), 2u);
+    {
+        exec::proc::ProcWorkerPool::Options pool_opts;
+        pool_opts.workers = 2;
+        exec::proc::ProcWorkerPool pool(std::move(pool_opts));
+        pool.setTraceWriter(&trace);
+        exec::SimulationEngine engine(
+            exec::EngineOptions{2, true, pool.simulateFn()});
+        methodology::AdaptiveSamplingOptions options =
+            twoRoundOptions(2);
+        options.base.campaign.engine = &engine;
+        options.base.campaign.trace = &trace;
+        const methodology::AdaptiveSamplingResult run =
+            methodology::runAdaptivePbExperiment(twoWorkloads(),
+                                                 options);
+        ASSERT_EQ(run.rounds.size(), 2u);
+    }
 
     const std::string json = trace.toJson();
     const std::string span = "\"name\":\"proc.worker\"";

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/campaign_check.hh"
@@ -11,6 +12,7 @@
 #include "exec/engine.hh"
 #include "exec/fault_injection.hh"
 #include "exec/journal.hh"
+#include "exec/proc/worker_pool.hh"
 #include "methodology/enhancement_analysis.hh"
 #include "methodology/pb_experiment.hh"
 #include "methodology/rank_table.hh"
@@ -61,6 +63,24 @@ journalPath(const std::string &name)
     return path;
 }
 
+/** A two-worker sandbox pool and the two-thread engine that sends
+ *  every attempt to it; the pool outlives the engine's batches. */
+struct SandboxedEngine
+{
+    explicit SandboxedEngine(
+        exec::proc::ProcWorkerPool::Options options = {})
+        : pool([&options] {
+              options.workers = 2;
+              return std::move(options);
+          }()),
+          engine(exec::EngineOptions{2, true, pool.simulateFn()})
+    {
+    }
+
+    exec::proc::ProcWorkerPool pool;
+    exec::SimulationEngine engine;
+};
+
 /** Deterministic simulator stand-in (cycle counts don't matter for
  *  isolation plumbing tests, only identity and failure routing). */
 double
@@ -103,21 +123,22 @@ TEST(ProcCampaign, ThreeProcessFaultsQuarantineExactlyThoseCells)
     injector.addLabelFault("mcf, design row 55", 1,
                            exec::FaultKind::BusyLoop);
 
-    exec::EngineOptions engine_opts;
-    engine_opts.threads = 2;
-    engine_opts.simulate = injector.wrap();
-    exec::SimulationEngine engine(engine_opts);
+    // The injector runs inside the sandboxes, so the faults take
+    // down forked workers, not this process.
+    exec::proc::ProcWorkerPool::Options pool_opts;
+    pool_opts.simulate = injector.wrap();
+    // The deadline is generous enough that the alloc-bomb reaches
+    // its memory cap (a resource fault) before the watchdog fires.
+    pool_opts.hardDeadline = std::chrono::milliseconds(1000);
+#ifndef RIGOR_UNDER_SANITIZER
+    pool_opts.memLimitMb = 128;
+#endif
+    SandboxedEngine sandboxed(std::move(pool_opts));
+    exec::SimulationEngine &engine = sandboxed.engine;
 
     methodology::PbExperimentOptions opts;
     opts.instructionsPerRun = 2000;
     opts.campaign.engine = &engine;
-    opts.campaign.isolation = exec::IsolationMode::Process;
-    // The deadline is generous enough that the alloc-bomb reaches
-    // its memory cap (a resource fault) before the watchdog fires.
-    opts.campaign.hardDeadline = std::chrono::milliseconds(1000);
-#ifndef RIGOR_UNDER_SANITIZER
-    opts.campaign.memLimitMb = 128;
-#endif
     opts.campaign.faultPolicy.collectFailures = true;
     opts.campaign.degradation = check::DegradationMode::DropBenchmark;
 
@@ -164,10 +185,10 @@ TEST(ProcCampaign, KillAndResumeReproducesRankTableUnderProcessMode)
 {
     const auto workloads = twoWorkloads();
 
+    SandboxedEngine uninterrupted;
     methodology::PbExperimentOptions opts;
     opts.instructionsPerRun = 2000;
-    opts.campaign.threads = 2;
-    opts.campaign.isolation = exec::IsolationMode::Process;
+    opts.campaign.engine = &uninterrupted.engine;
 
     // Reference: the uninterrupted process-isolated campaign.
     const methodology::PbExperimentResult reference =
@@ -182,7 +203,9 @@ TEST(ProcCampaign, KillAndResumeReproducesRankTableUnderProcessMode)
     {
         exec::ResultJournal journal(path);
         journal.simulateCrashAfter(40);
+        SandboxedEngine crashing;
         methodology::PbExperimentOptions crash_opts = opts;
+        crash_opts.campaign.engine = &crashing.engine;
         crash_opts.campaign.journal = &journal;
         EXPECT_THROW(
             methodology::runPbExperiment(workloads, crash_opts),
@@ -195,7 +218,8 @@ TEST(ProcCampaign, KillAndResumeReproducesRankTableUnderProcessMode)
     exec::ResultJournal journal(path);
     EXPECT_EQ(journal.loadedRecords(), 40u);
     EXPECT_EQ(journal.tornRecords(), 1u);
-    exec::SimulationEngine engine(exec::EngineOptions{2, true});
+    SandboxedEngine resuming;
+    exec::SimulationEngine &engine = resuming.engine;
     methodology::PbExperimentOptions resume_opts = opts;
     resume_opts.campaign.engine = &engine;
     resume_opts.campaign.journal = &journal;
@@ -219,19 +243,19 @@ TEST(ProcCampaign, WorkflowRunsFactorialPhaseUnderProcessIsolation)
     injector.addLabelFault("mcf, factorial cell", 1,
                            exec::FaultKind::Abort);
 
-    // The scope hands the engine's injecting executor to the
-    // sandbox pool, so the faults fire inside the forked workers.
-    exec::SimulationEngine engine(exec::EngineOptions{
-        2, true,
-        injector.wrap([](const exec::SimJob &,
-                         const exec::AttemptContext &ctx) {
+    // The pool runs the injecting executor inside its sandboxes, so
+    // the faults fire inside the forked workers; both phases share
+    // the one pool.
+    exec::proc::ProcWorkerPool::Options pool_opts;
+    pool_opts.simulate = injector.wrap(
+        [](const exec::SimJob &, const exec::AttemptContext &ctx) {
             return stubResponse(ctx);
-        })});
+        });
+    SandboxedEngine sandboxed(std::move(pool_opts));
 
     methodology::WorkflowOptions opts;
     opts.instructionsPerRun = 8000;
-    opts.campaign.engine = &engine;
-    opts.campaign.isolation = exec::IsolationMode::Process;
+    opts.campaign.engine = &sandboxed.engine;
     opts.maxCriticalParameters = 2;
     opts.campaign.faultPolicy.collectFailures = true;
     opts.campaign.degradation = check::DegradationMode::DropBenchmark;
@@ -253,27 +277,28 @@ TEST(ProcCampaign, EnhancementLegsRebuildHooksInsideSandboxes)
 {
     const auto workloads = twoWorkloads();
 
-    exec::EngineOptions engine_opts;
-    engine_opts.threads = 2;
-    engine_opts.simulate = [](const exec::SimJob &job,
-                              const exec::AttemptContext &ctx) {
-        // Hooked (enhanced) runs are distinguishable, proving the
-        // hook request survived the wire into the child.
-        const double hooked = job.makeHook ? 500.0 : 0.0;
-        return stubResponse(ctx) + hooked;
-    };
-    exec::SimulationEngine engine(engine_opts);
-
-    methodology::PbExperimentOptions opts;
-    opts.instructionsPerRun = 8000;
-    opts.campaign.engine = &engine;
-    opts.campaign.isolation = exec::IsolationMode::Process;
-
     const methodology::HookFactory noop_factory =
         [](const trace::WorkloadProfile &)
         -> std::unique_ptr<rigor::sim::ExecutionHook> {
         return nullptr;
     };
+
+    // The sandboxes rebuild each hooked job's hook from the pool's
+    // factory, as a fleet worker does from its own.
+    exec::proc::ProcWorkerPool::Options pool_opts;
+    pool_opts.hookFactory = noop_factory;
+    pool_opts.simulate = [](const exec::SimJob &job,
+                            const exec::AttemptContext &ctx) {
+        // Hooked (enhanced) runs are distinguishable, proving the
+        // hook request survived the wire into the child.
+        const double hooked = job.makeHook ? 500.0 : 0.0;
+        return stubResponse(ctx) + hooked;
+    };
+    SandboxedEngine sandboxed(std::move(pool_opts));
+
+    methodology::PbExperimentOptions opts;
+    opts.instructionsPerRun = 8000;
+    opts.campaign.engine = &sandboxed.engine;
     const methodology::EnhancementExperimentResult result =
         methodology::runEnhancementExperiment(workloads, opts,
                                               noop_factory, "noop");

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/preflight.hh"
-#include "check/rule_ids.hh"
 #include "enhance/precompute.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
@@ -77,14 +75,19 @@ struct Fleet
     }
 };
 
+/** Two engine threads whose every attempt runs on the fleet. */
+exec::EngineOptions
+fleetEngine(net::CampaignController &controller)
+{
+    return exec::EngineOptions{2, true, controller.simulateFn()};
+}
+
 methodology::PbExperimentOptions
-remoteOptions(net::CampaignController &controller, unsigned workers)
+remoteOptions(exec::SimulationEngine &engine)
 {
     methodology::PbExperimentOptions opts;
     opts.instructionsPerRun = 2000;
-    opts.campaign.threads = 2;
-    opts.campaign.netController = &controller;
-    opts.campaign.remoteWorkers = workers;
+    opts.campaign.engine = &engine;
     return opts;
 }
 
@@ -110,9 +113,9 @@ TEST(RemoteCampaign, FleetCampaignMatchesThreadIsolationBitIdentically)
     ASSERT_TRUE(controller->waitForWorkers(
         2, std::chrono::milliseconds(10000)));
 
+    exec::SimulationEngine engine(fleetEngine(*controller));
     const methodology::PbExperimentResult result =
-        methodology::runPbExperiment(
-            workloads, remoteOptions(*controller, 2));
+        methodology::runPbExperiment(workloads, remoteOptions(engine));
 
     // Every response crossed the TCP fleet and came back bitwise
     // equal; the derived rank table is byte-for-byte the same.
@@ -166,9 +169,10 @@ TEST(RemoteCampaign, EnhancementLegsRebuildHooksOnTheFleet)
     ASSERT_TRUE(controller->waitForWorkers(
         2, std::chrono::milliseconds(10000)));
 
+    exec::SimulationEngine engine(fleetEngine(*controller));
     const methodology::EnhancementExperimentResult result =
         methodology::runEnhancementExperiment(
-            workloads, remoteOptions(*controller, 2), precompute,
+            workloads, remoteOptions(engine), precompute,
             "precompute-128");
 
     // Both legs crossed the fleet; the hooked leg was rebuilt from
@@ -212,8 +216,9 @@ TEST(RemoteCampaign, ControllerCrashResumesBitIdenticallyOverJournal)
 
         exec::ResultJournal journal(path);
         journal.simulateCrashAfter(40);
+        exec::SimulationEngine engine(fleetEngine(*controller));
         methodology::PbExperimentOptions crash_opts =
-            remoteOptions(*controller, 2);
+            remoteOptions(engine);
         crash_opts.campaign.journal = &journal;
         EXPECT_THROW(
             methodology::runPbExperiment(workloads, crash_opts),
@@ -235,12 +240,10 @@ TEST(RemoteCampaign, ControllerCrashResumesBitIdenticallyOverJournal)
 
     exec::ResultJournal journal(path);
     EXPECT_EQ(journal.loadedRecords(), 40u);
-    exec::SimulationEngine engine(exec::EngineOptions{2, true});
+    exec::SimulationEngine engine(fleetEngine(*controller));
     rigor::obs::CampaignManifest manifest;
-    methodology::PbExperimentOptions resume_opts =
-        remoteOptions(*controller, 2);
+    methodology::PbExperimentOptions resume_opts = remoteOptions(engine);
     resume_opts.campaign.journal = &journal;
-    resume_opts.campaign.engine = &engine;
     resume_opts.campaign.manifest = &manifest;
     const methodology::PbExperimentResult resumed =
         methodology::runPbExperiment(workloads, resume_opts);
@@ -276,54 +279,6 @@ TEST(RemoteCampaign, ControllerCrashResumesBitIdenticallyOverJournal)
     }
     EXPECT_EQ(replayed, 40u);
     EXPECT_EQ(simulated, 176u - 40u);
-
-    controller.reset();
-    fleet.join();
-}
-
-// ----- Guard rails -----
-
-TEST(RemoteCampaign, PreflightRejectsARemotePlanWithNoWorkers)
-{
-    const auto workloads = twoWorkloads();
-    net::CampaignController controller;
-    methodology::PbExperimentOptions opts =
-        remoteOptions(controller, 0);
-    EXPECT_THROW(methodology::runPbExperiment(workloads, opts),
-                 rigor::check::PreflightError);
-}
-
-TEST(RemoteCampaign, PreflightChecksTheControllersOwnLease)
-{
-    // The lease the fleet runs with is the controller's: a 2 s lease
-    // cannot cover a 5 s attempt deadline, whatever else the
-    // campaign says. A live worker makes the mistake visible as a
-    // completed campaign, not a hang, if the pre-flight misses it.
-    const auto workloads = twoWorkloads();
-    net::ControllerOptions net_opts;
-    net_opts.lease = std::chrono::milliseconds(2000);
-    net_opts.heartbeat = std::chrono::milliseconds(500);
-    auto controller =
-        std::make_unique<net::CampaignController>(net_opts);
-    Fleet fleet;
-    fleet.start(controller->port(), "w1");
-    ASSERT_TRUE(controller->waitForWorkers(
-        1, std::chrono::milliseconds(10000)));
-
-    methodology::PbExperimentOptions opts =
-        remoteOptions(*controller, 1);
-    opts.campaign.faultPolicy.attemptDeadline =
-        std::chrono::milliseconds(5000);
-    try {
-        (void)methodology::runPbExperiment(workloads, opts);
-        ADD_FAILURE() << "a lease shorter than the attempt deadline "
-                         "passed the pre-flight";
-    } catch (const rigor::check::PreflightError &e) {
-        EXPECT_TRUE(e.sink().hasRule(
-            rigor::check::rules::kCampaignLeaseShorterThanDeadline))
-            << e.what();
-    }
-    EXPECT_EQ(controller->leasesGranted(), 0u);
 
     controller.reset();
     fleet.join();

@@ -199,7 +199,8 @@ TEST(CampaignManifest, ConcurrentCellAppendsAllLand)
         threads.emplace_back([&manifest, t] {
             for (std::size_t i = 0; i < kPerThread; ++i) {
                 obs::CellRecord cell;
-                cell.benchmark = "w" + std::to_string(t);
+                cell.benchmark =
+                    std::string("w").append(std::to_string(t));
                 cell.row = i;
                 cell.source = "simulated";
                 manifest.addCell(cell);

@@ -59,9 +59,11 @@ TEST(Yates, PureAdditiveModelHasNoInteractions)
                1.0 * ((i >> 2) & 1);
     const std::vector<double> c = stats::yatesContrasts(y);
     // All interaction contrasts (popcount >= 2) vanish.
-    for (std::uint32_t m = 0; m < 8; ++m)
-        if (stats::contrastOrder(m) >= 2)
+    for (std::uint32_t m = 0; m < 8; ++m) {
+        if (stats::contrastOrder(m) >= 2) {
             EXPECT_NEAR(c[m], 0.0, 1e-12) << "mask " << m;
+        }
+    }
     // Main effect contrasts = coefficient * 2^(k-1).
     EXPECT_DOUBLE_EQ(c[1], 2.0 * 4);
     EXPECT_DOUBLE_EQ(c[2], 5.0 * 4);

@@ -167,21 +167,19 @@ TEST(CliFlags, UsageListsEveryFlag)
 
 TEST(CliFlags, SandboxFlagsAcceptRemoteOnlyWhenAsked)
 {
-    exec::IsolationMode isolation = exec::IsolationMode::Thread;
-    std::uint64_t mem = 0;
-    std::chrono::milliseconds deadline{0};
+    tools::Isolation isolation = tools::Isolation::Thread;
+    exec::proc::ProcWorkerPool::Options sandbox;
     std::string token;
     const tools::FlagTable worker =
-        tools::sandboxFlags(isolation, nullptr, mem, deadline, token);
+        tools::sandboxFlags(isolation, false, sandbox, token);
     EXPECT_FALSE(parse(worker, {"--isolation", "remote"}));
     EXPECT_TRUE(parse(worker, {"--isolation=process"}));
-    EXPECT_EQ(isolation, exec::IsolationMode::Process);
+    EXPECT_EQ(isolation, tools::Isolation::Process);
 
-    bool remote = false;
     const tools::FlagTable campaign =
-        tools::sandboxFlags(isolation, &remote, mem, deadline, token);
+        tools::sandboxFlags(isolation, true, sandbox, token);
     EXPECT_TRUE(parse(campaign, {"--isolation", "remote"}));
-    EXPECT_TRUE(remote);
+    EXPECT_EQ(isolation, tools::Isolation::Remote);
     EXPECT_FALSE(parse(campaign, {"--isolation", "fleet"}));
 }
 
@@ -197,7 +195,7 @@ TEST(CampaignCliOptions, KeepsTheCliDefaults)
     EXPECT_EQ(options.net.heartbeat, std::chrono::milliseconds(1000));
     EXPECT_EQ(options.workerWait, std::chrono::milliseconds(30000));
     EXPECT_EQ(options.run.campaign.faultPolicy.attempts(), 1u);
-    EXPECT_FALSE(options.remote);
+    EXPECT_EQ(options.isolation, tools::Isolation::Thread);
 }
 
 TEST(CampaignCliOptions, DerivesRetriesAndRemote)
@@ -209,7 +207,7 @@ TEST(CampaignCliOptions, DerivesRetriesAndRemote)
                                 "--inject-label", "mcf:1:hang"}));
     EXPECT_EQ(options.run.campaign.faultPolicy.maxAttempts, 3u);
     EXPECT_EQ(options.run.campaign.threads, 2u);
-    EXPECT_TRUE(options.remote);
+    EXPECT_EQ(options.isolation, tools::Isolation::Remote);
     EXPECT_EQ(options.net.bindAddress, "0.0.0.0");
     EXPECT_EQ(options.net.port, 7000u);
     EXPECT_EQ(options.run.campaign.degradation,
@@ -246,9 +244,9 @@ TEST(CampaignCliOptions, AcceptsPositiveCaps)
 {
     tools::CampaignSetup options;
     EXPECT_TRUE(parse(options, {"--mem-limit-mb", "128"}));
-    EXPECT_EQ(options.run.campaign.memLimitMb, 128u);
+    EXPECT_EQ(options.sandbox.memLimitMb, 128u);
     EXPECT_TRUE(parse(options, {"--hard-deadline-ms=1000"}));
-    EXPECT_EQ(options.run.campaign.hardDeadline,
+    EXPECT_EQ(options.sandbox.hardDeadline,
               std::chrono::milliseconds(1000));
 }
 

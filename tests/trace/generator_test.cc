@@ -248,11 +248,12 @@ TEST(Generator, TakenBranchTargetsAreBlockStarts)
 {
     const auto v = generate("twolf", 50000);
     for (std::size_t i = 0; i + 1 < v.size(); ++i) {
-        if (trace::isControlOp(v[i].op) && v[i].taken)
+        if (trace::isControlOp(v[i].op) && v[i].taken) {
             EXPECT_EQ(v[i + 1].pc, v[i].target)
                 << "taken transfer must continue at its target";
-        else if (!trace::isControlOp(v[i].op))
+        } else if (!trace::isControlOp(v[i].op)) {
             EXPECT_EQ(v[i + 1].pc, v[i].pc + 4)
                 << "sequential flow must be contiguous";
+        }
     }
 }

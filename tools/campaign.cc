@@ -34,7 +34,8 @@
  * resumes the remainder.
  *
  * Exit codes: 0 success (possibly degraded, with warnings printed),
- * 1 campaign failure, 2 usage error, 3 simulated crash (resume with
+ * 1 campaign failure, 2 usage error (a remote campaign's topology or
+ * drill plan included), 3 simulated crash (resume with
  * the same --journal), 4 drained on SIGTERM (resume with the same
  * --journal).
  */
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -56,6 +58,7 @@
 #include "exec/journal.hh"
 #include "exec/net/auth.hh"
 #include "exec/net/controller.hh"
+#include "exec/proc/worker_pool.hh"
 #include "methodology/adaptive_sampling.hh"
 #include "methodology/pb_experiment.hh"
 #include "methodology/rank_stability.hh"
@@ -96,18 +99,43 @@ main(int argc, char **argv)
     if (!rigor::tools::parseFlags(argc, argv, "campaign", flags))
         return rigor::tools::printUsage(argv[0], kSynopsis, flags);
     rigor::methodology::PbExperimentOptions &opts = cli.run;
-    if (cli.remote && cli.net.heartbeat * 2 >= cli.net.lease) {
-        // Mirrors the pre-flight rule campaign.heartbeat-too-coarse:
-        // a heartbeat at (or past) half the lease leaves at most one
-        // beacon of margin, so one delayed packet reclaims a healthy
-        // worker's leases.
-        std::fprintf(stderr,
-                     "campaign: --heartbeat-ms %lld is too coarse for "
-                     "--lease-ms %lld (the heartbeat must be under "
-                     "half the lease)\n",
-                     static_cast<long long>(cli.net.heartbeat.count()),
-                     static_cast<long long>(cli.net.lease.count()));
-        return 2;
+    const bool remote = cli.isolation == rigor::tools::Isolation::Remote;
+    if (remote) {
+        // Every attempt of a remote campaign runs on a worker, so a
+        // drill planned here would never fire.
+        if (cli.drills.plannedFaults() != 0 || cli.randomDrills) {
+            std::fprintf(stderr,
+                         "campaign: --inject, --inject-label and "
+                         "--inject-random cannot drill a remote "
+                         "campaign, whose attempts all run on the "
+                         "workers; drill a worker with worker "
+                         "--inject-label\n");
+            return 2;
+        }
+        // The fleet topology is checked before anything listens,
+        // --skip-preflight or not: no workers queues every cell
+        // forever, and a lease too short for the heartbeat or the
+        // deadlines requeues healthy workers' cells.
+        const auto ms = [](std::chrono::milliseconds d) {
+            return static_cast<std::uint64_t>(d.count());
+        };
+        rigor::check::RemotePlan plan;
+        plan.enabled = true;
+        plan.workers = cli.workers;
+        plan.leaseMs = ms(cli.net.lease);
+        plan.heartbeatMs = ms(cli.net.heartbeat);
+        plan.attemptDeadlineMs =
+            ms(opts.campaign.faultPolicy.attemptDeadline);
+        plan.hardDeadlineMs = ms(cli.sandbox.hardDeadline);
+        rigor::check::DiagnosticSink sink;
+        rigor::check::checkRemotePlan(plan, sink);
+        if (!sink.passed()) {
+            std::fprintf(stderr,
+                         "campaign: remote campaign rejected before "
+                         "listening:\n%s",
+                         sink.toString().c_str());
+            return 2;
+        }
     }
 
     try {
@@ -166,18 +194,35 @@ main(int argc, char **argv)
         rigor::obs::TraceWriter trace;
         rigor::obs::CampaignManifest manifest;
 
+        // Process isolation: every attempt runs in a forked sandbox,
+        // behind the drill injector when drills are planned, so the
+        // drills land inside the sandbox rather than in this process.
+        std::unique_ptr<rigor::exec::proc::ProcWorkerPool> pool;
+        if (cli.isolation == rigor::tools::Isolation::Process) {
+            cli.sandbox.workers = engine.threads();
+            cli.sandbox.simulate = engine_opts.simulate;
+            pool = std::make_unique<rigor::exec::proc::ProcWorkerPool>(
+                std::move(cli.sandbox));
+            if (!cli.metricsOut.empty())
+                pool->setMetrics(&metrics);
+            if (!cli.traceOut.empty())
+                pool->setTraceWriter(&trace);
+            engine.setSimulate(pool->simulateFn());
+        }
+
         // Remote execution: bring up the lease-granting controller
         // and wait for the fleet before any cell is queued. Declared
         // after the manifest so its lease observer (which feeds the
         // manifest) outlives every controller thread.
         std::unique_ptr<rigor::exec::net::CampaignController>
             controller;
-        if (cli.remote) {
+        if (remote) {
             if (!cli.authTokenFile.empty())
                 cli.net.authToken =
                     rigor::exec::net::loadAuthToken(cli.authTokenFile);
             controller = std::make_unique<
                 rigor::exec::net::CampaignController>(cli.net);
+            engine.setSimulate(controller->simulateFn());
             if (!cli.metricsOut.empty())
                 controller->setMetrics(&metrics);
             const bool want_manifest = !cli.manifestOut.empty();
@@ -216,15 +261,13 @@ main(int argc, char **argv)
                 rigor::obs::writeTextFile(
                     cli.portFile,
                     std::to_string(controller->port()) + '\n');
-            if (opts.campaign.remoteWorkers != 0 &&
-                !controller->waitForWorkers(opts.campaign.remoteWorkers,
+            if (!controller->waitForWorkers(cli.workers,
                                             cli.workerWait)) {
                 std::fprintf(
                     stderr,
                     "campaign: only %u of %u workers connected "
                     "within %lld ms\n",
-                    controller->connectedWorkers(),
-                    opts.campaign.remoteWorkers,
+                    controller->connectedWorkers(), cli.workers,
                     static_cast<long long>(cli.workerWait.count()));
                 return 1;
             }
@@ -290,7 +333,6 @@ main(int argc, char **argv)
 
         opts.campaign.engine = &engine;
         opts.campaign.journal = journal.get();
-        opts.campaign.netController = controller.get();
         if (!cli.metricsOut.empty())
             opts.campaign.metrics = &metrics;
         if (!cli.traceOut.empty())
@@ -388,6 +430,9 @@ main(int argc, char **argv)
                          e.what());
             return 4;
         }
+        // Each sandbox's "proc.worker" span closes as the pool shuts
+        // down, so the pool goes before the trace is written.
+        pool.reset();
 
         // Degradation trail first, table second: a reduced Table 9
         // is always preceded and suffixed by what it is missing.

@@ -216,18 +216,20 @@ controllerOptions()
     return options;
 }
 
-methodology::PbExperimentOptions
-soakOptions(net::CampaignController &controller, unsigned workers,
-            exec::ResultJournal &journal)
+/** One campaign on @p controller's fleet, journaled to @p journal. */
+methodology::PbExperimentResult
+runSoakCampaign(const std::vector<trace::WorkloadProfile> &workloads,
+                net::CampaignController &controller, unsigned workers,
+                exec::ResultJournal &journal)
 {
+    exec::SimulationEngine engine(
+        exec::EngineOptions{workers, true, controller.simulateFn()});
     methodology::PbExperimentOptions opts;
     opts.instructionsPerRun = 2000;
-    opts.campaign.threads = workers;
-    opts.campaign.netController = &controller;
-    opts.campaign.remoteWorkers = workers;
+    opts.campaign.engine = &engine;
     opts.campaign.journal = &journal;
     opts.campaign.faultPolicy.maxAttempts = 3;
-    return opts;
+    return methodology::runPbExperiment(workloads, opts);
 }
 
 /** Labels of distinct design cells, drawn without replacement. */
@@ -412,9 +414,8 @@ runRound(unsigned round, RoundType type, Rng &rng,
         } trigger_join{cancel, trigger};
         bool drained = false;
         try {
-            methodology::runPbExperiment(
-                workloads,
-                soakOptions(*controller, cli.workers, journal));
+            runSoakCampaign(workloads, *controller, cli.workers,
+                            journal);
         } catch (const std::exception &e) {
             drained = controller->draining();
             if (!drained)
@@ -443,18 +444,16 @@ runRound(unsigned round, RoundType type, Rng &rng,
                     cli.workers, std::chrono::milliseconds(10000)),
                 "resume fleet never assembled");
         const methodology::PbExperimentResult result =
-            methodology::runPbExperiment(
-                workloads, soakOptions(*controller, cli.workers,
-                                       resumed_journal));
+            runSoakCampaign(workloads, *controller, cli.workers,
+                            resumed_journal);
         checkAgainstReference(result, reference);
         controller.reset();
         fleet.join();
     } else {
         exec::ResultJournal journal(journal_path);
         const methodology::PbExperimentResult result =
-            methodology::runPbExperiment(
-                workloads,
-                soakOptions(*controller, cli.workers, journal));
+            runSoakCampaign(workloads, *controller, cli.workers,
+                            journal);
         checkAgainstReference(result, reference);
 
         switch (type) {

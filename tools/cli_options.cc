@@ -335,38 +335,44 @@ printUsage(const char *program, const char *synopsis,
     return 2;
 }
 
+std::string
+toString(Isolation isolation)
+{
+    switch (isolation) {
+      case Isolation::Thread:
+        return "thread";
+      case Isolation::Process:
+        return "process";
+      case Isolation::Remote:
+        return "remote";
+    }
+    return "?";
+}
+
 FlagTable
-sandboxFlags(exec::IsolationMode &isolation, bool *remote,
-             std::uint64_t &memLimitMb,
-             std::chrono::milliseconds &hardDeadline,
+sandboxFlags(Isolation &isolation, bool allowRemote,
+             exec::proc::ProcWorkerPool::Options &sandbox,
              std::string &authTokenFile)
 {
-    using exec::IsolationMode;
-    const Binder local =
-        oneOf(isolation, {IsolationMode::Thread, IsolationMode::Process});
-    Binder mode = local;
-    std::string help =
-        "thread | process; process forks sandbox workers that survive "
-        "crash, OOM, and hangs";
-    if (remote != nullptr) {
-        mode = [local, remote](const char *value, std::string &want) {
-            *remote = std::string(value) == "remote";
-            if (*remote || local(value, want))
-                return true;
-            want += " | remote";
-            return false;
-        };
-        help = "thread | process | remote; process forks sandbox "
-               "workers that survive crash, OOM, and hangs; remote "
-               "shards cells across a TCP worker fleet";
-    }
+    const std::string help =
+        allowRemote
+            ? "thread | process | remote; process forks sandbox "
+              "workers that survive crash, OOM, and hangs; remote "
+              "shards cells across a TCP worker fleet"
+            : "thread | process; process forks sandbox workers that "
+              "survive crash, OOM, and hangs";
+    const Binder mode =
+        allowRemote
+            ? oneOf(isolation, {Isolation::Thread, Isolation::Process,
+                                Isolation::Remote})
+            : oneOf(isolation, {Isolation::Thread, Isolation::Process});
     return {
         {"--isolation", "MODE", help, mode},
         {"--mem-limit-mb", "N", "per-sandbox memory cap in MiB",
-         number(memLimitMb, Bound::PositiveOrOmit)},
+         number(sandbox.memLimitMb, Bound::PositiveOrOmit)},
         {"--hard-deadline-ms", "N",
          "SIGKILL a sandbox attempt busy past this",
-         number(hardDeadline, Bound::PositiveOrOmit)},
+         number(sandbox.hardDeadline, Bound::PositiveOrOmit)},
         {"--auth-token-file", "PATH",
          "shared fleet token; a worker must answer the controller's "
          "HMAC challenge before any lease is granted",
@@ -453,8 +459,7 @@ campaignFlags(CampaignSetup &setup)
          number(policy.attemptDeadline)},
     };
     const FlagTable sandbox =
-        sandboxFlags(campaign.isolation, &setup.remote,
-                     campaign.memLimitMb, campaign.hardDeadline,
+        sandboxFlags(setup.isolation, true, setup.sandbox,
                      setup.authTokenFile);
     table.insert(table.end(), sandbox.begin(), sandbox.end());
     const FlagTable rest = {
@@ -465,12 +470,12 @@ campaignFlags(CampaignSetup &setup)
              want = "want HOST:PORT, HOST, or PORT";
              if (!parseEndpoint(value, net.bindAddress, net.port))
                  return false;
-             setup.remote = true;
+             setup.isolation = Isolation::Remote;
              return true;
          }},
         {"--workers", "N",
          "remote: wait for N workers before the campaign starts",
-         number(campaign.remoteWorkers)},
+         number(setup.workers)},
         {"--lease-ms", "N",
          "remote: worker-silence budget before its cells are reclaimed "
          "and requeued (default 10000)",

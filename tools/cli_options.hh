@@ -10,7 +10,9 @@
  * library consumes: methodology::PbExperimentOptions,
  * net::ControllerOptions, net::RemoteWorkerOptions,
  * proc::ProcWorkerPool::Options or the check:: lint options. There is
- * no CLI-side mirror of those structs to copy across.
+ * no CLI-side mirror of those structs to copy across. The one choice
+ * the library has no field for is where attempts run (Isolation): the
+ * tool builds that executor itself and attaches it to its engine.
  *
  * parseFlags() is the one argv loop of every tool: it accepts both
  * "--flag value" and "--flag=value" for every flag, and words the
@@ -38,6 +40,7 @@
 
 #include "exec/fault_injection.hh"
 #include "exec/net/controller.hh"
+#include "exec/proc/worker_pool.hh"
 #include "methodology/pb_experiment.hh"
 #include "stats/bootstrap.hh"
 
@@ -165,14 +168,28 @@ bool parseFlags(int argc, char **argv, const char *program,
 int printUsage(const char *program, const char *synopsis,
                const FlagTable &table);
 
+/** Where a tool runs its simulation attempts. */
+enum class Isolation
+{
+    /** In-process, on the engine's worker threads. */
+    Thread,
+    /** In forked sandbox workers (exec::proc::ProcWorkerPool). */
+    Process,
+    /** On a TCP worker fleet (exec::net::CampaignController). */
+    Remote,
+};
+
+/** Display name ("thread" / "process" / "remote"). */
+std::string toString(Isolation isolation);
+
 /**
  * --isolation, --mem-limit-mb, --hard-deadline-ms and
- * --auth-token-file, shared by campaign and worker. "--isolation
- * remote" sets @p remote, and is rejected when @p remote is null.
+ * --auth-token-file, shared by campaign and worker. The caps bind
+ * into @p sandbox; "--isolation remote" is accepted only when
+ * @p allowRemote.
  */
-FlagTable sandboxFlags(exec::IsolationMode &isolation, bool *remote,
-                       std::uint64_t &memLimitMb,
-                       std::chrono::milliseconds &hardDeadline,
+FlagTable sandboxFlags(Isolation &isolation, bool allowRemote,
+                       exec::proc::ProcWorkerPool::Options &sandbox,
                        std::string &authTokenFile);
 
 /** --inject-label S:A:KIND, planned into @p drills. */
@@ -194,10 +211,14 @@ struct CampaignSetup
     }
 
     methodology::PbExperimentOptions run;
-    /** Used when remote. */
+    /** --isolation; --listen selects Remote. */
+    Isolation isolation = Isolation::Thread;
+    /** --mem-limit-mb and --hard-deadline-ms; used under Process. */
+    exec::proc::ProcWorkerPool::Options sandbox;
+    /** Used under Remote. */
     exec::net::ControllerOptions net;
-    /** --listen or --isolation remote. */
-    bool remote = false;
+    /** --workers: the fleet size a remote campaign waits for. */
+    unsigned workers = 0;
     std::string authTokenFile;
     exec::FaultInjector drills;
     /** --inject-random RATE:SEED, planned once the design size is

@@ -77,8 +77,7 @@ main(int argc, char **argv)
     namespace tools = rigor::tools;
     rigor::exec::net::RemoteWorkerOptions opts;
     rigor::exec::proc::ProcWorkerPool::Options pool_opts;
-    rigor::exec::IsolationMode isolation =
-        rigor::exec::IsolationMode::Thread;
+    tools::Isolation isolation = tools::Isolation::Thread;
     std::string auth_token_file;
     rigor::exec::FaultInjector injector;
     tools::FlagTable flags = {
@@ -100,9 +99,8 @@ main(int argc, char **argv)
          tools::number(opts.reconnectAttempts)},
         tools::injectLabelFlag(injector),
     };
-    const tools::FlagTable sandbox = tools::sandboxFlags(
-        isolation, nullptr, pool_opts.memLimitMb, pool_opts.hardDeadline,
-        auth_token_file);
+    const tools::FlagTable sandbox =
+        tools::sandboxFlags(isolation, false, pool_opts, auth_token_file);
     flags.insert(flags.end(), sandbox.begin(), sandbox.end());
     if (!tools::parseFlags(argc, argv, "worker", flags))
         return tools::printUsage(argv[0], kSynopsis, flags);
@@ -119,7 +117,7 @@ main(int argc, char **argv)
         // network kinds misbehave on the live connection.
         rigor::exec::SimulateFn simulate;
         std::unique_ptr<rigor::exec::proc::ProcWorkerPool> pool;
-        if (isolation == rigor::exec::IsolationMode::Process) {
+        if (isolation == tools::Isolation::Process) {
             pool_opts.workers = opts.slots;
             pool = std::make_unique<
                 rigor::exec::proc::ProcWorkerPool>(
