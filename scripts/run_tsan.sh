@@ -4,8 +4,8 @@
 # SimJobQueue, RunCache, the engine's progress counters and the
 # per-batch metrics publish from them, the drivers that share a
 # SimulationEngine (and its cache of whole cell results), the
-# journal's sampled resume paths, the sandbox pool's monitor, or the
-# TCP controller's and remote worker's threads fails the run.
+# journal's sampled resume paths, or the sandbox pool's monitor fails
+# the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,9 +35,8 @@ FaultPolicy.*:AttemptContext.*:JobFailure.*:FaultTolerance.*:
 FaultInjector.*:ResultJournal.*:CampaignCheck.*:CampaignResume.*:
 CampaignDegradation.*:
 ProcProtocol.*:ProcSandbox.*:ProcWorkerPool.*:ProcCampaign.*:
-Executors/AttemptTaxonomy.*:RemoteCampaign.*:
-NetProtocol.*:NetAuth.*:NetAuthHandshake.*:NetController.*:
-NetControllerDrill.*:NetDrain.*:NetFuzz.*:NetSession.*:NetSocket.*:
+Executors/AttemptTaxonomy.*:
+NetProtocol.*:NetSocket.*:
 ReplicatedPbExperiment.*:DesignBatch.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*:

@@ -1,6 +1,5 @@
 #include "check/campaign_check.hh"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -160,52 +159,6 @@ assessFactorialValidity(const std::vector<std::string> &workloads,
     arbitrate(workloads, cells, "factorial cell", quarantined, mode,
               out);
     return out;
-}
-
-void
-checkRemotePlan(const RemotePlan &plan, DiagnosticSink &sink)
-{
-    if (!plan.enabled)
-        return;
-    const SourceContext context{{}, 0, "remote campaign plan"};
-    if (plan.workers == 0)
-        sink.error(rules::kCampaignNoWorkers,
-                   "remote campaign expects 0 workers; every cell "
-                   "would queue on the controller forever (set "
-                   "--workers to the fleet size)",
-                   context);
-    if (plan.leaseMs <= plan.heartbeatMs)
-        sink.error(
-            rules::kCampaignLeaseShorterThanDeadline,
-            "lease duration (" + std::to_string(plan.leaseMs) +
-                " ms) does not exceed the heartbeat interval (" +
-                std::to_string(plan.heartbeatMs) +
-                " ms); every worker would lapse between beats and "
-                "its cells would migrate spuriously",
-            context);
-    else if (plan.heartbeatMs * 2 >= plan.leaseMs)
-        sink.error(
-            rules::kCampaignHeartbeatTooCoarse,
-            "heartbeat interval (" +
-                std::to_string(plan.heartbeatMs) +
-                " ms) is at or past half the lease duration (" +
-                std::to_string(plan.leaseMs) +
-                " ms); at most one beacon fits in a lease window, so "
-                "one delayed packet lapses a healthy worker",
-            context);
-    const std::uint64_t deadline =
-        std::max(plan.attemptDeadlineMs, plan.hardDeadlineMs);
-    if (deadline > 0 && plan.leaseMs <= deadline)
-        sink.error(
-            rules::kCampaignLeaseShorterThanDeadline,
-            "lease duration (" + std::to_string(plan.leaseMs) +
-                " ms) does not exceed the configured attempt "
-                "deadline (" +
-                std::to_string(deadline) +
-                " ms); a worker legitimately running an attempt to "
-                "its deadline would be declared lapsed and the cell "
-                "migrated spuriously",
-            context);
 }
 
 namespace

@@ -34,7 +34,6 @@
 #define RIGOR_CHECK_CAMPAIGN_CHECK_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -111,42 +110,6 @@ CampaignAssessment assessFactorialValidity(
     const std::vector<std::string> &workloads, std::size_t cells,
     const std::vector<QuarantinedCell> &quarantined,
     DegradationMode mode);
-
-/**
- * A distributed campaign's topology, reduced to plain integers so
- * the check layer keeps its no-exec-dependency rule (exec depends on
- * check, not the other way around). The campaign tool fills one
- * from the controller options and deadlines it is about to run with,
- * before the controller listens.
- */
-struct RemotePlan
-{
-    /** False = not a remote campaign; every check is skipped. */
-    bool enabled = false;
-    /** Workers the campaign expects to be served by. */
-    unsigned workers = 0;
-    /** Lease duration (worker-silence budget) in ms. */
-    std::uint64_t leaseMs = 0;
-    /** Advertised heartbeat cadence in ms. */
-    std::uint64_t heartbeatMs = 0;
-    /** Cooperative per-attempt deadline in ms (0 = none). */
-    std::uint64_t attemptDeadlineMs = 0;
-    /** Sandbox hard deadline in ms (0 = none). */
-    std::uint64_t hardDeadlineMs = 0;
-};
-
-/**
- * Pre-flight a remote campaign's topology:
- *
- *  - campaign.no-workers (error): zero expected workers means every
- *    cell queues on the controller forever;
- *  - campaign.lease-shorter-than-deadline (error): the lease must
- *    comfortably exceed the heartbeat interval and every configured
- *    attempt deadline, or healthy workers get declared lapsed and
- *    their cells migrated spuriously — each migration burning one of
- *    the cell's distinct-worker lives.
- */
-void checkRemotePlan(const RemotePlan &plan, DiagnosticSink &sink);
 
 /**
  * Thrown when a degradation analysis fails (or when DropBenchmark

@@ -138,29 +138,6 @@ inline constexpr const char *kCampaignNoCompleteBenchmarks =
 inline constexpr const char *kCampaignPairedDropMismatch =
     "campaign.paired-drop-mismatch";
 
-// ----- Distributed campaign plan (campaign_check) -----
-
-/**
- * A remote campaign whose lease duration does not comfortably exceed
- * the heartbeat interval and every configured attempt deadline: a
- * healthy worker legitimately busy (or merely between heartbeats)
- * would be declared lapsed and its cells migrated spuriously.
- */
-inline constexpr const char *kCampaignLeaseShorterThanDeadline =
-    "campaign.lease-shorter-than-deadline";
-/** A remote campaign expecting zero workers: every cell would queue
- *  on the controller forever. */
-inline constexpr const char *kCampaignNoWorkers =
-    "campaign.no-workers";
-/**
- * A remote campaign whose heartbeat cadence is at or past half the
- * lease duration: at most one beacon fits in a lease window, so a
- * single delayed packet makes a healthy worker lapse and its leases
- * migrate spuriously.
- */
-inline constexpr const char *kCampaignHeartbeatTooCoarse =
-    "campaign.heartbeat-too-coarse";
-
 // ----- Rank-stability inference (stability_check) -----
 
 /**

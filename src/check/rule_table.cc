@@ -19,7 +19,7 @@ using rules::kCampaignNoCompleteBenchmarks;
 using rules::kCampaignPairedDropMismatch;
 using rules::kCampaignUnderReplicated;
 
-constexpr std::array<RuleInfo, 45> kRules{{
+constexpr std::array<RuleInfo, 42> kRules{{
     // ----- design_check -----
     {rules::kDesignRunsNotMultipleOfFour, Severity::Error,
      "PB run count is divisible by 4"},
@@ -96,12 +96,6 @@ constexpr std::array<RuleInfo, 45> kRules{{
      "every benchmark degraded; no rank table possible"},
     {kCampaignPairedDropMismatch, Severity::Warning,
      "enhancement legs dropped different benchmark sets"},
-    {rules::kCampaignLeaseShorterThanDeadline, Severity::Error,
-     "remote lease exceeds heartbeat and attempt deadlines"},
-    {rules::kCampaignNoWorkers, Severity::Error,
-     "remote campaign expects at least one worker"},
-    {rules::kCampaignHeartbeatTooCoarse, Severity::Error,
-     "remote heartbeat stays under half the lease"},
     // ----- stability_check -----
     {kCampaignUnderReplicated, Severity::Error,
      "replicated campaign meets the configured replicate floor"},

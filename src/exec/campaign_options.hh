@@ -14,8 +14,8 @@
  * Where attempts run is not a campaign option: it is the engine's
  * attempt executor (EngineOptions::simulate /
  * SimulationEngine::setSimulate). A program that owns a sandbox pool
- * or a fleet controller attaches its simulateFn() to the engine it
- * passes here, and every phase of the campaign runs on it.
+ * attaches its simulateFn() to the engine it passes here, and every
+ * phase of the campaign runs on it.
  *
  * The observability sinks live here too: attach a MetricsRegistry, a
  * TraceWriter, and/or a CampaignManifest and every driver reports

@@ -106,9 +106,9 @@ struct RecordedTrace
  * same stream, and SimJobQueue hands each engine thread contiguous
  * benchmark-major index ranges, so a single slot per thread replays
  * a benchmark's stream for all but about one of its design rows. A
- * sandbox process or remote worker slot is not tied to one engine
- * thread (it takes whichever attempt comes next), so its jobs mix
- * benchmarks more often and it hits somewhat less.
+ * sandbox process is not tied to one engine thread (it takes
+ * whichever attempt comes next), so its jobs mix benchmarks more
+ * often and it hits somewhat less.
  *
  * On a hit (same profile and length as the slot) the source replays
  * the slot. On a miss it empties the slot and generates the stream,
@@ -201,14 +201,13 @@ thread_local RecordedTrace RecordingTraceSource::_slot;
 
 /**
  * Per-worker core reuse. Building a core costs more than a short run
- * of it, so each thread (engine thread, sandbox process, remote
- * worker slot) keeps one core until it ends and reconfigures it for
- * every job, in O(1) of ring and cache size (see
- * SuperscalarCore::reconfigure). The core's cache buffers stay sized
- * for the largest geometry the worker has run, which counts against
- * a sandbox's memLimitMb like the kept trace. Releasing the lease
- * detaches the job's hook, so the slot never points at a destroyed
- * one.
+ * of it, so each thread (engine thread, sandbox process) keeps one
+ * core until it ends and reconfigures it for every job, in O(1) of
+ * ring and cache size (see SuperscalarCore::reconfigure). The core's
+ * cache buffers stay sized for the largest geometry the worker has
+ * run, which counts against a sandbox's memLimitMb like the kept
+ * trace. Releasing the lease detaches the job's hook, so the slot
+ * never points at a destroyed one.
  */
 class CoreLease
 {

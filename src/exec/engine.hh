@@ -37,8 +37,7 @@
  * crashes, OOM kills, and non-cooperative hangs swaps in the dispatch
  * function of an exec::proc::ProcWorkerPool, which ships each attempt
  * to a forked sandbox worker and maps its death back into the fault
- * taxonomy; a distributed campaign swaps in a net::CampaignController's.
- * The program that owns the pool or controller attaches it; the
+ * taxonomy. The program that owns the pool attaches it; the
  * experiment drivers never choose an executor.
  */
 
@@ -225,9 +224,8 @@ class SimulationEngine
     /**
      * Replace the attempt executor mid-lifetime (empty restores the
      * default in-process simulator). This is the isolation seam: a
-     * program swaps in a ProcWorkerPool's or a CampaignController's
-     * dispatch function to run attempts in sandboxed child processes
-     * or on a TCP worker fleet; the pool or controller must outlive
+     * program swaps in a ProcWorkerPool's dispatch function to run
+     * attempts in sandboxed child processes; the pool must outlive
      * every batch run through it. Must not be called while a batch
      * is running.
      */
@@ -281,8 +279,7 @@ class SimulationEngine
 
     /**
      * Execute one job unconditionally (no cache, no counters) — the
-     * single-run primitive every executor (thread, sandbox, remote
-     * worker) ends in.
+     * single-run primitive every executor (thread, sandbox) ends in.
      *
      * The calling thread keeps the last stream it generated, keyed by
      * the full WorkloadProfile and the stream length, and replays it

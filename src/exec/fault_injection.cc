@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <iterator>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -34,48 +33,9 @@ toString(FaultKind kind)
         return "alloc-bomb";
       case FaultKind::KillWorker:
         return "kill";
-      case FaultKind::DropConnection:
-        return "drop-connection";
-      case FaultKind::StallHeartbeat:
-        return "stall-heartbeat";
-      case FaultKind::CorruptFrame:
-        return "corrupt-frame";
-      case FaultKind::Partition:
-        return "partition";
-      case FaultKind::ReconnectStorm:
-        return "reconnect-storm";
-      case FaultKind::SlowLoris:
-        return "slow-loris";
-      case FaultKind::DuplicateSession:
-        return "duplicate-session";
-      case FaultKind::TokenMismatch:
-        return "token-mismatch";
     }
     return "unknown";
 }
-
-namespace
-{
-
-/** Kinds that must fire once per planned entry: their drills requeue
- *  the same (job, attempt) locally, which would match the plan again
- *  on re-execution and loop forever. */
-bool
-isOneShot(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::Partition:
-      case FaultKind::ReconnectStorm:
-      case FaultKind::SlowLoris:
-      case FaultKind::DuplicateSession:
-      case FaultKind::TokenMismatch:
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
 
 void
 FaultInjector::addFault(std::size_t jobIndex, unsigned attempt,
@@ -198,33 +158,7 @@ FaultInjector::raise(FaultKind kind, const SimJob &job,
         _processFaultsRaised.fetch_add(1, std::memory_order_relaxed);
         ::raise(SIGKILL);
         break;
-      case FaultKind::DropConnection:
-      case FaultKind::StallHeartbeat:
-      case FaultKind::CorruptFrame:
-      case FaultKind::Partition:
-      case FaultKind::ReconnectStorm:
-      case FaultKind::SlowLoris:
-      case FaultKind::DuplicateSession:
-      case FaultKind::TokenMismatch:
-        _netDrillsRaised.fetch_add(1, std::memory_order_relaxed);
-        // The remote worker's executor catches this and performs the
-        // actual network misbehavior; anywhere else it propagates as
-        // a permanent fault (a net drill needs a remote worker).
-        throw NetDrillFault(
-            kind, "injected network drill " + toString(kind) +
-                      " (job " + std::to_string(ctx.jobIndex) +
-                      ", attempt " + std::to_string(ctx.attempt) +
-                      ")");
     }
-}
-
-bool
-FaultInjector::armOneShot(FaultKind kind, std::size_t entry) const
-{
-    if (!isOneShot(kind))
-        return true;
-    const std::lock_guard<std::mutex> lock(_firedMutex);
-    return _fired.insert(entry).second;
 }
 
 SimulateFn
@@ -237,20 +171,11 @@ FaultInjector::wrap(SimulateFn inner) const
     return [this, inner = std::move(inner)](
                const SimJob &job, const AttemptContext &ctx) {
         const auto it = _byIndex.find({ctx.jobIndex, ctx.attempt});
-        if (it != _byIndex.end() &&
-            armOneShot(it->second,
-                       _byLabel.size() +
-                           static_cast<std::size_t>(std::distance(
-                               _byIndex.begin(), it)))) {
+        if (it != _byIndex.end())
             raise(it->second, job, ctx);
-        }
-        for (std::size_t entry = 0; entry < _byLabel.size();
-             ++entry) {
-            const LabelFault &fault = _byLabel[entry];
+        for (const LabelFault &fault : _byLabel) {
             if (fault.attempt == ctx.attempt &&
-                job.label.find(fault.substring) !=
-                    std::string::npos &&
-                armOneShot(fault.kind, entry))
+                job.label.find(fault.substring) != std::string::npos)
                 raise(fault.kind, job, ctx);
         }
         return inner(job, ctx);

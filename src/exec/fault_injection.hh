@@ -28,15 +28,6 @@
  *    sandbox memory cap) or the kernel OOM killer intervenes;
  *  - KillWorker: raise(SIGKILL) — an externally shot worker.
  *
- * The network kinds drill the distributed backend (exec/net/): they
- * throw NetDrillFault, which the remote worker's executor intercepts
- * and converts into the real network misbehavior — an abruptly
- * dropped connection, a stalled heartbeat that outlives the lease, a
- * deliberately truncated frame — so lease reclaim, requeue, and
- * late-result rejection are testable without real network flakes.
- * Raised outside a remote worker, a NetDrillFault propagates as an
- * ordinary exception and is classified permanent.
- *
  * Faults are keyed by batch job index or by a substring of the job's
  * label ("gzip, factorial cell 0"), so a test or a campaign drill
  * can target one (benchmark, design row) cell precisely. planRandom
@@ -50,8 +41,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -80,63 +69,11 @@ enum class FaultKind
     AllocBomb,
     /** raise(SIGKILL): the worker is shot from outside. */
     KillWorker,
-    /** Remote worker: abruptly close the controller connection
-     *  mid-lease (the controller reclaims and requeues). */
-    DropConnection,
-    /** Remote worker: stop heartbeating past the lease, then send
-     *  the stale result late (drills reclaim + late rejection). */
-    StallHeartbeat,
-    /** Remote worker: send a deliberately truncated frame and close
-     *  (drills the controller's TruncatedFrame handling). */
-    CorruptFrame,
-    /** Remote worker: drop the connection but keep the job for the
-     *  resumed session — the cell completes under its original lease
-     *  (drills session parking / lease handback). One-shot. */
-    Partition,
-    /** Remote worker: a partition followed by rapid connect/resume/
-     *  hang-up cycles (drills repeated park/resume). One-shot. */
-    ReconnectStorm,
-    /** Remote worker: trickle a valid result frame a few bytes at a
-     *  time (drills the controller's blocking reader). One-shot. */
-    SlowLoris,
-    /** Remote worker: probe the controller with a second handshake
-     *  reusing the live session id; expect SessionRejected, then run
-     *  the job normally (drills split-brain protection). One-shot. */
-    DuplicateSession,
-    /** Remote worker: probe the controller with a wrong-token
-     *  handshake; expect AuthRejected, then run the job normally
-     *  (drills the auth gate). One-shot. */
-    TokenMismatch,
 };
 
 /** Display name ("transient" / "permanent" / "hang" / "segfault" /
- *  "abort" / "busy-loop" / "alloc-bomb" / "kill" / "drop-connection"
- *  / "stall-heartbeat" / "corrupt-frame" / "partition" /
- *  "reconnect-storm" / "slow-loris" / "duplicate-session" /
- *  "token-mismatch"). */
+ *  "abort" / "busy-loop" / "alloc-bomb" / "kill"). */
 std::string toString(FaultKind kind);
-
-/**
- * An injected network drill in flight. Thrown by the injector for the
- * net-level kinds and caught by the remote worker's job executor,
- * which performs the actual misbehavior on its controller connection.
- * Any other executor lets it propagate: it is not a TransientFault,
- * so the engine classifies it permanent — a net drill landing outside
- * a remote worker is a configuration error worth surfacing loudly.
- */
-class NetDrillFault : public std::runtime_error
-{
-  public:
-    NetDrillFault(FaultKind kind, const std::string &message)
-        : std::runtime_error(message), _kind(kind)
-    {
-    }
-
-    FaultKind kind() const { return _kind; }
-
-  private:
-    FaultKind _kind;
-};
 
 /** Deterministic (job, attempt) -> fault plan around a SimulateFn. */
 class FaultInjector
@@ -196,14 +133,6 @@ class FaultInjector
     {
         return _processFaultsRaised.load(std::memory_order_relaxed);
     }
-    /** Network drills thrown (DropConnection/StallHeartbeat/
-     *  CorruptFrame) — counted where the injector runs, i.e. in the
-     *  remote worker process for a distributed campaign. */
-    std::uint64_t netDrillsRaised() const
-    {
-        return _netDrillsRaised.load(std::memory_order_relaxed);
-    }
-
     /** Planned fault count (index- plus label-keyed). */
     std::size_t plannedFaults() const
     {
@@ -220,23 +149,12 @@ class FaultInjector
 
     void raise(FaultKind kind, const SimJob &job,
                const AttemptContext &ctx) const;
-    /** One-shot arming: true the first time this planned entry is
-     *  hit, false on every later match. The session-resume drills
-     *  re-execute the same (job, attempt) after a local requeue, so
-     *  without this they would refire forever. */
-    bool armOneShot(FaultKind kind, std::size_t entry) const;
-
     std::map<std::pair<std::size_t, unsigned>, FaultKind> _byIndex;
     std::vector<LabelFault> _byLabel;
-    mutable std::mutex _firedMutex;
-    /** Consumed one-shot entries: label-fault index, or vector size
-     *  plus the by-index entry's ordinal. */
-    mutable std::set<std::size_t> _fired;
     mutable std::atomic<std::uint64_t> _transientsRaised{0};
     mutable std::atomic<std::uint64_t> _permanentsRaised{0};
     mutable std::atomic<std::uint64_t> _hangsRaised{0};
     mutable std::atomic<std::uint64_t> _processFaultsRaised{0};
-    mutable std::atomic<std::uint64_t> _netDrillsRaised{0};
 };
 
 } // namespace rigor::exec

@@ -255,8 +255,7 @@ ResultJournal::append(const RunKey &key, const CellResult &result)
         throw BatchAbort("ResultJournal: fsync of '" + _path +
                          "' failed: " + std::strerror(errno));
 
-    // Held as a replay reports it: without the serving host.
-    _records.emplace(composed, result).first->second.host.clear();
+    _records.emplace(composed, result);
     if (_appendsUntilCrash !=
         std::numeric_limits<std::size_t>::max())
         --_appendsUntilCrash;

@@ -8,8 +8,8 @@
  * can be resumed exactly. Under a "rigor-journal v2" header,
  * ResultJournal appends and fsyncs one record per completed run,
  * "r <key> <cycles>" plus, for a sampled run, the nine SampleSummary
- * fields in declaration order: the run's whole CellResult except its
- * host, keyed by RunKey::toString() and every number in shortest
+ * fields in declaration order: the run's whole CellResult, keyed by
+ * RunKey::toString() and every number in shortest
  * round-trip form. Reopening the journal replays every intact record
  * and counts as torn the write a crash interrupted and any corrupt
  * record (a missing or extra field, a negative or non-finite number,

@@ -70,10 +70,10 @@ OwnedFd
 listenTcp(const std::string &address, std::uint16_t port, int backlog)
 {
     // SOCK_CLOEXEC everywhere: the process-isolation backend forks
-    // sandbox children from the same process that may hold the
-    // controller's listening socket, and an inherited listener would
-    // keep the port alive (and accept connections into a dead
-    // process) after the controller exits.
+    // sandbox children from the same process that may hold a
+    // listening socket, and an inherited listener would keep the
+    // port alive (and accept connections into a dead process) after
+    // its owner exits.
     OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid())
         fail("socket");
@@ -114,8 +114,8 @@ acceptClient(int listenFd)
         }
         if (errno == EINTR)
             continue;
-        // The listener was closed or shut down under us: the
-        // controller is winding down, not an error worth throwing.
+        // The listener was closed or shut down under us: its owner
+        // is winding down, not an error worth throwing.
         return OwnedFd();
     }
 }

@@ -1,24 +1,19 @@
 /**
  * @file
- * Minimal TCP plumbing for the distributed campaign backend.
- *
- * The controller and the workers speak the same length-prefixed frame
- * protocol as the sandbox pipes (exec/proc/protocol.hh) — a connected
- * TCP socket is just another fd to writeFrame/readFrame — so all this
- * layer adds is listen/accept/connect with errno turned into
+ * Minimal TCP plumbing: listen/accept/connect with errno turned into
  * exceptions, plus an OwnedFd RAII guard so every error path closes
- * its socket.
+ * its socket. No campaign runs over TCP; perfbench's wire round-trip
+ * probe and the pipe probe's fd guards use it.
  *
- * IPv4 only, by design: the intended deployments are localhost worker
- * fleets (tests, CI smoke) and trusted lab networks; the address
- * parser accepts dotted quads and "localhost".
+ * A connected TCP socket speaks the same length-prefixed frame
+ * protocol as the sandbox pipes (exec/proc/protocol.hh), tagged by
+ * exec/net/wire.hh. IPv4 only: the address parser accepts dotted
+ * quads and "localhost".
  *
  * Every socket here is opened close-on-exec (SOCK_CLOEXEC on
- * socket(), accept4() for accepted connections): the
- * process-isolation backend forks sandbox workers from the same
- * process, and a forked child must not inherit the controller's
- * listening fd or any live session socket. All blocking calls are
- * EINTR-safe; an interrupted connect() is completed via
+ * socket(), accept4() for accepted connections), so a sandbox worker
+ * forked from the same process inherits none of them. All blocking
+ * calls are EINTR-safe; an interrupted connect() is completed via
  * poll(POLLOUT) + SO_ERROR rather than re-calling connect (which
  * would misreport the in-progress attempt as EALREADY). Frame
  * writes live in exec/proc/protocol.cc, whose writeAll already
@@ -75,7 +70,7 @@ class OwnedFd
 /**
  * Bind and listen on @p address:@p port (port 0 = kernel-assigned
  * ephemeral port; read it back with boundPort). SO_REUSEADDR is set
- * so an immediately restarted controller can rebind. Throws
+ * so an immediately restarted listener can rebind. Throws
  * std::runtime_error with the errno text on failure.
  */
 OwnedFd listenTcp(const std::string &address, std::uint16_t port,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include <sys/socket.h>
 
@@ -17,7 +18,7 @@ namespace
  * short writes. Unlike the pipe-oriented proc::writeFrame, this
  * sends with MSG_NOSIGNAL: a peer that vanished mid-frame surfaces
  * as an EPIPE ProtocolError the caller can catch, not as a SIGPIPE
- * that kills the whole controller (or worker) process.
+ * that kills the sending process.
  */
 void
 sendAll(int fd, const void *data, std::size_t size)
@@ -29,7 +30,7 @@ sendAll(int fd, const void *data, std::size_t size)
             if (errno == EINTR)
                 continue;
             throw proc::ProtocolError(
-                std::string("fleet socket write: ") +
+                std::string("socket write: ") +
                 std::strerror(errno));
         }
         at += n;
@@ -38,119 +39,6 @@ sendAll(int fd, const void *data, std::size_t size)
 }
 
 } // namespace
-
-std::string
-toString(MsgType type)
-{
-    switch (type) {
-      case MsgType::Hello:
-        return "hello";
-      case MsgType::HelloAck:
-        return "hello-ack";
-      case MsgType::JobAssign:
-        return "job-assign";
-      case MsgType::JobDone:
-        return "job-done";
-      case MsgType::Heartbeat:
-        return "heartbeat";
-      case MsgType::Shutdown:
-        return "shutdown";
-      case MsgType::AuthProof:
-        return "auth-proof";
-      case MsgType::SessionAck:
-        return "session-ack";
-      case MsgType::Drain:
-        return "drain";
-    }
-    return "unknown";
-}
-
-void
-Hello::serialize(proc::Writer &out) const
-{
-    out.pod(magic);
-    out.pod(version);
-    out.pod(slots);
-    out.str(name);
-    out.str(sessionId);
-    out.pod(static_cast<std::uint32_t>(heldLeases.size()));
-    for (const std::uint64_t lease : heldLeases)
-        out.pod(lease);
-}
-
-Hello
-Hello::deserialize(proc::Reader &in)
-{
-    Hello hello;
-    hello.magic = in.pod<std::uint32_t>();
-    hello.version = in.pod<std::uint16_t>();
-    hello.slots = in.pod<std::uint16_t>();
-    hello.name = in.str();
-    hello.sessionId = in.str();
-    const auto count = in.pod<std::uint32_t>();
-    hello.heldLeases.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        hello.heldLeases.push_back(in.pod<std::uint64_t>());
-    return hello;
-}
-
-void
-HelloAck::serialize(proc::Writer &out) const
-{
-    out.pod(accepted);
-    out.str(reason);
-    out.pod(leaseMs);
-    out.pod(heartbeatMs);
-    out.pod(authRequired);
-    out.str(challenge);
-}
-
-HelloAck
-HelloAck::deserialize(proc::Reader &in)
-{
-    HelloAck ack;
-    ack.accepted = in.pod<bool>();
-    ack.reason = in.str();
-    ack.leaseMs = in.pod<std::uint64_t>();
-    ack.heartbeatMs = in.pod<std::uint64_t>();
-    ack.authRequired = in.pod<bool>();
-    ack.challenge = in.str();
-    return ack;
-}
-
-void
-AuthProofMsg::serialize(proc::Writer &out) const
-{
-    out.str(proof);
-}
-
-AuthProofMsg
-AuthProofMsg::deserialize(proc::Reader &in)
-{
-    AuthProofMsg msg;
-    msg.proof = in.str();
-    return msg;
-}
-
-void
-SessionAck::serialize(proc::Writer &out) const
-{
-    out.pod(accepted);
-    out.str(reason);
-    out.pod(resumed);
-    out.pod(retainedLeases);
-}
-
-SessionAck
-SessionAck::deserialize(proc::Reader &in)
-{
-    SessionAck ack;
-    ack.accepted = in.pod<bool>();
-    ack.reason = in.str();
-    ack.resumed = in.pod<bool>();
-    ack.retainedLeases = in.pod<std::uint32_t>();
-    return ack;
-}
 
 void
 sendMessage(int fd, MsgType type, const std::vector<std::byte> &body)
@@ -182,8 +70,8 @@ MsgType
 readType(proc::Reader &in)
 {
     const auto raw = in.pod<std::uint8_t>();
-    if (raw < static_cast<std::uint8_t>(MsgType::Hello) ||
-        raw > static_cast<std::uint8_t>(MsgType::Drain))
+    if (raw < static_cast<std::uint8_t>(MsgType::JobAssign) ||
+        raw > static_cast<std::uint8_t>(MsgType::JobDone))
         throw proc::ProtocolError("unknown message tag " +
                                   std::to_string(raw));
     return static_cast<MsgType>(raw);

@@ -17,9 +17,10 @@
  *
  * A JobRequest ships everything one attempt needs and a JobResult
  * brings back its cycles or its classified failure; the attempt codec
- * in sandbox_worker.hh builds, runs and unwraps both, for pipes and
- * TCP alike. Decoding is strict: a bool byte other than 0 or 1 is a
- * ProtocolError, because a TCP peer is untrusted input.
+ * in sandbox_worker.hh builds, runs and unwraps both. Decoding is
+ * strict: a bool byte other than 0 or 1 is a ProtocolError, so a
+ * corrupt frame fails loudly instead of decoding as a plausible
+ * value.
  */
 
 #ifndef RIGOR_EXEC_PROC_PROTOCOL_HH
@@ -52,9 +53,8 @@ class ProtocolError : public std::runtime_error
  * A frame cut off mid-transfer: the peer died or closed inside a
  * frame instead of at a frame boundary. The message always carries
  * the got/expected byte counts, so a truncated final frame (torn
- * pipe, half-written socket, corrupt-frame drill) is diagnosable
- * from the log alone. Shared by the pipe (exec/proc) and TCP
- * (exec/net) transports.
+ * pipe, half-written socket) is diagnosable from the log alone.
+ * Shared by the pipe (exec/proc) and TCP (exec/net) transports.
  */
 class TruncatedFrame : public ProtocolError
 {

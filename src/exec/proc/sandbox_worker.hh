@@ -55,9 +55,8 @@ using SandboxHookFactory =
 
 /**
  * The attempt codec: how one attempt crosses a process boundary.
- * The sandbox pool and the worker fleet both ship attempts through
- * these three calls, so a cell runs and fails the same way under
- * either executor.
+ * The sandbox pool ships every attempt through these three calls, so
+ * a cell runs and fails the same way in a sandbox as on a thread.
  *
  * makeRequest encodes one attempt of @p job (throws PermanentFault
  * for a job without a workload).
@@ -71,17 +70,16 @@ JobRequest makeRequest(const SimJob &job, const AttemptContext &ctx);
  * workload name; a hasHook request is rebuilt with @p hookFactory,
  * and without one it fails Permanent rather than run unhooked. A
  * transport that must act on a particular exception (a sandbox's
- * bad_alloc, a fleet worker's net drill) catches it inside
- * @p simulate on its way through.
+ * bad_alloc) catches it inside @p simulate on its way through.
  */
 JobResult runRequest(const JobRequest &request,
                      const SimulateFn &simulate,
                      const SandboxHookFactory &hookFactory);
 
 /**
- * Unwrap a received result: the cell's cycles and sample summary (no
- * host; the fleet controller sets it), or the matching TransientFault
- * / DeadlineExceeded / ResourceExhausted / PermanentFault.
+ * Unwrap a received result: the cell's cycles and sample summary, or
+ * the matching TransientFault / DeadlineExceeded / ResourceExhausted
+ * / PermanentFault.
  */
 CellResult unwrapResult(const JobResult &result);
 

@@ -48,7 +48,6 @@ RunCache::lookup(const RunKey &key) const
 void
 RunCache::store(const RunKey &key, CellResult result)
 {
-    result.host.clear(); // a replayed cell reports no host
     const std::scoped_lock lock(_mutex);
     _entries.try_emplace(key, std::move(result));
 }

@@ -87,9 +87,6 @@ struct CellResult
     double cycles = 0.0;
     /** The sampled run's summary; nullopt for a full run. */
     std::optional<sample::SampleSummary> sample;
-    /** Remote worker that served the attempt; empty for in-process
-     *  runs and for every cached or journaled result. */
-    std::string host;
 
     /** Sampling CI half-width in cycles; 0 for a full run. */
     double ciHalfWidthCycles() const
@@ -110,8 +107,7 @@ class RunCache
      *  ProgressReporter counts the hits). */
     std::optional<CellResult> lookup(const RunKey &key) const;
 
-    /** Record one run's result without its host (first writer
-     *  wins). */
+    /** Record one run's result (first writer wins). */
     void store(const RunKey &key, CellResult result);
 
     std::size_t size() const;

@@ -67,8 +67,8 @@ designDigest(const doe::DesignMatrix &design)
  *    CLI's replay printer keeps seeing events.
  *
  * It leaves the engine's attempt executor alone: every phase runs on
- * whatever the caller attached (the in-thread simulator, a sandbox
- * pool, a fleet controller). The destructor restores the sinks and
+ * whatever the caller attached (the in-thread simulator or a sandbox
+ * pool). The destructor restores the sinks and
  * observer the engine arrived with, even when a batch throws.
  */
 class CampaignScope

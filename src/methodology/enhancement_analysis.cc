@@ -135,8 +135,8 @@ runEnhancementExperiment(
 
     // Both legs share one engine and one executor: the workers, the
     // run cache (a base leg already simulated through campaign.engine
-    // is free), and the progress counters. A sandbox pool or fleet
-    // running the enhanced leg needs the same hook factory to rebuild
+    // is free), and the progress counters. A sandbox pool running
+    // the enhanced leg needs the same hook factory to rebuild
     // the enhancement hook from the shipped profile.
     detail::CampaignScope scope(campaign);
 

@@ -83,7 +83,7 @@ runRecommendedWorkflow(
     const exec::CampaignOptions &campaign = options.campaign;
 
     // One engine and one executor for both simulation phases: the
-    // screen's workers (threads, sandboxes or fleet) are reused by
+    // screen's workers (threads or sandboxes) are reused by
     // the step-3 factorial, and any configuration the factorial
     // shares with the screen is served from the run cache. The
     // campaign's journal makes every completed run of either phase

@@ -85,41 +85,6 @@ CampaignManifest::addCell(const CellRecord &cell)
         line += ",\"sample_half_width\":";
         line += jsonNumber(sample->ciHalfWidth);
     }
-    if (!cell.result.host.empty()) {
-        line += ",\"host\":";
-        appendJsonString(line, cell.result.host);
-    }
-    line += '}';
-    append(std::move(line));
-}
-
-void
-CampaignManifest::addLeaseEvent(const LeaseEventRecord &event)
-{
-    std::string line = "{\"type\":\"lease\",\"kind\":";
-    appendJsonString(line, event.kind);
-    line += ",\"worker\":";
-    appendJsonString(line, event.worker);
-    if (!event.session.empty()) {
-        line += ",\"session\":";
-        appendJsonString(line, event.session);
-    }
-    if (event.leaseId != 0) {
-        line += ",\"lease_id\":";
-        line += std::to_string(event.leaseId);
-    }
-    if (!event.label.empty()) {
-        line += ",\"label\":";
-        appendJsonString(line, event.label);
-    }
-    if (!event.detail.empty()) {
-        line += ",\"detail\":";
-        appendJsonString(line, event.detail);
-    }
-    if (event.requeues != 0) {
-        line += ",\"requeues\":";
-        line += std::to_string(event.requeues);
-    }
     line += '}';
     append(std::move(line));
 }

@@ -13,10 +13,6 @@
  *    run: the run-cache key (config hash first), where the response
  *    came from (simulated | cache | journal), attempts, wall time,
  *    and the response itself.
- *  - {"type":"lease", ...}     one line per distributed-campaign
- *    lease event: worker joins and losses, heartbeat lapses, lease
- *    reclaims (with requeue counts), and rejected late results — the
- *    provenance behind every cell that migrated between workers.
  *  - {"type":"phase", ...}     coarse per-phase wall time.
  *  - {"type":"summary", ...}   terminal accounting: run totals,
  *    cache/journal hits, retries, failures, dropped cells and
@@ -75,35 +71,9 @@ struct CellRecord
     unsigned attempts = 0;
     double wallSeconds = 0.0;
     /** The cell's result: cycles (NaN renders as null for a
-     *  quarantined cell), the sample's units, relative error and CI
-     *  half-width when it has one, and the host when non-empty. */
+     *  quarantined cell), and the sample's units, relative error and
+     *  CI half-width when it has one. */
     exec::CellResult result;
-};
-
-/** One lease-lifecycle event of a distributed campaign (the "lease"
- *  records): worker joins/losses, lapses, reclaims, late results,
- *  session parks/resumes/expiries, auth rejections, and drains — the
- *  audit trail behind every migrated cell. */
-struct LeaseEventRecord
-{
-    /** "worker-joined" | "worker-lost" | "worker-lapsed" |
-     *  "lease-reclaimed" | "late-result" | "session-parked" |
-     *  "session-resumed" | "session-expired" | "session-rejected" |
-     *  "auth-rejected" | "worker-draining". */
-    std::string kind;
-    /** Worker the event concerns. */
-    std::string worker;
-    /** Durable session id of the worker, when known — ties a resumed
-     *  connection back to the one that parked. */
-    std::string session;
-    /** Lease id, when the event concerns one (0 otherwise). */
-    std::uint64_t leaseId = 0;
-    /** Cell label under lease, when known. */
-    std::string label;
-    /** Human-readable cause ("heartbeat silence for 12000 ms", ...).*/
-    std::string detail;
-    /** Times the affected cell has been requeued so far. */
-    unsigned requeues = 0;
 };
 
 /** Terminal accounting of one campaign (the "summary" record). */
@@ -152,7 +122,6 @@ class CampaignManifest
   public:
     void beginCampaign(const CampaignInfo &info);
     void addCell(const CellRecord &cell);
-    void addLeaseEvent(const LeaseEventRecord &event);
     void addPhase(const std::string &name, double wall_seconds);
     void addSummary(const SummaryRecord &summary);
     void addStability(const StabilityRecord &stability);

@@ -166,8 +166,8 @@ struct ProcessorConfig
     /**
      * Sanity-check the configuration; throws std::invalid_argument
      * with a description of the first problem found. Also rejects an
-     * enum field outside its named values, since the sandbox and the
-     * fleet memcpy a config off the wire.
+     * enum field outside its named values, since the sandbox memcpys a
+     * config off its pipe.
      */
     void validate() const;
 

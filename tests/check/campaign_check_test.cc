@@ -163,96 +163,3 @@ TEST(CampaignCheck, DegradationModeNames)
     EXPECT_EQ(check::toString(DegradationMode::DropBenchmark),
               "drop-benchmark");
 }
-
-// ----- The distributed-campaign topology rules -----
-
-TEST(CampaignCheck, RemotePlanDisabledSkipsAllTopologyRules)
-{
-    check::RemotePlan plan; // disabled: nothing to check
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_TRUE(sink.passed());
-    EXPECT_TRUE(sink.diagnostics().empty());
-}
-
-TEST(CampaignCheck, RemotePlanRejectsAnEmptyFleet)
-{
-    check::RemotePlan plan;
-    plan.enabled = true;
-    plan.workers = 0;
-    plan.leaseMs = 10000;
-    plan.heartbeatMs = 1000;
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_FALSE(sink.passed());
-    EXPECT_TRUE(sink.hasRule(check::rules::kCampaignNoWorkers));
-}
-
-TEST(CampaignCheck, RemotePlanRejectsLeaseNotExceedingHeartbeat)
-{
-    check::RemotePlan plan;
-    plan.enabled = true;
-    plan.workers = 3;
-    plan.leaseMs = 500;
-    plan.heartbeatMs = 500; // every worker would lapse between beats
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_FALSE(sink.passed());
-    EXPECT_TRUE(sink.hasRule(
-        check::rules::kCampaignLeaseShorterThanDeadline));
-}
-
-TEST(CampaignCheck, RemotePlanRejectsACoarseHeartbeat)
-{
-    check::RemotePlan plan;
-    plan.enabled = true;
-    plan.workers = 3;
-    plan.leaseMs = 1000;
-    plan.heartbeatMs = 500; // exactly half: one beacon of margin
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_FALSE(sink.passed());
-    EXPECT_TRUE(
-        sink.hasRule(check::rules::kCampaignHeartbeatTooCoarse));
-}
-
-TEST(CampaignCheck, RemotePlanAcceptsAHeartbeatJustUnderHalf)
-{
-    check::RemotePlan plan;
-    plan.enabled = true;
-    plan.workers = 3;
-    plan.leaseMs = 1001;
-    plan.heartbeatMs = 500;
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_TRUE(sink.passed()) << sink.toString();
-}
-
-TEST(CampaignCheck, RemotePlanRejectsLeaseWithinTheAttemptDeadline)
-{
-    check::RemotePlan plan;
-    plan.enabled = true;
-    plan.workers = 3;
-    plan.leaseMs = 2000;
-    plan.heartbeatMs = 100;
-    plan.hardDeadlineMs = 4000; // attempts may run past the lease
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_FALSE(sink.passed());
-    EXPECT_TRUE(sink.hasRule(
-        check::rules::kCampaignLeaseShorterThanDeadline));
-}
-
-TEST(CampaignCheck, RemotePlanAcceptsASaneTopology)
-{
-    check::RemotePlan plan;
-    plan.enabled = true;
-    plan.workers = 3;
-    plan.leaseMs = 10000;
-    plan.heartbeatMs = 1000;
-    plan.attemptDeadlineMs = 2000;
-    plan.hardDeadlineMs = 4000;
-    check::DiagnosticSink sink;
-    check::checkRemotePlan(plan, sink);
-    EXPECT_TRUE(sink.passed()) << sink.toString();
-}

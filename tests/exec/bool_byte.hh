@@ -1,6 +1,6 @@
 /**
  * @file
- * Test helper for the strict bool decoding of exec/proc and exec/net
+ * Test helper for the strict bool decoding of exec/proc frames and
  * payloads: serialize a message with one bool member written as the
  * byte 2, which no conforming writer ever produces.
  */

@@ -184,7 +184,7 @@ TEST(RunCache, StoreThenLookupReturnsExactValue)
     EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(RunCache, StoresTheWholeCellResultWithoutItsHost)
+TEST(RunCache, StoresTheWholeCellResult)
 {
     exec::RunCache cache;
     exec::RunKey key;
@@ -193,16 +193,13 @@ TEST(RunCache, StoresTheWholeCellResultWithoutItsHost)
     summary.units = 4;
     summary.ciHalfWidth = 0.25;
     summary.estimatedCycles = 1234.5;
-    exec::CellResult result = exec::CellResult::sampled(summary);
-    result.host = "w1";
-    cache.store(key, result);
+    cache.store(key, exec::CellResult::sampled(summary));
 
     const std::optional<exec::CellResult> hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->cycles, 1234.5);
     ASSERT_TRUE(hit->sample.has_value());
     EXPECT_EQ(*hit->sample, summary);
-    EXPECT_TRUE(hit->host.empty()) << "a replayed cell reports no host";
 }
 
 TEST(RunCache, DistinguishesEveryKeyComponent)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -171,109 +174,7 @@ TEST(NetProtocol, ReaderNeedReportsOffsetsOnShortPayload)
 
 // ----- The tagged message layer -----
 
-TEST(NetProtocol, HandshakeStructsRoundTrip)
-{
-    net::Hello hello;
-    hello.slots = 4;
-    hello.name = "rack2:4242";
-    hello.sessionId = "rack2:4242/b1946ac9";
-    hello.heldLeases = {3, 17, 42};
-    proc::Writer out;
-    hello.serialize(out);
-    proc::Reader in(out.bytes());
-    const net::Hello back = net::Hello::deserialize(in);
-    EXPECT_EQ(back.magic, net::kWireMagic);
-    EXPECT_EQ(back.version, net::kWireVersion);
-    EXPECT_EQ(back.slots, 4u);
-    EXPECT_EQ(back.name, "rack2:4242");
-    EXPECT_EQ(back.sessionId, "rack2:4242/b1946ac9");
-    EXPECT_EQ(back.heldLeases,
-              (std::vector<std::uint64_t>{3, 17, 42}));
-    EXPECT_TRUE(in.done());
-
-    net::HelloAck ack;
-    ack.accepted = true;
-    ack.leaseMs = 10000;
-    ack.heartbeatMs = 1000;
-    ack.authRequired = true;
-    ack.challenge = "f00dfaceb00c";
-    proc::Writer ack_out;
-    ack.serialize(ack_out);
-    proc::Reader ack_in(ack_out.bytes());
-    const net::HelloAck ack_back =
-        net::HelloAck::deserialize(ack_in);
-    EXPECT_TRUE(ack_back.accepted);
-    EXPECT_TRUE(ack_back.reason.empty());
-    EXPECT_EQ(ack_back.leaseMs, 10000u);
-    EXPECT_EQ(ack_back.heartbeatMs, 1000u);
-    EXPECT_TRUE(ack_back.authRequired);
-    EXPECT_EQ(ack_back.challenge, "f00dfaceb00c");
-    EXPECT_TRUE(ack_in.done());
-}
-
-TEST(NetProtocol, AuthAndSessionStructsRoundTrip)
-{
-    net::AuthProofMsg proof;
-    proof.proof = std::string(64, 'a');
-    proc::Writer out;
-    proof.serialize(out);
-    proc::Reader in(out.bytes());
-    EXPECT_EQ(net::AuthProofMsg::deserialize(in).proof,
-              std::string(64, 'a'));
-    EXPECT_TRUE(in.done());
-
-    net::SessionAck verdict;
-    verdict.accepted = false;
-    verdict.reason = "bad auth proof";
-    verdict.resumed = true;
-    verdict.retainedLeases = 9;
-    proc::Writer verdict_out;
-    verdict.serialize(verdict_out);
-    proc::Reader verdict_in(verdict_out.bytes());
-    const net::SessionAck back =
-        net::SessionAck::deserialize(verdict_in);
-    EXPECT_FALSE(back.accepted);
-    EXPECT_EQ(back.reason, "bad auth proof");
-    EXPECT_TRUE(back.resumed);
-    EXPECT_EQ(back.retainedLeases, 9u);
-    EXPECT_TRUE(verdict_in.done());
-}
-
-// ----- Strict bool decoding: untrusted peers send any byte -----
-
-TEST(NetProtocol, HelloAckRejectsNonCanonicalBools)
-{
-    net::HelloAck ack;
-    ack.leaseMs = 10000;
-    ack.heartbeatMs = 1000;
-    for (const auto set_true : {
-             +[](net::HelloAck &a) { a.accepted = true; },
-             +[](net::HelloAck &a) { a.authRequired = true; },
-         }) {
-        const std::vector<std::byte> bytes =
-            rigor::test::withBoolByteTwo(ack, set_true);
-        proc::Reader in(bytes);
-        EXPECT_THROW(net::HelloAck::deserialize(in),
-                     proc::ProtocolError);
-    }
-}
-
-TEST(NetProtocol, SessionAckRejectsNonCanonicalBools)
-{
-    net::SessionAck verdict;
-    verdict.retainedLeases = 2;
-    for (const auto set_true : {
-             +[](net::SessionAck &v) { v.accepted = true; },
-             +[](net::SessionAck &v) { v.resumed = true; },
-         }) {
-        const std::vector<std::byte> bytes =
-            rigor::test::withBoolByteTwo(verdict, set_true);
-        proc::Reader in(bytes);
-        EXPECT_THROW(net::SessionAck::deserialize(in),
-                     proc::ProtocolError);
-    }
-}
-
+// Strict bool decoding: untrusted peers send any byte.
 TEST(NetProtocol, JobDoneRejectsNonCanonicalBool)
 {
     // The controller's view of a JobDone whose sample presence byte is 2.
@@ -300,9 +201,9 @@ TEST(NetProtocol, JobDoneRejectsNonCanonicalBool)
 
 TEST(NetProtocol, SendMessageSurvivesAClosedPeerWithoutSigpipe)
 {
-    // The controller must outlive any worker that hangs up mid-frame:
-    // sends go out MSG_NOSIGNAL, so a dead peer is an exception, not
-    // a process-killing SIGPIPE.
+    // A sender must outlive a peer that hangs up mid-frame: sends go
+    // out MSG_NOSIGNAL, so a dead peer is an exception, not a
+    // process-killing SIGPIPE.
     FdPair pair;
     pair.closeRead();
     // The first send may be swallowed by the socket buffer; keep
@@ -311,7 +212,7 @@ TEST(NetProtocol, SendMessageSurvivesAClosedPeerWithoutSigpipe)
         {
             for (int i = 0; i < 64; ++i)
                 net::sendMessage(pair.writeEnd(),
-                                 net::MsgType::Heartbeat);
+                                 net::MsgType::JobDone);
         },
         proc::ProtocolError);
 }
@@ -319,24 +220,22 @@ TEST(NetProtocol, SendMessageSurvivesAClosedPeerWithoutSigpipe)
 TEST(NetProtocol, TaggedMessagesRoundTripOverSocket)
 {
     FdPair pair;
-    net::Hello hello;
-    hello.name = "w1";
     proc::Writer body;
-    hello.serialize(body);
-    net::sendMessage(pair.writeEnd(), net::MsgType::Hello,
+    body.pod<std::uint64_t>(42);
+    net::sendMessage(pair.writeEnd(), net::MsgType::JobAssign,
                      body.bytes());
-    net::sendMessage(pair.writeEnd(), net::MsgType::Heartbeat);
+    net::sendMessage(pair.writeEnd(), net::MsgType::JobDone);
 
     std::vector<std::byte> payload;
     ASSERT_TRUE(net::recvMessage(pair.readEnd(), payload));
     proc::Reader in(payload);
-    EXPECT_EQ(net::readType(in), net::MsgType::Hello);
-    EXPECT_EQ(net::Hello::deserialize(in).name, "w1");
+    EXPECT_EQ(net::readType(in), net::MsgType::JobAssign);
+    EXPECT_EQ(in.pod<std::uint64_t>(), 42u);
 
     ASSERT_TRUE(net::recvMessage(pair.readEnd(), payload));
-    proc::Reader beat(payload);
-    EXPECT_EQ(net::readType(beat), net::MsgType::Heartbeat);
-    EXPECT_TRUE(beat.done());
+    proc::Reader done(payload);
+    EXPECT_EQ(net::readType(done), net::MsgType::JobDone);
+    EXPECT_TRUE(done.done());
 }
 
 TEST(NetProtocol, UnknownMessageTagIsRejected)
@@ -405,4 +304,56 @@ TEST(NetProtocol, JobRequestSurvivesTheSocketVerbatim)
     EXPECT_EQ(back.attempt, 2u);
     EXPECT_EQ(back.deadlineBudget.count(), 250);
     EXPECT_TRUE(in.done());
+}
+
+// ----- Socket hygiene: close-on-exec, no Nagle -----
+
+TEST(NetSocket, EverySocketIsOpenedCloseOnExec)
+{
+    net::OwnedFd listener = net::listenTcp("127.0.0.1", 0);
+    const std::uint16_t port = net::boundPort(listener.get());
+
+    net::OwnedFd client;
+    std::thread connector([&client, port] {
+        client = net::connectTcp("127.0.0.1", port);
+    });
+    net::OwnedFd accepted = net::acceptClient(listener.get());
+    connector.join();
+
+    ASSERT_TRUE(listener.valid());
+    ASSERT_TRUE(client.valid());
+    ASSERT_TRUE(accepted.valid());
+    for (const int fd : {listener.get(), client.get(),
+                         accepted.get()}) {
+        const int flags = ::fcntl(fd, F_GETFD);
+        ASSERT_GE(flags, 0);
+        EXPECT_NE(flags & FD_CLOEXEC, 0)
+            << "fd " << fd << " would leak into forked sandboxes";
+    }
+}
+
+TEST(NetSocket, BothEndsDisableNagle)
+{
+    // Nagle on either end holds a small frame back until the peer's
+    // delayed ACK, adding tens of milliseconds to every round trip.
+    net::OwnedFd listener = net::listenTcp("127.0.0.1", 0);
+    const std::uint16_t port = net::boundPort(listener.get());
+
+    net::OwnedFd client;
+    std::thread connector([&client, port] {
+        client = net::connectTcp("127.0.0.1", port);
+    });
+    net::OwnedFd accepted = net::acceptClient(listener.get());
+    connector.join();
+
+    ASSERT_TRUE(client.valid());
+    ASSERT_TRUE(accepted.valid());
+    for (const int fd : {client.get(), accepted.get()}) {
+        int on = 0;
+        socklen_t size = sizeof(on);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on,
+                               &size),
+                  0);
+        EXPECT_NE(on, 0) << "fd " << fd << " still runs Nagle";
+    }
 }

@@ -17,8 +17,6 @@
 #include "bool_byte.hh"
 #include "exec/engine.hh"
 #include "exec/fault_injection.hh"
-#include "exec/net/controller.hh"
-#include "exec/net/remote_worker.hh"
 #include "exec/proc/protocol.hh"
 #include "exec/proc/sandbox_worker.hh"
 #include "exec/proc/worker_pool.hh"
@@ -33,7 +31,6 @@ namespace exec = rigor::exec;
 namespace obs = rigor::obs;
 namespace proc = rigor::exec::proc;
 namespace methodology = rigor::methodology;
-namespace net = rigor::exec::net;
 namespace trace = rigor::trace;
 
 // Sanitizers change how a sandboxed crash surfaces: ASan intercepts
@@ -246,63 +243,35 @@ TEST(ProcWorkerPool, ExecutesJobsInsideSandboxWorkers)
     EXPECT_EQ(pool.oomKills(), 0u);
 }
 
-// ----- The attempt codec under both out-of-process executors -----
+// ----- The attempt codec across the process boundary -----
 
 namespace
 {
 
+/** The out-of-process executors the taxonomy runs on. */
 enum class Executor
 {
     Pool,
-    Fleet,
 };
 
 void
-PrintTo(Executor executor, std::ostream *out)
+PrintTo(Executor, std::ostream *out)
 {
-    *out << (executor == Executor::Pool ? "Pool" : "Fleet");
+    *out << "Pool";
 }
 
-/** An executor whose workers run drillStub(): a one-worker sandbox
- *  pool, or a one-worker localhost fleet. */
+/** A one-worker sandbox pool whose worker runs drillStub(). */
 class AttemptTaxonomy : public ::testing::TestWithParam<Executor>
 {
   protected:
     void SetUp() override
     {
-        if (GetParam() == Executor::Pool) {
-            _pool = std::make_unique<proc::ProcWorkerPool>(
-                poolOptions(1));
-            execute = _pool->simulateFn();
-            return;
-        }
-        _controller = std::make_unique<net::CampaignController>();
-        _worker = std::thread([port = _controller->port()] {
-            net::RemoteWorkerOptions opts;
-            opts.port = port;
-            opts.name = "taxonomy";
-            opts.simulate = drillStub();
-            net::runRemoteWorker(opts);
-        });
-        ASSERT_TRUE(_controller->waitForWorkers(
-            1, std::chrono::milliseconds(10000)));
-        execute = _controller->simulateFn();
+        _pool = std::make_unique<proc::ProcWorkerPool>(poolOptions(1));
+        execute = _pool->simulateFn();
     }
 
-    void TearDown() override
-    {
-        _pool.reset();
-        _controller.reset(); // Shutdown to the fleet
-        if (_worker.joinable())
-            _worker.join();
-    }
-
-    /** Worker incidents: pool respawns, or fleet lease reclaims. */
-    std::uint64_t incidents() const
-    {
-        return _pool ? _pool->respawns()
-                     : _controller->leasesReclaimed();
-    }
+    /** Worker incidents: pool respawns. */
+    std::uint64_t incidents() const { return _pool->respawns(); }
 
     /** Expect @p job to fail as exactly @p Fault with @p message. */
     template <typename Fault>
@@ -324,8 +293,6 @@ class AttemptTaxonomy : public ::testing::TestWithParam<Executor>
 
   private:
     std::unique_ptr<proc::ProcWorkerPool> _pool;
-    std::unique_ptr<net::CampaignController> _controller;
-    std::thread _worker;
 };
 
 } // namespace
@@ -345,7 +312,7 @@ TEST_P(AttemptTaxonomy, ChildThrownFaultsKeepTheirTaxonomy)
     expectFault<exec::PermanentFault>(
         sandboxJob(w, 3, "throw-permanent"), attempt(3),
         "injected permanent");
-    // Clean throws never cost a worker: no respawns, no reclaims.
+    // Clean throws never cost a worker: no respawns.
     EXPECT_EQ(incidents(), 0u);
     EXPECT_DOUBLE_EQ(execute(sandboxJob(w, 4, "ok"), attempt(4)).cycles,
                      1004.0);
@@ -353,15 +320,15 @@ TEST_P(AttemptTaxonomy, ChildThrownFaultsKeepTheirTaxonomy)
 
 INSTANTIATE_TEST_SUITE_P(
     Executors, AttemptTaxonomy,
-    ::testing::Values(Executor::Pool, Executor::Fleet),
+    ::testing::Values(Executor::Pool),
     [](const ::testing::TestParamInfo<Executor> &info) {
         return ::testing::PrintToString(info.param);
     });
 
 TEST(ProcSandbox, HookedRequestWithoutAFactoryFailsPermanent)
 {
-    // The same rule as a fleet worker's: a hooked request the child
-    // cannot rebuild fails, instead of silently running unhooked.
+    // A hooked request the child cannot rebuild fails, instead of
+    // silently running unhooked.
     proc::JobRequest request;
     request.profile = trace::workloadByName("gzip");
     request.config = methodology::uniformConfig(doe::Level::Low);

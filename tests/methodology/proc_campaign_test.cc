@@ -284,7 +284,7 @@ TEST(ProcCampaign, EnhancementLegsRebuildHooksInsideSandboxes)
     };
 
     // The sandboxes rebuild each hooked job's hook from the pool's
-    // factory, as a fleet worker does from its own.
+    // factory.
     exec::proc::ProcWorkerPool::Options pool_opts;
     pool_opts.hookFactory = noop_factory;
     pool_opts.simulate = [](const exec::SimJob &job,

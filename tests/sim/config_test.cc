@@ -60,8 +60,8 @@ TEST(ProcessorConfig, ValidateRejectsBadCore)
     c.btbEntries = 12; // not a power of two
     EXPECT_THROW(c.validate(), std::invalid_argument);
 
-    // Configs arrive memcpy'd from sandbox pipes and fleet sockets,
-    // so an enum field can carry any bit pattern.
+    // Configs arrive memcpy'd from sandbox pipes, so an enum field
+    // can carry any bit pattern.
     for (const int kind : {1, 2, 3, 5, 7}) {
         c = sim::ProcessorConfig{};
         c.bpred = static_cast<sim::BranchPredictorKind>(kind);

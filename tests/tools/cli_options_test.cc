@@ -75,7 +75,7 @@ TEST(CliParsers, RejectsTrailingGarbageAndEmpty)
 TEST(CliParsers, FaultKindNamesRoundTrip)
 {
     for (int k = static_cast<int>(exec::FaultKind::Transient);
-         k <= static_cast<int>(exec::FaultKind::TokenMismatch); ++k) {
+         k <= static_cast<int>(exec::FaultKind::KillWorker); ++k) {
         const auto kind = static_cast<exec::FaultKind>(k);
         exec::FaultKind parsed = exec::FaultKind::Transient;
         ASSERT_TRUE(tools::parseFaultKind(exec::toString(kind), parsed))
@@ -165,22 +165,17 @@ TEST(CliFlags, UsageListsEveryFlag)
     }
 }
 
-TEST(CliFlags, SandboxFlagsAcceptRemoteOnlyWhenAsked)
+TEST(CliFlags, IsolationAcceptsThreadOrProcess)
 {
-    tools::Isolation isolation = tools::Isolation::Thread;
-    exec::proc::ProcWorkerPool::Options sandbox;
-    std::string token;
-    const tools::FlagTable worker =
-        tools::sandboxFlags(isolation, false, sandbox, token);
-    EXPECT_FALSE(parse(worker, {"--isolation", "remote"}));
-    EXPECT_TRUE(parse(worker, {"--isolation=process"}));
-    EXPECT_EQ(isolation, tools::Isolation::Process);
-
-    const tools::FlagTable campaign =
-        tools::sandboxFlags(isolation, true, sandbox, token);
-    EXPECT_TRUE(parse(campaign, {"--isolation", "remote"}));
-    EXPECT_EQ(isolation, tools::Isolation::Remote);
-    EXPECT_FALSE(parse(campaign, {"--isolation", "fleet"}));
+    tools::CampaignSetup setup;
+    const tools::FlagTable table = tools::campaignFlags(setup);
+    EXPECT_FALSE(parse(table, {"--isolation", "remote"}));
+    EXPECT_FALSE(parse(table, {"--isolation", "fleet"}));
+    EXPECT_EQ(setup.isolation, tools::Isolation::Thread);
+    EXPECT_TRUE(parse(table, {"--isolation=process"}));
+    EXPECT_EQ(setup.isolation, tools::Isolation::Process);
+    EXPECT_TRUE(parse(table, {"--isolation", "thread"}));
+    EXPECT_EQ(setup.isolation, tools::Isolation::Thread);
 }
 
 // ----- Campaign defaults and derived flags -----
@@ -190,26 +185,18 @@ TEST(CampaignCliOptions, KeepsTheCliDefaults)
     tools::CampaignSetup options;
     EXPECT_TRUE(parse(options, {}));
     EXPECT_EQ(options.run.instructionsPerRun, 20000u);
-    EXPECT_EQ(options.net.sessionGrace, std::chrono::milliseconds(5000));
-    EXPECT_EQ(options.net.lease, std::chrono::milliseconds(10000));
-    EXPECT_EQ(options.net.heartbeat, std::chrono::milliseconds(1000));
-    EXPECT_EQ(options.workerWait, std::chrono::milliseconds(30000));
     EXPECT_EQ(options.run.campaign.faultPolicy.attempts(), 1u);
     EXPECT_EQ(options.isolation, tools::Isolation::Thread);
 }
 
-TEST(CampaignCliOptions, DerivesRetriesAndRemote)
+TEST(CampaignCliOptions, DerivesRetries)
 {
     tools::CampaignSetup options;
     EXPECT_TRUE(parse(options, {"--retries", "2", "--threads=2",
-                                "--listen", "0.0.0.0:7000",
                                 "--degrade=drop-benchmark",
                                 "--inject-label", "mcf:1:hang"}));
     EXPECT_EQ(options.run.campaign.faultPolicy.maxAttempts, 3u);
     EXPECT_EQ(options.run.campaign.threads, 2u);
-    EXPECT_EQ(options.isolation, tools::Isolation::Remote);
-    EXPECT_EQ(options.net.bindAddress, "0.0.0.0");
-    EXPECT_EQ(options.net.port, 7000u);
     EXPECT_EQ(options.run.campaign.degradation,
               rigor::check::DegradationMode::DropBenchmark);
     EXPECT_EQ(options.drills.plannedFaults(), 1u);

@@ -17,8 +17,8 @@
  *     campaign --journal run.journal --crash-after 40   # crash drill
  *     campaign --metrics-out m.json --trace-out t.json \
  *              --manifest-out run.jsonl
- *     campaign --listen 127.0.0.1:0 --workers 3 --port-file port \
- *              --lease-ms 4000 --heartbeat-ms 500   # distributed
+ *     campaign --isolation process --hard-deadline-ms 1000 \
+ *              --mem-limit-mb 128   # every attempt in a sandbox
  *
  * The trace JSON loads directly in chrome://tracing / Perfetto; the
  * manifest is one JSON object per line (campaign / cell / phase /
@@ -26,38 +26,20 @@
  * are the campaign's throughput record); the metrics JSON snapshots
  * every engine counter, gauge, and histogram.
  *
- * Distributed hardening: --auth-token-file demands an HMAC
- * challenge-response from every worker before a lease is granted;
- * --session-grace-ms parks a disconnected worker's leases awaiting a
- * session resume instead of requeueing; SIGTERM drains gracefully —
- * no new leases, in-flight cells finish, sinks flush, and the journal
- * resumes the remainder.
- *
  * Exit codes: 0 success (possibly degraded, with warnings printed),
- * 1 campaign failure, 2 usage error (a remote campaign's topology or
- * drill plan included), 3 simulated crash (resume with
- * the same --journal), 4 drained on SIGTERM (resume with the same
- * --journal).
+ * 1 campaign failure, 2 usage error, 3 simulated crash (resume with
+ * the same --journal).
  */
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "check/campaign_check.hh"
 #include "cli_options.hh"
 #include "exec/fault_injection.hh"
 #include "exec/journal.hh"
-#include "exec/net/auth.hh"
-#include "exec/net/controller.hh"
 #include "exec/proc/worker_pool.hh"
 #include "methodology/adaptive_sampling.hh"
 #include "methodology/pb_experiment.hh"
@@ -71,15 +53,6 @@
 
 namespace
 {
-
-/** Set by the SIGTERM handler; watched by the drain thread. */
-std::atomic<bool> g_drainRequested{false};
-
-void
-requestDrain(int)
-{
-    g_drainRequested.store(true);
-}
 
 constexpr const char *kSynopsis =
     "[options]\n"
@@ -99,44 +72,6 @@ main(int argc, char **argv)
     if (!rigor::tools::parseFlags(argc, argv, "campaign", flags))
         return rigor::tools::printUsage(argv[0], kSynopsis, flags);
     rigor::methodology::PbExperimentOptions &opts = cli.run;
-    const bool remote = cli.isolation == rigor::tools::Isolation::Remote;
-    if (remote) {
-        // Every attempt of a remote campaign runs on a worker, so a
-        // drill planned here would never fire.
-        if (cli.drills.plannedFaults() != 0 || cli.randomDrills) {
-            std::fprintf(stderr,
-                         "campaign: --inject, --inject-label and "
-                         "--inject-random cannot drill a remote "
-                         "campaign, whose attempts all run on the "
-                         "workers; drill a worker with worker "
-                         "--inject-label\n");
-            return 2;
-        }
-        // The fleet topology is checked before anything listens,
-        // --skip-preflight or not: no workers queues every cell
-        // forever, and a lease too short for the heartbeat or the
-        // deadlines requeues healthy workers' cells.
-        const auto ms = [](std::chrono::milliseconds d) {
-            return static_cast<std::uint64_t>(d.count());
-        };
-        rigor::check::RemotePlan plan;
-        plan.enabled = true;
-        plan.workers = cli.workers;
-        plan.leaseMs = ms(cli.net.lease);
-        plan.heartbeatMs = ms(cli.net.heartbeat);
-        plan.attemptDeadlineMs =
-            ms(opts.campaign.faultPolicy.attemptDeadline);
-        plan.hardDeadlineMs = ms(cli.sandbox.hardDeadline);
-        rigor::check::DiagnosticSink sink;
-        rigor::check::checkRemotePlan(plan, sink);
-        if (!sink.passed()) {
-            std::fprintf(stderr,
-                         "campaign: remote campaign rejected before "
-                         "listening:\n%s",
-                         sink.toString().c_str());
-            return 2;
-        }
-    }
 
     try {
         // Resolve the benchmark suite.
@@ -210,112 +145,6 @@ main(int argc, char **argv)
             engine.setSimulate(pool->simulateFn());
         }
 
-        // Remote execution: bring up the lease-granting controller
-        // and wait for the fleet before any cell is queued. Declared
-        // after the manifest so its lease observer (which feeds the
-        // manifest) outlives every controller thread.
-        std::unique_ptr<rigor::exec::net::CampaignController>
-            controller;
-        if (remote) {
-            if (!cli.authTokenFile.empty())
-                cli.net.authToken =
-                    rigor::exec::net::loadAuthToken(cli.authTokenFile);
-            controller = std::make_unique<
-                rigor::exec::net::CampaignController>(cli.net);
-            engine.setSimulate(controller->simulateFn());
-            if (!cli.metricsOut.empty())
-                controller->setMetrics(&metrics);
-            const bool want_manifest = !cli.manifestOut.empty();
-            controller->setLeaseObserver(
-                [&manifest, want_manifest](
-                    const rigor::exec::net::LeaseEvent &event) {
-                    const std::string kind =
-                        rigor::exec::net::toString(event.kind);
-                    std::fprintf(
-                        stderr,
-                        "campaign: %s worker=%s%s%s%s%s%s%s\n",
-                        kind.c_str(), event.worker.c_str(),
-                        event.session.empty() ? "" : " session=",
-                        event.session.c_str(),
-                        event.label.empty() ? "" : " cell=",
-                        event.label.c_str(),
-                        event.detail.empty() ? "" : ": ",
-                        event.detail.c_str());
-                    if (!want_manifest)
-                        return;
-                    rigor::obs::LeaseEventRecord record;
-                    record.kind = kind;
-                    record.worker = event.worker;
-                    record.session = event.session;
-                    record.leaseId = event.leaseId;
-                    record.label = event.label;
-                    record.detail = event.detail;
-                    record.requeues = event.requeues;
-                    manifest.addLeaseEvent(record);
-                });
-            std::fprintf(stderr,
-                         "campaign: controller listening on %s:%u\n",
-                         cli.net.bindAddress.c_str(),
-                         static_cast<unsigned>(controller->port()));
-            if (!cli.portFile.empty())
-                rigor::obs::writeTextFile(
-                    cli.portFile,
-                    std::to_string(controller->port()) + '\n');
-            if (!controller->waitForWorkers(cli.workers,
-                                            cli.workerWait)) {
-                std::fprintf(
-                    stderr,
-                    "campaign: only %u of %u workers connected "
-                    "within %lld ms\n",
-                    controller->connectedWorkers(), cli.workers,
-                    static_cast<long long>(cli.workerWait.count()));
-                return 1;
-            }
-        }
-
-        // Graceful drain: SIGTERM stops lease granting, lets
-        // in-flight cells finish (bounded by one lease plus slack),
-        // fails the remainder so the journal can resume them, and
-        // exits 4. The watcher thread exists because beginDrain
-        // blocks and a signal handler must not; the join guard is
-        // declared after the controller so the watcher is stopped
-        // before the controller is torn down.
-        std::atomic<bool> watcher_stop{false};
-        std::thread drain_watcher;
-        struct WatcherJoin
-        {
-            std::atomic<bool> &stop;
-            std::thread &thread;
-            ~WatcherJoin()
-            {
-                stop.store(true);
-                if (thread.joinable())
-                    thread.join();
-            }
-        } watcher_join{watcher_stop, drain_watcher};
-        if (controller != nullptr) {
-            std::signal(SIGTERM, requestDrain);
-            drain_watcher = std::thread(
-                [&watcher_stop, &cli,
-                 ctrl = controller.get()]() {
-                    while (!watcher_stop.load()) {
-                        if (g_drainRequested.load()) {
-                            std::fprintf(
-                                stderr,
-                                "campaign: SIGTERM: draining (no new "
-                                "leases; waiting for in-flight "
-                                "cells)\n");
-                            ctrl->beginDrain(
-                                cli.net.lease +
-                                std::chrono::milliseconds(1000));
-                            return;
-                        }
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(50));
-                    }
-                });
-        }
-
         // Journal replays get a visible progress line naming the
         // run-cache key, so a resumed campaign shows exactly which
         // configurations were served from disk.
@@ -363,7 +192,6 @@ main(int argc, char **argv)
         }
 
         rigor::methodology::PbExperimentResult result;
-        try {
         if (replicates != 0) {
             rigor::methodology::RankStabilityOptions stability;
             stability.base = opts;
@@ -410,25 +238,6 @@ main(int argc, char **argv)
         } else {
             result = rigor::methodology::runPbExperiment(workloads,
                                                          opts);
-        }
-        } catch (const std::exception &e) {
-            if (controller == nullptr || !controller->draining())
-                throw;
-            // A SIGTERM drain deliberately fails the cells it could
-            // not finish; everything that did complete is already in
-            // the journal, so the same command resumes the remainder.
-            if (!cli.metricsOut.empty())
-                metrics.writeTo(cli.metricsOut);
-            if (!cli.traceOut.empty())
-                trace.writeTo(cli.traceOut);
-            if (!cli.manifestOut.empty())
-                manifest.writeTo(cli.manifestOut);
-            std::fprintf(stderr,
-                         "campaign: drained: %s\n"
-                         "campaign: rerun with the same --journal to "
-                         "resume\n",
-                         e.what());
-            return 4;
         }
         // Each sandbox's "proc.worker" span closes as the pool shuts
         // down, so the pool goes before the trace is written.

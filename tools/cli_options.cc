@@ -78,7 +78,7 @@ faultKinds()
 {
     std::vector<exec::FaultKind> kinds;
     for (int k = static_cast<int>(exec::FaultKind::Transient);
-         k <= static_cast<int>(exec::FaultKind::TokenMismatch); ++k)
+         k <= static_cast<int>(exec::FaultKind::KillWorker); ++k)
         kinds.push_back(static_cast<exec::FaultKind>(k));
     return kinds;
 }
@@ -115,37 +115,6 @@ parseFaultSpec(const std::string &spec, std::string &head,
     if (!parseUnsigned(attempt_text.c_str(), attempt) || attempt == 0)
         return false;
     return parseFaultKind(spec.substr(last + 1), kind);
-}
-
-bool
-parseEndpoint(const std::string &text, std::string &host,
-              std::uint16_t &port)
-{
-    if (text.empty())
-        return false;
-    const std::size_t colon = text.rfind(':');
-    std::string host_part;
-    std::string port_part;
-    if (colon != std::string::npos) {
-        host_part = text.substr(0, colon);
-        port_part = text.substr(colon + 1);
-        if (host_part.empty() || port_part.empty())
-            return false;
-    } else if (text.find_first_not_of("0123456789") ==
-               std::string::npos) {
-        port_part = text; // bare number: a port on the current host
-    } else {
-        host_part = text; // bare name: a host on the current port
-    }
-    if (!host_part.empty())
-        host = host_part;
-    if (!port_part.empty()) {
-        unsigned raw = 0;
-        if (!parseUnsigned(port_part.c_str(), raw) || raw > 65535)
-            return false;
-        port = static_cast<std::uint16_t>(raw);
-    }
-    return true;
 }
 
 bool
@@ -343,41 +312,8 @@ toString(Isolation isolation)
         return "thread";
       case Isolation::Process:
         return "process";
-      case Isolation::Remote:
-        return "remote";
     }
     return "?";
-}
-
-FlagTable
-sandboxFlags(Isolation &isolation, bool allowRemote,
-             exec::proc::ProcWorkerPool::Options &sandbox,
-             std::string &authTokenFile)
-{
-    const std::string help =
-        allowRemote
-            ? "thread | process | remote; process forks sandbox "
-              "workers that survive crash, OOM, and hangs; remote "
-              "shards cells across a TCP worker fleet"
-            : "thread | process; process forks sandbox workers that "
-              "survive crash, OOM, and hangs";
-    const Binder mode =
-        allowRemote
-            ? oneOf(isolation, {Isolation::Thread, Isolation::Process,
-                                Isolation::Remote})
-            : oneOf(isolation, {Isolation::Thread, Isolation::Process});
-    return {
-        {"--isolation", "MODE", help, mode},
-        {"--mem-limit-mb", "N", "per-sandbox memory cap in MiB",
-         number(sandbox.memLimitMb, Bound::PositiveOrOmit)},
-        {"--hard-deadline-ms", "N",
-         "SIGKILL a sandbox attempt busy past this",
-         number(sandbox.hardDeadline, Bound::PositiveOrOmit)},
-        {"--auth-token-file", "PATH",
-         "shared fleet token; a worker must answer the controller's "
-         "HMAC challenge before any lease is granted",
-         text(authTokenFile)},
-    };
 }
 
 namespace
@@ -397,23 +333,6 @@ faultKindNames()
 
 } // namespace
 
-Flag
-injectLabelFlag(exec::FaultInjector &drills)
-{
-    return {"--inject-label", "S:A:KIND",
-            "fault attempt A of the jobs whose label contains S (KIND: " +
-                faultKindNames() + ")",
-            [&drills](const char *value, std::string &) {
-                std::string label;
-                unsigned attempt = 0;
-                exec::FaultKind kind{};
-                if (!parseFaultSpec(value, label, attempt, kind))
-                    return false;
-                drills.addLabelFault(std::move(label), attempt, kind);
-                return true;
-            }};
-}
-
 FlagTable
 campaignFlags(CampaignSetup &setup)
 {
@@ -422,9 +341,8 @@ campaignFlags(CampaignSetup &setup)
     exec::FaultPolicy &policy = campaign.faultPolicy;
     sample::SamplingOptions &sampling = campaign.sampling;
     stats::ReplicationOptions &replication = setup.replication;
-    exec::net::ControllerOptions &net = setup.net;
 
-    FlagTable table = {
+    return {
         {"--workloads", "a,b,c", "benchmarks to run (default: all 13)",
          [&setup](const char *value, std::string &) {
              return splitList(value, setup.workloads);
@@ -457,46 +375,15 @@ campaignFlags(CampaignSetup &setup)
          number(policy.backoffSeed)},
         {"--deadline-ms", "N", "per-attempt deadline (0 = none)",
          number(policy.attemptDeadline)},
-    };
-    const FlagTable sandbox =
-        sandboxFlags(setup.isolation, true, setup.sandbox,
-                     setup.authTokenFile);
-    table.insert(table.end(), sandbox.begin(), sandbox.end());
-    const FlagTable rest = {
-        {"--listen", "HOST:PORT",
-         "remote: controller listen endpoint (implies --isolation "
-         "remote; port 0 = kernel-assigned)",
-         [&setup, &net](const char *value, std::string &want) {
-             want = "want HOST:PORT, HOST, or PORT";
-             if (!parseEndpoint(value, net.bindAddress, net.port))
-                 return false;
-             setup.isolation = Isolation::Remote;
-             return true;
-         }},
-        {"--workers", "N",
-         "remote: wait for N workers before the campaign starts",
-         number(setup.workers)},
-        {"--lease-ms", "N",
-         "remote: worker-silence budget before its cells are reclaimed "
-         "and requeued (default 10000)",
-         number(net.lease, Bound::Positive)},
-        {"--heartbeat-ms", "N",
-         "remote: worker heartbeat cadence (default 1000; must stay "
-         "under half the lease)",
-         number(net.heartbeat, Bound::Positive)},
-        {"--session-grace-ms", "N",
-         "remote: hold a disconnected worker's leases this long "
-         "awaiting a session resume with the same id (default 5000; "
-         "0 = reclaim immediately)",
-         number(net.sessionGrace)},
-        {"--port-file", "PATH",
-         "remote: write the bound controller port (rendezvous for "
-         "port 0)",
-         text(setup.portFile)},
-        {"--worker-wait-ms", "N",
-         "remote: wait this long for --workers to connect (default "
-         "30000)",
-         number(setup.workerWait)},
+        {"--isolation", "MODE",
+         "thread | process; process forks sandbox workers that "
+         "survive crash, OOM, and hangs",
+         oneOf(setup.isolation, {Isolation::Thread, Isolation::Process})},
+        {"--mem-limit-mb", "N", "per-sandbox memory cap in MiB",
+         number(setup.sandbox.memLimitMb, Bound::PositiveOrOmit)},
+        {"--hard-deadline-ms", "N",
+         "SIGKILL a sandbox attempt busy past this",
+         number(setup.sandbox.hardDeadline, Bound::PositiveOrOmit)},
         {"--collect", "", "quarantine failures, don't fail fast",
          set(policy.collectFailures)},
         {"--degrade", "MODE", "abort | drop-benchmark (with --collect)",
@@ -550,8 +437,7 @@ campaignFlags(CampaignSetup &setup)
          }},
         {"--inject", "J:A:KIND",
          "fault job J, attempt A (KIND as for --inject-label; the "
-         "process kinds need --isolation process, the network kinds a "
-         "remote worker's --inject-label)",
+         "process kinds need --isolation process)",
          [&setup](const char *value, std::string &) {
              std::string job_text;
              std::size_t job = 0;
@@ -563,7 +449,18 @@ campaignFlags(CampaignSetup &setup)
              setup.drills.addFault(job, attempt, kind);
              return true;
          }},
-        injectLabelFlag(setup.drills),
+        {"--inject-label", "S:A:KIND",
+         "fault attempt A of the jobs whose label contains S (KIND: " +
+             faultKindNames() + ")",
+         [&setup](const char *value, std::string &) {
+             std::string label;
+             unsigned attempt = 0;
+             exec::FaultKind kind{};
+             if (!parseFaultSpec(value, label, attempt, kind))
+                 return false;
+             setup.drills.addLabelFault(std::move(label), attempt, kind);
+             return true;
+         }},
         {"--inject-random", "R:SEED",
          "seeded transient storm at rate R",
          [&setup](const char *value, std::string &) {
@@ -586,8 +483,6 @@ campaignFlags(CampaignSetup &setup)
          text(setup.manifestOut)},
         {"--quiet", "", "suppress the rank table", set(setup.quiet)},
     };
-    table.insert(table.end(), rest.begin(), rest.end());
-    return table;
 }
 
 } // namespace rigor::tools

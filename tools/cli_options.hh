@@ -8,7 +8,6 @@
  * reject signs, trailing garbage and out-of-range numbers instead of
  * truncating) and writes it straight into the options struct the
  * library consumes: methodology::PbExperimentOptions,
- * net::ControllerOptions, net::RemoteWorkerOptions,
  * proc::ProcWorkerPool::Options or the check:: lint options. There is
  * no CLI-side mirror of those structs to copy across. The one choice
  * the library has no field for is where attempts run (Isolation): the
@@ -19,9 +18,8 @@
  * missing-value, unexpected-value, bad-value and unknown-option
  * errors identically everywhere. printUsage() renders each tool's
  * help from the same table, so the help cannot drift from the flags.
- * Flags two tools share (the sandbox and fleet flags of campaign and
- * worker, the label fault drill) come from one definition here, as
- * does campaign's whole table, which the unit tests parse directly.
+ * Campaign's whole table is defined here, so the unit tests parse it
+ * directly.
  */
 
 #ifndef RIGOR_TOOLS_CLI_OPTIONS_HH
@@ -39,7 +37,6 @@
 #include <vector>
 
 #include "exec/fault_injection.hh"
-#include "exec/net/controller.hh"
 #include "exec/proc/worker_pool.hh"
 #include "methodology/pb_experiment.hh"
 #include "stats/bootstrap.hh"
@@ -64,14 +61,6 @@ bool parseFaultKind(const std::string &text, exec::FaultKind &kind);
  *  the head (a label substring) may itself contain colons. */
 bool parseFaultSpec(const std::string &spec, std::string &head,
                     unsigned &attempt, exec::FaultKind &kind);
-
-/**
- * Parse "HOST:PORT" / "PORT" / "HOST" into its parts (a bare number
- * is a port on the existing @p host; a bare name replaces the host
- * and keeps the existing port). False on a malformed port.
- */
-bool parseEndpoint(const std::string &text, std::string &host,
-                   std::uint16_t &port);
 
 /**
  * Checks one flag's value and stores it. @p value is null for a
@@ -175,51 +164,27 @@ enum class Isolation
     Thread,
     /** In forked sandbox workers (exec::proc::ProcWorkerPool). */
     Process,
-    /** On a TCP worker fleet (exec::net::CampaignController). */
-    Remote,
 };
 
-/** Display name ("thread" / "process" / "remote"). */
+/** Display name ("thread" / "process"). */
 std::string toString(Isolation isolation);
 
 /**
- * --isolation, --mem-limit-mb, --hard-deadline-ms and
- * --auth-token-file, shared by campaign and worker. The caps bind
- * into @p sandbox; "--isolation remote" is accepted only when
- * @p allowRemote.
- */
-FlagTable sandboxFlags(Isolation &isolation, bool allowRemote,
-                       exec::proc::ProcWorkerPool::Options &sandbox,
-                       std::string &authTokenFile);
-
-/** --inject-label S:A:KIND, planned into @p drills. */
-Flag injectLabelFlag(exec::FaultInjector &drills);
-
-/**
  * Everything campaign's flags configure. The experiment and the
- * controller options are the library's own structs, bound flag by
- * flag; the other fields are what the tool itself owns.
+ * sandbox options are the library's own structs, bound flag by flag;
+ * the other fields are what the tool itself owns.
  */
 struct CampaignSetup
 {
-    /** The CLI defaults that differ from the library's: 20k-instruction
-     *  runs, and a disconnected worker's session parked for 5 s. */
-    CampaignSetup()
-    {
-        run.instructionsPerRun = 20000;
-        net.sessionGrace = std::chrono::milliseconds(5000);
-    }
+    /** The CLI default that differs from the library's:
+     *  20k-instruction runs. */
+    CampaignSetup() { run.instructionsPerRun = 20000; }
 
     methodology::PbExperimentOptions run;
-    /** --isolation; --listen selects Remote. */
+    /** --isolation. */
     Isolation isolation = Isolation::Thread;
     /** --mem-limit-mb and --hard-deadline-ms; used under Process. */
     exec::proc::ProcWorkerPool::Options sandbox;
-    /** Used under Remote. */
-    exec::net::ControllerOptions net;
-    /** --workers: the fleet size a remote campaign waits for. */
-    unsigned workers = 0;
-    std::string authTokenFile;
     exec::FaultInjector drills;
     /** --inject-random RATE:SEED, planned once the design size is
      *  known. */
@@ -235,8 +200,6 @@ struct CampaignSetup
     std::string traceOut;
     std::string manifestOut;
     std::string stabilityOut;
-    std::string portFile;
-    std::chrono::milliseconds workerWait{30000};
     bool quiet = false;
 };
 
