@@ -10,8 +10,11 @@
  *    uniform Table 6-8 configurations: both predictor values (2-Level
  *    at Low, Perfect at High), the precomputation hook on and off,
  *    and sampled and full runs;
- *  - an FNV-1a digest of the bits of the whole 88 x 13 foldover PB
- *    response matrix at a reduced run length.
+ *  - FNV-1a digests of the bits of the whole 88 x 13 foldover PB
+ *    response matrix: at a reduced run length, at the screen length
+ *    tools/campaign and perfbench run (20k instructions per cell),
+ *    and at a short length measured after a warm-up (which pins the
+ *    warm-up latch of the replayed path).
  *
  * A change that alters simulated behaviour fails here loudly. If the
  * change is intended, re-bless on purpose: each failure prints the
@@ -105,8 +108,10 @@ constexpr Golden kGolden[] = {
 
 static_assert(std::size(kCases) == std::size(kGolden));
 
-/** FNV-1a digest of the 88 x 13 response matrix (see below). */
+/** FNV-1a digests of the 88 x 13 response matrix (see below). */
 constexpr std::uint64_t kResponseMatrixDigest = 0xc9a79a5ab6764929ull;
+constexpr std::uint64_t kScreenLengthDigest = 0x72dbfa350ae1fbb3ull;
+constexpr std::uint64_t kWarmedDigest = 0xb2eea690c7dac1ddull;
 
 std::uint64_t
 bitsOf(double value)
@@ -197,27 +202,55 @@ TEST(GoldenFixture, CoreStatsMatchThePinnedMatrix)
     }
 }
 
-TEST(GoldenFixture, ResponseMatrixDigestIsPinned)
+/** FNV-1a digest of the bits of the 88 x 13 foldover PB response
+ *  matrix at @p instructions measured after @p warmup. */
+std::uint64_t
+responseMatrixDigest(std::uint64_t instructions, std::uint64_t warmup)
 {
     methodology::PbExperimentOptions options;
-    options.instructionsPerRun = 1000;
+    options.instructionsPerRun = instructions;
+    options.warmupInstructions = warmup;
     options.campaign.threads = 2;
     const auto suite = trace::spec2000Workloads();
     const methodology::PbExperimentResult result =
         methodology::runPbExperiment(suite, options);
 
-    ASSERT_EQ(result.benchmarks.size(), 13u);
+    EXPECT_EQ(result.benchmarks.size(), 13u);
     std::string bytes;
     for (const std::vector<double> &row : result.responses) {
-        ASSERT_EQ(row.size(), 88u);
+        EXPECT_EQ(row.size(), 88u);
         for (const double response : row) {
             std::uint64_t bits = bitsOf(response);
             for (int b = 0; b < 8; ++b, bits >>= 8)
                 bytes += static_cast<char>(bits & 0xff);
         }
     }
-    const std::uint64_t digest = obs::fnv1a(bytes);
+    return obs::fnv1a(bytes);
+}
+
+TEST(GoldenFixture, ResponseMatrixDigestIsPinned)
+{
+    const std::uint64_t digest = responseMatrixDigest(1000, 0);
     EXPECT_EQ(digest, kResponseMatrixDigest)
         << "response matrix drifted; actual digest 0x"
+        << obs::digestHex(digest) << "ull";
+}
+
+TEST(GoldenFixture, ScreenLengthDigestIsPinned)
+{
+    // tools/campaign's default and perfbench's screen workload: mixes
+    // of fully associative TLBs/BTB with direct-mapped caches that the
+    // uniform configurations above never reach.
+    const std::uint64_t digest = responseMatrixDigest(20000, 0);
+    EXPECT_EQ(digest, kScreenLengthDigest)
+        << "screen-length response matrix drifted; actual digest 0x"
+        << obs::digestHex(digest) << "ull";
+}
+
+TEST(GoldenFixture, WarmedDigestIsPinned)
+{
+    const std::uint64_t digest = responseMatrixDigest(1000, 1000);
+    EXPECT_EQ(digest, kWarmedDigest)
+        << "warmed response matrix drifted; actual digest 0x"
         << obs::digestHex(digest) << "ull";
 }
