@@ -5,6 +5,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -45,46 +46,6 @@ resolveThreads(unsigned requested)
 }
 
 /**
- * The cooperative watchdog: polls the attempt deadline between
- * instructions (every kPollInterval), so a wedged simulation throws
- * DeadlineExceeded within a few thousand instructions of the budget
- * expiring instead of hanging the worker forever.
- */
-class DeadlineGuardedSource : public trace::TraceSource
-{
-  public:
-    DeadlineGuardedSource(trace::TraceSource &inner,
-                          const AttemptContext &ctx)
-        : _inner(inner), _ctx(ctx)
-    {
-    }
-
-    bool
-    next(trace::Instruction &out) override
-    {
-        if ((++_count & (kPollInterval - 1)) == 0)
-            _ctx.checkDeadline();
-        return _inner.next(out);
-    }
-
-    void
-    reset() override
-    {
-        _inner.reset();
-        _count = 0;
-    }
-
-    std::uint64_t length() const override { return _inner.length(); }
-
-  private:
-    static constexpr std::uint64_t kPollInterval = 4096;
-
-    trace::TraceSource &_inner;
-    const AttemptContext &_ctx;
-    std::uint64_t _count = 0;
-};
-
-/**
  * Longest stream a worker records for replay, in bytes. It holds
  * about 600k instructions at 56 B each: tools/campaign's 20k, the
  * library default of 200k and the table harnesses' 100k + 100k
@@ -111,14 +72,14 @@ struct RecordedTrace
  * often and it hits somewhat less.
  *
  * On a hit (same profile and length as the slot) the source replays
- * the slot. On a miss it empties the slot and generates the stream,
- * recording it as the core pulls it unless it exceeds
- * kMaxRecordedTraceBytes. The recording moves into the slot only
- * when the generator is drained, so an attempt that throws or times
- * out mid-stream leaves nothing to replay. The slot lives as long as
- * its thread: after its last job a worker still holds up to
- * kMaxRecordedTraceBytes, which counts against a sandbox's
- * memLimitMb.
+ * the slot, and a full run reads it as a span (recorded()). On a
+ * miss it empties the slot and generates the stream, recording it as
+ * the core pulls it unless it exceeds kMaxRecordedTraceBytes. The
+ * recording moves into the slot only when the generator is drained,
+ * so an attempt that throws or times out mid-stream leaves nothing
+ * to replay. The slot lives as long as its thread: after its last
+ * job a worker still holds up to kMaxRecordedTraceBytes, which
+ * counts against a sandbox's memLimitMb.
  */
 class RecordingTraceSource : public trace::TraceSource
 {
@@ -137,6 +98,15 @@ class RecordingTraceSource : public trace::TraceSource
             length <= kMaxRecordedTraceBytes / sizeof(trace::Instruction);
         if (_recording)
             _recorded.reserve(length);
+    }
+
+    /** The slot's stream when this source replays it, else nullopt. */
+    std::optional<std::span<const trace::Instruction>>
+    recorded() const
+    {
+        if (_generator)
+            return std::nullopt;
+        return _slot.stream.instructions();
     }
 
     bool
@@ -206,21 +176,33 @@ thread_local RecordedTrace RecordingTraceSource::_slot;
  * ring and cache size (see SuperscalarCore::reconfigure). The core's
  * cache buffers stay sized for the largest geometry the worker has
  * run, which counts against a sandbox's memLimitMb like the kept
- * trace. Releasing the lease detaches the job's hook, so the slot
- * never points at a destroyed one.
+ * trace.
+ *
+ * The lease is also the cooperative watchdog: an attempt with a
+ * deadline has the core poll it every SuperscalarCore::pollInterval
+ * instructions, so a wedged simulation throws DeadlineExceeded
+ * within a few thousand instructions of the budget expiring instead
+ * of hanging the worker. Releasing the lease detaches the job's hook
+ * and the poll, so the slot never points at a destroyed one.
  */
 class CoreLease
 {
   public:
     CoreLease(const sim::ProcessorConfig &config,
-              sim::ExecutionHook *hook)
+              sim::ExecutionHook *hook, const AttemptContext &ctx)
     {
         if (_slot)
             _slot->reconfigure(config, hook);
         else
             _slot.emplace(config, hook);
+        if (ctx.hasDeadline())
+            _slot->setPoll([&ctx] { ctx.checkDeadline(); });
     }
-    ~CoreLease() { _slot->detachHook(); }
+    ~CoreLease()
+    {
+        _slot->detachHook();
+        _slot->setPoll({});
+    }
     CoreLease(const CoreLease &) = delete;
     CoreLease &operator=(const CoreLease &) = delete;
 
@@ -320,27 +302,25 @@ SimulationEngine::simulateJob(const SimJob &job,
         hook = job.makeHook();
     RecordingTraceSource stream(*job.workload,
                                 job.instructions + job.warmupInstructions);
-    CoreLease lease(job.config, hook.get());
+    CoreLease lease(job.config, hook.get(), ctx);
     sim::SuperscalarCore &core = lease.core();
-
-    trace::TraceSource *source = &stream;
-    std::optional<DeadlineGuardedSource> guarded;
-    if (ctx.hasDeadline()) {
-        guarded.emplace(stream, ctx);
-        source = &*guarded;
-    }
 
     if (job.sampling.enabled) {
         // Sampled mode owns its own per-unit warm-up; the job-level
         // warm-up only pads the stream the schedule covers.
         const sample::SampleSummary summary =
-            sample::runSampled(core, *source, job.sampling);
+            sample::runSampled(core, stream, job.sampling);
         stream.finishRecording();
         return CellResult::sampled(summary);
     }
 
+    // A replayed stream runs as a span: no virtual call per
+    // instruction.
+    const std::optional<std::span<const trace::Instruction>> recorded =
+        stream.recorded();
     const sim::CoreStats stats =
-        core.run(*source, job.warmupInstructions);
+        recorded ? core.run(*recorded, job.warmupInstructions)
+                 : core.run(stream, job.warmupInstructions);
     return static_cast<double>(stats.measuredCycles());
 }
 

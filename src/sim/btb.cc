@@ -1,5 +1,6 @@
 #include "sim/btb.hh"
 
+#include <bit>
 #include <stdexcept>
 
 namespace rigor::sim
@@ -33,30 +34,22 @@ Btb::reconfigure(std::uint32_t entries, std::uint32_t assoc)
 {
     const std::uint32_t sets = resolveSets(entries, assoc);
     _tags.reshape(sets, assoc == 0 ? entries : assoc);
-    _numSets = sets;
+    _setMask = sets - 1;
+    _setShift = static_cast<std::uint32_t>(std::countr_zero(sets));
     _stats = BtbStats{};
 }
 
 bool
-Btb::lookup(std::uint64_t pc, std::uint64_t *target_out)
+Btb::access(std::uint64_t pc, std::uint64_t target)
 {
     ++_stats.lookups;
     const std::uint64_t word = pc >> 2;
-    const auto set = static_cast<std::uint32_t>(word % _numSets);
-    const std::uint64_t tag = word / _numSets;
-    if (_tags.lookup(set, tag, target_out))
-        return true;
-    ++_stats.misses;
-    return false;
-}
-
-void
-Btb::update(std::uint64_t pc, std::uint64_t target)
-{
-    const std::uint64_t word = pc >> 2;
-    const auto set = static_cast<std::uint32_t>(word % _numSets);
-    const std::uint64_t tag = word / _numSets;
-    _tags.insert(set, tag, target);
+    const auto set = static_cast<std::uint32_t>(word & _setMask);
+    const TagStore::Access result =
+        _tags.access(set, word >> _setShift, target);
+    if (!result.hit)
+        ++_stats.misses;
+    return result.hit && result.payload == target;
 }
 
 } // namespace rigor::sim

@@ -45,15 +45,13 @@ class Btb
     Btb() = default;
 
     /**
-     * Look up @p pc.
+     * Look up the taken branch at @p pc, then install or refresh its
+     * @p target. A lookup that finds @p pc counts as a hit even when
+     * its stored target is stale.
      *
-     * @param target_out receives the stored target on a hit
-     * @return true on hit
+     * @return true when the BTB supplied @p target at fetch
      */
-    bool lookup(std::uint64_t pc, std::uint64_t *target_out);
-
-    /** Install or refresh the target of a taken branch. */
-    void update(std::uint64_t pc, std::uint64_t target);
+    bool access(std::uint64_t pc, std::uint64_t target);
 
     /**
      * Take on a new geometry with every entry invalid and the
@@ -64,9 +62,11 @@ class Btb
     const BtbStats &stats() const { return _stats; }
 
   private:
-    /** 1 until configured, so an empty BTB's lookup reaches the
-     *  tag store's bounds check instead of dividing by zero. */
-    std::uint32_t _numSets = 1;
+    /** Set count - 1 and log2(set count); the set count is a power of
+     *  two. An empty BTB's access reaches the tag store's bounds
+     *  check. */
+    std::uint32_t _setMask = 0;
+    std::uint32_t _setShift = 0;
     TagStore _tags;
     BtbStats _stats;
 };

@@ -46,11 +46,12 @@ Cache::access(std::uint64_t addr)
     ++_stats.accesses;
     const std::uint32_t set = setIndex(addr);
     const std::uint64_t tag = tagOf(addr);
-    if (_tags.lookup(set, tag))
+    const TagStore::Access result = _tags.access(set, tag);
+    if (result.hit)
         return true;
 
     ++_stats.misses;
-    if (_tags.insert(set, tag))
+    if (result.evicted)
         ++_stats.evictions;
     return false;
 }

@@ -19,7 +19,9 @@
  *  - in-order commit at the machine width.
  *
  * The model trades cycle-by-cycle event fidelity for a single linear
- * pass (tens of millions of instructions per second), which is what
+ * pass: about 76-79 ns per instruction (13 million instructions per
+ * second) on one core of a 4-vCPU x86 VM, as perfbench's
+ * timing_core_ns_per_instr measures it (BENCH_28.json). That is what
  * makes the 88-configuration x 13-benchmark Plackett-Burman
  * experiment of Table 9 tractable. Every parameter of Tables 6-8 has
  * a first-class mechanism here.
@@ -28,8 +30,11 @@
 #ifndef RIGOR_SIM_CORE_HH
 #define RIGOR_SIM_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <functional>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/branch_predictor.hh"
@@ -150,6 +155,29 @@ class SlotAllocator
     std::vector<std::uint64_t> _slots;
 };
 
+// Inline: the core books one or two slots per instruction.
+inline std::uint64_t
+SlotAllocator::allocate(std::uint64_t earliest)
+{
+    if (earliest >= maxCycle)
+        throw std::out_of_range("SlotAllocator: cycle out of range");
+    std::uint64_t cycle = earliest;
+    for (;;) {
+        std::uint64_t &slot = _slots[cycle & (ringSize - 1)];
+        const std::uint64_t key = cycle + _base;
+        if ((slot >> countBits) != key) {
+            slot = (key << countBits) | 1;
+            _maxKey = std::max(_maxKey, key);
+            return cycle;
+        }
+        if ((slot & countMask) < _capacity) {
+            ++slot;
+            return cycle;
+        }
+        ++cycle;
+    }
+}
+
 /** The timing core. */
 class SuperscalarCore
 {
@@ -176,13 +204,33 @@ class SuperscalarCore
     /** Forget the hook, e.g. before the object it points at dies. */
     void detachHook() { _hook = nullptr; }
 
+    /** Instructions between two calls of the poll (see setPoll). */
+    static constexpr std::uint32_t pollInterval = 4096;
+
     /**
-     * Run the whole trace and return the summary statistics.
+     * Call @p poll once every pollInterval instructions that run() and
+     * warm() consume, counted across calls, until it is replaced. An
+     * exception it throws abandons the run mid-stream (the engine's
+     * attempt deadline throws DeadlineExceeded this way); reconfigure
+     * the core before using it again. An empty function polls
+     * nothing. reconfigure() keeps the poll.
+     */
+    void setPoll(std::function<void()> poll);
+
+    /**
+     * Run the whole recorded stream and return the summary
+     * statistics. Statistics accumulate across calls.
      *
      * @param warmup_instructions leading instructions treated as
      *        cache/predictor warm-up: they execute normally but
      *        CoreStats::measuredCycles() excludes their cycles
+     * @throws std::invalid_argument when a non-zero warm-up is not
+     *         shorter than the stream
      */
+    CoreStats run(std::span<const trace::Instruction> stream,
+                  std::uint64_t warmup_instructions = 0);
+
+    /** The same run over a stream pulled from @p source. */
     CoreStats run(trace::TraceSource &source,
                   std::uint64_t warmup_instructions = 0);
 
@@ -222,8 +270,15 @@ class SuperscalarCore
     const FuPool &fpMultDivPool() const { return _fpMultDiv; }
 
   private:
-    /** Cycle number a fetched instruction becomes dispatchable. */
-    std::uint64_t fetchInstruction(const trace::Instruction &inst);
+    /** Time one instruction: fetch, dispatch, issue, commit. */
+    void step(const trace::Instruction &inst);
+    /** Count one consumed instruction towards the next poll. */
+    void countForPoll();
+    /** Issue an operation of latency @p latency, ready at @p ready,
+     *  on the first unit of @p pool free for @p interval cycles.
+     *  @return its completion cycle */
+    std::uint64_t execute(FuPool &pool, std::uint64_t ready,
+                          std::uint32_t interval, std::uint32_t latency);
     /** Handle prediction/redirect bookkeeping of a control op. */
     void handleControl(const trace::Instruction &inst,
                        std::uint64_t fetch_cycle);
@@ -232,6 +287,9 @@ class SuperscalarCore
     void warmControl(const trace::Instruction &inst);
     /** Apply queued commit-time predictor updates visible by @p cycle. */
     void drainPredictorUpdates(std::uint64_t cycle);
+    /** Instruction count at which run() latches the warm-up, or 0. */
+    std::uint64_t warmupTarget(std::uint64_t warmup_instructions,
+                               std::uint64_t stream_length) const;
 
     ProcessorConfig _config;
     ExecutionHook *_hook = nullptr;
@@ -256,13 +314,21 @@ class SuperscalarCore
     std::uint64_t _lastFetchBlock = ~std::uint64_t{0};
     /** Pending redirect: fetch may not resume before this cycle. */
     std::uint64_t _redirectCycle = 0;
+    /** Clears the offset of a PC within its L1I block. */
+    std::uint64_t _fetchBlockMask = 0;
 
     // --- window occupancy rings ---
+    // Each ring holds the last ifq/rob/lsq entries' cycles; the
+    // position is the slot of the instruction ring-size earlier,
+    // which the current one overwrites. The rings start zeroed, and a
+    // zero never holds an instruction back.
     std::vector<std::uint64_t> _dispatchHist; ///< IFQ occupancy
     std::vector<std::uint64_t> _commitHist;   ///< ROB occupancy
     std::vector<std::uint64_t> _memCommitHist; ///< LSQ occupancy
-    std::uint64_t _instrIndex = 0;
-    std::uint64_t _memIndex = 0;
+    std::uint32_t _lsqEntries = 0;
+    std::uint32_t _ifqPos = 0;
+    std::uint32_t _robPos = 0;
+    std::uint32_t _lsqPos = 0;
 
     // --- register scoreboard ---
     std::vector<std::uint64_t> _regReady;
@@ -282,7 +348,16 @@ class SuperscalarCore
         bool taken;
         bool historyPending;
     };
-    std::deque<PendingUpdate> _pendingUpdates;
+    /** FIFO ring of a power-of-two size above ifq + rob: a branch
+     *  fetched ifq + rob instructions ago has committed by the time
+     *  the current one is fetched, so its update has drained. */
+    std::vector<PendingUpdate> _pendingUpdates;
+    std::uint64_t _pendingHead = 0; ///< next update to apply
+    std::uint64_t _pendingTail = 0; ///< next free slot
+
+    // --- poll ---
+    std::function<void()> _poll;
+    std::uint32_t _untilPoll = pollInterval;
 
     // Per-branch transient, set by handleControl for the current
     // instruction: resolved mispredict that must redirect fetch once

@@ -12,7 +12,9 @@
 #ifndef RIGOR_SIM_FUNC_UNIT_HH
 #define RIGOR_SIM_FUNC_UNIT_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,8 +32,8 @@ struct FuPoolStats
  * A pool of identical functional units.
  *
  * The caller asks for the earliest cycle at or after a ready cycle at
- * which some unit can accept the operation; the pool books the unit
- * for its issue interval.
+ * which some unit can accept the operation, then books that unit for
+ * the operation's issue interval.
  */
 class FuPool
 {
@@ -46,24 +48,21 @@ class FuPool
                     std::uint32_t latency = 1, std::uint32_t interval = 1);
 
     /**
-     * Reserve a unit at the earliest cycle >= @p ready_cycle.
-     *
-     * @return the cycle the operation actually starts
+     * Earliest cycle >= @p ready_cycle at which the unit that frees
+     * first can accept an operation. The pool remembers that unit for
+     * the next book().
      */
-    std::uint64_t reserve(std::uint64_t ready_cycle);
+    std::uint64_t earliestStart(std::uint64_t ready_cycle);
 
     /**
-     * Reserve a unit with an explicit issue interval — pools shared
-     * by operations with different throughputs (the Table 7 int and
-     * FP mult/div units) book per-operation intervals.
+     * Book the unit the last earliestStart() chose for @p interval
+     * cycles, at the first cycle >= @p start_cycle it is free. Pools
+     * shared by operations with different throughputs (the Table 7
+     * int and FP mult/div units) book per-operation intervals.
      *
      * @return the cycle the operation actually starts
      */
-    std::uint64_t reserveFor(std::uint64_t ready_cycle,
-                             std::uint32_t interval);
-
-    /** Earliest start cycle a reserve() at @p ready_cycle would get. */
-    std::uint64_t earliestStart(std::uint64_t ready_cycle) const;
+    std::uint64_t book(std::uint64_t start_cycle, std::uint32_t interval);
 
     std::uint32_t latency() const { return _latency; }
     std::uint32_t interval() const { return _interval; }
@@ -85,8 +84,35 @@ class FuPool
     std::uint32_t _latency = 1;
     std::uint32_t _interval = 1;
     std::vector<std::uint64_t> _freeAt;
+    /** Unit the last earliestStart() chose. */
+    std::size_t _chosen = 0;
     FuPoolStats _stats;
 };
+
+// Inline: the core calls both once per non-memory instruction.
+inline std::uint64_t
+FuPool::earliestStart(std::uint64_t ready_cycle)
+{
+    // The unit that frees earliest (the first, on a tie).
+    _chosen = 0;
+    for (std::size_t u = 1; u < _freeAt.size(); ++u)
+        if (_freeAt[u] < _freeAt[_chosen])
+            _chosen = u;
+    return std::max(ready_cycle, _freeAt[_chosen]);
+}
+
+inline std::uint64_t
+FuPool::book(std::uint64_t start_cycle, std::uint32_t interval)
+{
+    if (interval == 0)
+        throw std::invalid_argument(
+            "FuPool::book: interval must be non-zero");
+    const std::uint64_t start = std::max(start_cycle, _freeAt[_chosen]);
+    ++_stats.operations;
+    _stats.busyStallCycles += start - start_cycle;
+    _freeAt[_chosen] = start + interval;
+    return start;
+}
 
 } // namespace rigor::sim
 

@@ -41,72 +41,53 @@ TagStore::setBase(std::uint32_t set) const
     return static_cast<std::size_t>(set) * _assoc;
 }
 
-bool
-TagStore::lookup(std::uint32_t set, std::uint64_t tag,
-                 std::uint64_t *payload_out)
+TagStore::Access
+TagStore::access(std::uint32_t set, std::uint64_t tag,
+                 std::uint64_t payload)
 {
     const std::size_t base = setBase(set);
+    Way *ways = &_ways[base];
+
+    // An invalid way ranks 0, below every valid stamp, so the first
+    // way of least rank is the first invalid one if any, else the
+    // first least recently used.
+    std::uint32_t victim = 0;
+    std::uint64_t victim_rank = ~std::uint64_t{0};
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        Way &way = _ways[base + w];
-        if (way.tag == tag && valid(way)) {
-            way.stamp = ++_tick;
-            if (payload_out)
-                *payload_out = _withPayload ? _payloads[base + w] : 0;
-            return true;
+        const bool valid = ways[w].stamp > _flushTick;
+        if (valid && ways[w].tag == tag) {
+            ways[w].stamp = ++_tick;
+            Access hit{true, false, 0};
+            if (_withPayload) {
+                hit.payload = _payloads[base + w];
+                _payloads[base + w] = payload;
+            }
+            return hit;
+        }
+        const std::uint64_t rank = valid ? ways[w].stamp : 0;
+        if (rank < victim_rank) {
+            victim_rank = rank;
+            victim = w;
         }
     }
-    return false;
+
+    const bool evicted = ways[victim].stamp > _flushTick;
+    ways[victim] = Way{tag, ++_tick};
+    if (_withPayload)
+        _payloads[base + victim] = payload;
+    return {false, evicted, 0};
 }
 
 bool
 TagStore::probe(std::uint32_t set, std::uint64_t tag) const
 {
     const std::size_t base = setBase(set);
-    for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (_ways[base + w].tag == tag && valid(_ways[base + w]))
-            return true;
-    return false;
-}
-
-std::uint32_t
-TagStore::victimWay(std::size_t base) const
-{
-    const Way *ways = &_ways[base];
-    // Invalid ways first.
-    for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (!valid(ways[w]))
-            return w;
-
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < _assoc; ++w)
-        if (ways[w].stamp < ways[victim].stamp)
-            victim = w;
-    return victim;
-}
-
-bool
-TagStore::insert(std::uint32_t set, std::uint64_t tag,
-                 std::uint64_t payload)
-{
-    const std::size_t base = setBase(set);
-
-    // Refill of an already-present tag just refreshes the payload.
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        Way &way = _ways[base + w];
-        if (way.tag == tag && valid(way)) {
-            way.stamp = ++_tick;
-            if (_withPayload)
-                _payloads[base + w] = payload;
-            return false;
-        }
+        const Way &way = _ways[base + w];
+        if (way.tag == tag && way.stamp > _flushTick)
+            return true;
     }
-
-    const std::size_t slot = base + victimWay(base);
-    const bool evicted = valid(_ways[slot]);
-    _ways[slot] = Way{tag, ++_tick};
-    if (_withPayload)
-        _payloads[slot] = payload;
-    return evicted;
+    return false;
 }
 
 void

@@ -22,17 +22,30 @@ namespace rigor::sim
  * a single uint64 per way (the BTB stores a branch target there);
  * caches and TLBs build theirs without.
  *
- * A way is 16 B: its tag and the tick of its last insert or hit. The
+ * A way is 16 B: its tag and the tick of its last fill or hit, side by
+ * side, so a direct-mapped or 4-way set is one host cache line. The
  * tick never restarts. flush() records the current tick, and a way is
- * valid only when its stamp is later than the last flush, so flushing
- * and reshaping are O(1) in the store's size. The stamps of valid ways
- * keep the order a fresh store would give them, which is all LRU
- * compares, so a flushed or reshaped store picks the same victims as
- * a freshly constructed one.
+ * valid only when its stamp is later than the last flush, so
+ * flushing and reshaping are O(1) in the store's size. The stamps of
+ * valid ways keep the order a fresh store would give them, which is
+ * all LRU compares, so a flushed or reshaped store picks the same
+ * victims as a freshly constructed one.
  */
 class TagStore
 {
   public:
+    /** What access() found and did. */
+    struct Access
+    {
+        /** The tag was present (and is now the set's MRU way). */
+        bool hit;
+        /** A miss replaced a valid way. */
+        bool evicted;
+        /** On a hit, the way's payload before this access (0 in a
+         *  store without payloads or on a miss). */
+        std::uint64_t payload;
+    };
+
     /** An empty store (no sets); reshape() it before use. */
     explicit TagStore(bool with_payload = true);
 
@@ -49,25 +62,19 @@ class TagStore
     std::uint32_t assoc() const { return _assoc; }
 
     /**
-     * Look up @p tag in @p set, marking the way used on a hit.
+     * Look up @p tag in @p set and make it the set's most recently
+     * used way: on a miss it fills the victim way, which is the first
+     * invalid way, else the first least recently used one. The hit
+     * check and the victim choice share one pass over the set.
      *
-     * @param payload_out when non-null and the lookup hits, receives
-     *        the way's payload
-     * @return true on hit
+     * @param payload stored in the way on a hit or a fill
+     * @throws std::out_of_range when @p set is not below numSets()
      */
-    bool lookup(std::uint32_t set, std::uint64_t tag,
-                std::uint64_t *payload_out = nullptr);
+    Access access(std::uint32_t set, std::uint64_t tag,
+                  std::uint64_t payload = 0);
 
     /** Probe without updating the LRU order. */
     bool probe(std::uint32_t set, std::uint64_t tag) const;
-
-    /**
-     * Insert @p tag into @p set, evicting a victim if necessary.
-     *
-     * @return true when a valid block was evicted
-     */
-    bool insert(std::uint32_t set, std::uint64_t tag,
-                std::uint64_t payload = 0);
 
     /**
      * Invalidate everything. A flushed store behaves bit-identically
@@ -76,33 +83,30 @@ class TagStore
     void flush();
 
     /**
-     * Change the geometry, then flush(). The way buffer is kept and
-     * grows only when @p num_sets x @p assoc exceeds every geometry
+     * Change the geometry, then flush(). The way buffers are kept and
+     * grow only when @p num_sets x @p assoc exceeds every geometry
      * this store has held before.
      */
     void reshape(std::uint32_t num_sets, std::uint32_t assoc);
 
   private:
-    struct Way
-    {
-        std::uint64_t tag = 0;
-        /** Tick of the last insert or hit; valid when later than
-         *  _flushTick. */
-        std::uint64_t stamp = 0;
-    };
-
     std::uint32_t _numSets = 0;
     std::uint32_t _assoc = 0;
     bool _withPayload;
     std::uint64_t _tick = 0;
     std::uint64_t _flushTick = 0;
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        /** Tick of the last fill or hit; valid when later than
+         *  _flushTick. */
+        std::uint64_t stamp = 0;
+    };
     std::vector<Way> _ways;
     /** Parallel to _ways; empty unless _withPayload. */
     std::vector<std::uint64_t> _payloads;
 
     std::size_t setBase(std::uint32_t set) const;
-    bool valid(const Way &way) const { return way.stamp > _flushTick; }
-    std::uint32_t victimWay(std::size_t base) const;
 };
 
 } // namespace rigor::sim

@@ -35,11 +35,10 @@ Tlb::access(std::uint64_t addr)
     const std::uint64_t vpn = addr >> _pageShift;
     const auto set = static_cast<std::uint32_t>(vpn & _setMask);
     const std::uint64_t tag = vpn >> std::countr_zero(_setMask + 1);
-    if (_tags.lookup(set, tag))
+    if (_tags.access(set, tag).hit)
         return 0;
 
     ++_stats.misses;
-    _tags.insert(set, tag);
     return _geometry.missLatency;
 }
 

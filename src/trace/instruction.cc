@@ -3,19 +3,6 @@
 namespace rigor::trace
 {
 
-bool
-isMemOp(OpClass op)
-{
-    return op == OpClass::Load || op == OpClass::Store;
-}
-
-bool
-isControlOp(OpClass op)
-{
-    return op == OpClass::Branch || op == OpClass::Call ||
-           op == OpClass::Return;
-}
-
 std::string
 toString(OpClass op)
 {

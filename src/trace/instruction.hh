@@ -40,10 +40,19 @@ enum class OpClass : std::uint8_t
 constexpr std::size_t numOpClasses = 12;
 
 /** True for loads and stores. */
-bool isMemOp(OpClass op);
+constexpr bool
+isMemOp(OpClass op)
+{
+    return op == OpClass::Load || op == OpClass::Store;
+}
 
 /** True for branches, calls, and returns (control transfers). */
-bool isControlOp(OpClass op);
+constexpr bool
+isControlOp(OpClass op)
+{
+    return op == OpClass::Branch || op == OpClass::Call ||
+           op == OpClass::Return;
+}
 
 /** Report name of an op class. */
 std::string toString(OpClass op);

@@ -10,6 +10,7 @@
 #ifndef RIGOR_TRACE_VECTOR_SOURCE_HH
 #define RIGOR_TRACE_VECTOR_SOURCE_HH
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,6 +42,13 @@ class VectorTraceSource : public TraceSource
     length() const override
     {
         return _instructions.size();
+    }
+
+    /** The whole stream, whatever the read position. */
+    std::span<const Instruction>
+    instructions() const
+    {
+        return _instructions;
     }
 
   private:

@@ -602,7 +602,7 @@ TEST(SimulationEngine, TimedOutAttemptLeavesNoReplayableStream)
     exec::SimJob job;
     job.workload = &w;
     job.config = methodology::uniformConfig(doe::Level::High);
-    job.instructions = 10000; // past the guard's first poll at 4096
+    job.instructions = 10000; // past the core's first poll at 4096
 
     exec::AttemptContext expired;
     expired.deadlineBudget = std::chrono::milliseconds(1);
@@ -628,7 +628,7 @@ TEST(SimulationEngine, DeadlineMidRunLeavesTheWorkerCoreReusable)
     exec::SimJob interrupted;
     interrupted.workload = &big;
     interrupted.config = methodology::uniformConfig(doe::Level::High);
-    interrupted.instructions = 10000; // past the guard's first poll
+    interrupted.instructions = 10000; // past the core's first poll
 
     exec::AttemptContext expired;
     expired.deadlineBudget = std::chrono::milliseconds(1);
@@ -652,6 +652,35 @@ TEST(SimulationEngine, DeadlineMidRunLeavesTheWorkerCoreReusable)
         exec::SimulationEngine::simulateJob(interrupted, unbounded).cycles,
         methodology::simulateOnce(big, interrupted.config,
                                   interrupted.instructions));
+}
+
+TEST(SimulationEngine, ExpiredDeadlineStopsAReplayedCell)
+{
+    // The two tests above stop a generating stream. Here the second
+    // attempt replays the stream the first one recorded, which the
+    // core runs as a span with the deadline polled inside its loop.
+    const trace::WorkloadProfile w = trace::workloadByName("vortex");
+    exec::SimJob job;
+    job.workload = &w;
+    job.config = methodology::uniformConfig(doe::Level::Low);
+    job.instructions = 10000; // past the core's first poll at 4096
+    const double reference =
+        methodology::simulateOnce(w, job.config, job.instructions);
+
+    const exec::AttemptContext unbounded;
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job, unbounded).cycles,
+              reference);
+
+    exec::AttemptContext expired;
+    expired.deadlineBudget = std::chrono::milliseconds(1);
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    EXPECT_THROW(exec::SimulationEngine::simulateJob(job, expired),
+                 exec::DeadlineExceeded);
+
+    // The slot survived the abandoned replay.
+    EXPECT_EQ(exec::SimulationEngine::simulateJob(job, unbounded).cycles,
+              reference);
 }
 
 TEST(SimulationEngine, HookedJobLeavesNoHookOnTheWorkerCore)

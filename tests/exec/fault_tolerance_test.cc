@@ -351,7 +351,7 @@ TEST(FaultTolerance, HangHealedByRetryWhenSecondAttemptSucceeds)
 TEST(FaultTolerance, RealSimulationTripsTheCooperativeWatchdog)
 {
     // A genuinely long simulation (not a stub) against a deadline it
-    // cannot meet: the deadline-guarded trace source must convert it
+    // cannot meet: the core's deadline poll must convert it
     // into a diagnosable timeout.
     const trace::WorkloadProfile &w = trace::workloadByName("gzip");
     exec::SimJob job;

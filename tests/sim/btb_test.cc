@@ -7,55 +7,48 @@ namespace sim = rigor::sim;
 TEST(Btb, MissThenHitWithTarget)
 {
     sim::Btb btb(16, 2);
-    std::uint64_t target = 0;
-    EXPECT_FALSE(btb.lookup(0x1000, &target));
-    btb.update(0x1000, 0x2000);
-    EXPECT_TRUE(btb.lookup(0x1000, &target));
-    EXPECT_EQ(target, 0x2000u);
+    EXPECT_FALSE(btb.access(0x1000, 0x2000));
+    EXPECT_TRUE(btb.access(0x1000, 0x2000));
+    EXPECT_EQ(btb.stats().misses, 1u);
 }
 
 TEST(Btb, UpdateOverwritesTarget)
 {
     sim::Btb btb(16, 2);
-    btb.update(0x1000, 0x2000);
-    btb.update(0x1000, 0x3000);
-    std::uint64_t target = 0;
-    EXPECT_TRUE(btb.lookup(0x1000, &target));
-    EXPECT_EQ(target, 0x3000u);
+    btb.access(0x1000, 0x2000);
+    // A stale target is a hit in the statistics, but not the target
+    // fetch needed; the access installs the new one.
+    EXPECT_FALSE(btb.access(0x1000, 0x3000));
+    EXPECT_EQ(btb.stats().misses, 1u);
+    EXPECT_TRUE(btb.access(0x1000, 0x3000));
 }
 
 TEST(Btb, ConflictEvictionInSmallBtb)
 {
     // Direct-mapped 4-entry BTB: PCs 4 words apart collide.
     sim::Btb btb(4, 1);
-    btb.update(0x0, 0xa);
-    btb.update(4 * 4, 0xb); // same set as 0x0
-    std::uint64_t target = 0;
-    EXPECT_FALSE(btb.lookup(0x0, &target));
+    btb.access(0x0, 0xa);
+    btb.access(4 * 4, 0xb); // same set as 0x0
+    EXPECT_FALSE(btb.access(0x0, 0xa));
+    EXPECT_EQ(btb.stats().misses, 3u);
 }
 
 TEST(Btb, AssociativityResolvesConflict)
 {
     sim::Btb btb(4, 2);
-    btb.update(0x0, 0xa);
-    btb.update(2 * 4, 0xb); // 2 sets: word 2 -> set 0
-    std::uint64_t target = 0;
-    EXPECT_TRUE(btb.lookup(0x0, &target));
-    EXPECT_EQ(target, 0xau);
-    EXPECT_TRUE(btb.lookup(2 * 4, &target));
-    EXPECT_EQ(target, 0xbu);
+    btb.access(0x0, 0xa);
+    btb.access(2 * 4, 0xb); // 2 sets: word 2 -> set 0
+    EXPECT_TRUE(btb.access(0x0, 0xa));
+    EXPECT_TRUE(btb.access(2 * 4, 0xb));
 }
 
 TEST(Btb, FullyAssociativeHoldsEverything)
 {
     sim::Btb btb(8, 0);
     for (std::uint64_t i = 0; i < 8; ++i)
-        btb.update(i * 4, i);
-    std::uint64_t target = 0;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-        EXPECT_TRUE(btb.lookup(i * 4, &target));
-        EXPECT_EQ(target, i);
-    }
+        btb.access(i * 4, i);
+    for (std::uint64_t i = 0; i < 8; ++i)
+        EXPECT_TRUE(btb.access(i * 4, i));
 }
 
 TEST(Btb, MoreEntriesFewerMisses)
@@ -65,11 +58,8 @@ TEST(Btb, MoreEntriesFewerMisses)
     // 64 branch sites round-robin.
     for (int pass = 0; pass < 3; ++pass)
         for (std::uint64_t i = 0; i < 64; ++i) {
-            std::uint64_t t;
-            small_btb.lookup(i * 4, &t);
-            small_btb.update(i * 4, i);
-            big_btb.lookup(i * 4, &t);
-            big_btb.update(i * 4, i);
+            small_btb.access(i * 4, i);
+            big_btb.access(i * 4, i);
         }
     EXPECT_EQ(big_btb.stats().misses, 64u); // cold only
     EXPECT_GT(small_btb.stats().misses, 100u);
@@ -78,10 +68,8 @@ TEST(Btb, MoreEntriesFewerMisses)
 TEST(Btb, StatsAndHitRate)
 {
     sim::Btb btb(16, 2);
-    std::uint64_t t;
-    btb.lookup(0x10, &t);
-    btb.update(0x10, 0x20);
-    btb.lookup(0x10, &t);
+    btb.access(0x10, 0x20);
+    btb.access(0x10, 0x20);
     EXPECT_EQ(btb.stats().lookups, 2u);
     EXPECT_EQ(btb.stats().misses, 1u);
     EXPECT_DOUBLE_EQ(btb.stats().hitRate(), 0.5);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "methodology/parameter_space.hh"
 #include "sim/core.hh"
 #include "trace/generator.hh"
+#include "trace/vector_source.hh"
 #include "trace/workloads.hh"
 
 namespace doe = rigor::doe;
@@ -194,4 +197,93 @@ TEST(FunctionalWarm, WarmedCoreResetsToFreshState)
     sim::SuperscalarCore fresh(config);
     trace::SyntheticTraceGenerator baseline(profile, 6000);
     expectSameStats(after_reset, fresh.run(baseline));
+}
+
+// ----- the span path -----
+
+namespace
+{
+
+std::vector<trace::Instruction>
+recordStream(std::uint64_t length)
+{
+    const trace::WorkloadProfile profile = workload();
+    trace::SyntheticTraceGenerator gen(profile, length);
+    std::vector<trace::Instruction> stream;
+    trace::Instruction inst;
+    while (gen.next(inst))
+        stream.push_back(inst);
+    return stream;
+}
+
+} // namespace
+
+TEST(WarmupAccounting, SpanPathRejectsWarmupCoveringTheStream)
+{
+    const std::vector<trace::Instruction> stream = recordStream(5000);
+    sim::SuperscalarCore core(
+        configWithPredictor(sim::BranchPredictorKind::TwoLevel));
+    EXPECT_THROW(core.run(stream, 5000), std::invalid_argument);
+    EXPECT_THROW(core.run(stream, 5001), std::invalid_argument);
+    // Rejected before the first instruction.
+    EXPECT_EQ(core.stats().instructions, 0u);
+
+    const sim::CoreStats stats = core.run(stream, 4999);
+    EXPECT_EQ(stats.warmupInstructions, 4999u);
+    EXPECT_EQ(stats.measuredInstructions(), 1u);
+}
+
+TEST(WarmupAccounting, SpanAndStreamedRunsAgree)
+{
+    for (const auto kind : {sim::BranchPredictorKind::TwoLevel,
+                            sim::BranchPredictorKind::Perfect}) {
+        const std::vector<trace::Instruction> stream = recordStream(6000);
+        sim::SuperscalarCore from_span(configWithPredictor(kind));
+        from_span.run(stream, 1500);
+        const trace::WorkloadProfile profile = workload();
+        trace::SyntheticTraceGenerator gen(profile, 6000);
+        sim::SuperscalarCore streamed(configWithPredictor(kind));
+        streamed.run(gen, 1500);
+        expectSameStats(from_span.stats(), streamed.stats());
+    }
+}
+
+// ----- the poll -----
+
+TEST(CorePoll, CountsInstructionsAcrossRunsAndWarm)
+{
+    const std::vector<trace::Instruction> stream = recordStream(10000);
+    const std::span<const trace::Instruction> all(stream);
+    sim::SuperscalarCore core(
+        configWithPredictor(sim::BranchPredictorKind::TwoLevel));
+    unsigned polls = 0;
+    core.setPoll([&polls] { ++polls; });
+
+    // 3000 + 3000 detailed, then 3000 functional, then 1000 more:
+    // polls at the 4096th and 8192nd instruction.
+    core.run(all.first(3000));
+    EXPECT_EQ(polls, 0u);
+    core.run(all.subspan(3000, 3000));
+    EXPECT_EQ(polls, 1u);
+    trace::VectorTraceSource rest(
+        std::vector<trace::Instruction>(stream.begin() + 6000,
+                                        stream.end()));
+    EXPECT_EQ(core.warm(rest, 3000), 3000u);
+    EXPECT_EQ(polls, 2u);
+    core.run(rest);
+    EXPECT_EQ(polls, 2u);
+
+    // A poll that throws abandons the run at its call.
+    core.reconfigure(
+        configWithPredictor(sim::BranchPredictorKind::TwoLevel));
+    core.setPoll([] { throw std::runtime_error("stop"); });
+    EXPECT_THROW(core.run(all), std::runtime_error);
+    EXPECT_EQ(core.stats().instructions,
+              sim::SuperscalarCore::pollInterval - 1);
+
+    // An empty poll polls nothing.
+    core.setPoll({});
+    core.reconfigure(
+        configWithPredictor(sim::BranchPredictorKind::TwoLevel));
+    EXPECT_EQ(core.run(all).instructions, 10000u);
 }
