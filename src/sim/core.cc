@@ -196,8 +196,9 @@ SuperscalarCore::handleControl(const Instruction &inst,
             _config.specBranchUpdate == BranchUpdateTiming::InDecode;
         if (in_decode)
             _predictor.updateHistory(inst.taken);
-        _pendingUpdates[_pendingTail++ & (_pendingUpdates.size() - 1)] =
-            {0, inst.pc, inst.taken, !in_decode};
+        const std::uint64_t mask = _pendingUpdates.size() - 1;
+        _pendingUpdates[_pendingTail++ & mask] = {0, inst.pc, inst.taken,
+                                                  !in_decode};
     }
 
     if (!direction_correct) {
@@ -225,8 +226,10 @@ SuperscalarCore::execute(FuPool &pool, std::uint64_t ready,
 }
 
 void
-SuperscalarCore::step(const Instruction &inst)
+SuperscalarCore::step(const Instruction &inst,
+                      std::uint64_t warmup_target)
 {
+    countForPoll();
     const std::uint32_t width = _config.machineWidth;
 
     // ---------------- Fetch ----------------
@@ -410,14 +413,18 @@ SuperscalarCore::step(const Instruction &inst)
 
     // Commit-time predictor updates become visible at commit.
     if (inst.op == OpClass::Branch && _pendingHead != _pendingTail) {
-        PendingUpdate &last =
-            _pendingUpdates[(_pendingTail - 1) & (_pendingUpdates.size() - 1)];
+        const std::uint64_t mask = _pendingUpdates.size() - 1;
+        PendingUpdate &last = _pendingUpdates[(_pendingTail - 1) & mask];
         if (last.visibleAt == 0)
             last.visibleAt = commit;
     }
 
     ++_stats.instructions;
     _stats.cycles = std::max(_stats.cycles, commit);
+    if (_stats.instructions == warmup_target) {
+        _stats.warmupInstructions = _stats.instructions;
+        _stats.warmupCycles = _stats.cycles;
+    }
 }
 
 std::uint64_t
@@ -448,14 +455,8 @@ SuperscalarCore::run(std::span<const Instruction> stream,
 {
     const std::uint64_t warmup_target =
         warmupTarget(warmup_instructions, stream.size());
-    for (const Instruction &inst : stream) {
-        countForPoll();
-        step(inst);
-        if (_stats.instructions == warmup_target) {
-            _stats.warmupInstructions = _stats.instructions;
-            _stats.warmupCycles = _stats.cycles;
-        }
-    }
+    for (const Instruction &inst : stream)
+        step(inst, warmup_target);
     return _stats;
 }
 
@@ -466,14 +467,8 @@ SuperscalarCore::run(trace::TraceSource &source,
     const std::uint64_t warmup_target =
         warmupTarget(warmup_instructions, source.length());
     Instruction inst;
-    while (source.next(inst)) {
-        countForPoll();
-        step(inst);
-        if (_stats.instructions == warmup_target) {
-            _stats.warmupInstructions = _stats.instructions;
-            _stats.warmupCycles = _stats.cycles;
-        }
-    }
+    while (source.next(inst))
+        step(inst, warmup_target);
     return _stats;
 }
 

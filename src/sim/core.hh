@@ -270,8 +270,11 @@ class SuperscalarCore
     const FuPool &fpMultDivPool() const { return _fpMultDiv; }
 
   private:
-    /** Time one instruction: fetch, dispatch, issue, commit. */
-    void step(const trace::Instruction &inst);
+    /** Time one instruction (fetch, dispatch, issue, commit), count
+     *  it for the poll, and latch the warm-up once the instruction
+     *  count reaches @p warmup_target (0: no warm-up). */
+    void step(const trace::Instruction &inst,
+              std::uint64_t warmup_target);
     /** Count one consumed instruction towards the next poll. */
     void countForPoll();
     /** Issue an operation of latency @p latency, ready at @p ready,

@@ -54,8 +54,8 @@ TagStore::access(std::uint32_t set, std::uint64_t tag,
     std::uint32_t victim = 0;
     std::uint64_t victim_rank = ~std::uint64_t{0};
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        const bool valid = ways[w].stamp > _flushTick;
-        if (valid && ways[w].tag == tag) {
+        const bool live = valid(ways[w]);
+        if (live && ways[w].tag == tag) {
             ways[w].stamp = ++_tick;
             Access hit{true, false, 0};
             if (_withPayload) {
@@ -64,14 +64,14 @@ TagStore::access(std::uint32_t set, std::uint64_t tag,
             }
             return hit;
         }
-        const std::uint64_t rank = valid ? ways[w].stamp : 0;
+        const std::uint64_t rank = live ? ways[w].stamp : 0;
         if (rank < victim_rank) {
             victim_rank = rank;
             victim = w;
         }
     }
 
-    const bool evicted = ways[victim].stamp > _flushTick;
+    const bool evicted = valid(ways[victim]);
     ways[victim] = Way{tag, ++_tick};
     if (_withPayload)
         _payloads[base + victim] = payload;
@@ -82,11 +82,9 @@ bool
 TagStore::probe(std::uint32_t set, std::uint64_t tag) const
 {
     const std::size_t base = setBase(set);
-    for (std::uint32_t w = 0; w < _assoc; ++w) {
-        const Way &way = _ways[base + w];
-        if (way.tag == tag && way.stamp > _flushTick)
+    for (std::uint32_t w = 0; w < _assoc; ++w)
+        if (_ways[base + w].tag == tag && valid(_ways[base + w]))
             return true;
-    }
     return false;
 }
 

@@ -25,11 +25,11 @@ namespace rigor::sim
  * A way is 16 B: its tag and the tick of its last fill or hit, side by
  * side, so a direct-mapped or 4-way set is one host cache line. The
  * tick never restarts. flush() records the current tick, and a way is
- * valid only when its stamp is later than the last flush, so
- * flushing and reshaping are O(1) in the store's size. The stamps of
- * valid ways keep the order a fresh store would give them, which is
- * all LRU compares, so a flushed or reshaped store picks the same
- * victims as a freshly constructed one.
+ * valid only when its stamp is later than the last flush, so flushing
+ * and reshaping are O(1) in the store's size. The stamps of valid ways
+ * keep the order a fresh store would give them, which is all LRU
+ * compares, so a flushed or reshaped store picks the same victims as
+ * a freshly constructed one.
  */
 class TagStore
 {
@@ -83,18 +83,13 @@ class TagStore
     void flush();
 
     /**
-     * Change the geometry, then flush(). The way buffers are kept and
-     * grow only when @p num_sets x @p assoc exceeds every geometry
+     * Change the geometry, then flush(). The way buffer is kept and
+     * grows only when @p num_sets x @p assoc exceeds every geometry
      * this store has held before.
      */
     void reshape(std::uint32_t num_sets, std::uint32_t assoc);
 
   private:
-    std::uint32_t _numSets = 0;
-    std::uint32_t _assoc = 0;
-    bool _withPayload;
-    std::uint64_t _tick = 0;
-    std::uint64_t _flushTick = 0;
     struct Way
     {
         std::uint64_t tag = 0;
@@ -102,11 +97,18 @@ class TagStore
          *  _flushTick. */
         std::uint64_t stamp = 0;
     };
+
+    std::uint32_t _numSets = 0;
+    std::uint32_t _assoc = 0;
+    bool _withPayload;
+    std::uint64_t _tick = 0;
+    std::uint64_t _flushTick = 0;
     std::vector<Way> _ways;
     /** Parallel to _ways; empty unless _withPayload. */
     std::vector<std::uint64_t> _payloads;
 
     std::size_t setBase(std::uint32_t set) const;
+    bool valid(const Way &way) const { return way.stamp > _flushTick; }
 };
 
 } // namespace rigor::sim
