@@ -19,7 +19,7 @@
  *  - in-order commit at the machine width.
  *
  * The model trades cycle-by-cycle event fidelity for a single linear
- * pass: about 76-79 ns per instruction (13 million instructions per
+ * pass: 65-76 ns per instruction (13-15 million instructions per
  * second) on one core of a 4-vCPU x86 VM, as perfbench's
  * timing_core_ns_per_instr measures it (BENCH_28.json). That is what
  * makes the 88-configuration x 13-benchmark Plackett-Burman
