@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "exec/engine.hh"
+#include "methodology/adaptive_sampling.hh"
 #include "methodology/enhancement_analysis.hh"
 #include "methodology/pb_experiment.hh"
 #include "methodology/rank_stability.hh"
@@ -167,6 +168,34 @@ TEST(DesignBatch, ReplicatedManifestOrder)
                {"campaign " + experiment, "cell x176", "phase screen",
                 "phase rank", "phase aggregate", "summary"});
     expected.push_back("stability");
+    EXPECT_EQ(recordSequence(manifest), expected);
+}
+
+TEST(DesignBatch, AdaptiveManifestOrder)
+{
+    // A coarse sampled screen with a generous ambiguity threshold:
+    // round 0 leaves ambiguous pairs in both benchmarks, so the one
+    // refinement round re-runs both as its own campaign.
+    obs::CampaignManifest manifest;
+    methodology::AdaptiveSamplingOptions options;
+    options.maxRounds = 2;
+    options.ambiguityFactor = 4.0;
+    options.base.instructionsPerRun = 20000;
+    exec::CampaignOptions &campaign = options.base.campaign;
+    campaign.threads = 2;
+    campaign.manifest = &manifest;
+    campaign.sampling.enabled = true;
+    campaign.sampling.unitInstructions = 250;
+    campaign.sampling.warmupInstructions = 250;
+    campaign.sampling.intervalInstructions = 5000;
+    campaign.sampling.targetRelativeError = 0.3;
+    const methodology::AdaptiveSamplingResult run =
+        methodology::runAdaptivePbExperiment(twoWorkloads(), options);
+    ASSERT_EQ(run.rounds.size(), 2u);
+    ASSERT_EQ(run.rounds[1].simulatedBenchmarks.size(), 2u);
+
+    std::vector<std::string> expected = screenRecords("pb_screen", 176);
+    append(expected, screenRecords("pb_screen/refine-1", 176));
     EXPECT_EQ(recordSequence(manifest), expected);
 }
 

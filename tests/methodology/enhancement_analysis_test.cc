@@ -2,9 +2,12 @@
 
 #include <memory>
 
+#include "enhance/precompute.hh"
 #include "methodology/enhancement_analysis.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/published_data.hh"
+#include "methodology/rank_table.hh"
+#include "obs/json.hh"
 #include "trace/workloads.hh"
 
 namespace doe = rigor::doe;
@@ -135,6 +138,43 @@ TEST(EnhancementAnalysis, PairedExperimentSharesOneEngine)
     // sum-of-ranks shift is zero.
     for (const methodology::RankShift &s : result.comparison.shifts)
         EXPECT_EQ(s.delta(), 0) << s.name;
+}
+
+TEST(EnhancementAnalysis, OutcomeIsPinned)
+{
+    // Both legs' rank tables and their comparison, exactly, with a
+    // hook that precomputes every eligible operation.
+    struct PrecomputeAll : rigor::sim::ExecutionHook
+    {
+        bool
+        intercept(const rigor::trace::Instruction &inst) override
+        {
+            return rigor::enhance::isPrecomputable(inst.op);
+        }
+    };
+
+    const std::vector<rigor::trace::WorkloadProfile> workloads = {
+        rigor::trace::workloadByName("gzip"),
+        rigor::trace::workloadByName("mcf")};
+    methodology::PbExperimentOptions opts;
+    opts.instructionsPerRun = 2000;
+    opts.campaign.threads = 2;
+    const methodology::EnhancementExperimentResult result =
+        methodology::runEnhancementExperiment(
+            workloads, opts,
+            [](const rigor::trace::WorkloadProfile &)
+                -> std::unique_ptr<rigor::sim::ExecutionHook> {
+                return std::make_unique<PrecomputeAll>();
+            },
+            "precompute-all");
+
+    EXPECT_EQ(rigor::obs::digestHex(
+                  rigor::obs::fnv1a(result.comparison.toString())),
+              "4267c98350f9b70a");
+    EXPECT_EQ(methodology::rankTableDigest(result.base.summaries),
+              "518862a1b2728a56");
+    EXPECT_EQ(methodology::rankTableDigest(result.enhanced.summaries),
+              "aa5fc6ecf8db296d");
 }
 
 TEST(EnhancementAnalysis, SharedEngineMakesBaseLegFree)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "exec/engine.hh"
 #include "methodology/pb_experiment.hh"
 #include "methodology/workflow.hh"
+#include "obs/json.hh"
 #include "trace/workloads.hh"
 
 namespace methodology = rigor::methodology;
@@ -127,6 +130,39 @@ TEST(Workflow, DeterministicAcrossThreadCounts)
         EXPECT_EQ(serial.sensitivity.rows[i].effect,
                   parallel.sensitivity.rows[i].effect)
             << "row " << i;
+}
+
+TEST(Workflow, OutcomeIsPinned)
+{
+    // The step-3 ANOVA table and the step-4 directions, exactly (not
+    // toString(): it prints a wall time).
+    methodology::WorkflowOptions opts;
+    opts.instructionsPerRun = 2000;
+    opts.warmupInstructions = 0;
+    opts.campaign.threads = 2;
+    const std::vector<trace::WorkloadProfile> workloads = {
+        trace::workloadByName("gzip"), trace::workloadByName("mcf")};
+    const methodology::WorkflowResult r =
+        methodology::runRecommendedWorkflow(workloads, opts);
+
+    std::vector<std::string> names;
+    std::string values;
+    for (const methodology::ParameterRecommendation &rec :
+         r.recommendations) {
+        names.push_back(rec.name);
+        char text[96];
+        std::snprintf(text, sizeof(text), "%.17g %.17g\n",
+                      rec.cyclesSavedHighVsLow, rec.variationExplained);
+        values += text;
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "Memory Latency First", "Memory Bandwidth",
+                         "L2 Cache Block Size", "BPred Type"}));
+    EXPECT_EQ(rigor::obs::digestHex(rigor::obs::fnv1a(values)),
+              "d91165fd693a883f");
+    EXPECT_EQ(rigor::obs::digestHex(rigor::obs::fnv1a(
+                  rigor::stats::formatAnovaTable(r.sensitivity))),
+              "93281bbb1022bdd0");
 }
 
 TEST(Workflow, ExecutionCountsOnlyThisCampaign)
