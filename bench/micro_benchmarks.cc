@@ -195,10 +195,10 @@ void
 BM_RecommendedWorkflowThreadScaling(benchmark::State &state)
 {
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 2000;
-    opts.warmupInstructions = 0;
+    opts.base.instructionsPerRun = 2000;
+    opts.base.warmupInstructions = 0;
     opts.maxCriticalParameters = 3;
-    opts.campaign.threads = static_cast<unsigned>(state.range(0));
+    opts.base.campaign.threads = static_cast<unsigned>(state.range(0));
     const std::vector<trace::WorkloadProfile> workloads = {
         trace::workloadByName("gzip"),
         trace::workloadByName("mcf"),

@@ -22,8 +22,8 @@ int
 main()
 {
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 25000;
-    opts.warmupInstructions = 25000;
+    opts.base.instructionsPerRun = 25000;
+    opts.base.warmupInstructions = 25000;
     opts.maxCriticalParameters = 3;
 
     const std::vector<trace::WorkloadProfile> workloads = {

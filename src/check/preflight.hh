@@ -2,10 +2,12 @@
  * @file
  * Mandatory pre-flight analysis for the experiment drivers.
  *
- * runPbExperiment, the recommended workflow's step-3 factorial, and
- * runEnhancementExperiment all describe their work as an
- * ExperimentPlan (design, workloads, configurations, run lengths)
- * and call preflightOrThrow() before submitting a single simulation
+ * Every leg of every experiment driver (a PB screen, each replicate
+ * and adaptive round, both enhancement legs, the recommended
+ * workflow's step-3 factorial) describes its work as an
+ * ExperimentPlan (design, workloads, configurations, run lengths),
+ * and the one leg runner, methodology::detail::runDesignBatch, calls
+ * preflightOrThrow() on it before submitting a single simulation
  * job. A plan with errors raises PreflightError carrying every
  * diagnostic, so an 88-run x 13-workload screen is rejected in
  * microseconds instead of producing a plausible-looking but

@@ -7,9 +7,13 @@
  * knobs (threads, foldover, skipPreflight, the FaultPolicy, the
  * journal, the shared engine, the degradation mode) — and every new
  * cross-cutting concern had to be added three times. CampaignOptions
- * is the single definition; the per-driver option structs embed one
- * (`options.campaign`) and keep only the knobs that are genuinely
- * theirs (run lengths, hook factories, critical-parameter caps).
+ * is the single definition. PbExperimentOptions embeds one
+ * (`options.campaign`) next to the run lengths; WorkflowOptions,
+ * RankStabilityOptions and AdaptiveSamplingOptions embed a
+ * PbExperimentOptions (`options.base`) and add only their own knobs
+ * (the critical-parameter cap, the replication plan, the refinement
+ * rounds). A leg's enhancement hook and manifest name are arguments
+ * of the one leg runner, not options.
  *
  * Where attempts run is not a campaign option: it is the engine's
  * attempt executor (EngineOptions::simulate /

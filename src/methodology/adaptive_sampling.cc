@@ -107,7 +107,8 @@ runAdaptivePbExperiment(
     const std::vector<std::string> names = factorNames();
 
     // Round 0: the full sampled screen.
-    out.result = detail::runPbScreen(workloads, opts, scope);
+    out.result =
+        detail::runPbScreen(workloads, opts, scope, "pb_screen");
     {
         AdaptiveRound round;
         round.sampling = opts.campaign.sampling;
@@ -115,7 +116,6 @@ runAdaptivePbExperiment(
         out.rounds.push_back(std::move(round));
     }
 
-    const std::string base_name = opts.experimentName;
     for (unsigned round = 0;; ++round) {
         const Ambiguity ambiguity =
             findAmbiguity(out.result, names, options);
@@ -138,8 +138,6 @@ runAdaptivePbExperiment(
         if (next == sampling.intervalInstructions)
             break; // cannot refine further
         sampling.intervalInstructions = next;
-        opts.experimentName =
-            base_name + "/refine-" + std::to_string(round + 1);
 
         std::vector<trace::WorkloadProfile> subset;
         for (const trace::WorkloadProfile &w : workloads)
@@ -148,8 +146,9 @@ runAdaptivePbExperiment(
         if (subset.empty())
             break;
 
-        const PbExperimentResult refined =
-            detail::runPbScreen(subset, opts, scope);
+        const PbExperimentResult refined = detail::runPbScreen(
+            subset, opts, scope,
+            "pb_screen/refine-" + std::to_string(round + 1));
         splice(out.result, refined);
         // Keep the round's quarantines and drops on record; a
         // benchmark it dropped keeps the previous round's numbers.

@@ -5,12 +5,13 @@
  * Every experiment driver does the same dance: attach the campaign's
  * sinks to whichever engine runs it — restoring whatever a shared
  * engine had before, even on throw — wrap each
- * phase in a TraceSpan plus a manifest "phase" record, digest the
- * design for the manifest's campaign record, and run each design as
- * one batch of (workload, row) cells whose responses, sampling CI
- * half-widths and quarantined cells come back in [workload][row]
- * form (runDesignBatch). These helpers keep that dance in one place
- * so the drivers stay about the methodology.
+ * phase in a TraceSpan plus a manifest "phase" record, and run each
+ * leg (the screen, a replicate, a refinement round, an enhancement
+ * leg, the workflow's factorial) through one runner, runDesignBatch:
+ * campaign record, pre-flight, then one batch of (workload, row)
+ * cells whose responses, sampling CI half-widths and quarantined
+ * cells come back in [workload][row] form. These helpers keep that
+ * dance in one place so the drivers stay about the methodology.
  */
 
 #ifndef RIGOR_METHODOLOGY_CAMPAIGN_INSTRUMENTATION_HH
@@ -19,11 +20,13 @@
 #include <chrono>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "check/campaign_check.hh"
+#include "check/preflight.hh"
 #include "doe/design_matrix.hh"
 #include "exec/campaign_options.hh"
 #include "exec/engine.hh"
@@ -226,32 +229,56 @@ struct DesignBatch
 };
 
 /**
- * Run one design's cells — jobs in workload-major order, @p rows per
- * workload — on the scope's engine under the campaign's fault
- * policy, inside the driver phase @p phase_name (its span tagged with
- * @p span_args, then the job count). Each finished cell becomes a
- * manifest cell record. Fail-fast errors and BatchAbort propagate
- * unwrapped.
+ * The one leg runner: every driver runs every leg of its campaign
+ * through it. It writes the leg's manifest "campaign" record
+ * (@p info, whose workloads and rows lay out @p jobs workload-major:
+ * all rows of workload 0, then workload 1, ...), pre-flights
+ * @p plan inside the driver phase @p preflight_phase unless
+ * campaign.skipPreflight, then runs the cells on the scope's engine
+ * under the campaign's fault policy inside the driver phase
+ * @p phase_name (its span tagged with @p span_args, then the job
+ * count). Each finished cell becomes a manifest cell record.
+ *
+ * Pre-flight errors name @p who. A fail-fast error comes back as
+ * "<who>: simulation failed: <engine message>"; BatchAbort
+ * (journal I/O, crash drill) propagates unwrapped so a campaign
+ * driver can recognize it and resume against the journal.
  */
 inline DesignBatch
 runDesignBatch(CampaignScope &scope,
-               const exec::CampaignOptions &campaign,
-               const std::vector<std::string> &workloads,
-               std::size_t rows, std::span<const exec::SimJob> jobs,
+               const exec::CampaignOptions &campaign, const char *who,
+               const obs::CampaignInfo &info,
+               const check::ExperimentPlan &plan,
+               std::string preflight_phase,
+               std::span<const exec::SimJob> jobs,
                std::string phase_name,
                obs::TraceWriter::Args span_args = {})
 {
+    const std::vector<std::string> &workloads = info.workloads;
+    const std::size_t rows = info.rows;
+    if (campaign.manifest)
+        campaign.manifest->beginCampaign(info);
+    if (!campaign.skipPreflight) {
+        PhaseScope phase(campaign, std::move(preflight_phase));
+        check::preflightOrThrow(plan, who);
+    }
+
     exec::SimulationEngine &engine = scope.engine();
     scope.observe(
         manifestCellObserver(campaign.manifest, workloads, rows));
     const exec::ProgressSnapshot before = engine.progress().snapshot();
     exec::BatchResult batch;
-    {
+    try {
         PhaseScope phase(campaign, std::move(phase_name));
         for (auto &[key, value] : span_args)
             phase.span().arg(std::move(key), std::move(value));
         phase.span().arg("jobs", std::to_string(jobs.size()));
         batch = engine.run(jobs, campaign.faultPolicy);
+    } catch (const exec::BatchAbort &) {
+        throw;
+    } catch (const std::exception &e) {
+        throw std::runtime_error(std::string(who) +
+                                 ": simulation failed: " + e.what());
     }
     scope.observe({});
 

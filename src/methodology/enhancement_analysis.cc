@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iomanip>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "check/preflight.hh"
 #include "check/rule_ids.hh"
 #include "methodology/campaign_instrumentation.hh"
 
@@ -120,19 +118,6 @@ runEnhancementExperiment(
 
     const exec::CampaignOptions &campaign = options.campaign;
 
-    // Pre-flight the shared ingredients (workloads, run lengths,
-    // parameter space) up front so a bad recipe is rejected before
-    // the engine is even constructed; each leg additionally proves
-    // its design matrix.
-    if (!campaign.skipPreflight) {
-        check::ExperimentPlan plan;
-        plan.workloads = workloads;
-        plan.auditParameterSpace = true;
-        plan.instructionsPerRun = options.instructionsPerRun;
-        plan.warmupInstructions = options.warmupInstructions;
-        check::preflightOrThrow(plan, "runEnhancementExperiment");
-    }
-
     // Both legs share one engine and one executor: the workers, the
     // run cache (a base leg already simulated through campaign.engine
     // is free), and the progress counters. A sandbox pool running
@@ -144,55 +129,29 @@ runEnhancementExperiment(
 
     {
         detail::PhaseScope phase(campaign, "base_leg");
-        PbExperimentOptions base_opts = options;
-        base_opts.hookFactory = {};
-        base_opts.hookId.clear();
-        base_opts.experimentName = "enhancement_base";
-        result.base = detail::runPbScreen(workloads, base_opts, scope);
+        result.base = detail::runPbScreen(workloads, options, scope,
+                                          "enhancement_base");
     }
 
     {
         detail::PhaseScope phase(campaign, "enhanced_leg");
-        PbExperimentOptions enhanced_opts = options;
-        enhanced_opts.hookFactory = hook_factory;
-        enhanced_opts.hookId = hook_id;
-        enhanced_opts.experimentName = "enhancement_enhanced";
         result.enhanced =
-            detail::runPbScreen(workloads, enhanced_opts, scope);
+            detail::runPbScreen(workloads, options, scope,
+                                "enhancement_enhanced", hook_factory,
+                                hook_id);
     }
 
-    // Fault degradation may have dropped different benchmarks from
-    // the two legs; a sum-of-ranks delta is only meaningful over a
-    // common population, so re-filter both legs to the intersection
-    // of survivors before comparing.
-    const std::set<std::string> base_drop(
-        result.base.droppedBenchmarks.begin(),
-        result.base.droppedBenchmarks.end());
-    const std::set<std::string> enh_drop(
-        result.enhanced.droppedBenchmarks.begin(),
-        result.enhanced.droppedBenchmarks.end());
-    if (base_drop != enh_drop) {
-        std::set<std::string> union_drop = base_drop;
-        union_drop.insert(enh_drop.begin(), enh_drop.end());
+    // A sum-of-ranks delta is only meaningful over a common
+    // population.
+    PbExperimentResult *const legs[] = {&result.base, &result.enhanced};
+    if (detail::keepCommonBenchmarks(legs, result.validity,
+                                     "runEnhancementExperiment"))
         result.validity.warning(
             check::rules::kCampaignPairedDropMismatch,
             "the base and enhanced legs dropped different benchmark "
             "sets; the comparison is restricted to the " +
-                std::to_string(workloads.size() - union_drop.size()) +
+                std::to_string(result.base.benchmarks.size()) +
                 " benchmark(s) both legs completed");
-        const std::vector<std::string> union_list(union_drop.begin(),
-                                                  union_drop.end());
-        if (union_list.size() >= workloads.size()) {
-            result.validity.error(
-                check::rules::kCampaignNoCompleteBenchmarks,
-                "no benchmark completed in both legs; the paired "
-                "comparison has no common population");
-            throw check::CampaignError("runEnhancementExperiment",
-                                       std::move(result.validity));
-        }
-        result.base.dropBenchmarks(union_list);
-        result.enhanced.dropBenchmarks(union_list);
-    }
     result.droppedBenchmarks = result.base.droppedBenchmarks;
 
     result.comparison = compareRankTables(result.base.summaries,

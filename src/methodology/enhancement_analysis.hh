@@ -101,8 +101,7 @@ struct EnhancementExperimentResult
  * one shared execution engine, then compare the rank tables.
  *
  * @param workloads the workload profiles to simulate
- * @param options experiment knobs; hookFactory/hookId are ignored
- *        (they describe the enhanced leg, passed separately). When
+ * @param options experiment knobs, shared by both legs. When
  *        options.campaign.engine is set, its cache makes any
  *        previously simulated leg (e.g. an earlier base run) free.
  * @param hook_factory builds the enhancement hook per run

@@ -7,11 +7,10 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "check/preflight.hh"
+#include "check/rule_ids.hh"
 #include "doe/effects.hh"
 #include "doe/foldover.hh"
 #include "doe/pb_design.hh"
-#include "exec/journal.hh"
 #include "methodology/campaign_instrumentation.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/rank_table.hh"
@@ -109,7 +108,8 @@ namespace
 std::vector<exec::SimJob>
 pbSimJobs(std::span<const trace::WorkloadProfile> workloads,
           const doe::DesignMatrix &design,
-          const PbExperimentOptions &options)
+          const PbExperimentOptions &options,
+          const HookFactory &hook_factory, const std::string &hook_id)
 {
     const std::size_t num_runs = design.numRows();
     std::vector<exec::SimJob> jobs;
@@ -123,14 +123,12 @@ pbSimJobs(std::span<const trace::WorkloadProfile> workloads,
             job.instructions = options.instructionsPerRun;
             job.warmupInstructions = options.warmupInstructions;
             job.sampling = options.campaign.sampling;
-            if (options.hookFactory) {
-                job.makeHook = [&factory = options.hookFactory,
-                                &workload]() {
-                    return factory(workload);
+            if (hook_factory) {
+                job.makeHook = [&hook_factory, &workload]() {
+                    return hook_factory(workload);
                 };
-                if (!options.hookId.empty())
-                    job.hookId =
-                        options.hookId + "/" + workload.name;
+                if (!hook_id.empty())
+                    job.hookId = hook_id + "/" + workload.name;
             }
             job.label = workload.name + ", design row " +
                         std::to_string(run);
@@ -147,15 +145,17 @@ runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
                 const PbExperimentOptions &options)
 {
     detail::CampaignScope scope(options.campaign);
-    return detail::runPbScreen(workloads, options, scope);
+    return detail::runPbScreen(workloads, options, scope, "pb_screen");
 }
 
 PbExperimentResult
-detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
+detail::runPbScreen(std::span<const trace::WorkloadProfile> suite,
                     const PbExperimentOptions &options,
-                    CampaignScope &scope)
+                    CampaignScope &scope, const std::string &experiment,
+                    const HookFactory &hook_factory,
+                    const std::string &hook_id)
 {
-    if (workloads.empty())
+    if (suite.empty())
         throw std::invalid_argument("runPbExperiment: no workloads");
     if (options.instructionsPerRun == 0)
         throw std::invalid_argument(
@@ -168,64 +168,44 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
     const doe::DesignMatrix base = doe::pbDesignForFactors(numFactors);
     result.design = campaign.foldover ? doe::foldover(base) : base;
 
-    const std::size_t num_benches = workloads.size();
     const std::size_t num_runs = result.design.numRows();
-    result.benchmarks.reserve(num_benches);
-    for (const trace::WorkloadProfile &w : workloads)
+    result.benchmarks.reserve(suite.size());
+    for (const trace::WorkloadProfile &w : suite)
         result.benchmarks.push_back(w.name);
 
-    if (campaign.manifest) {
-        obs::CampaignInfo info;
-        info.experiment = options.experimentName;
-        info.factors = result.design.numColumns();
-        info.rows = num_runs;
-        info.foldover = campaign.foldover;
-        info.designDigest = detail::designDigest(result.design);
-        info.workloads = result.benchmarks;
-        info.instructionsPerRun = options.instructionsPerRun;
-        info.warmupInstructions = options.warmupInstructions;
-        info.sampling = campaign.sampling;
-        campaign.manifest->beginCampaign(info);
-    }
+    obs::CampaignInfo info;
+    info.experiment = experiment;
+    info.factors = result.design.numColumns();
+    info.rows = num_runs;
+    info.foldover = campaign.foldover;
+    info.designDigest = detail::designDigest(result.design);
+    info.workloads = result.benchmarks;
+    info.instructionsPerRun = options.instructionsPerRun;
+    info.warmupInstructions = options.warmupInstructions;
+    info.sampling = campaign.sampling;
 
     // Mandatory pre-flight: prove the design is a balanced
     // orthogonal ±1 (foldover) matrix, audit the Tables 6-8
     // parameter space, and vet every workload profile and the run
     // lengths — before a single cycle is simulated.
-    if (!campaign.skipPreflight) {
-        detail::PhaseScope phase(campaign, "preflight");
-        check::ExperimentPlan plan;
-        plan.design = &result.design;
-        plan.expectedFactors = numFactors;
-        plan.designIsFolded = campaign.foldover;
-        plan.workloads = workloads;
-        plan.auditParameterSpace = true;
-        plan.instructionsPerRun = options.instructionsPerRun;
-        plan.warmupInstructions = options.warmupInstructions;
-        plan.sampling = campaign.sampling;
-        check::preflightOrThrow(plan, "runPbExperiment");
-    }
+    check::ExperimentPlan plan;
+    plan.design = &result.design;
+    plan.expectedFactors = numFactors;
+    plan.designIsFolded = campaign.foldover;
+    plan.workloads = suite;
+    plan.auditParameterSpace = true;
+    plan.instructionsPerRun = options.instructionsPerRun;
+    plan.warmupInstructions = options.warmupInstructions;
+    plan.sampling = campaign.sampling;
 
     // One engine job per (benchmark, design row) pair, run on the
     // campaign's engine and executor — the responses come back in
     // job order, so the result is thread-count independent.
-    const std::vector<exec::SimJob> jobs =
-        pbSimJobs(workloads, result.design, options);
-    detail::DesignBatch batch;
-    try {
-        batch = detail::runDesignBatch(scope, campaign,
-                                       result.benchmarks, num_runs,
-                                       jobs, "screen");
-    } catch (const exec::BatchAbort &) {
-        // Infrastructure failure (journal I/O error, crash drill):
-        // propagate unwrapped so a campaign driver can recognize it
-        // and resume against the journal.
-        throw;
-    } catch (const std::exception &e) {
-        throw std::runtime_error(
-            std::string("runPbExperiment: simulation failed: ") +
-            e.what());
-    }
+    const std::vector<exec::SimJob> jobs = pbSimJobs(
+        suite, result.design, options, hook_factory, hook_id);
+    detail::DesignBatch batch =
+        detail::runDesignBatch(scope, campaign, "runPbExperiment", info,
+                               plan, "preflight", jobs, "screen");
     result.responses = std::move(batch.responses);
     result.ciHalfWidths = std::move(batch.ciHalfWidths);
 
@@ -281,6 +261,37 @@ detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
         campaign.manifest->addSummary(summary);
     }
     return result;
+}
+
+bool
+detail::keepCommonBenchmarks(std::span<PbExperimentResult *const> legs,
+                             check::DiagnosticSink &validity,
+                             const char *who)
+{
+    std::set<std::string> dropped;
+    for (const PbExperimentResult *leg : legs)
+        dropped.insert(leg->droppedBenchmarks.begin(),
+                       leg->droppedBenchmarks.end());
+    if (std::none_of(legs.front()->benchmarks.begin(),
+                     legs.front()->benchmarks.end(),
+                     [&](const std::string &name) {
+                         return !dropped.count(name);
+                     })) {
+        validity.error(check::rules::kCampaignNoCompleteBenchmarks,
+                       "no benchmark completed in every leg; the legs "
+                       "have no common population");
+        throw check::CampaignError(who, std::move(validity));
+    }
+
+    const std::vector<std::string> doomed(dropped.begin(),
+                                          dropped.end());
+    bool cut = false;
+    for (PbExperimentResult *leg : legs) {
+        const std::size_t kept = leg->benchmarks.size();
+        leg->dropBenchmarks(doomed);
+        cut = cut || leg->benchmarks.size() != kept;
+    }
+    return cut;
 }
 
 } // namespace rigor::methodology

@@ -49,20 +49,6 @@ struct PbExperimentOptions
      * (the paper's billion-instruction runs amortized them away).
      */
     std::uint64_t warmupInstructions = 0;
-    /** Optional enhancement (instruction precomputation etc.). */
-    HookFactory hookFactory;
-    /**
-     * Stable cache identity of hookFactory's product (appended with
-     * the workload name per run). Leave empty for an impure factory:
-     * hooked runs are then never served from the run cache.
-     */
-    std::string hookId;
-    /**
-     * Campaign label written to the manifest's "campaign" record so
-     * multi-experiment manifests (e.g. the paired enhancement legs)
-     * stay distinguishable.
-     */
-    std::string experimentName = "pb_screen";
     /**
      * Shared execution knobs (threads, foldover, skipPreflight,
      * fault policy, journal, shared engine, degradation mode) and
@@ -143,13 +129,35 @@ namespace detail
 class CampaignScope;
 
 /**
- * runPbExperiment's body for drivers that hold a campaign scope:
- * runs on the engine and executor @p scope already attached (never
- * choosing its own). options.campaign.engine is ignored.
+ * One screen leg, for drivers that hold a campaign scope: runs
+ * @p suite on the engine and executor @p scope already attached
+ * (options.campaign.engine is ignored), records the leg in the
+ * manifest as @p experiment, and enhances every run with
+ * @p hook_factory's product when set. @p hook_id is that product's
+ * stable cache identity (appended with the workload name per run);
+ * leave it empty for an impure factory: hooked runs are then never
+ * served from the run cache.
  */
 PbExperimentResult
-runPbScreen(std::span<const trace::WorkloadProfile> workloads,
-            const PbExperimentOptions &options, CampaignScope &scope);
+runPbScreen(std::span<const trace::WorkloadProfile> suite,
+            const PbExperimentOptions &options, CampaignScope &scope,
+            const std::string &experiment,
+            const HookFactory &hook_factory = {},
+            const std::string &hook_id = {});
+
+/**
+ * Restrict every leg to the benchmarks all of them kept. Fault
+ * degradation may drop a different set from each leg, and a paired
+ * comparison or a pooled replicate statistic needs one population.
+ * The legs report the same suite under the same names. Returns true
+ * when some leg lost a benchmark it had kept. When no benchmark is
+ * left, reports campaign.no-complete-benchmarks to @p validity and
+ * throws check::CampaignError naming @p who, leaving the legs as
+ * they were.
+ */
+bool keepCommonBenchmarks(std::span<PbExperimentResult *const> legs,
+                          check::DiagnosticSink &validity,
+                          const char *who);
 
 } // namespace detail
 

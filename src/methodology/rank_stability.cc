@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -442,91 +440,62 @@ runReplicatedPbExperiment(
     }
 
     const unsigned num_reps = replication.replicates;
-    PbExperimentOptions opts = options.base;
-    detail::CampaignScope scope(opts.campaign);
+    const exec::CampaignOptions &campaign = options.base.campaign;
+    detail::CampaignScope scope(campaign);
 
     // Replicate r renames every profile ("gzip" -> "gzip#r1"): the
     // trace generator is seeded from the name (FNV-1a), so the copy
     // is an independent workload realization, and the run-cache /
     // journal key embeds the name, so replicates never collide with
     // the base runs. Replicate 0 keeps the original names and is
-    // byte-for-byte the historical single campaign.
-    const std::string base_name = opts.experimentName;
+    // byte-for-byte the historical single campaign. Each leg then
+    // reports under the base names; its manifest cells, run keys and
+    // diagnostics keep the suffixed ones.
     std::vector<PbExperimentResult> runs;
-    std::vector<std::unordered_map<std::string, std::string>>
-        base_of_suffixed(num_reps);
     runs.reserve(num_reps);
-    for (unsigned r = 0; r < num_reps; ++r) {
+    runs.push_back(
+        detail::runPbScreen(workloads, options.base, scope, "pb_screen"));
+    for (unsigned r = 1; r < num_reps; ++r) {
+        const std::string suffix = "#r" + std::to_string(r);
         std::vector<trace::WorkloadProfile> suite(workloads.begin(),
                                                   workloads.end());
-        if (r > 0)
-            for (std::size_t w = 0; w < suite.size(); ++w)
-                suite[w].name += "#r" + std::to_string(r);
-        for (std::size_t w = 0; w < suite.size(); ++w)
-            base_of_suffixed[r].emplace(suite[w].name,
-                                        workloads[w].name);
-        opts.experimentName =
-            r == 0 ? base_name
-                   : base_name + "/replicate-" + std::to_string(r);
-        runs.push_back(detail::runPbScreen(suite, opts, scope));
+        for (trace::WorkloadProfile &profile : suite)
+            profile.name += suffix;
+        PbExperimentResult run = detail::runPbScreen(
+            suite, options.base, scope,
+            "pb_screen/replicate-" + std::to_string(r));
+        for (std::vector<std::string> *names :
+             {&run.benchmarks, &run.droppedBenchmarks})
+            for (std::string &name : *names)
+                name.resize(name.size() - suffix.size());
+        runs.push_back(std::move(run));
     }
-    opts.experimentName = base_name;
 
     // Degradation may have dropped different benchmarks in different
-    // replicates; the stability analysis needs a rectangular tensor,
-    // so restrict every replicate to the survivor intersection.
-    std::set<std::string> survivors;
-    for (const std::string &suffixed : runs[0].benchmarks)
-        survivors.insert(base_of_suffixed[0].at(suffixed));
-    for (unsigned r = 1; r < num_reps; ++r) {
-        std::set<std::string> present;
-        for (const std::string &suffixed : runs[r].benchmarks)
-            present.insert(base_of_suffixed[r].at(suffixed));
-        std::set<std::string> keep;
-        std::set_intersection(survivors.begin(), survivors.end(),
-                              present.begin(), present.end(),
-                              std::inserter(keep, keep.begin()));
-        survivors.swap(keep);
-    }
-    if (survivors.empty())
-        throw std::runtime_error(
-            "runReplicatedPbExperiment: no benchmark survived every "
-            "replicate");
+    // replicates; the stability analysis needs a rectangular tensor.
+    std::vector<PbExperimentResult *> legs;
+    for (PbExperimentResult &run : runs)
+        legs.push_back(&run);
+    check::DiagnosticSink reconciliation;
+    detail::keepCommonBenchmarks(legs, reconciliation,
+                                 "runReplicatedPbExperiment");
 
     ReplicatedPbResult out;
     out.pooled = std::move(runs[0]);
-    {
-        std::vector<std::string> drop;
-        for (const std::string &name : out.pooled.benchmarks)
-            if (!survivors.count(name))
-                drop.push_back(name);
-        if (!drop.empty())
-            out.pooled.dropBenchmarks(drop);
-    }
     const std::vector<std::string> &canonical =
         out.pooled.benchmarks;
     const std::size_t num_benches = canonical.size();
 
     // [replicate][benchmark][factor] effects and [replicate]
-    // [benchmark] sampling half-widths of the effects (cycles),
-    // benchmark order = canonical.
+    // [benchmark] sampling half-widths of the effects (cycles).
     std::vector<std::vector<std::vector<double>>> effects_tensor(
         num_reps);
     std::vector<std::vector<double>> sampling_rss(num_reps);
-    effects_tensor[0] = out.pooled.effects;
-    for (std::size_t b = 0; b < num_benches; ++b)
-        sampling_rss[0].push_back(out.pooled.effectHalfWidth(b));
-    for (unsigned r = 1; r < num_reps; ++r) {
-        std::unordered_map<std::string, std::size_t> index_of;
-        for (std::size_t b = 0; b < runs[r].benchmarks.size(); ++b)
-            index_of.emplace(
-                base_of_suffixed[r].at(runs[r].benchmarks[b]), b);
-        effects_tensor[r].reserve(num_benches);
-        for (const std::string &name : canonical) {
-            const std::size_t b = index_of.at(name);
-            effects_tensor[r].push_back(runs[r].effects[b]);
-            sampling_rss[r].push_back(runs[r].effectHalfWidth(b));
-        }
+    for (unsigned r = 0; r < num_reps; ++r) {
+        const PbExperimentResult &run = r == 0 ? out.pooled : runs[r];
+        effects_tensor[r] = run.effects;
+        for (std::size_t b = 0; b < num_benches; ++b)
+            sampling_rss[r].push_back(run.effectHalfWidth(b));
     }
 
     const std::vector<std::string> names = factorNames();
@@ -557,7 +526,7 @@ runReplicatedPbExperiment(
     // on the top factor's mean effect across replicates, the sampling
     // half-width is the per-replicate RSS averaged in quadrature, and
     // the reported uncertainty is their root-sum-square.
-    if (opts.campaign.sampling.enabled) {
+    if (campaign.sampling.enabled) {
         out.stability.sampled = true;
         const std::string &top_name =
             out.pooled.summaries.front().name;
@@ -599,11 +568,11 @@ runReplicatedPbExperiment(
                               sink);
     for (const check::Diagnostic &d : sink.diagnostics())
         out.pooled.validity.report(d);
-    if (!sink.passed() && !opts.campaign.skipPreflight)
+    if (!sink.passed() && !campaign.skipPreflight)
         throw check::CampaignError("runReplicatedPbExperiment",
                                    std::move(sink));
 
-    if (opts.campaign.manifest) {
+    if (campaign.manifest) {
         obs::StabilityRecord record;
         record.replicates = num_reps;
         record.bootstrapIterations =
@@ -631,7 +600,7 @@ runReplicatedPbExperiment(
                     out.stability.flipProbability[i][j]);
         record.reportDigest = obs::digestHex(
             obs::fnv1a(out.stability.toJson()));
-        opts.campaign.manifest->addStability(record);
+        campaign.manifest->addStability(record);
     }
     return out;
 }

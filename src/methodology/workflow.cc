@@ -6,9 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "check/preflight.hh"
 #include "doe/ranking.hh"
-#include "exec/journal.hh"
 #include "methodology/campaign_instrumentation.hh"
 #include "obs/json.hh"
 #include "stats/yates.hh"
@@ -80,7 +78,7 @@ runRecommendedWorkflow(
             "[1, 12]");
 
     WorkflowResult result;
-    const exec::CampaignOptions &campaign = options.campaign;
+    const exec::CampaignOptions &campaign = options.base.campaign;
 
     // One engine and one executor for both simulation phases: the
     // screen's workers (threads or sandboxes) are reused by
@@ -91,12 +89,8 @@ runRecommendedWorkflow(
     detail::CampaignScope scope(campaign);
 
     // ----- Step 1: PB screening -----
-    PbExperimentOptions screen_opts;
-    screen_opts.instructionsPerRun = options.instructionsPerRun;
-    screen_opts.warmupInstructions = options.warmupInstructions;
-    screen_opts.campaign = campaign;
     result.screening =
-        detail::runPbScreen(workloads, screen_opts, scope);
+        detail::runPbScreen(workloads, options.base, scope, "pb_screen");
 
     // Critical set: up to the largest sum-of-ranks gap, capped, and
     // never including dummy factors (they are the noise floor).
@@ -150,58 +144,43 @@ runRecommendedWorkflow(
             exec::SimJob job;
             job.workload = &w;
             job.config = cell_configs[t];
-            job.instructions = options.instructionsPerRun;
-            job.warmupInstructions = options.warmupInstructions;
+            job.instructions = options.base.instructionsPerRun;
+            job.warmupInstructions = options.base.warmupInstructions;
             job.label =
                 w.name + ", factorial cell " + std::to_string(t);
             jobs.push_back(std::move(job));
         }
     }
-    // Step-3 pre-flight: every factorial cell's configuration must
-    // satisfy the Tables 6-8 invariants before the batch runs (the
-    // screen already vetted the workloads and run lengths).
-    if (!campaign.skipPreflight) {
-        detail::PhaseScope phase(campaign, "factorial_preflight");
-        check::ExperimentPlan plan;
-        plan.configs.reserve(jobs.size());
-        for (const exec::SimJob &job : jobs)
-            plan.configs.push_back(&job.config);
-        plan.instructionsPerRun = options.instructionsPerRun;
-        plan.warmupInstructions = options.warmupInstructions;
-        plan.workloads = workloads;
-        check::preflightOrThrow(plan,
-                                "runRecommendedWorkflow (step 3)");
-    }
-
-    std::vector<std::string> factorial_workloads;
-    factorial_workloads.reserve(workloads.size());
-    for (const trace::WorkloadProfile &w : workloads)
-        factorial_workloads.push_back(w.name);
 
     // The factorial is its own campaign in the manifest: k factors,
     // 2^k rows, no foldover, identified by a digest of the critical
     // factor set.
-    if (campaign.manifest) {
-        obs::CampaignInfo info;
-        info.experiment = "workflow_factorial";
-        info.factors = k;
-        info.rows = num_cells;
-        info.foldover = false;
-        std::string serialized = "factorial:";
-        for (const std::string &name : names)
-            serialized += name + ";";
-        info.designDigest =
-            obs::digestHex(obs::fnv1a(serialized));
-        info.workloads = factorial_workloads;
-        info.instructionsPerRun = options.instructionsPerRun;
-        info.warmupInstructions = options.warmupInstructions;
-        campaign.manifest->beginCampaign(info);
-    }
+    obs::CampaignInfo info;
+    info.experiment = "workflow_factorial";
+    info.factors = k;
+    info.rows = num_cells;
+    std::string serialized = "factorial:";
+    for (const std::string &name : names)
+        serialized += name + ";";
+    info.designDigest = obs::digestHex(obs::fnv1a(serialized));
+    for (const trace::WorkloadProfile &w : workloads)
+        info.workloads.push_back(w.name);
+    info.instructionsPerRun = options.base.instructionsPerRun;
+    info.warmupInstructions = options.base.warmupInstructions;
+
+    // Step-3 pre-flight: every factorial cell's configuration must
+    // satisfy the Tables 6-8 invariants before the batch runs (the
+    // screen already vetted the workloads and run lengths).
+    check::ExperimentPlan plan;
+    plan.configs.reserve(jobs.size());
+    for (const exec::SimJob &job : jobs)
+        plan.configs.push_back(&job.config);
 
     const auto factorial_start = std::chrono::steady_clock::now();
     const detail::DesignBatch cells = detail::runDesignBatch(
-        scope, campaign, factorial_workloads, num_cells, jobs,
-        "factorial", {{"cells", std::to_string(num_cells)}});
+        scope, campaign, "runRecommendedWorkflow (step 3)", info, plan,
+        "factorial_preflight", jobs, "factorial",
+        {{"cells", std::to_string(num_cells)}});
 
     // Quarantined factorial cells: a workload missing from one cell
     // would skew that cell's average against its neighbors, so the
@@ -211,7 +190,7 @@ runRecommendedWorkflow(
     if (!cells.quarantined.empty()) {
         check::CampaignAssessment assessment =
             check::assessFactorialValidity(
-                factorial_workloads, num_cells, cells.quarantined,
+                info.workloads, num_cells, cells.quarantined,
                 campaign.degradation);
         result.factorialValidity = assessment.sink;
         if (!assessment.passed())
@@ -220,10 +199,10 @@ runRecommendedWorkflow(
                 std::move(assessment.sink));
         result.factorialDroppedWorkloads =
             std::move(assessment.dropBenchmarks);
-        for (std::size_t w = 0; w < factorial_workloads.size(); ++w)
+        for (std::size_t w = 0; w < info.workloads.size(); ++w)
             for (const std::string &name :
                  result.factorialDroppedWorkloads)
-                if (factorial_workloads[w] == name)
+                if (info.workloads[w] == name)
                     dropped_w.insert(w);
     }
     const std::size_t surviving =

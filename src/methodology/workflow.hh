@@ -34,23 +34,21 @@ namespace rigor::methodology
 /** Knobs of the full workflow. */
 struct WorkflowOptions
 {
-    /** Measured instructions per simulation run. */
-    std::uint64_t instructionsPerRun = 100000;
-    /** Warm-up instructions per run. */
-    std::uint64_t warmupInstructions = 100000;
+    /**
+     * Run lengths (100k measured + 100k warm-up instructions per run
+     * by default) and the shared execution knobs and sinks, applied
+     * to both simulation phases — the PB screen and the step-3
+     * factorial share one execution engine.
+     */
+    PbExperimentOptions base{.instructionsPerRun = 100000,
+                             .warmupInstructions = 100000,
+                             .campaign = {}};
     /**
      * Cap on the critical-parameter count carried into the ANOVA
      * step; the 2^k factorial cost bounds this. The actual set may
      * be smaller when the sum-of-ranks gap comes earlier.
      */
     std::size_t maxCriticalParameters = 4;
-    /**
-     * Shared execution knobs (threads, fault policy, journal,
-     * degradation mode, …) and observability sinks, applied to both
-     * simulation phases — the PB screen and the step-3 factorial
-     * share one execution engine. See exec::CampaignOptions.
-     */
-    exec::CampaignOptions campaign;
 };
 
 /** Direction recommendation for one critical parameter. */

@@ -25,7 +25,6 @@ namespace rigor::sim
 struct FuPoolStats
 {
     std::uint64_t operations = 0;
-    std::uint64_t busyStallCycles = 0;
 };
 
 /**
@@ -109,7 +108,6 @@ FuPool::book(std::uint64_t start_cycle, std::uint32_t interval)
             "FuPool::book: interval must be non-zero");
     const std::uint64_t start = std::max(start_cycle, _freeAt[_chosen]);
     ++_stats.operations;
-    _stats.busyStallCycles += start - start_cycle;
     _freeAt[_chosen] = start + interval;
     return start;
 }

@@ -163,8 +163,6 @@ TEST(EndToEnd, PrecomputationEnhancementAnalysis)
         trace::workloadByName("bzip2"),
     };
 
-    const auto base = methodology::runPbExperiment(workloads, opts);
-
     // Profile one table per workload, shared (copied) across runs.
     auto gzip_table = std::make_shared<enhance::PrecomputationTable>(128);
     {
@@ -179,32 +177,30 @@ TEST(EndToEnd, PrecomputationEnhancementAnalysis)
         bzip_table->profileTrace(gen);
     }
 
-    methodology::PbExperimentOptions enhanced_opts = opts;
-    enhanced_opts.hookFactory =
-        [&](const trace::WorkloadProfile &p)
-        -> std::unique_ptr<rigor::sim::ExecutionHook> {
-        const auto &proto =
-            p.name == "gzip" ? gzip_table : bzip_table;
-        return std::make_unique<enhance::PrecomputationTable>(*proto);
-    };
-    const auto enhanced =
-        methodology::runPbExperiment(workloads, enhanced_opts);
+    const methodology::EnhancementExperimentResult result =
+        methodology::runEnhancementExperiment(
+            workloads, opts,
+            [&](const trace::WorkloadProfile &p)
+                -> std::unique_ptr<rigor::sim::ExecutionHook> {
+                const auto &proto =
+                    p.name == "gzip" ? gzip_table : bzip_table;
+                return std::make_unique<enhance::PrecomputationTable>(
+                    *proto);
+            },
+            "");
 
     // The enhancement must actually speed things up somewhere.
     double base_total = 0.0;
     double enh_total = 0.0;
     for (std::size_t b = 0; b < 2; ++b)
         for (std::size_t i = 0; i < 88; ++i) {
-            base_total += base.responses[b][i];
-            enh_total += enhanced.responses[b][i];
+            base_total += result.base.responses[b][i];
+            enh_total += result.enhanced.responses[b][i];
         }
     EXPECT_LT(enh_total, base_total);
 
     // And the comparison machinery must join the two tables.
-    const methodology::EnhancementComparison cmp =
-        methodology::compareRankTables(base.summaries,
-                                       enhanced.summaries);
-    EXPECT_EQ(cmp.shifts.size(), methodology::numFactors);
+    EXPECT_EQ(result.comparison.shifts.size(), methodology::numFactors);
 }
 
 TEST(EndToEnd, SignificanceCutoffSeparatesHeadFromTail)

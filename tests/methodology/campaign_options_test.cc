@@ -191,10 +191,10 @@ TEST(CampaignOptions, OneStructDrivesAllThreeDrivers)
     EXPECT_EQ(pb.responses.size(), 2u);
 
     methodology::WorkflowOptions wf_opts;
-    wf_opts.instructionsPerRun = 4000;
-    wf_opts.warmupInstructions = 0;
+    wf_opts.base.instructionsPerRun = 4000;
+    wf_opts.base.warmupInstructions = 0;
     wf_opts.maxCriticalParameters = 2;
-    wf_opts.campaign = campaign;
+    wf_opts.base.campaign = campaign;
     const auto wf =
         methodology::runRecommendedWorkflow(workloads, wf_opts);
     EXPECT_FALSE(wf.criticalFactors.empty());

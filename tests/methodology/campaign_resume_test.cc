@@ -324,12 +324,12 @@ TEST(CampaignDegradation, WorkflowDropsWorkloadFromFactorialAveraging)
         })});
 
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 8000;
-    opts.warmupInstructions = 0;
-    opts.campaign.engine = &engine;
+    opts.base.instructionsPerRun = 8000;
+    opts.base.warmupInstructions = 0;
+    opts.base.campaign.engine = &engine;
     opts.maxCriticalParameters = 2;
-    opts.campaign.faultPolicy.collectFailures = true;
-    opts.campaign.degradation = check::DegradationMode::DropBenchmark;
+    opts.base.campaign.faultPolicy.collectFailures = true;
+    opts.base.campaign.degradation = check::DegradationMode::DropBenchmark;
 
     const methodology::WorkflowResult result =
         methodology::runRecommendedWorkflow(workloads, opts);

@@ -107,18 +107,18 @@ TEST(DesignBatch, WorkflowManifestOrder)
 {
     obs::CampaignManifest manifest;
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 4000;
+    opts.base.instructionsPerRun = 4000;
     opts.maxCriticalParameters = 2;
-    opts.campaign.threads = 2;
-    opts.campaign.manifest = &manifest;
+    opts.base.campaign.threads = 2;
+    opts.base.campaign.manifest = &manifest;
     const methodology::WorkflowResult result =
         methodology::runRecommendedWorkflow(twoWorkloads(), opts);
     const std::size_t factorial_cells =
         twoWorkloads().size() << result.criticalFactors.size();
 
     std::vector<std::string> expected = screenRecords("pb_screen", 176);
-    append(expected, {"phase factorial_preflight",
-                      "campaign workflow_factorial",
+    append(expected, {"campaign workflow_factorial",
+                      "phase factorial_preflight",
                       "cell x" + std::to_string(factorial_cells),
                       "phase factorial", "phase anova", "summary"});
     EXPECT_EQ(recordSequence(manifest), expected);
@@ -246,16 +246,18 @@ TEST(DesignBatch, FactorialFailFastNamesTheCell)
     };
     exec::SimulationEngine engine(engine_opts);
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 4000;
+    opts.base.instructionsPerRun = 4000;
     opts.maxCriticalParameters = 2;
-    opts.campaign.engine = &engine;
+    opts.base.campaign.engine = &engine;
     try {
         methodology::runRecommendedWorkflow(twoWorkloads(), opts);
         FAIL() << "expected the factorial to fail fast";
     } catch (const std::runtime_error &e) {
-        // The factorial's error is the engine's own, unwrapped.
+        // The engine's message behind the factorial's prefix.
         const std::string message = e.what();
-        EXPECT_EQ(message.rfind("SimulationEngine: job 'mcf, "
+        EXPECT_EQ(message.rfind("runRecommendedWorkflow (step 3): "
+                                "simulation failed: "
+                                "SimulationEngine: job 'mcf, "
                                 "factorial cell ",
                                 0),
                   0u)

@@ -6,6 +6,7 @@
 
 #include "enhance/precompute.hh"
 #include "exec/engine.hh"
+#include "methodology/enhancement_analysis.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/pb_experiment.hh"
 #include "trace/workloads.hh"
@@ -114,15 +115,17 @@ TEST(PbExperiment, SharedEngineServesRepeatRunsFromCache)
 TEST(PbExperiment, FailureNamesBenchmarkAndDesignRow)
 {
     const auto workloads = twoWorkloads();
-    methodology::PbExperimentOptions opts = fastOptions();
-    opts.hookFactory = [](const trace::WorkloadProfile &profile)
-        -> std::unique_ptr<rigor::sim::ExecutionHook> {
-        if (profile.name == "mcf")
-            throw std::runtime_error("bad configuration");
-        return nullptr;
-    };
     try {
-        methodology::runPbExperiment(workloads, opts);
+        // The enhanced leg's hook factory fails for every mcf cell.
+        methodology::runEnhancementExperiment(
+            workloads, fastOptions(),
+            [](const trace::WorkloadProfile &profile)
+                -> std::unique_ptr<rigor::sim::ExecutionHook> {
+                if (profile.name == "mcf")
+                    throw std::runtime_error("bad configuration");
+                return nullptr;
+            },
+            "");
         FAIL() << "expected the experiment to fail";
     } catch (const std::runtime_error &e) {
         const std::string message = e.what();
@@ -162,20 +165,20 @@ TEST(PbExperiment, HookFactoryIsApplied)
 
     const std::vector<trace::WorkloadProfile> workloads = {
         trace::workloadByName("gzip")};
-    methodology::PbExperimentOptions plain = fastOptions();
-    methodology::PbExperimentOptions hooked = fastOptions();
-    hooked.hookFactory = [](const trace::WorkloadProfile &) {
-        return std::make_unique<AllHook>();
-    };
-    const auto base = methodology::runPbExperiment(workloads, plain);
-    const auto enhanced =
-        methodology::runPbExperiment(workloads, hooked);
+    const methodology::EnhancementExperimentResult result =
+        methodology::runEnhancementExperiment(
+            workloads, fastOptions(),
+            [](const trace::WorkloadProfile &)
+                -> std::unique_ptr<rigor::sim::ExecutionHook> {
+                return std::make_unique<AllHook>();
+            },
+            "all");
     // Removing every integer op from execution must help somewhere.
     double base_total = 0.0;
     double enh_total = 0.0;
     for (std::size_t i = 0; i < 88; ++i) {
-        base_total += base.responses[0][i];
-        enh_total += enhanced.responses[0][i];
+        base_total += result.base.responses[0][i];
+        enh_total += result.enhanced.responses[0][i];
     }
     EXPECT_LT(enh_total, base_total);
 }

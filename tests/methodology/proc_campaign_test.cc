@@ -254,11 +254,11 @@ TEST(ProcCampaign, WorkflowRunsFactorialPhaseUnderProcessIsolation)
     SandboxedEngine sandboxed(std::move(pool_opts));
 
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 8000;
-    opts.campaign.engine = &sandboxed.engine;
+    opts.base.instructionsPerRun = 8000;
+    opts.base.campaign.engine = &sandboxed.engine;
     opts.maxCriticalParameters = 2;
-    opts.campaign.faultPolicy.collectFailures = true;
-    opts.campaign.degradation = check::DegradationMode::DropBenchmark;
+    opts.base.campaign.faultPolicy.collectFailures = true;
+    opts.base.campaign.degradation = check::DegradationMode::DropBenchmark;
 
     const methodology::WorkflowResult result =
         methodology::runRecommendedWorkflow(workloads, opts);

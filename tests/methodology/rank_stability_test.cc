@@ -319,6 +319,36 @@ TEST(ReplicatedPbExperiment, SampledHalfWidthsArePinned)
                           "mcf 391.82108547248112"}));
 }
 
+TEST(ReplicatedPbExperiment, NoCommonSurvivorIsACampaignError)
+{
+    // Replicate 0 loses gzip and replicate 1 loses mcf, so no
+    // benchmark completed in every replicate.
+    rigor::exec::EngineOptions engine_opts;
+    engine_opts.threads = 2;
+    engine_opts.simulate = [](const rigor::exec::SimJob &job,
+                              const rigor::exec::AttemptContext &ctx)
+        -> double {
+        if (job.label == "gzip, design row 3" ||
+            job.label == "mcf#r1, design row 3")
+            throw rigor::exec::PermanentFault("poisoned cell");
+        return 100000.0 + 37.0 * static_cast<double>(ctx.jobIndex % 88);
+    };
+    rigor::exec::SimulationEngine engine(engine_opts);
+
+    methodology::RankStabilityOptions options = fastCampaign(3);
+    options.base.campaign.engine = &engine;
+    options.base.campaign.faultPolicy.collectFailures = true;
+    options.base.campaign.degradation =
+        check::DegradationMode::DropBenchmark;
+    try {
+        methodology::runReplicatedPbExperiment(twoWorkloads(), options);
+        FAIL() << "expected no benchmark to survive every replicate";
+    } catch (const check::CampaignError &e) {
+        EXPECT_TRUE(e.sink().hasRule(rules::kCampaignNoCompleteBenchmarks))
+            << e.what();
+    }
+}
+
 TEST(ReplicatedPbExperiment, SampledBitIdenticalAcrossThreadCounts)
 {
     // The per-benchmark RSS sums each replicate's half-widths in row

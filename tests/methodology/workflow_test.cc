@@ -20,8 +20,8 @@ sharedRun()
 {
     static const methodology::WorkflowResult result = [] {
         methodology::WorkflowOptions opts;
-        opts.instructionsPerRun = 15000;
-        opts.warmupInstructions = 15000;
+        opts.base.instructionsPerRun = 15000;
+        opts.base.warmupInstructions = 15000;
         opts.maxCriticalParameters = 3;
         const std::vector<trace::WorkloadProfile> workloads = {
             trace::workloadByName("gzip"),
@@ -108,16 +108,16 @@ TEST(Workflow, ExecutionCountersCoverBothPhases)
 TEST(Workflow, DeterministicAcrossThreadCounts)
 {
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 5000;
-    opts.warmupInstructions = 0;
+    opts.base.instructionsPerRun = 5000;
+    opts.base.warmupInstructions = 0;
     opts.maxCriticalParameters = 2;
     const std::vector<trace::WorkloadProfile> workloads = {
         trace::workloadByName("gzip")};
 
-    opts.campaign.threads = 1;
+    opts.base.campaign.threads = 1;
     const methodology::WorkflowResult serial =
         methodology::runRecommendedWorkflow(workloads, opts);
-    opts.campaign.threads = 8;
+    opts.base.campaign.threads = 8;
     const methodology::WorkflowResult parallel =
         methodology::runRecommendedWorkflow(workloads, opts);
 
@@ -137,9 +137,9 @@ TEST(Workflow, OutcomeIsPinned)
     // The step-3 ANOVA table and the step-4 directions, exactly (not
     // toString(): it prints a wall time).
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 2000;
-    opts.warmupInstructions = 0;
-    opts.campaign.threads = 2;
+    opts.base.instructionsPerRun = 2000;
+    opts.base.warmupInstructions = 0;
+    opts.base.campaign.threads = 2;
     const std::vector<trace::WorkloadProfile> workloads = {
         trace::workloadByName("gzip"), trace::workloadByName("mcf")};
     const methodology::WorkflowResult r =
@@ -177,10 +177,10 @@ TEST(Workflow, ExecutionCountsOnlyThisCampaign)
     methodology::runPbExperiment(workloads, screen);
 
     methodology::WorkflowOptions opts;
-    opts.instructionsPerRun = 2000;
-    opts.warmupInstructions = 0;
+    opts.base.instructionsPerRun = 2000;
+    opts.base.warmupInstructions = 0;
     opts.maxCriticalParameters = 2;
-    opts.campaign.engine = &engine;
+    opts.base.campaign.engine = &engine;
     const methodology::WorkflowResult r =
         methodology::runRecommendedWorkflow(workloads, opts);
     // The earlier screen's 88 runs stay out of the workflow's own

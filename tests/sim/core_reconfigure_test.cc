@@ -66,8 +66,7 @@ statsOf(const sim::SuperscalarCore &core)
     for (const sim::FuPool *p :
          {&core.intAluPool(), &core.fpAluPool(), &core.intMultDivPool(),
           &core.fpMultDivPool()})
-        v.insert(v.end(),
-                 {p->stats().operations, p->stats().busyStallCycles});
+        v.push_back(p->stats().operations);
     return v;
 }
 
