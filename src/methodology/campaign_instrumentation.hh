@@ -30,6 +30,7 @@
 #include "doe/design_matrix.hh"
 #include "exec/campaign_options.hh"
 #include "exec/engine.hh"
+#include "methodology/pb_experiment.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
@@ -305,6 +306,20 @@ runDesignBatch(CampaignScope &scope,
     }
     return out;
 }
+
+/**
+ * Restrict every leg to the benchmarks all of them kept. Fault
+ * degradation may drop a different set from each leg, and a paired
+ * comparison or a pooled replicate statistic needs one population.
+ * The legs report the same suite under the same names. Returns true
+ * when some leg lost a benchmark it had kept. When no benchmark is
+ * left, reports campaign.no-complete-benchmarks to @p validity and
+ * throws check::CampaignError naming @p who, leaving the legs as
+ * they were.
+ */
+bool keepCommonBenchmarks(std::span<PbExperimentResult *const> legs,
+                          check::DiagnosticSink &validity,
+                          const char *who);
 
 } // namespace rigor::methodology::detail
 

@@ -480,23 +480,22 @@ runReplicatedPbExperiment(
     detail::keepCommonBenchmarks(legs, reconciliation,
                                  "runReplicatedPbExperiment");
 
-    ReplicatedPbResult out;
-    out.pooled = std::move(runs[0]);
-    const std::vector<std::string> &canonical =
-        out.pooled.benchmarks;
-    const std::size_t num_benches = canonical.size();
-
     // [replicate][benchmark][factor] effects and [replicate]
     // [benchmark] sampling half-widths of the effects (cycles).
+    const std::size_t num_benches = runs[0].benchmarks.size();
     std::vector<std::vector<std::vector<double>>> effects_tensor(
         num_reps);
     std::vector<std::vector<double>> sampling_rss(num_reps);
     for (unsigned r = 0; r < num_reps; ++r) {
-        const PbExperimentResult &run = r == 0 ? out.pooled : runs[r];
-        effects_tensor[r] = run.effects;
+        effects_tensor[r] = runs[r].effects;
         for (std::size_t b = 0; b < num_benches; ++b)
-            sampling_rss[r].push_back(run.effectHalfWidth(b));
+            sampling_rss[r].push_back(runs[r].effectHalfWidth(b));
     }
+
+    ReplicatedPbResult out;
+    out.pooled = std::move(runs[0]);
+    const std::vector<std::string> &canonical =
+        out.pooled.benchmarks;
 
     const std::vector<std::string> names = factorNames();
     out.stability = analyzeRankStability(

@@ -178,7 +178,9 @@ RankStabilityReport analyzeRankStability(
  * Throws check::PreflightError, before any replicate runs, when the
  * replication plan is under the configured floor (unless
  * base.campaign.skipPreflight is set), and
- * check::CampaignError when the finished stability analysis contains
+ * check::CampaignError when no benchmark completed in every
+ * replicate (campaign.no-complete-benchmarks, under fault
+ * degradation) or when the finished stability analysis contains
  * error-severity diagnostics (stats.rank-flip-inside-noise,
  * stats.ci-compose-missing) and skipPreflight is not set.
  */
