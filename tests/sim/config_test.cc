@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "doe/foldover.hh"
+#include "doe/pb_design.hh"
+#include "methodology/parameter_space.hh"
+#include "obs/json.hh"
 #include "sim/config.hh"
 
+namespace doe = rigor::doe;
+namespace methodology = rigor::methodology;
+namespace obs = rigor::obs;
 namespace sim = rigor::sim;
 
 TEST(ProcessorConfig, DefaultsValidate)
@@ -131,6 +140,24 @@ TEST(ProcessorConfig, ToStringMentionsKeyFields)
     const std::string s = c.toString();
     EXPECT_NE(s.find("rob=64"), std::string::npos);
     EXPECT_NE(s.find("l2:"), std::string::npos);
+}
+
+TEST(ProcessorConfig, ScreenConfigTextIsPinned)
+{
+    // Reports print toString(); a layout change of ProcessorConfig
+    // must not move a byte of it. Pins all 88 foldover PB rows and
+    // the default configuration.
+    const doe::DesignMatrix design = doe::foldover(
+        doe::pbDesignForFactors(methodology::numFactors));
+    ASSERT_EQ(design.numRows(), 88u);
+    std::string text;
+    for (std::size_t r = 0; r < design.numRows(); ++r)
+        text += methodology::configForLevels(design.row(r)).toString();
+    text += sim::ProcessorConfig{}.toString();
+    const std::uint64_t digest = obs::fnv1a(text);
+    EXPECT_EQ(digest, 0x595f165ef8790025ull)
+        << "config text drifted; actual digest 0x"
+        << obs::digestHex(digest) << "ull";
 }
 
 TEST(CacheGeometry, FullyAssociativeZeroMeansAllWays)
