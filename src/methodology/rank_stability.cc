@@ -473,11 +473,17 @@ runReplicatedPbExperiment(
 
     // Degradation may have dropped different benchmarks in different
     // replicates; the stability analysis needs a rectangular tensor.
+    // Every replicate's quarantine and drop diagnostics (under its
+    // suffixed names) go into the pooled validity, so a benchmark that
+    // only a later replicate lost says why it is gone.
+    check::DiagnosticSink validity;
     std::vector<PbExperimentResult *> legs;
-    for (PbExperimentResult &run : runs)
+    for (PbExperimentResult &run : runs) {
+        for (const check::Diagnostic &d : run.validity.diagnostics())
+            validity.report(d);
         legs.push_back(&run);
-    check::DiagnosticSink reconciliation;
-    detail::keepCommonBenchmarks(legs, reconciliation,
+    }
+    detail::keepCommonBenchmarks(legs, validity,
                                  "runReplicatedPbExperiment");
 
     // [replicate][benchmark][factor] effects and [replicate]
@@ -494,6 +500,7 @@ runReplicatedPbExperiment(
 
     ReplicatedPbResult out;
     out.pooled = std::move(runs[0]);
+    out.pooled.validity = std::move(validity);
     const std::vector<std::string> &canonical =
         out.pooled.benchmarks;
 

@@ -143,8 +143,10 @@ struct ReplicatedPbResult
      * Pooled experiment over the survivor intersection: effects are
      * the per-factor means across replicates, ranks and summaries
      * are recomputed from those means, responses come from replicate
-     * 0. `validity` additionally carries the stability diagnostics
-     * (stats.* rules).
+     * 0. `validity` holds every replicate's quarantine and
+     * benchmark-dropped diagnostics (replicate r >= 1 names its
+     * benchmarks "gzip#r<r>") and the stability diagnostics (stats.*
+     * rules).
      */
     PbExperimentResult pooled;
     RankStabilityReport stability;

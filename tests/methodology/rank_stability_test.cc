@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -345,6 +346,66 @@ TEST(ReplicatedPbExperiment, NoCommonSurvivorIsACampaignError)
         FAIL() << "expected no benchmark to survive every replicate";
     } catch (const check::CampaignError &e) {
         EXPECT_TRUE(e.sink().hasRule(rules::kCampaignNoCompleteBenchmarks))
+            << e.what();
+    }
+}
+
+TEST(ReplicatedPbExperiment, EveryReplicatesDropsAreReported)
+{
+    // Replicate 1 alone loses mcf: the pooled table covers gzip only,
+    // and its validity says why mcf is gone. With gzip also lost in
+    // replicate 0, the no-survivor error names both drops.
+    const auto runWithPoisoned = [](std::vector<std::string> labels)
+        -> methodology::ReplicatedPbResult {
+        rigor::exec::EngineOptions engine_opts;
+        engine_opts.threads = 2;
+        engine_opts.simulate =
+            [labels](const rigor::exec::SimJob &job,
+                     const rigor::exec::AttemptContext &ctx) -> double {
+            if (std::find(labels.begin(), labels.end(), job.label) !=
+                labels.end())
+                throw rigor::exec::PermanentFault("poisoned cell");
+            return 100000.0 +
+                   37.0 * static_cast<double>(ctx.jobIndex % 88);
+        };
+        rigor::exec::SimulationEngine engine(engine_opts);
+        methodology::RankStabilityOptions options = fastCampaign(2);
+        options.base.campaign.engine = &engine;
+        options.base.campaign.faultPolicy.collectFailures = true;
+        options.base.campaign.degradation =
+            check::DegradationMode::DropBenchmark;
+        return methodology::runReplicatedPbExperiment(twoWorkloads(),
+                                                      options);
+    };
+    const auto names = [](const check::DiagnosticSink &sink,
+                          const std::string &rule) {
+        std::vector<std::string> objects;
+        for (const check::Diagnostic &d : sink.diagnostics())
+            if (d.ruleId == rule)
+                objects.push_back(d.context.object);
+        return objects;
+    };
+
+    const methodology::ReplicatedPbResult result =
+        runWithPoisoned({"mcf#r1, design row 3"});
+    EXPECT_EQ(result.pooled.benchmarks,
+              std::vector<std::string>{"gzip"});
+    const check::DiagnosticSink &validity = result.pooled.validity;
+    EXPECT_TRUE(validity.hasRule(rules::kCampaignCellQuarantined))
+        << validity.toString();
+    EXPECT_EQ(names(validity, rules::kCampaignBenchmarkDropped),
+              std::vector<std::string>{"benchmark 'mcf#r1'"})
+        << validity.toString();
+
+    try {
+        runWithPoisoned({"gzip, design row 3", "mcf#r1, design row 3"});
+        FAIL() << "expected no benchmark to survive every replicate";
+    } catch (const check::CampaignError &e) {
+        EXPECT_TRUE(e.sink().hasRule(rules::kCampaignNoCompleteBenchmarks))
+            << e.what();
+        EXPECT_EQ(names(e.sink(), rules::kCampaignBenchmarkDropped),
+                  (std::vector<std::string>{"benchmark 'gzip'",
+                                            "benchmark 'mcf#r1'"}))
             << e.what();
     }
 }
