@@ -165,9 +165,9 @@ factorMetric(const ProcessorConfig &c, Factor f)
       case Factor::ItlbLatency:
         return -static_cast<double>(c.itlb.missLatency);
       case Factor::DtlbSize:
-        return c.dtlb.entries;
+        return c.dtlbEntries;
       case Factor::DtlbAssoc:
-        return assocMetric(c.dtlb.assoc, c.dtlb.entries);
+        return assocMetric(c.dtlbAssoc, c.dtlbEntries);
       case Factor::DummyFactor1:
       case Factor::DummyFactor2:
         return std::nullopt;
@@ -190,36 +190,6 @@ checkProcessorConfig(const ProcessorConfig &config,
                        " is outside (0, 1]; Table 6 links LSQ "
                        "entries to {0.25, 1.0} x ROB",
                    base);
-    if (config.machineWidth != 4)
-        sink.error(rules::kConfigMachineWidth,
-                   "machine width " +
-                       std::to_string(config.machineWidth) +
-                       " differs from the paper's fixed "
-                       "decode/issue/commit width of 4",
-                   base);
-
-    // ----- Table 7 links: issue interval bounded by latency -----
-    const struct
-    {
-        const char *name;
-        std::uint32_t throughput;
-        std::uint32_t latency;
-    } units[] = {
-        {"int ALU", config.intAluThroughput, config.intAluLatency},
-        {"FP ALU", config.fpAluThroughput, config.fpAluLatency},
-        {"int multiplier", config.intMultThroughput,
-         config.intMultLatency},
-    };
-    for (const auto &unit : units)
-        if (unit.throughput > unit.latency)
-            sink.error(rules::kConfigThroughputExceedsLatency,
-                       std::string(unit.name) + " issue interval " +
-                           std::to_string(unit.throughput) +
-                           " exceeds its latency " +
-                           std::to_string(unit.latency) +
-                           "; unpipelined units issue at their "
-                           "latency, pipelined ones faster",
-                       base);
 
     // ----- Table 8 links -----
     checkCacheGeometry("l1i", config.l1i, sink, base);
@@ -232,17 +202,6 @@ checkProcessorConfig(const ProcessorConfig &config,
                        std::to_string(config.l2.blockBytes) +
                        " is smaller than an L1 block; refills would "
                        "not cover a line",
-                   base);
-    if (config.dtlb.pageBytes != config.itlb.pageBytes ||
-        config.dtlb.missLatency != config.itlb.missLatency)
-        sink.error(rules::kConfigDtlbMirror,
-                   "D-TLB page size/miss latency (" +
-                       std::to_string(config.dtlb.pageBytes) + "/" +
-                       std::to_string(config.dtlb.missLatency) +
-                       ") do not mirror the I-TLB (" +
-                       std::to_string(config.itlb.pageBytes) + "/" +
-                       std::to_string(config.itlb.missLatency) +
-                       "); Table 8 links them",
                    base);
 
     // ----- Everything else ProcessorConfig::validate() covers -----
@@ -271,15 +230,11 @@ checkFactorLevelPair(Factor factor, DiagnosticSink &sink,
     ProcessorConfig high = defaults;
     methodology::applyFactorLevel(low, factor, doe::Level::Low);
     methodology::applyFactorLevel(high, factor, doe::Level::High);
-    methodology::finalizeLinkedParameters(low);
-    methodology::finalizeLinkedParameters(high);
 
     const bool is_dummy = factor == Factor::DummyFactor1 ||
                           factor == Factor::DummyFactor2;
     if (is_dummy) {
-        ProcessorConfig inert = defaults;
-        methodology::finalizeLinkedParameters(inert);
-        if (!(low == inert) || !(high == inert))
+        if (!(low == defaults) || !(high == defaults))
             sink.error(rules::kSpaceDummyNotInert,
                        "dummy factor changes the configuration; its "
                        "apparent effect would no longer estimate the "

@@ -3,15 +3,17 @@
  * Static analysis of processor configurations and the PB parameter
  * space against the linked-parameter rules of the paper's Tables 6-8.
  *
- * The tables' "shaded" parameters are not free: LSQ entries are a
- * ratio of the ROB, unpipelined units issue at their latency, the
- * following-block memory latency is 2% of the first block, and the
- * D-TLB mirrors the I-TLB's page size and miss latency. A
- * configuration that silently breaks a link still simulates — it just
- * no longer measures the machine the design claims to vary, so the
- * effect attributed to a factor is partly another parameter's. These
- * checks reject such configurations, and audit every Factor's
- * low/high pair (level ordering, dummy inertness) before a run.
+ * ProcessorConfig derives most of the tables' "shaded" parameters
+ * itself (unpipelined units issue at their latency, the
+ * following-block memory latency is 2% of the first block, the D-TLB
+ * takes the I-TLB's page size and miss latency) and holds what the
+ * tables fix as constants, so those links cannot break. What a
+ * configuration can still get wrong — an LSQ/ROB ratio outside the
+ * link's range, a cache geometry the model cannot index — still
+ * simulates, but no longer measures the machine the design claims to
+ * vary. These checks reject such configurations, and audit every
+ * Factor's low/high pair (level ordering, dummy inertness) before a
+ * run.
  */
 
 #ifndef RIGOR_CHECK_CONFIG_CHECK_HH
@@ -27,10 +29,8 @@ namespace rigor::check
 /**
  * Check one configuration: core validity (power-of-two cache
  * geometry, non-zero resources) plus the Tables 6-8 linked-parameter
- * invariants (LSQ/ROB ratio in (0, 1], machine width 4, D-TLB
- * mirroring the I-TLB, L2 blocks covering L1 blocks, issue intervals
- * bounded by latencies). Returns true when this call reported no
- * error.
+ * invariants (LSQ/ROB ratio in (0, 1], L2 blocks covering L1
+ * blocks). Returns true when this call reported no error.
  */
 bool checkProcessorConfig(const sim::ProcessorConfig &config,
                           DiagnosticSink &sink,

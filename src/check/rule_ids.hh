@@ -45,20 +45,12 @@ inline constexpr const char *kDesignFoldoverOddRuns =
 inline constexpr const char *kConfigInvalid = "config.invalid";
 /** LSQ/ROB ratio outside (0, 1] (Table 6 shading). */
 inline constexpr const char *kConfigLsqRatio = "config.lsq-ratio";
-/** Machine width differs from the paper's fixed width of 4. */
-inline constexpr const char *kConfigMachineWidth =
-    "config.machine-width";
-/** D-TLB page size / miss latency do not mirror the I-TLB (Table 8). */
-inline constexpr const char *kConfigDtlbMirror = "config.dtlb-mirror";
 /** Cache size/block/set geometry is not power-of-two. */
 inline constexpr const char *kConfigCacheGeometry =
     "config.cache-geometry";
 /** L2 block smaller than an L1 block. */
 inline constexpr const char *kConfigL2BlockCoversL1 =
     "config.l2-block-covers-l1";
-/** A pipelined unit's issue interval exceeds its latency. */
-inline constexpr const char *kConfigThroughputExceedsLatency =
-    "config.throughput-exceeds-latency";
 /** A factor's low/high levels produce identical configurations. */
 inline constexpr const char *kSpaceLevelPairEqual =
     "space.level-pair-equal";

@@ -19,7 +19,7 @@ using rules::kCampaignNoCompleteBenchmarks;
 using rules::kCampaignPairedDropMismatch;
 using rules::kCampaignUnderReplicated;
 
-constexpr std::array<RuleInfo, 42> kRules{{
+constexpr std::array<RuleInfo, 39> kRules{{
     // ----- design_check -----
     {rules::kDesignRunsNotMultipleOfFour, Severity::Error,
      "PB run count is divisible by 4"},
@@ -42,16 +42,10 @@ constexpr std::array<RuleInfo, 42> kRules{{
      "ProcessorConfig::validate() fallback"},
     {rules::kConfigLsqRatio, Severity::Error,
      "LSQ/ROB ratio in (0, 1] (Table 6 shading)"},
-    {rules::kConfigMachineWidth, Severity::Error,
-     "decode/issue/commit width fixed at 4"},
-    {rules::kConfigDtlbMirror, Severity::Error,
-     "D-TLB page/miss latency mirrors the I-TLB (Table 8)"},
     {rules::kConfigCacheGeometry, Severity::Error,
      "power-of-two cache size/block/sets"},
     {rules::kConfigL2BlockCoversL1, Severity::Error,
      "L2 blocks at least L1-block sized"},
-    {rules::kConfigThroughputExceedsLatency, Severity::Error,
-     "pipelined issue interval does not exceed latency"},
     {rules::kSpaceLevelPairEqual, Severity::Error,
      "a factor's levels actually differ"},
     {rules::kSpaceLevelOrder, Severity::Error,

@@ -145,7 +145,6 @@ JobRequest::deserialize(Reader &in)
 {
     JobRequest req;
     req.profile = readProfile(in);
-    in.expectBool(offsetof(sim::ProcessorConfig, l1iNextLinePrefetch));
     req.config = in.pod<sim::ProcessorConfig>();
     req.instructions = in.pod<std::uint64_t>();
     req.warmupInstructions = in.pod<std::uint64_t>();

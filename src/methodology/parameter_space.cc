@@ -234,29 +234,16 @@ applyFactorLevel(sim::ProcessorConfig &c, Factor factor,
         c.itlb.missLatency = hi ? 30 : 80;
         break;
       case Factor::DtlbSize:
-        c.dtlb.entries = hi ? 256 : 32;
+        c.dtlbEntries = hi ? 256 : 32;
         break;
       case Factor::DtlbAssoc:
-        c.dtlb.assoc = hi ? 0 : 2;
+        c.dtlbAssoc = hi ? 0 : 2;
         break;
       // ----- Dummies: no mechanical effect -----
       case Factor::DummyFactor1:
       case Factor::DummyFactor2:
         break;
     }
-}
-
-void
-finalizeLinkedParameters(sim::ProcessorConfig &c)
-{
-    // The shaded links of Table 8: the D-TLB page size and miss
-    // latency track the I-TLB. (LSQ size, divide throughputs, and
-    // following-block latency are derived on demand by
-    // ProcessorConfig itself.)
-    c.dtlb.pageBytes = c.itlb.pageBytes;
-    c.dtlb.missLatency = c.itlb.missLatency;
-    // The paper fixes the machine width at 4.
-    c.machineWidth = 4;
 }
 
 sim::ProcessorConfig
@@ -269,7 +256,6 @@ configForLevels(std::span<const doe::Level> levels)
     sim::ProcessorConfig c;
     for (unsigned f = 0; f < numFactors; ++f)
         applyFactorLevel(c, static_cast<Factor>(f), levels[f]);
-    finalizeLinkedParameters(c);
     c.validate();
     return c;
 }
@@ -288,7 +274,6 @@ configWithOverrides(
     sim::ProcessorConfig c; // typical machine
     for (const auto &[factor, level] : overrides)
         applyFactorLevel(c, factor, level);
-    finalizeLinkedParameters(c);
     c.validate();
     return c;
 }

@@ -123,15 +123,11 @@ sim::ProcessorConfig uniformConfig(doe::Level level);
 
 /**
  * Apply one factor's Table 6-8 low/high value onto an existing
- * configuration (dummy factors are no-ops). Linked parameters
- * (D-TLB page size/latency) are not re-derived here; call
- * finalizeLinkedParameters() after the last application.
+ * configuration (dummy factors are no-ops). Linked parameters are
+ * derived by ProcessorConfig itself.
  */
 void applyFactorLevel(sim::ProcessorConfig &config, Factor factor,
                       doe::Level level);
-
-/** Re-derive the linked (shaded) parameters after edits. */
-void finalizeLinkedParameters(sim::ProcessorConfig &config);
 
 /**
  * A typical (middle-of-the-road) configuration with selected factors

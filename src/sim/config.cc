@@ -110,8 +110,6 @@ ProcessorConfig::memLatencyFollowing() const
 void
 ProcessorConfig::validate() const
 {
-    if (machineWidth == 0)
-        throw std::invalid_argument("machineWidth must be non-zero");
     if (ifqEntries == 0)
         throw std::invalid_argument("ifqEntries must be non-zero");
     if (robEntries == 0)
@@ -131,9 +129,8 @@ ProcessorConfig::validate() const
             "specBranchUpdate must be In Commit or In Decode (got " +
             std::to_string(static_cast<int>(specBranchUpdate)) + ")");
     // The core's slot allocators count bookings per cycle in 8 bits.
-    if (machineWidth > 255 || memPorts > 255)
-        throw std::invalid_argument(
-            "machineWidth and memPorts must be at most 255");
+    if (memPorts > 255)
+        throw std::invalid_argument("memPorts must be at most 255");
     if (rasEntries == 0)
         throw std::invalid_argument("rasEntries must be non-zero");
     if (btbEntries == 0 || !isPow2(btbEntries))
@@ -152,10 +149,6 @@ ProcessorConfig::validate() const
         fpSqrtLatency == 0)
         throw std::invalid_argument(
             "functional unit latencies must be non-zero");
-    if (intAluThroughput == 0 || fpAluThroughput == 0 ||
-        intMultThroughput == 0)
-        throw std::invalid_argument(
-            "functional unit throughputs must be non-zero");
 
     validateCache("l1i", l1i);
     validateCache("l1d", l1d);
@@ -169,7 +162,7 @@ ProcessorConfig::validate() const
         throw std::invalid_argument(
             "memBandwidthBytes must be a non-zero power of two");
     validateTlb("itlb", itlb);
-    validateTlb("dtlb", dtlb);
+    validateTlb("dtlb", dtlb());
 }
 
 std::size_t
@@ -183,32 +176,36 @@ ProcessorConfig::hash() const
     hashCombine(seed, btbEntries);
     hashCombine(seed, btbAssoc);
     hashCombine(seed, static_cast<std::uint64_t>(specBranchUpdate));
-    hashCombine(seed, machineWidth);
+    // Constants and derived values are mixed where the fields they
+    // replaced were (the width, the three pipelined intervals, the
+    // always-off prefetch flag, the D-TLB's page size and latency),
+    // so every run key and journal record stays the same.
+    hashCombine(seed, coreWidth);
     hashCombine(seed, robEntries);
     hashCombine(seed, std::bit_cast<std::uint64_t>(lsqRatio));
     hashCombine(seed, memPorts);
     hashCombine(seed, intAlus);
     hashCombine(seed, intAluLatency);
-    hashCombine(seed, intAluThroughput);
+    hashCombine(seed, pipelinedIssueInterval);
     hashCombine(seed, fpAlus);
     hashCombine(seed, fpAluLatency);
-    hashCombine(seed, fpAluThroughput);
+    hashCombine(seed, pipelinedIssueInterval);
     hashCombine(seed, intMultDivUnits);
     hashCombine(seed, intMultLatency);
     hashCombine(seed, intDivLatency);
-    hashCombine(seed, intMultThroughput);
+    hashCombine(seed, pipelinedIssueInterval);
     hashCombine(seed, fpMultDivUnits);
     hashCombine(seed, fpMultLatency);
     hashCombine(seed, fpDivLatency);
     hashCombine(seed, fpSqrtLatency);
-    hashCombine(seed, l1iNextLinePrefetch ? 1 : 0);
+    hashCombine(seed, 0);
     hashCombine(seed, l1i);
     hashCombine(seed, l1d);
     hashCombine(seed, l2);
     hashCombine(seed, memLatencyFirst);
     hashCombine(seed, memBandwidthBytes);
     hashCombine(seed, itlb);
-    hashCombine(seed, dtlb);
+    hashCombine(seed, dtlb());
     return seed;
 }
 
@@ -235,7 +232,8 @@ std::string
 ProcessorConfig::toString() const
 {
     std::ostringstream os;
-    os << "core: width=" << machineWidth << " ifq=" << ifqEntries
+    const TlbGeometry dtlb = this->dtlb();
+    os << "core: width=" << coreWidth << " ifq=" << ifqEntries
        << " rob=" << robEntries << " lsq=" << lsqEntries()
        << " memports=" << memPorts << "\n"
        << "bpred: " << sim::toString(bpred)

@@ -2,12 +2,13 @@
  * @file
  * Full configuration surface of the superscalar processor model.
  *
- * Every user-configurable parameter of the paper's Tables 6 (core),
- * 7 (functional units), and 8 (memory hierarchy) appears here,
- * including the "shaded" linked parameters whose values are derived
- * from a related parameter (LSQ entries from ROB entries, divide
- * throughputs from divide latencies, following-block memory latency
- * from first-block latency, D-TLB page size / latency from the I-TLB).
+ * ProcessorConfig holds one field per real parameter of the paper's
+ * Tables 6 (core), 7 (functional units) and 8 (memory hierarchy): the
+ * 41 factors a Plackett-Burman screen varies. The "shaded" linked
+ * parameters are derived from a related one (LSQ entries from ROB
+ * entries, divide throughputs from divide latencies, following-block
+ * memory latency from first-block latency, D-TLB page size / latency
+ * from the I-TLB), and what the tables hold fixed is a constant.
  */
 
 #ifndef RIGOR_SIM_CONFIG_HH
@@ -37,6 +38,13 @@ enum class BranchUpdateTiming
     InCommit,
     InDecode,
 };
+
+/** Decode, issue and commit width; the paper fixes it at 4. */
+inline constexpr std::uint32_t coreWidth = 4;
+
+/** Issue interval of the pipelined units: the integer and FP ALUs
+ *  and the integer multiplier. */
+inline constexpr std::uint32_t pipelinedIssueInterval = 1;
 
 /** Geometry and timing of one cache level. Every cache, TLB and the
  *  BTB replace LRU, as in Table 8. */
@@ -102,25 +110,22 @@ struct ProcessorConfig
     /** 0 = fully associative. */
     std::uint32_t btbAssoc = 2;
     BranchUpdateTiming specBranchUpdate = BranchUpdateTiming::InCommit;
-    /** Decode, issue, and commit width; the paper fixes this at 4. */
-    std::uint32_t machineWidth = 4;
     std::uint32_t robEntries = 32;
     /** LSQ entries = lsqRatio * robEntries (shaded link in Table 6). */
     double lsqRatio = 0.5;
     std::uint32_t memPorts = 2;
 
     // ----- Functional units (Table 7) -----
+    // The ALUs and the integer multiplier are pipelined
+    // (pipelinedIssueInterval); int divide throughput is linked to
+    // its latency (unpipelined).
     std::uint32_t intAlus = 2;
     std::uint32_t intAluLatency = 1;
-    std::uint32_t intAluThroughput = 1;
     std::uint32_t fpAlus = 2;
     std::uint32_t fpAluLatency = 2;
-    std::uint32_t fpAluThroughput = 1;
     std::uint32_t intMultDivUnits = 1;
     std::uint32_t intMultLatency = 7;
     std::uint32_t intDivLatency = 30;
-    std::uint32_t intMultThroughput = 1;
-    // Int divide throughput is linked to its latency (unpipelined).
     std::uint32_t fpMultDivUnits = 1;
     std::uint32_t fpMultLatency = 4;
     std::uint32_t fpDivLatency = 20;
@@ -128,21 +133,15 @@ struct ProcessorConfig
     // FP multiply/divide/sqrt throughputs are linked to the latencies.
 
     // ----- Memory hierarchy (Table 8) -----
-    /**
-     * Next-line instruction prefetch: on every I-fetch the following
-     * cache block is pulled toward L1I in the background. Off by
-     * default (the paper's machine has no prefetcher); used by the
-     * enhancement-analysis examples as a second case study.
-     */
-    bool l1iNextLinePrefetch = false;
-
     CacheGeometry l1i{16 * 1024, 2, 32, 1};
     CacheGeometry l1d{16 * 1024, 4, 32, 2};
     CacheGeometry l2{1024 * 1024, 4, 64, 10};
     std::uint32_t memLatencyFirst = 100;
     std::uint32_t memBandwidthBytes = 16;
     TlbGeometry itlb{64, 4096, 4, 50};
-    TlbGeometry dtlb{128, 4096, 4, 50};
+    std::uint32_t dtlbEntries = 128;
+    /** 0 = fully associative. */
+    std::uint32_t dtlbAssoc = 4;
 
     // ----- Linked (derived) parameters -----
 
@@ -163,6 +162,13 @@ struct ProcessorConfig
      */
     std::uint32_t memLatencyFollowing() const;
 
+    /** The D-TLB: its own entries and associativity, the I-TLB's
+     *  page size and miss latency (Table 8 shading). */
+    TlbGeometry dtlb() const
+    {
+        return {dtlbEntries, itlb.pageBytes, dtlbAssoc, itlb.missLatency};
+    }
+
     /**
      * Sanity-check the configuration; throws std::invalid_argument
      * with a description of the first problem found. Also rejects an
@@ -180,7 +186,10 @@ struct ProcessorConfig
     /**
      * Stable memberwise hash covering every configurable field, so
      * two configurations hash equally iff they would simulate
-     * identically. Used by exec::RunCache to memoize simulation runs.
+     * identically. Used by exec::RunCache to memoize simulation runs
+     * and, through run keys, by journals: the constants that replaced
+     * removed fields are mixed where those fields were, so the value
+     * never moves.
      */
     std::size_t hash() const;
 };

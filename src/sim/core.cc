@@ -73,21 +73,21 @@ SuperscalarCore::reconfigure(const ProcessorConfig &config,
     _btb.reconfigure(config.btbEntries, config.btbAssoc);
     _ras.reconfigure(config.rasEntries);
     _intAlu.reconfigure(config.intAlus, config.intAluLatency,
-                        config.intAluThroughput);
+                        pipelinedIssueInterval);
     _fpAlu.reconfigure(config.fpAlus, config.fpAluLatency,
-                       config.fpAluThroughput);
+                       pipelinedIssueInterval);
     _intMultDiv.reconfigure(config.intMultDivUnits,
                             config.intMultLatency,
-                            config.intMultThroughput);
+                            pipelinedIssueInterval);
     _fpMultDiv.reconfigure(config.fpMultDivUnits, config.fpMultLatency,
                            config.fpMultThroughput());
-    _issueSlots.reconfigure(config.machineWidth);
+    _issueSlots.reconfigure(coreWidth);
     _memPorts.reconfigure(config.memPorts);
 
     _stats = CoreStats{};
 
     _nextFetchCycle = 0;
-    _fetchSlotsLeft = config.machineWidth;
+    _fetchSlotsLeft = coreWidth;
     _lastFetchBlock = ~std::uint64_t{0};
     _redirectCycle = 0;
     _fetchBlockMask = ~(std::uint64_t{config.l1i.blockBytes} - 1);
@@ -230,7 +230,6 @@ SuperscalarCore::step(const Instruction &inst,
                       std::uint64_t warmup_target)
 {
     countForPoll();
-    const std::uint32_t width = _config.machineWidth;
 
     // ---------------- Fetch ----------------
     // IFQ back-pressure: cannot fetch until the instruction
@@ -239,11 +238,11 @@ SuperscalarCore::step(const Instruction &inst,
     const std::uint64_t ifq_free = _dispatchHist[_ifqPos];
     if (fetch_cycle < ifq_free) {
         fetch_cycle = ifq_free;
-        _fetchSlotsLeft = width;
+        _fetchSlotsLeft = coreWidth;
     }
     if (fetch_cycle < _redirectCycle) {
         fetch_cycle = _redirectCycle;
-        _fetchSlotsLeft = width;
+        _fetchSlotsLeft = coreWidth;
     }
 
     // I-cache access on block change (or after any redirect, which
@@ -257,7 +256,7 @@ SuperscalarCore::step(const Instruction &inst,
         if (lat > _config.l1i.latency) {
             // Miss: the front end stalls until the block arrives.
             _nextFetchCycle = fetch_done;
-            _fetchSlotsLeft = width;
+            _fetchSlotsLeft = coreWidth;
         }
         _lastFetchBlock = block;
     }
@@ -266,7 +265,7 @@ SuperscalarCore::step(const Instruction &inst,
     if (_fetchSlotsLeft == 0) {
         ++fetch_cycle;
         fetch_done = std::max(fetch_done, fetch_cycle);
-        _fetchSlotsLeft = width;
+        _fetchSlotsLeft = coreWidth;
     }
     --_fetchSlotsLeft;
     _nextFetchCycle = std::max(_nextFetchCycle, fetch_cycle);
@@ -278,7 +277,7 @@ SuperscalarCore::step(const Instruction &inst,
         if (inst.taken && !_branchMispredicted) {
             // Taken transfer ends the fetch group.
             _nextFetchCycle = std::max(_nextFetchCycle, fetch_cycle + 1);
-            _fetchSlotsLeft = width;
+            _fetchSlotsLeft = coreWidth;
             _lastFetchBlock = ~std::uint64_t{0};
         }
     }
@@ -295,7 +294,7 @@ SuperscalarCore::step(const Instruction &inst,
     // Dispatch width (in-order, monotonic).
     if (dispatch < _dispatchCycleCur)
         dispatch = _dispatchCycleCur;
-    if (dispatch == _dispatchCycleCur && _dispatchSlotsUsed >= width)
+    if (dispatch == _dispatchCycleCur && _dispatchSlotsUsed >= coreWidth)
         ++dispatch;
     if (dispatch > _dispatchCycleCur) {
         _dispatchCycleCur = dispatch;
@@ -337,7 +336,7 @@ SuperscalarCore::step(const Instruction &inst,
           }
           case OpClass::IntMult:
             complete = execute(_intMultDiv, ready,
-                               _config.intMultThroughput,
+                               pipelinedIssueInterval,
                                _config.intMultLatency);
             break;
           case OpClass::IntDiv:
@@ -346,7 +345,7 @@ SuperscalarCore::step(const Instruction &inst,
                                _config.intDivLatency);
             break;
           case OpClass::FpAlu:
-            complete = execute(_fpAlu, ready, _config.fpAluThroughput,
+            complete = execute(_fpAlu, ready, pipelinedIssueInterval,
                                _config.fpAluLatency);
             break;
           case OpClass::FpMult:
@@ -369,7 +368,7 @@ SuperscalarCore::step(const Instruction &inst,
           case OpClass::Call:
           case OpClass::Return:
           default:
-            complete = execute(_intAlu, ready, _config.intAluThroughput,
+            complete = execute(_intAlu, ready, pipelinedIssueInterval,
                                _config.intAluLatency);
             break;
         }
@@ -392,7 +391,7 @@ SuperscalarCore::step(const Instruction &inst,
     std::uint64_t commit = std::max(complete + 1, _prevCommitCycle);
     if (commit < _commitCycleCur)
         commit = _commitCycleCur;
-    if (commit == _commitCycleCur && _commitSlotsUsed >= width)
+    if (commit == _commitCycleCur && _commitSlotsUsed >= coreWidth)
         ++commit;
     if (commit > _commitCycleCur) {
         _commitCycleCur = commit;

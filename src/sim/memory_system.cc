@@ -17,8 +17,7 @@ MemorySystem::reconfigure(const ProcessorConfig &config)
     _l1d.reconfigure(config.l1d);
     _l2.reconfigure(config.l2);
     _itlb.reconfigure(config.itlb);
-    _dtlb.reconfigure(config.dtlb);
-    _nextLinePrefetch = config.l1iNextLinePrefetch;
+    _dtlb.reconfigure(config.dtlb());
     _memLatencyFirst = config.memLatencyFirst;
     _memLatencyFollowing = config.memLatencyFollowing();
     _chunksPerBlock =
@@ -68,24 +67,6 @@ MemorySystem::instructionFetch(std::uint64_t cycle, std::uint64_t pc)
     latency += _l1i.latency();
     if (!_l1i.access(pc))
         latency += accessL2(cycle + latency, pc);
-
-    if (_nextLinePrefetch) {
-        // Pull the next block toward L1I in the background: the fetch
-        // in flight does not wait, but an L2 miss still occupies the
-        // memory channel (prefetches are not free bandwidth).
-        const std::uint64_t next =
-            (pc | (_l1i.geometry().blockBytes - 1)) + 1;
-        if (!_l1i.contains(next)) {
-            ++_stats.instructionPrefetches;
-            _l1i.access(next);
-            if (!_l2.access(next)) {
-                ++_stats.memoryTransfers;
-                const std::uint64_t start = std::max(
-                    cycle + latency, _memFreeCycle);
-                _memFreeCycle = start + memoryChannelOccupancy();
-            }
-        }
-    }
     return latency;
 }
 
@@ -111,16 +92,6 @@ MemorySystem::warmInstructionFetch(std::uint64_t pc)
         ++_stats.l2Accesses;
         if (!_l2.access(pc))
             ++_stats.memoryTransfers;
-    }
-    if (_nextLinePrefetch) {
-        const std::uint64_t next =
-            (pc | (_l1i.geometry().blockBytes - 1)) + 1;
-        if (!_l1i.contains(next)) {
-            ++_stats.instructionPrefetches;
-            _l1i.access(next);
-            if (!_l2.access(next))
-                ++_stats.memoryTransfers;
-        }
     }
 }
 

@@ -38,8 +38,6 @@ struct MemorySystemStats
     std::uint64_t l2Accesses = 0;
     std::uint64_t memoryTransfers = 0;
     std::uint64_t busQueueCycles = 0;
-    /** Next-line prefetches issued (when enabled). */
-    std::uint64_t instructionPrefetches = 0;
 };
 
 class MemorySystem
@@ -107,7 +105,6 @@ class MemorySystem
     Cache _l2{"l2"};
     Tlb _itlb{"itlb"};
     Tlb _dtlb{"dtlb"};
-    bool _nextLinePrefetch = false;
     std::uint32_t _memLatencyFirst = 0;
     std::uint32_t _memLatencyFollowing = 0;
     std::uint32_t _chunksPerBlock = 1;

@@ -37,15 +37,6 @@ TEST(ConfigCheck, LsqRatioZeroRejected)
     EXPECT_TRUE(sink.hasRule(rules::kConfigLsqRatio));
 }
 
-TEST(ConfigCheck, NonPaperMachineWidthRejected)
-{
-    sim::ProcessorConfig config;
-    config.machineWidth = 8;
-    check::DiagnosticSink sink;
-    EXPECT_FALSE(check::checkProcessorConfig(config, sink));
-    EXPECT_TRUE(sink.hasRule(rules::kConfigMachineWidth));
-}
-
 TEST(ConfigCheck, NonPowerOfTwoCacheRejected)
 {
     sim::ProcessorConfig config;
@@ -55,15 +46,6 @@ TEST(ConfigCheck, NonPowerOfTwoCacheRejected)
     EXPECT_TRUE(sink.hasRule(rules::kConfigCacheGeometry));
 }
 
-TEST(ConfigCheck, DtlbPageSizeMustMirrorItlb)
-{
-    sim::ProcessorConfig config;
-    config.dtlb.pageBytes = 8192; // I-TLB still at 4096
-    check::DiagnosticSink sink;
-    EXPECT_FALSE(check::checkProcessorConfig(config, sink));
-    EXPECT_TRUE(sink.hasRule(rules::kConfigDtlbMirror));
-}
-
 TEST(ConfigCheck, L2BlockSmallerThanL1Rejected)
 {
     sim::ProcessorConfig config;
@@ -71,16 +53,6 @@ TEST(ConfigCheck, L2BlockSmallerThanL1Rejected)
     check::DiagnosticSink sink;
     EXPECT_FALSE(check::checkProcessorConfig(config, sink));
     EXPECT_TRUE(sink.hasRule(rules::kConfigL2BlockCoversL1));
-}
-
-TEST(ConfigCheck, PipelinedThroughputAboveLatencyRejected)
-{
-    sim::ProcessorConfig config;
-    config.intAluLatency = 1;
-    config.intAluThroughput = 3;
-    check::DiagnosticSink sink;
-    EXPECT_FALSE(check::checkProcessorConfig(config, sink));
-    EXPECT_TRUE(sink.hasRule(rules::kConfigThroughputExceedsLatency));
 }
 
 TEST(ConfigCheck, ContextLabelsAppearInDiagnostics)

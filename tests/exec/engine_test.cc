@@ -260,7 +260,7 @@ TEST(ProcessorConfigHash, FieldChangesChangeHash)
     EXPECT_NE(base.hash(), tweaked.hash());
 
     tweaked = base;
-    tweaked.l1iNextLinePrefetch = !base.l1iNextLinePrefetch;
+    tweaked.dtlbEntries *= 2;
     EXPECT_NE(base, tweaked);
     EXPECT_NE(base.hash(), tweaked.hash());
 }

@@ -195,15 +195,13 @@ TEST(ProcProtocol, JobRequestRejectsNonCanonicalBools)
     request.profile = trace::workloadByName("gzip");
     request.profile.isFloatingPoint = false;
     request.config = methodology::uniformConfig(doe::Level::Low);
-    request.config.l1iNextLinePrefetch = false;
     request.label = "gzip, design row 3";
 
-    // Two bare bools and two inside memcpy'd structs.
+    // Two bare bools and one inside a memcpy'd struct.
     const std::vector<std::function<void(proc::JobRequest &)>> bools = {
         [](proc::JobRequest &r) { r.hasHook = true; },
         [](proc::JobRequest &r) { r.profile.isFloatingPoint = true; },
         [](proc::JobRequest &r) { r.sampling.enabled = true; },
-        [](proc::JobRequest &r) { r.config.l1iNextLinePrefetch = true; },
     };
     for (const auto &set_true : bools) {
         const std::vector<std::byte> bytes =
@@ -507,7 +505,6 @@ TEST(ProcWorkerPool, RecordedTraceFitsUnderTheDrillMemoryLimit)
     methodology::applyFactorLevel(widest.config,
                                   methodology::Factor::L2BlockSize,
                                   doe::Level::Low);
-    methodology::finalizeLinkedParameters(widest.config);
     ASSERT_EQ(widest.config.l2.sizeBytes, 8192u * 1024u);
     ASSERT_EQ(widest.config.l2.blockBytes, 64u);
     widest.instructions = 2000;

@@ -56,7 +56,6 @@ TEST(ParameterSpace, AllLowMatchesTable6To8LowColumn)
     EXPECT_EQ(c.btbEntries, 16u);
     EXPECT_EQ(c.btbAssoc, 2u);
     EXPECT_EQ(c.specBranchUpdate, sim::BranchUpdateTiming::InCommit);
-    EXPECT_EQ(c.machineWidth, 4u);
     EXPECT_EQ(c.robEntries, 8u);
     EXPECT_EQ(c.lsqEntries(), 2u); // 0.25 * 8
     EXPECT_EQ(c.memPorts, 1u);
@@ -80,7 +79,7 @@ TEST(ParameterSpace, AllLowMatchesTable6To8LowColumn)
     EXPECT_EQ(c.itlb.pageBytes, 4096u);
     EXPECT_EQ(c.itlb.assoc, 2u);
     EXPECT_EQ(c.itlb.missLatency, 80u);
-    EXPECT_EQ(c.dtlb.entries, 32u);
+    EXPECT_EQ(c.dtlbEntries, 32u);
 }
 
 TEST(ParameterSpace, AllHighMatchesTable6To8HighColumn)
@@ -125,8 +124,8 @@ TEST(ParameterSpace, LinkedParametersFollowTheirMasters)
     levels[static_cast<std::size_t>(
         methodology::Factor::ItlbLatency)] = doe::Level::High;
     const sim::ProcessorConfig c = methodology::configForLevels(levels);
-    EXPECT_EQ(c.dtlb.pageBytes, c.itlb.pageBytes);
-    EXPECT_EQ(c.dtlb.missLatency, c.itlb.missLatency);
+    EXPECT_EQ(c.dtlb().pageBytes, c.itlb.pageBytes);
+    EXPECT_EQ(c.dtlb().missLatency, c.itlb.missLatency);
 
     // LSQ follows the ROB.
     std::vector<doe::Level> rob_high = uniform(doe::Level::Low);

@@ -57,8 +57,7 @@ statsOf(const sim::SuperscalarCore &core)
     const sim::MemorySystemStats &ms = m.stats();
     v.insert(v.end(),
              {ms.instructionFetches, ms.dataAccesses, ms.l2Accesses,
-              ms.memoryTransfers, ms.busQueueCycles,
-              ms.instructionPrefetches});
+              ms.memoryTransfers, ms.busQueueCycles});
     v.insert(v.end(), {core.btb().stats().lookups,
                        core.btb().stats().misses});
     const sim::RasStats &r = core.ras().stats();
@@ -114,7 +113,7 @@ std::array<std::uint32_t, 6>
 capacities(const sim::ProcessorConfig &c)
 {
     return {c.l1i.numBlocks(), c.l1d.numBlocks(), c.l2.numBlocks(),
-            c.itlb.entries,    c.dtlb.entries,    c.btbEntries};
+            c.itlb.entries,    c.dtlbEntries,     c.btbEntries};
 }
 
 } // namespace
@@ -211,7 +210,7 @@ TEST(CoreReconfigure, ResetAfterReconfigureMatchesFreshCore)
 TEST(CoreReconfigure, RejectedConfigLeavesTheCoreReusable)
 {
     sim::ProcessorConfig bad = methodology::uniformConfig(doe::Level::Low);
-    bad.machineWidth = 256;
+    bad.memPorts = 256;
     const sim::ProcessorConfig good =
         methodology::uniformConfig(doe::Level::High);
     const trace::WorkloadProfile &profile =

@@ -30,7 +30,8 @@ bigConfig()
     c.memLatencyFirst = 50;
     c.memBandwidthBytes = 32;
     c.itlb = {256, 4 * 1024 * 1024, 0, 30};
-    c.dtlb = {256, 4 * 1024 * 1024, 0, 30};
+    c.dtlbEntries = 256;
+    c.dtlbAssoc = 0;
     c.validate();
     return c;
 }
