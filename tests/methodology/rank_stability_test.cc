@@ -350,7 +350,7 @@ TEST(ReplicatedPbExperiment, NoCommonSurvivorIsACampaignError)
     }
 }
 
-TEST(ReplicatedPbExperiment, EveryReplicatesDropsAreReported)
+TEST(ReplicatedPbExperiment, EveryReplicateDropIsReported)
 {
     // Replicate 1 alone loses mcf: the pooled table covers gzip only,
     // and its validity says why mcf is gone. With gzip also lost in
