@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "exec/engine.hh"
+#include "exec/journal.hh"
 #include "methodology/pb_experiment.hh"
+#include "methodology/rank_stability.hh"
 #include "methodology/rank_table.hh"
+#include "obs/json.hh"
 #include "trace/workloads.hh"
 
 namespace exec = rigor::exec;
 namespace methodology = rigor::methodology;
+namespace obs = rigor::obs;
 namespace trace = rigor::trace;
 
 namespace
@@ -120,4 +127,85 @@ TEST(SampledScreen, ReproducesTopTenAtFiveFoldFewerInstructions)
     ASSERT_FALSE(full_top.empty());
     ASSERT_FALSE(sampled_top.empty());
     EXPECT_EQ(full_top.front(), sampled_top.front());
+}
+
+namespace
+{
+
+/** FNV-1a over the exact bit patterns of @p columns, in order. */
+std::uint64_t
+bitsDigest(const std::vector<std::vector<double>> &columns)
+{
+    std::string bytes;
+    for (const std::vector<double> &column : columns)
+        bytes.append(reinterpret_cast<const char *>(column.data()),
+                     column.size() * sizeof(double));
+    return obs::fnv1a(bytes);
+}
+
+} // namespace
+
+TEST(SampledScreen, JournalResponsesAndStabilityArePinned)
+{
+    // A sampled campaign's persisted and reported bytes, exactly: the
+    // journal a one-thread gzip+mcf screen writes (one thread fixes
+    // the record order), its responses and CI half-widths, and the
+    // stability report of three replicates of the same screen.
+    const std::vector<trace::WorkloadProfile> workloads = {
+        trace::workloadByName("gzip"), trace::workloadByName("mcf")};
+    methodology::PbExperimentOptions options;
+    options.instructionsPerRun = 20000;
+    options.campaign.threads = 1;
+    options.campaign.sampling.enabled = true;
+    options.campaign.sampling.unitInstructions = 250;
+    options.campaign.sampling.warmupInstructions = 250;
+    options.campaign.sampling.intervalInstructions = 2500;
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "sampled_screen_pin";
+    std::remove(path.c_str());
+    methodology::PbExperimentResult result;
+    {
+        exec::ResultJournal journal(path);
+        options.campaign.journal = &journal;
+        result = methodology::runPbExperiment(workloads, options);
+        options.campaign.journal = nullptr;
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string journal_bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+
+    ASSERT_EQ(result.responses.size(), 2u);
+    ASSERT_EQ(result.responses[0].size(), 88u);
+    const std::uint64_t journal_digest = obs::fnv1a(journal_bytes);
+    EXPECT_EQ(journal_digest, 0x377e22eeceac92f4ull)
+        << "journal drifted; actual digest 0x"
+        << obs::digestHex(journal_digest) << "ull";
+    const std::uint64_t response_digest = bitsDigest(result.responses);
+    EXPECT_EQ(response_digest, 0x7a7bffd3141cd5f2ull)
+        << "responses drifted; actual digest 0x"
+        << obs::digestHex(response_digest) << "ull";
+    const std::uint64_t half_width_digest =
+        bitsDigest(result.ciHalfWidths);
+    EXPECT_EQ(half_width_digest, 0x1df671871c369d5aull)
+        << "CI half-widths drifted; actual digest 0x"
+        << obs::digestHex(half_width_digest) << "ull";
+
+    methodology::RankStabilityOptions replicated;
+    replicated.base = options;
+    replicated.base.campaign.threads = 2;
+    replicated.replication.replicates = 3;
+    replicated.replication.bootstrap.iterations = 200;
+    // Two benchmarks leave mid-table orders inside noise; the pin is
+    // the report, so no flip may fail the run. The pre-flight, with
+    // its replicate floor, still runs.
+    replicated.check.flipThreshold = 1.0;
+    const std::uint64_t report_digest = obs::fnv1a(
+        methodology::runReplicatedPbExperiment(workloads, replicated)
+            .stability.toJson());
+    EXPECT_EQ(report_digest, 0x882505f20a3d8db7ull)
+        << "stability report drifted; actual digest 0x"
+        << obs::digestHex(report_digest) << "ull";
 }
