@@ -56,7 +56,6 @@ runScreen(const std::vector<trace::WorkloadProfile> &workloads,
         options.campaign.sampling.unitInstructions = 250;
         options.campaign.sampling.warmupInstructions = 250;
         options.campaign.sampling.intervalInstructions = 2500;
-        options.campaign.sampling.targetRelativeError = 0.3;
     }
 
     // A private engine per screen: the run cache must not leak

@@ -94,8 +94,8 @@ inline constexpr const char *kRunWindowBelowHotCode =
 // ----- Sampled-simulation schedule sanity (workload_check) -----
 
 /** SamplingOptions::validate() rejected the schedule (unit/interval
- *  zero, detailed phase longer than the interval, target or
- *  confidence outside (0, 1)). */
+ *  zero, detailed phase longer than the interval, confidence outside
+ *  (0, 1)). */
 inline constexpr const char *kSampleScheduleInvalid =
     "sample.schedule-invalid";
 /** Stream shorter than one detailed phase: zero measured units. */

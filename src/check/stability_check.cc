@@ -397,14 +397,14 @@ checkReplicationPlan(const stats::ReplicationOptions &replication,
 {
     if (!replication.enabled())
         return;
-    if (replication.replicates < replication.minReplicates) {
+    if (replication.replicates < kMinReplicates) {
         sink.error(
             rules::kCampaignUnderReplicated,
             "campaign requests " +
                 std::to_string(replication.replicates) +
                 " workload replicate(s) but the configured minimum "
                 "is " +
-                std::to_string(replication.minReplicates) +
+                std::to_string(kMinReplicates) +
                 "; rank conclusions need enough independent "
                 "realizations to separate workload noise from "
                 "parameter effects",
@@ -486,7 +486,7 @@ checkRankStability(const RankStabilityFindings &findings,
 void
 lintStabilityReport(std::string_view text, const std::string &path,
                     const StabilityCheckOptions &options,
-                    unsigned min_replicates, DiagnosticSink &sink)
+                    DiagnosticSink &sink)
 {
     JsonReader reader(text);
     JsonValue root;
@@ -507,7 +507,6 @@ lintStabilityReport(std::string_view text, const std::string &path,
     }
     stats::ReplicationOptions replication;
     replication.replicates = findings.replicates;
-    replication.minReplicates = min_replicates;
     checkReplicationPlan(replication, sink);
     checkRankStability(findings, options, sink);
 }

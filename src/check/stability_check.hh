@@ -8,8 +8,8 @@
  * into pre-flight enforcement:
  *
  *  - campaign.under-replicated (error): a replicated campaign was
- *    requested with fewer workload-generation replicates than the
- *    configured floor — conclusions from one or two realizations
+ *    requested with fewer workload-generation replicates than
+ *    kMinReplicates — conclusions from one or two realizations
  *    cannot separate workload noise from parameter effects.
  *  - stats.rank-ci-overlap (warning): two adjacent top-K factors have
  *    overlapping rank CIs, so their reported order is unresolved.
@@ -40,6 +40,10 @@
 
 namespace rigor::check
 {
+
+/** The campaign.under-replicated floor: the fewest workload
+ *  replicates a replicated campaign may request. */
+inline constexpr unsigned kMinReplicates = 3;
 
 /** Thresholds of the rank-stability rules. */
 struct StabilityCheckOptions
@@ -85,9 +89,10 @@ struct RankStabilityFindings
 
 /**
  * Pre-flight leg: reject an under-replicated campaign
- * (campaign.under-replicated) before any simulation runs. A disabled
- * replication plan (replicates == 0) is exempt — single-realization
- * campaigns are the documented historical behavior.
+ * (campaign.under-replicated, fewer than kMinReplicates replicates)
+ * before any simulation runs. A disabled replication plan
+ * (replicates == 0) is exempt — single-realization campaigns are the
+ * documented historical behavior.
  */
 void checkReplicationPlan(const stats::ReplicationOptions &replication,
                           DiagnosticSink &sink);
@@ -107,13 +112,10 @@ void checkRankStability(const RankStabilityFindings &findings,
  * --stability-out) and run checkRankStability() plus the replicate
  * floor on it. Malformed JSON or a structurally wrong report yields
  * stats.report-syntax. @p path labels diagnostics.
- *
- * @param min_replicates floor for campaign.under-replicated; the
- *        report's own replicate count is checked against it.
  */
 void lintStabilityReport(std::string_view text, const std::string &path,
                          const StabilityCheckOptions &options,
-                         unsigned min_replicates, DiagnosticSink &sink);
+                         DiagnosticSink &sink);
 
 } // namespace rigor::check
 

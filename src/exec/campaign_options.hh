@@ -67,11 +67,11 @@ struct CampaignOptions
      */
     bool skipPreflight = false;
     /**
-     * Per-job fault policy: bounded retries with exponential backoff
-     * for transient faults, a cooperative per-attempt deadline that
-     * converts hung simulations into diagnosable timeouts, and —
-     * with collectFailures — quarantine instead of fail-fast. The
-     * default is the historical fail-fast single attempt.
+     * Per-job fault policy: bounded retries for transient faults, a
+     * cooperative per-attempt deadline that converts hung
+     * simulations into diagnosable timeouts, and — with
+     * collectFailures — quarantine instead of fail-fast. The default
+     * is the historical fail-fast single attempt.
      */
     FaultPolicy faultPolicy;
     /**

@@ -328,10 +328,8 @@ SimulationEngine::RunOutcome
 SimulationEngine::runOne(const SimJob &job, std::size_t index,
                          const FaultPolicy &policy)
 {
-    const bool use_cache = _cacheEnabled && job.cacheable();
-    const bool journaled = _journal != nullptr && job.cacheable();
-    const bool keyed =
-        (use_cache || journaled || _observer) && job.cacheable();
+    const bool journaled = _journal != nullptr;
+    const bool keyed = _cacheEnabled || journaled || _observer;
     RunKey key;
     if (keyed) {
         key.workload = job.workload->name;
@@ -346,9 +344,9 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
     JobEvent &event = outcome.event;
     event.jobIndex = index;
     event.job = &job;
-    if (_observer && keyed)
+    if (_observer)
         event.runKey = key.toString();
-    if (use_cache) {
+    if (_cacheEnabled) {
         if (std::optional<CellResult> cached = _cache.lookup(key)) {
             _progress.addCacheHit();
             _progress.addCompleted();
@@ -360,7 +358,7 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
     }
     if (journaled) {
         if (std::optional<CellResult> replayed = _journal->lookup(key)) {
-            if (use_cache)
+            if (_cacheEnabled)
                 _cache.store(key, *replayed);
             _progress.addJournalHit();
             _progress.addCompleted();
@@ -393,7 +391,7 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
                 event.result.sample;
             if (journaled)
                 _journal->append(key, event.result);
-            if (use_cache)
+            if (_cacheEnabled)
                 _cache.store(key, event.result);
             // Progress tracks the *detailed* simulation work: a
             // sampled run only pays for its warm-up + measured units.
@@ -447,10 +445,6 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
         if (!retryable || attempt == max_attempts)
             break;
         _progress.addRetry();
-        const std::chrono::milliseconds backoff =
-            policy.backoffFor(attempt, index);
-        if (backoff.count() > 0)
-            std::this_thread::sleep_for(backoff);
     }
 
     failure.elapsedSeconds =
@@ -473,6 +467,13 @@ BatchResult
 SimulationEngine::run(std::span<const SimJob> jobs,
                       const FaultPolicy &policy)
 {
+    // Checked here, not in a worker: an exception thrown on a worker
+    // thread would end the process.
+    for (const SimJob &job : jobs)
+        if (job.makeHook && job.hookId.empty())
+            throw std::invalid_argument(
+                "SimulationEngine::run: hooked job '" + job.label +
+                "' has no hookId");
     if (_running.exchange(true))
         throw std::logic_error(
             "SimulationEngine::run: a batch is already in progress "

@@ -16,20 +16,20 @@
  * (the simulator itself is deterministic).
  *
  * Fault tolerance: each batch runs under a FaultPolicy — bounded
- * retries with exponential backoff for transient faults, a
- * cooperative per-attempt deadline that converts hung simulations
- * into diagnosable timeouts, and an optional collect-all-failures
- * mode that quarantines failed jobs (NaN response + JobFailure
- * record) instead of cancelling the batch. The default policy is the
- * historical fail-fast behavior: the first failing job cancels the
- * batch and the rethrown error names the job's label plus its
- * attempt count and elapsed wall time.
+ * retries for transient faults, a cooperative per-attempt deadline
+ * that converts hung simulations into diagnosable timeouts, and an
+ * optional collect-all-failures mode that quarantines failed jobs
+ * (NaN response + JobFailure record) instead of cancelling the
+ * batch. The default policy is the historical fail-fast behavior:
+ * the first failing job cancels the batch and the rethrown error
+ * names the job's label plus its attempt count and elapsed wall
+ * time.
  *
  * Durability: an attached ResultJournal persists every completed
- * cacheable run's CellResult (fsync per record), and is consulted
- * like a second-level cache — an interrupted campaign resumed against
- * the same journal replays completed runs, sampling CIs included,
- * from disk instead of re-simulating them.
+ * run's CellResult (fsync per record), and is consulted like a
+ * second-level cache — an interrupted campaign resumed against the
+ * same journal replays completed runs, sampling CIs included, from
+ * disk instead of re-simulating them.
  *
  * Isolation: the attempt executor is a swappable SimulateFn
  * (EngineOptions::simulate / setSimulate). The default runs attempts
@@ -97,15 +97,13 @@ struct SimJob
      */
     std::function<std::unique_ptr<sim::ExecutionHook>()> makeHook;
     /**
-     * Stable cache identity of makeHook's product. A job with a hook
-     * but an empty hookId is treated as impure and never cached.
+     * Stable cache identity of makeHook's product, part of the run
+     * key. Required when makeHook is set: SimulationEngine::run
+     * rejects a hooked job without one.
      */
     std::string hookId;
     /** Failure context, e.g. "gzip, design row 17". */
     std::string label;
-
-    /** Cache participation: pure, or hooked with a stable identity. */
-    bool cacheable() const { return !makeHook || !hookId.empty(); }
 };
 
 /**
@@ -153,7 +151,7 @@ struct JobEvent
     /** The cell's result from whichever source served it; cycles
      *  are NaN when !ok. */
     CellResult result;
-    /** Run-cache key (config hash first); empty if uncacheable. */
+    /** Run-cache key (config hash first). */
     std::string runKey;
 };
 
@@ -203,7 +201,9 @@ class SimulationEngine
      * responses plus JobFailure records. Without it, the first
      * permanently failed job (retries exhausted) cancels the batch
      * and throws. BatchAbort (journal I/O failure, crash drill)
-     * always cancels and propagates regardless of the policy.
+     * always cancels and propagates regardless of the policy. A
+     * batch holding a job with makeHook set and an empty hookId is
+     * rejected with std::invalid_argument before any job runs.
      *
      * Not reentrant: one batch at a time. A nested or concurrent
      * run() call throws std::logic_error instead of silently

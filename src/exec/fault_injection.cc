@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -60,34 +59,6 @@ FaultInjector::addLabelFault(std::string labelSubstring,
             "fault every job");
     _byLabel.push_back(
         {std::move(labelSubstring), attempt, kind});
-}
-
-void
-FaultInjector::planRandomTransients(std::size_t numJobs,
-                                    unsigned attempts,
-                                    double transientRate,
-                                    std::uint64_t seed)
-{
-    if (attempts < 2)
-        throw std::invalid_argument(
-            "FaultInjector::planRandomTransients: a healable plan "
-            "needs a policy with at least 2 attempts");
-    if (transientRate < 0.0 || transientRate > 1.0)
-        throw std::invalid_argument(
-            "FaultInjector::planRandomTransients: transientRate must "
-            "be in [0, 1]");
-    // mt19937_64 + explicit seed: the plan is a pure function of the
-    // arguments, so a failing CI run is replayable locally.
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    for (std::size_t job = 0; job < numJobs; ++job) {
-        if (coin(rng) >= transientRate)
-            continue;
-        // Fault every attempt but the last, so the plan as a whole is
-        // survivable under a policy granting `attempts` attempts.
-        for (unsigned a = 1; a < attempts; ++a)
-            _byIndex[{job, a}] = FaultKind::Transient;
-    }
 }
 
 void

@@ -1,10 +1,10 @@
 /**
  * @file
- * Deterministic seeded fault injection for the execution engine.
+ * Deterministic fault injection for the execution engine.
  *
  * Every recovery path of the fault-tolerance layer — retry healing,
- * backoff, deadline trips, quarantine, degradation — must be
- * testable without flaky real-world failures. FaultInjector wraps a
+ * deadline trips, quarantine, degradation — must be testable
+ * without flaky real-world failures. FaultInjector wraps a
  * SimulateFn and raises chosen faults on chosen (job, attempt)
  * pairs:
  *
@@ -30,9 +30,7 @@
  *
  * Faults are keyed by batch job index or by a substring of the job's
  * label ("gzip, factorial cell 0"), so a test or a campaign drill
- * can target one (benchmark, design row) cell precisely. planRandom
- * seeds a reproducible storm of transient faults: the same seed
- * always faults the same (job, attempt) pairs.
+ * can target one (benchmark, design row) cell precisely.
  */
 
 #ifndef RIGOR_EXEC_FAULT_INJECTION_HH
@@ -92,17 +90,6 @@ class FaultInjector
      */
     void addLabelFault(std::string labelSubstring, unsigned attempt,
                        FaultKind kind);
-
-    /**
-     * Seeded storm: for each job in [0, numJobs), with probability
-     * @p transientRate, inject transient faults on attempts
-     * 1..(attempts-1) — every planned fault is healed by a policy
-     * allowing @p attempts attempts. Identical (seed, numJobs,
-     * attempts, rate) always plans identical faults.
-     */
-    void planRandomTransients(std::size_t numJobs, unsigned attempts,
-                              double transientRate,
-                              std::uint64_t seed);
 
     /**
      * The engine-facing executor: checks the plan, raises the fault

@@ -7,8 +7,8 @@
  * hiccup in a hook, a wedged run) discard every completed cycle. The
  * engine instead classifies each attempt's outcome:
  *
- *  - TransientFault — worth retrying (bounded attempts, exponential
- *    backoff with optional seeded jitter);
+ *  - TransientFault — worth retrying (bounded attempts, each retry
+ *    starting at once);
  *  - DeadlineExceeded — the per-attempt watchdog clock expired; the
  *    attempt is treated like a transient fault (a hang may be load-
  *    induced) until the attempts are exhausted;
@@ -39,7 +39,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -111,24 +110,6 @@ struct FaultPolicy
     /** Attempts per job (1 = no retries). 0 is treated as 1. */
     unsigned maxAttempts = 1;
     /**
-     * Backoff before retry k (1-based count of completed attempts):
-     * backoffBase * 2^(k-1), so 10ms -> 20ms -> 40ms. Zero disables.
-     */
-    std::chrono::milliseconds backoffBase{0};
-    /**
-     * Fraction of each backoff randomized away, in [0, 1]. A pool of
-     * workers that all hit the same transient fault (a shared
-     * filesystem hiccup, a saturated host) would otherwise retry in
-     * lockstep and collide again; jitter de-correlates them. The
-     * jitter is a pure function of (backoffSeed, stream, attempt) —
-     * see backoffFor(k, stream) — so a jittered campaign is still
-     * replayable bit for bit. Zero (the default) keeps the exact
-     * exponential schedule.
-     */
-    double backoffJitter = 0.0;
-    /** Seed of the deterministic jitter stream. */
-    std::uint64_t backoffSeed = 0;
-    /**
      * Watchdog deadline per attempt; an attempt running past it is
      * interrupted (cooperatively, see AttemptContext) and classified
      * as a timeout. Zero disables.
@@ -145,21 +126,6 @@ struct FaultPolicy
 
     /** Effective attempt cap (never 0). */
     unsigned attempts() const { return maxAttempts == 0 ? 1 : maxAttempts; }
-
-    /** Backoff before the retry following completed attempt @p k
-     *  (the exact exponential schedule, jitter ignored). */
-    std::chrono::milliseconds backoffFor(unsigned k) const;
-
-    /**
-     * Jittered backoff for one retry stream (the engine passes the
-     * job's batch index): the exponential base scaled into
-     * [base * (1 - backoffJitter), base] by a deterministic hash of
-     * (backoffSeed, stream, k). Identical inputs always produce the
-     * identical delay, so seeded campaigns replay exactly; distinct
-     * streams spread a simultaneous failure burst across the window.
-     */
-    std::chrono::milliseconds backoffFor(unsigned k,
-                                         std::uint64_t stream) const;
 };
 
 /**
@@ -203,7 +169,7 @@ struct JobFailure
     /** Attempts actually made (distinguishes retry exhaustion from a
      *  first-try failure). */
     unsigned attempts = 1;
-    /** Wall time across every attempt, backoff included. */
+    /** Wall time across every attempt. */
     double elapsedSeconds = 0.0;
     /** The last attempt's error message. */
     std::string message;

@@ -63,7 +63,7 @@ jobIdentity(const SimJob &job)
             ? "'" + job.label + "'"
             : (job.workload != nullptr ? "'" + job.workload->name + "'"
                                        : "<unlabeled job>");
-    if (!job.cacheable() || job.workload == nullptr)
+    if (job.workload == nullptr)
         return label;
     RunKey key;
     key.workload = job.workload->name;

@@ -11,9 +11,9 @@
  * overlap, and the enhancement analysis re-runs the base experiment
  * verbatim.
  *
- * Hooked runs participate only when the caller supplies a stable hook
- * identity string (e.g. "precompute-128/gzip"); a hook factory with
- * no identity is assumed impure and bypasses the cache.
+ * A hooked run carries a stable hook identity string (e.g.
+ * "precompute-128/gzip") in its key; the engine refuses a hooked job
+ * without one.
  *
  * What a run produces is one CellResult: the cycles and, for a
  * sampled run, its SampleSummary. Attempts return it, the cache and

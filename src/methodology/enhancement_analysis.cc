@@ -115,6 +115,9 @@ runEnhancementExperiment(
     if (!hook_factory)
         throw std::invalid_argument(
             "runEnhancementExperiment: hook_factory is required");
+    if (hook_id.empty())
+        throw std::invalid_argument(
+            "runEnhancementExperiment: hook_id is required");
 
     const exec::CampaignOptions &campaign = options.campaign;
 

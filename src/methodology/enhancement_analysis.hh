@@ -105,8 +105,8 @@ struct EnhancementExperimentResult
  *        options.campaign.engine is set, its cache makes any
  *        previously simulated leg (e.g. an earlier base run) free.
  * @param hook_factory builds the enhancement hook per run
- * @param hook_id stable cache identity of the enhancement (empty
- *        disables caching of the enhanced leg)
+ * @param hook_id stable cache identity of the enhancement; must not
+ *        be empty
  */
 EnhancementExperimentResult
 runEnhancementExperiment(

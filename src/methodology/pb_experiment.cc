@@ -127,8 +127,7 @@ pbSimJobs(std::span<const trace::WorkloadProfile> workloads,
                 job.makeHook = [&hook_factory, &workload]() {
                     return hook_factory(workload);
                 };
-                if (!hook_id.empty())
-                    job.hookId = hook_id + "/" + workload.name;
+                job.hookId = hook_id + "/" + workload.name;
             }
             job.label = workload.name + ", design row " +
                         std::to_string(run);

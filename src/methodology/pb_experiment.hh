@@ -135,8 +135,7 @@ class CampaignScope;
  * manifest as @p experiment, and enhances every run with
  * @p hook_factory's product when set. @p hook_id is that product's
  * stable cache identity (appended with the workload name per run);
- * leave it empty for an impure factory: hooked runs are then never
- * served from the run cache.
+ * it must not be empty when @p hook_factory is set.
  */
 PbExperimentResult
 runPbScreen(std::span<const trace::WorkloadProfile> suite,

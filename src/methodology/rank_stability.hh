@@ -56,7 +56,7 @@ struct RankStabilityOptions
     /**
      * Workload-generation replication: `replicates` is the replicate
      * count R (must be >= 1; the pre-flight rejects R below
-     * `minReplicates` with campaign.under-replicated), and
+     * check::kMinReplicates with campaign.under-replicated), and
      * `bootstrap` seeds and sizes the bootstrap.
      */
     stats::ReplicationOptions replication;

@@ -51,8 +51,6 @@ CampaignManifest::beginCampaign(const CampaignInfo &info)
         line += std::to_string(info.sampling.warmupInstructions);
         line += ",\"sample_interval\":";
         line += std::to_string(info.sampling.intervalInstructions);
-        line += ",\"sample_target_rel_error\":";
-        line += jsonNumber(info.sampling.targetRelativeError);
         line += ",\"sample_confidence\":";
         line += jsonNumber(info.sampling.confidence);
     }

@@ -64,7 +64,7 @@ struct CellRecord
     std::string benchmark;
     std::size_t row = 0;
     /** Run-cache key: config hash | instructions | warmup | workload
-     *  | hook id. Empty for uncacheable runs. */
+     *  | hook id. */
     std::string runKey;
     /** "simulated" | "cache" | "journal" | "failed". */
     std::string source;

@@ -27,9 +27,6 @@ SamplingOptions::validate() const
             std::to_string(warmupInstructions + unitInstructions) +
             ") must fit inside the sampling interval (" +
             std::to_string(intervalInstructions) + ")");
-    if (!(targetRelativeError > 0.0) || targetRelativeError >= 1.0)
-        throw std::invalid_argument(
-            "SamplingOptions: target relative error must be in (0, 1)");
     if (!(confidence > 0.0) || confidence >= 1.0)
         throw std::invalid_argument(
             "SamplingOptions: confidence must be in (0, 1)");

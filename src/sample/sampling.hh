@@ -28,8 +28,9 @@ namespace rigor::sample
 {
 
 /**
- * Sampling schedule and reporting targets. Kept trivially copyable:
- * the process-isolation backend ships it to sandbox workers as a pod.
+ * Sampling schedule and the confidence of its reported interval. Kept
+ * trivially copyable: the process-isolation backend ships it to
+ * sandbox workers as a pod.
  */
 struct SamplingOptions
 {
@@ -43,10 +44,6 @@ struct SamplingOptions
     /** Period length: one unit is taken every this many
      *  instructions; the remainder is functional fast-forward. */
     std::uint64_t intervalInstructions = 10000;
-    /** Reporting target: CI half-width / mean the campaign aims for.
-     *  Purely a target — the schedule above decides the actual
-     *  error, and adaptive mode tightens the schedule to meet it. */
-    double targetRelativeError = 0.05;
     /** Confidence level of the reported interval. */
     double confidence = 0.95;
 
@@ -85,19 +82,12 @@ struct SampleSummary
     double cpiStddev = 0.0;
     /** Student-t CI half-width of the mean CPI (0 when units < 2). */
     double ciHalfWidth = 0.0;
-    /** ciHalfWidth / cpiMean; the quantity compared against
-     *  SamplingOptions::targetRelativeError. */
+    /** ciHalfWidth / cpiMean. */
     double relativeError = 0.0;
     /** cpiMean x streamInstructions: the extrapolated total cycle
      *  count, directly comparable with a full run's measured
      *  cycles. */
     double estimatedCycles = 0.0;
-
-    /** True when the CI is tight enough for @p target_rel_error. */
-    bool meetsTarget(double target_rel_error) const
-    {
-        return units >= 2 && relativeError <= target_rel_error;
-    }
 
     bool operator==(const SampleSummary &) const = default;
 };

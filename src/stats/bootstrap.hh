@@ -144,13 +144,6 @@ struct ReplicationOptions
      * campaign with rank-stability analysis.
      */
     unsigned replicates = 0;
-    /**
-     * Pre-flight floor: a replicated campaign with fewer replicates
-     * than this fails static analysis with campaign.under-replicated
-     * (conclusions from one or two realizations cannot distinguish
-     * workload noise from parameter effects).
-     */
-    unsigned minReplicates = 3;
     /** Bootstrap schedule applied to the replicate responses. */
     BootstrapOptions bootstrap;
 

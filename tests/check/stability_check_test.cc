@@ -177,7 +177,7 @@ TEST(StabilityLint, CleanReportPasses)
     check::DiagnosticSink sink;
     check::lintStabilityReport(
         reportJson(kTwoFactors, "[0, 0], [0, 0]", 3, false, false),
-        "report.json", {}, 3, sink);
+        "report.json", {}, sink);
     EXPECT_TRUE(sink.passed());
     EXPECT_TRUE(sink.diagnostics().empty());
 }
@@ -187,7 +187,7 @@ TEST(StabilityLint, UnderReplicatedReportFails)
     check::DiagnosticSink sink;
     check::lintStabilityReport(
         reportJson(kTwoFactors, "[0, 0], [0, 0]", 2, false, false),
-        "report.json", {}, 3, sink);
+        "report.json", {}, sink);
     EXPECT_TRUE(sink.hasRule(rules::kCampaignUnderReplicated));
 }
 
@@ -199,7 +199,7 @@ TEST(StabilityLint, OverlapInReportWarns)
     check::DiagnosticSink sink;
     check::lintStabilityReport(
         reportJson(factors, "[0, 0.1], [0.1, 0]", 3, false, false),
-        "report.json", {}, 3, sink);
+        "report.json", {}, sink);
     EXPECT_TRUE(sink.hasRule(rules::kStatsRankCiOverlap));
 }
 
@@ -209,7 +209,7 @@ TEST(StabilityLint, FlipInReportIsError)
     check::lintStabilityReport(
         reportJson(kTwoFactors, "[0, 0.6], [0.6, 0]", 3, false,
                    false),
-        "report.json", {}, 3, sink);
+        "report.json", {}, sink);
     EXPECT_TRUE(sink.hasRule(rules::kStatsRankFlipInsideNoise));
     EXPECT_FALSE(sink.passed());
 }
@@ -219,7 +219,7 @@ TEST(StabilityLint, UncomposedSampledReportIsError)
     check::DiagnosticSink sink;
     check::lintStabilityReport(
         reportJson(kTwoFactors, "[0, 0], [0, 0]", 3, true, false),
-        "report.json", {}, 3, sink);
+        "report.json", {}, sink);
     EXPECT_TRUE(sink.hasRule(rules::kStatsCiComposeMissing));
 }
 
@@ -245,7 +245,7 @@ TEST(StabilityLint, MalformedJsonIsSyntaxError)
           "\"samplingCiComposed\": true, \"factors\": [], "
           "\"flipProbability\": []}"}) {
         check::DiagnosticSink sink;
-        check::lintStabilityReport(broken, "report.json", {}, 3,
+        check::lintStabilityReport(broken, "report.json", {},
                                    sink);
         EXPECT_TRUE(sink.hasRule(rules::kStatsReportSyntax))
             << "input: " << broken;
@@ -259,7 +259,7 @@ TEST(StabilityLint, RaggedFlipMatrixIsSyntaxError)
     check::lintStabilityReport(
         reportJson(kTwoFactors, "[0, 0, 0], [0, 0]", 3, false,
                    false),
-        "report.json", {}, 3, sink);
+        "report.json", {}, sink);
     EXPECT_TRUE(sink.hasRule(rules::kStatsReportSyntax));
 }
 
@@ -270,7 +270,7 @@ TEST(StabilityLint, ReplicateCountRangeEndsAreAccepted)
         check::lintStabilityReport(
             reportJson(kTwoFactors, "[0, 0], [0, 0]", replicates, false,
                        false),
-            "report.json", {}, 3, sink);
+            "report.json", {}, sink);
         EXPECT_TRUE(sink.diagnostics().empty())
             << "replicates: " << replicates;
     }

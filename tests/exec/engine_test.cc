@@ -358,7 +358,7 @@ TEST(SimulationEngine, CacheDisabledNeverHits)
     EXPECT_EQ(engine.cache().size(), 0u);
 }
 
-TEST(SimulationEngine, HookedJobWithoutIdentityBypassesCache)
+TEST(SimulationEngine, HookedJobWithoutIdentityIsRejected)
 {
     struct NoopHook : sim::ExecutionHook
     {
@@ -371,18 +371,18 @@ TEST(SimulationEngine, HookedJobWithoutIdentityBypassesCache)
     const std::vector<trace::WorkloadProfile> workloads = {
         trace::workloadByName("gzip")};
     std::vector<exec::SimJob> jobs = smallBatch(workloads);
-    for (exec::SimJob &job : jobs)
-        job.makeHook = []() { return std::make_unique<NoopHook>(); };
+    jobs.back().makeHook = []() { return std::make_unique<NoopHook>(); };
 
-    exec::SimulationEngine engine(exec::EngineOptions{1, true});
-    engine.run(jobs);
-    engine.run(jobs);
-    EXPECT_EQ(engine.progress().snapshot().cacheHits, 0u);
+    // The whole batch is refused before any job runs.
+    exec::SimulationEngine engine(exec::EngineOptions{2, true});
+    EXPECT_THROW(engine.run(jobs), std::invalid_argument);
+    const exec::ProgressSnapshot refused = engine.progress().snapshot();
+    EXPECT_EQ(refused.runsTotal, 0u);
+    EXPECT_EQ(refused.runsCompleted, 0u);
     EXPECT_EQ(engine.cache().size(), 0u);
 
-    // The same jobs with a stable identity do participate.
-    for (exec::SimJob &job : jobs)
-        job.hookId = "noop";
+    // With a stable identity the hooked job runs and is cached.
+    jobs.back().hookId = "noop";
     engine.run(jobs);
     engine.run(jobs);
     EXPECT_EQ(engine.progress().snapshot().cacheHits, jobs.size());
@@ -505,6 +505,7 @@ TEST(SimulationEngine, FailureNamesTheJobLabel)
     jobs[1].makeHook = []() -> std::unique_ptr<sim::ExecutionHook> {
         throw std::runtime_error("broken hook");
     };
+    jobs[1].hookId = "broken";
     jobs[1].label = "gzip, design row 1";
 
     exec::SimulationEngine engine(exec::EngineOptions{2, true});
@@ -568,6 +569,7 @@ TEST(SimulationEngine, ReplayedStreamsMatchTheStreamedReference)
     // A hooked run over the stream the previous job left behind.
     exec::SimJob hooked = make_job(a, 21000);
     hooked.makeHook = []() { return std::make_unique<MultHook>(); };
+    hooked.hookId = "mult";
     jobs.push_back(hooked);
 
     exec::SimulationEngine engine(exec::EngineOptions{1, false});

@@ -187,7 +187,7 @@ TEST(EndToEnd, PrecomputationEnhancementAnalysis)
                 return std::make_unique<enhance::PrecomputationTable>(
                     *proto);
             },
-            "");
+            "precompute-128");
 
     // The enhancement must actually speed things up somewhere.
     double base_total = 0.0;

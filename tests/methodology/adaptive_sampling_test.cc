@@ -47,7 +47,6 @@ twoRoundOptions(unsigned threads)
     campaign.sampling.unitInstructions = 250;
     campaign.sampling.warmupInstructions = 250;
     campaign.sampling.intervalInstructions = 5000;
-    campaign.sampling.targetRelativeError = 0.3;
     return options;
 }
 

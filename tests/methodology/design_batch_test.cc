@@ -188,7 +188,6 @@ TEST(DesignBatch, AdaptiveManifestOrder)
     campaign.sampling.unitInstructions = 250;
     campaign.sampling.warmupInstructions = 250;
     campaign.sampling.intervalInstructions = 5000;
-    campaign.sampling.targetRelativeError = 0.3;
     const methodology::AdaptiveSamplingResult run =
         methodology::runAdaptivePbExperiment(twoWorkloads(), options);
     ASSERT_EQ(run.rounds.size(), 2u);

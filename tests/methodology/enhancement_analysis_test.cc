@@ -235,6 +235,14 @@ TEST(EnhancementAnalysis, ExperimentRequiresHookFactory)
                      workloads, methodology::PbExperimentOptions{},
                      {}, "id"),
                  std::invalid_argument);
+    // A factory without a stable identity is refused too.
+    const methodology::HookFactory factory =
+        [](const rigor::trace::WorkloadProfile &)
+        -> std::unique_ptr<rigor::sim::ExecutionHook> { return nullptr; };
+    EXPECT_THROW(methodology::runEnhancementExperiment(
+                     workloads, methodology::PbExperimentOptions{},
+                     factory, ""),
+                 std::invalid_argument);
 }
 
 TEST(EnhancementAnalysis, MismatchedFactorSetsRejected)

@@ -125,7 +125,7 @@ TEST(PbExperiment, FailureNamesBenchmarkAndDesignRow)
                     throw std::runtime_error("bad configuration");
                 return nullptr;
             },
-            "");
+            "failing");
         FAIL() << "expected the experiment to fail";
     } catch (const std::runtime_error &e) {
         const std::string message = e.what();

@@ -145,7 +145,7 @@ TEST(AnalyzeRankStability, ReportRoundTripsThroughLint)
                                           fastBootstrap(), 2);
     report.replicates = 3;
     check::DiagnosticSink sink;
-    check::lintStabilityReport(report.toJson(), "report.json", {}, 3,
+    check::lintStabilityReport(report.toJson(), "report.json", {},
                                sink);
     EXPECT_FALSE(sink.hasRule(rules::kStatsReportSyntax))
         << sink.toString();
@@ -186,7 +186,6 @@ sampledCampaign()
     sampling.unitInstructions = 250;
     sampling.warmupInstructions = 250;
     sampling.intervalInstructions = 2000;
-    sampling.targetRelativeError = 0.3;
     return options;
 }
 
@@ -245,7 +244,7 @@ TEST(ReplicatedPbExperiment, ReplicatedCampaignProducesStability)
     // diagnostic.
     check::DiagnosticSink sink;
     check::lintStabilityReport(outcome.stability.toJson(),
-                               "report.json", {}, 3, sink);
+                               "report.json", {}, sink);
     EXPECT_FALSE(sink.hasRule(rules::kStatsReportSyntax));
 }
 

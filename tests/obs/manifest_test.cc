@@ -57,7 +57,6 @@ TEST(CampaignManifest, GoldenSampledCampaignRecord)
     info.sampling.unitInstructions = 250;
     info.sampling.warmupInstructions = 250;
     info.sampling.intervalInstructions = 2500;
-    info.sampling.targetRelativeError = 0.05;
     info.sampling.confidence = 0.95;
     obs::CampaignManifest manifest;
     manifest.beginCampaign(info);
@@ -70,7 +69,6 @@ TEST(CampaignManifest, GoldenSampledCampaignRecord)
               "\"warmup_instructions\":1000,"
               "\"sampling\":true,\"sample_unit\":250,"
               "\"sample_warmup\":250,\"sample_interval\":2500,"
-              "\"sample_target_rel_error\":0.05,"
               "\"sample_confidence\":0.95}\n");
 }
 

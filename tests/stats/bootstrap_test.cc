@@ -194,5 +194,4 @@ TEST(Bootstrap, ReplicationOptionsEnabled)
     EXPECT_FALSE(replication.enabled());
     replication.replicates = 3;
     EXPECT_TRUE(replication.enabled());
-    EXPECT_EQ(replication.minReplicates, 3u);
 }

@@ -246,7 +246,6 @@ TEST(CampaignCliOptions, ParsesSamplingFlags)
     EXPECT_TRUE(parse(options, {"--sample-unit", "500"}));
     EXPECT_TRUE(parse(options, {"--sample-warmup=1500"}));
     EXPECT_TRUE(parse(options, {"--sample-interval", "8000"}));
-    EXPECT_TRUE(parse(options, {"--sample-rel-error", "0.1"}));
     EXPECT_TRUE(parse(options, {"--sample-confidence", "0.99"}));
 
     const exec::CampaignOptions &campaign = options.run.campaign;
@@ -254,7 +253,6 @@ TEST(CampaignCliOptions, ParsesSamplingFlags)
     EXPECT_EQ(campaign.sampling.unitInstructions, 500u);
     EXPECT_EQ(campaign.sampling.warmupInstructions, 1500u);
     EXPECT_EQ(campaign.sampling.intervalInstructions, 8000u);
-    EXPECT_DOUBLE_EQ(campaign.sampling.targetRelativeError, 0.1);
     EXPECT_DOUBLE_EQ(campaign.sampling.confidence, 0.99);
 }
 
@@ -270,8 +268,6 @@ TEST(CampaignCliOptions, RejectsDegenerateSamplingValues)
     tools::CampaignSetup options;
     EXPECT_FALSE(parse(options, {"--sample-unit", "0"}));
     EXPECT_FALSE(parse(options, {"--sample-interval=0"}));
-    EXPECT_FALSE(parse(options, {"--sample-rel-error", "0"}));
-    EXPECT_FALSE(parse(options, {"--sample-rel-error", "1.5"}));
     EXPECT_FALSE(parse(options, {"--sample-confidence", "0"}));
     EXPECT_FALSE(parse(options, {"--sample=on"}));
 }

@@ -3,13 +3,13 @@
  * campaign — fault-tolerant Plackett-Burman experiment campaigns.
  *
  * Runs the paper's Table 9 screening experiment under an explicit
- * FaultPolicy (bounded retries, exponential backoff, per-attempt
- * deadlines), with optional crash-safe journaling so an interrupted
- * campaign resumes from disk, a deterministic fault-injection harness
- * for drills, and first-class observability sinks:
+ * FaultPolicy (bounded retries, per-attempt deadlines), with
+ * optional crash-safe journaling so an interrupted campaign resumes
+ * from disk, a deterministic fault-injection harness for drills, and
+ * first-class observability sinks:
  *
  *     campaign --workloads gzip,mcf --instructions 20000
- *     campaign --journal run.journal --retries 2 --backoff-ms 10
+ *     campaign --journal run.journal --retries 2
  *     campaign --journal run.journal            # resume: replays
  *     campaign --collect --degrade drop-benchmark
  *     campaign --inject 5:1:transient --retries 1
@@ -86,19 +86,10 @@ main(int argc, char **argv)
         }
 
         // The fault-injection plan (empty = the real simulator).
-        rigor::exec::FaultInjector &injector = cli.drills;
-        if (cli.randomDrills) {
-            const std::size_t rows = opts.campaign.foldover ? 88 : 44;
-            injector.planRandomTransients(
-                workloads.size() * rows,
-                opts.campaign.faultPolicy.attempts(),
-                cli.randomDrills->first, cli.randomDrills->second);
-        }
-
         rigor::exec::EngineOptions engine_opts;
         engine_opts.threads = opts.campaign.threads;
-        if (injector.plannedFaults() != 0)
-            engine_opts.simulate = injector.wrap();
+        if (cli.drills.plannedFaults() != 0)
+            engine_opts.simulate = cli.drills.wrap();
         rigor::exec::SimulationEngine engine(engine_opts);
 
         std::unique_ptr<rigor::exec::ResultJournal> journal;

@@ -366,13 +366,6 @@ campaignFlags(CampaignSetup &setup)
              policy.maxAttempts = retries + 1;
              return true;
          }},
-        {"--backoff-ms", "N", "base backoff, doubled per retry",
-         number(policy.backoffBase)},
-        {"--backoff-jitter", "F",
-         "randomize away up to F of each backoff (seeded, replayable)",
-         number(policy.backoffJitter, 0.0, 1.0, false)},
-        {"--backoff-seed", "N", "seed of the jitter stream",
-         number(policy.backoffSeed)},
         {"--deadline-ms", "N", "per-attempt deadline (0 = none)",
          number(policy.attemptDeadline)},
         {"--isolation", "MODE",
@@ -403,9 +396,6 @@ campaignFlags(CampaignSetup &setup)
         {"--sample-interval", "N",
          "one unit every N instructions (default 10000)",
          number(sampling.intervalInstructions, Bound::Positive)},
-        {"--sample-rel-error", "F",
-         "target relative CI half-width on CPI (default 0.05)",
-         number(sampling.targetRelativeError, 0.0, 1.0, true)},
         {"--sample-confidence", "F",
          "CI confidence level (default 0.95)",
          number(sampling.confidence, 0.0, 1.0, true)},
@@ -459,20 +449,6 @@ campaignFlags(CampaignSetup &setup)
              if (!parseFaultSpec(value, label, attempt, kind))
                  return false;
              setup.drills.addLabelFault(std::move(label), attempt, kind);
-             return true;
-         }},
-        {"--inject-random", "R:SEED",
-         "seeded transient storm at rate R",
-         [&setup](const char *value, std::string &) {
-             const std::string spec = value;
-             const std::size_t colon = spec.find(':');
-             double rate = 0.0;
-             std::uint64_t seed = 0;
-             if (colon == std::string::npos ||
-                 !parseDouble(spec.substr(0, colon).c_str(), rate) ||
-                 !parseUint64(spec.substr(colon + 1).c_str(), seed))
-                 return false;
-             setup.randomDrills.emplace(rate, seed);
              return true;
          }},
         {"--metrics-out", "PATH", "write the metrics registry as JSON",

@@ -33,7 +33,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exec/fault_injection.hh"
@@ -186,9 +185,6 @@ struct CampaignSetup
     /** --mem-limit-mb and --hard-deadline-ms; used under Process. */
     exec::proc::ProcWorkerPool::Options sandbox;
     exec::FaultInjector drills;
-    /** --inject-random RATE:SEED, planned once the design size is
-     *  known. */
-    std::optional<std::pair<double, std::uint64_t>> randomDrills;
     std::optional<std::size_t> crashAfter;
     std::vector<std::string> workloads;
     unsigned adaptiveRounds = 0;

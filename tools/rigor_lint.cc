@@ -92,8 +92,6 @@ main(int argc, char **argv)
 {
     namespace tools = rigor::tools;
     rigor::check::StabilityCheckOptions stability;
-    /** campaign.under-replicated floor for stability reports. */
-    unsigned min_replicates = 3;
     bool audit_parameter_space = false;
     bool list_rules = false;
     bool warnings_as_errors = false;
@@ -104,8 +102,6 @@ main(int argc, char **argv)
          tools::number(stability.topFactors)},
         {"--flip-threshold", "X", "rank-flip probability that is an error",
          tools::number(stability.flipThreshold)},
-        {"--min-replicates", "N", "replicate floor for stability reports",
-         tools::number(min_replicates)},
         {"--audit-parameter-space", "", "lint the built-in Tables 6-8 space",
          tools::set(audit_parameter_space)},
         {"--list-rules", "",
@@ -137,8 +133,7 @@ main(int argc, char **argv)
                        "cannot read file", {path, 0, {}});
             continue;
         }
-        rigor::check::lintStabilityReport(text, path, stability,
-                                          min_replicates, sink);
+        rigor::check::lintStabilityReport(text, path, stability, sink);
     }
 
     for (const Diagnostic &d : sink.diagnostics()) {
