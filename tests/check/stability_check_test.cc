@@ -245,8 +245,7 @@ TEST(StabilityLint, MalformedJsonIsSyntaxError)
           "\"samplingCiComposed\": true, \"factors\": [], "
           "\"flipProbability\": []}"}) {
         check::DiagnosticSink sink;
-        check::lintStabilityReport(broken, "report.json", {},
-                                   sink);
+        check::lintStabilityReport(broken, "report.json", {}, sink);
         EXPECT_TRUE(sink.hasRule(rules::kStatsReportSyntax))
             << "input: " << broken;
         EXPECT_FALSE(sink.passed());

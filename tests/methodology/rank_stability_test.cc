@@ -145,8 +145,7 @@ TEST(AnalyzeRankStability, ReportRoundTripsThroughLint)
                                           fastBootstrap(), 2);
     report.replicates = 3;
     check::DiagnosticSink sink;
-    check::lintStabilityReport(report.toJson(), "report.json", {},
-                               sink);
+    check::lintStabilityReport(report.toJson(), "report.json", {}, sink);
     EXPECT_FALSE(sink.hasRule(rules::kStatsReportSyntax))
         << sink.toString();
 }
