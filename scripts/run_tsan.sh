@@ -22,8 +22,9 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 die_after_fork=0"
 # Every suite under tests/doe, tests/methodology, and tests/exec —
 # run straight from the gtest binary so one process exercises the
 # shared-engine paths end to end — plus the golden response digest
-# (two engine threads, each reusing its own timing core) and the
-# core-reuse property tests.
+# (two engine threads, each reusing its own timing core and replaying
+# its own L1 cache and TLB tracks, at all three pinned lengths), the
+# core-reuse property tests and the replay-vs-live suite.
 ./build-tsan/tests/rigor_tests --gtest_filter="$(tr -d ' \n' <<'EOF'
 SimJobQueue.*:RunCache.*:ProcessorConfigHash.*:SimulationEngine.*:
 PbDesign.*:Foldover.*:Effects.*:DesignMatrix.*:DesignCost.*:
@@ -40,7 +41,9 @@ NetProtocol.*:NetSocket.*:
 ReplicatedPbExperiment.*:DesignBatch.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*:
-GoldenFixture.ResponseMatrixDigestIsPinned:CoreReconfigure.*
+GoldenFixture.ResponseMatrixDigestIsPinned:
+GoldenFixture.ScreenLengthDigestIsPinned:GoldenFixture.WarmedDigestIsPinned:
+CoreReconfigure.*:L1Replay.*
 EOF
 )"
 

@@ -134,8 +134,8 @@ inline constexpr const char *kCampaignPairedDropMismatch =
 
 /**
  * A replicated campaign was requested with fewer workload-generation
- * replicates than the configured minimum: conclusions cannot
- * distinguish workload-realization noise from parameter effects.
+ * replicates than the constant floor kMinReplicates: conclusions
+ * cannot distinguish workload-realization noise from parameter effects.
  */
 inline constexpr const char *kCampaignUnderReplicated =
     "campaign.under-replicated";

@@ -92,7 +92,7 @@ constexpr std::array<RuleInfo, 39> kRules{{
      "enhancement legs dropped different benchmark sets"},
     // ----- stability_check -----
     {kCampaignUnderReplicated, Severity::Error,
-     "replicated campaign meets the configured replicate floor"},
+     "replicated campaign meets the constant floor kMinReplicates"},
     {rules::kStatsRankCiOverlap, Severity::Warning,
      "adjacent top-K rank CIs do not overlap"},
     {rules::kStatsRankFlipInsideNoise, Severity::Error,

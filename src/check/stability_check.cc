@@ -402,8 +402,8 @@ checkReplicationPlan(const stats::ReplicationOptions &replication,
             rules::kCampaignUnderReplicated,
             "campaign requests " +
                 std::to_string(replication.replicates) +
-                " workload replicate(s) but the configured minimum "
-                "is " +
+                " workload replicate(s) but the floor "
+                "kMinReplicates is " +
                 std::to_string(kMinReplicates) +
                 "; rank conclusions need enough independent "
                 "realizations to separate workload noise from "

@@ -55,11 +55,16 @@ resolveThreads(unsigned requested)
 constexpr std::uint64_t kMaxRecordedTraceBytes = std::uint64_t{32}
                                                  << 20;
 
-/** One worker's last fully generated stream and its profile. */
+/**
+ * One worker's last fully generated stream and its profile, with the
+ * L1 cache and TLB outcome tracks of the design rows that replayed it
+ * (one per geometry; see sim::StreamTracks).
+ */
 struct RecordedTrace
 {
     trace::WorkloadProfile profile;
     trace::VectorTraceSource stream{{}};
+    sim::StreamTracks tracks;
 };
 
 /**
@@ -72,14 +77,19 @@ struct RecordedTrace
  * often and it hits somewhat less.
  *
  * On a hit (same profile and length as the slot) the source replays
- * the slot, and a full run reads it as a span (recorded()). On a
- * miss it empties the slot and generates the stream, recording it as
- * the core pulls it unless it exceeds kMaxRecordedTraceBytes. The
- * recording moves into the slot only when the generator is drained,
- * so an attempt that throws or times out mid-stream leaves nothing
- * to replay. The slot lives as long as its thread: after its last
- * job a worker still holds up to kMaxRecordedTraceBytes, which
- * counts against a sandbox's memLimitMb.
+ * the slot, and a full run reads it as a span (recorded()) with the
+ * L1 caches and TLBs replaying the slot's tracks (tracksFor()). On a
+ * miss it empties the slot, tracks included, and generates the
+ * stream, recording it as the core pulls it unless it exceeds
+ * kMaxRecordedTraceBytes. The recording moves into the slot only
+ * when the generator is drained, so an attempt that throws or times
+ * out mid-stream leaves nothing to replay. A track is built whole
+ * before its run starts, so a failed attempt leaves no partial one.
+ * The slot lives as long as its thread: after its last job a worker
+ * still holds up to kMaxRecordedTraceBytes of stream plus its
+ * tracks, 2 bits per non-repeat access for each of at most a few
+ * dozen geometries (a fraction of the stream's size); both count
+ * against a sandbox's memLimitMb.
  */
 class RecordingTraceSource : public trace::TraceSource
 {
@@ -93,6 +103,7 @@ class RecordingTraceSource : public trace::TraceSource
             return;
         }
         _slot.stream = trace::VectorTraceSource({});
+        _slot.tracks.clear();
         _generator.emplace(profile, length);
         _recording =
             length <= kMaxRecordedTraceBytes / sizeof(trace::Instruction);
@@ -107,6 +118,14 @@ class RecordingTraceSource : public trace::TraceSource
         if (_generator)
             return std::nullopt;
         return _slot.stream.instructions();
+    }
+
+    /** The slot's tracks for a run of @p config over recorded(),
+     *  built on first use. Only while replaying. */
+    sim::L1Tracks
+    tracksFor(const sim::ProcessorConfig &config)
+    {
+        return _slot.tracks.tracksFor(config, *recorded());
     }
 
     bool
@@ -176,7 +195,9 @@ thread_local RecordedTrace RecordingTraceSource::_slot;
  * ring and cache size (see SuperscalarCore::reconfigure). The core's
  * cache buffers stay sized for the largest geometry the worker has
  * run, which counts against a sandbox's memLimitMb like the kept
- * trace.
+ * trace and its tracks. Reconfiguring also detaches the tracks the
+ * previous job replayed, so a job whose stream is generated, or
+ * sampled, runs every structure live.
  *
  * The lease is also the cooperative watchdog: an attempt with a
  * deadline has the core poll it every SuperscalarCore::pollInterval
@@ -314,14 +335,17 @@ SimulationEngine::simulateJob(const SimJob &job,
         return CellResult::sampled(summary);
     }
 
-    // A replayed stream runs as a span: no virtual call per
-    // instruction.
     const std::optional<std::span<const trace::Instruction>> recorded =
         stream.recorded();
-    const sim::CoreStats stats =
-        recorded ? core.run(*recorded, job.warmupInstructions)
-                 : core.run(stream, job.warmupInstructions);
-    return static_cast<double>(stats.measuredCycles());
+    if (!recorded)
+        return static_cast<double>(
+            core.run(stream, job.warmupInstructions).measuredCycles());
+    // A replayed stream runs as a span (no virtual call per
+    // instruction), and the fresh core replays the worker's L1 cache
+    // and TLB tracks of it over the whole span.
+    core.replay(stream.tracksFor(job.config));
+    return static_cast<double>(
+        core.run(*recorded, job.warmupInstructions).measuredCycles());
 }
 
 SimulationEngine::RunOutcome

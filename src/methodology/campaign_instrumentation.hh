@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -183,36 +184,68 @@ class PhaseScope
 };
 
 /**
- * JobObserver that appends one manifest cell per finished job,
- * mapping the benchmark-major job index (all rows of benchmark 0,
- * then benchmark 1, ...) back onto (benchmark, design row). Returns
- * an empty observer when the manifest is null, so the engine skips
- * the callback entirely.
+ * The manifest cell records of one batch, appended in job order. The
+ * observer() keeps each finished job's record under its
+ * benchmark-major job index (all rows of benchmark 0, then benchmark
+ * 1, ...), mapped back onto (benchmark, design row); flush() appends
+ * the records held in job order, so the manifest does not depend on
+ * which worker finished first. A null manifest keeps nothing, and its
+ * observer() is empty, so the engine skips the callback entirely.
  */
-inline exec::JobObserver
-manifestCellObserver(obs::CampaignManifest *manifest,
-                     std::vector<std::string> benchmarks,
-                     std::size_t num_runs)
+class ManifestCells
 {
-    if (!manifest || num_runs == 0 || benchmarks.empty())
-        return {};
-    return [manifest, benchmarks = std::move(benchmarks),
-            num_runs](const exec::JobEvent &event) {
-        const std::size_t bench = event.jobIndex / num_runs;
-        obs::CellRecord cell;
-        cell.benchmark = bench < benchmarks.size()
-                             ? benchmarks[bench]
-                             : std::to_string(bench);
-        cell.row = event.jobIndex % num_runs;
-        cell.runKey = event.runKey;
-        cell.source =
-            event.ok ? exec::toString(event.source) : "failed";
-        cell.attempts = event.attempts;
-        cell.wallSeconds = event.wallSeconds;
-        cell.result = event.result;
-        manifest->addCell(cell);
-    };
-}
+  public:
+    ManifestCells(obs::CampaignManifest *manifest,
+                  const std::vector<std::string> &benchmarks,
+                  std::size_t rows, std::size_t jobs)
+        : _manifest(rows == 0 || benchmarks.empty() ? nullptr : manifest),
+          _benchmarks(benchmarks), _rows(rows)
+    {
+        if (_manifest)
+            _cells.resize(jobs);
+    }
+
+    /** Keeps each event's record. Each job index is written once, by
+     *  the worker that ran it, and read by flush() after the batch's
+     *  workers joined. */
+    exec::JobObserver
+    observer()
+    {
+        if (!_manifest)
+            return {};
+        return [this](const exec::JobEvent &event) {
+            const std::size_t bench = event.jobIndex / _rows;
+            obs::CellRecord cell;
+            cell.benchmark = bench < _benchmarks.size()
+                                 ? _benchmarks[bench]
+                                 : std::to_string(bench);
+            cell.row = event.jobIndex % _rows;
+            cell.runKey = event.runKey;
+            cell.source =
+                event.ok ? exec::toString(event.source) : "failed";
+            cell.attempts = event.attempts;
+            cell.wallSeconds = event.wallSeconds;
+            cell.result = event.result;
+            _cells.at(event.jobIndex) = std::move(cell);
+        };
+    }
+
+    /** Append every kept record in job order, once. */
+    void
+    flush()
+    {
+        for (std::optional<obs::CellRecord> &cell : _cells)
+            if (cell)
+                _manifest->addCell(*cell);
+        _cells.clear();
+    }
+
+  private:
+    obs::CampaignManifest *_manifest;
+    const std::vector<std::string> &_benchmarks;
+    std::size_t _rows;
+    std::vector<std::optional<obs::CellRecord>> _cells;
+};
 
 /** One design's cells as the engine handed them back. */
 struct DesignBatch
@@ -238,7 +271,9 @@ struct DesignBatch
  * campaign.skipPreflight, then runs the cells on the scope's engine
  * under the campaign's fault policy inside the driver phase
  * @p phase_name (its span tagged with @p span_args, then the job
- * count). Each finished cell becomes a manifest cell record.
+ * count). Each finished cell becomes a manifest cell record, written
+ * in job order when the batch returns or throws, before the phase's
+ * own record.
  *
  * Pre-flight errors name @p who. A fail-fast error comes back as
  * "<who>: simulation failed: <engine message>"; BatchAbort
@@ -265,8 +300,8 @@ runDesignBatch(CampaignScope &scope,
     }
 
     exec::SimulationEngine &engine = scope.engine();
-    scope.observe(
-        manifestCellObserver(campaign.manifest, workloads, rows));
+    ManifestCells cells(campaign.manifest, workloads, rows, jobs.size());
+    scope.observe(cells.observer());
     const exec::ProgressSnapshot before = engine.progress().snapshot();
     exec::BatchResult batch;
     try {
@@ -274,6 +309,18 @@ runDesignBatch(CampaignScope &scope,
         for (auto &[key, value] : span_args)
             phase.span().arg(std::move(key), std::move(value));
         phase.span().arg("jobs", std::to_string(jobs.size()));
+        // Destroyed before the phase, also when the batch throws: an
+        // aborted batch keeps the cells it finished.
+        struct CellFlush
+        {
+            CampaignScope &scope;
+            ManifestCells &cells;
+            ~CellFlush()
+            {
+                scope.observe({});
+                cells.flush();
+            }
+        } flush{scope, cells};
         batch = engine.run(jobs, campaign.faultPolicy);
     } catch (const exec::BatchAbort &) {
         throw;
@@ -281,7 +328,6 @@ runDesignBatch(CampaignScope &scope,
         throw std::runtime_error(std::string(who) +
                                  ": simulation failed: " + e.what());
     }
-    scope.observe({});
 
     DesignBatch out;
     out.execution = engine.progress().snapshot().since(before);

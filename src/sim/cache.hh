@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/block_lookup.hh"
 #include "sim/config.hh"
-#include "sim/replacement.hh"
 
 namespace rigor::sim
 {
@@ -49,13 +49,33 @@ class Cache
 
     /**
      * Access the block containing @p addr, allocating it on a miss.
+     * An access to the block accessed last is a hit that does no tag
+     * work (see BlockLookup).
      *
      * @return true on hit
      */
     bool access(std::uint64_t addr);
 
-    /** Check for presence without perturbing the LRU order. */
-    bool contains(std::uint64_t addr) const;
+    /** Check for presence without perturbing the LRU order (live
+     *  state only; see BlockLookup::probe). */
+    bool contains(std::uint64_t addr) const { return _lookup.probe(addr); }
+
+    /**
+     * Take every later non-repeat access's outcome from @p track (see
+     * BlockLookup::replay) until the next reset() or reconfigure().
+     */
+    void replay(const OutcomeTrack &track) { _lookup.replay(track); }
+
+    /**
+     * The track a fresh cache of @p geometry records over @p addrs,
+     * the addresses of its accesses in order.
+     */
+    template <class Addresses>
+    static OutcomeTrack
+    record(const CacheGeometry &geometry, Addresses &&addrs)
+    {
+        return Cache("record", geometry)._lookup.record(addrs);
+    }
 
     const std::string &name() const { return _name; }
     const CacheGeometry &geometry() const { return _geometry; }
@@ -76,14 +96,22 @@ class Cache
   private:
     std::string _name;
     CacheGeometry _geometry;
-    TagStore _tags{false};
+    BlockLookup _lookup;
     CacheStats _stats;
-    std::uint32_t _blockShift = 0;
-    std::uint32_t _setMask = 0;
-
-    std::uint32_t setIndex(std::uint64_t addr) const;
-    std::uint64_t tagOf(std::uint64_t addr) const;
 };
+
+// Inline: the core makes one or two accesses per instruction.
+inline bool
+Cache::access(std::uint64_t addr)
+{
+    ++_stats.accesses;
+    const Outcome outcome = _lookup.access(addr);
+    if (outcome.hit)
+        return true;
+    ++_stats.misses;
+    _stats.evictions += outcome.evicted;
+    return false;
+}
 
 } // namespace rigor::sim
 

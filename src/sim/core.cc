@@ -311,7 +311,7 @@ SuperscalarCore::step(const Instruction &inst,
         ready = std::max(ready, _regReady[inst.srcB]);
 
     std::uint64_t complete;
-    if (_hook && _hook->intercept(inst)) {
+    if (_hook && !is_mem && _hook->intercept(inst)) {
         // Enhancement supplies the result: no functional unit, zero
         // execution latency.
         ++_stats.interceptedInstructions;

@@ -50,11 +50,13 @@ namespace rigor::sim
 {
 
 /**
- * Hook invoked for every instruction before execution. Used by the
- * instruction-precomputation / value-reuse enhancements: returning
- * true means the enhancement supplies the result, so the instruction
- * bypasses its functional unit and completes with zero execution
- * latency.
+ * Hook invoked for every non-memory instruction before execution.
+ * Used by the instruction-precomputation / value-reuse enhancements:
+ * returning true means the enhancement supplies the result, so the
+ * instruction bypasses its functional unit and completes with zero
+ * execution latency. Loads and stores are never offered: every one of
+ * them reaches the memory hierarchy, so no hook changes the data-side
+ * access stream (see StreamTracks).
  */
 class ExecutionHook
 {
@@ -203,6 +205,17 @@ class SuperscalarCore
 
     /** Forget the hook, e.g. before the object it points at dies. */
     void detachHook() { _hook = nullptr; }
+
+    /**
+     * Replay @p tracks' L1I, ITLB, L1D and DTLB outcomes in the next
+     * run() instead of simulating those four structures (see
+     * StreamTracks). The core must be freshly reconfigured, and the
+     * run must cover the whole stream the tracks were built from;
+     * reconfigure() and reset() detach them. Everything else,
+     * including the L2 and all timing, stays live, and the run's
+     * statistics are bit-identical to a live run's.
+     */
+    void replay(const L1Tracks &tracks) { _memory.replay(tracks); }
 
     /** Instructions between two calls of the poll (see setPoll). */
     static constexpr std::uint32_t pollInterval = 4096;

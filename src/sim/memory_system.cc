@@ -26,6 +26,19 @@ MemorySystem::reconfigure(const ProcessorConfig &config)
     _stats = MemorySystemStats{};
 }
 
+void
+MemorySystem::replay(const L1Tracks &tracks)
+{
+    if (tracks.l1i)
+        _l1i.replay(*tracks.l1i);
+    if (tracks.itlb)
+        _itlb.replay(*tracks.itlb);
+    if (tracks.l1d)
+        _l1d.replay(*tracks.l1d);
+    if (tracks.dtlb)
+        _dtlb.replay(*tracks.dtlb);
+}
+
 std::uint64_t
 MemorySystem::memoryTransferCycles() const
 {
@@ -56,30 +69,6 @@ MemorySystem::accessL2(std::uint64_t cycle, std::uint64_t addr)
         _memFreeCycle = start + memoryChannelOccupancy();
         latency += (start - request) + memoryTransferCycles();
     }
-    return latency;
-}
-
-std::uint64_t
-MemorySystem::instructionFetch(std::uint64_t cycle, std::uint64_t pc)
-{
-    ++_stats.instructionFetches;
-    std::uint64_t latency = _itlb.access(pc);
-    latency += _l1i.latency();
-    if (!_l1i.access(pc))
-        latency += accessL2(cycle + latency, pc);
-    return latency;
-}
-
-std::uint64_t
-MemorySystem::dataAccess(std::uint64_t cycle, std::uint64_t addr,
-                         bool is_store)
-{
-    (void)is_store; // same timing path; the core buffers stores
-    ++_stats.dataAccesses;
-    std::uint64_t latency = _dtlb.access(addr);
-    latency += _l1d.latency();
-    if (!_l1d.access(addr))
-        latency += accessL2(cycle + latency, addr);
     return latency;
 }
 

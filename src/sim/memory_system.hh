@@ -25,6 +25,7 @@
 
 #include "sim/cache.hh"
 #include "sim/config.hh"
+#include "sim/l1_tracks.hh"
 #include "sim/tlb.hh"
 
 namespace rigor::sim
@@ -80,11 +81,18 @@ class MemorySystem
 
     /**
      * Take on @p config's geometries and timing, with every cache and
-     * TLB flushed, the statistics cleared and the memory channel
-     * free. Each cache and TLB keeps its buffer; see
+     * TLB flushed, no track attached, the statistics cleared and the
+     * memory channel free. Each cache and TLB keeps its buffer; see
      * Cache::reconfigure.
      */
     void reconfigure(const ProcessorConfig &config);
+
+    /**
+     * Replay @p tracks' L1I, ITLB, L1D and DTLB outcomes (see
+     * StreamTracks) until the next reconfigure(); a null track leaves
+     * its structure live. The L2 and the memory channel stay live.
+     */
+    void replay(const L1Tracks &tracks);
 
     const Cache &l1i() const { return _l1i; }
     const Cache &l1d() const { return _l1d; }
@@ -114,6 +122,32 @@ class MemorySystem
     /** L2 + memory path shared by both L1s. Returns added latency. */
     std::uint64_t accessL2(std::uint64_t cycle, std::uint64_t addr);
 };
+
+// Inline, with the L1 and TLB hit paths: the core fetches and
+// accesses data once or twice per instruction.
+inline std::uint64_t
+MemorySystem::instructionFetch(std::uint64_t cycle, std::uint64_t pc)
+{
+    ++_stats.instructionFetches;
+    std::uint64_t latency = _itlb.access(pc);
+    latency += _l1i.latency();
+    if (!_l1i.access(pc))
+        latency += accessL2(cycle + latency, pc);
+    return latency;
+}
+
+inline std::uint64_t
+MemorySystem::dataAccess(std::uint64_t cycle, std::uint64_t addr,
+                         bool is_store)
+{
+    (void)is_store; // same timing path; the core buffers stores
+    ++_stats.dataAccesses;
+    std::uint64_t latency = _dtlb.access(addr);
+    latency += _l1d.latency();
+    if (!_l1d.access(addr))
+        latency += accessL2(cycle + latency, addr);
+    return latency;
+}
 
 } // namespace rigor::sim
 

@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/block_lookup.hh"
 #include "sim/config.hh"
-#include "sim/replacement.hh"
 
 namespace rigor::sim
 {
@@ -45,7 +45,8 @@ class Tlb
 
     /**
      * Translate the page containing @p addr, filling the entry on a
-     * miss.
+     * miss. An access to the page accessed last is a hit that does no
+     * tag work (see BlockLookup).
      *
      * @return added latency in cycles: 0 on hit, the miss penalty on
      *         a miss
@@ -62,14 +63,34 @@ class Tlb
     /** Take on @p geometry and reset(); see Cache::reconfigure. */
     void reconfigure(const TlbGeometry &geometry);
 
+    /** Replay @p track until the next reset(); see Cache::replay. */
+    void replay(const OutcomeTrack &track) { _lookup.replay(track); }
+
+    /** The track a fresh TLB of @p geometry records over @p addrs. */
+    template <class Addresses>
+    static OutcomeTrack
+    record(const TlbGeometry &geometry, Addresses &&addrs)
+    {
+        return Tlb("record", geometry)._lookup.record(addrs);
+    }
+
   private:
     std::string _name;
     TlbGeometry _geometry;
-    TagStore _tags{false};
+    BlockLookup _lookup;
     TlbStats _stats;
-    std::uint32_t _pageShift = 0;
-    std::uint32_t _setMask = 0;
 };
+
+// Inline: the core makes one or two translations per instruction.
+inline std::uint32_t
+Tlb::access(std::uint64_t addr)
+{
+    ++_stats.accesses;
+    if (_lookup.access(addr).hit)
+        return 0;
+    ++_stats.misses;
+    return _geometry.missLatency;
+}
 
 } // namespace rigor::sim
 

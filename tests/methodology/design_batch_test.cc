@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -196,6 +197,41 @@ TEST(DesignBatch, AdaptiveManifestOrder)
     std::vector<std::string> expected = screenRecords("pb_screen", 176);
     append(expected, screenRecords("pb_screen/refine-1", 176));
     EXPECT_EQ(recordSequence(manifest), expected);
+}
+
+TEST(DesignBatch, ManifestIsIdenticalAcrossRunsOnFourThreads)
+{
+    // Each worker finishes cells in its own order; the manifest lists
+    // them in job order, so only the wall times differ between runs.
+    const auto manifestOf = [] {
+        obs::CampaignManifest manifest;
+        methodology::PbExperimentOptions opts;
+        opts.instructionsPerRun = 2000;
+        opts.campaign.threads = 4;
+        opts.campaign.manifest = &manifest;
+        methodology::runPbExperiment(twoWorkloads(), opts);
+        return std::regex_replace(manifest.toJsonl(),
+                                  std::regex("\"wall_seconds\":[^,}]*"),
+                                  "\"wall_seconds\":0");
+    };
+    const std::string first = manifestOf();
+    EXPECT_EQ(manifestOf(), first);
+
+    // Cells run benchmark-major, row by row.
+    std::istringstream lines(first);
+    std::vector<std::string> cells;
+    for (std::string line; std::getline(lines, line);)
+        if (field(line, "type") == "cell")
+            cells.push_back(field(line, "benchmark") + "/" +
+                            line.substr(line.find("\"row\":")));
+    ASSERT_EQ(cells.size(), 176u);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::string expected = (i < 88 ? "gzip/" : "mcf/") +
+                                     std::string("\"row\":") +
+                                     std::to_string(i % 88) + ",";
+        EXPECT_EQ(cells[i].substr(0, expected.size()), expected)
+            << "cell " << i;
+    }
 }
 
 TEST(DesignBatch, ScreenFailFastNamesTheExperiment)

@@ -274,6 +274,46 @@ TEST(Core, HookInterceptionSkipsExecution)
     EXPECT_EQ(core.run(src).interceptedInstructions, 300u);
 }
 
+TEST(Core, HookIsNeverOfferedLoadsOrStores)
+{
+    // A hook that would intercept everything still leaves every load
+    // and store accessing memory, so no hook changes the data side.
+    struct AllHook : sim::ExecutionHook
+    {
+        std::uint64_t offered = 0;
+        bool
+        intercept(const trace::Instruction &inst) override
+        {
+            EXPECT_FALSE(trace::isMemOp(inst.op));
+            ++offered;
+            return true;
+        }
+    };
+
+    std::vector<trace::Instruction> v(300);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i].pc = 0x1000 + 4 * (i % 16);
+        v[i].op = i % 3 == 0   ? trace::OpClass::Load
+                  : i % 3 == 1 ? trace::OpClass::Store
+                               : trace::OpClass::IntAlu;
+        v[i].memAddr = 0x20000 + 64 * i;
+        v[i].srcA = trace::noReg;
+        v[i].srcB = trace::noReg;
+        v[i].dst = trace::isMemOp(v[i].op) ? trace::noReg : 1;
+    }
+    AllHook hook;
+    trace::VectorTraceSource src(v);
+    sim::SuperscalarCore core(bigConfig(), &hook);
+    const sim::CoreStats stats = core.run(src);
+    EXPECT_EQ(stats.loads, 100u);
+    EXPECT_EQ(stats.stores, 100u);
+    EXPECT_EQ(stats.interceptedInstructions, 100u);
+    EXPECT_EQ(hook.offered, 100u);
+    EXPECT_EQ(core.memory().stats().dataAccesses, 200u);
+    EXPECT_EQ(core.memory().l1d().stats().accesses, 200u);
+    EXPECT_EQ(core.memory().dtlb().stats().accesses, 200u);
+}
+
 TEST(Core, RasMispredictsWhenCallDepthExceedsStack)
 {
     // Build a trace of nested calls then returns, deeper than the RAS.
