@@ -19,14 +19,14 @@
  *  - in-order commit at the machine width.
  *
  * The model trades cycle-by-cycle event fidelity for a single linear
- * pass. On one core of a 4-vCPU x86 VM (BENCH_34.json, a busier host
- * than BENCH_28.json's 65-76 ns), a live core ran about 122 ns per
- * instruction as perfbench's timing_core_ns_per_instr measures it,
- * and a screen cell that replays its L1 cache and TLB tracks about
- * 96 ns, engine included (2 threads x campaign_s over 1144 cells of
- * 20k instructions; 112 ns before the replay). That is what makes
- * the 88-configuration x 13-benchmark Plackett-Burman experiment of
- * Table 9 tractable. Every parameter of Tables 6-8 has
+ * pass. On one core of a 4-vCPU x86 VM (BENCH_34.json), a live core
+ * ran about 65 ns per instruction as perfbench's
+ * timing_core_ns_per_instr measures it, and a screen cell that
+ * replays its L1 cache and TLB tracks about 64 ns, engine included
+ * (2 threads x campaign_s over 1144 cells of 20k instructions; 74 ns
+ * before the replay). Both read 1.5-1.9x slower on a busier host.
+ * That is what makes the 88-configuration x 13-benchmark
+ * Plackett-Burman experiment of Table 9 tractable. Every parameter of Tables 6-8 has
  * a first-class mechanism here.
  */
 
